@@ -12,24 +12,22 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Observability smoke: `vaultc check --trace` over the examples corpus
-# (plus a forced worker pool) must emit schema-valid Chrome trace JSON
-# with one track per process.
+# (plus a synthesized unit) must emit schema-valid Chrome trace JSON
+# with one check_function span per function.
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
 
-# Fast CI smoke: asserts jobs>1 is never a pessimisation (tiny
-# workload; the timing gate applies on multi-CPU runners, byte-identity
-# everywhere), then runs the benchmark bodies once (no timing rounds),
-# refreshing BENCH_checker.json with cold/warm/parallel timings.
+# Fast CI smoke: asserts the front-end ratchet (lex+parse share of a
+# cold check, token-cache hit rate on an edit), then runs the benchmark
+# bodies once (no timing rounds), refreshing BENCH_checker.json with
+# cold/warm/edit timings.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
 	$(PYTHON) -m pytest benchmarks/bench_checker_scaling.py \
 	    benchmarks/bench_incremental.py -q --benchmark-disable
 
-# Resilience smoke: the acceptance chaos scenario (two workers killed,
-# one hung, --jobs 4) must recover without serial fallback and with
-# byte-identical diagnostics; a corrupted summary cache must be
-# quarantined and rebuilt.
+# Resilience smoke: a corrupted summary cache must be quarantined and
+# rebuilt, with byte-identical diagnostics.
 chaos-smoke:
 	$(PYTHON) benchmarks/chaos_smoke.py
 
@@ -66,8 +64,8 @@ daemon-chaos-smoke:
 
 # Differential-fuzzing smoke: 200 seeded adversarial protocol
 # programs (random keyed state machines + violating clients) must
-# check byte-identically through serial, the forked worker pool, a
-# warm cached session and a live check daemon — zero divergences.
+# check byte-identically through serial, a warm cached session and a
+# live check daemon — zero divergences.
 # Writes the "fuzz" block of BENCH_checker.json.
 fuzz-smoke:
 	$(PYTHON) benchmarks/fuzz_smoke.py

@@ -1,4 +1,4 @@
-"""Derived experiment T3 — the incremental/parallel checking pipeline.
+"""Derived experiment T3 — the incremental checking pipeline.
 
 Times :class:`repro.pipeline.CheckSession` on the same 160-function
 synthetic workload as ``bench_checker_scaling.py``:
@@ -11,15 +11,6 @@ synthetic workload as ``bench_checker_scaling.py``:
 * **warm** — re-checking the byte-identical source (summary replay);
 * **edit** — re-checking after a one-function edit (one summary
   invalidated, 159 replayed);
-* **parallel** — a cold check through the fork-server worker pool
-  (measured on a 320-function workload so there is enough work to
-  amortise the fan-out; **skipped and flagged** on single-CPU hosts,
-  where a speedup is physically impossible and reporting one would be
-  a lie);
-* **parallel_small** — ``jobs > 1`` on a 20-function workload, where
-  the scheduler's break-even check must keep the session serial:
-  this measures the *overhead* of asking for parallelism when it
-  cannot pay off;
 * **large** — cold/warm/one-edit timings on a 640-function workload,
   the front-end ratchet corpus: the cold and single-edit budgets below
   are enforced here, and the token-cache/relex counters are recorded
@@ -32,10 +23,9 @@ performance trajectory is tracked across PRs.
 Absolute wall-clock budgets are only meaningful on hardware at least
 as fast as the reference box the targets were set on, so they sit
 behind a calibration probe (single-thread lex of the 160-function
-corpus).  A slower host **skips and flags** the absolute ratchets —
-the same policy the parallel measurement applies on single-CPU
-hosts — while the machine-independent ratchets (speedup ratios,
-cache hit rates, relex splice counts) are enforced everywhere.
+corpus).  A slower host **skips and flags** the absolute ratchets,
+while the machine-independent ratchets (speedup ratios, cache hit
+rates, relex splice counts) are enforced everywhere.
 """
 
 import gc
@@ -46,17 +36,14 @@ import time
 from repro import check_source
 from repro.analysis import synthesize_program
 from repro.obs import Telemetry
-from repro.pipeline import CheckSession, fork_available
+from repro.pipeline import CheckSession
 from repro.syntax import tokenize
 
 from conftest import banner
 
 N_FUNCTIONS = 160
-N_FUNCTIONS_PARALLEL = 320
-N_FUNCTIONS_SMALL = 20
 N_FUNCTIONS_LARGE = 640
 UNITS = ["region"]
-JOBS = 4
 
 #: Calibration reference: seconds a single thread needs to lex the
 #: 160-function corpus on the hardware the absolute budgets were set
@@ -71,16 +58,6 @@ EDIT_LARGE_BUDGET = 0.010   # warm single-edit re-check, 640 functions
 
 _BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_checker.json")
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on — the honest parallelism budget
-    (affinity masks and cgroup limits make this < os.cpu_count() on
-    CI runners and containers)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _edit(source: str) -> str:
@@ -146,16 +123,14 @@ def _calibrate() -> dict:
             "fast_enough": fast_enough}
 
 
-_RESILIENCE_COUNTERS = ("respawns", "retries", "bisections", "timeouts",
-                        "poisoned", "cache_quarantines", "serial_fallbacks")
+_RESILIENCE_COUNTERS = ("cache_quarantines",)
 
 
 def _measure():
     source = synthesize_program(N_FUNCTIONS, seed=42)
-    cpus = _available_cpus()
     # Recovery activity summed over every session this run creates —
     # a no-fault benchmark must report all zeros, so regressions that
-    # make the supervisor fire spuriously show up in BENCH_checker.json.
+    # make recovery fire spuriously show up in BENCH_checker.json.
     resilience = {name: 0 for name in _RESILIENCE_COUNTERS}
 
     def _tally(sess):
@@ -232,57 +207,13 @@ def _measure():
         "calibration": _calibrate(),
     }
 
-    # Parallel: only measured where a speedup is possible.  On a
-    # single-CPU host the workers just time-slice one core, so a
-    # "speedup" number would be noise — record why it is missing
-    # instead of a misleading value.
-    parallel = None
-    parallel_skipped = None
-    parallel_vs_cold = None
-    if not fork_available():
-        parallel_skipped = "fork not available on this platform"
-    elif cpus < 2:
-        parallel_skipped = f"only {cpus} CPU available to this process"
-    else:
-        big_source = synthesize_program(N_FUNCTIONS_PARALLEL, seed=42)
-        serial_big = CheckSession(units=UNITS)
-        start = time.perf_counter()
-        serial_big_report = serial_big.check(big_source)
-        cold_big = time.perf_counter() - start
-        with CheckSession(units=UNITS, jobs=min(JOBS, cpus)) as psession:
-            start = time.perf_counter()
-            parallel_report = psession.check(big_source)
-            parallel = time.perf_counter() - start
-        _tally(psession)
-        assert parallel_report.render() == serial_big_report.render(), \
-            "parallel diagnostics must be byte-identical to serial"
-        parallel_vs_cold = cold_big / parallel if parallel else float("inf")
-
-    # Small workload: the break-even check must keep jobs>1 from
-    # costing anything (no forks below the threshold).
-    small_source = synthesize_program(N_FUNCTIONS_SMALL, seed=7)
-    start = time.perf_counter()
-    small_serial_report = CheckSession(units=UNITS).check(small_source)
-    small_serial = time.perf_counter() - start
-    with CheckSession(units=UNITS, jobs=JOBS) as small_session:
-        start = time.perf_counter()
-        small_parallel_report = small_session.check(small_source)
-        small_parallel = time.perf_counter() - start
-        small_forked = small_session.stats.pool_spawns
-    assert small_parallel_report.render() == small_serial_report.render()
     _tally(session)
-    _tally(small_session)
     assert not any(resilience.values()), \
         f"recovery machinery fired during a no-fault run: {resilience}"
 
     return {
         "workload": {"functions": N_FUNCTIONS, "units": UNITS, "seed": 42,
-                     "parallel_functions": N_FUNCTIONS_PARALLEL,
-                     "small_functions": N_FUNCTIONS_SMALL,
                      "large_functions": N_FUNCTIONS_LARGE},
-        "cpus": cpus,
-        "jobs": JOBS,
-        "fork_available": fork_available(),
         "seconds": {
             "baseline_check_source": baseline,
             "phases": phases,
@@ -292,25 +223,16 @@ def _measure():
             "cold_large": cold_large,
             "warm_large": warm_large,
             "edit_large": edit_large,
-            "parallel": parallel,
-            "small_serial": small_serial,
-            "small_parallel": small_parallel,
         },
         "speedup": {
             "warm_vs_cold": cold / warm if warm else float("inf"),
             "edit_vs_cold": cold / edit if edit else float("inf"),
             "edit_large_vs_cold_large":
                 cold_large / edit_large if edit_large else float("inf"),
-            "parallel_vs_cold": parallel_vs_cold,
-            "small_parallel_vs_serial":
-                small_serial / small_parallel if small_parallel
-                else float("inf"),
         },
         "cache_hit_rates": cache_hit_rates,
         "frontend": frontend,
         "resilience": resilience,
-        "parallel_skipped": parallel_skipped,
-        "small_workload_forked_workers": small_forked,
         "edit_rechecked": edited_functions,
     }
 
@@ -379,8 +301,7 @@ def test_incremental_pipeline(benchmark):
         "a one-function edit on the 640-fn corpus should be >=10x " \
         "faster than cold"
 
-    # Absolute wall-clock budgets — only on calibrated-fast hardware
-    # (same skip-and-flag policy as the parallel measurement below).
+    # Absolute wall-clock budgets — only on calibrated-fast hardware.
     if calibration["fast_enough"]:
         assert sec["cold_large"] <= COLD_LARGE_BUDGET, \
             f"cold 640-fn check {sec['cold_large']:.3f}s over " \
@@ -396,34 +317,5 @@ def test_incremental_pipeline(benchmark):
             f"{calibration['lex_160fn_seconds'] * 1000:.1f} ms "
             f"(reference {calibration['reference_seconds'] * 1000:.1f} ms)")
 
-    if result["parallel_skipped"]:
-        rows.append(f"parallel measurement SKIPPED: "
-                    f"{result['parallel_skipped']}")
-    else:
-        rows.append(
-            f"parallel cold ({result['jobs']} workers, "
-            f"{result['workload']['parallel_functions']} fns) "
-            f"{sec['parallel'] * 1000:8.1f} ms  "
-            f"({speed['parallel_vs_cold']:.2f}x on {result['cpus']} CPU(s))")
-        assert speed["parallel_vs_cold"] > 1.0, \
-            "worker pool must beat serial on a multi-CPU host"
-        if result["cpus"] >= 4:
-            assert speed["parallel_vs_cold"] >= 2.0, \
-                "4 workers on >=4 CPUs should give >=2x"
-            rows.append("parallel speedup >=2x with 4 workers   VERIFIED")
-
-    rows.append(
-        f"20-fn workload, jobs={result['jobs']}: "
-        f"{sec['small_parallel'] * 1000:.1f} ms vs "
-        f"{sec['small_serial'] * 1000:.1f} ms serial "
-        f"({result['small_workload_forked_workers']} pools forked)")
-    # The break-even check must keep small workloads serial: no forks,
-    # and within noise of the serial session (>5% would mean jobs>1
-    # costs something even when it cannot help).
-    assert result["small_workload_forked_workers"] == 0, \
-        "break-even check must avoid forking for a 20-function unit"
-    assert sec["small_parallel"] <= sec["small_serial"] * 1.05 + 0.005, \
-        "jobs>1 must not be slower than serial on a small workload"
-
-    rows.append("serial/warm/parallel outputs byte-identical   VERIFIED")
-    banner("T3: incremental + parallel pipeline", rows)
+    rows.append("serial/warm outputs byte-identical   VERIFIED")
+    banner("T3: incremental pipeline", rows)

@@ -1,21 +1,10 @@
-"""A fast parallel-pipeline smoke check (the ``make bench-smoke`` gate).
+"""A fast front-end smoke check (the ``make bench-smoke`` gate).
 
-Runs in a few seconds on a tiny workload and asserts two properties:
-
-* the worker pool's reason to exist — asking for ``--jobs N`` is never
-  a pessimisation.  Concretely, on a multi-CPU host the parallel
-  session must come within 5% of the serial cold check
-  (``parallel_vs_cold >= 0.95``) — the scheduler's break-even fallback
-  makes that hold even when the workload is too small for a real
-  speedup.  On single-CPU hosts the timing gate is skipped (and says
-  so); the byte-identity of forced-pool output is still verified, so
-  the worker protocol gets exercised everywhere fork exists;
-
-* the front-end ratchet — lex + parse must stay under a pinned
-  fraction of the whole cold check on the 160-function corpus, and a
-  one-chunk edit must serve >= 90% of chunks from the token cache on
-  the warm re-check.  Both are ratios of numbers measured on the same
-  run, so they hold on any hardware.
+Runs in a few seconds and asserts the front-end ratchet — lex + parse
+must stay under a pinned fraction of the whole cold check on the
+160-function corpus, and a one-chunk edit must serve >= 90% of chunks
+from the token cache on the warm re-check.  Both are ratios of numbers
+measured on the same run, so they hold on any hardware.
 
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
@@ -29,9 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.analysis import synthesize_program           # noqa: E402
 from repro.obs import Telemetry                          # noqa: E402
-from repro.pipeline import CheckSession, fork_available  # noqa: E402
+from repro.pipeline import CheckSession                  # noqa: E402
 
-N_FUNCTIONS = 120
 N_FUNCTIONS_FRONTEND = 160
 UNITS = ["region"]
 
@@ -44,55 +32,6 @@ FRONTEND_FRACTION_CEILING = 0.70
 
 #: Floor on the token-cache hit rate across a one-chunk-edit re-check.
 TOKEN_CACHE_HIT_FLOOR = 0.90
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def test_parallel_never_pessimises():
-    source = synthesize_program(N_FUNCTIONS, seed=13)
-    cpus = _available_cpus()
-    jobs = min(4, max(2, cpus))
-
-    start = time.perf_counter()
-    serial_report = CheckSession(units=UNITS).check(source)
-    cold = time.perf_counter() - start
-
-    with CheckSession(units=UNITS, jobs=jobs) as session:
-        start = time.perf_counter()
-        parallel_report = session.check(source)
-        parallel = time.perf_counter() - start
-
-    assert parallel_report.render() == serial_report.render(), \
-        "parallel diagnostics must be byte-identical to serial"
-
-    ratio = cold / parallel if parallel else float("inf")
-    print(f"bench-smoke: {N_FUNCTIONS} fns, {cpus} CPU(s), jobs={jobs}: "
-          f"serial {cold * 1000:.1f} ms, parallel {parallel * 1000:.1f} ms "
-          f"(parallel_vs_cold={ratio:.2f})")
-
-    if cpus >= 2 and fork_available():
-        assert ratio >= 0.95, \
-            f"--jobs {jobs} was a pessimisation: parallel_vs_cold={ratio:.2f}"
-        print("bench-smoke: parallel_vs_cold >= 0.95   OK")
-    else:
-        print(f"bench-smoke: timing gate skipped "
-              f"({cpus} CPU(s), fork_available={fork_available()})")
-
-    if fork_available():
-        # Force the pool below break-even so the worker protocol runs
-        # even where the scheduler would (rightly) stay serial.
-        with CheckSession(units=UNITS, jobs=2,
-                          break_even_seconds=0.0) as forced:
-            forced_report = forced.check(source)
-            assert forced.stats.parallel_runs == 1
-        assert forced_report.render() == serial_report.render(), \
-            "forced worker-pool output must be byte-identical"
-        print("bench-smoke: forced pool byte-identity   OK")
 
 
 def test_frontend_ratchet():
@@ -144,6 +83,5 @@ def test_frontend_ratchet():
 
 
 if __name__ == "__main__":
-    test_parallel_never_pessimises()
     test_frontend_ratchet()
     print("bench-smoke: PASS")

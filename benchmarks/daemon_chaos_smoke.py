@@ -74,7 +74,7 @@ def _env() -> dict:
 def _spawn(sock: str, *extra: str) -> subprocess.Popen:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--socket", sock,
-         "--jobs", "1", *extra],
+         *extra],
         cwd=_REPO, env=_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 30

@@ -1,9 +1,9 @@
 """Differential-fuzzing smoke gate (the ``make fuzz-smoke`` target).
 
 Generates a bounded batch of seeded adversarial protocol programs
-(``repro.testing.generate``) and pushes every one through all four
-checking paths — serial, forked worker pool, warm cached session, live
-check daemon — asserting the canonical CLI bytes agree on each
+(``repro.testing.generate``) and pushes every one through all three
+checking paths — serial, warm cached session, live check daemon —
+asserting the canonical CLI bytes agree on each
 program.  Any divergence fails the gate with a shrunk reproducer and a
 replay command; a passing run proves the checker's diagnostics are a
 pure function of the source, however they were computed.

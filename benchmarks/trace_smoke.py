@@ -1,16 +1,15 @@
 """The ``make trace-smoke`` gate: --trace output must stay loadable.
 
 Runs ``vaultc check --trace`` over the examples corpus (every ``.vlt``
-under ``examples/``) plus a synthesized workload with the worker pool
-forced on, then schema-checks each trace file:
+under ``examples/``) plus a synthesized workload, then schema-checks
+each trace file:
 
 * every event carries the required Chrome trace-event keys
   (``name``/``ph``/``ts``/``pid``), a known phase, and a non-negative
   duration — the same validation ``chrome://tracing`` and Perfetto
   rely on to load the file at all;
-* the forced-pool trace must show **distinct tracks**: the main
-  process plus one pid per pool worker (skipped where fork does not
-  exist).
+* the synthesized trace has one ``check_function`` span per function,
+  all on the one track of the checking process.
 
 Exits non-zero on any violation.  Usable both as a script and as a
 pytest module.
@@ -27,13 +26,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.analysis import synthesize_program            # noqa: E402
 from repro.cli import main as vaultc                     # noqa: E402
 from repro.obs import validate_chrome_trace              # noqa: E402
-from repro.pipeline import fork_available                # noqa: E402
 
 _EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
-#: forced-pool workload size: big enough for a balanced 2-batch plan,
-#: small enough to keep the gate under a second.
-N_FORCED = 24
+#: synthesized workload size: small enough to keep the gate under a
+#: second.
+N_FUNCTIONS = 24
 
 
 def _check_traced(path: str, extra_args=()) -> dict:
@@ -64,26 +62,23 @@ def test_examples_corpus_traces():
         print(f"trace-smoke: {os.path.basename(path)}   OK")
 
 
-def test_forced_pool_trace_has_worker_tracks():
-    if not fork_available():
-        print("trace-smoke: worker-track check skipped (no fork)")
-        return
+def test_synthesized_trace_spans_every_function():
     with tempfile.TemporaryDirectory() as tmp:
-        source_path = os.path.join(tmp, "forced.vlt")
+        source_path = os.path.join(tmp, "synth.vlt")
         with open(source_path, "w", encoding="utf-8") as handle:
-            handle.write(synthesize_program(N_FORCED, seed=17))
-        payload = _check_traced(
-            source_path, ["--jobs", "2", "--break-even", "0"])
+            handle.write(synthesize_program(N_FUNCTIONS, seed=17))
+        payload = _check_traced(source_path)
     pids = {e["pid"] for e in payload["traceEvents"]}
-    assert len(pids) >= 3, \
-        f"expected main + 2 worker tracks, saw pids {sorted(pids)}"
-    worker_spans = [e for e in payload["traceEvents"]
-                    if e["name"] == "worker_batch"]
-    assert worker_spans, "no worker_batch spans in forced-pool trace"
-    print(f"trace-smoke: forced pool shows {len(pids)} tracks   OK")
+    assert len(pids) == 1, f"expected one track, saw pids {sorted(pids)}"
+    checked = [e for e in payload["traceEvents"]
+               if e["name"] == "check_function"]
+    assert len(checked) == N_FUNCTIONS, \
+        f"expected {N_FUNCTIONS} check_function spans, saw {len(checked)}"
+    print(f"trace-smoke: {N_FUNCTIONS} check_function spans on one "
+          f"track   OK")
 
 
 if __name__ == "__main__":
     test_examples_corpus_traces()
-    test_forced_pool_trace_has_worker_tracks()
+    test_synthesized_trace_spans_every_function()
     print("trace-smoke: PASS")

@@ -65,16 +65,9 @@ def check_source(source: str, filename: str = "<input>",
                  jobs: Union[int, str] = 1) -> Reporter:
     """Parse and protocol-check a compilation unit; returns the report.
 
-    ``jobs`` > 1 (or ``"auto"``, one worker per CPU) checks functions
-    through the pipeline's worker pool; the diagnostic stream is
-    byte-identical to serial mode, and small workloads stay serial
-    (the scheduler's break-even check), so a larger ``jobs`` is never
-    a pessimisation.
+    ``jobs`` is accepted and ignored: it once selected a worker pool,
+    and every check is now serial.
     """
-    if jobs != 1 and not extra:
-        from .pipeline import CheckSession
-        with CheckSession(stdlib=stdlib, units=units, jobs=jobs) as session:
-            return session.check(source, filename)
     ctx, reporter = load_context(source, filename, stdlib, units, extra)
     if reporter.ok:
         check_program(ctx, reporter)
@@ -95,14 +88,15 @@ def check_source_detailed(source: str, filename: str = "<input>",
     in-process pipeline when none is reachable.  Returns a
     :class:`repro.server.CheckOutcome` — ``ok``, the rendered
     diagnostics (byte-identical in both paths), the error count, and
-    ``via_daemon`` telling you which path answered.
+    ``via_daemon`` telling you which path answered.  ``jobs`` is
+    accepted and ignored, as in :func:`check_source`.
     """
     from .server.client import check_detailed
     return check_detailed(
         source, filename,
         {"stdlib": stdlib,
          "units": list(units) if units is not None else None,
-         "jobs": jobs, "cache_dir": cache_dir},
+         "cache_dir": cache_dir},
         socket_path=daemon)
 
 

@@ -38,8 +38,9 @@ def _read(path: str) -> str:
 
 
 def _parse_jobs(value: str) -> "int | str":
-    """``--jobs`` accepts an explicit count or ``auto`` (one worker
-    per CPU available to this process)."""
+    """``check --jobs`` accepts an explicit count or ``auto``; both
+    are ignored (functions are checked serially), but a malformed
+    value is still a usage error."""
     text = value.strip().lower()
     if text == "auto":
         return "auto"
@@ -77,15 +78,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     # A *remote* shared-cache spec means "use the daemon as a cache
     # tier, check locally" — the opposite of daemon routing.
     if args.daemon is not None and not args.profile and not instrumented \
-            and not faults and args.batch_timeout is None \
-            and not shared_remote:
+            and not faults and not shared_remote:
         from .server.client import check_via_daemon
         outcome = check_via_daemon(
             source, args.file,
-            {"jobs": args.jobs, "cache_dir": args.cache,
-             "break_even": None if args.break_even is None
-             else args.break_even / 1000.0,
-             "shared_cache": shared},
+            {"cache_dir": args.cache, "shared_cache": shared},
             args.daemon)
         if outcome is not None:
             if outcome.ok:
@@ -96,30 +93,19 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         # No reachable daemon: transparent fallback to the identical
         # in-process pipeline below.
-    if args.jobs != 1 or args.cache or args.profile or instrumented \
-            or args.break_even is not None \
-            or args.batch_timeout is not None or faults or shared:
+    if args.cache or args.profile or instrumented or faults or shared:
         from .obs import Telemetry
         from .pipeline import CheckSession
-        from .pipeline.scheduler import (BREAK_EVEN_SECONDS,
-                                         DEFAULT_BATCH_TIMEOUT)
         # --profile turns metrics on too: the quantile lines in the
         # profile read off the check.function_seconds histogram.
         telemetry = Telemetry(trace=bool(args.trace),
                               metrics=bool(args.metrics) or args.profile)
-        break_even = BREAK_EVEN_SECONDS if args.break_even is None \
-            else args.break_even / 1000.0
-        batch_timeout = DEFAULT_BATCH_TIMEOUT \
-            if args.batch_timeout is None else args.batch_timeout
         store = None
         if shared:
             from .cache import open_store
             store = open_store(shared, telemetry)
         try:
-            with CheckSession(jobs=args.jobs, cache_dir=args.cache,
-                              telemetry=telemetry,
-                              break_even_seconds=break_even,
-                              batch_timeout=batch_timeout,
+            with CheckSession(cache_dir=args.cache, telemetry=telemetry,
                               fault_plan=_fault_plan(faults),
                               shared_store=store) as session:
                 try:
@@ -169,7 +155,7 @@ def _print_profile(session, file) -> int:
             label = key.replace("_seconds", "")
             print(f"  {label:<22} {profile[key] * 1000:8.1f} ms", file=file)
     if "plan" in profile:
-        print(f"  {'schedule':<22} {profile['plan']}", file=file)
+        print(f"  {'plan':<22} {profile['plan']}", file=file)
     print(f"  {'functions checked':<22} {stats.functions_checked:8d}",
           file=file)
     print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",
@@ -205,19 +191,9 @@ def _print_profile(session, file) -> int:
               f"{stats.shared_summary_hits:8d} hits / "
               f"{stats.shared_summary_misses} misses", file=file)
         print(f"  {'shared puts':<22} {stats.shared_puts:8d}", file=file)
-    if stats.pool_spawns:
-        print(f"  {'worker pools forked':<22} {stats.pool_spawns:8d}",
+    if stats.cache_quarantines:
+        print(f"  {'cache quarantines':<22} {stats.cache_quarantines:8d}",
               file=file)
-    recovered = [(label, getattr(stats, name, 0)) for label, name in
-                 (("worker respawns", "respawns"),
-                  ("batch retries", "retries"),
-                  ("batch bisections", "bisections"),
-                  ("watchdog timeouts", "timeouts"),
-                  ("poisoned functions", "poisoned"),
-                  ("cache quarantines", "cache_quarantines"))]
-    if any(count for _label, count in recovered):
-        for label, count in recovered:
-            print(f"  {label:<22} {count:8d}", file=file)
     return 0
 
 
@@ -296,22 +272,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
             cfg_rows))
 
     # A metrics-instrumented check of the same file: the session's
-    # telemetry snapshot (cache traffic, scheduler verdict, worker
-    # resilience counters, diagnostic code counts) as one more stats
-    # table.  ``--jobs`` > 1 exercises the supervised pool, whose
-    # ``resilience.*`` counters then show up (zero on healthy runs);
-    # $VAULTC_FAULTS is honoured so chaos runs are inspectable here.
+    # telemetry snapshot (cache traffic, diagnostic code counts) as
+    # one more stats table.
     from .obs import Telemetry
     from .pipeline import CheckSession
-    from .pipeline.scheduler import BREAK_EVEN_SECONDS
     telemetry = Telemetry(metrics=True)
-    # Asking for workers on a stats run means "show me the pool": zero
-    # break-even forces it even though one file is a tiny workload.
-    break_even = 0.0 if args.jobs != 1 else BREAK_EVEN_SECONDS
-    with CheckSession(telemetry=telemetry, jobs=args.jobs,
-                      break_even_seconds=break_even,
-                      fault_plan=_fault_plan(
-                          os.environ.get("VAULTC_FAULTS"))) as session:
+    with CheckSession(telemetry=telemetry) as session:
         session.check(source, filename=args.file)
     metric_rows = [[name, value]
                    for name, value in telemetry.metrics.render_rows()]
@@ -376,10 +342,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         elif not args.quiet and (index + 1) % 25 == 0:
             print(f"[{index + 1}/{args.count}] ...", flush=True)
 
-    report = run_fuzz(args.count, seed=args.seed, jobs=args.jobs,
-                      use_daemon=not args.no_daemon,
-                      use_parallel=not args.no_parallel,
-                      on_program=progress)
+    report = run_fuzz(args.count, seed=args.seed,
+                      use_daemon=not args.no_daemon, on_program=progress)
 
     print(f"fuzz: seed {report.seed}, {report.count} programs via "
           f"{'/'.join(report.paths)}"
@@ -424,7 +388,6 @@ def _serve_child_args(args: argparse.Namespace) -> list:
         argv += ["--socket", args.socket]
     if args.idle_timeout is not None:
         argv += ["--idle-timeout", str(args.idle_timeout)]
-    argv += ["--jobs", str(args.jobs)]
     if args.shared_cache:
         argv += ["--shared-cache", args.shared_cache]
     argv += ["--sample-interval", str(args.sample_interval)]
@@ -463,7 +426,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return serve(socket_path=args.socket,
                      idle_timeout=args.idle_timeout,
                      telemetry=telemetry,
-                     default_jobs=args.jobs,
                      ready_out=sys.stderr,
                      shared_cache_dir=args.shared_cache,
                      sample_interval=args.sample_interval,
@@ -526,8 +488,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     try:
         return run_watch(args.dir, interval=args.interval,
                          cycles=args.cycles, socket_path=args.daemon,
-                         options={"jobs": args.jobs,
-                                  "cache_dir": args.cache})
+                         options={"cache_dir": args.cache})
     except NotADirectoryError:
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
         return 1
@@ -544,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--jobs", "-j", type=_parse_jobs, default=1,
                    metavar="N|auto",
-                   help="check functions with N parallel workers, or "
-                        "'auto' for one per CPU (output is identical "
-                        "to serial mode; small workloads stay serial)")
+                   help="accepted and ignored, for scripts written "
+                        "when functions could be checked by a worker "
+                        "pool (every check is serial)")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="persist function summaries under DIR so "
                         "unchanged functions are not re-checked")
@@ -560,34 +521,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "cold check of identical code replays at "
                         "warm speed")
     p.add_argument("--profile", action="store_true",
-                   help="print phase timings and the scheduler's "
-                        "verdict to stderr")
+                   help="print phase timings and cache counters to "
+                        "stderr")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="record a span trace of the check and write "
                         "Chrome trace-event JSON to FILE (load it in "
-                        "chrome://tracing or ui.perfetto.dev; pool "
-                        "workers appear as separate tracks)")
+                        "chrome://tracing or ui.perfetto.dev)")
     p.add_argument("--metrics", default=None, metavar="FILE|-",
                    help="record pipeline metrics (cache hit rates, "
-                        "scheduler verdicts, diagnostic-code counts); "
-                        "'-' prints a table to stderr, anything else "
-                        "is a path that receives JSON")
-    p.add_argument("--break-even", type=float, default=None, metavar="MS",
-                   help="override the scheduler's break-even threshold "
-                        "in milliseconds (0 forces the worker pool; "
-                        "default 50)")
-    p.add_argument("--batch-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="floor for the per-batch watchdog deadline: a "
-                        "worker that holds a batch longer than "
-                        "max(SECONDS, cost-model estimate with headroom) "
-                        "is killed and respawned (default 30)")
+                        "diagnostic-code counts); '-' prints a table "
+                        "to stderr, anything else is a path that "
+                        "receives JSON")
     p.add_argument("--inject-faults", default=None, metavar="SPEC",
                    help="deterministic chaos harness (TEST USE ONLY): "
-                        "inject worker crashes/hangs/pipe EOFs/pickle "
-                        "garbage and cache bit-flips, e.g. "
-                        "'crash@0,hang@2,flip-cache,seed=7'; also read "
-                        "from $VAULTC_FAULTS")
+                        "flip a byte of the summary cache after writing "
+                        "it, e.g. 'flip-cache,seed=7' (with --cache); "
+                        "also read from $VAULTC_FAULTS")
     p.add_argument("--daemon", nargs="?", const="auto", default=None,
                    metavar="auto|SOCKET",
                    help="route the check through a running 'vaultc "
@@ -617,11 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="annotation-overhead metrics")
     p.add_argument("file")
-    p.add_argument("--jobs", "-j", type=_parse_jobs, default=1,
-                   metavar="N|auto",
-                   help="run the instrumented check with N pool workers "
-                        "so the resilience counters (respawns, retries, "
-                        "bisections, timeouts) are exercised and shown")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("fmt", help="pretty-print (normalise) a file")
@@ -649,12 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="master seed; the same seed and count replay "
                         "exactly the same programs (default 0)")
-    p.add_argument("--jobs", "-j", type=int, default=2, metavar="N",
-                   help="worker count for the parallel path (default 2)")
     p.add_argument("--no-daemon", action="store_true",
                    help="skip the check-daemon path")
-    p.add_argument("--no-parallel", action="store_true",
-                   help="skip the forked worker-pool path")
     p.add_argument("--out", default=None, metavar="REPORT.json",
                    help="write the full machine-readable report here")
     p.add_argument("--repro-dir", default=".", metavar="DIR",
@@ -669,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the persistent check daemon (warm caches, worker "
-             "pool, Unix-socket protocol; see docs/SERVER.md)")
+        help="run the persistent check daemon (warm caches, "
+             "Unix-socket protocol; see docs/SERVER.md)")
     p.add_argument("--socket", default=None, metavar="PATH",
                    help="Unix socket to listen on (default: "
                         "$VAULTC_SOCKET or a per-user runtime path)")
@@ -678,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="exit after this long with no requests "
                         "(default: run until SIGTERM/Ctrl-C)")
-    p.add_argument("--jobs", "-j", type=_parse_jobs, default=1,
-                   metavar="N|auto",
-                   help="default worker count for requests that do "
-                        "not specify one")
     p.add_argument("--shared-cache", default=None, metavar="DIR",
                    help="back the daemon-wide shared cache with a "
                         "persistent on-disk CAS under DIR (all warm "
@@ -774,8 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="daemon socket to check through (default "
                         "'auto'; checks fall back in-process when no "
                         "daemon is reachable)")
-    p.add_argument("--jobs", "-j", type=_parse_jobs, default=1,
-                   metavar="N|auto")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="summary-cache directory for in-process "
                         "fallback checks")

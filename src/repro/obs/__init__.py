@@ -3,13 +3,12 @@
 Three primitives, bundled by :class:`Telemetry`:
 
 * :mod:`repro.obs.trace` — a span tracer exporting Chrome trace-event
-  JSON (``chrome://tracing`` / Perfetto), with one track per process
-  so pool workers show up beside the main checker;
+  JSON (``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms for cache layers, scheduler decisions, worker health and
-  diagnostic-code frequencies;
-* :mod:`repro.obs.events` — a structured event log (the bus worker
-  crashes and runtime key transitions are published on), with an
+  histograms for cache layers, cache quarantines and diagnostic-code
+  frequencies;
+* :mod:`repro.obs.events` — a structured event log (the bus cache
+  corruption and runtime key transitions are published on), with an
   optional size-rotated JSONL audit sink (:class:`JsonlEventWriter`).
 
 Two service-grade derivatives feed off the registry for the check
@@ -36,8 +35,8 @@ from typing import Dict, Optional
 
 from .events import Event, EventLog, JsonlEventWriter, open_event_log
 from .expo import render_exposition, validate_exposition, write_textfile
-from .metrics import (LATENCY_BUCKETS, RATIO_BUCKETS, Counter, Gauge,
-                      Histogram, MetricsRegistry, NULL_METRICS, NullMetrics,
+from .metrics import (LATENCY_BUCKETS, Counter, Gauge, Histogram,
+                      MetricsRegistry, NULL_METRICS, NullMetrics,
                       bucket_quantile)
 from .timeseries import TimeSeriesRing
 from .trace import (NULL_TRACER, NullTracer, TraceRing, Tracer, activate,
@@ -64,7 +63,7 @@ class Telemetry:
         self.metrics = registry if registry is not None else (
             MetricsRegistry() if metrics else NULL_METRICS)
         self.events = events if events is not None else EventLog()
-        #: phase timings / scheduler verdict of the most recent check.
+        #: phase timings / check plan of the most recent check.
         self.profile: Dict[str, object] = {}
         #: the owning session's SessionStats (set by CheckSession).
         self.stats = None
@@ -102,7 +101,6 @@ __all__ = [
     "NULL_TRACER",
     "NullMetrics",
     "NullTracer",
-    "RATIO_BUCKETS",
     "Telemetry",
     "TimeSeriesRing",
     "TraceRing",

@@ -1,32 +1,20 @@
 """A structured event log — the pipeline's and runtime monitor's bus.
 
 Anything that used to be a bare ``print(..., file=sys.stderr)`` —
-worker crashes above all — becomes an :class:`Event`: a kind, a
-human-readable message, and a dict of structured fields (child pid,
-batch function names, tracebacks) that stay queryable after the run.
+cache corruption above all — becomes an :class:`Event`: a kind, a
+human-readable message, and a dict of structured fields (paths,
+errors, tracebacks) that stay queryable after the run.
 The runtime :class:`~repro.runtime.monitor.KeyMonitor` publishes its
 key mints/transitions/leaks on the same bus, so one event stream holds
 both the static checker's operational record and the dynamic monitor's
 protocol record — the paper's static-vs-dynamic cost comparison read
 off a single log.
 
-Events are plain picklable data; pool workers ship theirs back to the
-parent in the result frames they already send.  Subscribers (callbacks
-taking one :class:`Event`) see events as they are emitted.
+Events are plain data.  Subscribers (callbacks taking one
+:class:`Event`) see events as they are emitted.
 
-The resilience layer (PR 4) publishes its whole recovery state
-machine here, one kind per transition:
+The checking pipeline publishes its recovery paths here:
 
-* ``worker_crash`` / ``worker_timeout`` — a pool worker failed
-  (fields: pid, batch functions, traceback / deadline);
-* ``worker_respawn`` — a replacement worker was forked;
-* ``batch_retry`` / ``batch_bisect`` — a failed batch was retried
-  as-is, or split in half to isolate the offender;
-* ``poison_function`` / ``poison_recovered`` — a single function was
-  isolated as the cause (reported as a ``V0500`` diagnostic) or
-  exonerated by a clean parent-side re-check;
-* ``serial_fallback`` — the pool was beyond saving (fields: reused /
-  rechecked counts — completed batch results are not thrown away);
 * ``cache_corrupt`` / ``cache_incompatible`` / ``cache_write_failed``
   — summary-cache persistence degraded (fields: path, error,
   quarantined location);
@@ -111,20 +99,6 @@ class EventLog:
         for event in self.records:
             out[event.kind] = out.get(event.kind, 0) + 1
         return out
-
-    # -- cross-process hand-off ----------------------------------------------
-
-    def drain(self) -> List[Event]:
-        """Take (and clear) the records — the worker side of the pool
-        protocol."""
-        records, self.records = self.records, []
-        return records
-
-    def absorb(self, records: List[Event]) -> None:
-        """Merge events recorded by another process (subscribers fire
-        for each, same as a local emit)."""
-        for event in records:
-            self._record(event)
 
 
 class JsonlEventWriter:

@@ -1,16 +1,13 @@
 """A zero-dependency metrics registry: counters, gauges, histograms.
 
 The checking pipeline increments these at every decision worth
-auditing after the fact — cache hits and misses for all four cache
-layers, scheduler verdicts (break-even fallbacks, LPT batch skew),
-worker crashes and serial fallbacks, and diagnostic-code frequencies.
-The registry is deliberately small:
+auditing after the fact — cache hits and misses for every cache
+layer, cache quarantines, and diagnostic-code frequencies.  The
+registry is deliberately small:
 
 * metrics are named with dotted paths (``cache.context.hits``) and
   created on first use;
-* histograms have **fixed bucket boundaries** chosen at creation, so
-  two registries with the same metric merge exactly (bucket counts
-  add) — which is how pool workers ship their deltas to the parent;
+* histograms have **fixed bucket boundaries** chosen at creation;
 * a disabled registry is the shared :data:`NULL_METRICS` singleton:
   every operation is a no-op on a shared null metric and
   ``snapshot()`` is empty, so disabled instrumentation adds no keys
@@ -19,14 +16,12 @@ The registry is deliberately small:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 #: default boundaries for latency histograms, in seconds.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
-#: default boundaries for ratio histograms (batch skew and friends).
-RATIO_BUCKETS: Tuple[float, ...] = (1.05, 1.1, 1.25, 1.5, 2.0, 5.0)
 
 
 class Counter:
@@ -134,12 +129,10 @@ class MetricsRegistry:
                   bounds: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
         return self._get(name, Histogram, bounds)
 
-    # -- export / merge ------------------------------------------------------
+    # -- export --------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, dict]:
-        """A plain-data view of every metric (JSON- and
-        pickle-friendly; the worker pool ships these across the fork
-        boundary)."""
+        """A plain-data view of every metric (JSON-friendly)."""
         out: Dict[str, dict] = {}
         for name, metric in sorted(self._metrics.items()):
             if isinstance(metric, Counter):
@@ -153,35 +146,6 @@ class MetricsRegistry:
                              "bounds": list(metric.bounds),
                              "bucket_counts": list(metric.bucket_counts)}
         return out
-
-    def drain(self) -> Dict[str, dict]:
-        """Snapshot and reset — the worker side of the delta protocol."""
-        snap = self.snapshot()
-        self._metrics.clear()
-        return snap
-
-    def merge(self, snapshot: Optional[Dict[str, dict]]) -> None:
-        """Fold another registry's snapshot into this one: counters
-        and histogram buckets add, gauges take the incoming value."""
-        if not snapshot:
-            return
-        for name, data in snapshot.items():
-            kind = data.get("type")
-            if kind == "counter":
-                self.counter(name).inc(data["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(data["value"])
-            elif kind == "histogram":
-                hist = self.histogram(name, data["bounds"])
-                if hist.bounds != tuple(data["bounds"]):
-                    raise ValueError(
-                        f"histogram {name!r} bucket boundaries differ")
-                hist.count += data["count"]
-                hist.sum += data["sum"]
-                for i, n in enumerate(data["bucket_counts"]):
-                    hist.bucket_counts[i] += n
-            else:
-                raise ValueError(f"unknown metric type {kind!r} for {name!r}")
 
     # -- rendering -----------------------------------------------------------
 
@@ -248,12 +212,6 @@ class NullMetrics:
 
     def snapshot(self) -> Dict[str, dict]:
         return {}
-
-    def drain(self) -> Dict[str, dict]:
-        return {}
-
-    def merge(self, snapshot: Optional[Dict[str, dict]]) -> None:
-        pass
 
     def render_rows(self) -> List[Tuple[str, str]]:
         return []

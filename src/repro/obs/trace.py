@@ -1,8 +1,7 @@
 """A span-based tracer exporting Chrome trace-event JSON.
 
 The checker's phases (lex → parse → elaborate → check), per-function
-flow checks, scheduler decisions and worker-pool round-trips are
-wrapped in **spans**; a finished trace loads directly into
+flow checks and cache lookups are wrapped in **spans**; a finished trace loads directly into
 ``chrome://tracing`` or https://ui.perfetto.dev.  Design constraints:
 
 * **zero overhead when disabled** — callsites hold a
@@ -10,15 +9,10 @@ wrapped in **spans**; a finished trace loads directly into
   returning a shared null context manager, and hot paths may guard on
   ``tracer.enabled`` (a plain attribute) before building span
   arguments;
-* **fork-safe timestamps** — events are stamped with
-  ``time.perf_counter()`` (CLOCK_MONOTONIC on the platforms the worker
-  pool exists on), so spans recorded in forked pool workers line up
-  with the parent's timeline without any clock hand-off;
+* **monotonic timestamps** — events are stamped with
+  ``time.perf_counter()``;
 * **one track per process** — each event carries the recording
-  process's pid, which the trace viewers render as separate tracks;
-  workers :meth:`~Tracer.drain` their events into the result frames
-  they already send (see :mod:`repro.pipeline.workers`) and the parent
-  :meth:`~Tracer.absorb`\\ s them.
+  process's pid, which the trace viewers render as a track.
 
 The module also owns the *active tracer*: instrumented code deep in
 the pipeline (the parser's lex/parse phases, for instance) fetches the
@@ -120,22 +114,11 @@ class Tracer:
                                 "args": {"name": self.process_name}})
         self.events.append(event)
 
-    # -- cross-process hand-off ----------------------------------------------
-
     def drain(self) -> List[dict]:
-        """Take (and clear) the recorded events — the worker side of
-        the pool protocol ships these back in its result frames."""
+        """Take (and clear) the recorded events — the daemon drains
+        each request's span tree so its tracer does not grow."""
         events, self.events = self.events, []
         return events
-
-    def absorb(self, events: List[dict]) -> None:
-        """Merge events recorded by another process (its pid keeps its
-        spans on a separate track)."""
-        if events:
-            if not self.events:
-                self._append(events[0])
-                events = events[1:]
-            self.events.extend(events)
 
     # -- reporting -----------------------------------------------------------
 
@@ -172,9 +155,6 @@ class NullTracer:
 
     def drain(self) -> List[dict]:
         return []
-
-    def absorb(self, events: List[dict]) -> None:
-        pass
 
     def phase_totals(self) -> Dict[str, float]:
         return {}

@@ -1,49 +1,31 @@
-"""The parallel + incremental checking pipeline.
+"""The incremental checking pipeline.
 
 :class:`CheckSession` is the entry point: a long-lived object whose
 ``check(source)`` behaves exactly like :func:`repro.check_source` but
 caches per-function summaries, parsed declaration chunks, and
-elaborated contexts between calls, and can fan uncached function
-checks out to a supervised fork-based process pool (crashed workers
-are respawned, hung workers are killed by a cost-model watchdog,
-poisonous batches are bisected, corrupt on-disk caches are
-quarantined).  See ``docs/CHECKER.md`` ("Performance" and "Failure
-modes and recovery") for the cache key derivation, the determinism
-guarantee and the recovery state machine.  :class:`FaultPlan` is the
-deterministic chaos harness that makes every recovery path testable.
+elaborated contexts between calls, and quarantines corrupt on-disk
+caches.  See ``docs/CHECKER.md`` ("Performance" and "Failure modes and
+recovery") for the cache key derivation, the determinism guarantee and
+the recovery paths.  :class:`FaultPlan` is the deterministic chaos
+harness that makes every recovery path testable.
 """
 
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultError, FaultPlan
 from .fingerprint import (cache_checksum, collect_names,
                           dependency_renderings, function_fingerprint)
-from .scheduler import (BREAK_EVEN_SECONDS, DEFAULT_BATCH_TIMEOUT, Plan,
-                        available_cpus, batch_deadline, estimate_cost,
-                        plan, resolve_jobs)
 from .session import CheckSession, SessionStats
-from .workers import WorkerCrash, WorkerPool, fork_available
 
 __all__ = [
-    "BREAK_EVEN_SECONDS",
     "CheckSession",
     "Chunk",
     "ChunkError",
-    "DEFAULT_BATCH_TIMEOUT",
     "FaultError",
     "FaultPlan",
-    "Plan",
     "SessionStats",
-    "WorkerCrash",
-    "WorkerPool",
-    "available_cpus",
-    "batch_deadline",
     "cache_checksum",
     "collect_names",
     "dependency_renderings",
-    "estimate_cost",
-    "fork_available",
     "function_fingerprint",
-    "plan",
-    "resolve_jobs",
     "split_chunks",
 ]

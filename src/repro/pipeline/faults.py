@@ -1,40 +1,13 @@
-"""Deterministic fault injection for the checking pipeline.
+"""Deterministic fault injection for the checker and the daemon.
 
-The resilience layer (worker supervision, hang watchdog, poison-batch
-bisection, cache quarantine) only earns its keep if every recovery
-path is *testable on demand*.  This module is the chaos harness that
-makes it so: a :class:`FaultPlan` is a seeded, fully explicit schedule
-of failures to inject at well-defined points of the parallel pipeline.
-It is wired through ``vaultc check --inject-faults SPEC`` and the
+The resilience layer (cache quarantine, admission control, client
+retry, supervision, shared-store degradation) only earns its keep if
+every recovery path is *testable on demand*.  This module is the chaos
+harness that makes it so: a :class:`FaultPlan` is a seeded, fully
+explicit schedule of failures to inject at well-defined points.  It is
+wired through ``vaultc check --inject-faults SPEC`` and the
 ``VAULTC_FAULTS`` environment variable **for test use only** — a plan
 never activates unless one of those is given.
-
-Injection points
-----------------
-
-Worker-side faults key off the **dispatch id**: the parent stamps
-every batch command frame with a monotonically increasing sequence
-number, so a fault pinned to dispatch ``D`` fires exactly once — the
-retry of the same batch travels under a fresh id and succeeds.  That
-is what makes chaos runs deterministic and convergent.
-
-==================  =======================================================
-``crash@D``         the worker hard-exits (as if SIGKILLed) while
-                    processing dispatch ``D``
-``hang@D``          the worker sleeps forever on dispatch ``D`` (the
-                    parent's watchdog must SIGKILL it)
-``eof@D``           the worker closes its result pipe without replying
-``garbage@D``       the worker replies with a well-framed but
-                    unpicklable payload
-``poison:QUAL``     the worker hard-exits whenever it *starts checking*
-                    function ``QUAL`` — unlike the dispatch faults this
-                    fires every time, which is what forces the parent's
-                    bisection to isolate the function
-``flip-cache``      the parent flips one byte (seeded offset) of the
-                    summary-cache file immediately after writing it, so
-                    the *next* load sees on-disk corruption
-``seed=N``          seeds the offset/choice RNG (default 0)
-==================  =======================================================
 
 Wire-level faults key off the **request index**: the chaos proxy
 (:class:`repro.server.chaos.ChaosProxy`) numbers every daemon request
@@ -56,34 +29,34 @@ supervision) must recover byte-identically from every one of these —
                      open (the client's read timeout must fire)
 ``kill@R``           the daemon is killed mid-check (the proxy injects
                      the ``test_die`` chaos hook into the request)
+===================  ======================================================
+
+Two faults are budgets rather than pinned to a request, and one part
+sets the seed:
+
+===================  ======================================================
+``flip-cache``       the session flips one byte (seeded offset) of the
+                     summary-cache file immediately after writing it, so
+                     the *next* load sees on-disk corruption
+                     (``flip-cache@N`` arms N flips)
 ``enospc``           the next shared-CAS write fails with ``ENOSPC``
                      (``enospc@N`` arms N writes); the store must
                      degrade to a miss, never a wrong replay
+``seed=N``           seeds the offset RNG (default 0)
 ===================  ======================================================
 
-``crash@0-3`` ranges and bare kinds (``crash`` = ``crash@0``) are
+``torn@0-3`` ranges and bare kinds (``torn`` = ``torn@0``) are
 accepted; parts are comma-separated, e.g.::
 
-    VAULTC_FAULTS='crash@0,crash@1,hang@2' vaultc check big.vlt --jobs 4
-
-Fault plans are plain picklable data and are *inherited by fork*:
-pool workers consult the same plan object the parent parsed, and the
-dispatch-id keying keeps both sides' views consistent without any
-shared mutable state.  The only mutable member is the parent-side
-``flip-cache`` budget, which never crosses a fork.
+    VAULTC_FAULTS='flip-cache,seed=7' vaultc check big.vlt --cache DIR
 """
 
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-__all__ = ["FaultError", "FaultPlan", "DISPATCH_FAULT_KINDS",
-           "WIRE_FAULT_KINDS"]
-
-#: worker-side fault kinds keyed by dispatch id, in precedence order
-#: (a dispatch named under several kinds takes the first match).
-DISPATCH_FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "eof", "garbage")
+__all__ = ["FaultError", "FaultPlan", "WIRE_FAULT_KINDS"]
 
 #: socket-level fault kinds keyed by request index, in precedence
 #: order; acted out by :class:`repro.server.chaos.ChaosProxy`.
@@ -111,24 +84,18 @@ def _parse_ids(text: str) -> Set[int]:
             return set(range(start, stop + 1))
         return {int(lo)}
     except ValueError:
-        raise FaultError(f"bad dispatch id {text!r} "
+        raise FaultError(f"bad request index {text!r} "
                          "(expected N or N-M)") from None
 
 
 class FaultPlan:
     """A deterministic schedule of injected failures.
 
-    All trigger predicates are pure functions of their coordinates
-    (dispatch id / qualified name), so a plan forked into a worker
-    behaves identically to the parent's copy.
+    Wire triggers are pure functions of the request index; the
+    ``flip-cache`` and ``enospc`` budgets are the only mutable state.
     """
 
     def __init__(self,
-                 crash: Iterable[int] = (),
-                 hang: Iterable[int] = (),
-                 eof: Iterable[int] = (),
-                 garbage: Iterable[int] = (),
-                 poison: Iterable[str] = (),
                  cache_flips: int = 0,
                  torn: Iterable[int] = (),
                  garbage_frame: Iterable[int] = (),
@@ -138,11 +105,6 @@ class FaultPlan:
                  kill: Iterable[int] = (),
                  enospc: int = 0,
                  seed: int = 0):
-        self.crash: FrozenSet[int] = frozenset(crash)
-        self.hang: FrozenSet[int] = frozenset(hang)
-        self.eof: FrozenSet[int] = frozenset(eof)
-        self.garbage: FrozenSet[int] = frozenset(garbage)
-        self.poison: FrozenSet[str] = frozenset(poison)
         self.torn: FrozenSet[int] = frozenset(torn)
         self.garbage_frame: FrozenSet[int] = frozenset(garbage_frame)
         self.oversize: FrozenSet[int] = frozenset(oversize)
@@ -159,20 +121,13 @@ class FaultPlan:
     @classmethod
     def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
         """Parse a ``--inject-faults`` / ``VAULTC_FAULTS`` spec string."""
-        ids = {kind: set() for kind in DISPATCH_FAULT_KINDS}
-        wire_ids = {kind: set() for kind in WIRE_FAULT_KINDS}
-        poison: Set[str] = set()
+        wire_ids: Dict[str, Set[int]] = {kind: set()
+                                         for kind in WIRE_FAULT_KINDS}
         cache_flips = 0
         enospc = 0
         for raw in spec.split(","):
             part = raw.strip()
             if not part:
-                continue
-            if part.startswith("poison:"):
-                qual = part[len("poison:"):]
-                if not qual:
-                    raise FaultError("poison: needs a function name")
-                poison.add(qual)
                 continue
             if part.startswith("seed="):
                 try:
@@ -200,19 +155,13 @@ class FaultPlan:
                         f"bad enospc count in {part!r}") from None
                 continue
             kind, at, where = part.partition("@")
-            if kind in DISPATCH_FAULT_KINDS:
-                ids[kind].update(_parse_ids(where) if at else {0})
-            elif kind in WIRE_FAULT_KINDS:
-                wire_ids[kind].update(_parse_ids(where) if at else {0})
-            else:
+            if kind not in WIRE_FAULT_KINDS:
                 raise FaultError(
                     f"unknown fault {part!r} (kinds: "
-                    f"{', '.join(DISPATCH_FAULT_KINDS)}, "
-                    f"{', '.join(WIRE_FAULT_KINDS)}, poison:QUAL, "
+                    f"{', '.join(WIRE_FAULT_KINDS)}, "
                     f"flip-cache, enospc, seed=N)")
-        return cls(crash=ids["crash"], hang=ids["hang"], eof=ids["eof"],
-                   garbage=ids["garbage"], poison=poison,
-                   cache_flips=cache_flips,
+            wire_ids[kind].update(_parse_ids(where) if at else {0})
+        return cls(cache_flips=cache_flips,
                    torn=wire_ids["torn"],
                    garbage_frame=wire_ids["garbage-frame"],
                    oversize=wire_ids["oversize"],
@@ -220,19 +169,6 @@ class FaultPlan:
                    stall=wire_ids["stall"],
                    kill=wire_ids["kill"],
                    enospc=enospc, seed=seed)
-
-    # -- worker-side triggers ------------------------------------------------
-
-    def dispatch_fault(self, dispatch_id: int) -> Optional[str]:
-        """The fault (if any) a worker should act out for this dispatch."""
-        for kind in DISPATCH_FAULT_KINDS:
-            if dispatch_id in getattr(self, kind):
-                return kind
-        return None
-
-    def poisoned(self, qual: str) -> bool:
-        """Does checking ``qual`` in a worker hard-crash it (every time)?"""
-        return qual in self.poison
 
     # -- wire-side triggers --------------------------------------------------
 
@@ -244,10 +180,10 @@ class FaultPlan:
                 return kind
         return None
 
-    # -- parent-side triggers ------------------------------------------------
+    # -- budgets -------------------------------------------------------------
 
     def take_cache_flip(self) -> bool:
-        """Consume one ``flip-cache`` budget unit (parent-side only)."""
+        """Consume one ``flip-cache`` budget unit."""
         if self._cache_flips_left <= 0:
             return False
         self._cache_flips_left -= 1
@@ -276,21 +212,16 @@ class FaultPlan:
     # -- introspection -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.crash or self.hang or self.eof or self.garbage
-                    or self.poison or self._cache_flips_left
+        return bool(self._cache_flips_left
                     or self.torn or self.garbage_frame or self.oversize
                     or self.disconnect or self.stall or self.kill
                     or self._enospc_left)
 
     def describe(self) -> str:
         parts = []
-        for kind in DISPATCH_FAULT_KINDS:
-            for did in sorted(getattr(self, kind)):
-                parts.append(f"{kind}@{did}")
         for kind in WIRE_FAULT_KINDS:
             for rid in sorted(getattr(self, _WIRE_ATTRS[kind])):
                 parts.append(f"{kind}@{rid}")
-        parts.extend(f"poison:{qual}" for qual in sorted(self.poison))
         if self._cache_flips_left:
             parts.append(f"flip-cache@{self._cache_flips_left}")
         if self._enospc_left:

@@ -1,4 +1,4 @@
-"""The checking pipeline: incremental, cacheable, parallel.
+"""The checking pipeline: incremental and cacheable.
 
 A :class:`CheckSession` answers repeated ``check(source)`` calls the
 way ``repro.check_source`` does, but re-does only the work an edit
@@ -6,8 +6,8 @@ invalidated:
 
 * **chunked parsing** — the unit is split into top-level declaration
   chunks (:mod:`repro.pipeline.chunks`); each chunk's AST is cached by
-  content hash and position, so editing one function re-parses one
-  declaration, not the file;
+  file name, content hash and position, so editing one function
+  re-parses one declaration, not the file;
 * **context cache** — the elaborated :class:`ProgramContext` is cached
   by the tuple of chunk hashes (layered on the process-wide stdlib
   base context);
@@ -15,14 +15,6 @@ invalidated:
   stable content fingerprint of the function and everything it
   references (:mod:`repro.pipeline.fingerprint`), optionally persisted
   to disk;
-* **parallel checking** — with ``jobs > 1``, uncached functions are
-  packed into cost-balanced batches (:mod:`repro.pipeline.scheduler`)
-  and flow-checked by a persistent fork-server worker pool
-  (:mod:`repro.pipeline.workers`); results are merged in source
-  (sorted qualified name) order, so the diagnostic stream is
-  byte-identical to serial mode.  Below the scheduler's break-even
-  point the session checks serially — ``jobs > 1`` is never slower
-  than serial on small workloads;
 * **shared store** — with ``shared_store=`` (a
   :class:`repro.cache.SharedStore`), summary misses batch-fetch from
   the cross-session tiers before being checked, freshly checked
@@ -30,19 +22,20 @@ invalidated:
   diagnostic streams — a *second cold session* on identical code runs
   at warm speed (see :mod:`repro.cache`).
 
+Functions that miss every cache are flow-checked one after another in
+sorted qualified-name order.  Vault checks each function on its own
+against its callees' declared signatures, so the caches above carry
+the speed; the flow check itself has one serial path.
+
 Determinism guarantee: for any ``source``, the reporter returned by
 ``check`` contains the same diagnostics in the same order as
-``repro.check_source(source)``, regardless of cache state or worker
-count — and regardless of recoverable worker failures: the supervised
-pool (:mod:`repro.pipeline.workers`) respawns crashed workers and
-retries/bisects their batches, and when the pool is beyond saving the
-serial fallback reuses every batch result that did complete instead of
-re-checking the whole unit.  On-disk summary caches are written
-atomically with a content checksum; a corrupt file is quarantined
-(``summaries.pkl.corrupt.<pid>.<seq>`` — unique names with bounded
-retention, so repeated corruption keeps the newest post-mortems) with
-a structured ``cache_corrupt`` event and the session continues cold.
-See docs/CHECKER.md ("Failure modes and recovery").
+``repro.check_source(source)``, regardless of cache state.  On-disk
+summary caches are written atomically with a content checksum; a
+corrupt file is quarantined (``summaries.pkl.corrupt.<pid>.<seq>`` —
+unique names with bounded retention, so repeated corruption keeps the
+newest post-mortems) with a structured ``cache_corrupt`` event and the
+session continues cold.  See docs/CHECKER.md ("Failure modes and
+recovery").
 """
 
 from __future__ import annotations
@@ -68,9 +61,6 @@ from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultPlan
 from .fingerprint import cache_checksum, function_fingerprint
-from .scheduler import (BREAK_EVEN_SECONDS, DEFAULT_BATCH_TIMEOUT,
-                        available_cpus, plan as plan_batches, resolve_jobs)
-from .workers import WorkerCrash, WorkerPool, fork_available
 
 #: caps on the in-memory caches; on overflow the oldest half is evicted.
 _MAX_CONTEXTS = 64
@@ -79,11 +69,9 @@ _MAX_CHUNK_ASTS = 8192
 #: the chunk-AST cache; streams are bigger than ASTs per entry, so the
 #: cap is lower.
 _MAX_TOKEN_STREAMS = 4096
-#: summary/cost caches are bounded too — a session embedded in a
-#: long-running daemon sees an unbounded stream of distinct sources,
-#: and before these caps its summary and cost maps grew forever.
+#: the summary cache is bounded too — a session embedded in a
+#: long-running daemon sees an unbounded stream of distinct sources.
 _MAX_SUMMARIES = 32768
-_MAX_COSTS = 32768
 #: unit-record keys this session already stored to / replayed from the
 #: shared store — a warm re-check of the same source skips the shared
 #: fetch (L1 serves it) instead of paying a tier round trip per check.
@@ -98,16 +86,22 @@ _QUARANTINE_KEEP = 8
 #: clobber the first post-mortem.
 _quarantine_seq = 0
 
-#: version 3 wraps the summaries/costs body in a checksummed envelope
-#: (see ``_save_cache``) so on-disk corruption is detected and
-#: quarantined instead of silently swallowed; version-1/2 payloads
-#: still load (v1: summaries only, costs start empty).
+#: version 3 wraps the summaries body in a checksummed envelope (see
+#: ``_save_cache``) so on-disk corruption is detected and quarantined
+#: instead of silently swallowed; version-1/2 payloads still load.
+#: Files written before the worker pool was removed also carry a
+#: ``costs`` map; it is ignored.
 _PICKLE_VERSION = 3
 
 #: pickle-level exceptions a hostile/corrupt cache file can raise.
 _CACHE_LOAD_ERRORS = (OSError, pickle.PickleError, EOFError, KeyError,
                       AttributeError, ImportError, TypeError, ValueError,
                       IndexError)
+
+
+#: one declaration chunk's cache key: (file name, content hash, start
+#: line, start column).
+_ChunkKey = Tuple[str, str, int, int]
 
 
 def _sha(text: str) -> str:
@@ -131,9 +125,6 @@ class SessionStats:
         self.whole_parses = 0
         self.functions_checked = 0
         self.functions_replayed = 0
-        self.parallel_runs = 0
-        self.serial_fallbacks = 0
-        self.pool_spawns = 0
         # front-end cache counters (mirrored by ``cache.tokens.*`` /
         # ``relex.*`` metrics when the registry is enabled)
         self.token_hits = 0
@@ -141,15 +132,9 @@ class SessionStats:
         self.relex_splices = 0
         self.relex_fallbacks = 0
         self.fingerprints_memoized = 0
-        # resilience counters (mirrored by the ``resilience.*``
-        # metrics when the registry is enabled)
-        self.respawns = 0
-        self.retries = 0
-        self.bisections = 0
-        self.timeouts = 0
-        self.poisoned = 0
+        # mirrored by the ``resilience.cache_quarantines`` metric when
+        # the registry is enabled
         self.cache_quarantines = 0
-        self.fallback_reused = 0
         # shared-store counters (mirrored by the ``cache.shared.unit.*``
         # / ``cache.shared.summary.*`` metrics when the registry is
         # enabled; per-tier traffic lives on the store itself)
@@ -228,9 +213,10 @@ class CheckSession:
     """A long-lived checking pipeline with summary caching.
 
     Equivalent to calling :func:`repro.check_source` for every
-    ``check``, but incremental across calls.  ``jobs`` > 1 enables the
-    fork-based process pool (where the platform supports it);
-    ``cache_dir`` persists function summaries across processes.
+    ``check``, but incremental across calls.  ``cache_dir`` persists
+    function summaries across processes.  ``jobs`` is accepted and
+    ignored: it once sized a worker pool, and callers that still pass
+    it get the same serial check.
     """
 
     def __init__(self, stdlib: bool = True,
@@ -239,27 +225,21 @@ class CheckSession:
                  cache_dir: Optional[str] = None,
                  join_abstraction: bool = True,
                  max_loop_iterations: int = MAX_LOOP_ITERATIONS,
-                 break_even_seconds: float = BREAK_EVEN_SECONDS,
                  telemetry: Optional[Telemetry] = None,
-                 batch_timeout: float = DEFAULT_BATCH_TIMEOUT,
                  fault_plan: Optional[FaultPlan] = None,
                  shared_store=None):
         self.stdlib = stdlib
         self.units = tuple(units) if units is not None else None
-        self.jobs = self._resolve_jobs(jobs)
         self.cache_dir = cache_dir
         self.join_abstraction = join_abstraction
         self.max_loop_iterations = max_loop_iterations
-        self.break_even_seconds = break_even_seconds
-        #: floor (seconds) under the per-batch watchdog deadline.
-        self.batch_timeout = batch_timeout
         #: deterministic chaos schedule (tests/CI only; ``None`` in
         #: normal operation).
         self.fault_plan = fault_plan
         #: cross-session result store (:class:`repro.cache.SharedStore`)
         #: or ``None``.  The session never closes it — the owner (CLI,
         #: daemon, test) controls its lifetime.  Chaos sessions must
-        #: not publish their (deliberately poisoned) results, so a
+        #: not publish results from a deliberately damaged cache, so a
         #: fault plan disables the store.
         self.shared_store = shared_store if fault_plan is None else None
         self._shared_salt = ""
@@ -275,44 +255,36 @@ class CheckSession:
         #: ``Telemetry(trace=True, metrics=True)`` to instrument.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.stats = self.stats
-        self._ast_cache: Dict[Tuple[str, int, int], ast.Program] = {}
+        #: parsed chunks by ``_ChunkKey``.  Spans carry the file name,
+        #: so a chunk parsed for one file is never reused for another.
+        self._ast_cache: Dict[_ChunkKey, ast.Program] = {}
         #: per-chunk token streams, keyed like the chunk-AST cache;
         #: each entry keeps the chunk text (the relexer diffs against
         #: it) and the lexed stream.
-        self._token_cache: Dict[Tuple[str, int, int],
-                                Tuple[str, List[Token]]] = {}
+        self._token_cache: Dict[_ChunkKey, Tuple[str, List[Token]]] = {}
         #: per-chunk interface digests (see ``_interface_part``).
-        self._iface_cache: Dict[Tuple[str, int, int], str] = {}
+        self._iface_cache: Dict[_ChunkKey, str] = {}
         #: chunk keys of the previous check per filename — the
         #: relexer's candidates for "the same declaration, edited".
-        self._chunk_history: Dict[str, List[Tuple[str, int, int]]] = {}
+        self._chunk_history: Dict[str, List[_ChunkKey]] = {}
         self._ctx_cache: Dict[tuple, _CtxEntry] = {}
         self._summaries: Dict[str, _Summary] = {}
-        self._cost_by_qual: Dict[str, float] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
-        self._pool: Optional[WorkerPool] = None
-        #: set when the in-memory summaries/costs diverge from the
-        #: on-disk cache; a check that replayed everything does not
-        #: rewrite the (potentially large) pickle.
+        #: set when the in-memory summaries diverge from the on-disk
+        #: cache; a check that replayed everything does not rewrite
+        #: the (potentially large) pickle.
         self._cache_dirty = False
         if cache_dir:
-            # Pre-register so a healthy run reports an explicit zero
-            # (its pool-side siblings are registered at pool creation).
+            # Pre-register so a healthy run reports an explicit zero.
             if self.telemetry.metrics.enabled:
                 self.telemetry.metrics.counter(
                     "resilience.cache_quarantines")
             self._load_cache()
 
-    @staticmethod
-    def _resolve_jobs(jobs: Union[int, str]) -> int:
-        if isinstance(jobs, str):
-            return resolve_jobs(jobs)
-        return max(1, int(jobs))
-
     @property
     def last_profile(self) -> Dict[str, object]:
-        """Phase timings and the scheduler's verdict for the most
-        recent ``check`` call (compatibility shim; the data lives on
+        """Phase timings and the check plan of the most recent
+        ``check`` call (compatibility shim; the data lives on
         :attr:`telemetry`)."""
         return self.telemetry.profile
 
@@ -320,7 +292,8 @@ class CheckSession:
 
     def check(self, source: str, filename: str = "<input>",
               jobs: Optional[Union[int, str]] = None) -> Reporter:
-        """Parse, elaborate and protocol-check one compilation unit."""
+        """Parse, elaborate and protocol-check one compilation unit.
+        ``jobs`` is accepted and ignored, as in the constructor."""
         self.stats.last_checked = []
         self.stats.last_replayed = []
         self.stats.checks += 1
@@ -331,7 +304,7 @@ class CheckSession:
         try:
             with activate_tracer(tracer), \
                     tracer.span("check_unit", filename=filename):
-                return self._check_inner(source, filename, jobs, profile,
+                return self._check_inner(source, filename, profile,
                                          started)
         except BaseException as exc:
             # A crash mid-check must not masquerade as a clean (empty)
@@ -347,7 +320,6 @@ class CheckSession:
             profile["total_seconds"] = time.perf_counter() - started
 
     def _check_inner(self, source: str, filename: str,
-                     jobs: Optional[Union[int, str]],
                      profile: Dict[str, object],
                      started: float) -> Reporter:
         tracer = self.telemetry.tracer
@@ -410,9 +382,7 @@ class CheckSession:
         check_started = time.perf_counter()
         with tracer.span("check_functions"):
             results = self._check_functions(
-                entry.ctx, source, filename,
-                self.jobs if jobs is None else self._resolve_jobs(jobs),
-                entry.env_token)
+                entry.ctx, source, filename, entry.env_token)
         profile["check_seconds"] = time.perf_counter() - check_started
         entry.fn_results = results
         for qual, diags in results:
@@ -437,27 +407,10 @@ class CheckSession:
         return self.check(source, filename, jobs=jobs).render()
 
     def close(self) -> None:
-        """Shut down the worker pool (the session stays usable; a
-        later parallel check simply spawns a fresh pool)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    @property
-    def pool_alive(self) -> bool:
-        """Whether a forked worker pool is currently resident."""
-        return self._pool is not None
-
-    def reap_idle_pool(self, max_idle_seconds: float) -> bool:
-        """Tear down the worker pool if it has sat unused for
-        ``max_idle_seconds`` (daemon hygiene: warm caches are cheap to
-        keep, idle forked processes are not).  Returns True when a
-        pool was reaped; the session stays fully usable."""
-        if self._pool is not None \
-                and self._pool.idle_seconds() >= max_idle_seconds:
-            self.close()
-            return True
-        return False
+        """Nothing to release: a session holds only in-memory caches
+        (and the on-disk cache it writes at the end of each check).
+        Kept so sessions work as context managers, and stay usable
+        after ``close``."""
 
     def __enter__(self) -> "CheckSession":
         return self
@@ -475,8 +428,8 @@ class CheckSession:
             except ChunkError:
                 chunks = None
         if chunks:
-            chunk_keys = [(_sha(c.text), c.start_line, c.start_col)
-                          for c in chunks]
+            chunk_keys = [(filename, _sha(c.text), c.start_line,
+                           c.start_col) for c in chunks]
             key: tuple = (filename, self.units, self.stdlib,
                           tuple(chunk_keys))
             prev_keys = self._chunk_history.get(filename)
@@ -508,8 +461,8 @@ class CheckSession:
 
     def _parse(self, source: str, filename: str,
                chunks: Optional[List[Chunk]],
-               chunk_keys: List[Tuple[str, int, int]],
-               prev_keys: Optional[List[Tuple[str, int, int]]]
+               chunk_keys: List[_ChunkKey],
+               prev_keys: Optional[List[_ChunkKey]]
                ) -> Tuple[List[ast.Program], str]:
         metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
@@ -574,9 +527,8 @@ class CheckSession:
                            f"\x00{self.stdlib!r}")
         return programs, env_token
 
-    def _lex_chunk(self, chunk: Chunk, ckey: Tuple[str, int, int],
-                   filename: str,
-                   prev_keys: Optional[List[Tuple[str, int, int]]],
+    def _lex_chunk(self, chunk: Chunk, ckey: _ChunkKey, filename: str,
+                   prev_keys: Optional[List[_ChunkKey]],
                    idx: int) -> List[Token]:
         """Token stream for one chunk: an incremental splice against
         the previous check's chunk at the same slot when possible, a
@@ -590,8 +542,8 @@ class CheckSession:
             # sub-chunk edit.  A chunk that also moved (an edit above
             # it changed line numbers) falls back to a full lex — the
             # splice only rebases spans within the chunk.
-            if pkey != ckey and pkey[1] == chunk.start_line \
-                    and pkey[2] == chunk.start_col:
+            if pkey != ckey and pkey[2] == chunk.start_line \
+                    and pkey[3] == chunk.start_col:
                 prev = self._token_cache.get(pkey)
                 if prev is not None:
                     with tracer.span("relex"):
@@ -629,7 +581,7 @@ class CheckSession:
         T.KW_STRUCT, T.KW_STATESET, T.KW_KEY,
     })
 
-    def _interface_part(self, ckey: Tuple[str, int, int],
+    def _interface_part(self, ckey: _ChunkKey,
                         tokens: Optional[List[Token]]) -> str:
         """One chunk's contribution to the context-wide env token.
 
@@ -648,9 +600,9 @@ class CheckSession:
         if part is not None:
             return part
         if tokens is None:
-            return ckey[0]          # content hash: always conservative
+            return ckey[1]          # content hash: always conservative
         if tokens and tokens[0].kind in self._DECL_CHUNK_KINDS:
-            part = ckey[0]
+            part = ckey[1]
         else:
             header: List[str] = []
             for tok in tokens:
@@ -693,7 +645,7 @@ class CheckSession:
 
     # -- function checking -------------------------------------------------
 
-    def _check_functions(self, ctx, source: str, filename: str, jobs: int,
+    def _check_functions(self, ctx, source: str, filename: str,
                          env_token: str = ""
                          ) -> List[Tuple[str, Tuple[Diagnostic, ...]]]:
         """Diagnostics per function, in serial (sorted-qual) order."""
@@ -749,8 +701,10 @@ class CheckSession:
             # L1 missed these: one batched fetch against the shared
             # tiers before paying for any flow analysis.
             to_check = self._shared_fetch_summaries(to_check, results)
+        self.last_profile["plan"] = \
+            f"checked {len(to_check)} of {len(fn_items)} function(s)"
         if to_check:
-            checked = self._run_checks(ctx, to_check, jobs)
+            checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
                 results[qual] = diags
                 self._summaries.setdefault(fp, _Summary()).store(
@@ -762,136 +716,23 @@ class CheckSession:
                 self._shared_put_summaries(to_check)
             if len(self._summaries) > _MAX_SUMMARIES:
                 self._evict_traced(self._summaries, "summary")
-            if len(self._cost_by_qual) > _MAX_COSTS:
-                self._evict_traced(self._cost_by_qual, "costs")
         return [(qual, results[qual]) for qual, _ in fn_items]
 
-    def _run_checks(self, ctx, to_check, jobs: int
-                    ) -> List[Tuple[Diagnostic, ...]]:
+    def _run_checks(self, ctx, to_check) -> List[Tuple[Diagnostic, ...]]:
+        """Flow-check each cache miss, in the order given."""
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
-        effective_jobs = jobs if fork_available() else 1
-        if self.break_even_seconds > 0 and available_cpus() < 2:
-            # Workers would time-slice a single core: parallelism can
-            # only lose.  (A zero break-even forces the pool anyway —
-            # the tests' escape hatch for exercising the protocol.)
-            effective_jobs = 1
-        with tracer.span("schedule", functions=len(to_check),
-                         jobs=effective_jobs):
-            sched = plan_batches([(qual, fundef) for qual, fundef, _fp in
-                                  to_check],
-                                 effective_jobs, self._cost_by_qual,
-                                 self.break_even_seconds)
-        self.last_profile["plan"] = sched.describe()
-        if metrics.enabled:
-            self._record_plan_metrics(sched)
-        partial: Dict[str, Tuple[Tuple[Diagnostic, ...], float]] = {}
-        if sched.parallel:
-            try:
-                return self._run_parallel(ctx, to_check, sched, jobs)
-            except (WorkerCrash, OSError) as exc:
-                # Even the supervised pool can be beyond saving (fork
-                # failures, respawn budget exhausted).  The fallback
-                # must not change the diagnostic stream — check
-                # serially — but it must not vanish either (warn,
-                # surface the child traceback) and it must not waste
-                # the batches that *did* complete: those results ride
-                # along on the exception and are reused verbatim.
-                partial = dict(getattr(exc, "partial", None) or {})
-                self.stats.serial_fallbacks += 1
-                self.stats.fallback_reused += len(partial)
-                if metrics.enabled:
-                    metrics.counter("workers.serial_fallbacks").inc()
-                    if partial:
-                        metrics.counter(
-                            "workers.fallback_reused").inc(len(partial))
-                self.telemetry.events.emit(
-                    "serial_fallback",
-                    f"parallel checking failed ({exc}); "
-                    f"falling back to serial", error=str(exc),
-                    reused=len(partial),
-                    rechecked=len(to_check) - len(partial))
-                print(f"repro: parallel checking failed ({exc}); "
-                      f"falling back to serial", file=sys.stderr)
-                child_tb = getattr(exc, "child_traceback", "")
-                if child_tb:
-                    print(child_tb, file=sys.stderr, end="")
-                self.close()
         out: List[Tuple[Diagnostic, ...]] = []
         for qual, fundef, _fp in to_check:
-            reused = partial.get(qual)
-            if reused is not None:
-                diags, cost = reused
-                self._cost_by_qual[qual] = cost
-                out.append(tuple(diags))
-                continue
             started = time.perf_counter()
             with tracer.span("check_function", function=qual):
                 diags = tuple(check_function_diagnostics(
                     ctx, qual, fundef,
                     join_abstraction=self.join_abstraction,
                     max_loop_iterations=self.max_loop_iterations))
-            cost = time.perf_counter() - started
-            self._cost_by_qual[qual] = cost
             if metrics.enabled:
-                metrics.histogram("check.function_seconds").observe(cost)
-            out.append(diags)
-        return out
-
-    def _record_plan_metrics(self, sched) -> None:
-        metrics = self.telemetry.metrics
-        if sched.parallel:
-            metrics.counter("scheduler.parallel_plans").inc()
-            metrics.counter("scheduler.batches").inc(len(sched.batches))
-            loads = sched.batch_costs
-            if loads and min(loads) > 0:
-                from ..obs.metrics import RATIO_BUCKETS
-                metrics.histogram("scheduler.batch_skew",
-                                  RATIO_BUCKETS).observe(
-                    max(loads) / min(loads))
-        elif "break-even" in sched.reason:
-            metrics.counter("scheduler.break_even_serial").inc()
-        else:
-            metrics.counter("scheduler.serial_plans").inc()
-
-    def _run_parallel(self, ctx, to_check, sched, jobs: int
-                      ) -> List[Tuple[Diagnostic, ...]]:
-        tracer = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-        pool = self._pool
-        if pool is None or not pool.matches(ctx, len(sched.batches),
-                                            self.join_abstraction,
-                                            self.max_loop_iterations):
-            if pool is not None:
-                pool.close()
-            # Spawn the full requested width even when this plan has
-            # fewer batches: the pool persists, and a later (larger)
-            # check against the same context reuses it as-is.
-            with tracer.span("pool_spawn", jobs=jobs):
-                pool = WorkerPool(ctx, jobs, self.join_abstraction,
-                                  self.max_loop_iterations,
-                                  telemetry=self.telemetry,
-                                  fault_plan=self.fault_plan,
-                                  batch_timeout=self.batch_timeout)
-            self._pool = pool
-            self.stats.pool_spawns += 1
-            if metrics.enabled:
-                metrics.counter("workers.pool_spawns").inc()
-        batches = [[to_check[i][0] for i in batch]
-                   for batch in sched.batches]
-        with tracer.span("pool_round_trip", batches=len(batches)):
-            result_map = pool.check_batches(batches, sched.batch_costs)
-        if len(result_map) != len(to_check):
-            raise WorkerCrash(
-                f"workers returned {len(result_map)} results "
-                f"for {len(to_check)} functions", partial=result_map)
-        self.stats.parallel_runs += 1
-        out: List[Tuple[Diagnostic, ...]] = []
-        for qual, _fundef, _fp in to_check:
-            diags, cost = result_map[qual]
-            self._cost_by_qual[qual] = cost
-            if metrics.enabled:
-                metrics.histogram("check.function_seconds").observe(cost)
+                metrics.histogram("check.function_seconds").observe(
+                    time.perf_counter() - started)
             out.append(diags)
         return out
 
@@ -1055,13 +896,10 @@ class CheckSession:
                 summary = _Summary()
                 summary.entries = dict(entries)
                 summaries[fp] = summary
-            costs = {qual: float(cost)
-                     for qual, cost in body.get("costs", {}).items()}
         except _CACHE_LOAD_ERRORS as exc:
             self._quarantine_cache(path, exc)
             return
         self._summaries.update(summaries)
-        self._cost_by_qual.update(costs)
 
     def _quarantine_cache(self, path: str, exc: BaseException) -> None:
         """Move a corrupt cache file aside and publish the failure.
@@ -1128,7 +966,6 @@ class CheckSession:
         next load can prove it read what this process wrote."""
         body = pickle.dumps({
             "summaries": {fp: s.entries for fp, s in self._summaries.items()},
-            "costs": dict(self._cost_by_qual),
         }, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {
             "version": _PICKLE_VERSION,

@@ -3,8 +3,8 @@
 The paper's pitch is protocol checking *in the compile loop*; in a
 modern editor/CI loop that means a resident service, not a cold batch
 process.  This package keeps the whole warm stack of the pipeline —
-stdlib base context, chunk/context/summary caches, the supervised
-worker pool — alive in a daemon behind a Unix domain socket:
+stdlib base context, chunk/context/summary caches — alive in a daemon
+behind a Unix domain socket:
 
 * :class:`CheckServer` / :func:`serve` — the daemon (selector loop,
   warm-session registry, request coalescing, idle timeout, graceful

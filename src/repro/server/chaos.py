@@ -3,9 +3,8 @@
 :class:`ChaosProxy` sits between a client and a real daemon on a
 second Unix socket and *acts out* the wire faults of a seeded
 :class:`~repro.pipeline.faults.FaultPlan` (``torn@R``, ``oversize@R``,
-``stall@R``, ...).  It is the socket twin of the worker pool's
-dispatch-fault injection: every request relayed through the proxy gets
-a global **request index**, the plan's :meth:`~repro.pipeline.faults.
+``stall@R``, ...).  Every request relayed through the proxy gets a
+global **request index**, the plan's :meth:`~repro.pipeline.faults.
 FaultPlan.wire_fault` decides what (if anything) goes wrong for that
 index, and because a client retry travels under a fresh index, chaos
 runs are deterministic and convergent — fault the first attempt,

@@ -47,7 +47,7 @@ from .protocol import (PROTOCOL_VERSION, ProtocolError, normalize_options,
 #: seconds allowed for connect + ping.
 CONNECT_TIMEOUT = 5.0
 
-#: seconds allowed for one reply.  Generous — a cold parallel check of
+#: seconds allowed for one reply.  Generous — a cold check of
 #: a big module is legitimate work — but finite, so a wedged daemon
 #: costs one bounded wait and a fallback, never a hang.
 READ_TIMEOUT = 120.0
@@ -256,11 +256,8 @@ def check_detailed(source: str, filename: str = "<input>",
             return outcome
     from ..api import check_source
     options = normalize_options(options)
-    if options["cache_dir"] or options["jobs"] not in (1, None) \
-            or options["shared_cache"]:
+    if options["cache_dir"] or options["shared_cache"]:
         from ..pipeline import CheckSession
-        from ..pipeline.scheduler import BREAK_EVEN_SECONDS
-        break_even = options["break_even"]
         store = None
         if options["shared_cache"]:
             from ..cache import open_store
@@ -268,10 +265,7 @@ def check_detailed(source: str, filename: str = "<input>",
         try:
             with CheckSession(
                     stdlib=options["stdlib"], units=options["units"],
-                    jobs=options["jobs"] or 1,
                     cache_dir=options["cache_dir"],
-                    break_even_seconds=BREAK_EVEN_SECONDS
-                    if break_even is None else float(break_even),
                     shared_store=store) as session:
                 report = session.check(source, filename)
         finally:

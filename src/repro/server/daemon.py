@@ -2,8 +2,8 @@
 
 A single-threaded selector loop on a Unix domain socket that keeps the
 expensive parts of checking — the interpreter itself, the elaborated
-stdlib base context, per-unit chunk/context/summary caches, and the
-supervised worker pool — **resident** between requests.  A cold
+stdlib base context, and per-unit chunk/context/summary caches —
+**resident** between requests.  A cold
 ``vaultc check`` pays interpreter start-up plus full elaboration on
 every invocation; a daemon check of an unchanged module is a unit-
 replay cache hit, typically two orders of magnitude cheaper (see
@@ -16,9 +16,9 @@ Design:
   (:func:`repro.server.protocol.session_key`); least-recently-used
   sessions are closed and dropped past ``session_limit``;
 * **concurrency** — the selector loop accepts any number of clients
-  and buffers their frames; checks run one at a time in the loop (they
-  are CPU-bound and internally parallel via the worker pool), so
-  concurrent clients serialize without interleaving diagnostics;
+  and buffers their frames; checks run one at a time in the loop
+  (they are CPU-bound), so concurrent clients serialize without
+  interleaving diagnostics;
 * **coalescing** — duplicate in-flight ``check`` requests (same
   source, filename and options) are grouped and answered by a single
   run of the checker; just before executing, the loop drains every
@@ -39,14 +39,11 @@ Design:
   header or never reads its reply cannot pin buffers forever;
 * **graceful shutdown** — SIGTERM/SIGINT (via :func:`serve`), the
   ``shutdown`` op, and the idle timeout all funnel into one idempotent
-  :meth:`CheckServer.close` that closes client connections, shuts down
-  every session's worker pool, and unlinks the socket.  The first
+  :meth:`CheckServer.close` that closes client connections and
+  sessions, and unlinks the socket.  The first
   SIGTERM *drains*: in-flight checks finish and are answered, queued
   requests are shed with ``draining`` replies, then the loop exits (a
   second signal stops immediately);
-* **pool hygiene** — each loop tick reaps worker pools that have been
-  idle past ``pool_linger`` seconds (the session and its caches stay
-  warm; a later parallel check re-forks);
 * **shared store** — every warm session plugs into one daemon-wide
   in-memory blob tier (:class:`repro.cache.MemoryTier`), so sessions
   with different options cross-warm each other; ``vaultc serve
@@ -80,14 +77,9 @@ from ..diagnostics import VaultError
 from ..obs import (Telemetry, TimeSeriesRing, TraceRing, Tracer,
                    bucket_quantile, render_exposition, write_textfile)
 from ..pipeline import CheckSession
-from ..pipeline.scheduler import BREAK_EVEN_SECONDS
 from .protocol import (PROTOCOL_VERSION, ProtocolError, encode_frame,
                        normalize_options, request_key, session_key,
                        split_frames)
-
-#: seconds a session's worker pool may sit idle before the loop tears
-#: it down (the session itself, with all its caches, stays registered).
-DEFAULT_POOL_LINGER = 60.0
 
 #: warm sessions kept before the least-recently-used one is closed.
 DEFAULT_SESSION_LIMIT = 8
@@ -113,7 +105,7 @@ _DRAIN_FLUSH_SECONDS = 2.0
 _TICK_SECONDS = 0.5
 
 #: counters pre-registered at start-up so a quiet daemon reports
-#: explicit zeros (mirrors the pool's RESILIENCE_COUNTERS idiom).
+#: explicit zeros.
 SERVER_COUNTERS = ("server.connections", "server.requests",
                    "server.checks", "server.coalesced",
                    "server.bad_requests", "server.client_errors",
@@ -230,8 +222,6 @@ class CheckServer:
                  idle_timeout: Optional[float] = None,
                  telemetry: Optional[Telemetry] = None,
                  session_limit: int = DEFAULT_SESSION_LIMIT,
-                 pool_linger: float = DEFAULT_POOL_LINGER,
-                 default_jobs: object = 1,
                  enable_test_ops: bool = False,
                  shared_cache_dir: Optional[str] = None,
                  sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
@@ -249,8 +239,6 @@ class CheckServer:
         self.idle_timeout = idle_timeout
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.session_limit = max(1, session_limit)
-        self.pool_linger = pool_linger
-        self.default_jobs = default_jobs
         #: honour ``test_die``/``die`` chaos hooks (never on by
         #: default; ``vaultc serve`` gates it behind
         #: ``$VAULTC_SERVER_TEST_OPS``).
@@ -468,7 +456,6 @@ class CheckServer:
                     self._finish_drain()
                     break
                 self._reap_stalled_conns()
-                self._reap_idle_pools()
                 self._sample_tick()
         finally:
             self.close()
@@ -725,7 +712,7 @@ class CheckServer:
                 self._shed(conn, req_id)
                 return
             self._shedding = False
-            options = normalize_options(options, self.default_jobs)
+            options = normalize_options(options)
             frame["options"] = options
             self._queue.append(_Request(
                 conn, request_key(source, filename, options), frame,
@@ -1084,18 +1071,14 @@ class CheckServer:
             entry.last_used = time.monotonic()
             self._sessions.move_to_end(key)
             return entry.session
-        break_even = options.get("break_even")
         session = CheckSession(
             stdlib=bool(options.get("stdlib", True)),
             units=options.get("units"),
-            jobs=options.get("jobs", 1),
             cache_dir=options.get("cache_dir"),
-            break_even_seconds=BREAK_EVEN_SECONDS if break_even is None
-            else float(break_even),
             # Sessions share the daemon's metrics/events/tracer but
             # keep their own profile and stats surfaces: sharing one
-            # Telemetry object across sessions would cross-wire the
-            # pool's per-session resilience accounting.
+            # Telemetry object across sessions would cross-wire each
+            # session's last_profile and SessionStats.
             telemetry=Telemetry(tracer=self.telemetry.tracer,
                                 registry=self.telemetry.metrics,
                                 events=self.telemetry.events),
@@ -1105,12 +1088,6 @@ class CheckServer:
             evicted.session.close()
         self._sessions[key] = _SessionEntry(session)
         return session
-
-    def _reap_idle_pools(self) -> None:
-        if self.pool_linger is None:
-            return
-        for entry in self._sessions.values():
-            entry.session.reap_idle_pool(self.pool_linger)
 
     def _session_rows(self) -> List[dict]:
         """One row per warm session, in LRU order (oldest first)."""
@@ -1125,7 +1102,6 @@ class CheckServer:
                 "shared_unit_hits": stats.shared_unit_hits,
                 "shared_summary_hits": stats.shared_summary_hits,
                 "shared_puts": stats.shared_puts,
-                "pool_alive": entry.session.pool_alive,
                 "idle_seconds": time.monotonic() - entry.last_used,
             })
         return sessions
@@ -1202,7 +1178,6 @@ class CheckServer:
 def serve(socket_path: Optional[str] = None,
           idle_timeout: Optional[float] = None,
           telemetry: Optional[Telemetry] = None,
-          default_jobs: object = 1,
           ready_out=None,
           shared_cache_dir: Optional[str] = None,
           sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
@@ -1225,7 +1200,7 @@ def serve(socket_path: Optional[str] = None,
 
     server = CheckServer(
         socket_path=socket_path, idle_timeout=idle_timeout,
-        telemetry=telemetry, default_jobs=default_jobs,
+        telemetry=telemetry,
         enable_test_ops=bool(os.environ.get("VAULTC_SERVER_TEST_OPS")),
         shared_cache_dir=shared_cache_dir,
         sample_interval=sample_interval, prom_file=prom_file,

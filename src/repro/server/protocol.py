@@ -1,19 +1,18 @@
 """Wire protocol for the ``vaultc`` check daemon.
 
 One frame = a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON (one object per frame).  The format is the socket
-twin of the worker pool's pipe frames (:mod:`repro.pipeline.workers`),
-with JSON instead of pickle because daemon clients are untrusted peers
-on a shared socket: a hostile frame can at worst fail to decode, never
-execute code.
+bytes of UTF-8 JSON (one object per frame).  JSON rather than pickle,
+because daemon clients are untrusted peers on a shared socket: a
+hostile frame can at worst fail to decode, never execute code.
 
 Requests are objects with an ``op`` field:
 
 ``{"op": "check", "source": ..., "filename": ..., "options": {...}}``
     Protocol-check one compilation unit.  ``options`` may carry
-    ``stdlib``, ``units``, ``jobs``, ``cache_dir``, ``break_even``
-    (seconds) and ``shared_cache`` (a shared-store directory); unknown
-    keys are ignored so older clients keep working.  Two optional
+    ``stdlib``, ``units``, ``cache_dir`` and ``shared_cache`` (a
+    shared-store directory); unknown keys are ignored so older clients
+    keep working (that includes the keys that once sized and tuned
+    a worker pool, such as ``jobs``).  Two optional
     top-level fields: ``deadline_ms`` (a non-negative number — a
     request still queued when it expires is answered
     ``deadline_exceeded`` instead of checked) and ``id`` (any JSON
@@ -187,12 +186,11 @@ def _canonical(obj: object) -> bytes:
 
 #: option keys that select a :class:`~repro.pipeline.CheckSession`; two
 #: requests differing only in other keys share one warm session.
-SESSION_OPTION_KEYS = ("stdlib", "units", "jobs", "cache_dir",
-                       "break_even", "shared_cache")
+SESSION_OPTION_KEYS = ("stdlib", "units", "cache_dir", "shared_cache")
 
 
-def normalize_options(options: Optional[Dict[str, object]],
-                      default_jobs: object = 1) -> Dict[str, object]:
+def normalize_options(options: Optional[Dict[str, object]]
+                      ) -> Dict[str, object]:
     """The session-selecting view of a request's ``options``: known
     keys only, defaults filled in, so equivalent requests normalize to
     the same dict (and therefore the same session and request keys)."""
@@ -201,9 +199,7 @@ def normalize_options(options: Optional[Dict[str, object]],
     return {
         "stdlib": bool(options.get("stdlib", True)),
         "units": list(units) if units is not None else None,
-        "jobs": options.get("jobs", default_jobs),
         "cache_dir": options.get("cache_dir"),
-        "break_even": options.get("break_even"),
         "shared_cache": options.get("shared_cache"),
     }
 

@@ -1,12 +1,10 @@
 """Crash supervision for the check daemon (``vaultc serve --supervise``).
 
-The daemon is designed not to die — worker faults are contained by the
-pool supervisor, client faults by the protocol layer — but "designed
-not to" is not "cannot": the OOM killer, a bug in a native extension,
-or an operator's stray ``kill -9`` all end the process without
-warning.  ``--supervise`` runs the real server in a *child* process
-and restarts it when it crashes, applying the same discipline the
-worker-pool supervisor applies to workers one level down:
+The daemon is designed not to die — client faults are contained by the
+protocol layer — but "designed not to" is not "cannot": the OOM
+killer, a bug in a native extension, or an operator's stray ``kill
+-9`` all end the process without warning.  ``--supervise`` runs the
+real server in a *child* process and restarts it when it crashes:
 
 * a child that exits **cleanly** (rc 0 — idle timeout, drain,
   ``shutdown`` op) ends supervision: intentional exits are honoured,

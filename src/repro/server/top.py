@@ -2,8 +2,8 @@
 
 Polls the ``telemetry`` wire op and renders the daemon's SLO surface
 in place: request/check throughput (off the newest time-series
-sample), check-latency quantiles, cache-tier hit rates, the worker
-pool and session-LRU state, and slow-request capture activity.  Two
+sample), check-latency quantiles, cache-tier hit rates, the session-LRU
+state, and slow-request capture activity.  Two
 modes:
 
 * **live** (default) — redraw every ``--interval`` seconds until
@@ -124,13 +124,11 @@ def render_top(reply: dict) -> str:
     sessions = reply.get("sessions") or []
     if sessions:
         lines.append(f"{'session':<18} {'checks':>7} {'replayed':>9} "
-                     f"{'pool':>5} {'idle':>8}")
+                     f"{'idle':>8}")
         for row in sessions:
-            pool = "live" if row.get("pool_alive") else "-"
             lines.append(f"{row.get('key', '?'):<18} "
                          f"{row.get('checks', 0):>7} "
                          f"{row.get('functions_replayed', 0):>9} "
-                         f"{pool:>5} "
                          f"{_fmt_seconds(row.get('idle_seconds', 0)):>8}")
 
     slow = reply.get("slow_traces")

@@ -9,7 +9,7 @@ This package turns the checker on itself:
   nesting, wide units, near-miss signatures).
 * :mod:`repro.testing.differential` — a harness that checks one
   program through every execution path the repo ships (serial,
-  parallel worker pool, cached session replay, live check daemon) and
+  cached session replay, live check daemon) and
   compares the canonical CLI bytes each path produces.
 * :mod:`repro.testing.shrink` — greedy delta-debugging of a divergent
   program down to a minimal reproducer.

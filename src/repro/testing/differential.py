@@ -1,16 +1,15 @@
-"""Differential byte-identity harness over the four checking paths.
+"""Differential byte-identity harness over the three checking paths.
 
 One source program is checked through every execution path the repo
-ships — plain serial :func:`repro.check_source`, the forked worker
-pool, a warm :class:`CheckSession` cache replay, and a live check
-daemon over its socket — and each path's output is rendered to the
+ships — plain serial :func:`repro.check_source`, a warm
+:class:`CheckSession` cache replay, and a live check daemon over its
+socket — and each path's output is rendered to the
 exact bytes ``vaultc check`` would print.  Any disagreement between
 paths is a *divergence*: the checker's diagnostics are supposed to be
 a pure function of the source, however they were computed.
 
-Paths that the platform cannot support (no ``os.fork`` for the worker
-pool, no ``AF_UNIX`` for the daemon) are skipped and recorded, never
-silently dropped.
+A path the platform cannot support (no ``AF_UNIX`` for the daemon) is
+skipped and recorded, never silently dropped.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import check_source
-from repro.pipeline import CheckSession, fork_available
+from repro.pipeline import CheckSession
 
 __all__ = ["ALL_PATHS", "DifferentialHarness", "DifferentialResult",
            "canonical_stdout", "daemon_available"]
 
 #: every path the harness knows, in baseline-first order.
-ALL_PATHS = ("serial", "parallel", "cached", "daemon")
+ALL_PATHS = ("serial", "cached", "daemon")
 
 
 def canonical_stdout(ok: bool, render: str, errors: int, rel: str) -> str:
@@ -76,9 +75,8 @@ class DifferentialHarness:
             assert not result.divergent
     """
 
-    def __init__(self, jobs: int = 2, use_daemon: bool = True,
-                 use_parallel: bool = True, use_cache: bool = True) -> None:
-        self._parallel: Optional[CheckSession] = None
+    def __init__(self, use_daemon: bool = True,
+                 use_cache: bool = True) -> None:
         self._cached: Optional[CheckSession] = None
         self._server = None
         self._server_thread: Optional[threading.Thread] = None
@@ -86,10 +84,6 @@ class DifferentialHarness:
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self.skipped: List[str] = []
 
-        if use_parallel and fork_available():
-            self._parallel = CheckSession(jobs=jobs, break_even_seconds=0.0)
-        elif use_parallel:
-            self.skipped.append("parallel")
         if use_cache:
             self._tmp = tempfile.TemporaryDirectory(prefix="vault-diff-")
             self._cached = CheckSession(cache_dir=self._tmp.name + "/cache")
@@ -121,10 +115,9 @@ class DifferentialHarness:
                 self._server_thread.join(10)
             self._server.close()
             self._server = None
-        for session in (self._parallel, self._cached):
-            if session is not None:
-                session.close()
-        self._parallel = self._cached = None
+        if self._cached is not None:
+            self._cached.close()
+            self._cached = None
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
@@ -133,7 +126,6 @@ class DifferentialHarness:
     def paths(self) -> List[str]:
         """The paths this harness will actually run."""
         return [p for p in ALL_PATHS if p not in self.skipped
-                and not (p == "parallel" and self._parallel is None)
                 and not (p == "cached" and self._cached is None)
                 and not (p == "daemon" and self._server is None)]
 
@@ -145,11 +137,6 @@ class DifferentialHarness:
         report = check_source(source, filename=rel)
         outputs["serial"] = canonical_stdout(
             report.ok, report.render(), len(report.errors), rel)
-
-        if self._parallel is not None:
-            rep = self._parallel.check(source, filename=rel)
-            outputs["parallel"] = canonical_stdout(
-                rep.ok, rep.render(), len(rep.errors), rel)
 
         if self._cached is not None:
             self._cached.check(source, filename=rel)   # populate

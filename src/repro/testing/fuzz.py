@@ -85,8 +85,7 @@ def _diverges(harness: DifferentialHarness, rel: str) -> Callable[[str], bool]:
     return predicate
 
 
-def run_fuzz(count: int, seed: int, jobs: int = 2, use_daemon: bool = True,
-             use_parallel: bool = True,
+def run_fuzz(count: int, seed: int, use_daemon: bool = True,
              on_program: Optional[Callable[[int, int, str], None]] = None,
              ) -> FuzzReport:
     """Fuzz ``count`` programs derived from ``seed``.
@@ -97,8 +96,7 @@ def run_fuzz(count: int, seed: int, jobs: int = 2, use_daemon: bool = True,
     """
     report = FuzzReport(seed=seed, count=count)
     tally: Counter = Counter()
-    with DifferentialHarness(jobs=jobs, use_daemon=use_daemon,
-                             use_parallel=use_parallel) as harness:
+    with DifferentialHarness(use_daemon=use_daemon) as harness:
         report.paths = harness.paths
         report.skipped_paths = list(harness.skipped)
         for index in range(count):

@@ -3,7 +3,7 @@
 Classic delta-debugging, specialised to Vault's surface syntax: first
 drop whole top-level declarations, then drop single statements inside
 the survivors, for as long as the caller's *predicate* (usually "the
-four checking paths still disagree") keeps holding on the smaller
+checking paths still disagree") keeps holding on the smaller
 program.  The predicate owns validity too — a candidate that no longer
 parses simply fails the predicate and is discarded.
 """

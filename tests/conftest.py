@@ -87,6 +87,13 @@ class ServerHandle:
         self.server.close()
 
 
+def open_fds():
+    """This process's open descriptor numbers, or ``None`` without
+    ``/proc`` (fd-leak tests skip then)."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir(
+        "/proc/self/fd") else None
+
+
 def start_server(tmp_path, **kwargs) -> ServerHandle:
     """Bind a ``CheckServer`` on a socket under ``tmp_path`` and serve
     it from a daemon thread.  Callers own the ``.stop()``."""
@@ -112,8 +119,8 @@ def daemon_socket(tmp_path_factory):
         handle.stop()
 
 
-def spawn_daemon(sock: str, *extra: str, test_ops: bool = False,
-                 jobs: str = "1") -> subprocess.Popen:
+def spawn_daemon(sock: str, *extra: str,
+                 test_ops: bool = False) -> subprocess.Popen:
     """A real ``vaultc serve`` subprocess, pinged until ready."""
     from repro.server import DaemonClient, DaemonUnavailable
 
@@ -124,7 +131,7 @@ def spawn_daemon(sock: str, *extra: str, test_ops: bool = False,
         env["VAULTC_SERVER_TEST_OPS"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--socket", sock,
-         "--jobs", jobs, *extra],
+         *extra],
         cwd=str(REPO), env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 20

@@ -458,7 +458,7 @@ class TestRemoteTier:
 class TestSessionIntegration:
     def test_fault_plan_disables_shared_store(self):
         store = SharedStore([MemoryTier()])
-        with CheckSession(fault_plan=FaultPlan.parse("crash@0"),
+        with CheckSession(fault_plan=FaultPlan.parse("flip-cache"),
                           shared_store=store) as session:
             assert session.shared_store is None, \
                 "chaos sessions must not publish results"

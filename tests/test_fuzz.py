@@ -2,7 +2,7 @@
 
 The heavy end-to-end runs (hundreds of programs) live in
 ``benchmarks/fuzz_smoke.py``; here we pin the machinery itself:
-generator validity and intent coverage, byte-identity of all four
+generator validity and intent coverage, byte-identity of all three
 checking paths on a small batch, the divergence/shrink pipeline (via a
 stubbed harness — the real checker has no known divergence to use),
 and the ``vaultc fuzz`` CLI contract.
@@ -16,7 +16,6 @@ import pytest
 
 from conftest import needs_unix, vaultc
 from repro import check_source
-from repro.pipeline import fork_available
 from repro.testing import (DifferentialHarness, DifferentialResult,
                            GenConfig, canonical_stdout, derive_seed,
                            generate_program, run_fuzz, shrink)
@@ -167,11 +166,6 @@ class TestDifferential:
         assert canonical_stdout(False, "boom", 2, "x.vlt") \
             == "boom\nx.vlt: 2 error(s)\n"
 
-    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-    def test_parallel_path_really_runs(self):
-        with DifferentialHarness() as harness:
-            assert "parallel" in harness.paths
-
     @needs_unix
     def test_daemon_path_really_runs(self):
         with DifferentialHarness() as harness:
@@ -209,8 +203,8 @@ class _DivergingHarness:
 
 class TestFuzzLoop:
     def test_report_shape_and_determinism(self):
-        report = run_fuzz(3, seed=77, use_daemon=False, use_parallel=False)
-        again = run_fuzz(3, seed=77, use_daemon=False, use_parallel=False)
+        report = run_fuzz(3, seed=77, use_daemon=False)
+        again = run_fuzz(3, seed=77, use_daemon=False)
         assert report.ok
         assert report.count == 3
         assert report.programs_ok + report.programs_rejected == 3
@@ -227,8 +221,7 @@ class TestFuzzLoop:
                     if any(_DivergingHarness.MARKER in
                            generate_program(derive_seed(s, i)).source
                            for i in range(3)))
-        report = fuzz_mod.run_fuzz(3, seed=seed, use_daemon=True,
-                                   use_parallel=False)
+        report = fuzz_mod.run_fuzz(3, seed=seed, use_daemon=True)
         assert not report.ok
         record = report.divergences[0]
         assert record.paths == ["daemon"]
@@ -254,7 +247,7 @@ class TestFuzzCli:
     def test_small_run_reports_byte_identity(self, tmp_path):
         out = tmp_path / "report.json"
         result = vaultc(["fuzz", "--count", "4", "--seed", "5",
-                         "--no-daemon", "--no-parallel", "-q",
+                         "--no-daemon", "-q",
                          "--out", str(out)])
         assert result.returncode == 0, result.stderr
         assert "byte-identical" in result.stdout

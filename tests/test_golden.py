@@ -2,12 +2,10 @@
 
 Every ``.vlt`` file shipped in the repository — the examples, the
 stdlib interface sources, and the driver case studies — has its exact
-``vaultc check`` stdout pinned under ``tests/golden/``.  Four checking
-paths must all reproduce those bytes exactly:
+``vaultc check`` stdout pinned under ``tests/golden/``.  Every checking
+path must reproduce those bytes exactly:
 
 * **serial** — plain ``repro.check_source``;
-* **parallel** — a :class:`CheckSession` forced through the worker
-  pool (``jobs=4``, zero break-even);
 * **cached** — a warm session replay, plus a cold cross-process replay
   from an on-disk summary cache;
 * **daemon** — a live ``CheckServer`` answering over its socket;
@@ -27,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro import check_source
-from repro.pipeline import CheckSession, fork_available
+from repro.pipeline import CheckSession
 from repro.server import DaemonClient
 
 REPO = Path(__file__).resolve().parent.parent
@@ -119,19 +117,6 @@ def test_update_golden_on_unchanged_tree_is_a_noop(tmp_path, update_golden):
     pinned = {p.name: p.read_text(encoding="utf-8")
               for p in GOLDEN_DIR.glob("*.golden")}
     assert regenerated == pinned
-
-
-# ---------------------------------------------------------------------------
-# Parallel: forced through the worker pool
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-def test_parallel_output_matches_golden(update_golden):
-    with CheckSession(jobs=4, break_even_seconds=0.0) as session:
-        for rel in CORPUS:
-            report = session.check(read_source(rel), filename=rel)
-            assert_matches_golden(report_stdout(report, rel), rel,
-                                  update_golden, "parallel (--jobs 4)")
 
 
 # ---------------------------------------------------------------------------

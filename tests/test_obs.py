@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import (EventLog, JsonlEventWriter, MetricsRegistry,
-                       NULL_METRICS, NULL_TRACER, RATIO_BUCKETS, Telemetry,
+                       NULL_METRICS, NULL_TRACER, Telemetry,
                        TimeSeriesRing, TraceRing, Tracer, activate,
                        bucket_quantile, current_tracer, open_event_log,
                        render_exposition, validate_chrome_trace,
@@ -45,17 +45,13 @@ class TestTracer:
         names = [e["name"] for e in payload["traceEvents"]]
         assert "outer" in names and "inner" in names
 
-    def test_drain_and_absorb_merge_tracks(self):
-        worker = Tracer(process_name="worker", pid=1000)
-        with worker.span("child_work"):
+    def test_drain_takes_and_clears_events(self):
+        tracer = Tracer(process_name="main", pid=1)
+        with tracer.span("work"):
             pass
-        parent = Tracer(process_name="main", pid=1)
-        with parent.span("parent_work"):
-            pass
-        parent.absorb(worker.drain())
-        assert worker.events == []
-        pids = {e["pid"] for e in parent.events}
-        assert pids == {1, 1000}
+        drained = tracer.drain()
+        assert [e["name"] for e in drained] == ["process_name", "work"]
+        assert tracer.events == []
 
     def test_phase_totals_sums_by_name(self):
         tracer = Tracer()
@@ -152,31 +148,6 @@ class TestMetrics:
         with pytest.raises(TypeError):
             reg.gauge("x")
 
-    def test_merge_adds_counters_and_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(1)
-        b.counter("n").inc(2)
-        a.histogram("h", RATIO_BUCKETS).observe(1.07)
-        b.histogram("h", RATIO_BUCKETS).observe(1.07)
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["n"]["value"] == 3
-        assert snap["h"]["count"] == 2
-        assert sum(snap["h"]["bucket_counts"]) == 2
-
-    def test_merge_rejects_mismatched_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", (1.0, 2.0)).observe(0.5)
-        b.histogram("h", (5.0, 6.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
-    def test_drain_resets(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        assert reg.drain()["c"]["value"] == 1
-        assert reg.snapshot() == {}
-
     def test_null_metrics_records_nothing(self):
         assert not NULL_METRICS.enabled
         NULL_METRICS.counter("c").inc()
@@ -205,16 +176,13 @@ class TestEventLog:
         assert crashes[0].pid > 0 and crashes[0].ts > 0
         assert "boom" in crashes[0].render()
 
-    def test_subscribers_fire_on_emit_and_absorb(self):
+    def test_subscribers_fire_on_emit(self):
         log = EventLog()
         seen = []
         log.subscribe(seen.append)
         log.emit("a", "one")
-        other = EventLog()
-        other.emit("b", "two")
-        log.absorb(other.drain())
+        log.emit("b", "two")
         assert [e.kind for e in seen] == ["a", "b"]
-        assert other.records == []
         assert [e.kind for e in log.records] == ["a", "b"]
 
 
@@ -325,7 +293,7 @@ class TestExposition:
     def _snapshot(self):
         reg = MetricsRegistry()
         reg.counter("server.requests").inc(7)
-        reg.gauge("pool.workers").set(2)
+        reg.gauge("server.sessions").set(2)
         hist = reg.histogram("server.check_seconds")
         hist.observe(0.002)
         hist.observe(3.0)
@@ -376,7 +344,7 @@ class TestJsonlEventWriter:
         event = log.emit("k", "msg")
         assert log.subscriber_errors == 1
         assert seen == [event]                  # later subscribers still fire
-        log.absorb([event])
+        log.emit("k", "again")
         assert log.subscriber_errors == 2
 
     def test_writes_one_json_line_per_event(self, tmp_path):

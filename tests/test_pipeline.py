@@ -1,15 +1,20 @@
-"""Tests for the incremental/parallel checking pipeline.
+"""Tests for the incremental checking pipeline.
 
 Covers the three layers of :mod:`repro.pipeline`:
 
 * the chunk splitter (textual declaration boundaries + fallback);
 * the summary cache (precise invalidation: body edits, callee effect
   edits and stateset edits each invalidate exactly the dependents);
-* the session itself (equivalence with ``check_source``, parallel
-  byte-identity, on-disk persistence).
+* the session itself (equivalence with ``check_source``, the accepted
+  and ignored ``jobs`` option, on-disk persistence across processes).
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +24,7 @@ from repro.core import program_cfgs
 from repro.pipeline import CheckSession, ChunkError, split_chunks
 from repro.stdlib import stdlib_context
 from repro.syntax import parse_program
+from repro.testing import canonical_stdout
 
 UNITS = ["region"]
 
@@ -163,7 +169,7 @@ void leak() {
 
 
 # ---------------------------------------------------------------------------
-# Session equivalence and parallel mode
+# Session equivalence
 # ---------------------------------------------------------------------------
 
 class TestSessionEquivalence:
@@ -179,17 +185,47 @@ class TestSessionEquivalence:
 
     @pytest.mark.parametrize("seed,error_rate", [(4, 0.0), (5, 0.3)])
     def test_parallel_output_byte_identical(self, seed, error_rate):
+        # Asking for workers must not change a byte of the output: the
+        # check is serial whatever ``jobs`` says, and a repeat of the
+        # same source replays every function from the summary cache.
         source = synthesize_program(30, seed=seed, error_rate=error_rate)
         expected = check_source(source, units=UNITS).render()
-        # A zero break-even forces the worker pool even though the
-        # scheduler would stay serial for a workload this small.
-        with fresh_session(jobs=2, break_even_seconds=0.0) as session:
+        with fresh_session(jobs=2) as session:
             assert session.check(source).render() == expected
-            assert session.stats.parallel_runs == 1
-            # The pool persists: a second cold context against new
-            # source forks fresh workers; identical source replays.
+            checked = session.stats.functions_checked
+            assert checked > 0
             assert session.check(source).render() == expected
-            assert session.stats.pool_spawns == 1
+            assert session.stats.functions_checked == checked
+            assert session.stats.functions_replayed >= checked
+
+    def test_jobs_is_accepted_and_ignored_without_forking(
+            self, tmp_path, monkeypatch, capsys):
+        # ``vaultc check --jobs auto --cache DIR``, ``CheckSession(jobs=)``
+        # and ``check_source(jobs=)`` stay accepted for old callers; each
+        # must print exactly what a plain check prints and never fork.
+        from repro.cli import main
+        source = synthesize_program(160, seed=21, error_rate=0.2)
+        target = tmp_path / "unit.vlt"
+        target.write_text(source)
+        assert main(["check", str(target)]) == 1
+        plain = capsys.readouterr().out
+
+        def no_fork():
+            raise AssertionError("the checker must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["check", str(target), "--jobs", "auto",
+                     "--cache", str(tmp_path / "cache")]) == 1
+        assert capsys.readouterr().out == plain
+        with CheckSession(jobs=2) as session:
+            report = session.check(source, str(target))
+        assert canonical_stdout(report.ok, report.render(),
+                                len(report.errors), str(target)) == plain
+        assert check_source(source, str(target), jobs="auto").render() \
+            == report.render()
+        with pytest.raises(SystemExit):
+            main(["check", str(target), "--jobs", "garbage"])
+        assert "invalid --jobs value 'garbage'" in capsys.readouterr().err
 
     def test_syntax_error_behaves_like_check_source(self):
         source = "void f() { int x = ; }"
@@ -320,30 +356,6 @@ class TestTelemetry:
         assert report.ok
         assert "aborted" not in session.last_profile
 
-    def test_forced_pool_trace_has_worker_tracks(self):
-        from repro.obs import Telemetry, validate_chrome_trace
-        from repro.pipeline import fork_available
-        if not fork_available():
-            pytest.skip("needs os.fork")
-        source = synthesize_program(24, seed=17)
-        telemetry = Telemetry(trace=True, metrics=True)
-        with CheckSession(units=UNITS, jobs=2, break_even_seconds=0.0,
-                          telemetry=telemetry) as session:
-            report = session.check(source)
-        assert report.ok
-        payload = telemetry.tracer.to_chrome()
-        assert validate_chrome_trace(payload) == []
-        events = payload["traceEvents"]
-        pids = {e["pid"] for e in events}
-        assert len(pids) >= 3  # main process + two pool workers
-        names = {e["name"] for e in events}
-        assert "pool_round_trip" in names
-        assert "worker_batch" in names
-        # Worker metric deltas fold into the parent registry.
-        snap = telemetry.metrics.snapshot()
-        assert snap["workers.functions_checked"]["value"] == 24
-        assert session.stats.pool_spawns == 1
-
 
 # ---------------------------------------------------------------------------
 # Session reuse: a CheckSession is a long-lived object (the daemon
@@ -352,6 +364,18 @@ class TestTelemetry:
 # ---------------------------------------------------------------------------
 
 class TestSessionReuse:
+    def test_same_text_under_two_file_names_reports_each_name(self):
+        # Parsed chunks carry their file name in every span, so the
+        # chunk caches must key on it: a hit across files would name
+        # a.vlt in b.vlt's diagnostics.
+        source = synthesize_program(3, seed=3, error_rate=1.0)
+        with CheckSession() as session:
+            first = session.check(source, "a.vlt").render()
+            second = session.check(source, "b.vlt").render()
+        assert first == check_source(source, "a.vlt").render()
+        assert second == check_source(source, "b.vlt").render()
+        assert "a.vlt" not in second
+
     def test_back_to_back_checks_do_not_accumulate_diagnostics(self):
         clean = synthesize_program(3, seed=1)
         buggy = synthesize_program(3, seed=2, error_rate=1.0)
@@ -390,16 +414,14 @@ class TestSessionReuse:
             assert session.stats.functions_checked == 8  # 2 * 4 workers
             assert session.stats.last_checked == []
 
-    def test_summary_and_cost_caches_are_bounded(self, monkeypatch):
+    def test_summary_cache_is_bounded(self, monkeypatch):
         import repro.pipeline.session as session_mod
         monkeypatch.setattr(session_mod, "_MAX_SUMMARIES", 6)
-        monkeypatch.setattr(session_mod, "_MAX_COSTS", 6)
         with fresh_session() as session:
             for seed in range(4):
                 session.check(synthesize_program(4, seed=seed),
                               f"s{seed}.vlt")
             assert len(session._summaries) <= 6
-            assert len(session._cost_by_qual) <= 6
             # Eviction must not corrupt checking: a fresh source still
             # produces the independent result.
             probe = synthesize_program(2, seed=99, error_rate=1.0)
@@ -476,3 +498,60 @@ class TestFrontEndCaches:
         evicted = sum(e.fields["evicted"] for e in events
                       if e.fields["layer"] == "tokens")
         assert evicted == snapshot["cache.tokens.evictions"]["value"]
+
+
+# ---------------------------------------------------------------------------
+# Cross-process summary persistence
+# ---------------------------------------------------------------------------
+
+_WRITER = """\
+import sys
+from repro.pipeline import CheckSession
+from repro.analysis import synthesize_program
+
+source = synthesize_program(20, seed=9, error_rate=0.2)
+session = CheckSession(units=["region"], cache_dir=sys.argv[1])
+session.check(source)
+assert session.stats.functions_checked > 0
+print(session.stats.functions_checked)
+"""
+
+
+class TestCrossProcessPersistence:
+    def test_cache_written_by_subprocess_replays_in_parent(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        env = dict(os.environ)
+        src_root = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src_root) \
+            + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _WRITER, cache_dir],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        checked_in_child = int(proc.stdout.strip())
+
+        source = synthesize_program(20, seed=9, error_rate=0.2)
+        session = CheckSession(units=UNITS, cache_dir=cache_dir)
+        report = session.check(source)
+        # Zero functions re-checked: every summary replayed from the
+        # cache the other interpreter wrote.
+        assert session.stats.functions_checked == 0
+        assert session.stats.last_checked == []
+        assert session.stats.functions_replayed == checked_in_child
+        assert report.render() == check_source(source, units=UNITS).render()
+
+    def test_version1_cache_payload_still_loads(self, tmp_path):
+        source = synthesize_program(5, seed=2)
+        writer = CheckSession(units=UNITS, cache_dir=str(tmp_path))
+        writer.check(source)
+        path = os.path.join(str(tmp_path), "summaries.pkl")
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        inner = pickle.loads(payload["data"])
+        assert set(inner) == {"summaries"}        # no scheduler costs
+        with open(path, "wb") as handle:
+            pickle.dump({"version": 1, "summaries": inner["summaries"]},
+                        handle)
+        reader = CheckSession(units=UNITS, cache_dir=str(tmp_path))
+        reader.check(source)
+        assert reader.stats.functions_checked == 0

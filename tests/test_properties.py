@@ -215,7 +215,7 @@ import pytest
 
 from repro.server import CheckServer, check_detailed
 
-from test_resilience import _open_fds
+from conftest import open_fds as _open_fds
 
 _daemon_lock = threading.Lock()
 _daemon_state = {}

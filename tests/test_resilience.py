@@ -1,60 +1,37 @@
 """Chaos tests for the resilient checking pipeline.
 
-Every recovery path promised by the supervision layer is driven here
-through the deterministic fault harness (:mod:`repro.pipeline.faults`):
+Every recovery path the checker promises is driven here through the
+deterministic fault harness (:mod:`repro.pipeline.faults`):
 
-* a worker SIGKILLed mid-batch is respawned and the batch retried —
-  the run completes without serial fallback and with diagnostics
-  byte-identical to a serial check;
-* a hung worker is killed by the cost-model watchdog within its batch
-  deadline;
-* a function that reliably kills its worker is cornered by bisection
-  and either exonerated by a parent-side re-check or reported as a
-  structured ``V0500`` diagnostic;
-* when the pool truly cannot be saved, the serial fallback reuses the
-  results of every batch that did complete;
 * a corrupt on-disk summary cache is quarantined (original preserved
   under a unique ``*.corrupt.<pid>.<seq>`` name, bounded retention)
   and transparently rebuilt;
-* no file descriptors leak across crash/respawn cycles, and
-  ``WorkerPool.close`` is idempotent and survives already-dead
-  children.
+* legacy cache formats (v2, and v3 files that still carry the
+  scheduler costs older versions persisted) load without a quarantine;
+* the fault-spec parser behind ``--inject-faults`` and
+  ``VAULTC_FAULTS`` is strict and deterministic.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro import check_source
 from repro.analysis import synthesize_program
-from repro.pipeline import CheckSession, FaultPlan, fork_available
+from repro.pipeline import CheckSession, FaultPlan, cache_checksum
 from repro.pipeline.faults import FaultError
 
 UNITS = ["region"]
-
-needs_fork = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
 
 def _corpus(n=24, seed=3, error_rate=0.3):
     source = synthesize_program(n, seed=seed, error_rate=error_rate)
     return source, check_source(source, units=UNITS).render()
-
-
-def _chaos_session(plan, jobs=2, **kwargs):
-    return CheckSession(units=UNITS, jobs=jobs, break_even_seconds=0.0,
-                        fault_plan=plan, **kwargs)
-
-
-def _open_fds():
-    return set(os.listdir("/proc/self/fd")) if os.path.isdir(
-        "/proc/self/fd") else None
 
 
 # ---------------------------------------------------------------------------
@@ -63,43 +40,45 @@ def _open_fds():
 
 class TestFaultPlan:
     def test_parse_kinds_and_ranges(self):
-        plan = FaultPlan.parse("crash@0,hang@2,eof@1,garbage@3-5")
-        assert plan.crash == {0}
-        assert plan.hang == {2}
-        assert plan.eof == {1}
-        assert plan.garbage == {3, 4, 5}
+        plan = FaultPlan.parse("torn@0,stall@2,kill@1,disconnect@3-5")
+        assert plan.torn == {0}
+        assert plan.stall == {2}
+        assert plan.kill == {1}
+        assert plan.disconnect == {3, 4, 5}
 
-    def test_bare_kind_means_dispatch_zero(self):
-        assert FaultPlan.parse("crash").crash == {0}
+    def test_bare_kind_means_request_zero(self):
+        assert FaultPlan.parse("torn").torn == {0}
 
-    def test_poison_flip_cache_and_seed(self):
-        plan = FaultPlan.parse("poison:f,poison:M.g,flip-cache@2,seed=7")
-        assert plan.poison == {"f", "M.g"}
-        assert plan.poisoned("M.g") and not plan.poisoned("h")
+    def test_flip_cache_and_seed(self):
+        plan = FaultPlan.parse("flip-cache@2,seed=7")
         assert plan.seed == 7
         assert plan.take_cache_flip() and plan.take_cache_flip()
         assert not plan.take_cache_flip()      # budget of 2 exhausted
 
-    def test_dispatch_fault_precedence_is_stable(self):
-        plan = FaultPlan.parse("crash@4,hang@4")
-        assert plan.dispatch_fault(4) == "crash"
-        assert plan.dispatch_fault(5) is None
+    def test_wire_fault_precedence_is_stable(self):
+        plan = FaultPlan.parse("torn@4,stall@4")
+        assert plan.wire_fault(4) == "torn"
+        assert plan.wire_fault(5) is None
 
     def test_describe_parse_round_trip(self):
-        spec = "crash@1,hang@2,poison:f,seed=9"
+        spec = "torn@1,stall@2,flip-cache,enospc@2,seed=9"
         assert FaultPlan.parse(FaultPlan.parse(spec).describe()).describe() \
             == FaultPlan.parse(spec).describe()
 
+    # crash/hang/poison were worker-pool faults; the pool is gone and
+    # a spec naming them is an error, not a silent no-op.
     @pytest.mark.parametrize("bad", ["explode@1", "crash@x", "crash@3-1",
                                      "poison:", "seed=maybe",
-                                     "flip-cache@many"])
+                                     "flip-cache@many", "torn@x",
+                                     "torn@3-1", "crash@0", "hang"])
     def test_bad_specs_raise_fault_error(self, bad):
         with pytest.raises(FaultError):
             FaultPlan.parse(bad)
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan.parse("")
-        assert FaultPlan.parse("crash@0")
+        assert FaultPlan.parse("torn@0")
+        assert FaultPlan.parse("flip-cache")
 
     def test_flip_file_byte_is_seeded_and_minimal(self, tmp_path):
         path = str(tmp_path / "blob")
@@ -117,155 +96,6 @@ class TestFaultPlan:
         assert FaultPlan(seed=11).flip_file_byte(path) == offset
         with open(path, "rb") as handle:
             assert handle.read() == pristine
-
-
-# ---------------------------------------------------------------------------
-# Crash recovery: respawn + retry, no serial fallback
-# ---------------------------------------------------------------------------
-
-@needs_fork
-class TestCrashRecovery:
-    @pytest.mark.parametrize("kind", ["crash", "eof", "garbage"])
-    def test_single_fault_recovers_byte_identically(self, kind):
-        source, expected = _corpus()
-        with _chaos_session(FaultPlan.parse(f"{kind}@0")) as session:
-            rendered = session.check(source).render()
-        assert rendered == expected
-        assert session.stats.serial_fallbacks == 0
-        assert session.stats.respawns == 1
-        assert session.stats.retries == 1
-        counts = session.telemetry.events.counts()
-        assert counts.get("worker_respawn") == 1
-        assert counts.get("batch_retry") == 1
-
-    def test_retry_travels_under_a_fresh_dispatch_id(self):
-        # crash@0 must fire exactly once: the retried batch is stamped
-        # with a new dispatch id and completes.
-        source, expected = _corpus(n=8, seed=1)
-        with _chaos_session(FaultPlan.parse("crash@0"), jobs=2) as session:
-            assert session.check(source).render() == expected
-        assert session.stats.respawns == 1
-
-    def test_acceptance_scenario(self):
-        # The ISSUE's bar: 100+ functions, --jobs 4, two workers killed
-        # and one hung — completes with no serial fallback and
-        # byte-identical diagnostics.
-        source, expected = _corpus(n=120, seed=7, error_rate=0.2)
-        plan = FaultPlan.parse("crash@0,crash@1,hang@2")
-        with _chaos_session(plan, jobs=4, batch_timeout=1.0) as session:
-            rendered = session.check(source).render()
-        assert rendered == expected
-        assert session.stats.serial_fallbacks == 0
-        assert session.stats.respawns == 3
-        assert session.stats.timeouts == 1
-        assert session.stats.retries == 3
-
-    def test_no_fd_leak_across_crash_respawn_cycles(self):
-        if _open_fds() is None:
-            pytest.skip("needs /proc")
-        source, expected = _corpus(n=10, seed=2)
-        with _chaos_session(None) as warmup:     # import/parse caches warm
-            warmup.check(source)
-        before = _open_fds()
-        for trial in range(3):
-            with _chaos_session(FaultPlan.parse("crash@0,eof@2")) as session:
-                assert session.check(source).render() == expected
-        assert _open_fds() == before
-
-
-# ---------------------------------------------------------------------------
-# The hang watchdog
-# ---------------------------------------------------------------------------
-
-@needs_fork
-class TestWatchdog:
-    def test_hung_worker_killed_within_deadline(self):
-        source, expected = _corpus(n=16, seed=4)
-        started = time.monotonic()
-        with _chaos_session(FaultPlan.parse("hang@0"),
-                            batch_timeout=1.0) as session:
-            rendered = session.check(source).render()
-        elapsed = time.monotonic() - started
-        assert rendered == expected
-        assert session.stats.timeouts == 1
-        assert session.stats.serial_fallbacks == 0
-        # the injected hang sleeps for minutes; recovery must not.
-        assert elapsed < 30.0
-        (event,) = session.telemetry.events.by_kind("worker_timeout")
-        assert event.fields["deadline_seconds"] >= 1.0
-        assert event.fields["functions"]
-
-
-# ---------------------------------------------------------------------------
-# Poison-batch isolation
-# ---------------------------------------------------------------------------
-
-@needs_fork
-class TestPoisonIsolation:
-    def test_worker_local_poison_is_bisected_and_exonerated(self):
-        # worker_7 kills any worker that starts checking it; the parent
-        # corners it by bisection, re-checks it locally, and the run
-        # still matches serial byte-for-byte.
-        source, expected = _corpus()
-        with _chaos_session(FaultPlan.parse("poison:worker_7")) as session:
-            rendered = session.check(source).render()
-        assert rendered == expected
-        assert session.stats.serial_fallbacks == 0
-        assert session.stats.bisections >= 1
-        (event,) = session.telemetry.events.by_kind("poison_recovered")
-        assert event.fields["function"] == "worker_7"
-
-    def test_genuine_poison_becomes_a_structured_diagnostic(self,
-                                                            monkeypatch):
-        import repro.pipeline.workers as workers
-
-        real = workers.check_function_diagnostics
-
-        def boom(ctx, qual, fundef, **kwargs):
-            if qual == "worker_3":
-                raise RuntimeError("checker bug on worker_3")
-            return real(ctx, qual, fundef, **kwargs)
-
-        monkeypatch.setattr(workers, "check_function_diagnostics", boom)
-        # a clean corpus: the isolation diagnostic must be the *only*
-        # error in the report — every other function checked normally.
-        source, expected = _corpus(error_rate=0.0)
-        assert "error [" not in expected
-        with _chaos_session(None) as session:
-            rendered = session.check(source).render()
-        assert session.stats.serial_fallbacks == 0
-        assert session.stats.poisoned == 1
-        error_lines = [l for l in rendered.splitlines() if "error [" in l]
-        assert len(error_lines) == 1
-        assert "V0500" in error_lines[0]
-        assert "worker_3" in error_lines[0]
-        (event,) = session.telemetry.events.by_kind("poison_function")
-        assert event.fields["function"] == "worker_3"
-        assert "checker bug on worker_3" in event.fields["traceback"]
-
-
-# ---------------------------------------------------------------------------
-# Serial fallback reuses completed batches
-# ---------------------------------------------------------------------------
-
-@needs_fork
-class TestPartialReuse:
-    def test_fallback_keeps_results_from_completed_batches(self, capfd):
-        # Dispatch 1's batch completes; every other dispatch crashes
-        # until the respawn budget is gone.  The fallback must only
-        # re-check what the pool never finished.
-        source, expected = _corpus()
-        plan = FaultPlan.parse("crash@0,crash@2-40")
-        with _chaos_session(plan) as session:
-            rendered = session.check(source).render()
-        assert rendered == expected
-        assert session.stats.serial_fallbacks == 1
-        assert session.stats.fallback_reused > 0
-        (event,) = session.telemetry.events.by_kind("serial_fallback")
-        assert event.fields["reused"] == session.stats.fallback_reused
-        assert event.fields["rechecked"] > 0
-        assert event.fields["reused"] + event.fields["rechecked"] == 24
-        assert "falling back to serial" in capfd.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +192,25 @@ class TestCacheResilience:
         path = self._seed_cache(tmp_path, source)
         with open(path, "rb") as handle:
             inner = pickle.loads(pickle.load(handle)["data"])
-        with open(path, "wb") as handle:
-            pickle.dump({"version": 2, "summaries": inner["summaries"],
-                         "costs": inner.get("costs", {})}, handle)
-        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
-            reader.check(source)
-        assert reader.stats.functions_checked == 0
-        assert reader.stats.cache_quarantines == 0
+        assert "costs" not in inner
+        # Older versions persisted per-function scheduler costs beside
+        # the summaries; v2 and v3 files that still carry them load,
+        # and the costs are ignored.
+        costs = {"worker_0": 0.001, "worker_1": 0.002}
+        body = pickle.dumps({"summaries": inner["summaries"],
+                             "costs": costs})
+        legacy = [{"version": 2, "summaries": inner["summaries"],
+                   "costs": costs},
+                  {"version": 3, "sha256": cache_checksum(body),
+                   "data": body}]
+        for payload in legacy:
+            with open(path, "wb") as handle:
+                pickle.dump(payload, handle)
+            with CheckSession(units=UNITS,
+                              cache_dir=str(tmp_path)) as reader:
+                reader.check(source)
+            assert reader.stats.functions_checked == 0
+            assert reader.stats.cache_quarantines == 0
 
     def test_save_leaves_no_temp_files(self, tmp_path):
         source, _ = _corpus(n=4, seed=12)
@@ -379,61 +221,49 @@ class TestCacheResilience:
 
 
 # ---------------------------------------------------------------------------
-# Pool shutdown hygiene
+# Session lifecycle
 # ---------------------------------------------------------------------------
 
-@needs_fork
-class TestPoolShutdown:
+class TestSessionClose:
     def test_close_is_idempotent(self):
         source, _ = _corpus(n=6, seed=13)
-        session = CheckSession(units=UNITS, jobs=2, break_even_seconds=0.0)
+        session = CheckSession(units=UNITS, jobs=2)
         session.check(source)
-        pool = session._pool
-        assert pool is not None
-        pool.close()
-        pool.close()                               # second close: no-op
-        session.close()                            # session close too
-
-    def test_close_survives_already_dead_children(self):
-        source, _ = _corpus(n=6, seed=14)
-        session = CheckSession(units=UNITS, jobs=2, break_even_seconds=0.0)
-        session.check(source)
-        pool = session._pool
-        for worker in list(pool._workers):
-            os.kill(worker.pid, signal.SIGKILL)
-        time.sleep(0.05)
-        pool.close()                               # must not raise
         session.close()
+        session.close()                            # second close: no-op
 
     def test_session_usable_after_close(self):
         source, expected = _corpus(n=6, seed=15)
-        with CheckSession(units=UNITS, jobs=2,
-                          break_even_seconds=0.0) as session:
+        with CheckSession(units=UNITS, jobs=2) as session:
             assert session.check(source).render() == expected
             session.close()
             assert session.check(source).render() == expected
 
 
 # ---------------------------------------------------------------------------
-# The CLI surface (--inject-faults / --batch-timeout / stats rows)
+# The CLI surface (--inject-faults and the --profile rows)
 # ---------------------------------------------------------------------------
 
-@needs_fork
 class TestCli:
     def test_check_with_injected_faults_exits_cleanly(self, tmp_path):
-        source, expected = _corpus(n=20, seed=16, error_rate=0.0)
+        # The flipped cache is quarantined on the second run, which
+        # still prints the serial answer and says so in --profile.
+        source, _ = _corpus(n=20, seed=16, error_rate=0.0)
         target = tmp_path / "prog.vlt"
         target.write_text(source)
-        proc = subprocess.run(
+        cache = str(tmp_path / "cache")
+        env = {**os.environ,
+               "PYTHONPATH": os.path.join(os.path.dirname(__file__),
+                                          os.pardir, "src")}
+        runs = [subprocess.run(
             [sys.executable, "-m", "repro.cli", "check", str(target),
-             "--jobs", "2", "--break-even", "0", "--batch-timeout", "1",
-             "--inject-faults", "crash@0", "--profile"],
-            capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": os.path.join(os.path.dirname(__file__),
-                                            os.pardir, "src")})
-        assert proc.returncode == 0, proc.stderr
-        assert "worker respawns" in proc.stderr + proc.stdout
+             "--cache", cache, "--profile", *extra],
+            capture_output=True, text=True, env=env)
+            for extra in (["--inject-faults", "flip-cache"], [])]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"{target}: OK (protocols verified)\n"
+        assert "cache quarantines" in runs[1].stderr
 
     def test_bad_fault_spec_is_a_usage_error(self, tmp_path):
         target = tmp_path / "prog.vlt"

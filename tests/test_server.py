@@ -34,7 +34,6 @@ import pytest
 from repro import check_source
 from repro.diagnostics import VaultError
 from repro.obs import Telemetry
-from repro.pipeline import fork_available
 from repro.server import (CheckServer, DaemonClient, DaemonUnavailable,
                           ProtocolError, check_detailed, check_via_daemon,
                           encode_frame, normalize_options, recv_frame,
@@ -47,7 +46,7 @@ from conftest import (REPO, ScriptedDaemon as _ScriptedDaemon,
                       ServerHandle as _ServerHandle, needs_unix,
                       spawn_daemon as _spawn_daemon,
                       start_server as _start_server, vaultc as _vaultc)
-from test_resilience import _open_fds
+from conftest import open_fds as _open_fds
 
 pytestmark = pytest.mark.daemon
 
@@ -114,12 +113,19 @@ class TestProtocol:
         assert request_key("src2", "f.vlt", opts) != base
         assert request_key("src", "g.vlt", opts) != base
         assert request_key("src", "f.vlt",
-                           normalize_options({"jobs": 4})) != base
+                           normalize_options({"units": ["region"]})) != base
+        # Keys that once sized the worker pool are ignored like any
+        # unknown key, so old clients share the same coalescing group.
+        assert request_key("src", "f.vlt",
+                           normalize_options({"jobs": 4,
+                                              "break_even": 0.0})) == base
 
     def test_session_key_ignores_non_session_options(self):
         assert session_key(normalize_options({})) == \
             session_key(normalize_options({"frobnicate": True}))
-        assert session_key(normalize_options({"jobs": 2})) != \
+        assert session_key(normalize_options({"jobs": 2})) == \
+            session_key(normalize_options({}))
+        assert session_key(normalize_options({"cache_dir": "c"})) != \
             session_key(normalize_options({}))
 
 
@@ -353,23 +359,6 @@ class TestDaemon:
         finally:
             server.close()
         assert not os.path.exists(sock)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-    def test_idle_worker_pools_are_reaped(self, tmp_path):
-        handle = _start_server(tmp_path, pool_linger=0.0)
-        try:
-            with DaemonClient(handle.socket_path) as client:
-                client.check(OK_SOURCE, "p.vlt",
-                             {"jobs": 2, "break_even": 0.0})
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    sessions = client.stats()["stats"]["sessions"]
-                    if sessions and not sessions[0]["pool_alive"]:
-                        break
-                    time.sleep(0.05)
-                assert sessions and not sessions[0]["pool_alive"]
-        finally:
-            handle.stop()
 
     def test_no_fd_leak_across_daemon_lifecycle(self, tmp_path):
         if _open_fds() is None:
@@ -682,7 +671,7 @@ class TestTopRenderer:
                           {"count": 10, "sum": 1.0, "p50": 0.01,
                            "p95": 0.05, "p99": 0.09}},
             "sessions": [{"key": "abc123", "checks": 10,
-                          "functions_replayed": 40, "pool_alive": True,
+                          "functions_replayed": 40,
                           "idle_seconds": 5.0}],
             "event_counts": {"server_start": 1},
             "timeseries": {"interval": 5.0, "capacity": 120,
