@@ -5,8 +5,9 @@ export PYTHONPATH := src
 #: lower, as the daemon's test surface grows).
 COVERAGE_MIN ?= 85
 
-.PHONY: test bench bench-smoke trace-smoke chaos-smoke server-smoke \
-	cache-smoke obs-smoke daemon-chaos-smoke fuzz-smoke coverage
+.PHONY: test bench bench-smoke trace-smoke cli-smoke chaos-smoke \
+	server-smoke cache-smoke obs-smoke daemon-chaos-smoke fuzz-smoke \
+	coverage
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -16,6 +17,12 @@ test:
 # with one check_function span per function.
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
+
+# Fresh-process smoke: `python -m repro.cli check` (GC off, fast
+# exit) over the examples corpus plus a synthesized 160-function unit
+# must give the stdout and exit code of in-process main() byte for byte.
+cli-smoke:
+	$(PYTHON) benchmarks/cli_smoke.py
 
 # Fast CI smoke: asserts the front-end ratchet (lex+parse share of a
 # cold check, token-cache hit rate on an edit), then runs the benchmark

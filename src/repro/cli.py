@@ -18,17 +18,18 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from typing import List, Optional
 
-from .analysis.metrics import compare_sizes, format_table
-from .analysis.mutation import run_study
+# Only what ``check`` needs is imported here; every other subcommand
+# imports its own modules inside its ``cmd_*`` function, so a
+# ``vaultc check`` process never loads them.
 from .api import check_source, load_context
 from .core import check_program
 from .diagnostics import RuntimeProtocolError, VaultError
-from .lower import compile_to_python, erase_program, load_compiled
-from .stdlib.hostimpl import create_host, make_interpreter
 from .syntax import parse_program, pretty
 
 
@@ -198,6 +199,7 @@ def _print_profile(session, file) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .stdlib.hostimpl import create_host, make_interpreter
     source = _read(args.file)
     ctx, report = load_context(source, filename=args.file)
     if report.ok and not args.unchecked:
@@ -228,6 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .lower import compile_to_python
     source = _read(args.file)
     report = check_source(source, filename=args.file)
     if not report.ok:
@@ -244,6 +247,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_erase(args: argparse.Namespace) -> int:
+    from .lower import erase_program
     source = _read(args.file)
     program = parse_program(source, args.file)
     print(pretty(erase_program(program)), end="")
@@ -251,6 +255,7 @@ def cmd_erase(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .analysis.metrics import compare_sizes, format_table
     source = _read(args.file)
     cmp = compare_sizes(source)
     rows = [[metric, str(v), str(e), f"{o:+.1%}"]
@@ -319,6 +324,8 @@ def cmd_cfg(args: argparse.Namespace) -> int:
 
 
 def cmd_mutate(args: argparse.Namespace) -> int:
+    from .analysis.metrics import format_table
+    from .analysis.mutation import run_study
     source = _read(args.file)
     summary = run_study(source, limit=args.limit)
     rows = [[name, str(n), f"{rate:.0%}"] for name, n, rate in summary.rows()]
@@ -731,5 +738,41 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The ``vaultc`` process: run the command in ``sys.argv``, exit.
+
+    A ``check`` owns a short-lived process whose heap is almost all
+    long-lived AST and context, so it runs with the cyclic GC off and,
+    once its output is flushed and the exit handlers have run, leaves
+    through ``os._exit``: no final collection, no heap teardown.
+    Every other subcommand keeps the default GC and a normal exit.
+
+    A reader that goes away early (``vaultc check big.vlt | head -1``)
+    exits 1 without a traceback, as the ``signal`` module docs
+    recommend for ``SIGPIPE``.
+    """
+    one_shot = sys.argv[1:2] == ["check"]
+    if one_shot:
+        gc.disable()
+    try:
+        code = main()
+        if one_shot:
+            atexit._run_exitfuncs()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so
+        # that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if not one_shot:
+        sys.exit(code)
+    # Runs the exit handlers only if the pipe broke before they ran:
+    # the registry is empty after the first call.
+    atexit._run_exitfuncs()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,11 +1,18 @@
 """CLI tests for ``vaultc``."""
 
+import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
 
 GOOD = """
 struct point { int x; int y; }
@@ -189,3 +196,115 @@ class TestObservability:
         assert list(session.telemetry.tracer.events) == []
         snap = session.telemetry.snapshot()
         assert snap["metrics"] == {}
+
+
+# ---------------------------------------------------------------------------
+# The ``vaultc`` process: cli.run() (GC off and fast exit for ``check``)
+# ---------------------------------------------------------------------------
+
+#: modules of subcommands other than ``check``; ``import repro.cli``
+#: must load none of them.
+NOT_FOR_CHECK = ("repro.analysis", "repro.lower", "repro.runtime",
+                 "repro.regions", "repro.stdlib.hostimpl", "repro.kernel",
+                 "repro.sockets", "repro.drivers", "repro.server",
+                 "repro.cache", "repro.pipeline", "repro.testing")
+
+#: a ``sitecustomize`` that registers an exit handler, as the end-to-end
+#: benchmark's peak-memory report and coverage.py do.
+MARKER_SITE = """\
+import atexit, os
+_path = os.environ.get("VAULTC_TEST_MARKER")
+def _mark():
+    with open(_path, "w") as handle:
+        handle.write("ran")
+if _path:
+    atexit.register(_mark)
+"""
+
+
+def vaultc_process(args, env=None, **kwargs):
+    """``vaultc ARGS`` in a fresh process, with block-buffered stdout
+    unless ``env`` says otherwise."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "",
+             **(env or {})},
+        capture_output=True, timeout=120, **kwargs)
+
+
+@pytest.fixture
+def marker_env(tmp_path):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(MARKER_SITE)
+    marker = tmp_path / "marker"
+    return marker, {"PYTHONPATH": os.pathsep.join([SRC, str(site)]),
+                    "VAULTC_TEST_MARKER": str(marker)}
+
+
+class TestProcess:
+    def test_import_loads_only_what_check_needs(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print(' '.join(sorted(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=60, check=True)
+        loaded = [name for name in proc.stdout.split()
+                  if any(name == banned or name.startswith(banned + ".")
+                         for banned in NOT_FOR_CHECK)]
+        assert loaded == []
+
+    @pytest.mark.parametrize("which", ["good", "leaky", "missing"])
+    def test_fresh_check_matches_in_process_main(self, which, good_file,
+                                                  leaky_file, tmp_path,
+                                                  capsys):
+        path = {"good": good_file, "leaky": leaky_file,
+                "missing": str(tmp_path / "missing.vlt")}[which]
+        code = main(["check", path])
+        expected = capsys.readouterr().out
+        proc = vaultc_process(["check", path], text=True)
+        assert (proc.returncode, proc.stdout) == (code, expected)
+
+    def test_exit_handlers_still_run(self, leaky_file, marker_env):
+        marker, env = marker_env
+        proc = vaultc_process(["check", leaky_file], env=env)
+        assert proc.returncode == 1
+        assert marker.read_text() == "ran"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("which", ["good", "leaky"])
+    def test_closed_reader_exits_1_without_traceback(
+            self, which, unbuffered, good_file, leaky_file, marker_env):
+        # The read end is closed before the child prints anything, as
+        # a reader that exits at once would.
+        marker, env = marker_env
+        env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        try:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "check",
+                 good_file if which == "good" else leaky_file],
+                env={**os.environ, **env}, stdout=write_end,
+                stderr=subprocess.PIPE)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        _, stderr = child.communicate(timeout=120)
+        assert child.returncode == 1
+        assert b"BrokenPipeError" not in stderr
+        assert b"Traceback" not in stderr
+        assert marker.read_text() == "ran"
+
+    def test_in_process_main_keeps_gc_and_returns(self, good_file, capsys):
+        assert gc.isenabled()
+        assert main(["check", good_file]) == 0
+        assert gc.isenabled()
+
+    def test_other_subcommands_keep_gc_and_exit_normally(
+            self, good_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["vaultc", "fmt", good_file])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 0
+        assert gc.isenabled()
+        assert "struct point" in capsys.readouterr().out
