@@ -24,11 +24,12 @@ N_FUNCTIONS_FRONTEND = 160
 UNITS = ["region"]
 
 #: Ceiling on (lex + parse) / cold-check wall time.  The pre-optimised
-#: front-end sat at ~0.72 on this corpus; the regex lexer + inlined
-#: parser hold ~0.55-0.65 even on noisy single-CPU hosts (the fraction
-#: is taken as the best of three runs, since scheduling noise can only
-#: inflate it).
-FRONTEND_FRACTION_CEILING = 0.70
+#: front-end sat at ~0.72 on this corpus; the single-pass regex lexer
+#: and inlined parser measure 0.53-0.56 on a shared 2-CPU x86-64 host
+#: (the fraction is taken as the best of three runs, since scheduling
+#: noise can only inflate it).  The ceiling keeps 0.11 of headroom
+#: above that, as the previous 0.70 did above 0.59.
+FRONTEND_FRACTION_CEILING = 0.66
 
 #: Floor on the token-cache hit rate across a one-chunk-edit re-check.
 TOKEN_CACHE_HIT_FLOOR = 0.90

@@ -55,7 +55,6 @@ from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context, stdlib_source
 from ..stdlib.loader import base_context_cache_info
 from ..syntax import ast, parse_program, tokenize
-from ..syntax.intern import AST_POOL
 from ..syntax.relex import relex
 from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, split_chunks
@@ -472,7 +471,6 @@ class CheckSession:
                 self._unit_env_token(source, filename)
         programs: List[ast.Program] = []
         iface_parts: List[str] = []
-        pool_hits, pool_misses = AST_POOL.hits, AST_POOL.misses
         try:
             for idx, chunk in enumerate(chunks):
                 ckey = chunk_keys[idx]
@@ -515,13 +513,6 @@ class CheckSession:
             self.stats.whole_parses += 1
             return [parse_program(source, filename)], \
                 self._unit_env_token(source, filename)
-        if metrics.enabled:
-            delta_hits = AST_POOL.hits - pool_hits
-            delta_misses = AST_POOL.misses - pool_misses
-            if delta_hits:
-                metrics.counter("cache.ast_pool.hits").inc(delta_hits)
-            if delta_misses:
-                metrics.counter("cache.ast_pool.misses").inc(delta_misses)
         env_token = _sha("\x00".join(iface_parts)
                          + f"\x00{filename}\x00{self.units!r}"
                            f"\x00{self.stdlib!r}")

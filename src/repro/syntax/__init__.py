@@ -1,7 +1,6 @@
 """Surface syntax for the Vault language: lexer, AST, parser, printer."""
 
 from . import ast
-from .intern import AST_POOL, AstPool
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse_expr, parse_program, parse_type
 from .pretty import pretty
@@ -9,8 +8,6 @@ from .relex import RelexResult, relex
 from .tokens import T, Token
 
 __all__ = [
-    "AST_POOL",
-    "AstPool",
     "Lexer",
     "Parser",
     "RelexResult",

@@ -5,13 +5,22 @@ C-style tokens plus Vault's additions: constructor names ``'Name``
 and ``->`` inside effect clauses.  Comments are C-style ``//`` and
 ``/* ... */``.
 
-The scanner is a single compiled master regular expression driven by
-:func:`re.Pattern.match`; line/column information is tracked
-incrementally (no token's text spans a line, so only trivia advances
-the line counter).  This replaces the original character-at-a-time
-cursor, which dominated whole-pipeline check time (every
-``check_source`` call lexes the entire compilation unit before the
-flow analysis even starts).
+The scanner is one compiled master regular expression driven by a
+single :meth:`re.Pattern.finditer` pass.  Each match is one token with
+its leading trivia (whitespace and comments) folded in, so a token
+costs one match however much trivia precedes it.  The pattern's last
+branch is a catch-all (any one character, or the empty string at the
+end of the text): after the greedy trivia prefix some branch always
+matches, so the regex never backtracks into a preceding comment to
+find a token, and consecutive matches are contiguous.  The catch-all
+is dispatched in Python: end of input, an unterminated string, a
+stray character, or a tick token, which :func:`_lex_tick` scans by
+hand before the scan resumes after it.
+
+No token's text spans a line: a string literal may not contain a raw
+newline, escaped or not, and neither may a char literal.  Line and
+column are therefore tracked incrementally, and only the trivia before
+a token advances the line counter.
 
 Tokens carry their positions as scalars and materialize
 :class:`~repro.diagnostics.Span` objects lazily (see
@@ -46,28 +55,33 @@ _OPERATORS1.update({"=": T.ASSIGN, "+": T.PLUS, "-": T.MINUS,
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
 
-#: One master pattern; alternative order resolves ambiguities the same
-#: way the original cursor did (trivia first, two-char operators before
-#: their one-char prefixes, hex before decimal).  The branch taken is
-#: recovered via ``Match.lastindex`` (an int compare) rather than
-#: ``lastgroup``; the group numbers are pinned by the constants below.
+#: One master pattern: a greedy trivia prefix, then the token branches.
+#: Branch order resolves ambiguities (two-char operators before their
+#: one-char prefixes, hex before decimal).  ``OPEN`` is a ``/*`` the
+#: trivia prefix could not close.  The branch taken is recovered via
+#: ``Match.lastindex`` (an int compare) rather than ``lastgroup``; the
+#: group numbers are pinned by the constants below.
 _MASTER = re.compile(
     r"""
-    (?P<TRIVIA>(?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<NUMBER>0[xX][0-9a-fA-F]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")
-  | (?P<OP2>->|&&|\|\||==|!=|<=|>=|\+\+|--|\+=|-=)
-  | (?P<OP1>[()\{\}\[\];,.:@?%*|=+\-/!<>])
+    (?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)*
+    (?:
+      (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<NUMBER>0[xX][0-9a-fA-F]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<STRING>"(?:[^"\\\n]|\\[^\n])*")
+    | (?P<OP2>->|&&|\|\||==|!=|<=|>=|\+\+|--|\+=|-=)
+    | (?P<OPEN>/\*)
+    | (?P<OP1>[()\{\}\[\];,.:@?%*|=+\-/!<>])
+    | (?P<OTHER>[\s\S]|\Z)
+    )
     """,
     re.VERBOSE,
 )
 
-_G_TRIVIA = _MASTER.groupindex["TRIVIA"]
 _G_IDENT = _MASTER.groupindex["IDENT"]
 _G_NUMBER = _MASTER.groupindex["NUMBER"]
 _G_STRING = _MASTER.groupindex["STRING"]
 _G_OP2 = _MASTER.groupindex["OP2"]
+_G_OPEN = _MASTER.groupindex["OPEN"]
 _G_OP1 = _MASTER.groupindex["OP1"]
 
 _IDENT_CHARS = re.compile(r"[A-Za-z0-9_]*")
@@ -84,100 +98,111 @@ def _tokenize(source: str, filename: str, first_line: int = 1,
               first_col: int = 1) -> List[Token]:
     tokens: List[Token] = []
     append = tokens.append
-    match = _MASTER.match
     n = len(source)
-    i = 0
-    # Line tracking is incremental: no token's text contains a newline
-    # (strings reject them, block comments are trivia), so each token
-    # starts and ends on the current line and only trivia advances it.
-    # ``first_line``/``first_col`` seed the tracker, letting a caller
-    # lex a slice of a larger unit with in-place spans (columns are
-    # computed as ``offset - line_start + 1``, so a negative initial
-    # ``line_start`` shifts the first line's columns).
+    # ``first_line``/``first_col`` seed the line tracker, letting a
+    # caller lex a slice of a larger unit with in-place spans (columns
+    # are computed as ``offset - line_start + 1``, so a negative
+    # initial ``line_start`` shifts the first line's columns).
     line = first_line
     line_start = 1 - first_col
     ident_kind = _IDENT_KINDS.get
-    while i < n:
-        m = match(source, i)
-        if m is None:
-            ch = source[i]
-            start = Pos(line, i - line_start + 1, i)
-            if ch == '"':
-                raise LexError("unterminated string literal",
-                               Span(start, start, filename))
-            if ch == "'":
-                i = _lex_tick(source, i, filename, line, line_start, append)
-                continue
-            raise LexError(f"unexpected character {ch!r}",
-                           Span.point(start.line, start.col, filename))
-        group = m.lastindex
-        end = m.end()
-        if group == _G_TRIVIA:
-            # Count newlines on the source directly — materializing the
-            # trivia text would be one string allocation per gap.
-            nl = source.count("\n", i, end)
-            if nl:
-                line += nl
-                line_start = source.rfind("\n", i, end) + 1
-            i = end
-            continue
-        text = m.group()
-        if group == _G_IDENT:
-            tok_kind = ident_kind(text, T.IDENT)
-        elif group == _G_OP1:
-            # A bare "/" followed by "*" is an unterminated block
-            # comment: terminated ones were consumed by TRIVIA above.
-            if text == "/" and end < n and source[end] == "*":
-                start = Pos(line, i - line_start + 1, i)
+    pos = 0          # end of the previous token: where its trivia starts
+    matches = _MASTER.finditer(source)
+    # The scan ends at the catch-all's end-of-input match; the outer
+    # loop only resumes it after a tick token.
+    while True:
+        for m in matches:
+            group = m.lastindex
+            start, end = m.span(group)
+            if start != pos:
+                # Count newlines on the source directly: materializing
+                # the trivia text would be one string per gap.
+                nl = source.count("\n", pos, start)
+                if nl:
+                    line += nl
+                    line_start = source.rfind("\n", pos, start) + 1
+            else:
+                # Share the previous token's end offset: one int object
+                # fewer per token that follows another without a gap.
+                start = pos
+            if group == _G_OP1:
+                text = m[group]
+                tok_kind = _OPERATORS1[text]
+            elif group == _G_IDENT:
+                text = m[group]
+                tok_kind = ident_kind(text, T.IDENT)
+            elif group == _G_NUMBER:
+                text = m[group]
+                if text[0] == "0" and len(text) > 1 and (text[1] == "x"
+                                                         or text[1] == "X"):
+                    tok_kind = T.INT
+                else:
+                    tok_kind = T.FLOAT if _FLOAT_MARK.search(text) else T.INT
+            elif group == _G_OP2:
+                text = m[group]
+                tok_kind = _OPERATORS2[text]
+            elif group == _G_STRING:
+                tok_kind = T.STRING
+                text = source[start + 1:end - 1]
+                if "\\" in text:
+                    text = _unescape(text)
+            elif group == _G_OPEN:
+                # Terminated comments were folded into the trivia.
+                at = Pos(line, start - line_start + 1, start)
                 raise LexError("unterminated block comment",
-                               Span(start, start, filename))
-            tok_kind = _OPERATORS1[text]
-        elif group == _G_NUMBER:
-            if text[0] == "0" and len(text) > 1 and (text[1] == "x"
-                                                     or text[1] == "X"):
-                tok_kind = T.INT
+                               Span(at, at, filename))
             else:
-                tok_kind = T.FLOAT if _FLOAT_MARK.search(text) else T.INT
-        elif group == _G_OP2:
-            tok_kind = _OPERATORS2[text]
+                # The catch-all: end of input, or a character no token
+                # branch accepts.
+                if start == n:
+                    append(Token(T.EOF, "", line, n - line_start + 1,
+                                 n - line_start + 1, n, n, filename))
+                    return tokens
+                ch = source[start]
+                if ch == "'":
+                    pos = _lex_tick(source, start, filename, line,
+                                    line_start, append)
+                    matches = _MASTER.finditer(source, pos)
+                    break
+                if ch == '"':
+                    at = Pos(line, start - line_start + 1, start)
+                    raise LexError("unterminated string literal",
+                                   Span(at, at, filename))
+                raise LexError(f"unexpected character {ch!r}",
+                               Span.point(line, start - line_start + 1,
+                                          filename))
+            append(Token(tok_kind, text, line, start - line_start + 1,
+                         end - line_start + 1, start, end, filename))
+            pos = end
+
+
+def _unescape(body: str) -> str:
+    out: List[str] = []
+    j = 0
+    while j < len(body):
+        c = body[j]
+        if c == "\\":
+            j += 1
+            esc = body[j]
+            out.append(_ESCAPES.get(esc, esc))
         else:
-            tok_kind = T.STRING
-            body = text[1:-1]
-            if "\\" in body:
-                out: List[str] = []
-                j = 0
-                while j < len(body):
-                    c = body[j]
-                    if c == "\\":
-                        j += 1
-                        esc = body[j]
-                        out.append(_ESCAPES.get(esc, esc))
-                    else:
-                        out.append(c)
-                    j += 1
-                text = "".join(out)
-            else:
-                text = body
-        append(Token(tok_kind, text, line, i - line_start + 1,
-                     end - line_start + 1, i, end, filename))
-        i = end
-    append(Token(T.EOF, "", line, n - line_start + 1, n - line_start + 1,
-                 n, n, filename))
-    return tokens
+            out.append(c)
+        j += 1
+    return "".join(out)
 
 
 def _lex_tick(source: str, i: int, filename: str, line: int,
               line_start: int, append) -> int:
     """Scan a tick-introduced token: ``'Name`` constructors and
     ``'x'`` / ``'{'`` character literals (same rules as the original
-    cursor lexer)."""
+    cursor lexer, except that a char literal may not hold a newline)."""
     col = i - line_start + 1
     j = i + 1
     n = len(source)
     head = source[j] if j < n else ""
     if not (head.isalpha() or head == "_"):
         # A tick, one character and a closing tick is a char literal.
-        if head and j + 1 < n and source[j + 1] == "'":
+        if head and head != "\n" and j + 1 < n and source[j + 1] == "'":
             append(Token(T.CHAR, head, line, col, j + 3 - line_start,
                          i, j + 2, filename))
             return j + 2

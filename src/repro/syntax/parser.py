@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..diagnostics import ParseError, Span
+from ..diagnostics import ParseError, Pos, Span
 from ..obs.trace import current_tracer
 from . import ast
-from .intern import AST_POOL
 from .lexer import tokenize
 from .tokens import BASE_TYPE_TOKENS, T, Token
 
@@ -86,21 +85,39 @@ class Parser:
     def _span_from(self, start: Span) -> Span:
         # The last consumed token always ends at or after ``start`` (a
         # construct consumes its first token before widening), so the
-        # covering span is just (start.start, last.end) — no min/max
-        # comparison or fresh ``Pos`` pair as ``Span.merge`` would pay.
-        end = self.toks[self.pos - 1 if self.pos else 0].span.end
+        # covering span is just (start.start, last end).  The end
+        # ``Pos`` is built from the token's scalar fields: most closing
+        # tokens (``;``, ``}``, ``)``) never need a ``Span`` of their own.
+        last = self.toks[self.pos - 1 if self.pos else 0]
         s = start.start
-        if end.line < s.line or (end.line == s.line and end.col < s.col):
-            return start.merge(self.toks[self.pos - 1 if self.pos else 0].span)
-        return Span(s, end, self.filename)
+        line = last.line
+        if line < s.line or (line == s.line and last.end_col < s.col):
+            return start.merge(last.span)
+        return Span(s, Pos(line, last.end_col, last.end_offset),
+                    self.filename)
 
     # -- entry points ---------------------------------------------------------
 
+    #: Set by :func:`parse_program` when it lexed the text itself: the
+    #: parser then owns ``toks`` and releases each top-level
+    #: declaration's tokens once it is parsed.  A caller's list is
+    #: never mutated.
+    _owns_tokens = False
+
     def parse_program(self) -> ast.Program:
-        start = self._peek().span
+        toks = self.toks
+        start = toks[self.pos].span
         decls: List[ast.Decl] = []
-        while not self._at(T.EOF):
+        done = 0
+        while toks[self.pos].kind is not T.EOF:
             decls.append(self.parse_topdecl())
+            if self._owns_tokens:
+                # Backtracking never crosses a top-level declaration,
+                # so its tokens are dead.  The last one stays: the
+                # next ``_span_from`` may read it.
+                last = self.pos - 1
+                toks[done:last] = [None] * (last - done)
+                done = last
         return ast.Program(self._span_from(start), decls, self.filename)
 
     # -- top-level declarations ----------------------------------------------
@@ -374,7 +391,8 @@ class Parser:
             bound = self._expect(T.IDENT).text
             self._expect(T.RPAREN)
             return ast.StateBound(self._span_from(start), var, bound)
-        return AST_POOL.state_ref(self._expect(T.IDENT, "state name"))
+        tok = self._expect(T.IDENT, "state name")
+        return ast.StateRef(tok.span, tok.text)
 
     # -- types ---------------------------------------------------------------------
 
@@ -440,13 +458,11 @@ class Parser:
         tok = self._peek()
         if tok.kind in BASE_TYPE_TOKENS:
             self._advance()
-            return AST_POOL.base_type(tok)
+            return ast.BaseType(tok.span, tok.text)
         if tok.kind is T.IDENT:
             self._advance()
-            if self._at(T.LT):
-                return ast.NamedType(tok.span, tok.text,
-                                     self.parse_type_args())
-            return AST_POOL.named_type(tok)
+            args = self.parse_type_args() if self._at(T.LT) else []
+            return ast.NamedType(tok.span, tok.text, args)
         raise ParseError(f"expected a type, found {tok.kind.value} {tok.text!r}",
                          tok.span)
 
@@ -717,10 +733,10 @@ class Parser:
         kind = tok.kind
         if kind is T.IDENT:
             self.pos += 1
-            expr = AST_POOL.name(tok)
+            expr = ast.Name(tok.span, tok.text)
         elif kind is T.INT:
             self.pos += 1
-            expr = AST_POOL.int_lit(tok)
+            expr = ast.IntLit(tok.span, int(tok.text, 0))
         else:
             expr = self.parse_primary()
         while True:
@@ -759,28 +775,28 @@ class Parser:
         tok = self._peek()
         if tok.kind is T.INT:
             self._advance()
-            return AST_POOL.int_lit(tok)
+            return ast.IntLit(tok.span, int(tok.text, 0))
         if tok.kind is T.FLOAT:
             self._advance()
-            return AST_POOL.float_lit(tok)
+            return ast.FloatLit(tok.span, float(tok.text))
         if tok.kind is T.STRING:
             self._advance()
-            return AST_POOL.string_lit(tok)
+            return ast.StringLit(tok.span, tok.text)
         if tok.kind is T.CHAR:
             self._advance()
-            return AST_POOL.char_lit(tok)
+            return ast.CharLit(tok.span, tok.text)
         if tok.kind is T.KW_TRUE:
             self._advance()
-            return AST_POOL.bool_lit(tok, True)
+            return ast.BoolLit(tok.span, True)
         if tok.kind is T.KW_FALSE:
             self._advance()
-            return AST_POOL.bool_lit(tok, False)
+            return ast.BoolLit(tok.span, False)
         if tok.kind is T.KW_NULL:
             self._advance()
-            return AST_POOL.null_lit(tok)
+            return ast.NullLit(tok.span)
         if tok.kind is T.IDENT:
             self._advance()
-            return AST_POOL.name(tok)
+            return ast.Name(tok.span, tok.text)
         if tok.kind is T.CTOR:
             return self.parse_ctor_app()
         if tok.kind is T.KW_NEW:
@@ -857,20 +873,21 @@ def parse_program(source: str, filename: str = "<input>",
     uses this to parse single declaration chunks in place.  ``tokens``
     supplies a pre-lexed stream for ``source`` (from the session's
     token cache or the incremental relexer) and skips lexing entirely;
-    it must equal ``tokenize(source, filename, first_line, first_col)``.
+    it must equal ``tokenize(source, filename, first_line, first_col)``
+    and is left unchanged.  Without ``tokens``, each top-level
+    declaration's tokens are released once it is parsed, so the token
+    stream and the finished AST are never both held in full.
     """
     tracer = current_tracer()
-    if tracer.enabled:
-        if tokens is None:
-            with tracer.span("lex", filename=filename):
-                tokens = tokenize(source, filename, first_line=first_line,
-                                  first_col=first_col)
-        with tracer.span("parse", filename=filename):
-            return Parser(tokens, filename).parse_program()
-    if tokens is None:
-        tokens = tokenize(source, filename, first_line=first_line,
-                          first_col=first_col)
-    return Parser(tokens, filename).parse_program()
+    owns = tokens is None
+    if owns:
+        with tracer.span("lex", filename=filename):
+            tokens = tokenize(source, filename, first_line=first_line,
+                              first_col=first_col)
+    parser = Parser(tokens, filename)
+    parser._owns_tokens = owns
+    with tracer.span("parse", filename=filename):
+        return parser.parse_program()
 
 
 def parse_type(source: str, filename: str = "<type>") -> ast.Type:

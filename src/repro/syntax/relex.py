@@ -34,8 +34,8 @@ re-lexing the whole chunk:
    (later lines re-derive their columns from unchanged line starts).
    Both shifts are derived from the aligned token pair, never from raw
    newline counts, so the splice agrees with the lexer's own line
-   tracking even for texts that exercise its escaped-newline-in-string
-   quirk.
+   tracking by construction.  (No token spans a line: the lexer
+   rejects a newline inside a string or char literal.)
 5. When every shift is zero (a same-length edit on one line), the old
    suffix token objects are shared outright.
 

@@ -152,14 +152,15 @@ class Token:
     is materialized lazily on first access: most tokens — punctuation,
     operators, keywords consumed by ``_expect`` — never have their span
     read, so the two ``Pos`` and one ``Span`` allocations per token the
-    old representation paid are skipped entirely on the hot path.  A
-    token never contains a newline, so one ``line`` field covers both
+    old representation paid are skipped entirely on the hot path.  The
+    lexer rejects a raw newline inside a string or char literal, escaped
+    or not, so no token spans a line and one ``line`` field covers both
     ends.  Tokens are immutable by convention; the incremental relexer
     (:mod:`repro.syntax.relex`) shares them between token streams.
     """
 
     __slots__ = ("kind", "text", "line", "col", "end_col",
-                 "offset", "end_offset", "filename", "_span", "_hash")
+                 "offset", "end_offset", "filename", "_span")
 
     def __init__(self, kind: T, text: str, line: int = 0, col: int = 0,
                  end_col: int = 0, offset: int = 0, end_offset: int = 0,
@@ -173,7 +174,6 @@ class Token:
         self.end_offset = end_offset
         self.filename = filename
         self._span = None
-        self._hash = None
 
     @property
     def span(self) -> Span:
@@ -196,15 +196,9 @@ class Token:
                 and self.filename == other.filename)
 
     def __hash__(self) -> int:
-        # Cached: tokens are immutable by convention and the intern
-        # pool (repro.syntax.intern) hashes each one on every lookup.
-        h = self._hash
-        if h is None:
-            h = hash((self.kind, self.text, self.line, self.col,
-                      self.end_col, self.offset, self.end_offset,
-                      self.filename))
-            self._hash = h
-        return h
+        return hash((self.kind, self.text, self.line, self.col,
+                     self.end_col, self.offset, self.end_offset,
+                     self.filename))
 
     def __repr__(self) -> str:
         return f"Token(kind={self.kind!r}, text={self.text!r}, span={self.span!r})"

@@ -1,6 +1,8 @@
 """Lexer unit tests."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.diagnostics import LexError
 from repro.syntax import tokenize
@@ -167,3 +169,97 @@ class TestNextToken:
         assert lexer.next_token().kind is T.EOF
         with pytest.raises(LexError, match="past end of input"):
             lexer.next_token()
+
+
+def shapes(source):
+    return [(t.kind, t.text, t.line, t.col, t.end_col, t.offset, t.end_offset)
+            for t in tokenize(source, "f.vlt")]
+
+
+def lex_error(source):
+    with pytest.raises(LexError) as err:
+        tokenize(source, "f.vlt")
+    span = err.value.span
+    return (err.value.message, span.start.line, span.start.col,
+            span.start.offset)
+
+
+class TestFoldedTrivia:
+    """Each token's match carries its leading trivia.  When no token
+    branch accepts the character after a comment, the pattern's
+    catch-all must take it; without that branch the regex backtracks
+    into the comment and lexes part of it as operators.  Expected
+    values were recorded from the two-match-per-token lexer."""
+
+    def test_comment_then_tick_constructor(self):
+        assert shapes("/* c */'A") == [
+            (T.CTOR, "A", 1, 8, 10, 7, 9),
+            (T.EOF, "", 1, 10, 10, 9, 9)]
+
+    def test_line_comment_then_char_literal(self):
+        assert shapes("// x\n'x'") == [
+            (T.CHAR, "x", 2, 1, 4, 5, 8),
+            (T.EOF, "", 2, 4, 4, 8, 8)]
+
+    def test_comment_then_unterminated_string(self):
+        assert lex_error('/* c */ "abc') == \
+            ("unterminated string literal", 1, 9, 8)
+
+    def test_trailing_comment_at_eof(self):
+        assert shapes("a /* trailing */") == [
+            (T.IDENT, "a", 1, 1, 2, 0, 1),
+            (T.EOF, "", 1, 17, 17, 16, 16)]
+
+    def test_unterminated_block_comment_after_whitespace(self):
+        assert lex_error("x  /* open") == \
+            ("unterminated block comment", 1, 4, 3)
+        assert lex_error("  \n/* unterminated") == \
+            ("unterminated block comment", 2, 1, 3)
+
+    def test_comment_then_stray_character(self):
+        # ``Span.point`` carries no offset.
+        assert lex_error("/* c */#") == \
+            ("unexpected character '#'", 1, 8, 0)
+
+
+class TestNoTokenSpansALine:
+    def test_escaped_newline_in_string_is_rejected(self):
+        # Accepting it shifted every later diagnostic up one line: the
+        # undefined ``y`` below was reported on line 3.
+        source = 'void f() {\n  string s = "a\\\nb";\n  int x = y;\n}\n'
+        assert lex_error(source) == \
+            ("unterminated string literal", 2, 14, 24)
+
+    def test_newline_char_literal_is_rejected(self):
+        assert lex_error("x = '\n';\ny") == \
+            ("expected constructor name after '", 1, 6, 0)
+
+    def test_escaped_quote_and_backslash_still_lex(self):
+        assert texts('"a\\"b" "\\\\"') == ['a"b', "\\"]
+
+
+# Fragments biased toward position hazards: multi-line trivia, tick
+# tokens, strings with escapes, and texts the lexer must reject.
+_FRAGMENTS = st.sampled_from([
+    "f", "x1", "_", "'Open", "'x'", "'{'", "'", "42", "0x1F", "3.14",
+    '"s"', '"a\\nb"', '"a\\\nb"', "'\n'", '"', "->", "/", "*", "{", "}",
+    ";", "// c", "/* c */", "/* two\nlines */", "\\",
+])
+_SEPARATORS = st.sampled_from(["", " ", "\n", "\t", " \n ", "\r\n"])
+
+
+@given(st.lists(st.tuples(_FRAGMENTS, _SEPARATORS), max_size=30))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_positions_agree_with_offsets(parts):
+    source = "".join(frag + sep for frag, sep in parts)
+    try:
+        toks = tokenize(source)
+    except LexError:
+        return
+    for tok in toks:
+        line_start = source.rfind("\n", 0, tok.offset) + 1
+        assert tok.line == source.count("\n", 0, tok.offset) + 1
+        assert tok.col == tok.offset - line_start + 1
+        assert "\n" not in source[tok.offset:tok.end_offset]
+        assert tok.end_col == tok.col + tok.end_offset - tok.offset

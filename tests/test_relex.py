@@ -39,7 +39,7 @@ _FRAGMENTS = st.sampled_from([
     "fn", "region", "x1", "_tmp", "Name",
     "'Open", "'Closed", "'C", "'x'", "'{'",
     "0x1F", "42", "3.14", "1e9",
-    '"str"', '"a\\nb"', '"\\\\"',
+    '"str"', '"a\\nb"', '"\\\\"', '"a\\\nb"',
     "->", "&&", "||", "==", "!=", "<=", ">=", "++", "--", "+=", "-=",
     "{", "}", "(", ")", "[", "]", ";", ",", ".", ":", "@", "|", "=",
     "+", "-", "/", "!", "<", ">", "*", "%",
