@@ -25,9 +25,9 @@ cli-smoke:
 	$(PYTHON) benchmarks/cli_smoke.py
 
 # Fast CI smoke: asserts the front-end ratchet (lex+parse share of a
-# cold check, token-cache hit rate on an edit), then runs the benchmark
-# bodies once (no timing rounds), refreshing BENCH_checker.json with
-# cold/warm/edit timings.
+# cold check; a one-chunk edit re-parses one chunk and reuses >=90% of
+# chunk ASTs), then runs the benchmark bodies once (no timing rounds),
+# refreshing BENCH_checker.json with cold/warm/edit timings.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
 	$(PYTHON) -m pytest benchmarks/bench_checker_scaling.py \

@@ -13,8 +13,8 @@ synthetic workload as ``bench_checker_scaling.py``:
   invalidated, 159 replayed);
 * **large** — cold/warm/one-edit timings on a 640-function workload,
   the front-end ratchet corpus: the cold and single-edit budgets below
-  are enforced here, and the token-cache/relex counters are recorded
-  from the edit re-check.
+  are enforced here, and the chunk-AST counters are recorded from the
+  edit re-check.
 
 All modes must produce byte-identical diagnostic output.  The timings
 are written to ``BENCH_checker.json`` at the repository root so the
@@ -24,8 +24,8 @@ Absolute wall-clock budgets are only meaningful on hardware at least
 as fast as the reference box the targets were set on, so they sit
 behind a calibration probe (single-thread lex of the 160-function
 corpus).  A slower host **skips and flags** the absolute ratchets,
-while the machine-independent ratchets (speedup ratios, cache hit
-rates, relex splice counts) are enforced everywhere.
+while the machine-independent ratchets (speedup ratios, chunk
+re-parse counts, cache hit rates) are enforced everywhere.
 """
 
 import gc
@@ -71,30 +71,20 @@ def _edit(source: str) -> str:
 
 
 def _phase_timings(source: str) -> dict:
-    """Per-phase breakdown of one cold check plus the edit-only
-    front-end phases, read off the tracer.
+    """Per-phase breakdown of one cold check, read off the tracer.
 
     The span totals are the same data ``vaultc check --trace`` writes,
     so the benchmark's phase numbers and a trace viewer's agree by
-    construction.  ``relex`` and ``token_cache`` only run on a warm
-    re-check after an edit (a cold check has no prior token stream to
-    splice), so those two entries are deltas measured across a
-    one-function edit on the same session.
+    construction.
     """
     telemetry = Telemetry(trace=True)
-    session = CheckSession(units=UNITS, telemetry=telemetry)
-    session.check(source)
-    cold = dict(telemetry.tracer.phase_totals())
-    session.check(_edit(source))
-    after = telemetry.tracer.phase_totals()
+    CheckSession(units=UNITS, telemetry=telemetry).check(source)
+    cold = telemetry.tracer.phase_totals()
     return {"lex": cold.get("lex", 0.0),
             "parse": cold.get("parse", 0.0),
             "elaborate": cold.get("elaborate", 0.0),
             "check": cold.get("check_function", 0.0),
-            "fingerprint": cold.get("fingerprint", 0.0),
-            "relex": after.get("relex", 0.0) - cold.get("relex", 0.0),
-            "token_cache": (after.get("token_cache", 0.0)
-                            - cold.get("token_cache", 0.0))}
+            "fingerprint": cold.get("fingerprint", 0.0)}
 
 
 def _cache_hit_rates(metrics) -> dict:
@@ -102,7 +92,7 @@ def _cache_hit_rates(metrics) -> dict:
     snapshot = metrics.snapshot()
     rates = {}
     for layer in ("chunk_ast", "context", "summary", "stdlib_base",
-                  "unit_replay", "tokens", "fingerprint_memo"):
+                  "unit_replay", "fingerprint_memo"):
         hits = snapshot.get(f"cache.{layer}.hits", {}).get("value", 0)
         misses = snapshot.get(f"cache.{layer}.misses", {}).get("value", 0)
         if hits + misses:
@@ -165,9 +155,9 @@ def _measure():
     assert cold_report.render() == rendered, "session must match check_source"
     assert warm_report.render() == rendered, "warm replay must be identical"
 
-    # Large corpus: the front-end ratchet workload.  The token-cache
-    # and relex counters are deltas across the edit re-check only —
-    # session stats are cumulative, and a cold check is all misses by
+    # Large corpus: the front-end ratchet workload.  The chunk-AST
+    # counters are deltas across the edit re-check only — session
+    # stats are cumulative, and a cold check is all misses by
     # definition.
     large_source = synthesize_program(N_FUNCTIONS_LARGE, seed=42)
     large_session = CheckSession(units=UNITS,
@@ -187,24 +177,21 @@ def _measure():
     large_session.check(large_source)
     warm_large = time.perf_counter() - start
     lstats = large_session.stats
-    tok_hits0, tok_misses0 = lstats.token_hits, lstats.token_misses
+    parses0, chunk_hits0 = lstats.chunk_parses, lstats.chunk_hits
     gc.collect()
     start = time.perf_counter()
     large_session.check(edited_large)
     edit_large = time.perf_counter() - start
     _tally(large_session)
-    edit_token_hits = lstats.token_hits - tok_hits0
-    edit_token_misses = lstats.token_misses - tok_misses0
-    edit_token_total = edit_token_hits + edit_token_misses
+    edit_parsed = lstats.chunk_parses - parses0
+    edit_reused = lstats.chunk_hits - chunk_hits0
+    edit_chunks = edit_parsed + edit_reused
     frontend = {
-        "edit_token_cache": {
-            "hits": edit_token_hits,
-            "misses": edit_token_misses,
-            "rate": (edit_token_hits / edit_token_total
-                     if edit_token_total else 0.0),
+        "edit_chunk_ast": {
+            "parsed": edit_parsed,
+            "reused": edit_reused,
+            "rate": edit_reused / edit_chunks if edit_chunks else 0.0,
         },
-        "relex": {"splices": lstats.relex_splices,
-                  "fallbacks": lstats.relex_fallbacks},
         "fingerprints_memoized": lstats.fingerprints_memoized,
         "calibration": _calibrate(),
     }
@@ -267,8 +254,6 @@ def test_incremental_pipeline(benchmark):
         f"  lex {phases['lex'] * 1000:.1f} / parse {phases['parse'] * 1000:.1f}"
         f" / elaborate {phases['elaborate'] * 1000:.1f}"
         f" / check {phases['check'] * 1000:.1f} ms",
-        f"  edit-path relex {phases['relex'] * 1000:.2f}"
-        f" / token_cache {phases['token_cache'] * 1000:.2f} ms",
         f"session cold               {sec['cold'] * 1000:8.1f} ms",
         f"session warm (replay)      {sec['warm'] * 1000:8.1f} ms"
         f"  ({speed['warm_vs_cold']:.1f}x)",
@@ -280,12 +265,10 @@ def test_incremental_pipeline(benchmark):
         "cache hit rates (cold+warm+edit): " + ", ".join(
             f"{layer} {data['rate']:.0%}"
             for layer, data in sorted(result["cache_hit_rates"].items())),
-        f"640-fn edit token cache: "
-        f"{frontend['edit_token_cache']['hits']} hits / "
-        f"{frontend['edit_token_cache']['misses']} misses "
-        f"({frontend['edit_token_cache']['rate']:.1%}), "
-        f"{frontend['relex']['splices']} relex splice(s), "
-        f"{frontend['relex']['fallbacks']} fallback(s)",
+        f"640-fn edit chunk AST: "
+        f"{frontend['edit_chunk_ast']['parsed']} parsed / "
+        f"{frontend['edit_chunk_ast']['reused']} reused "
+        f"({frontend['edit_chunk_ast']['rate']:.1%})",
     ]
 
     # Warm replay must beat a cold check by a wide margin everywhere.
@@ -295,10 +278,11 @@ def test_incremental_pipeline(benchmark):
     assert len(result["edit_rechecked"]) == 1
 
     # Machine-independent front-end ratchets — enforced everywhere.
-    assert frontend["edit_token_cache"]["rate"] >= 0.9, \
-        "a one-chunk edit must serve >=90% of chunks from the token cache"
-    assert frontend["relex"]["splices"] >= 1, \
-        "a same-position chunk edit must take the relex splice path"
+    assert frontend["edit_chunk_ast"]["parsed"] == 1, \
+        "a one-chunk edit must re-parse exactly one chunk"
+    assert frontend["edit_chunk_ast"]["rate"] >= 0.9, \
+        "a one-chunk edit must serve >=90% of chunks from the chunk-AST " \
+        "cache"
     assert speed["edit_large_vs_cold_large"] >= 10.0, \
         "a one-function edit on the 640-fn corpus should be >=10x " \
         "faster than cold"

@@ -2,9 +2,10 @@
 
 Runs in a few seconds and asserts the front-end ratchet — lex + parse
 must stay under a pinned fraction of the whole cold check on the
-160-function corpus, and a one-chunk edit must serve >= 90% of chunks
-from the token cache on the warm re-check.  Both are ratios of numbers
-measured on the same run, so they hold on any hardware.
+160-function corpus, and a one-chunk edit must re-parse exactly one
+chunk and serve >= 90% of chunks from the chunk-AST cache on the warm
+re-check.  Both are measured on the same run, so they hold on any
+hardware.
 
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
@@ -31,8 +32,15 @@ UNITS = ["region"]
 #: above that, as the previous 0.70 did above 0.59.
 FRONTEND_FRACTION_CEILING = 0.66
 
-#: Floor on the token-cache hit rate across a one-chunk-edit re-check.
-TOKEN_CACHE_HIT_FLOOR = 0.90
+#: Floor on the chunk-AST hit rate across a one-chunk-edit re-check.
+CHUNK_AST_HIT_FLOOR = 0.90
+
+
+def _chunk_ast_counts(session):
+    """(hits, misses) of the session's ``cache.chunk_ast`` counters."""
+    snapshot = session.telemetry.metrics.snapshot()
+    return tuple(snapshot.get(f"cache.chunk_ast.{name}", {}).get("value", 0)
+                 for name in ("hits", "misses"))
 
 
 def test_frontend_ratchet():
@@ -58,28 +66,28 @@ def test_frontend_ratchet():
         f"lex+parse take {best_fraction:.0%} of a cold check " \
         f"(ceiling {FRONTEND_FRACTION_CEILING:.0%})"
 
-    # Token-cache hit rate across a warm one-chunk-edit re-check.  The
-    # edit is what forces the session back through ``_parse`` — a
+    # Chunk-AST reuse across a warm one-chunk-edit re-check.  The edit
+    # is what forces the session back through ``_parse`` — a
     # byte-identical warm replay is served from the context cache and
-    # never consults the token cache at all.
-    session = CheckSession(units=UNITS)
+    # never consults the chunk-AST cache at all.
+    session = CheckSession(units=UNITS, telemetry=Telemetry(metrics=True))
     session.check(source)
     needle = "c.value += "
     at = source.index(needle, len(source) // 2)
     end = source.index(";", at)
     edited = source[:at] + "c.value += 4242" + source[end:]
-    hits0, misses0 = session.stats.token_hits, session.stats.token_misses
+    before = _chunk_ast_counts(session)
     session.check(edited)
-    hits = session.stats.token_hits - hits0
-    misses = session.stats.token_misses - misses0
+    after = _chunk_ast_counts(session)
+    hits, misses = (a - b for a, b in zip(after, before))
     rate = hits / (hits + misses) if hits + misses else 0.0
-    print(f"bench-smoke: token cache {hits} hits / {misses} misses "
+    print(f"bench-smoke: chunk AST {hits} reused / {misses} parsed "
           f"({rate:.1%}) on one-chunk edit")
-    assert rate >= TOKEN_CACHE_HIT_FLOOR, \
-        f"token-cache hit rate {rate:.1%} under " \
-        f"{TOKEN_CACHE_HIT_FLOOR:.0%} on a one-chunk edit"
-    assert session.stats.relex_splices >= 1, \
-        "a same-position chunk edit must take the relex splice path"
+    assert misses == 1, \
+        f"a one-chunk edit re-parsed {misses} chunks, not 1"
+    assert rate >= CHUNK_AST_HIT_FLOOR, \
+        f"chunk-AST hit rate {rate:.1%} under " \
+        f"{CHUNK_AST_HIT_FLOOR:.0%} on a one-chunk edit"
     print("bench-smoke: front-end ratchet   OK")
 
 

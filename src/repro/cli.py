@@ -173,14 +173,9 @@ def _print_profile(session, file) -> int:
                 f"{bucket_quantile(bounds, counts, q) * 1000:.1f} ms"
                 for q in (0.5, 0.95, 0.99))
             print(f"  {'function latency':<22} {quants}", file=file)
-    token_total = stats.token_hits + stats.token_misses
-    if token_total:
-        print(f"  {'token cache':<22} {stats.token_hits:8d} hits / "
-              f"{stats.token_misses} misses "
-              f"({stats.token_hits / token_total:.0%})", file=file)
-    if stats.relex_splices or stats.relex_fallbacks:
-        print(f"  {'relex splices':<22} {stats.relex_splices:8d} "
-              f"({stats.relex_fallbacks} fallbacks)", file=file)
+    if stats.chunk_parses or stats.chunk_hits:
+        print(f"  {'chunks':<22} parsed {stats.chunk_parses} / "
+              f"reused {stats.chunk_hits}", file=file)
     if stats.fingerprints_memoized:
         print(f"  {'fingerprints memoized':<22} "
               f"{stats.fingerprints_memoized:8d}", file=file)

@@ -55,7 +55,6 @@ from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context, stdlib_source
 from ..stdlib.loader import base_context_cache_info
 from ..syntax import ast, parse_program, tokenize
-from ..syntax.relex import relex
 from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultPlan
@@ -64,10 +63,6 @@ from .fingerprint import cache_checksum, function_fingerprint
 #: caps on the in-memory caches; on overflow the oldest half is evicted.
 _MAX_CONTEXTS = 64
 _MAX_CHUNK_ASTS = 8192
-#: per-chunk token streams (and their interface digests) kept beside
-#: the chunk-AST cache; streams are bigger than ASTs per entry, so the
-#: cap is lower.
-_MAX_TOKEN_STREAMS = 4096
 #: the summary cache is bounded too — a session embedded in a
 #: long-running daemon sees an unbounded stream of distinct sources.
 _MAX_SUMMARIES = 32768
@@ -124,12 +119,6 @@ class SessionStats:
         self.whole_parses = 0
         self.functions_checked = 0
         self.functions_replayed = 0
-        # front-end cache counters (mirrored by ``cache.tokens.*`` /
-        # ``relex.*`` metrics when the registry is enabled)
-        self.token_hits = 0
-        self.token_misses = 0
-        self.relex_splices = 0
-        self.relex_fallbacks = 0
         self.fingerprints_memoized = 0
         # mirrored by the ``resilience.cache_quarantines`` metric when
         # the registry is enabled
@@ -254,18 +243,11 @@ class CheckSession:
         #: ``Telemetry(trace=True, metrics=True)`` to instrument.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.stats = self.stats
-        #: parsed chunks by ``_ChunkKey``.  Spans carry the file name,
-        #: so a chunk parsed for one file is never reused for another.
-        self._ast_cache: Dict[_ChunkKey, ast.Program] = {}
-        #: per-chunk token streams, keyed like the chunk-AST cache;
-        #: each entry keeps the chunk text (the relexer diffs against
-        #: it) and the lexed stream.
-        self._token_cache: Dict[_ChunkKey, Tuple[str, List[Token]]] = {}
-        #: per-chunk interface digests (see ``_interface_part``).
-        self._iface_cache: Dict[_ChunkKey, str] = {}
-        #: chunk keys of the previous check per filename — the
-        #: relexer's candidates for "the same declaration, edited".
-        self._chunk_history: Dict[str, List[_ChunkKey]] = {}
+        #: parsed chunks by ``_ChunkKey``, each with its interface
+        #: digest (see ``_interface_part``).  Spans carry the file
+        #: name, so a chunk parsed for one file is never reused for
+        #: another.
+        self._ast_cache: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
         self._ctx_cache: Dict[tuple, _CtxEntry] = {}
         self._summaries: Dict[str, _Summary] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
@@ -431,13 +413,9 @@ class CheckSession:
                            c.start_col) for c in chunks]
             key: tuple = (filename, self.units, self.stdlib,
                           tuple(chunk_keys))
-            prev_keys = self._chunk_history.get(filename)
-            self._chunk_history[filename] = chunk_keys
         else:
             chunk_keys = []
             key = (filename, self.units, self.stdlib, _sha(source))
-            prev_keys = None
-            self._chunk_history.pop(filename, None)
         entry = self._ctx_cache.get(key)
         if entry is not None:
             self.stats.context_hits += 1
@@ -448,7 +426,7 @@ class CheckSession:
         if metrics.enabled:
             metrics.counter("cache.context.misses").inc()
         programs, env_token = self._parse(source, filename, chunks,
-                                          chunk_keys, prev_keys)
+                                          chunk_keys)
         sub = Reporter()
         with self.telemetry.tracer.span("elaborate"):
             ctx = build_context(programs, sub, base=base)
@@ -460,8 +438,7 @@ class CheckSession:
 
     def _parse(self, source: str, filename: str,
                chunks: Optional[List[Chunk]],
-               chunk_keys: List[_ChunkKey],
-               prev_keys: Optional[List[_ChunkKey]]
+               chunk_keys: List[_ChunkKey]
                ) -> Tuple[List[ast.Program], str]:
         metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
@@ -472,40 +449,29 @@ class CheckSession:
         programs: List[ast.Program] = []
         iface_parts: List[str] = []
         try:
-            for idx, chunk in enumerate(chunks):
-                ckey = chunk_keys[idx]
-                with tracer.span("token_cache"):
-                    cached = self._token_cache.get(ckey)
-                tokens: Optional[List[Token]] = None
-                if cached is not None:
-                    tokens = cached[1]
-                    self.stats.token_hits += 1
-                    if metrics.enabled:
-                        metrics.counter("cache.tokens.hits").inc()
-                prog = self._ast_cache.get(ckey)
-                if prog is None:
-                    if tokens is None:
-                        self.stats.token_misses += 1
-                        if metrics.enabled:
-                            metrics.counter("cache.tokens.misses").inc()
-                        tokens = self._lex_chunk(chunk, ckey, filename,
-                                                 prev_keys, idx)
-                    prog = parse_program(chunk.text, filename,
-                                         first_line=chunk.start_line,
-                                         first_col=chunk.start_col,
-                                         tokens=tokens)
+            for chunk, ckey in zip(chunks, chunk_keys):
+                cached = self._ast_cache.get(ckey)
+                if cached is None:
+                    with tracer.span("lex", filename=filename):
+                        tokens = tokenize(chunk.text, filename,
+                                          chunk.start_line, chunk.start_col)
+                    part = self._interface_part(ckey, tokens)
+                    cached = (parse_program(chunk.text, filename,
+                                            first_line=chunk.start_line,
+                                            first_col=chunk.start_col,
+                                            tokens=tokens), part)
                     self.stats.chunk_parses += 1
                     if metrics.enabled:
                         metrics.counter("cache.chunk_ast.misses").inc()
                     if len(self._ast_cache) >= _MAX_CHUNK_ASTS:
                         self._evict_traced(self._ast_cache, "chunk_ast")
-                    self._ast_cache[ckey] = prog
+                    self._ast_cache[ckey] = cached
                 else:
                     self.stats.chunk_hits += 1
                     if metrics.enabled:
                         metrics.counter("cache.chunk_ast.hits").inc()
-                iface_parts.append(self._interface_part(ckey, tokens))
-                programs.append(prog)
+                programs.append(cached[0])
+                iface_parts.append(cached[1])
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
@@ -518,51 +484,6 @@ class CheckSession:
                            f"\x00{self.stdlib!r}")
         return programs, env_token
 
-    def _lex_chunk(self, chunk: Chunk, ckey: _ChunkKey, filename: str,
-                   prev_keys: Optional[List[_ChunkKey]],
-                   idx: int) -> List[Token]:
-        """Token stream for one chunk: an incremental splice against
-        the previous check's chunk at the same slot when possible, a
-        full lex otherwise.  Either way the stream is cached."""
-        tracer = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-        tokens: Optional[List[Token]] = None
-        if prev_keys is not None and idx < len(prev_keys):
-            pkey = prev_keys[idx]
-            # Same slot, same position, different text: the shape of a
-            # sub-chunk edit.  A chunk that also moved (an edit above
-            # it changed line numbers) falls back to a full lex — the
-            # splice only rebases spans within the chunk.
-            if pkey != ckey and pkey[2] == chunk.start_line \
-                    and pkey[3] == chunk.start_col:
-                prev = self._token_cache.get(pkey)
-                if prev is not None:
-                    with tracer.span("relex"):
-                        spliced = relex(prev[0], prev[1], chunk.text,
-                                        filename, chunk.start_line,
-                                        chunk.start_col)
-                    if spliced is not None:
-                        tokens = spliced.tokens
-                        self.stats.relex_splices += 1
-                        if metrics.enabled:
-                            metrics.counter("relex.splices").inc()
-                            metrics.counter("relex.tokens_reused").inc(
-                                spliced.reused)
-                            metrics.counter("relex.tokens_fresh").inc(
-                                spliced.fresh)
-                    else:
-                        self.stats.relex_fallbacks += 1
-                        if metrics.enabled:
-                            metrics.counter("relex.fallbacks").inc()
-        if tokens is None:
-            with tracer.span("lex", filename=filename):
-                tokens = tokenize(chunk.text, filename,
-                                  chunk.start_line, chunk.start_col)
-        if len(self._token_cache) >= _MAX_TOKEN_STREAMS:
-            self._evict_traced(self._token_cache, "tokens")
-        self._token_cache[ckey] = (chunk.text, tokens)
-        return tokens
-
     #: first-token kinds of chunks whose whole text is their interface
     #: (type/variant/struct/stateset/key declarations, interfaces and
     #: modules — anything that can contribute more than one signature
@@ -572,39 +493,28 @@ class CheckSession:
         T.KW_STRUCT, T.KW_STATESET, T.KW_KEY,
     })
 
-    def _interface_part(self, ckey: _ChunkKey,
-                        tokens: Optional[List[Token]]) -> str:
-        """One chunk's contribution to the context-wide env token.
+    def _interface_part(self, ckey: _ChunkKey, tokens: List[Token]) -> str:
+        """One chunk's contribution to the context-wide env token,
+        from the chunk's own tokens.
 
         For a function-definition chunk only the header (tokens up to
         the body's opening brace — return type, name, parameters,
         effect clause) feeds the digest: body edits must not disturb
         the env token, that is the whole point of the memo.  Any chunk
-        led by a declaration keyword digests its full text —
-        conservative, but those chunks can define types, keys or whole
-        modules whose every detail other fingerprints may see.  With no
-        token stream at hand (chunk-AST hit after token-cache
-        eviction) the content hash stands in, which can only make the
-        token *more* conservative.
+        led by a declaration keyword digests its full text (its content
+        hash) — conservative, but those chunks can define types, keys
+        or whole modules whose every detail other fingerprints may see.
+        The digest is cached with the chunk's AST, so it never depends
+        on what the session evicted in between.
         """
-        part = self._iface_cache.get(ckey)
-        if part is not None:
-            return part
-        if tokens is None:
-            return ckey[1]          # content hash: always conservative
-        if tokens and tokens[0].kind in self._DECL_CHUNK_KINDS:
-            part = ckey[1]
-        else:
-            header: List[str] = []
-            for tok in tokens:
-                if tok.kind is T.LBRACE:
-                    break
-                header.append(tok.text)
-            part = "\x1f".join(header)
-        if len(self._iface_cache) >= _MAX_TOKEN_STREAMS:
-            self._evict_traced(self._iface_cache, "iface")
-        self._iface_cache[ckey] = part
-        return part
+        if tokens[0].kind in self._DECL_CHUNK_KINDS:
+            return ckey[1]
+        header: List[str] = []
+        for tok in tokens:
+            if tok.kind is T.LBRACE:
+                break
+            header.append(tok.text)
+        return "\x1f".join(header)
 
     def _unit_env_token(self, source: str, filename: str) -> str:
         """Env token for the whole-unit (non-chunked) parse path."""

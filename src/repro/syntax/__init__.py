@@ -4,13 +4,11 @@ from . import ast
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse_expr, parse_program, parse_type
 from .pretty import pretty
-from .relex import RelexResult, relex
 from .tokens import T, Token
 
 __all__ = [
     "Lexer",
     "Parser",
-    "RelexResult",
     "T",
     "Token",
     "ast",
@@ -18,6 +16,5 @@ __all__ = [
     "parse_program",
     "parse_type",
     "pretty",
-    "relex",
     "tokenize",
 ]

@@ -871,10 +871,11 @@ def parse_program(source: str, filename: str = "<input>",
     ``first_line``/``first_col`` place the text inside a larger unit,
     so that spans match a whole-unit parse; the incremental pipeline
     uses this to parse single declaration chunks in place.  ``tokens``
-    supplies a pre-lexed stream for ``source`` (from the session's
-    token cache or the incremental relexer) and skips lexing entirely;
-    it must equal ``tokenize(source, filename, first_line, first_col)``
-    and is left unchanged.  Without ``tokens``, each top-level
+    supplies a pre-lexed stream for ``source`` (the session lexes each
+    chunk itself to take its interface digest from the tokens) and
+    skips lexing entirely; it must equal
+    ``tokenize(source, filename, first_line, first_col)`` and is left
+    unchanged.  Without ``tokens``, each top-level
     declaration's tokens are released once it is parsed, so the token
     stream and the finished AST are never both held in full.
     """

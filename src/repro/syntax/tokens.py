@@ -155,8 +155,7 @@ class Token:
     old representation paid are skipped entirely on the hot path.  The
     lexer rejects a raw newline inside a string or char literal, escaped
     or not, so no token spans a line and one ``line`` field covers both
-    ends.  Tokens are immutable by convention; the incremental relexer
-    (:mod:`repro.syntax.relex`) shares them between token streams.
+    ends.  Tokens are immutable by convention.
     """
 
     __slots__ = ("kind", "text", "line", "col", "end_col",

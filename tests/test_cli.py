@@ -146,6 +146,26 @@ class TestObservability:
         assert "check" in err
         assert "functions checked" in err
         assert "functions replayed" in err
+        # GOOD is two chunks (the struct and main), both parsed fresh.
+        assert "  chunks                 parsed 2 / reused 0\n" in err
+
+    def test_profile_chunks_row_after_one_chunk_edit(self):
+        import io
+        from repro.analysis import synthesize_program
+        from repro.pipeline import CheckSession
+        source = synthesize_program(12, seed=3)   # 13 chunks
+        at = source.index("c.value += ", len(source) // 2)
+        edited = source[:at] + "c.value += 4242" + \
+            source[source.index(";", at):]
+        session = CheckSession(units=["region"])
+        session.check(source)
+        session.check(edited)
+        out = io.StringIO()
+        assert cli._print_profile(session, out) == 0
+        rows = [row for row in out.getvalue().splitlines()
+                if row.strip().startswith("chunks")]
+        # Session counters are cumulative: 13 cold parses, then one.
+        assert rows == ["  chunks                 parsed 14 / reused 12"]
 
     def test_trace_emits_valid_chrome_json(self, good_file, tmp_path,
                                            capsys):

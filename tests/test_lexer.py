@@ -263,3 +263,75 @@ def test_positions_agree_with_offsets(parts):
         assert tok.col == tok.offset - line_start + 1
         assert "\n" not in source[tok.offset:tok.end_offset]
         assert tok.end_col == tok.col + tok.end_offset - tok.offset
+
+
+# ---------------------------------------------------------------------------
+# Slice lexing: tokenize(whole)[k:] == tokenize(whole[off:], line, col).
+#
+# The session hands each top-level declaration chunk's text to the
+# lexer with the chunk's start line and column, so chunked parsing is
+# only correct if lexing a suffix of a unit, seeded that way,
+# reproduces the whole-unit tokens (offsets shifted by the slice
+# start).  The fragments lean on the constructs whose span math is
+# easiest to get wrong: tick tokens and multi-line block comments,
+# which make a slice start mid-line (line > 1, col > 1).
+# ---------------------------------------------------------------------------
+
+_SLICE_FRAGMENTS = st.sampled_from([
+    "fn", "region", "x1", "_tmp", "Name",
+    "'Open", "'Closed", "'C", "'x'", "'{'",
+    "0x1F", "42", "3.14", "1e9",
+    '"str"', '"a\\nb"', '"\\\\"', '"a\\\nb"',
+    "->", "&&", "||", "==", "!=", "<=", ">=", "++", "--", "+=", "-=",
+    "{", "}", "(", ")", "[", "]", ";", ",", ".", ":", "@", "|", "=",
+    "+", "-", "/", "!", "<", ">", "*", "%",
+    "// line comment",
+    "/* block */", "/* two\nlines */", "/*\n * three\n * lines */",
+])
+
+_SLICE_SEPARATORS = st.sampled_from([" ", "  ", "\n", "\n\n", "\t", " \n "])
+
+
+@st.composite
+def _slice_sources(draw, min_fragments=1, max_fragments=40):
+    frags = draw(st.lists(_SLICE_FRAGMENTS, min_size=min_fragments,
+                          max_size=max_fragments))
+    return "".join(frag + draw(_SLICE_SEPARATORS) for frag in frags)
+
+
+def _shape(tok):
+    """Everything but the offsets (slice lexing shifts those)."""
+    return (tok.kind, tok.text, tok.line, tok.col, tok.end_col)
+
+
+@given(_slice_sources(), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_slice_lex_matches_whole_lex(source, pick):
+    try:
+        whole = tokenize(source)
+    except LexError:
+        return
+    k = pick % len(whole)
+    tok = whole[k]
+    if tok.kind is T.EOF:
+        return
+    sliced = tokenize(source[tok.offset:], first_line=tok.line,
+                      first_col=tok.col)
+    assert [_shape(t) for t in sliced] == [_shape(t) for t in whole[k:]]
+    for s, w in zip(sliced, whole[k:]):
+        assert s.offset + tok.offset == w.offset
+        assert s.end_offset + tok.offset == w.end_offset
+
+
+def test_slice_lex_after_straddling_block_comment():
+    # The comment ends mid-line, so the next token starts at line 3,
+    # col > 1 — the seed a chunk handed to the lexer actually carries.
+    source = "first\n/* straddles\ntwo lines */ 'Ctor 'x' last"
+    whole = tokenize(source)
+    tick = next(t for t in whole if t.kind is T.CTOR)
+    assert (tick.line, tick.col) == (3, 14)
+    sliced = tokenize(source[tick.offset:], first_line=tick.line,
+                      first_col=tick.col)
+    assert [_shape(t) for t in sliced] == \
+        [_shape(t) for t in whole[whole.index(tick):]]

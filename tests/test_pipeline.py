@@ -449,55 +449,90 @@ class TestSessionReuse:
 
 
 # ---------------------------------------------------------------------------
-# Front-end caches: token streams, relex splicing, eviction tracing
+# Chunk-AST cache: one entry per declaration chunk, with its interface
+# digest; eviction tracing; an env token independent of cache history
 # ---------------------------------------------------------------------------
 
 
-class TestFrontEndCaches:
-    def _edit(self, source):
-        at = source.index("c.value += ", len(source) // 2)
-        end = source.index(";", at)
-        return source[:at] + "c.value += 4242" + source[end:]
+def _body_edit(source, start=None):
+    """Change one constant inside one function body (no line shift)."""
+    at = source.index("c.value += ",
+                      len(source) // 2 if start is None else start)
+    end = source.index(";", at)
+    return source[:at] + "c.value += 4242" + source[end:]
 
-    def test_token_cache_serves_unchanged_chunks_on_edit(self):
-        from repro.obs import Telemetry
+
+def _env_token(session, source):
+    """The env token ``session`` computes for ``source`` (a context
+    miss, so the entry is the newest in the context cache)."""
+    misses = session.stats.context_misses
+    session.check(source, "unit.vlt")
+    assert session.stats.context_misses == misses + 1
+    return list(session._ctx_cache.values())[-1].env_token
+
+
+class TestChunkAstCache:
+    def test_one_chunk_edit_parses_one_chunk(self):
         source = synthesize_program(12, seed=3)
-        session = fresh_session(telemetry=Telemetry(metrics=True))
+        chunks = len(split_chunks(source))
+        session = fresh_session()
         session.check(source, "unit.vlt")
-        assert session.stats.token_hits == 0
-        hits0 = session.stats.token_hits
-        session.check(self._edit(source), "unit.vlt")
-        assert session.stats.token_hits > hits0, \
-            "unchanged chunks must be served from the token cache"
-        snapshot = session.telemetry.metrics.snapshot()
-        assert snapshot["cache.tokens.hits"]["value"] == \
-            session.stats.token_hits
+        assert session.stats.chunk_parses == chunks
+        hits0 = session.stats.chunk_hits
+        session.check(_body_edit(source), "unit.vlt")
+        assert session.stats.chunk_parses == chunks + 1
+        assert session.stats.chunk_hits - hits0 == chunks - 1
 
-    def test_edit_takes_relex_splice_path(self):
+    def test_one_chunk_edit_memoises_other_fingerprints(self):
         source = synthesize_program(12, seed=3)
         session = fresh_session()
         session.check(source, "unit.vlt")
-        edited = self._edit(source)
-        report = session.check(edited, "unit.vlt")
-        assert session.stats.relex_splices >= 1
-        assert session.stats.relex_fallbacks == 0
-        assert report.render() == \
-            check_source(edited, "unit.vlt", units=UNITS).render(), \
-            "spliced-token output must match a from-scratch check"
+        functions = session.stats.functions_checked
+        assert session.stats.fingerprints_memoized == 0
+        session.check(_body_edit(source), "unit.vlt")
+        assert session.stats.fingerprints_memoized == functions - 1
+        assert len(session.stats.last_checked) == 1
 
-    def test_token_cache_eviction_is_traced(self, monkeypatch):
+    def test_one_chunk_edit_renders_like_check_source(self):
+        source = synthesize_program(12, seed=3)
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        edited = _body_edit(source)
+        assert session.check(edited, "unit.vlt").render() == \
+            check_source(edited, "unit.vlt", units=UNITS).render(), \
+            "a re-parsed chunk must render like a from-scratch check"
+
+    def test_chunk_ast_eviction_is_traced(self, monkeypatch):
         from repro.obs import Telemetry
         from repro.pipeline import session as session_mod
-        monkeypatch.setattr(session_mod, "_MAX_TOKEN_STREAMS", 4)
+        monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 4)
         session = fresh_session(telemetry=Telemetry(metrics=True))
         session.check(synthesize_program(12, seed=3), "unit.vlt")
         snapshot = session.telemetry.metrics.snapshot()
-        assert snapshot["cache.tokens.evictions"]["value"] > 0
+        assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
         events = session.telemetry.events.by_kind("cache_evict")
-        assert any(e.fields["layer"] == "tokens" for e in events)
         evicted = sum(e.fields["evicted"] for e in events
-                      if e.fields["layer"] == "tokens")
-        assert evicted == snapshot["cache.tokens.evictions"]["value"]
+                      if e.fields["layer"] == "chunk_ast")
+        assert evicted == snapshot["cache.chunk_ast.evictions"]["value"]
+
+    def test_env_token_does_not_depend_on_evictions(self, monkeypatch):
+        # A function chunk is digested from its header whether or not
+        # other chunks were evicted in between.  Were it digested by
+        # its content hash after an eviction, the env token would flip
+        # and every fingerprint memo of the unit would miss.
+        from repro.obs import Telemetry
+        from repro.pipeline import session as session_mod
+        source = synthesize_program(40, seed=3)
+        revisions = [source, _body_edit(source),
+                     _body_edit(source, len(source) // 4)]
+        fresh = [_env_token(fresh_session(), text) for text in revisions]
+        # Body edits leave the interface, and so the token, unchanged.
+        assert len(set(fresh)) == 1
+        monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 8)
+        session = fresh_session(telemetry=Telemetry(metrics=True))
+        assert [_env_token(session, text) for text in revisions] == fresh
+        snapshot = session.telemetry.metrics.snapshot()
+        assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
 
 
 # ---------------------------------------------------------------------------
