@@ -72,7 +72,10 @@ daemon-chaos-smoke:
 # Differential-fuzzing smoke: 200 seeded adversarial protocol
 # programs (random keyed state machines + violating clients) must
 # check byte-identically through serial, a warm cached session and a
-# live check daemon — zero divergences.
+# live check daemon; then 40 seeded edit sequences, walked by one
+# session and by a fresh --cache DIR session per revision (at the
+# session's cache caps and at caps of 8), must match check_source on
+# every revision — zero divergences.
 # Writes the "fuzz" block of BENCH_checker.json.
 fuzz-smoke:
 	$(PYTHON) benchmarks/fuzz_smoke.py

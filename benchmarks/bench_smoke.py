@@ -5,7 +5,9 @@ must stay under a pinned fraction of the whole cold check on the
 160-function corpus, and a one-chunk edit must re-parse exactly one
 chunk and serve >= 90% of chunks from the chunk-AST cache on the warm
 re-check.  Both are measured on the same run, so they hold on any
-hardware.
+hardware.  A fresh ``--cache DIR`` session given the same edit must
+parse exactly one function body and check exactly one function: the
+other 159 replay their summaries from headers alone.
 
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
@@ -13,6 +15,7 @@ a pytest module.
 
 import os
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -88,6 +91,22 @@ def test_frontend_ratchet():
     assert rate >= CHUNK_AST_HIT_FLOOR, \
         f"chunk-AST hit rate {rate:.1%} under " \
         f"{CHUNK_AST_HIT_FLOOR:.0%} on a one-chunk edit"
+
+    # A fresh process over a warm --cache DIR (the CI-rebuild shape):
+    # only the edited function's body is parsed.
+    with tempfile.TemporaryDirectory(prefix="bench-smoke-") as cache_dir:
+        CheckSession(units=UNITS, cache_dir=cache_dir).check(source)
+        fresh = CheckSession(units=UNITS, cache_dir=cache_dir)
+        fresh.check(edited)
+    stats = fresh.stats
+    print(f"bench-smoke: fresh --cache session parsed {stats.body_parses} "
+          f"of {N_FUNCTIONS_FRONTEND} bodies, checked "
+          f"{stats.functions_checked} function(s) on one-chunk edit")
+    assert stats.body_parses == 1, \
+        f"a fresh cached session parsed {stats.body_parses} bodies, not 1"
+    assert stats.functions_checked == 1, \
+        f"a fresh cached session checked {stats.functions_checked} " \
+        f"functions, not 1"
     print("bench-smoke: front-end ratchet   OK")
 
 

@@ -12,6 +12,12 @@ Also asserts the batch was *adversarial enough*: both clean and
 rejected programs occurred, and every protocol-error family the
 generator aims at (wrong state, leak, double consume) showed up.
 
+Then walks ``EDIT_SEQUENCES`` seeded edit sequences
+(``repro.testing.edits``): every revision, checked by one warm session
+and by a fresh ``--cache DIR`` session per revision, at the session's
+own cache caps and at caps of 8, must render byte-identically to
+``check_source`` — zero divergences, and every edit kind exercised.
+
 Merges a ``fuzz`` block into ``BENCH_checker.json``.  Usable both as a
 script (``python benchmarks/fuzz_smoke.py``) and as a pytest module.
 """
@@ -24,6 +30,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.testing import run_fuzz                       # noqa: E402
+from repro.testing.edits import EDIT_KINDS, run_edit_fuzz  # noqa: E402
 
 COUNT = 200
 SEED = 20260808
@@ -32,6 +39,11 @@ _BENCH_JSON = os.path.join(_REPO, "BENCH_checker.json")
 
 #: the generator's target diagnostics; all must occur in the batch.
 EXPECTED_CODES = ("V0301", "V0302", "V0303")
+
+#: seeded edit sequences (of EDIT_LENGTH revisions) walked after the
+#: program batch.
+EDIT_SEQUENCES = 40
+EDIT_LENGTH = 8
 
 
 def test_fuzz_smoke(benchmark=None):
@@ -56,6 +68,22 @@ def test_fuzz_smoke(benchmark=None):
             f"batch never produced {code}; the generator lost an "
             f"intent family")
 
+    edit_start = time.perf_counter()
+    edits = run_edit_fuzz(EDIT_SEQUENCES, seed=SEED, length=EDIT_LENGTH)
+    edit_elapsed = time.perf_counter() - edit_start
+    for d in edits.divergences:
+        print(f"EDIT DIVERGENCE sequence seed {d.sequence_seed}, revision "
+              f"{d.revision} ({' -> '.join(d.kinds)}), path {d.path}:")
+        print(f"  check_source: {d.expected!r}")
+        print(f"  {d.path}: {d.actual!r}")
+        print(f"replay: repro.testing.edits.walk("
+              f"edit_sequence({d.sequence_seed}, {EDIT_LENGTH}))")
+    assert edits.ok, (
+        f"{len(edits.divergences)} edit-sequence divergence(s): "
+        f"incremental state changed an answer")
+    missing = set(EDIT_KINDS) - set(edits.kinds)
+    assert not missing, f"edit kinds never exercised: {sorted(missing)}"
+
     result = {
         "seed": SEED,
         "programs": COUNT,
@@ -66,6 +94,14 @@ def test_fuzz_smoke(benchmark=None):
         "diagnostics": dict(sorted(report.diagnostics.items())),
         "divergences": 0,
         "seconds": round(elapsed, 3),
+        "edit_sequences": {
+            "sequences": EDIT_SEQUENCES,
+            "revisions": edits.revisions,
+            "paths": edits.paths,
+            "kinds": edits.kinds,
+            "divergences": 0,
+            "seconds": round(edit_elapsed, 3),
+        },
     }
 
     # Read-modify-write: bench_incremental.py owns the rest of the
@@ -92,6 +128,9 @@ def test_fuzz_smoke(benchmark=None):
     print(f"  {report.programs_ok} checked clean, "
           f"{report.programs_rejected} rejected ({tally})")
     print("  divergences: 0 — all paths byte-identical      VERIFIED")
+    print(f"  {EDIT_SEQUENCES} edit sequences, {edits.revisions} revisions "
+          f"in {edit_elapsed:.1f} s via {'/'.join(edits.paths)}")
+    print("  divergences: 0 — every revision matches check_source  VERIFIED")
     print("=" * 64)
 
 

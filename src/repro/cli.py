@@ -176,6 +176,10 @@ def _print_profile(session, file) -> int:
     if stats.chunk_parses or stats.chunk_hits:
         print(f"  {'chunks':<22} parsed {stats.chunk_parses} / "
               f"reused {stats.chunk_hits}", file=file)
+    if "bodies" in profile:
+        parsed, functions = profile["bodies"]
+        print(f"  {'bodies':<22} parsed {parsed} of {functions} functions",
+              file=file)
     if stats.fingerprints_memoized:
         print(f"  {'fingerprints memoized':<22} "
               f"{stats.fingerprints_memoized:8d}", file=file)

@@ -14,12 +14,28 @@ from .errors import CheckError, Code, Diagnostic, Severity
 from .span import Span
 
 
+def source_lines(source: str) -> List[str]:
+    """``source`` split into lines numbered as the lexer numbers them.
+
+    Only ``\n`` ends a line.  ``str.splitlines`` also breaks on
+    ``\r``, form feeds, ``\x1c``-``\x1e``, ``\x85`` and the Unicode
+    line separators, so every line after such a character would be
+    numbered differently from the diagnostics that point at it.  A
+    final newline does not start an empty last line.
+    """
+    lines = source.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 class Reporter:
     """Collects diagnostics; optionally renders them against source text."""
 
     def __init__(self, source: Optional[str] = None, filename: str = "<input>"):
         self.diagnostics: List[Diagnostic] = []
-        self._source_lines = source.splitlines() if source is not None else None
+        self._source_lines = source_lines(source) \
+            if source is not None else None
         self.filename = filename
 
     # -- accumulation -----------------------------------------------------
@@ -69,6 +85,8 @@ class Reporter:
                 line_no = diag.span.start.line
                 if 1 <= line_no <= len(self._source_lines):
                     text = self._source_lines[line_no - 1]
+                    if text.endswith("\r"):
+                        text = text[:-1]
                     out.append(f"    {line_no:4} | {text}")
                     caret_col = max(diag.span.start.col, 1)
                     out.append("         | " + " " * (caret_col - 1) + "^")

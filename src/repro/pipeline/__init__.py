@@ -12,8 +12,8 @@ harness that makes every recovery path testable.
 
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultError, FaultPlan
-from .fingerprint import (cache_checksum, collect_names,
-                          dependency_renderings, function_fingerprint)
+from .fingerprint import (cache_checksum, dependency_renderings,
+                          function_fingerprint, scan_names)
 from .session import CheckSession, SessionStats
 
 __all__ = [
@@ -24,8 +24,8 @@ __all__ = [
     "FaultPlan",
     "SessionStats",
     "cache_checksum",
-    "collect_names",
     "dependency_renderings",
     "function_fingerprint",
+    "scan_names",
     "split_chunks",
 ]

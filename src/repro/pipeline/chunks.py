@@ -6,7 +6,10 @@ that finds declaration boundaries: a top-level declaration ends at a
 ``;`` or ``}`` at brace depth zero.  The scanner mirrors exactly the
 lexer's treatment of comments, string literals, and Vault's tick
 tokens (``'Name`` constructors vs. ``'x'`` / ``'{'`` char literals) so
-that braces inside those never count toward the depth.
+that braces inside those never count toward the depth.  It also
+records each chunk's first ``{`` at depth zero: for a function
+definition, the split between the header (all a context needs) and the
+body (parsed only when the function is checked).
 
 The scanner is deliberately conservative: on anything it cannot
 classify (unterminated comment or string, stray characters) it raises
@@ -30,14 +33,24 @@ class Chunk:
     ``start_line``/``start_col`` are 1-based.  Concatenating the
     ``text`` of all chunks reproduces the source exactly; leading
     trivia belongs to the following chunk, trailing trivia to the last.
+
+    ``brace`` is the offset in ``text`` of the first ``{`` at brace
+    depth zero, or -1.  Its matching ``}`` is the declaration's
+    terminator, so for a function definition ``text[:brace]`` is the
+    header and ``text[brace:end]`` the body.  ``end`` is the offset
+    just past the terminator: ``len(text)`` except for a last chunk
+    that carries the unit's trailing trivia.
     """
 
-    __slots__ = ("text", "start_line", "start_col")
+    __slots__ = ("text", "start_line", "start_col", "brace", "end")
 
-    def __init__(self, text: str, start_line: int, start_col: int):
+    def __init__(self, text: str, start_line: int, start_col: int,
+                 brace: int = -1, end: int = -1):
         self.text = text
         self.start_line = start_line
         self.start_col = start_col
+        self.brace = brace
+        self.end = end if end >= 0 else len(text)
 
     def __repr__(self) -> str:
         return (f"Chunk(line={self.start_line}, col={self.start_col}, "
@@ -65,7 +78,9 @@ _STRING_BODY = re.compile(r"(?:\\[\s\S]|[^\"\n\\])*")
 
 
 def split_chunks(source: str) -> List[Chunk]:
-    """Split a compilation unit into one chunk per top-level declaration."""
+    """Split a compilation unit into one chunk per top-level declaration,
+    each with the offset of its first depth-zero ``{`` (where a
+    function's body starts; see :class:`Chunk`)."""
     chunks: List[Chunk] = []
     n = len(source)
     i = 0
@@ -75,6 +90,7 @@ def split_chunks(source: str) -> List[Chunk]:
     chunk_start = 0
     chunk_line = 1
     chunk_col = 1
+    chunk_brace = -1
     depth = 0
     search = _STRUCT.search
 
@@ -129,6 +145,8 @@ def split_chunks(source: str) -> List[Chunk]:
             else:
                 raise ChunkError("stray tick")
         elif ch == "{":
+            if depth == 0 and chunk_brace < 0:
+                chunk_brace = i - chunk_start
             depth += 1
             i += 1
         elif ch == "}":
@@ -138,18 +156,20 @@ def split_chunks(source: str) -> List[Chunk]:
                 raise ChunkError("unbalanced braces")
             if depth == 0:
                 chunks.append(Chunk(source[chunk_start:i],
-                                    chunk_line, chunk_col))
+                                    chunk_line, chunk_col, chunk_brace))
                 chunk_start = i
                 chunk_line = line
                 chunk_col = i - line_start + 1
+                chunk_brace = -1
         else:  # ";"
             i += 1
             if depth == 0:
                 chunks.append(Chunk(source[chunk_start:i],
-                                    chunk_line, chunk_col))
+                                    chunk_line, chunk_col, chunk_brace))
                 chunk_start = i
                 chunk_line = line
                 chunk_col = i - line_start + 1
+                chunk_brace = -1
 
     if depth != 0:
         raise ChunkError("unbalanced braces")
@@ -160,7 +180,8 @@ def split_chunks(source: str) -> List[Chunk]:
         if chunks:
             last = chunks[-1]
             chunks[-1] = Chunk(last.text + source[chunk_start:],
-                               last.start_line, last.start_col)
+                               last.start_line, last.start_col,
+                               last.brace, last.end)
         else:
             chunks.append(Chunk(source, chunk_line, chunk_col))
     return chunks

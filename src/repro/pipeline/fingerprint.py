@@ -22,54 +22,34 @@ re-parses — that is what makes on-disk summary persistence sound.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..core.program import ProgramContext
-from ..syntax import ast, pretty
+from ..syntax import pretty
+from ..syntax.lexer import IDENT_PATTERN, NUMBER_PATTERN
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
 
-#: field-name tuples per AST class (``None`` for non-dataclasses),
-#: excluding ``span`` — computed once instead of per node visit.
-_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+#: the lexer's identifier and number tokens; the number alternative
+#: consumes the letters a number token would, so an identifier is
+#: captured only where the lexer would start one.
+_WORDS = re.compile(f"(?:{NUMBER_PATTERN})|({IDENT_PATTERN})")
 
 
-def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
-    try:
-        return _FIELDS[cls]
-    except KeyError:
-        names = tuple(f.name for f in dataclasses.fields(cls)
-                      if f.name != "span") \
-            if dataclasses.is_dataclass(cls) else None
-        _FIELDS[cls] = names
-        return names
+def scan_names(text: str) -> frozenset:
+    """Every identifier-shaped word of ``text``, split the way the
+    lexer splits it (ASCII identifiers; a number takes the letters it
+    can, so ``0x1Fcell`` yields only ``ll``).
 
-
-def collect_names(node) -> Set[str]:
-    """Every string embedded in an AST subtree (identifiers, field
-    names, state names, ...).  Over-approximates the set of referenced
-    declarations, which can only over-invalidate, never under-."""
-    names: Set[str] = set()
-    add = names.add
-    stack = [node]
-    push = stack.append
-    while stack:
-        n = stack.pop()
-        cls = n.__class__
-        if cls is str:
-            add(n)
-        elif cls is list or cls is tuple:
-            for item in n:
-                push(item)
-        else:
-            fields = _field_names(cls)
-            if fields:
-                for name in fields:
-                    push(getattr(n, name))
-    return names
+    Comments, strings and keywords contribute words too, so the set is
+    a superset of the names a function's AST mentions; an extra name
+    can only over-invalidate a summary, never under-.
+    """
+    names = set(_WORDS.findall(text))
+    names.discard("")
+    return frozenset(names)
 
 
 def _render_struct(info) -> str:
@@ -216,7 +196,7 @@ def dependency_renderings(ctx: ProgramContext, names: Iterable[str],
             sig = ctx.functions.get(qual)
             if sig is not None:
                 include(f"f:{qual}", _sig_show(sig))
-        # Module-qualified calls appear as ``M.f``: the AST walk
+        # Module-qualified calls appear as ``M.f``: the name scan
         # collects ``M`` and ``f`` separately, so when this name is a
         # module, include the signatures of its members that the
         # function mentions.
@@ -246,18 +226,12 @@ def cache_checksum(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def function_fingerprint(ctx: ProgramContext, qual: str, fundef: ast.FunDef,
+def function_fingerprint(ctx: ProgramContext, qual: str,
                          own_text: str) -> str:
-    """The summary cache key for one function definition."""
+    """The summary cache key for one function definition, from its own
+    source text (see :func:`scan_names` for the names it references)."""
     module = qual.rpartition(".")[0]
-    # The name set is a function of the AST alone; the pipeline's chunk
-    # cache reuses FunDef objects across checks, so memoise it on the
-    # definition itself.
-    names = fundef.__dict__.get("_pl_names")
-    if names is None:
-        names = frozenset(collect_names(fundef))
-        object.__setattr__(fundef, "_pl_names", names)
-    deps = dependency_renderings(ctx, names, module)
+    deps = dependency_renderings(ctx, scan_names(own_text), module)
     h = hashlib.sha256()
     h.update(qual.encode())
     h.update(b"\x00")

@@ -8,6 +8,13 @@ invalidated:
   chunks (:mod:`repro.pipeline.chunks`); each chunk's AST is cached by
   file name, content hash and position, so editing one function
   re-parses one declaration, not the file;
+* **header-only functions** — a function-definition chunk is parsed
+  only up to its body: elaboration needs signatures alone, and a
+  summary fingerprint reads the function's text, not its AST.  A body
+  is lexed and parsed when its function is flow-checked, and then
+  stays on the cached node.  A body that does not parse on its own
+  sends the check back to one whole-unit parse, so syntax errors are
+  reported exactly as ``check_source`` reports them;
 * **context cache** — the elaborated :class:`ProgramContext` is cached
   by the tuple of chunk hashes (layered on the process-wide stdlib
   base context);
@@ -49,12 +56,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import build_context, check_function_diagnostics
 from ..core.checker import MAX_LOOP_ITERATIONS
-from ..diagnostics import Diagnostic, Reporter, VaultError
+from ..diagnostics import Diagnostic, Pos, Reporter, Span, VaultError
+from ..diagnostics.reporter import source_lines
 from ..obs import Telemetry
 from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context, stdlib_source
 from ..stdlib.loader import base_context_cache_info
 from ..syntax import ast, parse_program, tokenize
+from ..syntax.parser import parse_fun_body, parse_fun_header
 from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultPlan
@@ -102,6 +111,15 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _line_col(chunk: Chunk, offset: int) -> Tuple[int, int]:
+    """Line and column of ``chunk.text[offset]`` in the unit, as the
+    lexer numbers them (only ``\n`` ends a line)."""
+    nl = chunk.text.rfind("\n", 0, offset)
+    if nl < 0:
+        return chunk.start_line, offset + chunk.start_col
+    return chunk.start_line + chunk.text.count("\n", 0, offset), offset - nl
+
+
 class SessionStats:
     """Counters exposed for tests and benchmarks.
 
@@ -116,6 +134,9 @@ class SessionStats:
         self.context_misses = 0
         self.chunk_parses = 0
         self.chunk_hits = 0
+        #: function bodies parsed on their own, when a header-only
+        #: chunk's function had to be checked
+        self.body_parses = 0
         self.whole_parses = 0
         self.functions_checked = 0
         self.functions_replayed = 0
@@ -174,13 +195,24 @@ class _Summary:
             self.entries[(filename, line)] = diags
 
 
+class _WholeUnit(Exception):
+    """A function body failed to parse on its own: redo the check from
+    one whole-unit parse, which reports the unit's first syntax error
+    in source order (or, after a mis-split, parses cleanly)."""
+
+
 class _CtxEntry:
-    __slots__ = ("ctx", "diags", "fn_results", "env_token")
+    __slots__ = ("ctx", "diags", "fn_results", "env_token", "headers")
 
     def __init__(self, ctx, diags: Tuple[Diagnostic, ...],
-                 env_token: str = ""):
+                 env_token: str = "", headers: Sequence = ()):
         self.ctx = ctx
         self.diags = diags
+        #: every header-only definition of the unit, including any a
+        #: duplicate name hides from ``ctx.fun_defs``: a check that
+        #: stops at the context's diagnostics still parses their
+        #: bodies, since ``check_source`` raises a syntax error first.
+        self.headers = headers
         #: per-function diagnostics in merge order, filled in by the
         #: first check against this context — a later check of the
         #: byte-identical source replays without touching fingerprints.
@@ -285,8 +317,12 @@ class CheckSession:
         try:
             with activate_tracer(tracer), \
                     tracer.span("check_unit", filename=filename):
-                return self._check_inner(source, filename, profile,
-                                         started)
+                try:
+                    return self._check_inner(source, filename, profile,
+                                             started)
+                except _WholeUnit:
+                    return self._check_inner(source, filename, profile,
+                                             started, split=False)
         except BaseException as exc:
             # A crash mid-check must not masquerade as a clean (empty)
             # profile: mark it, so post-hoc consumers can tell a
@@ -301,8 +337,8 @@ class CheckSession:
             profile["total_seconds"] = time.perf_counter() - started
 
     def _check_inner(self, source: str, filename: str,
-                     profile: Dict[str, object],
-                     started: float) -> Reporter:
+                     profile: Dict[str, object], started: float,
+                     split: bool = True) -> Reporter:
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         reporter = Reporter(source, filename)
@@ -342,10 +378,13 @@ class CheckSession:
                 else:
                     metrics.counter("cache.stdlib_base.misses").inc()
             reporter.diagnostics.extend(base_diags)
-        entry = self._context_for(source, filename, base)
+        entry = self._context_for(source, filename, base, split)
         profile["context_seconds"] = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
         if not reporter.ok:
+            # check_source parses every body before it elaborates, so
+            # a syntax error outranks these diagnostics.
+            self._parse_bodies(entry.headers, filename)
             self._shared_store_unit(store_unit_key, reporter, 0)
             return self._finish(reporter)
         if entry.fn_results is not None:
@@ -401,13 +440,16 @@ class CheckSession:
 
     # -- context construction ----------------------------------------------
 
-    def _context_for(self, source: str, filename: str, base) -> _CtxEntry:
+    def _context_for(self, source: str, filename: str, base,
+                     split: bool = True) -> _CtxEntry:
         metrics = self.telemetry.metrics
-        with self.telemetry.tracer.span("split_chunks"):
-            try:
-                chunks = split_chunks(source)
-            except ChunkError:
-                chunks = None
+        chunks = None
+        if split:
+            with self.telemetry.tracer.span("split_chunks"):
+                try:
+                    chunks = split_chunks(source)
+                except ChunkError:
+                    pass
         if chunks:
             chunk_keys = [(filename, _sha(c.text), c.start_line,
                            c.start_col) for c in chunks]
@@ -430,7 +472,11 @@ class CheckSession:
         sub = Reporter()
         with self.telemetry.tracer.span("elaborate"):
             ctx = build_context(programs, sub, base=base)
-        entry = _CtxEntry(ctx, tuple(sub.diagnostics), env_token)
+        headers = [prog.decls[0] for prog in programs
+                   if len(prog.decls) == 1
+                   and isinstance(prog.decls[0], ast.FunDef)
+                   and prog.decls[0].body is None]
+        entry = _CtxEntry(ctx, tuple(sub.diagnostics), env_token, headers)
         if len(self._ctx_cache) >= _MAX_CONTEXTS:
             self._evict_traced(self._ctx_cache, "context")
         self._ctx_cache[key] = entry
@@ -441,7 +487,6 @@ class CheckSession:
                chunk_keys: List[_ChunkKey]
                ) -> Tuple[List[ast.Program], str]:
         metrics = self.telemetry.metrics
-        tracer = self.telemetry.tracer
         if not chunks:
             self.stats.whole_parses += 1
             return [parse_program(source, filename)], \
@@ -452,14 +497,7 @@ class CheckSession:
             for chunk, ckey in zip(chunks, chunk_keys):
                 cached = self._ast_cache.get(ckey)
                 if cached is None:
-                    with tracer.span("lex", filename=filename):
-                        tokens = tokenize(chunk.text, filename,
-                                          chunk.start_line, chunk.start_col)
-                    part = self._interface_part(ckey, tokens)
-                    cached = (parse_program(chunk.text, filename,
-                                            first_line=chunk.start_line,
-                                            first_col=chunk.start_col,
-                                            tokens=tokens), part)
+                    cached = self._parse_chunk(chunk, ckey, filename)
                     self.stats.chunk_parses += 1
                     if metrics.enabled:
                         metrics.counter("cache.chunk_ast.misses").inc()
@@ -484,6 +522,79 @@ class CheckSession:
                            f"\x00{self.stdlib!r}")
         return programs, env_token
 
+    def _parse_chunk(self, chunk: Chunk, ckey: _ChunkKey, filename: str
+                     ) -> Tuple[ast.Program, str]:
+        """One chunk-AST entry: the chunk's program and its interface
+        digest.  A function definition is parsed only up to its body
+        (see ``_header_only``); any other chunk is lexed once and
+        parsed whole."""
+        tracer = self.telemetry.tracer
+        if chunk.brace >= 0:
+            with tracer.span("lex", filename=filename):
+                tokens = tokenize(chunk.text[:chunk.brace], filename,
+                                  chunk.start_line, chunk.start_col)
+            fundef = self._header_only(chunk, tokens, filename)
+            if fundef is not None:
+                return (ast.Program(fundef.span, [fundef], filename),
+                        self._interface_part(ckey, tokens))
+        with tracer.span("lex", filename=filename):
+            tokens = tokenize(chunk.text, filename, chunk.start_line,
+                              chunk.start_col)
+        part = self._interface_part(ckey, tokens)
+        return parse_program(chunk.text, filename,
+                             first_line=chunk.start_line,
+                             first_col=chunk.start_col,
+                             tokens=tokens), part
+
+    def _header_only(self, chunk: Chunk, tokens: List[Token],
+                     filename: str) -> Optional[ast.FunDef]:
+        """A body-less ``FunDef`` from the header tokens (the text
+        before ``chunk.brace``), or ``None`` when the chunk needs a
+        full parse: it is led by a declaration keyword, its header is
+        not exactly one function header, or tokens follow its body.
+
+        The definition's span is the one a full parse gives it, ending
+        at the body's closing brace, so its own text (and fingerprint)
+        reads the function's lines without the body.  The body's text
+        and position ride on the node until ``_parse_bodies`` needs
+        them.
+        """
+        if tokens[0].kind in self._DECL_CHUNK_KINDS \
+                or chunk.text[chunk.end:].strip(" \t\r\n"):
+            return None
+        try:
+            decl = parse_fun_header(tokens, filename)
+        except VaultError:
+            return None
+        line, col = _line_col(chunk, chunk.end - 1)
+        span = Span(decl.span.start, Pos(line, col + 1, chunk.end), filename)
+        fundef = ast.FunDef(span, decl, None)
+        fundef._pl_body = (chunk.text[chunk.brace:chunk.end],
+                           *_line_col(chunk, chunk.brace))
+        return fundef
+
+    def _parse_bodies(self, fundefs: Sequence[ast.FunDef],
+                      filename: str) -> None:
+        """Parse the body of every header-only definition in
+        ``fundefs`` that has none yet.  Each body is lexed once, in
+        place, and stays on its (cached) node.  A body that does not
+        parse on its own raises ``_WholeUnit``."""
+        tracer = self.telemetry.tracer
+        for fundef in fundefs:
+            pending = fundef.__dict__.pop("_pl_body", None)
+            if pending is None:
+                continue
+            text, line, col = pending
+            try:
+                with tracer.span("lex", filename=filename):
+                    tokens = tokenize(text, filename, line, col)
+                with tracer.span("parse", filename=filename):
+                    fundef.body = parse_fun_body(tokens, filename)
+            except VaultError:
+                fundef._pl_body = pending
+                raise _WholeUnit() from None
+            self.stats.body_parses += 1
+
     #: first-token kinds of chunks whose whole text is their interface
     #: (type/variant/struct/stateset/key declarations, interfaces and
     #: modules — anything that can contribute more than one signature
@@ -499,9 +610,10 @@ class CheckSession:
 
         For a function-definition chunk only the header (tokens up to
         the body's opening brace — return type, name, parameters,
-        effect clause) feeds the digest: body edits must not disturb
-        the env token, that is the whole point of the memo.  Any chunk
-        led by a declaration keyword digests its full text (its content
+        effect clause; a header-only parse lexes nothing else) feeds
+        the digest: body edits must not disturb the env token, that is
+        the whole point of the memo.  Any chunk led by a declaration
+        keyword digests its full text (its content
         hash) — conservative, but those chunks can define types, keys
         or whole modules whose every detail other fingerprints may see.
         The digest is cached with the chunk's AST, so it never depends
@@ -554,7 +666,7 @@ class CheckSession:
         fn_items = ctx.defined_functions()
         results: Dict[str, Tuple[Diagnostic, ...]] = {}
         to_check: List[Tuple[str, ast.FunDef, str]] = []  # qual, def, fp
-        source_lines = source.splitlines()
+        lines = source_lines(source)
         memoized = 0
         with self.telemetry.tracer.span("fingerprint",
                                         functions=len(fn_items)):
@@ -571,8 +683,7 @@ class CheckSession:
                     memoized += 1
                 else:
                     fp = function_fingerprint(
-                        ctx, qual, fundef,
-                        self._own_text(fundef, source_lines, filename))
+                        ctx, qual, self._own_text(fundef, lines, filename))
                     if env_token:
                         object.__setattr__(fundef, "_pl_fp",
                                            (env_token, fp))
@@ -604,6 +715,10 @@ class CheckSession:
             to_check = self._shared_fetch_summaries(to_check, results)
         self.last_profile["plan"] = \
             f"checked {len(to_check)} of {len(fn_items)} function(s)"
+        parsed = self.stats.body_parses
+        self._parse_bodies([fundef for _, fundef, _ in to_check], filename)
+        self.last_profile["bodies"] = (self.stats.body_parses - parsed,
+                                       len(fn_items))
         if to_check:
             checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
@@ -637,17 +752,18 @@ class CheckSession:
             out.append(diags)
         return out
 
-    def _own_text(self, fundef: ast.FunDef, source_lines: List[str],
+    def _own_text(self, fundef: ast.FunDef, unit_lines: List[str],
                   filename: str) -> str:
-        """The exact source text of one definition (position-free)."""
+        """The exact source text of one definition's lines
+        (position-free), split the way the lexer numbers lines."""
         span = fundef.span
         if span.filename == filename:
-            lines = source_lines
+            lines = unit_lines
         elif span.filename.startswith("<stdlib:"):
             unit = span.filename[len("<stdlib:"):-1]
             lines = self._stdlib_lines.get(unit)
             if lines is None:
-                lines = stdlib_source(unit).splitlines()
+                lines = source_lines(stdlib_source(unit))
                 self._stdlib_lines[unit] = lines
         else:
             return ""

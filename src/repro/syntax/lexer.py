@@ -55,6 +55,14 @@ _OPERATORS1.update({"=": T.ASSIGN, "+": T.PLUS, "-": T.MINUS,
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
 
+#: Identifier and number tokens.  A number takes every letter it can
+#: (hex digits, an exponent), so ``0x1Fcell`` lexes as ``0x1Fce`` then
+#: the identifier ``ll``; the fingerprint's name scan
+#: (:func:`repro.pipeline.fingerprint.scan_names`) splits text the
+#: same way.
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMBER_PATTERN = r"0[xX][0-9a-fA-F]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+
 #: One master pattern: a greedy trivia prefix, then the token branches.
 #: Branch order resolves ambiguities (two-char operators before their
 #: one-char prefixes, hex before decimal).  ``OPEN`` is a ``/*`` the
@@ -65,8 +73,8 @@ _MASTER = re.compile(
     r"""
     (?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)*
     (?:
-      (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<NUMBER>0[xX][0-9a-fA-F]*|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+      (?P<IDENT>""" + IDENT_PATTERN + r""")
+    | (?P<NUMBER>""" + NUMBER_PATTERN + r""")
     | (?P<STRING>"(?:[^"\\\n]|\\[^\n])*")
     | (?P<OP2>->|&&|\|\||==|!=|<=|>=|\+\+|--|\+=|-=)
     | (?P<OPEN>/\*)

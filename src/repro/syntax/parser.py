@@ -331,20 +331,25 @@ class Parser:
         return ast.Param(self._span_from(start), ptype, name)
 
     def parse_fun(self, allow_body: bool) -> ast.Decl:
+        decl = self.parse_fun_header()
+        if self._accept(T.SEMI):
+            return decl
+        if not allow_body:
+            self._expect(T.SEMI)
+        body = self.parse_block()
+        return ast.FunDef(self._span_from(decl.span), decl, body)
+
+    def parse_fun_header(self) -> ast.FunDecl:
+        """Return type, name, type parameters, parameters and effect
+        clause: everything before a definition's body."""
         start = self._peek().span
         ret = self.parse_type()
         name = self._expect(T.IDENT, "function name").text
         type_params = self.parse_type_params()
         params = self.parse_params()
         effect = self.parse_effect_opt()
-        decl = ast.FunDecl(self._span_from(start), ret, name, params, effect,
+        return ast.FunDecl(self._span_from(start), ret, name, params, effect,
                            type_params)
-        if self._accept(T.SEMI):
-            return decl
-        if not allow_body:
-            self._expect(T.SEMI)
-        body = self.parse_block()
-        return ast.FunDef(self._span_from(start), decl, body)
 
     # -- effect clauses ----------------------------------------------------------
 
@@ -889,6 +894,27 @@ def parse_program(source: str, filename: str = "<input>",
     parser._owns_tokens = owns
     with tracer.span("parse", filename=filename):
         return parser.parse_program()
+
+
+def parse_fun_header(tokens: List[Token],
+                     filename: str = "<input>") -> ast.FunDecl:
+    """Parse exactly one function header from its tokens: the text of
+    a definition before its body's ``{``.  Raises :class:`ParseError`
+    on anything else."""
+    parser = Parser(tokens, filename)
+    decl = parser.parse_fun_header()
+    parser._expect(T.EOF)
+    return decl
+
+
+def parse_fun_body(tokens: List[Token],
+                   filename: str = "<input>") -> ast.Block:
+    """Parse exactly one function body, a ``{ ... }`` block, from its
+    tokens.  Raises :class:`ParseError` on anything else."""
+    parser = Parser(tokens, filename)
+    body = parser.parse_block()
+    parser._expect(T.EOF)
+    return body
 
 
 def parse_type(source: str, filename: str = "<type>") -> ast.Type:

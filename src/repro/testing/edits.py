@@ -1,0 +1,345 @@
+"""Edit-sequence differential fuzzing: incremental state must never
+change an answer.
+
+The plain fuzz loop (:mod:`repro.testing.fuzz`) re-checks the *same*
+program in a warm session; no path ever edits.  This module walks a
+seeded *sequence of revisions* of one unit the way an editor or a CI
+rebuild would, and asserts that every revision renders byte-identically
+to a from-scratch :func:`repro.check_source`, whatever the session saw
+before.  The invariant is the paper's modularity (§3): a function's
+verdict depends only on its own text and the declarations it sees.
+
+Each sequence is walked two ways:
+
+``session``
+    one :class:`~repro.pipeline.CheckSession` checks every revision
+    (what ``vaultc watch`` and the daemon do);
+``cache-dir``
+    a fresh ``CheckSession(cache_dir=DIR)`` per revision over one
+    shared ``DIR`` (what a CI rebuild running ``vaultc check --cache
+    DIR`` does).
+
+and then both walks run again with the session's cache caps patched
+down to :data:`SMALL_CAP`, so that evictions interleave with edits.
+
+A syntax error is an outcome too: every path must raise the same
+error message that ``check_source`` raises.
+
+Everything is a pure function of the seed: ``edit_sequence(seed)``
+always yields the same revisions.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+import shutil
+import tempfile
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro import check_source
+from repro.diagnostics import VaultError
+from repro.testing.differential import canonical_stdout
+
+__all__ = ["EDIT_KINDS", "SMALL_CAP", "Revision", "EditDivergence",
+           "EditFuzzReport", "edit_sequence", "run_edit_fuzz"]
+
+#: every edit the generator applies (``start`` is the first revision).
+EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
+              "blank_delete", "effect_clause", "signature", "struct_field",
+              "syntax_error", "form_feed", "revert", "rename_file")
+
+#: the cache cap the second walk patches onto the session module.
+SMALL_CAP = 8
+
+_CAPS = ("_MAX_CHUNK_ASTS", "_MAX_CONTEXTS", "_MAX_SUMMARIES")
+
+#: a top-level function definition's first line (column 0, ends in
+#: ``{``), and the line that closes it.
+_FUN_HEAD = re.compile(r"^[A-Za-z_][^\n;={}]*\([^\n;{}]*\)[^\n;{}]*\{$")
+_INT = re.compile(r"(?<![\w.])\d+(?![\w.])")
+_RETURN = re.compile(r"^\s*return \w[^;]*;$")
+_CALL = re.compile(r"^\s*[\w.]+\([^;]*\);$")
+_PARAM = re.compile(r"\((?:int|bool) (\w+)")
+_EFFECT = re.compile(r"\[(-?)(\w+)@(\w+)(->\w+)?\]")
+_STRUCT = re.compile(r"^struct \w+ \{", re.M)
+_VARIANT_KEY = re.compile(r"\{(\w+)@(\w+)\}")
+
+
+@dataclass(frozen=True)
+class Revision:
+    """One saved revision of the unit."""
+
+    kind: str          # the edit that produced it (``start`` first)
+    source: str
+    filename: str
+
+
+@dataclass
+class EditDivergence:
+    """A revision whose rendering differed from ``check_source``."""
+
+    sequence_seed: int
+    revision: int                 # index into the sequence
+    kinds: List[str]              # edit kinds up to and including it
+    path: str                     # e.g. ``session`` or ``cache-dir/cap8``
+    expected: str
+    actual: str
+
+
+@dataclass
+class EditFuzzReport:
+    """Summary of one ``run_edit_fuzz`` invocation."""
+
+    seed: int
+    count: int
+    revisions: int = 0
+    paths: List[str] = field(default_factory=list)
+    kinds: Dict[str, int] = field(default_factory=dict)
+    divergences: List[EditDivergence] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.divergences
+
+
+# ---------------------------------------------------------------------------
+# The edit generator
+# ---------------------------------------------------------------------------
+
+def _functions(lines: List[str]) -> List[Tuple[int, int]]:
+    """``(head, close)`` line indices of each top-level definition."""
+    spans = []
+    for i, line in enumerate(lines):
+        if _FUN_HEAD.match(line) and not line.startswith(
+                ("struct", "interface", "module", "variant", "extern")):
+            for j in range(i + 1, len(lines)):
+                if lines[j] == "}":
+                    spans.append((i, j))
+                    break
+    return spans
+
+
+def _base_unit(rng: random.Random) -> str:
+    from repro.analysis import synthesize_program
+    from repro.testing.generate import generate_program
+    if rng.random() < 0.5:
+        return generate_program(rng.randrange(1 << 30)).source
+    return synthesize_program(rng.randint(4, 16), seed=rng.randrange(1 << 30),
+                              error_rate=rng.choice((0.0, 0.3, 1.0)))
+
+
+def _edit(rng: random.Random, kind: str, lines: List[str]) -> bool:
+    """Apply one edit of ``kind`` to ``lines`` in place; False when the
+    unit offers no place for it."""
+    funs = _functions(lines)
+    if not funs:
+        return False
+    head, close = rng.choice(funs)
+    if kind == "body_constant":
+        # An integer literal, or a constant added to a return value.
+        spots = [(i, m.start(), m.end()) for i in range(head + 1, close)
+                 for m in _INT.finditer(lines[i])]
+        spots += [(i, len(lines[i]) - 1, len(lines[i]) - 1)
+                  for i in range(head + 1, close)
+                  if _RETURN.match(lines[i])]
+        if not spots:
+            return False
+        i, start, end = rng.choice(spots)
+        constant = str(rng.randint(0, 99))
+        if start == end:
+            constant = f" + {constant}"
+        lines[i] = lines[i][:start] + constant + lines[i][end:]
+    elif kind == "body_call":
+        # Comment out or repeat a call statement in place: usually
+        # flips a verdict (a leak, a double consume, a wrong state)
+        # without moving any line.
+        calls = [i for i in range(head + 1, close) if _CALL.match(lines[i])]
+        if not calls:
+            return False
+        i = rng.choice(calls)
+        if rng.random() < 0.5:
+            lines[i] = "//" + lines[i]
+        else:
+            lines[i] += " " + lines[i].strip()
+    elif kind == "blank_above":
+        lines.insert(head, "")
+    elif kind == "blank_inside":
+        lines.insert(rng.randint(head + 1, close), "")
+    elif kind == "blank_delete":
+        blanks = [i for i, line in enumerate(lines) if not line.strip()]
+        if not blanks:
+            return False
+        del lines[rng.choice(blanks)]
+    elif kind == "effect_clause":
+        # A declared effect clause (an interface operation's, usually):
+        # retarget its post-state, so every caller's view changes.
+        spots = [(i, m) for i, line in enumerate(lines)
+                 for m in _EFFECT.finditer(line)]
+        if not spots:
+            return False
+        i, m = rng.choice(spots)
+        states = sorted(set(re.findall(r"\bq\d+\b", "\n".join(lines))))
+        state = rng.choice(states) if states else m.group(3)
+        new = f"[-{m.group(2)}@{state}]" if m.group(1) \
+            else f"[{m.group(2)}@{m.group(3)}->{state}]"
+        lines[i] = lines[i][:m.start()] + new + lines[i][m.end():]
+    elif kind == "signature":
+        m = _PARAM.search(lines[head])
+        if m is None:
+            return False
+        if rng.random() < 0.5:
+            lines[head] = (lines[head][:m.start(1)] + m.group(1) + "2"
+                           + lines[head][m.end(1):])
+        else:
+            lines[head] = lines[head].replace("(", "(int extra, ", 1)
+    elif kind == "struct_field":
+        text = "\n".join(lines)
+        if _STRUCT.search(text):
+            i = next(i for i, line in enumerate(lines)
+                     if _STRUCT.match(line))
+            if "int pad;" in lines[i]:
+                lines[i] = lines[i].replace(" int pad;", "", 1)
+            else:
+                lines[i] = lines[i].replace("{", "{ int pad;", 1)
+        else:
+            spots = [(i, m) for i, line in enumerate(lines)
+                     if line.startswith("variant")
+                     for m in _VARIANT_KEY.finditer(line)]
+            if not spots:
+                return False
+            i, m = rng.choice(spots)
+            state = "q1" if m.group(2) != "q1" else "q0"
+            lines[i] = (lines[i][:m.start()] + f"{{{m.group(1)}@{state}}}"
+                        + lines[i][m.end():])
+    elif kind == "syntax_error":
+        ends = [i for i in range(head + 1, close)
+                if lines[i].rstrip().endswith(";")]
+        if not ends:
+            return False
+        i = rng.choice(ends)
+        lines[i] = lines[i].rstrip()[:-1] + " + ;"
+    elif kind == "form_feed":
+        lines.insert(head, "// \f\f\f")
+    else:
+        raise ValueError(f"unknown edit kind {kind!r}")
+    return True
+
+
+def edit_sequence(seed: int, length: int = 8) -> List[Revision]:
+    """A seeded sequence of ``length`` revisions of one unit.
+
+    A syntax error is always followed by its repair (the revision
+    before it, re-saved), as an editor session would produce.
+    """
+    rng = random.Random(seed)
+    source = _base_unit(rng)
+    filename = f"edit-{seed}.vlt"
+    revisions = [Revision("start", source, filename)]
+    while len(revisions) < length:
+        last = revisions[-1]
+        if last.kind == "syntax_error":
+            repaired = revisions[-2]
+            revisions.append(Revision("repair", repaired.source, filename))
+            continue
+        kind = rng.choice(EDIT_KINDS)
+        if kind == "revert":
+            earlier = rng.choice(revisions[:-1] or revisions)
+            revisions.append(Revision(kind, earlier.source, filename))
+            continue
+        if kind == "rename_file":
+            revisions.append(Revision(kind, last.source, "other.vlt"))
+            continue
+        lines = last.source.split("\n")
+        if _edit(rng, kind, lines):
+            revisions.append(Revision(kind, "\n".join(lines), filename))
+    return revisions
+
+
+# ---------------------------------------------------------------------------
+# Walking a sequence
+# ---------------------------------------------------------------------------
+
+def _outcome(check: Callable[[], object], filename: str) -> str:
+    """What ``vaultc check`` reports: stdout bytes, or the error."""
+    try:
+        report = check()
+    except VaultError as exc:
+        return f"error: {exc}\n"
+    return canonical_stdout(report.ok, report.render(), len(report.errors),
+                            filename)
+
+
+@contextmanager
+def _caps(value: Optional[int]) -> Iterator[str]:
+    """Patch the session's cache caps to ``value`` (``None``: leave
+    them); yields the path-name suffix."""
+    if value is None:
+        yield ""
+        return
+    from repro.pipeline import session as session_mod
+    saved = {name: getattr(session_mod, name) for name in _CAPS}
+    try:
+        for name in _CAPS:
+            setattr(session_mod, name, value)
+        yield f"/cap{value}"
+    finally:
+        for name, old in saved.items():
+            setattr(session_mod, name, old)
+
+
+def walk(revisions: List[Revision], sequence_seed: int = 0,
+         caps: Optional[int] = None) -> Tuple[List[str],
+                                               List[EditDivergence]]:
+    """Check ``revisions`` through both session paths; returns the
+    path names and every divergence from ``check_source``."""
+    from repro.pipeline import CheckSession
+    expected = [_outcome(lambda r=r: check_source(r.source, r.filename),
+                         r.filename) for r in revisions]
+    divergences: List[EditDivergence] = []
+    cache_dir = tempfile.mkdtemp(prefix="vault-edits-")
+    try:
+        with _caps(caps) as suffix:
+            session = CheckSession()
+            walks = {
+                f"session{suffix}":
+                    lambda r: session.check(r.source, r.filename),
+                f"cache-dir{suffix}":
+                    lambda r: CheckSession(cache_dir=cache_dir).check(
+                        r.source, r.filename),
+            }
+            for path, check in walks.items():
+                for index, rev in enumerate(revisions):
+                    actual = _outcome(lambda: check(rev), rev.filename)
+                    if actual != expected[index]:
+                        divergences.append(EditDivergence(
+                            sequence_seed, index,
+                            [r.kind for r in revisions[:index + 1]],
+                            path, expected[index], actual))
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+    return list(walks), divergences
+
+
+def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
+    """Walk ``count`` seeded edit sequences, at the session's own cache
+    caps and again at :data:`SMALL_CAP`."""
+    from repro.testing.fuzz import derive_seed
+    report = EditFuzzReport(seed=seed, count=count)
+    kinds: Counter = Counter()
+    for index in range(count):
+        sequence_seed = derive_seed(seed, index)
+        revisions = edit_sequence(sequence_seed, length)
+        report.revisions += len(revisions)
+        kinds.update(rev.kind for rev in revisions)
+        for caps in (None, SMALL_CAP):
+            paths, found = walk(revisions, sequence_seed, caps)
+            report.divergences.extend(found)
+            for path in paths:
+                if path not in report.paths:
+                    report.paths.append(path)
+    report.kinds = dict(sorted(kinds.items()))
+    return report

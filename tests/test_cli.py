@@ -148,6 +148,26 @@ class TestObservability:
         assert "functions replayed" in err
         # GOOD is two chunks (the struct and main), both parsed fresh.
         assert "  chunks                 parsed 2 / reused 0\n" in err
+        assert "  bodies                 parsed 1 of 1 functions\n" in err
+
+    def test_profile_bodies_row_after_one_edit(self, tmp_path, capsys):
+        # A fresh `--cache DIR` process after a one-constant edit parses
+        # the edited function's body and no other.
+        from repro.analysis import synthesize_program
+        source = synthesize_program(12, seed=3)
+        at = source.index("c.value += ", len(source) // 2)
+        edited = source[:at] + "c.value += 4242" + \
+            source[source.index(";", at):]
+        path = tmp_path / "unit.vlt"
+        cache = str(tmp_path / "cache")
+        path.write_text(source)
+        assert main(["check", str(path), "--cache", cache]) == 0
+        path.write_text(edited)
+        capsys.readouterr()
+        assert main(["check", str(path), "--cache", cache,
+                     "--profile"]) == 0
+        err = capsys.readouterr().err
+        assert "  bodies                 parsed 1 of 12 functions\n" in err
 
     def test_profile_chunks_row_after_one_chunk_edit(self):
         import io

@@ -19,6 +19,8 @@ from repro import check_source
 from repro.testing import (DifferentialHarness, DifferentialResult,
                            GenConfig, canonical_stdout, derive_seed,
                            generate_program, run_fuzz, shrink)
+from repro.testing.edits import (EDIT_KINDS, SMALL_CAP, edit_sequence,
+                                 run_edit_fuzz, walk)
 from repro.testing.generate import INTENTS, VIOLATION_INTENTS
 from repro.testing.shrink import split_decls
 
@@ -229,6 +231,68 @@ class TestFuzzLoop:
         assert len(record.shrunk) < len(record.source)
         # the shrunk reproducer still diverges under the same harness
         assert _DivergingHarness().check(record.shrunk, "r.vlt").divergent
+
+
+# ---------------------------------------------------------------------------
+# Edit sequences
+# ---------------------------------------------------------------------------
+
+#: an edit sequence holding a form-feed comment above a function whose
+#: verdict a later in-place edit flips (found on the code that numbered
+#: lines with ``str.splitlines``).
+FORM_FEED_SEQUENCE = 1508281213
+
+
+class TestEditSequences:
+    def test_same_seed_same_revisions(self):
+        for seed in (0, 3, FORM_FEED_SEQUENCE):
+            assert edit_sequence(seed) == edit_sequence(seed)
+
+    def test_every_edit_kind_is_reachable(self):
+        seen = set()
+        for seed in range(40):
+            seen.update(rev.kind for rev in edit_sequence(seed, 12))
+        assert set(EDIT_KINDS) <= seen, set(EDIT_KINDS) - seen
+
+    def test_a_syntax_error_is_followed_by_its_repair(self):
+        for seed in range(40):
+            revisions = edit_sequence(seed, 12)
+            for i, rev in enumerate(revisions[:-1]):
+                if rev.kind == "syntax_error":
+                    assert revisions[i + 1].kind == "repair"
+                    assert revisions[i + 1].source == \
+                        revisions[i - 1].source
+
+    def test_small_batch_has_no_divergence(self):
+        report = run_edit_fuzz(3, seed=11)
+        assert report.ok, [(d.sequence_seed, d.revision, d.path)
+                           for d in report.divergences]
+        assert report.paths == ["session", "cache-dir", "session/cap8",
+                                "cache-dir/cap8"]
+        assert report.revisions == 24
+
+    def test_caps_are_restored_after_the_small_cap_walk(self):
+        from repro.pipeline import session as session_mod
+        before = {name: getattr(session_mod, name) for name in
+                  ("_MAX_CHUNK_ASTS", "_MAX_CONTEXTS", "_MAX_SUMMARIES")}
+        walk(edit_sequence(2, 3), caps=SMALL_CAP)
+        assert before == {name: getattr(session_mod, name)
+                          for name in before}
+
+    def test_walk_catches_a_stale_summary(self, monkeypatch):
+        # Number the session's lines as str.splitlines does: a form
+        # feed then shifts every later function's own text, and an
+        # in-place edit near a function's end replays a stale summary.
+        from repro.pipeline import session as session_mod
+        revisions = edit_sequence(FORM_FEED_SEQUENCE)
+        assert "form_feed" in [rev.kind for rev in revisions]
+        assert walk(revisions)[1] == []
+        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        paths, divergences = walk(revisions, FORM_FEED_SEQUENCE)
+        assert {d.path for d in divergences} == set(paths)
+        first = divergences[0]
+        assert first.kinds[-1] == "body_call"
+        assert first.expected != first.actual
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ import pytest
 from repro import check_source
 from repro.analysis import synthesize_program
 from repro.core import program_cfgs
+from repro.diagnostics import VaultError
 from repro.pipeline import CheckSession, ChunkError, split_chunks
 from repro.stdlib import stdlib_context
-from repro.syntax import parse_program
+from repro.syntax import ast, parse_program
 from repro.testing import canonical_stdout
 
 UNITS = ["region"]
@@ -64,6 +65,15 @@ class TestSplitChunks:
         chunks = split_chunks(source)
         assert "".join(c.text for c in chunks) == source
         assert len(chunks) == 21  # struct cell + 20 functions
+
+    def test_brace_and_end_mark_the_body(self):
+        chunks = split_chunks(PROTO + "// trailing\n")
+        bodies = [c.text[c.brace:c.end] for c in chunks if c.brace >= 0]
+        assert bodies == ["{\n    advance();\n}",
+                          "{\n    int y = x + 1;\n    return y;\n}"]
+        assert all(c.end == len(c.text) for c in chunks[:-1])
+        last = chunks[-1]
+        assert last.text[last.end:] == "\n// trailing\n"
 
     def test_positions_match_parse(self):
         source = PROTO
@@ -533,6 +543,166 @@ class TestChunkAstCache:
         assert [_env_token(session, text) for text in revisions] == fresh
         snapshot = session.telemetry.metrics.snapshot()
         assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Header-only function chunks: a body is parsed when its function is
+# checked, and stays parsed
+# ---------------------------------------------------------------------------
+
+def _outcome(check, source, filename):
+    """The rendered report, or the syntax error ``check`` raises."""
+    try:
+        return check(source, filename).render()
+    except VaultError as exc:
+        return f"error: {exc}"
+
+
+def _plain(source, filename):
+    return check_source(source, filename, units=UNITS)
+
+
+#: two bodies with syntax errors; the later one sorts first by name.
+_TWO_BROKEN = """\
+int zeta(int x) {
+    int y = x + ;
+    return y;
+}
+
+int alpha(int x) {
+    return x * ;
+}
+"""
+
+
+class TestHeaderOnlyChunks:
+    def test_cold_check_parses_every_body_once(self):
+        source = synthesize_program(12, seed=3, error_rate=0.3)
+        session = fresh_session()
+        assert session.check(source, "unit.vlt").render() == \
+            _plain(source, "unit.vlt").render()
+        assert session.stats.body_parses == 12
+        assert session.last_profile["bodies"] == (12, 12)
+
+    def test_header_spans_match_a_full_parse(self):
+        source = synthesize_program(6, seed=3, error_rate=0.5) + PROTO
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        ctx = list(session._ctx_cache.values())[-1].ctx
+        whole = {d.decl.name: d for d in
+                 parse_program(source, "unit.vlt").decls
+                 if isinstance(d, ast.FunDef)}
+        assert set(ctx.fun_defs) == set(whole)
+        assert session.stats.body_parses == len(whole)
+        for name, fundef in ctx.fun_defs.items():
+            a, b = fundef.span, whole[name].span
+            assert (a.start.line, a.start.col, a.end.line, a.end.col) == \
+                (b.start.line, b.start.col, b.end.line, b.end.col), name
+
+    def test_fresh_cached_session_parses_only_the_edited_body(self,
+                                                             tmp_path):
+        source = synthesize_program(12, seed=3, error_rate=0.3)
+        cache_dir = str(tmp_path / "cache")
+        fresh_session(cache_dir=cache_dir).check(source, "unit.vlt")
+        edited = _body_edit(source)
+        session = fresh_session(cache_dir=cache_dir)
+        report = session.check(edited, "unit.vlt")
+        assert session.stats.body_parses == 1
+        assert session.stats.functions_checked == 1
+        assert session.last_profile["bodies"] == (1, 12)
+        assert report.render() == _plain(edited, "unit.vlt").render()
+
+    def test_interface_edit_reparses_no_held_body(self):
+        # A struct edit re-checks every function that uses the struct,
+        # but the session already holds their bodies.  (The edit keeps
+        # the line's length: the next chunk starts on that line, and
+        # its cache key holds its column.)
+        source = synthesize_program(8, seed=4)
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        assert session.stats.body_parses == 8
+        edited = source.replace("{ int value; int extra; }",
+                                "{ int extra; int value; }", 1)
+        assert edited != source
+        report = session.check(edited, "unit.vlt")
+        assert len(session.stats.last_checked) == 8
+        assert session.stats.body_parses == 8
+        assert report.render() == _plain(edited, "unit.vlt").render()
+
+    def test_body_syntax_errors_report_the_first_in_source_order(
+            self, tmp_path):
+        clean = _TWO_BROKEN.replace(" + ;", ";").replace(" * ;", ";")
+        expected = _outcome(_plain, _TWO_BROKEN, "two.vlt")
+        assert expected.startswith("error: two.vlt:2:")
+        warm = fresh_session()
+        warm.check(clean, "two.vlt")
+        cache_dir = str(tmp_path / "cache")
+        fresh_session(cache_dir=cache_dir).check(clean, "two.vlt")
+        cached = fresh_session(cache_dir=cache_dir)
+        assert _outcome(warm.check, _TWO_BROKEN, "two.vlt") == expected
+        assert _outcome(cached.check, _TWO_BROKEN, "two.vlt") == expected
+        # The repaired text checks again, in both sessions.
+        repaired = _TWO_BROKEN.replace(" + ;", " + 1;") \
+            .replace(" * ;", " * 2;")
+        for session in (warm, fresh_session(cache_dir=cache_dir)):
+            assert session.check(repaired, "two.vlt").render() == \
+                _plain(repaired, "two.vlt").render()
+
+    def test_syntax_error_outranks_context_diagnostics(self):
+        # A duplicate definition is an elaboration error, so no
+        # function is checked; check_source still raises the syntax
+        # error in the body the duplicate hides.
+        source = ("int f(int x) { return x + ; }\n"
+                  "int f(int x) { return x; }\n")
+        expected = _outcome(_plain, source, "dup.vlt")
+        assert expected.startswith("error: dup.vlt:1:")
+        session = fresh_session()
+        assert _outcome(session.check, source, "dup.vlt") == expected
+        assert _outcome(session.check, source, "dup.vlt") == expected
+
+    @pytest.mark.parametrize("tail", [" junk\n", "\n\f\n", "\n// end\n"])
+    def test_text_after_the_last_body_takes_the_full_parse(self, tail):
+        source = synthesize_program(3, seed=5) + tail
+        expected = _outcome(_plain, source, "tail.vlt")
+        session = fresh_session()
+        for _ in range(2):
+            assert _outcome(session.check, source, "tail.vlt") == expected
+
+
+class TestLineNumbering:
+    """Lines end at ``\\n`` only, as the lexer counts them."""
+
+    LEAK = ("// \f\f\f\n"
+            "int f(int input) {\n"
+            "    tracked(R) region rgn = Region.create();\n"
+            "    Region.delete(rgn);\n"
+            "    return input;\n"
+            "}\n")
+
+    def test_form_feed_comment_does_not_replay_a_stale_summary(self):
+        session = fresh_session()
+        assert session.check(self.LEAK, "ff.vlt").ok
+        edited = self.LEAK.replace("    return input;",
+                                   "    Region.delete(rgn); return input;")
+        expected = _plain(edited, "ff.vlt")
+        assert not expected.ok
+        assert session.check(edited, "ff.vlt").render() == expected.render()
+
+    def test_excerpt_quotes_the_reported_line(self):
+        edited = self.LEAK.replace("    return input;",
+                                   "    Region.delete(rgn); return input;")
+        rendered = _plain(edited, "ff.vlt").render()
+        assert "V0303" in rendered
+        assert "   5 |     Region.delete(rgn); return input;" in rendered
+
+    def test_crlf_renders_like_lf(self):
+        source = synthesize_program(4, seed=6, error_rate=1.0)
+        crlf = source.replace("\n", "\r\n")
+        assert not _plain(source, "u.vlt").ok
+        assert _plain(crlf, "u.vlt").render() == \
+            _plain(source, "u.vlt").render()
+        assert fresh_session().check(crlf, "u.vlt").render() == \
+            _plain(source, "u.vlt").render()
 
 
 # ---------------------------------------------------------------------------
