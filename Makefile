@@ -33,8 +33,9 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_checker_scaling.py \
 	    benchmarks/bench_incremental.py -q --benchmark-disable
 
-# Resilience smoke: a corrupted summary cache must be quarantined and
-# rebuilt, with byte-identical diagnostics.
+# Resilience smoke: a corrupted summary pack (--cache DIR) must be
+# quarantined under DIR/corrupt/ and rebuilt, with byte-identical
+# diagnostics.
 chaos-smoke:
 	$(PYTHON) benchmarks/chaos_smoke.py
 
@@ -75,7 +76,8 @@ daemon-chaos-smoke:
 # live check daemon; then 40 seeded edit sequences, walked by one
 # session and by a fresh --cache DIR session per revision (at the
 # session's cache caps and at caps of 8), must match check_source on
-# every revision — zero divergences.
+# every revision — zero divergences; each --cache DIR walk corrupts its
+# summary pack once, and at least one quarantine must be exercised.
 # Writes the "fuzz" block of BENCH_checker.json.
 fuzz-smoke:
 	$(PYTHON) benchmarks/fuzz_smoke.py

@@ -1,9 +1,9 @@
 """A fast resilience smoke check (the ``make chaos-smoke`` gate).
 
-Corrupts the on-disk summary cache and asserts quarantine-and-rebuild:
-the damaged file is moved aside for post-mortems, the check still
-prints the serial answer, and the rebuilt cache replays on the next
-run.
+Corrupts the summary pack (the one store object ``--cache DIR`` keeps)
+and asserts quarantine-and-rebuild: the damaged object is moved under
+``DIR/corrupt/`` for post-mortems, the check still prints the serial
+answer, and the rebuilt pack replays on the next run.
 
 Usable both as a script (``python benchmarks/chaos_smoke.py``) and as
 a pytest module.
@@ -28,7 +28,7 @@ def test_corrupt_cache_is_quarantined():
     with tempfile.TemporaryDirectory() as cache_dir:
         with CheckSession(units=UNITS, cache_dir=cache_dir) as writer:
             writer.check(source)
-        path = os.path.join(cache_dir, "summaries.pkl")
+        path = writer.pack_path
         with open(path, "r+b") as handle:
             data = handle.read()
             handle.seek(len(data) // 2)
@@ -38,17 +38,17 @@ def test_corrupt_cache_is_quarantined():
             rendered = victim.check(source).render()
         assert rendered == expected
         assert victim.stats.cache_quarantines == 1
-        quarantined = [name for name in os.listdir(cache_dir)
-                       if name.startswith("summaries.pkl.corrupt.")]
-        assert quarantined, \
-            "the corrupt original must be preserved for post-mortems"
+        quarantined = os.listdir(os.path.join(cache_dir, "corrupt"))
+        assert [name.startswith(os.path.basename(path) + ".corrupt.")
+                for name in quarantined] == [True], \
+            "the corrupt pack must be preserved for post-mortems"
 
         with CheckSession(units=UNITS, cache_dir=cache_dir) as reader:
             reader.check(source)
         assert reader.stats.cache_quarantines == 0
         assert reader.stats.functions_checked == 0, \
-            "the rebuilt cache must replay on the next run"
-    print("chaos-smoke: cache quarantine + rebuild   OK")
+            "the rebuilt pack must replay on the next run"
+    print("chaos-smoke: summary pack quarantine + rebuild   OK")
 
 
 if __name__ == "__main__":

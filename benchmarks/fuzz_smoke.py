@@ -17,6 +17,9 @@ Then walks ``EDIT_SEQUENCES`` seeded edit sequences
 and by a fresh ``--cache DIR`` session per revision, at the session's
 own cache caps and at caps of 8, must render byte-identically to
 ``check_source`` — zero divergences, and every edit kind exercised.
+Each ``--cache DIR`` walk also corrupts its summary pack once; the
+gate reports how many corrupt packs were quarantined and fails if
+none was.
 
 Merges a ``fuzz`` block into ``BENCH_checker.json``.  Usable both as a
 script (``python benchmarks/fuzz_smoke.py``) and as a pytest module.
@@ -83,6 +86,8 @@ def test_fuzz_smoke(benchmark=None):
         f"incremental state changed an answer")
     missing = set(EDIT_KINDS) - set(edits.kinds)
     assert not missing, f"edit kinds never exercised: {sorted(missing)}"
+    assert edits.pack_quarantines > 0, \
+        "no corrupt summary pack was quarantined: the flip never landed"
 
     result = {
         "seed": SEED,
@@ -99,6 +104,7 @@ def test_fuzz_smoke(benchmark=None):
             "revisions": edits.revisions,
             "paths": edits.paths,
             "kinds": edits.kinds,
+            "pack_quarantines": edits.pack_quarantines,
             "divergences": 0,
             "seconds": round(edit_elapsed, 3),
         },
@@ -130,6 +136,8 @@ def test_fuzz_smoke(benchmark=None):
     print("  divergences: 0 — all paths byte-identical      VERIFIED")
     print(f"  {EDIT_SEQUENCES} edit sequences, {edits.revisions} revisions "
           f"in {edit_elapsed:.1f} s via {'/'.join(edits.paths)}")
+    print(f"  {edits.pack_quarantines} corrupt summary packs quarantined "
+          f"and rebuilt")
     print("  divergences: 0 — every revision matches check_source  VERIFIED")
     print("=" * 64)
 

@@ -5,12 +5,11 @@ public surface:
 
 * :class:`SharedStore` — the tier orchestrator a
   :class:`~repro.pipeline.CheckSession` plugs in via ``shared_store=``;
-* :class:`MemoryTier` / :class:`CASTier` / :class:`RemoteTier` — the
-  L2/L3/L4 backends;
-* :func:`open_store` — build a store from a CLI/daemon spec string
-  (``DIR`` for an on-disk CAS, ``daemon`` or ``daemon:SOCKET`` for a
-  remote daemon tier);
-* key/envelope helpers for the daemon's wire ops and tests.
+  a session with ``cache_dir`` keeps its summary pack in one too;
+* :class:`MemoryTier` / :class:`CASTier` — the L2/L3 backends;
+* :func:`open_store` — build a store from a CLI spec string (``DIR``
+  for an on-disk CAS);
+* key/envelope helpers for sessions and tests.
 """
 
 from __future__ import annotations
@@ -19,16 +18,10 @@ from typing import Optional
 
 from ..obs import Telemetry
 from .cas import CASTier, DEFAULT_MAX_BYTES
-from .remote import RemoteTier
 from .store import (KEY_KINDS, MemoryTier, STORE_SCHEMA, SharedStore,
                     StoreError, Tier, check_blob, decode_blob, encode_blob,
-                    options_salt, summary_store_key, unit_store_key,
-                    valid_key)
-
-
-def is_remote_spec(spec: Optional[str]) -> bool:
-    """Whether a ``--shared-cache`` spec names a daemon, not a dir."""
-    return bool(spec) and (spec == "daemon" or spec.startswith("daemon:"))
+                    options_salt, pack_store_key, summary_store_key,
+                    unit_store_key, valid_key)
 
 
 def open_store(spec: Optional[str],
@@ -37,18 +30,14 @@ def open_store(spec: Optional[str],
                max_bytes: int = DEFAULT_MAX_BYTES) -> SharedStore:
     """A :class:`SharedStore` for a CLI spec string.
 
-    ``spec`` is a directory path (CAS tier), ``daemon``/``daemon:SOCK``
-    (remote tier through a check daemon), or ``None``/empty (no backing
-    tier).  ``memory_tier`` prepends a shared in-memory tier — the
-    daemon passes its process-wide one here.
+    ``spec`` is a directory path (CAS tier) or ``None``/empty (no
+    backing tier).  ``memory_tier`` prepends a shared in-memory tier —
+    the daemon passes its process-wide one here.
     """
     tiers = []
     if memory_tier is not None:
         tiers.append(memory_tier)
-    if is_remote_spec(spec):
-        sock = spec.partition(":")[2] or "auto"
-        tiers.append(RemoteTier(sock))
-    elif spec:
+    if spec:
         tiers.append(CASTier(spec, max_bytes=max_bytes))
     return SharedStore(tiers, telemetry)
 
@@ -58,7 +47,6 @@ __all__ = [
     "DEFAULT_MAX_BYTES",
     "KEY_KINDS",
     "MemoryTier",
-    "RemoteTier",
     "STORE_SCHEMA",
     "SharedStore",
     "StoreError",
@@ -66,9 +54,9 @@ __all__ = [
     "check_blob",
     "decode_blob",
     "encode_blob",
-    "is_remote_spec",
     "open_store",
     "options_salt",
+    "pack_store_key",
     "summary_store_key",
     "unit_store_key",
     "valid_key",

@@ -2,18 +2,20 @@
 
 Layout: ``<root>/<key[:2]>/<key>`` — one file per blob, sharded by the
 first two hex digits of the key so no directory grows past ~1/256 of
-the store.  Writes follow the summary cache's v3 crash-safety
-discipline: a unique temp file (``.tmp.<pid>.<seq>``), ``fsync``, then
-an atomic ``os.replace`` — a concurrent writer or a crash mid-write
-can never leave a torn object under a final name, and the envelope
-checksum (:func:`repro.cache.store.check_blob`) catches anything the
-filesystem does behind our back.
+the store.  Every write goes to a unique temp file
+(``.tmp.<pid>.<seq>``), is ``fsync``'d, then lands with an atomic
+``os.replace`` — a concurrent writer or a crash mid-write can never
+leave a torn object under a final name, and the envelope checksum
+(:func:`repro.cache.store.check_blob`) catches anything the filesystem
+does behind our back.  A failed object write is counted in
+``io_errors`` and returned to the orchestrator, which reports it.
 
 Concurrency model: many processes share one store directory with no
-locks.  Puts are last-write-wins (both writers hold byte-identical
-content for the same key, so the race is harmless); GC may delete an
-object another process is about to read, which that process observes
-as an ordinary miss.
+locks.  Puts are last-write-wins.  For content-addressed objects both
+writers hold byte-identical content, so the race is harmless; for the
+summary pack (``-p``, one slot per options salt) the loser's summaries
+are a later miss.  GC may delete an object another process is about to
+read, which that process observes as an ordinary miss.
 
 Eviction: the tier tracks an approximate byte total (one full scan at
 first use, then incremental accounting of its own writes).  When the
@@ -23,8 +25,8 @@ oldest-first (by mtime — reads freshen mtime, making this LRU) down to
 thrashing at the boundary.
 
 Corrupt objects are moved to ``<root>/corrupt/`` with a unique suffix
-(bounded retention, newest :data:`CORRUPT_KEEP` kept) — same
-post-mortem discipline as the session's ``summaries.pkl`` quarantine.
+(bounded retention, newest :data:`CORRUPT_KEEP` kept), so repeated
+corruption keeps the newest post-mortems without growing the store.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class CASTier(Tier):
 
     # -- paths ----------------------------------------------------------------
 
-    def _path(self, key: str) -> str:
+    def path(self, key: str) -> str:
+        """The file that holds (or would hold) one object."""
         return os.path.join(self.root, key[:_SHARD_LEN], key)
 
     # -- tier interface -------------------------------------------------------
@@ -82,7 +85,7 @@ class CASTier(Tier):
         for key in keys:
             if not valid_key(key):
                 continue
-            path = self._path(key)
+            path = self.path(key)
             try:
                 with open(path, "rb") as handle:
                     out[key] = handle.read()
@@ -99,10 +102,11 @@ class CASTier(Tier):
                 pass
         return out
 
-    def put_many(self, blobs: Dict[str, bytes]) -> None:
+    def put_many(self, blobs: Dict[str, bytes]) -> Optional[OSError]:
         self._ensure_scanned()
         os.makedirs(self.root, exist_ok=True)
         written = 0
+        error: Optional[OSError] = None
         for key, blob in blobs.items():
             if not valid_key(key):
                 continue
@@ -123,8 +127,10 @@ class CASTier(Tier):
                         handle.flush()
                         os.fsync(handle.fileno())
                 os.replace(tmp, path)
-            except OSError:
+            except OSError as exc:
                 self.io_errors += 1
+                if error is None:
+                    error = exc
                 try:
                     os.unlink(tmp)
                 except OSError:
@@ -135,12 +141,13 @@ class CASTier(Tier):
             self._bytes += written
             if self._bytes > self.max_bytes:
                 self.gc()
+        return error
 
     def discard(self, key: str) -> None:
         """Quarantine one (corrupt) object out of the store."""
         if not valid_key(key):
             return
-        path = self._path(key)
+        path = self.path(key)
         qdir = os.path.join(self.root, "corrupt")
         self._seq += 1
         target = os.path.join(qdir,

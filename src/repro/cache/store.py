@@ -4,23 +4,20 @@
 function summaries (and whole-unit replay records) are already keyed
 by stable content fingerprints, so nothing about them is private to
 the session that computed them.  This module shares them across
-sessions, processes and machines through a stack of tiers::
+sessions and processes through a stack of tiers::
 
     L1  CheckSession._summaries / fn_results   (in-process, private)
     L2  MemoryTier    daemon-wide dict — every warm session in one
                       ``vaultc serve`` process cross-warms the others
     L3  CASTier       crash-safe on-disk object store, sharded by key
                       prefix (repro.cache.cas)
-    L4  RemoteTier    a check daemon reached over the frame protocol's
-                      ``cache_get``/``cache_put`` ops (repro.cache.remote)
 
-Lookups fall through L2→L4 (L1 lives in the session) and **promote**
+Lookups fall through L2→L3 (L1 lives in the session) and **promote**
 hits back into every faster tier; writes go straight through every
 tier.  Both sides are *batched*: the session collects all its misses
-for one check and issues one ``fetch``, so a remote tier costs one
-round trip per check, never one per function.
+for one check and issues one ``fetch``.
 
-Two object kinds share the store namespace, distinguished by a key
+Three object kinds share the store namespace, distinguished by a key
 suffix (the key body is always a 64-hex SHA-256, so the CAS shards
 stay uniform):
 
@@ -30,19 +27,23 @@ stay uniform):
 * ``<digest>-u`` — one unit's complete diagnostic stream, keyed by
   :func:`unit_store_key` over the source bytes, filename and options.
   This is what lets a *second cold session on identical code* run at
-  warm speed: it replays the pinned byte stream without parsing.
+  warm speed: it replays the pinned byte stream without parsing;
+* ``<digest>-p`` — one session's whole summary map (the *summary
+  pack* behind ``vaultc check --cache DIR``), keyed by
+  :func:`pack_store_key` over the options alone.  Unlike the other
+  two kinds it is not content-addressed: the key is a last-write-wins
+  slot, and a writer that loses a race costs a later miss, never a
+  wrong answer (fingerprints inside the pack still pin each entry).
 
 Every blob travels in a checksummed envelope (:func:`encode_blob`):
-a magic line, the hex SHA-256 of the body, then the pickled body —
-the summary cache's v3 discipline.  :func:`check_blob` verifies the
-envelope *without unpickling*, which is what the daemon does with
-client uploads; corruption anywhere becomes a discard/quarantine,
-never a wrong replay.
+a magic line, the hex SHA-256 of the body, then the pickled body.
+:func:`check_blob` verifies the envelope *without unpickling*;
+corruption anywhere becomes a discard/quarantine, never a wrong
+replay.
 
-Trust model: the store carries pickles, so every tier is in the same
-trust domain as the on-disk summary cache — your own disk, your own
-per-user daemon socket.  Hostile peers are out of scope exactly as
-they are for ``--cache DIR``.
+Trust model: the store carries pickles, so every tier is in your own
+trust domain — your own disk, your own per-user daemon.  Hostile
+writers to a store directory are out of scope.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ _MAGIC = b"vaultc-blob1\n"
 _HEX_LEN = 64
 
 #: keys are "<64 hex>-<kind>"; anything else is rejected before it can
-#: reach a file path (the daemon builds CAS paths from client keys).
-KEY_KINDS = ("s", "u")
+#: reach a file path.
+KEY_KINDS = ("s", "u", "p")
 
 
 class StoreError(Exception):
@@ -136,6 +137,13 @@ def unit_store_key(source: str, filename: str, options_salt: str) -> str:
     return h.hexdigest() + "-u"
 
 
+def pack_store_key(options_salt: str) -> str:
+    """Store key for the summary pack of sessions with these options
+    (one last-write-wins slot per options salt and schema)."""
+    return cache_checksum(
+        f"pack\x00{STORE_SCHEMA}\x00{options_salt}".encode()) + "-p"
+
+
 def options_salt(stdlib: bool, units: Optional[Sequence[str]],
                  join_abstraction: bool, max_loop_iterations: int) -> str:
     """The diagnostic-relevant session options, rendered stably."""
@@ -157,7 +165,10 @@ class Tier:
     def get_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
         raise NotImplementedError
 
-    def put_many(self, blobs: Dict[str, bytes]) -> None:
+    def put_many(self, blobs: Dict[str, bytes]) -> Optional[Exception]:
+        """Store every blob.  A tier that absorbs a per-object write
+        failure (and goes on with the rest) returns the first one, so
+        the orchestrator can report it; ``None`` means all stored."""
         raise NotImplementedError
 
     def discard(self, key: str) -> None:
@@ -165,9 +176,6 @@ class Tier:
 
     def stats_snapshot(self) -> Dict[str, object]:
         return {}
-
-    def close(self) -> None:
-        """Release transport resources (storage itself stays)."""
 
 
 class MemoryTier(Tier):
@@ -257,9 +265,11 @@ class SharedStore:
     write-back promotion, write-through puts, and per-tier telemetry.
 
     Construct with the tier stack fastest-first.  All failure modes
-    degrade to a cache miss: a tier that raises is counted
-    (``cache.shared.<tier>.errors``), reported once on the event bus
-    (``shared_cache_error``), and skipped; a blob that fails its
+    degrade to a cache miss: a tier that raises, or returns a write
+    error from ``put_many``, is counted
+    (``cache.shared.<tier>.errors``), reported on the event bus
+    (``shared_cache_error``, the first few per tier), and skipped; a
+    blob that fails its
     checksum is discarded from the tier that served it
     (``shared_cache_corrupt``) and treated as absent.
     """
@@ -278,7 +288,7 @@ class SharedStore:
                     self.telemetry.metrics.counter(
                         f"cache.shared.{tier.name}.{leaf}")
 
-    # -- raw blob plane (what the daemon's wire ops use) ---------------------
+    # -- raw blob plane -------------------------------------------------------
 
     def get_blobs(self, keys: Iterable[str]) -> Dict[str, bytes]:
         """Checked blobs for every key any tier holds; hits from slow
@@ -316,10 +326,7 @@ class SharedStore:
                 found.update(good)
                 missing = [k for k in missing if k not in good]
                 for upper in self.tiers[:idx]:
-                    try:
-                        upper.put_many(good)
-                    except Exception as exc:         # noqa: BLE001
-                        self._tier_error(upper, "promote", exc)
+                    self._put(upper, good, "promote")
         return found
 
     def put_blobs(self, blobs: Dict[str, bytes]) -> int:
@@ -339,10 +346,7 @@ class SharedStore:
         metrics = self.telemetry.metrics
         for tier in self.tiers:
             started = time.perf_counter()
-            try:
-                tier.put_many(accepted)
-            except Exception as exc:                 # noqa: BLE001
-                self._tier_error(tier, "put", exc)
+            if not self._put(tier, accepted, "put"):
                 continue
             self._observe_latency(tier, time.perf_counter() - started)
             self.counts[tier.name].puts += len(accepted)
@@ -361,9 +365,10 @@ class SharedStore:
                 out[key] = decode_blob(blob)
             except StoreError as exc:
                 # Envelope verified but the body would not unpickle
-                # (schema skew): drop it everywhere it may live.
-                for tier in self.tiers:
-                    self._corrupt(tier, key, exc, quiet=True)
+                # (schema skew): drop it everywhere it may live, with
+                # one event for the key.
+                for n, tier in enumerate(self.tiers):
+                    self._corrupt(tier, key, exc, quiet=n > 0)
         return out
 
     def store(self, objects: Dict[str, object]) -> int:
@@ -393,19 +398,24 @@ class SharedStore:
             tiers.append(snap)
         return {"schema": STORE_SCHEMA, "tiers": tiers}
 
-    def close(self) -> None:
-        for tier in self.tiers:
-            try:
-                tier.close()
-            except Exception:                        # noqa: BLE001
-                pass
-
     # -- internals -----------------------------------------------------------
 
     def _observe_latency(self, tier: Tier, seconds: float) -> None:
         if self.telemetry.metrics.enabled:
             self.telemetry.metrics.histogram(
                 f"cache.shared.{tier.name}.latency").observe(seconds)
+
+    def _put(self, tier: Tier, blobs: Dict[str, bytes], op: str) -> bool:
+        """``tier.put_many`` with failures contained; whether it
+        stored everything."""
+        try:
+            error = tier.put_many(blobs)
+        except Exception as exc:                     # noqa: BLE001
+            error = exc
+        if error is not None:
+            self._tier_error(tier, op, error)
+            return False
+        return True
 
     def _tier_error(self, tier: Tier, op: str, exc: BaseException) -> None:
         counts = self.counts[tier.name]
@@ -414,7 +424,7 @@ class SharedStore:
             self.telemetry.metrics.counter(
                 f"cache.shared.{tier.name}.errors").inc()
         # Report the first few failures per tier, then go quiet — a
-        # dead remote tier must not flood the event log per check.
+        # full disk must not flood the event log per check.
         reported = self._reported_errors.get(tier.name, 0)
         if reported < 3:
             self._reported_errors[tier.name] = reported + 1

@@ -52,6 +52,17 @@ def _parse_jobs(value: str) -> "int | str":
             f"invalid --jobs value {value!r} (expected a count or 'auto')")
 
 
+def _store_dir(value: str) -> str:
+    """``--shared-cache`` takes a directory.  Refuse ``daemon`` and
+    ``daemon:SOCKET`` rather than create a directory of that name: a
+    daemon serves whole checks (``--daemon``), not cache blobs."""
+    if value == "daemon" or value.startswith("daemon:"):
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a cache directory; use --daemon "
+            f"[SOCKET] to check through a running 'vaultc serve'")
+    return value
+
+
 def _fault_plan(spec: "str | None"):
     """Parse ``--inject-faults`` / ``VAULTC_FAULTS`` (test use only)."""
     if not spec:
@@ -68,18 +79,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     instrumented = args.trace or args.metrics
     faults = args.inject_faults or os.environ.get("VAULTC_FAULTS")
     shared = args.shared_cache
-    if shared:
-        from .cache import is_remote_spec
-        shared_remote = is_remote_spec(shared)
-    else:
-        shared_remote = False
     # The daemon path only carries what the wire protocol can express;
     # introspection flags (--trace/--metrics/--profile) and the chaos
     # harness are inherently local, so they check in-process as before.
-    # A *remote* shared-cache spec means "use the daemon as a cache
-    # tier, check locally" — the opposite of daemon routing.
     if args.daemon is not None and not args.profile and not instrumented \
-            and not faults and not shared_remote:
+            and not faults:
         from .server.client import check_via_daemon
         outcome = check_via_daemon(
             source, args.file,
@@ -105,25 +109,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         if shared:
             from .cache import open_store
             store = open_store(shared, telemetry)
-        try:
-            with CheckSession(cache_dir=args.cache, telemetry=telemetry,
-                              fault_plan=_fault_plan(faults),
-                              shared_store=store) as session:
-                try:
-                    report = session.check(source, filename=args.file)
-                finally:
-                    # The trace is most valuable for the run that
-                    # failed: write whatever was recorded even on a
-                    # crash.
-                    if args.trace:
-                        telemetry.tracer.export(args.trace)
-                if args.profile:
-                    _print_profile(session, file=sys.stderr)
-                if args.metrics:
-                    _write_metrics(telemetry, args.metrics)
-        finally:
-            if store is not None:
-                store.close()
+        with CheckSession(cache_dir=args.cache, telemetry=telemetry,
+                          fault_plan=_fault_plan(faults),
+                          shared_store=store) as session:
+            try:
+                report = session.check(source, filename=args.file)
+            finally:
+                # The trace is most valuable for the run that failed:
+                # write whatever was recorded even on a crash.
+                if args.trace:
+                    telemetry.tracer.export(args.trace)
+            if args.profile:
+                _print_profile(session, file=sys.stderr)
+            if args.metrics:
+                _write_metrics(telemetry, args.metrics)
     else:
         report = check_source(source, filename=args.file)
     if report.ok:
@@ -515,17 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "when functions could be checked by a worker "
                         "pool (every check is serial)")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="persist function summaries under DIR so "
-                        "unchanged functions are not re-checked")
-    p.add_argument("--shared-cache", default=None,
-                   metavar="DIR|daemon[:SOCKET]",
+                   help="persist function summaries as one checksummed "
+                        "object in the on-disk store DIR so unchanged "
+                        "functions are not re-checked")
+    p.add_argument("--shared-cache", default=None, type=_store_dir,
+                   metavar="DIR",
                    help="share summaries and unit results across "
-                        "sessions through a content-addressed store: "
-                        "a directory (crash-safe on-disk CAS) or "
-                        "'daemon'/'daemon:SOCKET' (a running 'vaultc "
-                        "serve' as a remote cache tier); a second "
-                        "cold check of identical code replays at "
-                        "warm speed")
+                        "sessions through a crash-safe on-disk "
+                        "content-addressed store in DIR (it may be "
+                        "the --cache DIR); a second cold check of "
+                        "identical code replays at warm speed")
     p.add_argument("--profile", action="store_true",
                    help="print phase timings and cache counters to "
                         "stderr")
@@ -540,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "receives JSON")
     p.add_argument("--inject-faults", default=None, metavar="SPEC",
                    help="deterministic chaos harness (TEST USE ONLY): "
-                        "flip a byte of the summary cache after writing "
+                        "flip a byte of the summary pack after writing "
                         "it, e.g. 'flip-cache,seed=7' (with --cache); "
                         "also read from $VAULTC_FAULTS")
     p.add_argument("--daemon", nargs="?", const="auto", default=None,
@@ -627,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-cache", default=None, metavar="DIR",
                    help="back the daemon-wide shared cache with a "
                         "persistent on-disk CAS under DIR (all warm "
-                        "sessions and the cache_get/cache_put wire "
-                        "ops read and write it)")
+                        "sessions read and write it)")
     p.add_argument("--sample-interval", type=float, default=5.0,
                    metavar="SECONDS",
                    help="seconds between time-series samples of the "

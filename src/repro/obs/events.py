@@ -15,9 +15,10 @@ Events are plain data.  Subscribers (callbacks taking one
 
 The checking pipeline publishes its recovery paths here:
 
-* ``cache_corrupt`` / ``cache_incompatible`` / ``cache_write_failed``
-  — summary-cache persistence degraded (fields: path, error,
-  quarantined location);
+* ``shared_cache_corrupt`` / ``shared_cache_error`` — a store object
+  failed its checksum and was quarantined, or a store read or write
+  failed (fields: tier, key or op, error).  The summary pack behind
+  ``--cache DIR`` reports through these too;
 * ``fault_injected`` — the deterministic chaos harness
   (:mod:`repro.pipeline.faults`) acted out an injected fault.
 

@@ -6,13 +6,17 @@ that finds declaration boundaries: a top-level declaration ends at a
 ``;`` or ``}`` at brace depth zero.  The scanner mirrors exactly the
 lexer's treatment of comments, string literals, and Vault's tick
 tokens (``'Name`` constructors vs. ``'x'`` / ``'{'`` char literals) so
-that braces inside those never count toward the depth.  It also
-records each chunk's first ``{`` at depth zero: for a function
-definition, the split between the header (all a context needs) and the
-body (parsed only when the function is checked).
+that braces inside those never count toward the depth.  Square
+brackets at depth zero are tracked too: a keyed variant's constructor
+list (``variant v<key K> [ 'A {K@q0} | 'B ];``) holds key lists in
+braces, and those neither end the declaration nor start a body.  It
+also records each chunk's first ``{`` at depth zero outside brackets:
+for a function definition, the split between the header (all a context
+needs) and the body (parsed only when the function is checked).
 
 The scanner is deliberately conservative: on anything it cannot
-classify (unterminated comment or string, stray characters) it raises
+classify (unterminated comment or string, stray characters, unbalanced
+braces or brackets) it raises
 :class:`ChunkError` and the caller falls back to parsing the whole
 unit, so error behaviour is identical to the non-incremental path.
 """
@@ -35,11 +39,11 @@ class Chunk:
     trivia belongs to the following chunk, trailing trivia to the last.
 
     ``brace`` is the offset in ``text`` of the first ``{`` at brace
-    depth zero, or -1.  Its matching ``}`` is the declaration's
-    terminator, so for a function definition ``text[:brace]`` is the
-    header and ``text[brace:end]`` the body.  ``end`` is the offset
-    just past the terminator: ``len(text)`` except for a last chunk
-    that carries the unit's trailing trivia.
+    depth zero outside square brackets, or -1.  Its matching ``}`` is
+    the declaration's terminator, so for a function definition
+    ``text[:brace]`` is the header and ``text[brace:end]`` the body.
+    ``end`` is the offset just past the terminator: ``len(text)``
+    except for a last chunk that carries the unit's trailing trivia.
     """
 
     __slots__ = ("text", "start_line", "start_col", "brace", "end")
@@ -66,7 +70,7 @@ def _is_ident_char(ch: str) -> bool:
 #: structure.  Everything between two stops — the bulk of any real
 #: unit — is skipped in one C-speed regex search instead of the
 #: character-at-a-time loop this replaced.
-_STRUCT = re.compile(r"[\n/\"'{};]")
+_STRUCT = re.compile(r"[\n/\"'{};\[\]]")
 
 #: Body of a string literal after the opening quote: escape pairs
 #: (backslash consumes the next character, whatever it is — including
@@ -79,8 +83,8 @@ _STRING_BODY = re.compile(r"(?:\\[\s\S]|[^\"\n\\])*")
 
 def split_chunks(source: str) -> List[Chunk]:
     """Split a compilation unit into one chunk per top-level declaration,
-    each with the offset of its first depth-zero ``{`` (where a
-    function's body starts; see :class:`Chunk`)."""
+    each with the offset of its first depth-zero ``{`` outside brackets
+    (where a function's body starts; see :class:`Chunk`)."""
     chunks: List[Chunk] = []
     n = len(source)
     i = 0
@@ -92,6 +96,8 @@ def split_chunks(source: str) -> List[Chunk]:
     chunk_col = 1
     chunk_brace = -1
     depth = 0
+    #: open ``[`` at depth zero; braces inside them are key lists
+    brackets = 0
     search = _STRUCT.search
 
     while True:
@@ -145,7 +151,7 @@ def split_chunks(source: str) -> List[Chunk]:
             else:
                 raise ChunkError("stray tick")
         elif ch == "{":
-            if depth == 0 and chunk_brace < 0:
+            if depth == 0 and brackets == 0 and chunk_brace < 0:
                 chunk_brace = i - chunk_start
             depth += 1
             i += 1
@@ -154,16 +160,26 @@ def split_chunks(source: str) -> List[Chunk]:
             i += 1
             if depth < 0:
                 raise ChunkError("unbalanced braces")
-            if depth == 0:
+            if depth == 0 and brackets == 0:
                 chunks.append(Chunk(source[chunk_start:i],
                                     chunk_line, chunk_col, chunk_brace))
                 chunk_start = i
                 chunk_line = line
                 chunk_col = i - line_start + 1
                 chunk_brace = -1
+        elif ch == "[":
+            if depth == 0:
+                brackets += 1
+            i += 1
+        elif ch == "]":
+            if depth == 0:
+                brackets -= 1
+                if brackets < 0:
+                    raise ChunkError("unbalanced brackets")
+            i += 1
         else:  # ";"
             i += 1
-            if depth == 0:
+            if depth == 0 and brackets == 0:
                 chunks.append(Chunk(source[chunk_start:i],
                                     chunk_line, chunk_col, chunk_brace))
                 chunk_start = i
@@ -173,6 +189,8 @@ def split_chunks(source: str) -> List[Chunk]:
 
     if depth != 0:
         raise ChunkError("unbalanced braces")
+    if brackets != 0:
+        raise ChunkError("unbalanced brackets")
     if chunk_start < n:
         # Trailing text after the last terminator: usually pure trivia.
         # Attach it to the previous chunk so the chunk list stays one

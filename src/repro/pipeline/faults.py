@@ -36,10 +36,11 @@ sets the seed:
 
 ===================  ======================================================
 ``flip-cache``       the session flips one byte (seeded offset) of the
-                     summary-cache file immediately after writing it, so
-                     the *next* load sees on-disk corruption
+                     summary pack object immediately after writing it,
+                     so the *next* load sees on-disk corruption
                      (``flip-cache@N`` arms N flips)
-``enospc``           the next shared-CAS write fails with ``ENOSPC``
+``enospc``           the next CAS object write (the summary pack's, or
+                     a shared store's) fails with ``ENOSPC``
                      (``enospc@N`` arms N writes); the store must
                      degrade to a miss, never a wrong replay
 ``seed=N``           seeds the offset RNG (default 0)

@@ -20,8 +20,8 @@ invalidated:
   base context);
 * **summary cache** — per-function diagnostics are cached under a
   stable content fingerprint of the function and everything it
-  references (:mod:`repro.pipeline.fingerprint`), optionally persisted
-  to disk;
+  references (:mod:`repro.pipeline.fingerprint`); with ``cache_dir``
+  the whole map persists as one *summary pack* (see below);
 * **shared store** — with ``shared_store=`` (a
   :class:`repro.cache.SharedStore`), summary misses batch-fetch from
   the cross-session tiers before being checked, freshly checked
@@ -36,20 +36,26 @@ the speed; the flow check itself has one serial path.
 
 Determinism guarantee: for any ``source``, the reporter returned by
 ``check`` contains the same diagnostics in the same order as
-``repro.check_source(source)``, regardless of cache state.  On-disk
-summary caches are written atomically with a content checksum; a
-corrupt file is quarantined (``summaries.pkl.corrupt.<pid>.<seq>`` —
-unique names with bounded retention, so repeated corruption keeps the
-newest post-mortems) with a structured ``cache_corrupt`` event and the
-session continues cold.  See docs/CHECKER.md ("Failure modes and
-recovery").
+``repro.check_source(source)``, regardless of cache state.
+
+The summary pack: ``cache_dir`` is a content-addressed store directory
+(:class:`repro.cache.CASTier`, the same one ``--shared-cache DIR``
+uses) and the session's summary map lives in it as one checksummed
+blob, keyed by :func:`repro.cache.pack_store_key` over the session's
+options.  The pack is read once when the session opens and written
+once per check that changed the map, through the CAS tier's unique
+temp file, ``fsync`` and atomic rename.  The key is a last-write-wins
+slot: two processes racing on one directory each write a whole pack,
+and the loser's summaries are a later miss, never a wrong answer.  A
+corrupt pack fails the store's checksum and is quarantined under
+``corrupt/`` (bounded retention) with a ``shared_cache_corrupt`` event;
+the session counts it and continues cold.  See docs/CHECKER.md
+("Failure modes and recovery").
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -67,7 +73,7 @@ from ..syntax.parser import parse_fun_body, parse_fun_header
 from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultPlan
-from .fingerprint import cache_checksum, function_fingerprint
+from .fingerprint import function_fingerprint
 
 #: caps on the in-memory caches; on overflow the oldest half is evicted.
 _MAX_CONTEXTS = 64
@@ -79,27 +85,6 @@ _MAX_SUMMARIES = 32768
 #: shared store — a warm re-check of the same source skips the shared
 #: fetch (L1 serves it) instead of paying a tier round trip per check.
 _MAX_SEEN_UNITS = 4096
-
-#: quarantined ``summaries.pkl.corrupt.*`` files kept for post-mortems
-#: (newest first; older ones are collected at the next quarantine).
-_QUARANTINE_KEEP = 8
-
-#: per-process quarantine sequence — combined with the pid it makes
-#: every quarantine file name unique, so a second corruption can never
-#: clobber the first post-mortem.
-_quarantine_seq = 0
-
-#: version 3 wraps the summaries body in a checksummed envelope (see
-#: ``_save_cache``) so on-disk corruption is detected and quarantined
-#: instead of silently swallowed; version-1/2 payloads still load.
-#: Files written before the worker pool was removed also carry a
-#: ``costs`` map; it is ignored.
-_PICKLE_VERSION = 3
-
-#: pickle-level exceptions a hostile/corrupt cache file can raise.
-_CACHE_LOAD_ERRORS = (OSError, pickle.PickleError, EOFError, KeyError,
-                      AttributeError, ImportError, TypeError, ValueError,
-                      IndexError)
 
 
 #: one declaration chunk's cache key: (file name, content hash, start
@@ -234,7 +219,8 @@ class CheckSession:
 
     Equivalent to calling :func:`repro.check_source` for every
     ``check``, but incremental across calls.  ``cache_dir`` persists
-    function summaries across processes.  ``jobs`` is accepted and
+    function summaries across processes as one summary pack in a CAS
+    directory (see the module docstring).  ``jobs`` is accepted and
     ignored: it once sized a worker pool, and callers that still pass
     it get the same serial check.
     """
@@ -257,16 +243,15 @@ class CheckSession:
         #: normal operation).
         self.fault_plan = fault_plan
         #: cross-session result store (:class:`repro.cache.SharedStore`)
-        #: or ``None``.  The session never closes it — the owner (CLI,
-        #: daemon, test) controls its lifetime.  Chaos sessions must
-        #: not publish results from a deliberately damaged cache, so a
-        #: fault plan disables the store.
+        #: or ``None``, shared with whoever passed it in.  Chaos
+        #: sessions must not publish results from a deliberately
+        #: damaged cache, so a fault plan disables the store.
         self.shared_store = shared_store if fault_plan is None else None
-        self._shared_salt = ""
+        self._options_salt = ""
         self._seen_units: Dict[str, bool] = {}
-        if self.shared_store is not None:
+        if self.shared_store is not None or cache_dir:
             from ..cache.store import options_salt
-            self._shared_salt = options_salt(
+            self._options_salt = options_salt(
                 self.stdlib, self.units, join_abstraction,
                 max_loop_iterations)
         self.stats = SessionStats()
@@ -283,16 +268,21 @@ class CheckSession:
         self._ctx_cache: Dict[tuple, _CtxEntry] = {}
         self._summaries: Dict[str, _Summary] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
-        #: set when the in-memory summaries diverge from the on-disk
-        #: cache; a check that replayed everything does not rewrite
-        #: the (potentially large) pickle.
+        #: set when the in-memory summaries diverge from the summary
+        #: pack; a check that replayed everything does not rewrite it.
         self._cache_dirty = False
+        #: the summary pack's store (one CAS tier over ``cache_dir``),
+        #: its key, and the file that holds it; ``None`` without
+        #: ``cache_dir``.
+        self._pack_store = None
+        self._pack_key = ""
+        self.pack_path: Optional[str] = None
         if cache_dir:
             # Pre-register so a healthy run reports an explicit zero.
             if self.telemetry.metrics.enabled:
                 self.telemetry.metrics.counter(
                     "resilience.cache_quarantines")
-            self._load_cache()
+            self._load_pack()
 
     @property
     def last_profile(self) -> Dict[str, object]:
@@ -351,7 +341,7 @@ class CheckSession:
         store_unit_key: Optional[str] = None
         if self.shared_store is not None:
             from ..cache.store import unit_store_key
-            ukey = unit_store_key(source, filename, self._shared_salt)
+            ukey = unit_store_key(source, filename, self._options_salt)
             if ukey not in self._seen_units:
                 store_unit_key = ukey
                 record = self._shared_fetch_unit(ukey)
@@ -407,8 +397,8 @@ class CheckSession:
         entry.fn_results = results
         for qual, diags in results:
             reporter.diagnostics.extend(diags)
-        if self.cache_dir and self._cache_dirty:
-            self._save_cache()
+        if self._pack_store is not None and self._cache_dirty:
+            self._save_pack()
             self._cache_dirty = False
         self._shared_store_unit(store_unit_key, reporter, len(results))
         return self._finish(reporter)
@@ -428,7 +418,7 @@ class CheckSession:
 
     def close(self) -> None:
         """Nothing to release: a session holds only in-memory caches
-        (and the on-disk cache it writes at the end of each check).
+        (and the summary pack it writes at the end of each check).
         Kept so sessions work as context managers, and stay usable
         after ``close``."""
 
@@ -805,7 +795,7 @@ class CheckSession:
         the store could not serve either."""
         from ..cache.store import summary_store_key
         metrics = self.telemetry.metrics
-        key_of = {fp: summary_store_key(fp, self._shared_salt)
+        key_of = {fp: summary_store_key(fp, self._options_salt)
                   for _qual, _fundef, fp in to_check}
         with self.telemetry.tracer.span("shared_fetch_summaries",
                                         keys=len(key_of)):
@@ -855,163 +845,63 @@ class CheckSession:
         for _qual, _fundef, fp in checked:
             summary = self._summaries.get(fp)
             if summary is not None:
-                payload[summary_store_key(fp, self._shared_salt)] = \
+                payload[summary_store_key(fp, self._options_salt)] = \
                     dict(summary.entries)
         if payload:
             with self.telemetry.tracer.span("shared_put_summaries",
                                             keys=len(payload)):
                 self.stats.shared_puts += self.shared_store.store(payload)
 
-    # -- persistence -------------------------------------------------------
+    # -- the summary pack ----------------------------------------------------
 
-    def _cache_path(self) -> str:
-        return os.path.join(self.cache_dir, "summaries.pkl")
+    def _load_pack(self) -> None:
+        """Open ``cache_dir``'s store and read the summary pack.
 
-    def _load_cache(self) -> None:
-        """Load the on-disk summary cache, degrading loudly.
-
-        A missing file is a cold cache (no event).  Anything that
-        fails to parse or checksum is **quarantined**: moved aside to
-        ``summaries.pkl.corrupt`` (preserved for post-mortems), a
-        structured ``cache_corrupt`` event is emitted with the
-        exception and path, and the session continues cold.  A
-        recognized-but-unsupported version is left in place but still
-        reported (``cache_incompatible``) — no failure mode is a
-        silent ``return`` anymore.
+        A missing pack is a cold cache.  A corrupt one fails the
+        store's checksum or will not unpickle: the store quarantines
+        it under ``corrupt/`` and emits ``shared_cache_corrupt``; the
+        session counts the quarantine, says so on stderr and continues
+        cold.
         """
-        path = self._cache_path()
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            return                                 # cold cache: normal
-        except _CACHE_LOAD_ERRORS as exc:
-            self._quarantine_cache(path, exc)
+        from ..cache import CASTier, SharedStore, pack_store_key
+        tier = CASTier(self.cache_dir, fault_plan=self.fault_plan)
+        # The pack's traffic stays out of the ``cache.shared.*``
+        # metrics (those describe ``shared_store``); its events go to
+        # the session's bus.
+        self._pack_store = SharedStore(
+            [tier], Telemetry(events=self.telemetry.events))
+        self._pack_key = pack_store_key(self._options_salt)
+        self.pack_path = tier.path(self._pack_key)
+        pack = self._pack_store.fetch([self._pack_key]).get(self._pack_key)
+        if self._pack_store.counts[tier.name].corrupt:
+            self.stats.cache_quarantines += 1
+            if self.telemetry.metrics.enabled:
+                self.telemetry.metrics.counter(
+                    "resilience.cache_quarantines").inc()
+            print(f"repro: summary cache {self.pack_path} is corrupt; "
+                  f"quarantined under {tier.root}/corrupt and rebuilding "
+                  f"cold", file=sys.stderr)
             return
-        # Decode into fresh dicts and commit only on full success, so
-        # a half-corrupt payload cannot leave the session with partial
-        # (and potentially inconsistent) cache state.
-        try:
-            version = payload.get("version")
-            if version == _PICKLE_VERSION:
-                body_bytes = payload["data"]
-                if cache_checksum(body_bytes) != payload["sha256"]:
-                    raise ValueError(
-                        "cache checksum mismatch (torn write or bit rot)")
-                body = pickle.loads(body_bytes)
-            elif version in (1, 2):                # legacy, pre-checksum
-                body = payload
-            else:
-                self.telemetry.events.emit(
-                    "cache_incompatible",
-                    f"summary cache {path} has unsupported version "
-                    f"{version!r}; starting cold (file left in place)",
-                    path=path, version=version)
-                return
-            summaries: Dict[str, _Summary] = {}
-            for fp, entries in body["summaries"].items():
-                summary = _Summary()
-                summary.entries = dict(entries)
-                summaries[fp] = summary
-        except _CACHE_LOAD_ERRORS as exc:
-            self._quarantine_cache(path, exc)
+        if not isinstance(pack, dict):
             return
-        self._summaries.update(summaries)
+        for fp, entries in pack.items():
+            summary = _Summary()
+            summary.entries = entries
+            self._summaries[fp] = summary
 
-    def _quarantine_cache(self, path: str, exc: BaseException) -> None:
-        """Move a corrupt cache file aside and publish the failure.
-
-        Quarantine names are unique (``.corrupt.<pid>.<seq>``) so a
-        second corruption cannot clobber the first post-mortem, with
-        bounded retention: only the newest ``_QUARANTINE_KEEP``
-        quarantined files survive each new quarantine."""
-        global _quarantine_seq
-        _quarantine_seq += 1
-        quarantined: Optional[str] = \
-            f"{path}.corrupt.{os.getpid()}.{_quarantine_seq}"
-        try:
-            os.replace(path, quarantined)
-        except OSError:
-            quarantined = None                # even the move failed
-        else:
-            self._prune_quarantines(path)
-        self.stats.cache_quarantines += 1
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                "resilience.cache_quarantines").inc()
-        error = f"{type(exc).__name__}: {exc}"
-        self.telemetry.events.emit(
-            "cache_corrupt",
-            f"summary cache {path} is corrupt ({error}); "
-            + (f"quarantined to {quarantined} and rebuilding cold"
-               if quarantined else
-               "quarantine failed, rebuilding cold anyway"),
-            path=path, error=error, quarantined=quarantined)
-        print(f"repro: summary cache {path} is corrupt ({error}); "
-              f"rebuilding cold", file=sys.stderr)
-
-    @staticmethod
-    def _prune_quarantines(path: str) -> None:
-        """Keep only the newest ``_QUARANTINE_KEEP`` quarantined
-        copies of ``path`` (``.corrupt`` and ``.corrupt.<pid>.<seq>``
-        alike), deleting older ones — post-mortems stay available
-        without the cache directory growing without bound."""
-        directory = os.path.dirname(path) or "."
-        prefix = os.path.basename(path) + ".corrupt"
-        try:
-            names = [name for name in os.listdir(directory)
-                     if name.startswith(prefix)]
-        except OSError:
-            return
-        stamped: List[Tuple[float, str]] = []
-        for name in names:
-            full = os.path.join(directory, name)
-            try:
-                stamped.append((os.stat(full).st_mtime, full))
-            except OSError:
-                continue
-        stamped.sort(key=lambda item: (item[0], item[1]), reverse=True)
-        for _mtime, full in stamped[_QUARANTINE_KEEP:]:
-            try:
-                os.unlink(full)
-            except OSError:
-                pass
-
-    def _save_cache(self) -> None:
-        """Atomically persist the summary cache: unique temp file,
-        fsync, rename — with a content checksum over the body so the
-        next load can prove it read what this process wrote."""
-        body = pickle.dumps({
-            "summaries": {fp: s.entries for fp, s in self._summaries.items()},
-        }, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = {
-            "version": _PICKLE_VERSION,
-            "sha256": cache_checksum(body),
-            "data": body,
-        }
-        path = self._cache_path()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                pickle.dump(payload, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            self.telemetry.events.emit(
-                "cache_write_failed",
-                f"could not persist summary cache to {path}: {exc}",
-                path=path, error=f"{type(exc).__name__}: {exc}")
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
+    def _save_pack(self) -> None:
+        """Write the whole summary map as the pack.  A failed write
+        is a ``shared_cache_error`` event (the store reports the first
+        few per tier) and a cold next process, never a wrong answer."""
+        self._pack_store.store({self._pack_key: {
+            fp: s.entries for fp, s in self._summaries.items()}})
         if self.fault_plan is not None and self.fault_plan.take_cache_flip():
-            offset = self.fault_plan.flip_file_byte(path)
+            try:
+                offset = self.fault_plan.flip_file_byte(self.pack_path)
+            except OSError:
+                return                        # the write itself failed
             self.telemetry.events.emit(
                 "fault_injected",
-                f"flipped byte {offset} of {path} (injected fault)",
-                fault="flip-cache", path=path, offset=offset)
+                f"flipped byte {offset} of {self.pack_path} "
+                f"(injected fault)",
+                fault="flip-cache", path=self.pack_path, offset=offset)

@@ -262,15 +262,10 @@ def check_detailed(source: str, filename: str = "<input>",
         if options["shared_cache"]:
             from ..cache import open_store
             store = open_store(options["shared_cache"])
-        try:
-            with CheckSession(
-                    stdlib=options["stdlib"], units=options["units"],
-                    cache_dir=options["cache_dir"],
-                    shared_store=store) as session:
-                report = session.check(source, filename)
-        finally:
-            if store is not None:
-                store.close()
+        with CheckSession(stdlib=options["stdlib"], units=options["units"],
+                          cache_dir=options["cache_dir"],
+                          shared_store=store) as session:
+            report = session.check(source, filename)
     else:
         report = check_source(source, filename,
                               stdlib=options["stdlib"],

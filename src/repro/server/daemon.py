@@ -47,11 +47,8 @@ Design:
 * **shared store** — every warm session plugs into one daemon-wide
   in-memory blob tier (:class:`repro.cache.MemoryTier`), so sessions
   with different options cross-warm each other; ``vaultc serve
-  --shared-cache DIR`` adds a persistent CAS tier, and the
-  ``cache_get``/``cache_put`` wire ops export the store to remote
-  clients (:class:`repro.cache.RemoteTier`).  Uploaded blobs are
-  checksum-verified **without unpickling** — the daemon stores bytes,
-  it never executes them.
+  --shared-cache DIR`` adds a persistent CAS tier.  The store never
+  leaves the daemon: clients send sources, not blobs.
 
 Everything observable is published on the server's telemetry:
 ``server.*`` metrics, ``server_start``/``server_stop``/
@@ -62,7 +59,6 @@ the protocol and failure-mode reference.
 
 from __future__ import annotations
 
-import base64
 import os
 import selectors
 import socket
@@ -72,7 +68,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..cache import CASTier, MemoryTier, SharedStore, is_remote_spec
+from ..cache import CASTier, MemoryTier, SharedStore
 from ..diagnostics import VaultError
 from ..obs import (Telemetry, TimeSeriesRing, TraceRing, Tracer,
                    bucket_quantile, render_exposition, write_textfile)
@@ -109,7 +105,6 @@ _TICK_SECONDS = 0.5
 SERVER_COUNTERS = ("server.connections", "server.requests",
                    "server.checks", "server.coalesced",
                    "server.bad_requests", "server.client_errors",
-                   "server.cache_gets", "server.cache_puts",
                    "server.pings", "server.telemetry_requests",
                    "server.slow_requests", "server.shed",
                    "server.deadline_exceeded", "server.drained",
@@ -121,11 +116,6 @@ DEFAULT_SAMPLE_INTERVAL = 5.0
 
 #: slow-trace files retained in the on-disk ring (keep-newest-N).
 DEFAULT_TRACE_KEEP = 32
-
-#: byte budget for one ``cache_get`` reply's base64 payload — kept
-#: comfortably under MAX_FRAME so the encoded frame always fits;
-#: blobs that would overflow are dropped (the client sees misses).
-CACHE_REPLY_BUDGET = 48 << 20
 
 
 def unix_sockets_available() -> bool:
@@ -243,15 +233,17 @@ class CheckServer:
         #: default; ``vaultc serve`` gates it behind
         #: ``$VAULTC_SERVER_TEST_OPS``).
         self.enable_test_ops = enable_test_ops
-        #: the daemon-wide shared-cache tiers: every warm session (and
-        #: the ``cache_get``/``cache_put`` wire ops) reads and writes
-        #: one process-wide memory tier, plus one CAS tier per distinct
-        #: directory (``--shared-cache`` and per-request options).
+        #: the daemon-wide shared-cache tiers: every warm session reads
+        #: and writes one process-wide memory tier, plus one CAS tier
+        #: per distinct directory (``--shared-cache`` and per-request
+        #: options).
         self.shared_cache_dir = shared_cache_dir
         self.shared_memory = MemoryTier()
         self._cas_tiers: Dict[str, CASTier] = {}
         self._stores: Dict[str, SharedStore] = {}
-        self.shared_store = self._store_for(None)
+        # The default store exists from the start, so ``stats`` and
+        # ``telemetry`` list it before the first check.
+        self._store_for(None)
         self._sessions: "OrderedDict[str, _SessionEntry]" = OrderedDict()
         self._queue: Deque[_Request] = deque()
         self._conns: Dict[int, _Conn] = {}
@@ -752,49 +744,6 @@ class CheckServer:
                     "server.telemetry_requests").inc()
             self._send(conn, {"ok": True, **self._telemetry_payload()})
             return
-        if op == "cache_get":
-            keys = frame.get("keys")
-            if not isinstance(keys, list) \
-                    or not all(isinstance(k, str) for k in keys):
-                self._bad_request(
-                    conn, "cache_get needs a list of string 'keys'")
-                return
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.cache_gets").inc()
-            blobs = self.shared_store.get_blobs(keys)
-            out: Dict[str, str] = {}
-            budget = CACHE_REPLY_BUDGET
-            for key, blob in blobs.items():
-                encoded = base64.b64encode(blob).decode("ascii")
-                if len(encoded) > budget:
-                    continue          # dropped blob = ordinary miss
-                budget -= len(encoded)
-                out[key] = encoded
-            self._send(conn, {"ok": True, "blobs": out})
-            return
-        if op == "cache_put":
-            blobs = frame.get("blobs")
-            if not isinstance(blobs, dict):
-                self._bad_request(
-                    conn, "cache_put needs an object 'blobs' of "
-                          "base64 strings")
-                return
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.cache_puts").inc()
-            decoded: Dict[str, bytes] = {}
-            for key, encoded in blobs.items():
-                if not isinstance(key, str) or not isinstance(encoded, str):
-                    continue
-                try:
-                    decoded[key] = base64.b64decode(encoded, validate=True)
-                except (TypeError, ValueError):
-                    continue
-            # put_blobs re-validates every key (well-formed store keys
-            # only — client strings never reach a file path otherwise)
-            # and every envelope checksum, without unpickling anything.
-            stored = self.shared_store.put_blobs(decoded)
-            self._send(conn, {"ok": True, "stored": stored})
-            return
         if op == "shutdown":
             if frame.get("drain"):
                 self._send(conn, {"ok": True, "stopping": True,
@@ -1036,19 +985,14 @@ class CheckServer:
 
     # -- warm sessions -------------------------------------------------------
 
-    def _store_for(self, spec: Optional[object]) -> SharedStore:
-        """The shared store serving one ``shared_cache`` option value.
+    def _store_for(self, spec: Optional[str]) -> SharedStore:
+        """The shared store serving one normalized ``shared_cache``
+        option value.
 
         Every store stacks on the daemon-wide memory tier; a directory
         spec (from ``--shared-cache`` or the request options) adds a
-        CAS tier, deduplicated per path.  A *remote* spec is ignored —
-        a single-threaded daemon dialing a daemon (possibly itself)
-        for cache traffic would deadlock; remote tiers are strictly a
-        client-side construct.
+        CAS tier, deduplicated per path.
         """
-        spec = spec if isinstance(spec, str) and spec else None
-        if is_remote_spec(spec):
-            spec = None
         key = spec or ""
         store = self._stores.get(key)
         if store is None:
@@ -1147,8 +1091,7 @@ class CheckServer:
             "event_counts": self.telemetry.events.counts(),
             "timeseries": self.timeseries.describe()
             if self.timeseries is not None else None,
-            # Per-tier shared-store rows (includes the remote tier's
-            # breaker state when a session configured one).
+            # Per-tier shared-store rows.
             "shared_cache": {
                 spec or "<default>": store.stats_snapshot()
                 for spec, store in self._stores.items()},

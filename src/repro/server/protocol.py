@@ -10,7 +10,8 @@ Requests are objects with an ``op`` field:
 ``{"op": "check", "source": ..., "filename": ..., "options": {...}}``
     Protocol-check one compilation unit.  ``options`` may carry
     ``stdlib``, ``units``, ``cache_dir`` and ``shared_cache`` (a
-    shared-store directory); unknown keys are ignored so older clients
+    shared-store directory; ``daemon`` or ``daemon:SOCKET`` there
+    selects no shared store); unknown keys are ignored so older clients
     keep working (that includes the keys that once sized and tuned
     a worker pool, such as ``jobs``).  Two optional
     top-level fields: ``deadline_ms`` (a non-negative number — a
@@ -34,15 +35,6 @@ Requests are objects with an ``op`` field:
     window of per-interval rate samples, per-session LRU ``sessions``
     rows, ``queue_depth``, uptime, and (when slow-request capture is
     on) the ``slow_traces`` ring state.  What ``vaultc top`` polls.
-``{"op": "cache_get", "keys": [...]}``
-    Fetch blobs from the daemon's shared store (the remote cache
-    tier's read path); the reply maps each found key to base64 blob
-    bytes, capped below the frame limit (dropped keys are misses).
-``{"op": "cache_put", "blobs": {key: base64}}``
-    Store blobs into the daemon's shared store.  Each key must be a
-    well-formed store key and each blob a checksummed envelope — the
-    daemon verifies the checksum *without unpickling* and silently
-    drops anything malformed; the reply carries ``stored``.
 ``{"op": "shutdown"}``
     Ask the daemon to exit after replying; ``{"drain": true}`` asks
     for a graceful drain (finish in-flight, shed queued) instead of an
@@ -196,11 +188,18 @@ def normalize_options(options: Optional[Dict[str, object]]
     the same dict (and therefore the same session and request keys)."""
     options = options or {}
     units = options.get("units")
+    shared = options.get("shared_cache")
+    if not isinstance(shared, str) or shared == "daemon" \
+            or shared.startswith("daemon:"):
+        # ``daemon[:SOCKET]`` once named a remote cache tier; it is
+        # not a directory, so it selects no shared store rather than
+        # creating a directory called ``daemon``.
+        shared = None
     return {
         "stdlib": bool(options.get("stdlib", True)),
         "units": list(units) if units is not None else None,
         "cache_dir": options.get("cache_dir"),
-        "shared_cache": options.get("shared_cache"),
+        "shared_cache": shared or None,
     }
 
 

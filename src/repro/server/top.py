@@ -103,19 +103,11 @@ def render_top(reply: dict) -> str:
     lines.append("")
 
     cache_rows = []
-    for label in ("memory", "cas", "remote"):
+    for label in ("memory", "cas"):
         rate = _hit_rate(counters, f"cache.shared.{label}.hits",
                          f"cache.shared.{label}.misses")
         if rate is not None:
             cache_rows.append(f"  {label:<8} hit rate {rate * 100:6.1f}%")
-    for store in (reply.get("shared_cache") or {}).values():
-        for tier in (store or {}).get("tiers", []):
-            if not isinstance(tier, dict) or not tier.get("breaker_open"):
-                continue
-            why = tier.get("last_error") or "transport failure"
-            cache_rows.append(
-                f"  remote   breaker OPEN, retry in "
-                f"{tier.get('retry_in_seconds', 0):g}s ({why})")
     if cache_rows:
         lines.append("shared cache")
         lines.extend(cache_rows)

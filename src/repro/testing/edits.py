@@ -17,7 +17,10 @@ Each sequence is walked two ways:
 ``cache-dir``
     a fresh ``CheckSession(cache_dir=DIR)`` per revision over one
     shared ``DIR`` (what a CI rebuild running ``vaultc check --cache
-    DIR`` does).
+    DIR`` does).  Once per sequence, at a seeded revision, one byte of
+    the summary pack is flipped and the revision checked again: that
+    session must quarantine the pack and still answer like
+    ``check_source``.
 
 and then both walks run again with the session's cache caps patched
 down to :data:`SMALL_CAP`, so that evictions interleave with edits.
@@ -31,12 +34,14 @@ always yields the same revisions.
 
 from __future__ import annotations
 
+import io
+import os
 import random
 import re
 import shutil
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -100,6 +105,8 @@ class EditFuzzReport:
     paths: List[str] = field(default_factory=list)
     kinds: Dict[str, int] = field(default_factory=dict)
     divergences: List[EditDivergence] = field(default_factory=list)
+    #: corrupt summary packs the ``cache-dir`` walks quarantined
+    pack_quarantines: int = 0
 
     @property
     def ok(self) -> bool:
@@ -292,36 +299,60 @@ def _caps(value: Optional[int]) -> Iterator[str]:
 
 
 def walk(revisions: List[Revision], sequence_seed: int = 0,
-         caps: Optional[int] = None) -> Tuple[List[str],
-                                               List[EditDivergence]]:
+         caps: Optional[int] = None
+         ) -> Tuple[List[str], List[EditDivergence], int]:
     """Check ``revisions`` through both session paths; returns the
-    path names and every divergence from ``check_source``."""
-    from repro.pipeline import CheckSession
+    path names, every divergence from ``check_source``, and how many
+    corrupt summary packs the ``cache-dir`` path quarantined.
+
+    At one seeded revision the ``cache-dir`` path flips a byte of the
+    pack its check just wrote and checks the same revision again, as
+    a re-save would: that session must quarantine the pack and still
+    answer like ``check_source``, and the walk goes on from the pack
+    it rebuilt."""
+    from repro.pipeline import CheckSession, FaultPlan
     expected = [_outcome(lambda r=r: check_source(r.source, r.filename),
                          r.filename) for r in revisions]
     divergences: List[EditDivergence] = []
+    flip_at = random.Random(sequence_seed).randrange(len(revisions))
+    quarantines = 0
     cache_dir = tempfile.mkdtemp(prefix="vault-edits-")
+
+    def cache_dir_check(rev: Revision):
+        nonlocal quarantines
+        # The quarantine notice on stderr is expected noise here.
+        with redirect_stderr(io.StringIO()):
+            fresh = CheckSession(cache_dir=cache_dir)
+        quarantines += fresh.stats.cache_quarantines
+        return fresh.check(rev.source, rev.filename)
+
     try:
         with _caps(caps) as suffix:
             session = CheckSession()
+            pack_path = CheckSession(cache_dir=cache_dir).pack_path
             walks = {
                 f"session{suffix}":
                     lambda r: session.check(r.source, r.filename),
-                f"cache-dir{suffix}":
-                    lambda r: CheckSession(cache_dir=cache_dir).check(
-                        r.source, r.filename),
+                f"cache-dir{suffix}": cache_dir_check,
             }
             for path, check in walks.items():
                 for index, rev in enumerate(revisions):
-                    actual = _outcome(lambda: check(rev), rev.filename)
-                    if actual != expected[index]:
-                        divergences.append(EditDivergence(
-                            sequence_seed, index,
-                            [r.kind for r in revisions[:index + 1]],
-                            path, expected[index], actual))
+                    outcomes = [_outcome(lambda: check(rev), rev.filename)]
+                    if check is cache_dir_check and index == flip_at \
+                            and os.path.exists(pack_path):
+                        FaultPlan(seed=sequence_seed).flip_file_byte(
+                            pack_path)
+                        outcomes.append(_outcome(lambda: check(rev),
+                                                 rev.filename))
+                    for actual in outcomes:
+                        if actual != expected[index]:
+                            divergences.append(EditDivergence(
+                                sequence_seed, index,
+                                [r.kind for r in revisions[:index + 1]],
+                                path, expected[index], actual))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    return list(walks), divergences
+    return list(walks), divergences, quarantines
 
 
 def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
@@ -336,8 +367,9 @@ def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
         report.revisions += len(revisions)
         kinds.update(rev.kind for rev in revisions)
         for caps in (None, SMALL_CAP):
-            paths, found = walk(revisions, sequence_seed, caps)
+            paths, found, quarantines = walk(revisions, sequence_seed, caps)
             report.divergences.extend(found)
+            report.pack_quarantines += quarantines
             for path in paths:
                 if path not in report.paths:
                     report.paths.append(path)

@@ -1,31 +1,28 @@
-"""The tiered shared store: envelopes, tiers, orchestration, wire ops.
+"""The tiered shared store: envelopes, tiers, orchestration.
 
 Covers the ``repro.cache`` package bottom-up — blob envelope and key
 discipline, each tier's contract (memory LRU bounds, CAS crash safety
-and GC, remote breaker behaviour), the :class:`SharedStore`
-fall-through/promotion/containment logic — and the integration edges:
-the daemon's ``cache_get``/``cache_put`` validation, the session's
-chaos gating, and the quarantine retention bound.
+and GC), the :class:`SharedStore` fall-through/promotion/containment
+logic — and the integration edges: the daemon no longer serving cache
+blobs, and the session's chaos gating.
 """
 
 from __future__ import annotations
 
-import base64
 import os
 import threading
 import time
 
 import pytest
 
+from repro import check_source
 from repro.analysis import synthesize_program
-from repro.cache import (CASTier, MemoryTier, RemoteTier, SharedStore,
-                         StoreError, Tier, check_blob, decode_blob,
-                         encode_blob, is_remote_spec, open_store,
-                         options_salt, summary_store_key, unit_store_key,
-                         valid_key)
+from repro.cache import (CASTier, MemoryTier, SharedStore, StoreError,
+                         Tier, check_blob, decode_blob, encode_blob,
+                         open_store, options_salt, pack_store_key,
+                         summary_store_key, unit_store_key, valid_key)
 from repro.cache.cas import CORRUPT_KEEP
 from repro.pipeline import CheckSession, FaultPlan
-from repro.pipeline.session import _QUARANTINE_KEEP
 
 
 def key_of(n: int, kind: str = "s") -> str:
@@ -112,12 +109,13 @@ class TestKeys:
         assert k1 != unit_store_key("src", "f.vlt",
                                     options_salt(False, ["region"], True, 2))
 
-    def test_is_remote_spec(self):
-        assert is_remote_spec("daemon")
-        assert is_remote_spec("daemon:/tmp/x.sock")
-        assert not is_remote_spec("/tmp/cache")
-        assert not is_remote_spec("")
-        assert not is_remote_spec(None)
+    def test_pack_key_depends_on_salt_only(self):
+        salt = options_salt(True, None, True, 2)
+        key = pack_store_key(salt)
+        assert valid_key(key) and key.endswith("-p")
+        assert key == pack_store_key(salt)
+        assert key != pack_store_key(options_salt(True, None, True, 3))
+        assert key != summary_store_key("", salt)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +365,31 @@ class TestSharedStore:
     def test_open_store_specs(self, tmp_path):
         cas = open_store(str(tmp_path / "d"))
         assert [t.name for t in cas.tiers] == ["cas"]
-        remote = open_store("daemon:/tmp/nope.sock",
-                            memory_tier=MemoryTier())
-        assert [t.name for t in remote.tiers] == ["memory", "remote"]
-        assert remote.tiers[1].socket_path == "/tmp/nope.sock"
+        layered = open_store(str(tmp_path / "d"), memory_tier=MemoryTier())
+        assert [t.name for t in layered.tiers] == ["memory", "cas"]
         empty = open_store(None)
         assert empty.tiers == ()
 
+    def test_cas_write_failure_is_reported_once(self, tmp_path):
+        # A failed CAS write is absorbed by the tier (the other blobs
+        # still land) and surfaced to the orchestrator, which counts
+        # every failure but reports only the first few per tier.
+        plan = FaultPlan.parse("enospc@5")
+        store = SharedStore([CASTier(str(tmp_path / "cas"), fsync=False,
+                                     fault_plan=plan)])
+        for n in range(5):
+            assert store.store({key_of(n): "x"}) == 1
+        assert store.counts["cas"].errors == 5
+        assert store.counts["cas"].puts == 0
+        events = store.telemetry.events.by_kind("shared_cache_error")
+        assert len(events) == 3
+        assert events[0].fields["op"] == "put"
+        assert "ENOSPC" in events[0].fields["error"]
+        assert store.fetch([key_of(0)]) == {}, "a failed write is a miss"
+
 
 # ---------------------------------------------------------------------------
-# RemoteTier and the daemon's wire ops
+# The daemon serves checks, not cache blobs
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -396,59 +409,32 @@ def live_daemon(tmp_path):
         server.close()
 
 
-class TestRemoteTier:
-    def test_round_trip_through_daemon(self, live_daemon):
-        sock, _server = live_daemon
-        writer = RemoteTier(sock)
-        writer.put_many({key_of(1): blob_of("over the wire")})
-        writer.close()
-        reader = RemoteTier(sock)
-        got = reader.get_many([key_of(1), key_of(2)])
-        assert decode_blob(got[key_of(1)]) == "over the wire"
-        assert key_of(2) not in got
-        reader.close()
-
-    def test_dead_daemon_breaker(self, tmp_path):
-        tier = RemoteTier(str(tmp_path / "nothing.sock"),
-                          retry_seconds=60.0)
-        with pytest.raises(StoreError):
-            tier.get_many([key_of(1)])
-        assert tier.broken
-        # During backoff: silent misses, no second exception.
-        assert tier.get_many([key_of(1)]) == {}
-        tier.put_many({key_of(1): blob_of("x")})
-
-    def test_orchestrator_counts_remote_failure_once(self, tmp_path):
-        store = SharedStore([RemoteTier(str(tmp_path / "nothing.sock"),
-                                        retry_seconds=60.0)])
-        assert store.fetch([key_of(1)]) == {}
-        assert store.fetch([key_of(1)]) == {}
-        assert store.counts["remote"].errors == 1, \
-            "the breaker must absorb repeat failures"
-
-    def test_daemon_rejects_malformed_cache_ops(self, live_daemon):
+class TestDaemonOps:
+    def test_cache_ops_are_unknown(self, live_daemon):
         sock, _server = live_daemon
         from repro.server import DaemonClient
         with DaemonClient(sock) as client:
-            reply = client.request({"op": "cache_get", "keys": "nope"})
-            assert reply["ok"] is False
-            reply = client.request({"op": "cache_put", "blobs": [1, 2]})
-            assert reply["ok"] is False
+            for frame in ({"op": "cache_get", "keys": [key_of(1)]},
+                          {"op": "cache_put", "blobs": {}}):
+                reply = client.request(frame)
+                assert reply["ok"] is False
+                assert reply["kind"] == "bad_request"
+                assert reply["error"] == f"unknown op {frame['op']!r}"
+            assert client.request({"op": "ping"})["ok"], \
+                "the connection survives an unknown op"
 
-    def test_daemon_drops_bad_keys_and_bad_base64(self, live_daemon):
-        sock, server = live_daemon
+    @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
+    def test_daemon_spec_option_creates_no_directory(self, spec, live_daemon,
+                                                     tmp_path, monkeypatch):
+        sock, _server = live_daemon
+        source = synthesize_program(4, seed=2)
+        monkeypatch.chdir(tmp_path)
         from repro.server import DaemonClient
-        good = base64.b64encode(blob_of("fine")).decode("ascii")
         with DaemonClient(sock) as client:
-            reply = client.request({"op": "cache_put", "blobs": {
-                "../escape-s": good,            # invalid key
-                key_of(8): "!!! not base64",    # undecodable
-                key_of(9): base64.b64encode(b"junk").decode("ascii"),
-                key_of(10): good,               # the only good one
-            }})
-        assert reply == {"ok": True, "stored": 1}
-        assert server.shared_store.get_blobs([key_of(10)])
-        assert server.shared_store.get_blobs([key_of(9)]) == {}
+            reply = client.check(source, "d.vlt",
+                                 options={"shared_cache": spec})
+        assert reply["render"] == check_source(source, "d.vlt").render()
+        assert not (tmp_path / "daemon").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +487,3 @@ class TestSessionIntegration:
             b.check(source)
         assert b.stats.shared_unit_hits == 0, \
             "different loop bound → different diagnostics → other key"
-
-    def test_quarantine_retention_bound(self, tmp_path):
-        path = str(tmp_path / "summaries.pkl")
-        for n in range(_QUARANTINE_KEEP + 4):
-            with open(f"{path}.corrupt.{os.getpid()}.{n}", "wb") as fh:
-                fh.write(b"old post-mortem")
-        with open(path + ".corrupt", "wb") as fh:    # legacy name
-            fh.write(b"older still")
-        CheckSession._prune_quarantines(path)
-        survivors = [name for name in os.listdir(str(tmp_path))
-                     if ".corrupt" in name]
-        assert len(survivors) == _QUARANTINE_KEEP

@@ -137,6 +137,65 @@ class TestCompileEraseStats:
         assert "cache.context.misses" in out
 
 
+class TestCacheDir:
+    """``--cache DIR`` keeps one summary pack in the same kind of
+    store ``--shared-cache DIR`` fills, so one directory serves both
+    flags and ``vaultc cache`` inspects and collects it."""
+
+    @pytest.fixture
+    def unit(self, tmp_path):
+        from repro.analysis import synthesize_program
+        path = tmp_path / "unit.vlt"
+        path.write_text(synthesize_program(12, seed=5, error_rate=0.3))
+        return str(path)
+
+    def _check(self, capsys, *argv):
+        code = main(["check", *argv])
+        return code, capsys.readouterr().out
+
+    def test_cache_and_shared_cache_in_one_dir(self, unit, tmp_path,
+                                               capsys):
+        store = str(tmp_path / "store")
+        expected = self._check(capsys, unit)
+        for flags in (["--cache", store], ["--shared-cache", store],
+                      ["--cache", store, "--shared-cache", store],
+                      ["--cache", store]):
+            assert self._check(capsys, unit, *flags) == expected, flags
+
+    def test_cache_stats_counts_the_pack(self, unit, tmp_path, capsys):
+        from repro.pipeline import CheckSession
+        store = str(tmp_path / "store")
+        self._check(capsys, unit, "--cache", store)
+        pack = CheckSession(cache_dir=store).pack_path
+        assert main(["cache", "stats", "--dir", store]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["bytes"] == os.path.getsize(pack) > 0
+
+    def test_cache_gc_only_makes_the_next_check_cold(self, unit, tmp_path,
+                                                     capsys):
+        store = str(tmp_path / "store")
+        expected = self._check(capsys, unit)
+        assert self._check(capsys, unit, "--cache", store) == expected
+        assert main(["cache", "gc", store, "--max-bytes", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["deleted"] == 1
+        code = main(["check", unit, "--cache", store, "--profile"])
+        out, err = capsys.readouterr()
+        assert (code, out) == expected
+        assert "  functions replayed            0\n" in err
+
+    @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
+    def test_shared_cache_daemon_spec_is_refused(self, spec, unit,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", unit, "--shared-cache", spec])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--daemon" in err and "not a cache directory" in err
+        assert not (tmp_path / "daemon").exists()
+
+
 class TestObservability:
     def test_profile_output_shape(self, good_file, capsys):
         assert main(["check", good_file, "--profile"]) == 0

@@ -270,6 +270,8 @@ class TestEditSequences:
         assert report.paths == ["session", "cache-dir", "session/cap8",
                                 "cache-dir/cap8"]
         assert report.revisions == 24
+        # one flipped summary pack per sequence and walk, each caught
+        assert report.pack_quarantines == 6
 
     def test_caps_are_restored_after_the_small_cap_walk(self):
         from repro.pipeline import session as session_mod
@@ -288,7 +290,8 @@ class TestEditSequences:
         assert "form_feed" in [rev.kind for rev in revisions]
         assert walk(revisions)[1] == []
         monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
-        paths, divergences = walk(revisions, FORM_FEED_SEQUENCE)
+        paths, divergences, _quarantines = walk(revisions,
+                                                FORM_FEED_SEQUENCE)
         assert {d.path for d in divergences} == set(paths)
         first = divergences[0]
         assert first.kinds[-1] == "body_call"

@@ -164,51 +164,40 @@ def test_shared_cas_output_matches_golden(tmp_path, update_golden):
     from repro.cache import open_store
 
     root = str(tmp_path / "cas")
-    writer_store = open_store(root)
-    try:
-        with CheckSession(shared_store=writer_store) as writer:
-            for rel in CORPUS:
-                writer.check(read_source(rel), filename=rel)
-        assert writer.stats.shared_puts > 0
-    finally:
-        writer_store.close()
+    with CheckSession(shared_store=open_store(root)) as writer:
+        for rel in CORPUS:
+            writer.check(read_source(rel), filename=rel)
+    assert writer.stats.shared_puts > 0
 
     # A brand-new session over a brand-new store handle: everything it
     # knows comes off the CAS directory the writer populated.
-    reader_store = open_store(root)
-    try:
-        with CheckSession(shared_store=reader_store) as reader:
-            for rel in CORPUS:
-                report = reader.check(read_source(rel), filename=rel)
-                assert_matches_golden(report_stdout(report, rel), rel,
-                                      update_golden, "shared store (CAS)")
-        assert reader.stats.functions_checked == 0, \
-            "a shared-store replay should not re-check anything"
-        assert reader.stats.shared_unit_hits == len(CORPUS)
-    finally:
-        reader_store.close()
+    with CheckSession(shared_store=open_store(root)) as reader:
+        for rel in CORPUS:
+            report = reader.check(read_source(rel), filename=rel)
+            assert_matches_golden(report_stdout(report, rel), rel,
+                                  update_golden, "shared store (CAS)")
+    assert reader.stats.functions_checked == 0, \
+        "a shared-store replay should not re-check anything"
+    assert reader.stats.shared_unit_hits == len(CORPUS)
 
 
-@pytest.mark.daemon
-def test_shared_remote_output_matches_golden(daemon_socket, update_golden):
+def test_cache_and_shared_cache_share_one_dir(tmp_path, update_golden):
+    # --cache DIR keeps its summary pack in the same CAS a
+    # --shared-cache DIR fills: one directory serves both, alone or
+    # together, and every combination renders the golden bytes.
     from repro.cache import open_store
 
-    writer_store = open_store("daemon:" + daemon_socket)
-    try:
-        with CheckSession(shared_store=writer_store) as writer:
-            for rel in CORPUS:
-                writer.check(read_source(rel), filename=rel)
-    finally:
-        writer_store.close()
-
-    reader_store = open_store("daemon:" + daemon_socket)
-    try:
-        with CheckSession(shared_store=reader_store) as reader:
-            for rel in CORPUS:
-                report = reader.check(read_source(rel), filename=rel)
-                assert_matches_golden(report_stdout(report, rel), rel,
-                                      update_golden, "shared store (remote)")
-        assert reader.stats.functions_checked == 0, \
-            "a remote-tier replay should not re-check anything"
-    finally:
-        reader_store.close()
+    root = str(tmp_path / "store")
+    for label, cache_dir, shared in (("--cache", root, False),
+                                     ("--shared-cache", None, True),
+                                     ("both", root, True)):
+        for run in ("cold", "warm"):
+            store = open_store(root) if shared else None
+            with CheckSession(cache_dir=cache_dir,
+                              shared_store=store) as session:
+                for rel in CORPUS:
+                    report = session.check(read_source(rel), filename=rel)
+                    assert_matches_golden(
+                        report_stdout(report, rel), rel, update_golden,
+                        f"{label} {run}, one directory")
+    assert session.stats.functions_checked == 0

@@ -12,9 +12,9 @@ Covers the three layers of :mod:`repro.pipeline`:
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +109,31 @@ class TestSplitChunks:
     def test_unbalanced_braces_raise(self):
         with pytest.raises(ChunkError):
             split_chunks("void f() { { }")
+
+    def test_key_lists_in_variant_brackets_do_not_split(self):
+        variant = ("variant tape0_ev<key K> [ 'Tape0Go {K@q2} | "
+                   "'Tape0Halt(int) {K@q1} ];")
+        chunks = split_chunks(variant + "\nvoid f() { }\n")
+        assert [c.text for c in chunks] == [variant, "\nvoid f() { }\n"]
+        assert chunks[0].brace == -1, "a key list is not a body"
+        assert chunks[1].brace == chunks[1].text.index("{")
+
+    @pytest.mark.parametrize("source", ["variant v<key K> [ 'A {K@q} ;",
+                                        "variant v<key K> 'A {K@q} ];"])
+    def test_unbalanced_brackets_raise(self, source):
+        with pytest.raises(ChunkError):
+            split_chunks(source)
+
+    def test_generated_programs_never_take_the_whole_unit_parse(self):
+        # Every generate_program seed splits into chunks, keyed
+        # variants included, on the first check and the warm re-check.
+        from repro.testing import generate_program
+        session = CheckSession()
+        sources = [generate_program(seed).source for seed in range(100)]
+        for _ in range(2):
+            for seed, source in enumerate(sources):
+                session.check(source, f"gen-{seed}.vlt")
+        assert session.stats.whole_parses == 0
 
     def test_fallback_matches_plain_check(self):
         # A splitter-hostile unit must behave identically (the session
@@ -270,14 +295,18 @@ class TestPersistence:
         assert second.stats.last_checked == []
         assert second.stats.functions_replayed > 0
 
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "summaries.pkl").write_bytes(b"not a pickle")
+    def test_corrupt_cache_is_ignored(self, tmp_path, capfd):
+        cache = str(tmp_path / "cache")
+        pack = fresh_session(cache_dir=cache).pack_path
+        os.makedirs(os.path.dirname(pack))
+        with open(pack, "wb") as handle:
+            handle.write(b"not a pack")
         source = synthesize_program(4, seed=10)
-        session = fresh_session(cache_dir=str(cache))
+        session = fresh_session(cache_dir=cache)
         assert session.check(source).render() == \
             check_source(source, units=UNITS).render()
+        assert session.stats.cache_quarantines == 1
+        capfd.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +473,7 @@ class TestSessionReuse:
         cache_dir = tmp_path / "cache"
         with fresh_session(cache_dir=str(cache_dir)) as session:
             session.check(source, "unit.vlt")
-        cache_file = cache_dir / "summaries.pkl"
+        cache_file = Path(session.pack_path)
         assert cache_file.exists()
         stamp = os.stat(cache_file)
         blob = cache_file.read_bytes()
@@ -453,8 +482,10 @@ class TestSessionReuse:
             assert session.stats.functions_checked == 0
         after = os.stat(cache_file)
         assert cache_file.read_bytes() == blob
-        assert (after.st_mtime_ns, after.st_ino) == \
-            (stamp.st_mtime_ns, stamp.st_ino), \
+        # A read freshens the pack's mtime (the store's GC is LRU), so
+        # the inode is the witness: every write lands by os.replace
+        # from a fresh temp file.
+        assert after.st_ino == stamp.st_ino, \
             "a replay-only session rewrote an unchanged cache file"
 
 
@@ -744,19 +775,3 @@ class TestCrossProcessPersistence:
         assert session.stats.last_checked == []
         assert session.stats.functions_replayed == checked_in_child
         assert report.render() == check_source(source, units=UNITS).render()
-
-    def test_version1_cache_payload_still_loads(self, tmp_path):
-        source = synthesize_program(5, seed=2)
-        writer = CheckSession(units=UNITS, cache_dir=str(tmp_path))
-        writer.check(source)
-        path = os.path.join(str(tmp_path), "summaries.pkl")
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        inner = pickle.loads(payload["data"])
-        assert set(inner) == {"summaries"}        # no scheduler costs
-        with open(path, "wb") as handle:
-            pickle.dump({"version": 1, "summaries": inner["summaries"]},
-                        handle)
-        reader = CheckSession(units=UNITS, cache_dir=str(tmp_path))
-        reader.check(source)
-        assert reader.stats.functions_checked == 0

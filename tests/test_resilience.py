@@ -3,11 +3,11 @@
 Every recovery path the checker promises is driven here through the
 deterministic fault harness (:mod:`repro.pipeline.faults`):
 
-* a corrupt on-disk summary cache is quarantined (original preserved
-  under a unique ``*.corrupt.<pid>.<seq>`` name, bounded retention)
-  and transparently rebuilt;
-* legacy cache formats (v2, and v3 files that still carry the
-  scheduler costs older versions persisted) load without a quarantine;
+* a corrupt summary pack is quarantined (original preserved under
+  ``corrupt/`` with a unique ``*.corrupt.<pid>.<seq>`` name, bounded
+  retention) and transparently rebuilt;
+* a ``summaries.pkl`` left by an older ``vaultc`` is neither read nor
+  deleted;
 * the fault-spec parser behind ``--inject-faults`` and
   ``VAULTC_FAULTS`` is strict and deterministic.
 """
@@ -23,6 +23,8 @@ import pytest
 
 from repro import check_source
 from repro.analysis import synthesize_program
+from repro.cache import check_blob, encode_blob
+from repro.obs import Telemetry
 from repro.pipeline import CheckSession, FaultPlan, cache_checksum
 from repro.pipeline.faults import FaultError
 
@@ -103,13 +105,10 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 
 class TestCacheResilience:
-    def _cache_path(self, tmp_path):
-        return os.path.join(str(tmp_path), "summaries.pkl")
-
     def _seed_cache(self, tmp_path, source):
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
             session.check(source)
-        path = self._cache_path(tmp_path)
+        path = session.pack_path
         assert os.path.exists(path)
         return path
 
@@ -122,45 +121,73 @@ class TestCacheResilience:
         with open(path, "wb") as handle:
             handle.write(bytes(corrupt))
 
-        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
+        with CheckSession(units=UNITS, cache_dir=str(tmp_path),
+                          telemetry=Telemetry(metrics=True)) as session:
             rendered = session.check(source).render()
         assert rendered == expected
         assert session.stats.cache_quarantines == 1
-        (event,) = session.telemetry.events.by_kind("cache_corrupt")
-        assert event.fields["path"] == path
+        metrics = session.telemetry.metrics.snapshot()
+        assert metrics["resilience.cache_quarantines"]["value"] == 1
+        assert not any(name.startswith("cache.shared.")
+                       for name in metrics), \
+            "pack traffic stays out of the shared-store metrics"
+        (event,) = session.telemetry.events.by_kind("shared_cache_corrupt")
+        assert session.pack_path.endswith(event.fields["key"])
         assert event.fields["error"]
         # quarantine names are unique (``.corrupt.<pid>.<seq>``) so a
         # later corruption cannot clobber this post-mortem
-        quarantined = event.fields["quarantined"]
-        assert quarantined.startswith(path + ".corrupt.")
+        qdir = os.path.join(str(tmp_path), "corrupt")
+        (quarantined,) = os.listdir(qdir)
+        assert quarantined.startswith(event.fields["key"] + ".corrupt.")
         # the corrupt original is preserved for post-mortems…
-        with open(quarantined, "rb") as handle:
+        with open(os.path.join(qdir, quarantined), "rb") as handle:
             assert handle.read() == bytes(corrupt)
         # …and the rebuilt cache replays cleanly on the next run.
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             reader.check(source)
         assert reader.stats.cache_quarantines == 0
         assert reader.stats.functions_checked == 0
-        assert "rebuilding cold" in capfd.readouterr().err
+        err = capfd.readouterr().err
+        assert err.count("rebuilding cold") == 1
 
     def test_checksum_catches_payload_corruption(self, tmp_path, capfd):
-        # A flip inside the pickled body keeps the envelope loadable —
-        # only the content checksum can catch it.
+        # A flip inside the pickled body keeps the envelope well-formed
+        # — only the content checksum can catch it.
         source, _ = _corpus(n=6, seed=8)
         path = self._seed_cache(tmp_path, source)
         with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        body = bytearray(payload["data"])
-        body[len(body) // 2] ^= 0x01
-        payload["data"] = bytes(body)
+            blob = bytearray(handle.read())
+        body_at = len(blob) - len(check_blob(bytes(blob)))
+        blob[body_at + (len(blob) - body_at) // 2] ^= 0x01
         with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
+            handle.write(bytes(blob))
 
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
             session.check(source)
-        (event,) = session.telemetry.events.by_kind("cache_corrupt")
+        (event,) = session.telemetry.events.by_kind("shared_cache_corrupt")
         assert "checksum" in event.fields["error"]
+        assert session.stats.cache_quarantines == 1
         capfd.readouterr()
+
+    def test_unpicklable_pack_body_is_quarantined(self, tmp_path, capfd):
+        # A sound envelope around a body that will not unpickle (e.g.
+        # a class the summaries reference changed between versions).
+        source, expected = _corpus(n=6, seed=4)
+        path = self._seed_cache(tmp_path, source)
+        good = encode_blob(None)
+        magic = good[:len(good) - len(check_blob(good)) - 65]
+        blob = (magic + cache_checksum(b"not a pickle").encode()
+                + b"\nnot a pickle")
+        assert check_blob(blob) == b"not a pickle"
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
+            assert session.check(source).render() == expected
+        assert session.stats.cache_quarantines == 1
+        (event,) = session.telemetry.events.by_kind("shared_cache_corrupt")
+        assert "unpickle" in event.fields["error"]
+        assert os.listdir(os.path.join(str(tmp_path), "corrupt"))
+        assert capfd.readouterr().err.count("rebuilding cold") == 1
 
     def test_flip_cache_fault_round_trips(self, tmp_path, capfd):
         source, expected = _corpus(n=8, seed=9)
@@ -170,53 +197,51 @@ class TestCacheResilience:
             writer.check(source)
         (event,) = writer.telemetry.events.by_kind("fault_injected")
         assert event.fields["fault"] == "flip-cache"
+        assert event.fields["path"] == writer.pack_path
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             assert reader.check(source).render() == expected
         assert reader.stats.cache_quarantines == 1
         capfd.readouterr()
 
-    def test_unknown_version_reported_but_left_in_place(self, tmp_path):
-        source, _ = _corpus(n=4, seed=10)
-        path = self._seed_cache(tmp_path, source)
-        with open(path, "wb") as handle:
-            pickle.dump({"version": 99, "data": b""}, handle)
+    def test_legacy_summaries_pickle_is_ignored(self, tmp_path):
+        # An older vaultc kept its summaries in DIR/summaries.pkl (a
+        # checksummed "version 3" pickle).  The pack replaces it: the
+        # file is neither read nor deleted, and the first check is
+        # cold and correct.
+        source, expected = _corpus(n=5, seed=11)
+        with CheckSession(units=UNITS) as warm:
+            warm.check(source)
+        body = pickle.dumps({"summaries": {
+            fp: s.entries for fp, s in warm._summaries.items()}})
+        legacy = tmp_path / "summaries.pkl"
+        legacy.write_bytes(pickle.dumps({
+            "version": 3, "sha256": cache_checksum(body), "data": body}))
+        before = legacy.read_bytes()
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
-            session.check(source)
-        (event,) = session.telemetry.events.by_kind("cache_incompatible")
-        assert event.fields["version"] == 99
-        assert not [name for name in os.listdir(os.path.dirname(path))
-                    if ".corrupt" in name]
+            assert session.check(source).render() == expected
+        assert session.stats.functions_replayed == 0
+        assert session.stats.cache_quarantines == 0
+        assert legacy.read_bytes() == before
+        assert not (tmp_path / "corrupt").exists()
 
-    def test_legacy_version2_payload_still_loads(self, tmp_path):
-        source, _ = _corpus(n=5, seed=11)
-        path = self._seed_cache(tmp_path, source)
-        with open(path, "rb") as handle:
-            inner = pickle.loads(pickle.load(handle)["data"])
-        assert "costs" not in inner
-        # Older versions persisted per-function scheduler costs beside
-        # the summaries; v2 and v3 files that still carry them load,
-        # and the costs are ignored.
-        costs = {"worker_0": 0.001, "worker_1": 0.002}
-        body = pickle.dumps({"summaries": inner["summaries"],
-                             "costs": costs})
-        legacy = [{"version": 2, "summaries": inner["summaries"],
-                   "costs": costs},
-                  {"version": 3, "sha256": cache_checksum(body),
-                   "data": body}]
-        for payload in legacy:
-            with open(path, "wb") as handle:
-                pickle.dump(payload, handle)
-            with CheckSession(units=UNITS,
-                              cache_dir=str(tmp_path)) as reader:
-                reader.check(source)
-            assert reader.stats.functions_checked == 0
-            assert reader.stats.cache_quarantines == 0
+    def test_failed_pack_write_is_an_event(self, tmp_path):
+        source, expected = _corpus(n=4, seed=14)
+        plan = FaultPlan.parse("enospc")
+        with CheckSession(units=UNITS, cache_dir=str(tmp_path),
+                          fault_plan=plan) as writer:
+            assert writer.check(source).render() == expected
+        (event,) = writer.telemetry.events.by_kind("shared_cache_error")
+        assert event.fields["op"] == "put"
+        assert not os.path.exists(writer.pack_path)
+        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
+            assert reader.check(source).render() == expected
+        assert reader.stats.functions_replayed == 0, "the next run is cold"
 
     def test_save_leaves_no_temp_files(self, tmp_path):
         source, _ = _corpus(n=4, seed=12)
         self._seed_cache(tmp_path, source)
-        leftovers = [name for name in os.listdir(str(tmp_path))
-                     if ".tmp" in name]
+        leftovers = [name for _root, _dirs, names in os.walk(str(tmp_path))
+                     for name in names if ".tmp" in name]
         assert leftovers == []
 
 

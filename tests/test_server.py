@@ -727,21 +727,14 @@ class TestTopRenderer:
         assert result.returncode == 1
         assert "vaultc top:" in result.stderr
 
-    def test_render_top_shows_queue_bound_drain_and_breaker(self):
+    def test_render_top_shows_queue_bound_and_drain(self):
         from repro.server import render_top
         reply = self._reply()
         reply["queue_limit"] = 64
         reply["draining"] = True
-        reply["shared_cache"] = {"<default>": {"tiers": [
-            {"tier": "memory"},
-            {"tier": "remote", "breaker_open": True,
-             "retry_in_seconds": 12.5,
-             "last_error": "connection refused"}]}}
         screen = render_top(reply)
         assert "queue 1/64" in screen
         assert "DRAINING" in screen
-        assert "breaker OPEN, retry in 12.5s" in screen
-        assert "connection refused" in screen
 
 
 # ---------------------------------------------------------------------------
@@ -1047,6 +1040,27 @@ class TestClientResilience:
             daemon.close()
         assert outcome.via_daemon is False
         assert outcome.render == check_source(OK_SOURCE, "f.vlt").render()
+
+
+    def test_check_detailed_in_process_with_shared_cache(self, tmp_path):
+        options = {"shared_cache": str(tmp_path / "cas")}
+        for _ in range(2):                        # cold, then replayed
+            outcome = check_detailed(OK_SOURCE, "f.vlt", options,
+                                     socket_path=None)
+            assert outcome.via_daemon is False
+            assert outcome.render == \
+                check_source(OK_SOURCE, "f.vlt").render()
+
+    @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
+    def test_daemon_spec_selects_no_shared_store(self, spec, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert normalize_options({"shared_cache": spec}) == \
+            normalize_options({})
+        outcome = check_detailed(OK_SOURCE, "f.vlt", {"shared_cache": spec},
+                                 socket_path=None)
+        assert outcome.render == check_source(OK_SOURCE, "f.vlt").render()
+        assert os.listdir(str(tmp_path)) == []
 
 
 # ---------------------------------------------------------------------------
