@@ -14,7 +14,6 @@ linearity invariants of the paper are enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .keys import Key, State, StateVar, state_display, states_equal
@@ -31,12 +30,12 @@ class CapabilityError(Exception):
         super().__init__(message)
 
 
-@dataclass
 class KeyInfo:
     """What the held-key set knows about one held key."""
 
-    state: State
-    payload: Optional[CType] = None   # resource type for tracked keys
+    def __init__(self, state: State, payload: Optional[CType] = None):
+        self.state = state
+        self.payload = payload   # resource type for tracked keys
 
     def clone(self) -> "KeyInfo":
         return KeyInfo(self.state, self.payload)

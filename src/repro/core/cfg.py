@@ -17,7 +17,6 @@ switch cases, "back" for loop back edges).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..syntax import ast
@@ -25,18 +24,18 @@ from ..syntax import ast
 _block_ids = itertools.count(1)
 
 
-@dataclass
 class Block:
     """One basic block: straight-line statements, then a terminator."""
 
-    id: int = field(default_factory=lambda: next(_block_ids))
-    stmts: List[ast.Stmt] = field(default_factory=list)
-    #: outgoing edges: (target block, label)
-    succs: List[Tuple["Block", Optional[str]]] = field(default_factory=list)
-    preds: List["Block"] = field(default_factory=list)
-    #: what ends the block: "fallthrough", "branch", "switch",
-    #: "return", "loop", or "exit"
-    terminator: str = "fallthrough"
+    def __init__(self) -> None:
+        self.id = next(_block_ids)
+        self.stmts: List[ast.Stmt] = []
+        #: outgoing edges: (target block, label)
+        self.succs: List[Tuple["Block", Optional[str]]] = []
+        self.preds: List["Block"] = []
+        #: what ends the block: "fallthrough", "branch", "switch",
+        #: "return", "loop", or "exit"
+        self.terminator = "fallthrough"
 
     def link(self, target: "Block", label: Optional[str] = None) -> None:
         self.succs.append((target, label))

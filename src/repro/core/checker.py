@@ -21,7 +21,6 @@ For each function definition the checker:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..diagnostics import Code, Reporter, Span
@@ -44,14 +43,15 @@ MAX_LOOP_ITERATIONS = 4
 NUMERIC_NAMES = {"int", "byte", "float"}
 
 
-@dataclass
 class VarInfo:
     """One variable in the flow-sensitive environment."""
 
-    ctype: CType
-    initialized: bool = True
-    is_param: bool = False
-    declared: Optional[CType] = None  # declared (guarded) type, if any
+    def __init__(self, ctype: CType, initialized: bool = True,
+                 is_param: bool = False, declared: Optional[CType] = None):
+        self.ctype = ctype
+        self.initialized = initialized
+        self.is_param = is_param
+        self.declared = declared  # declared (guarded) type, if any
 
     def clone(self) -> "VarInfo":
         return VarInfo(self.ctype, self.initialized, self.is_param,

@@ -17,18 +17,16 @@ type (``KIRQL<level>``, §4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from typing import Union
 
-from .keys import Key
+from .keys import Key, Value
 from .types import (ANY_STATE, AtMostState, CType, ExactState, KeyVarRef,
                     StateReq, StateVarRef)
 
 
-@dataclass(frozen=True)
-class CoreEffectItem:
+class CoreEffectItem(Value):
     """One key's delta across a call.
 
     ``mode`` ∈ {"keep", "consume", "produce", "fresh"}:
@@ -44,10 +42,15 @@ class CoreEffectItem:
     instantiated (nested functions close over enclosing keys, Figure 7).
     """
 
-    mode: str
-    key: Union[str, Key]
-    pre: StateReq = ANY_STATE
-    post: Optional[StateReq] = None   # None on keep = same as pre
+    _fields = ("mode", "key", "pre", "post")
+
+    def __init__(self, mode: str, key: Union[str, Key],
+                 pre: StateReq = ANY_STATE,
+                 post: Optional[StateReq] = None):  # None on keep = pre
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "post", post)
 
     def show(self) -> str:
         if self.mode == "consume":
@@ -60,9 +63,11 @@ class CoreEffectItem:
         return f"{self.key}@{self.pre!r}{post}"
 
 
-@dataclass(frozen=True)
-class CoreEffect:
-    items: Tuple[CoreEffectItem, ...] = ()
+class CoreEffect(Value):
+    _fields = ("items",)
+
+    def __init__(self, items: Tuple[CoreEffectItem, ...] = ()):
+        object.__setattr__(self, "items", items)
 
     def item_for(self, key_name) -> Optional[CoreEffectItem]:
         for item in self.items:
@@ -81,14 +86,15 @@ class CoreEffect:
 EMPTY_EFFECT = CoreEffect(())
 
 
-@dataclass(frozen=True)
-class SigParam:
-    type: CType
-    name: Optional[str] = None
+class SigParam(Value):
+    _fields = ("type", "name")
+
+    def __init__(self, type: CType, name: Optional[str] = None):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """An elaborated function signature, implicitly polymorphic (§3.2)
     in every key variable, state variable and type variable it mentions.
 
@@ -98,15 +104,24 @@ class Signature:
     functions of §4, the region/socket operations of §2).
     """
 
-    name: str
-    params: Tuple[SigParam, ...]
-    ret: CType
-    effect: CoreEffect = EMPTY_EFFECT
-    key_vars: Tuple[str, ...] = ()
-    state_vars: Tuple[str, ...] = ()
-    type_vars: Tuple[str, ...] = ()
-    module: Optional[str] = None
-    is_extern: bool = False
+    _fields = ("name", "params", "ret", "effect", "key_vars", "state_vars",
+               "type_vars", "module", "is_extern")
+
+    def __init__(self, name: str, params: Tuple[SigParam, ...], ret: CType,
+                 effect: CoreEffect = EMPTY_EFFECT,
+                 key_vars: Tuple[str, ...] = (),
+                 state_vars: Tuple[str, ...] = (),
+                 type_vars: Tuple[str, ...] = (),
+                 module: Optional[str] = None, is_extern: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "ret", ret)
+        object.__setattr__(self, "effect", effect)
+        object.__setattr__(self, "key_vars", key_vars)
+        object.__setattr__(self, "state_vars", state_vars)
+        object.__setattr__(self, "type_vars", type_vars)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "is_extern", is_extern)
 
     @property
     def qualified_name(self) -> str:

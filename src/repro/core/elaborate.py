@@ -16,7 +16,6 @@ the internal types of :mod:`repro.core.types`, performing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..diagnostics import Code, Reporter, Span

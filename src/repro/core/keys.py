@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
 
 #: The default state used when the programmer omits key states
@@ -28,6 +27,44 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
 DEFAULT_STATE = "$default"
 
 _counter = itertools.count(1)
+
+
+class Value:
+    """Base of the checker's immutable values: :class:`StateVar`, the
+    types of :mod:`.types` and the effects of :mod:`.effects`.
+
+    A subclass names its fields in ``_fields``, in the order of its
+    ``__init__`` parameters, and its ``__init__`` sets them once with
+    ``object.__setattr__``: touching ``self.__dict__`` would give every
+    instance a dict object of its own, about doubling its size.
+    Equality and hashing compare the field values (an instance of
+    another class is never equal); assigning or deleting an attribute
+    raises ``AttributeError``.  Not frozen dataclasses, for start-up
+    time: see docs/CHECKER.md.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 class Key:
@@ -69,8 +106,7 @@ def fresh_key(name: str, origin: str = "local", span=None) -> Key:
     return Key(name, origin, span)
 
 
-@dataclass(frozen=True)
-class StateVar:
+class StateVar(Value):
     """A symbolic state, optionally bounded above in a stateset.
 
     ``KeReleaseSemaphore ... [IRQL @ (level <= DISPATCH_LEVEL)]`` checks
@@ -79,9 +115,13 @@ class StateVar:
     omits a key's state entirely and is fully state-polymorphic.
     """
 
-    name: str
-    bound: Optional[str] = None
-    uid: int = field(default_factory=lambda: next(_counter))
+    _fields = ("name", "bound", "uid")
+
+    def __init__(self, name: str, bound: Optional[str] = None,
+                 uid: Optional[int] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "uid", next(_counter) if uid is None else uid)
 
     def __repr__(self) -> str:
         if self.bound:

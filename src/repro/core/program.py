@@ -9,7 +9,6 @@ module/interface conformance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..diagnostics import Code, Reporter, Span
@@ -20,7 +19,6 @@ from .keys import DEFAULT_STATE, Key, StateSet, StateSpace
 from .types import (CType, CTypeVar, KeyVarRef, StateReq, StateVarRef)
 
 
-@dataclass
 class TypeDeclInfo:
     """A declared named type — alias, abstract type, struct or variant.
 
@@ -30,23 +28,27 @@ class TypeDeclInfo:
     representation.
     """
 
-    name: str
-    kind: str                      # "alias" | "struct" | "variant"
-    params: List[Tuple[str, str]]
-    rhs: Optional[ast.Type] = None
-    owner: Optional[str] = None
-    span: Span = field(default_factory=Span.unknown)
+    def __init__(self, name: str, kind: str, params: List[Tuple[str, str]],
+                 rhs: Optional[ast.Type] = None, owner: Optional[str] = None,
+                 span: Optional[Span] = None):
+        self.name = name
+        self.kind = kind                # "alias" | "struct" | "variant"
+        self.params = params
+        self.rhs = rhs
+        self.owner = owner
+        self.span = Span.unknown() if span is None else span
 
     @property
     def is_abstract(self) -> bool:
         return self.kind == "alias" and self.rhs is None
 
 
-@dataclass
 class StructInfo:
-    name: str
-    params: List[Tuple[str, str]]
-    fields: List[Tuple[str, CType]]
+    def __init__(self, name: str, params: List[Tuple[str, str]],
+                 fields: List[Tuple[str, CType]]):
+        self.name = name
+        self.params = params
+        self.fields = fields
 
     def field_type(self, fname: str) -> Optional[CType]:
         for name, ctype in self.fields:
@@ -55,23 +57,26 @@ class StructInfo:
         return None
 
 
-@dataclass
 class CtorInfo:
     """One variant constructor with elaborated argument types and key
     attachments (``'SomeKey{K}`` / ``'Error(error_code){K@raw}``)."""
 
-    name: str
-    variant: str
-    index: int
-    arg_types: List[CType]
-    key_attach: List[Tuple[str, StateReq]]   # (key-param name, state req)
+    def __init__(self, name: str, variant: str, index: int,
+                 arg_types: List[CType],
+                 key_attach: List[Tuple[str, StateReq]]):
+        self.name = name
+        self.variant = variant
+        self.index = index
+        self.arg_types = arg_types
+        self.key_attach = key_attach    # (key-param name, state req)
 
 
-@dataclass
 class VariantInfo:
-    name: str
-    params: List[Tuple[str, str]]
-    ctors: List[CtorInfo]
+    def __init__(self, name: str, params: List[Tuple[str, str]],
+                 ctors: List[CtorInfo]):
+        self.name = name
+        self.params = params
+        self.ctors = ctors
 
     def ctor(self, name: str) -> Optional[CtorInfo]:
         for c in self.ctors:
@@ -92,12 +97,13 @@ class VariantInfo:
         return False
 
 
-@dataclass
 class GlobalKeyInfo:
-    name: str
-    key: Key
-    stateset: Optional[str]
-    initial: Optional[str]
+    def __init__(self, name: str, key: Key, stateset: Optional[str],
+                 initial: Optional[str]):
+        self.name = name
+        self.key = key
+        self.stateset = stateset
+        self.initial = initial
 
 
 class ProgramContext:

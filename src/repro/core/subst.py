@@ -9,7 +9,6 @@ them over core types, state requirements, effects and signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from .keys import Key, StateVar
@@ -19,13 +18,15 @@ from .types import (ANY_STATE, AnyState, AtMostState, CArg, CArray, CBase,
                     StateReq, StateVarRef)
 
 
-@dataclass
 class Subst:
     """key/state/type variable assignments accumulated during matching."""
 
-    keys: Dict[str, Key] = field(default_factory=dict)
-    states: Dict[str, Union[str, StateVar]] = field(default_factory=dict)
-    types: Dict[str, CType] = field(default_factory=dict)
+    def __init__(self, keys: Optional[Dict[str, Key]] = None,
+                 states: Optional[Dict[str, Union[str, StateVar]]] = None,
+                 types: Optional[Dict[str, CType]] = None):
+        self.keys = {} if keys is None else keys
+        self.states = {} if states is None else states
+        self.types = {} if types is None else types
 
     # -- binding -----------------------------------------------------------
 

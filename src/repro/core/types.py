@@ -27,20 +27,21 @@ declared signatures awaiting instantiation at a call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .keys import DEFAULT_STATE, Key, State, StateVar, state_display
+from .keys import DEFAULT_STATE, Key, State, StateVar, Value, state_display
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .effects import Signature
 
 
-@dataclass(frozen=True)
-class KeyVarRef:
+class KeyVarRef(Value):
     """A key variable appearing in a declared signature (e.g. ``F``)."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __repr__(self) -> str:
         return f"'{self.name}"
@@ -49,12 +50,14 @@ class KeyVarRef:
 KeyRef = Union[Key, KeyVarRef]
 
 
-@dataclass(frozen=True)
-class StateVarRef:
+class StateVarRef(Value):
     """A state variable appearing in a declared signature (e.g. ``level``)."""
 
-    name: str
-    bound: Optional[str] = None
+    _fields = ("name", "bound")
+
+    def __init__(self, name: str, bound: Optional[str] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bound", bound)
 
     def __repr__(self) -> str:
         return f"~{self.name}" + (f"<={self.bound}" if self.bound else "")
@@ -63,11 +66,13 @@ class StateVarRef:
 StateArgValue = Union[str, StateVar, StateVarRef]
 
 
-@dataclass(frozen=True)
-class TypeVarRef:
+class TypeVarRef(Value):
     """A type variable appearing in a declared signature (e.g. ``T``)."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __repr__(self) -> str:
         return f"%{self.name}"
@@ -77,34 +82,37 @@ class TypeVarRef:
 # State requirements on guards / effect preconditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnyState:
+class AnyState(Value):
     """No constraint — any key state satisfies the guard."""
 
     def __repr__(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
-class ExactState:
+class ExactState(Value):
     """Key must be in exactly this state (or this symbolic state)."""
 
-    state: StateArgValue
+    _fields = ("state",)
+
+    def __init__(self, state: StateArgValue):
+        object.__setattr__(self, "state", state)
 
     def __repr__(self) -> str:
         return str(self.state)
 
 
-@dataclass(frozen=True)
-class AtMostState:
+class AtMostState(Value):
     """Bounded constraint ``(var <= bound)`` — §4.4.
 
     ``var`` names the state variable the pre-state binds; ``bound`` is
     a concrete state in some declared stateset.
     """
 
-    var: str
-    bound: str
+    _fields = ("var", "bound")
+
+    def __init__(self, var: str, bound: str):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "bound", bound)
 
     def __repr__(self) -> str:
         return f"({self.var}<={self.bound})"
@@ -119,19 +127,20 @@ ANY_STATE = AnyState()
 # Types
 # ---------------------------------------------------------------------------
 
-class CType:
+class CType(Value):
     """Base class of internal checker types."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return self.show()
 
     def show(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class CBase(CType):
-    name: str  # void, int, bool, byte, float, string, char
+    """A base type: void, int, bool, byte, float, string or char."""
+
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def show(self) -> str:
         return self.name
@@ -147,22 +156,29 @@ CHAR = CBase("char")
 NULL_T = CBase("null")
 
 
-@dataclass(frozen=True)
 class CArray(CType):
-    elem: CType
+    _fields = ("elem",)
+
+    def __init__(self, elem: CType):
+        object.__setattr__(self, "elem", elem)
 
     def show(self) -> str:
         return f"{self.elem.show()}[]"
 
 
-@dataclass(frozen=True)
-class CArg:
+class CArg(Value):
     """One ``<...>`` argument of a named type: type, key or state."""
 
-    kind: str                                   # "type" | "key" | "state"
-    type: Optional[CType] = None
-    key: Optional[KeyRef] = None
-    state: Optional[StateArgValue] = None
+    _fields = ("kind", "type", "key", "state")
+
+    def __init__(self, kind: str,       # "type" | "key" | "state"
+                 type: Optional[CType] = None,
+                 key: Optional[KeyRef] = None,
+                 state: Optional[StateArgValue] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "state", state)
 
     def show(self) -> str:
         if self.kind == "type":
@@ -173,7 +189,6 @@ class CArg:
             self.state, StateVarRef) else repr(self.state)
 
 
-@dataclass(frozen=True)
 class CNamed(CType):
     """A nominal type instantiated with arguments.
 
@@ -182,8 +197,11 @@ class CNamed(CType):
     ``KIRQL<level>`` and plain ``FILE`` all land here.
     """
 
-    name: str
-    args: Tuple[CArg, ...] = ()
+    _fields = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[CArg, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
     def show(self) -> str:
         if self.args:
@@ -191,17 +209,18 @@ class CNamed(CType):
         return self.name
 
 
-@dataclass(frozen=True)
 class CTypeVar(CType):
     """An occurrence of a declared type variable inside a signature."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def show(self) -> str:
         return f"%{self.name}"
 
 
-@dataclass(frozen=True)
 class CTracked(CType):
     """The singleton type s(key): a handle for the resource named by ``key``.
 
@@ -210,14 +229,16 @@ class CTracked(CType):
     In declared signatures ``key`` is a :class:`KeyVarRef`.
     """
 
-    key: KeyRef
-    inner: CType
+    _fields = ("key", "inner")
+
+    def __init__(self, key: KeyRef, inner: CType):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "inner", inner)
 
     def show(self) -> str:
         return f"tracked({self.key!r}) {self.inner.show()}"
 
 
-@dataclass(frozen=True)
 class CPacked(CType):
     """An anonymous tracked type ∃[k | {k@state -> inner}]. s(k).
 
@@ -226,14 +247,16 @@ class CPacked(CType):
     state, defaulting to the unique default state.
     """
 
-    inner: CType
-    state: StateReq = ANY_STATE
+    _fields = ("inner", "state")
+
+    def __init__(self, inner: CType, state: StateReq = ANY_STATE):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "state", state)
 
     def show(self) -> str:
         return f"tracked {self.inner.show()}"
 
 
-@dataclass(frozen=True)
 class CGuarded(CType):
     """A guarded type ``C |> inner`` — access needs every guard satisfied.
 
@@ -242,19 +265,25 @@ class CGuarded(CType):
     ``CGuarded(((IRQL, AtMostState("level","APC_LEVEL")),), T)``.
     """
 
-    guards: Tuple[Tuple[KeyRef, StateReq], ...]
-    inner: CType
+    _fields = ("guards", "inner")
+
+    def __init__(self, guards: Tuple[Tuple[KeyRef, StateReq], ...],
+                 inner: CType):
+        object.__setattr__(self, "guards", guards)
+        object.__setattr__(self, "inner", inner)
 
     def show(self) -> str:
         gs = ", ".join(f"{k!r}@{s!r}" for k, s in self.guards)
         return f"[{gs}]:{self.inner.show()}"
 
 
-@dataclass(frozen=True)
 class CFun(CType):
     """A function value (completion routines, nested functions)."""
 
-    sig: "Signature"
+    _fields = ("sig",)
+
+    def __init__(self, sig: "Signature"):
+        object.__setattr__(self, "sig", sig)
 
     def show(self) -> str:
         return f"fn {self.sig.name}"

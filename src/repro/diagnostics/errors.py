@@ -12,7 +12,6 @@ error fired, not just that one fired.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .span import Span
@@ -81,15 +80,32 @@ class Severity(enum.Enum):
     NOTE = "note"
 
 
-@dataclass
 class Diagnostic:
-    """A single message produced by the front end or checker."""
+    """A single message produced by the front end or checker.
 
-    code: Code
-    message: str
-    span: Span
-    severity: Severity = Severity.ERROR
-    notes: List[str] = field(default_factory=list)
+    Compares by value.  A ``--cache DIR`` summary pack pickles these,
+    so the attribute set is part of its format (``cache.store``'s
+    ``STORE_SCHEMA``).
+    """
+
+    def __init__(self, code: Code, message: str, span: Span,
+                 severity: Severity = Severity.ERROR,
+                 notes: Optional[List[str]] = None):
+        self.code = code
+        self.message = message
+        self.span = span
+        self.severity = severity
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.code, self.message, self.span, self.severity,
+                 self.notes)
+                == (other.code, other.message, other.span, other.severity,
+                    other.notes))
+
+    __hash__ = None
 
     def render(self) -> str:
         head = f"{self.span}: {self.severity.value} [{self.code.value}] {self.message}"

@@ -7,7 +7,11 @@ error messages do in the paper's examples (Figure 2's ``dangling`` and
 
 Both classes are hand-written with ``__slots__`` rather than frozen
 dataclasses: the lexer mints two positions and one span per token, so
-construction cost is on the hot path of every check.
+construction cost is on the hot path of every check.  The same holds
+for every class on the ``vaultc check`` path, for a second reason:
+``@dataclass`` generates each class's methods at import time, which
+cost a fresh check more than its whole lex, parse and check of a small
+file (see docs/CHECKER.md).
 """
 
 from __future__ import annotations

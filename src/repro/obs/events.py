@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 #: cap on retained records; the oldest half is dropped on overflow so
@@ -45,15 +44,17 @@ from typing import Callable, Dict, List, Optional
 _MAX_RECORDS = 8192
 
 
-@dataclass
 class Event:
     """One structured record."""
 
-    kind: str
-    message: str
-    fields: Dict[str, object] = field(default_factory=dict)
-    ts: float = 0.0
-    pid: int = 0
+    def __init__(self, kind: str, message: str,
+                 fields: Optional[Dict[str, object]] = None,
+                 ts: float = 0.0, pid: int = 0):
+        self.kind = kind
+        self.message = message
+        self.fields = {} if fields is None else fields
+        self.ts = ts
+        self.pid = pid
 
     def render(self) -> str:
         extras = " ".join(f"{k}={v!r}" for k, v in sorted(self.fields.items())

@@ -308,6 +308,11 @@ NOT_FOR_CHECK = ("repro.analysis", "repro.lower", "repro.runtime",
                  "repro.sockets", "repro.drivers", "repro.server",
                  "repro.cache", "repro.pipeline", "repro.testing")
 
+#: standard-library modules the check path must not load either:
+#: building dataclasses at import cost a fresh check more than its
+#: whole lex, parse and check of a small file.
+STDLIB_NOT_FOR_CHECK = ("dataclasses",)
+
 #: a ``sitecustomize`` that registers an exit handler, as the end-to-end
 #: benchmark's peak-memory report and coverage.py do.
 MARKER_SITE = """\
@@ -351,6 +356,8 @@ class TestProcess:
         loaded = [name for name in proc.stdout.split()
                   if any(name == banned or name.startswith(banned + ".")
                          for banned in NOT_FOR_CHECK)]
+        loaded += [name for name in proc.stdout.split()
+                   if name in STDLIB_NOT_FOR_CHECK]
         assert loaded == []
 
     @pytest.mark.parametrize("which", ["good", "leaky", "missing"])

@@ -41,8 +41,7 @@ def ast_names(node) -> set:
         elif isinstance(n, ast.StringLit):
             continue
         elif isinstance(n, ast.Node):
-            stack.extend(getattr(n, f) for f in n.__dataclass_fields__
-                         if f != "span")
+            stack.extend(getattr(n, f) for f in n._fields if f != "span")
     return names
 
 
