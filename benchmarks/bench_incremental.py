@@ -136,7 +136,7 @@ def _measure():
 
     phases = _phase_timings(source)
 
-    session = CheckSession(units=UNITS, telemetry=Telemetry(metrics=True))
+    session = CheckSession(units=UNITS)
     start = time.perf_counter()
     cold_report = session.check(source)
     cold = time.perf_counter() - start
@@ -160,8 +160,7 @@ def _measure():
     # stats are cumulative, and a cold check is all misses by
     # definition.
     large_source = synthesize_program(N_FUNCTIONS_LARGE, seed=42)
-    large_session = CheckSession(units=UNITS,
-                                 telemetry=Telemetry(metrics=True))
+    large_session = CheckSession(units=UNITS)
     edited_large = _edit(large_source)
     # A gen-2 collection walking the session's caches (millions of
     # live tokens/AST nodes by this point in the run) costs ~100 ms if

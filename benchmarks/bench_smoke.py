@@ -73,7 +73,7 @@ def test_frontend_ratchet():
     # is what forces the session back through ``_parse`` — a
     # byte-identical warm replay is served from the context cache and
     # never consults the chunk-AST cache at all.
-    session = CheckSession(units=UNITS, telemetry=Telemetry(metrics=True))
+    session = CheckSession(units=UNITS)
     session.check(source)
     needle = "c.value += "
     at = source.index(needle, len(source) // 2)

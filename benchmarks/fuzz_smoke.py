@@ -13,10 +13,11 @@ rejected programs occurred, and every protocol-error family the
 generator aims at (wrong state, leak, double consume) showed up.
 
 Then walks ``EDIT_SEQUENCES`` seeded edit sequences
-(``repro.testing.edits``): every revision, checked by one warm session
-and by a fresh ``--cache DIR`` session per revision, at the session's
-own cache caps and at caps of 8, must render byte-identically to
-``check_source`` — zero divergences, and every edit kind exercised.
+(``repro.testing.edits``): every revision, checked by one warm session,
+by a fresh ``--cache DIR`` session per revision and by one in-process
+check daemon, at the session's own cache caps and at caps of 8, must
+render byte-identically to ``check_source`` — zero divergences, and
+every edit kind exercised.
 Each ``--cache DIR`` walk also corrupts its summary pack once; the
 gate reports how many corrupt packs were quarantined and fails if
 none was.
@@ -103,6 +104,7 @@ def test_fuzz_smoke(benchmark=None):
             "sequences": EDIT_SEQUENCES,
             "revisions": edits.revisions,
             "paths": edits.paths,
+            "skipped_paths": edits.skipped_paths,
             "kinds": edits.kinds,
             "pack_quarantines": edits.pack_quarantines,
             "divergences": 0,
@@ -135,7 +137,10 @@ def test_fuzz_smoke(benchmark=None):
           f"{report.programs_rejected} rejected ({tally})")
     print("  divergences: 0 — all paths byte-identical      VERIFIED")
     print(f"  {EDIT_SEQUENCES} edit sequences, {edits.revisions} revisions "
-          f"in {edit_elapsed:.1f} s via {'/'.join(edits.paths)}")
+          f"in {edit_elapsed:.1f} s via {', '.join(edits.paths)}")
+    if edits.skipped_paths:
+        print(f"  edit paths unavailable here: "
+              f"{'/'.join(edits.skipped_paths)}")
     print(f"  {edits.pack_quarantines} corrupt summary packs quarantined "
           f"and rebuilt")
     print("  divergences: 0 — every revision matches check_source  VERIFIED")

@@ -101,10 +101,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.cache or args.profile or instrumented or faults or shared:
         from .obs import Telemetry
         from .pipeline import CheckSession
-        # --profile turns metrics on too: the quantile lines in the
-        # profile read off the check.function_seconds histogram.
-        telemetry = Telemetry(trace=bool(args.trace),
-                              metrics=bool(args.metrics) or args.profile)
+        telemetry = Telemetry(trace=bool(args.trace))
         store = None
         if shared:
             from .cache import open_store
@@ -160,18 +157,17 @@ def _print_profile(session, file) -> int:
           file=file)
     print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",
           file=file)
-    metrics = session.telemetry.metrics
-    if metrics.enabled:
-        snapshot = metrics.snapshot().get("check.function_seconds")
-        if snapshot and snapshot.get("count"):
-            from .obs import bucket_quantile
-            bounds = snapshot["bounds"]
-            counts = snapshot["bucket_counts"]
-            quants = " / ".join(
-                f"p{int(q * 100)} "
-                f"{bucket_quantile(bounds, counts, q) * 1000:.1f} ms"
-                for q in (0.5, 0.95, 0.99))
-            print(f"  {'function latency':<22} {quants}", file=file)
+    snapshot = session.telemetry.metrics.snapshot().get(
+        "check.function_seconds")
+    if snapshot and snapshot.get("count"):
+        from .obs import bucket_quantile
+        bounds = snapshot["bounds"]
+        counts = snapshot["bucket_counts"]
+        quants = " / ".join(
+            f"p{int(q * 100)} "
+            f"{bucket_quantile(bounds, counts, q) * 1000:.1f} ms"
+            for q in (0.5, 0.95, 0.99))
+        print(f"  {'function latency':<22} {quants}", file=file)
     if stats.chunk_parses or stats.chunk_hits:
         print(f"  {'chunks':<22} parsed {stats.chunk_parses} / "
               f"reused {stats.chunk_hits}", file=file)
@@ -274,16 +270,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             ["function", "blocks", "edges", "loops", "unreachable"],
             cfg_rows))
 
-    # A metrics-instrumented check of the same file: the session's
-    # telemetry snapshot (cache traffic, diagnostic code counts) as
-    # one more stats table.
-    from .obs import Telemetry
+    # One cold check of the same file: the session's metrics (cache
+    # traffic, diagnostic code counts) as one more stats table.
     from .pipeline import CheckSession
-    telemetry = Telemetry(metrics=True)
-    with CheckSession(telemetry=telemetry) as session:
+    with CheckSession() as session:
         session.check(source, filename=args.file)
-    metric_rows = [[name, value]
-                   for name, value in telemetry.metrics.render_rows()]
+    metric_rows = [[name, value] for name, value
+                   in session.telemetry.metrics.render_rows()]
     if metric_rows:
         print()
         print("checker metrics (one cold check):")
@@ -414,7 +407,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .server import serve
     if args.supervise:
         from .server import Supervisor
-        telemetry = Telemetry(metrics=True)
+        telemetry = Telemetry()
         writer = open_event_log(args.event_log and args.event_log
                                 + ".supervisor", telemetry.events)
         try:
@@ -423,7 +416,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             if writer is not None:
                 writer.close()
-    telemetry = Telemetry(metrics=True)
+    telemetry = Telemetry()
     # Subscribe the audit sink before serve() so server_start itself
     # lands in the log.
     writer = open_event_log(args.event_log, telemetry.events)
@@ -532,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "Chrome trace-event JSON to FILE (load it in "
                         "chrome://tracing or ui.perfetto.dev)")
     p.add_argument("--metrics", default=None, metavar="FILE|-",
-                   help="record pipeline metrics (cache hit rates, "
+                   help="write the pipeline metrics (cache hit rates, "
                         "diagnostic-code counts); '-' prints a table "
                         "to stderr, anything else is a path that "
                         "receives JSON")

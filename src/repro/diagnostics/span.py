@@ -20,24 +20,22 @@ from __future__ import annotations
 class Pos:
     """A single source position (1-based line, 1-based column)."""
 
-    __slots__ = ("line", "col", "offset")
+    __slots__ = ("line", "col")
 
-    def __init__(self, line: int, col: int, offset: int = 0):
+    def __init__(self, line: int, col: int):
         self.line = line
         self.col = col
-        self.offset = offset
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pos):
             return NotImplemented
-        return (self.line == other.line and self.col == other.col
-                and self.offset == other.offset)
+        return self.line == other.line and self.col == other.col
 
     def __hash__(self) -> int:
-        return hash((self.line, self.col, self.offset))
+        return hash((self.line, self.col))
 
     def __repr__(self) -> str:
-        return f"Pos(line={self.line}, col={self.col}, offset={self.offset})"
+        return f"Pos(line={self.line}, col={self.col})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

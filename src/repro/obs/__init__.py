@@ -12,7 +12,7 @@ Three primitives, bundled by :class:`Telemetry`:
   optional size-rotated JSONL audit sink (:class:`JsonlEventWriter`).
 
 Two service-grade derivatives feed off the registry for the check
-daemon (PR 8): :mod:`repro.obs.timeseries` turns cumulative counters
+daemon: :mod:`repro.obs.timeseries` turns cumulative counters
 and histograms into a bounded ring of per-interval rate/quantile
 samples, and :mod:`repro.obs.expo` renders snapshots as Prometheus
 text exposition (plus the atomic textfile writer behind ``vaultc
@@ -20,11 +20,13 @@ serve --prom-file``).  :class:`repro.obs.trace.TraceRing` is the
 bounded on-disk ring the daemon's slow-request capture writes
 Chrome-trace JSON into.
 
-``Telemetry()`` with no arguments is the **disabled** configuration:
-the tracer and metrics are shared null singletons whose operations are
-no-ops, so instrumented code costs an attribute check per callsite and
-records nothing.  The event log is always live — it only sees rare
-events (crashes, leaks), never per-statement traffic.
+Metrics are always recorded: ``Telemetry()`` builds a live registry,
+so every session, store and daemon counts its cache traffic the same
+way.  Tracing is opt-in (``Telemetry(trace=True)``), because spans
+cost memory per function; without it the tracer is the shared null
+singleton, whose operations are no-ops.  The event log is always live
+too — it only sees rare events (crashes, leaks), never per-statement
+traffic.
 
 See ``docs/OBSERVABILITY.md`` for the end-to-end workflow.
 """
@@ -36,8 +38,7 @@ from typing import Dict, Optional
 from .events import Event, EventLog, JsonlEventWriter, open_event_log
 from .expo import render_exposition, validate_exposition, write_textfile
 from .metrics import (LATENCY_BUCKETS, Counter, Gauge, Histogram,
-                      MetricsRegistry, NULL_METRICS, NullMetrics,
-                      bucket_quantile)
+                      MetricsRegistry, bucket_quantile)
 from .timeseries import TimeSeriesRing
 from .trace import (NULL_TRACER, NullTracer, TraceRing, Tracer, activate,
                     current_tracer, validate_chrome_trace)
@@ -46,10 +47,13 @@ from .trace import (NULL_TRACER, NullTracer, TraceRing, Tracer, activate,
 class Telemetry:
     """One session's observability bundle.
 
-    ``trace=True`` records spans; ``metrics=True`` records counters
-    and histograms; both default off (the null singletons).  The
-    session also parks its compatibility surfaces here: ``profile``
-    is the dict behind ``CheckSession.last_profile`` and ``stats`` the
+    Counters and histograms are always recorded, into ``registry``
+    when given (the daemon shares one registry across its sessions)
+    and into a fresh :class:`MetricsRegistry` otherwise.  ``metrics``
+    is accepted and ignored.  ``trace=True`` records spans; tracing
+    defaults off (the null tracer).  The session also parks its
+    compatibility surfaces here: ``profile`` is the dict behind
+    ``CheckSession.last_profile`` and ``stats`` the
     :class:`~repro.pipeline.session.SessionStats` behind
     ``CheckSession.stats``.
     """
@@ -60,17 +64,13 @@ class Telemetry:
                  events: Optional[EventLog] = None):
         self.tracer = tracer if tracer is not None else (
             Tracer() if trace else NULL_TRACER)
-        self.metrics = registry if registry is not None else (
-            MetricsRegistry() if metrics else NULL_METRICS)
+        self.metrics = registry if registry is not None \
+            else MetricsRegistry()
         self.events = events if events is not None else EventLog()
         #: phase timings / check plan of the most recent check.
         self.profile: Dict[str, object] = {}
         #: the owning session's SessionStats (set by CheckSession).
         self.stats = None
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled or self.metrics.enabled
 
     def snapshot(self) -> Dict[str, object]:
         """Everything queryable about the session, as plain data."""
@@ -97,9 +97,7 @@ __all__ = [
     "JsonlEventWriter",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetrics",
     "NullTracer",
     "Telemetry",
     "TimeSeriesRing",

@@ -8,10 +8,8 @@ registry is deliberately small:
 * metrics are named with dotted paths (``cache.context.hits``) and
   created on first use;
 * histograms have **fixed bucket boundaries** chosen at creation;
-* a disabled registry is the shared :data:`NULL_METRICS` singleton:
-  every operation is a no-op on a shared null metric and
-  ``snapshot()`` is empty, so disabled instrumentation adds no keys
-  and costs an attribute lookup per guarded callsite.
+* the registry is always live: an increment is a dict lookup and an
+  add, so the pipeline records every count without a switch.
 """
 
 from __future__ import annotations
@@ -104,8 +102,6 @@ class Histogram:
 class MetricsRegistry:
     """Named metrics, created on first use; see the module docstring."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
@@ -174,50 +170,3 @@ class MetricsRegistry:
         return "\n".join(f"{name:<{width}}  {value}"
                          for name, value in rows)
 
-
-class _NullMetric:
-    __slots__ = ()
-    value = 0
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullMetrics:
-    """The disabled registry: no-op metrics, empty snapshots."""
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = LATENCY_BUCKETS) -> _NullMetric:
-        return _NULL_METRIC
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {}
-
-    def render_rows(self) -> List[Tuple[str, str]]:
-        return []
-
-    def render(self) -> str:
-        return "(metrics disabled)"
-
-
-NULL_METRICS = NullMetrics()

@@ -36,7 +36,14 @@ the speed; the flow check itself has one serial path.
 
 Determinism guarantee: for any ``source``, the reporter returned by
 ``check`` contains the same diagnostics in the same order as
-``repro.check_source(source)``, regardless of cache state.
+``repro.check_source(source)``, regardless of cache state.  They
+compare equal by value, positions included, not only when rendered.
+
+Accounting: every cache layer counts its hits and misses in the
+session's metrics registry (``telemetry.metrics``), which is always
+live; the ``context``, ``chunk_ast`` and ``fingerprint_memo`` counters
+equal their :class:`SessionStats` twins.  Spans are recorded only
+with ``Telemetry(trace=True)``.
 
 The summary pack: ``cache_dir`` is a content-addressed store directory
 (:class:`repro.cache.CASTier`, the same one ``--shared-cache DIR``
@@ -126,12 +133,11 @@ class SessionStats:
         self.functions_checked = 0
         self.functions_replayed = 0
         self.fingerprints_memoized = 0
-        # mirrored by the ``resilience.cache_quarantines`` metric when
-        # the registry is enabled
+        # mirrored by the ``resilience.cache_quarantines`` metric
         self.cache_quarantines = 0
         # shared-store counters (mirrored by the ``cache.shared.unit.*``
-        # / ``cache.shared.summary.*`` metrics when the registry is
-        # enabled; per-tier traffic lives on the store itself)
+        # / ``cache.shared.summary.*`` metrics; per-tier traffic lives
+        # on the store itself)
         self.shared_unit_hits = 0
         self.shared_unit_misses = 0
         self.shared_summary_hits = 0
@@ -255,9 +261,8 @@ class CheckSession:
                 self.stdlib, self.units, join_abstraction,
                 max_loop_iterations)
         self.stats = SessionStats()
-        #: the session's observability bundle; ``Telemetry()`` (the
-        #: default) records nothing beyond rare events — pass
-        #: ``Telemetry(trace=True, metrics=True)`` to instrument.
+        #: the session's observability bundle.  Metrics are always
+        #: recorded; pass ``Telemetry(trace=True)`` to record spans too.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.stats = self.stats
         #: parsed chunks by ``_ChunkKey``, each with its interface
@@ -279,9 +284,7 @@ class CheckSession:
         self.pack_path: Optional[str] = None
         if cache_dir:
             # Pre-register so a healthy run reports an explicit zero.
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "resilience.cache_quarantines")
+            self.telemetry.metrics.counter("resilience.cache_quarantines")
             self._load_pack()
 
     @property
@@ -350,23 +353,20 @@ class CheckSession:
                     self._mark_unit_seen(ukey)
                     self.stats.shared_unit_hits += 1
                     self.stats.functions_replayed += record["functions"]
-                    if metrics.enabled:
-                        metrics.counter("cache.shared.unit.hits").inc()
+                    metrics.counter("cache.shared.unit.hits").inc()
                     profile["plan"] = "replayed whole unit (shared store)"
                     return self._finish(reporter)
                 self.stats.shared_unit_misses += 1
-                if metrics.enabled:
-                    metrics.counter("cache.shared.unit.misses").inc()
+                metrics.counter("cache.shared.unit.misses").inc()
         base = None
         if self.stdlib:
             with tracer.span("stdlib_base"):
                 builds_before = base_context_cache_info().misses
                 base, base_diags = stdlib_context(self.units)
-            if metrics.enabled:
-                if base_context_cache_info().misses == builds_before:
-                    metrics.counter("cache.stdlib_base.hits").inc()
-                else:
-                    metrics.counter("cache.stdlib_base.misses").inc()
+            if base_context_cache_info().misses == builds_before:
+                metrics.counter("cache.stdlib_base.hits").inc()
+            else:
+                metrics.counter("cache.stdlib_base.misses").inc()
             reporter.diagnostics.extend(base_diags)
         entry = self._context_for(source, filename, base, split)
         profile["context_seconds"] = time.perf_counter() - started
@@ -382,9 +382,8 @@ class CheckSession:
                 reporter.diagnostics.extend(diags)
             self.stats.last_replayed = [q for q, _ in entry.fn_results]
             self.stats.functions_replayed += len(entry.fn_results)
-            if metrics.enabled:
-                metrics.counter("cache.unit_replay.hits").inc(
-                    len(entry.fn_results))
+            metrics.counter("cache.unit_replay.hits").inc(
+                len(entry.fn_results))
             profile["plan"] = "replayed whole unit"
             self._shared_store_unit(store_unit_key, reporter,
                                     len(entry.fn_results))
@@ -405,10 +404,8 @@ class CheckSession:
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
-        if metrics.enabled:
-            for diag in reporter.diagnostics:
-                metrics.counter(
-                    f"diagnostics.{diag.code.value}").inc()
+        for diag in reporter.diagnostics:
+            metrics.counter(f"diagnostics.{diag.code.value}").inc()
         return reporter
 
     def render_check(self, source: str, filename: str = "<input>",
@@ -451,12 +448,10 @@ class CheckSession:
         entry = self._ctx_cache.get(key)
         if entry is not None:
             self.stats.context_hits += 1
-            if metrics.enabled:
-                metrics.counter("cache.context.hits").inc()
+            metrics.counter("cache.context.hits").inc()
             return entry
         self.stats.context_misses += 1
-        if metrics.enabled:
-            metrics.counter("cache.context.misses").inc()
+        metrics.counter("cache.context.misses").inc()
         programs, env_token = self._parse(source, filename, chunks,
                                           chunk_keys)
         sub = Reporter()
@@ -489,15 +484,13 @@ class CheckSession:
                 if cached is None:
                     cached = self._parse_chunk(chunk, ckey, filename)
                     self.stats.chunk_parses += 1
-                    if metrics.enabled:
-                        metrics.counter("cache.chunk_ast.misses").inc()
+                    metrics.counter("cache.chunk_ast.misses").inc()
                     if len(self._ast_cache) >= _MAX_CHUNK_ASTS:
                         self._evict_traced(self._ast_cache, "chunk_ast")
                     self._ast_cache[ckey] = cached
                 else:
                     self.stats.chunk_hits += 1
-                    if metrics.enabled:
-                        metrics.counter("cache.chunk_ast.hits").inc()
+                    metrics.counter("cache.chunk_ast.hits").inc()
                 programs.append(cached[0])
                 iface_parts.append(cached[1])
         except VaultError:
@@ -557,7 +550,7 @@ class CheckSession:
         except VaultError:
             return None
         line, col = _line_col(chunk, chunk.end - 1)
-        span = Span(decl.span.start, Pos(line, col + 1, chunk.end), filename)
+        span = Span(decl.span.start, Pos(line, col + 1), filename)
         fundef = ast.FunDef(span, decl, None)
         fundef._pl_body = (chunk.text[chunk.brace:chunk.end],
                            *_line_col(chunk, chunk.brace))
@@ -637,9 +630,7 @@ class CheckSession:
         before = len(cache)
         self._evict(cache)
         evicted = before - len(cache)
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                f"cache.{layer}.evictions").inc(evicted)
+        self.telemetry.metrics.counter(f"cache.{layer}.evictions").inc(evicted)
         self.telemetry.events.emit(
             "cache_evict",
             f"evicted {evicted} of {before} entries from the "
@@ -688,17 +679,16 @@ class CheckSession:
                 else:
                     to_check.append((qual, fundef, fp))
         self.stats.fingerprints_memoized += memoized
-        if metrics.enabled:
-            if memoized:
-                metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
-            misses = len(fn_items) - memoized
-            if misses:
-                metrics.counter("cache.fingerprint_memo.misses").inc(misses)
-            replayed = len(fn_items) - len(to_check)
-            if replayed:
-                metrics.counter("cache.summary.hits").inc(replayed)
-            if to_check:
-                metrics.counter("cache.summary.misses").inc(len(to_check))
+        if memoized:
+            metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
+        misses = len(fn_items) - memoized
+        if misses:
+            metrics.counter("cache.fingerprint_memo.misses").inc(misses)
+        replayed = len(fn_items) - len(to_check)
+        if replayed:
+            metrics.counter("cache.summary.hits").inc(replayed)
+        if to_check:
+            metrics.counter("cache.summary.misses").inc(len(to_check))
         if self.shared_store is not None and to_check:
             # L1 missed these: one batched fetch against the shared
             # tiers before paying for any flow analysis.
@@ -736,9 +726,8 @@ class CheckSession:
                     ctx, qual, fundef,
                     join_abstraction=self.join_abstraction,
                     max_loop_iterations=self.max_loop_iterations))
-            if metrics.enabled:
-                metrics.histogram("check.function_seconds").observe(
-                    time.perf_counter() - started)
+            metrics.histogram("check.function_seconds").observe(
+                time.perf_counter() - started)
             out.append(diags)
         return out
 
@@ -829,12 +818,10 @@ class CheckSession:
                 still.append((qual, fundef, fp))
         self.stats.shared_summary_hits += hits
         self.stats.shared_summary_misses += len(still)
-        if metrics.enabled:
-            if hits:
-                metrics.counter("cache.shared.summary.hits").inc(hits)
-            if still:
-                metrics.counter("cache.shared.summary.misses").inc(
-                    len(still))
+        if hits:
+            metrics.counter("cache.shared.summary.hits").inc(hits)
+        if still:
+            metrics.counter("cache.shared.summary.misses").inc(len(still))
         return still
 
     def _shared_put_summaries(self, checked) -> None:
@@ -875,9 +862,8 @@ class CheckSession:
         pack = self._pack_store.fetch([self._pack_key]).get(self._pack_key)
         if self._pack_store.counts[tier.name].corrupt:
             self.stats.cache_quarantines += 1
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "resilience.cache_quarantines").inc()
+            self.telemetry.metrics.counter(
+                "resilience.cache_quarantines").inc()
             print(f"repro: summary cache {self.pack_path} is corrupt; "
                   f"quarantined under {tier.root}/corrupt and rebuilding "
                   f"cold", file=sys.stderr)

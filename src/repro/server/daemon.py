@@ -254,14 +254,12 @@ class CheckServer:
         self._bound = False
         self._closed = False
         self._stop = False
-        #: admission control: queue bound, drain flag, and the running
-        #: check-duration average that sizes ``retry_after_ms`` hints.
+        #: admission control: queue bound and drain flag; the
+        #: ``server.check_seconds`` histogram sizes ``retry_after_ms``.
         self.max_queue = max(1, max_queue)
         self.io_timeout = io_timeout
         self._draining = False
         self._shedding = False
-        self._check_count = 0
-        self._check_seconds_sum = 0.0
         self._last_activity = time.monotonic()
         self._started_monotonic = time.monotonic()
         self._started_wall = time.time()
@@ -271,8 +269,7 @@ class CheckServer:
         #: Prometheus textfile (``--prom-file``) on every sample tick.
         self.sample_interval = sample_interval
         self.prom_file = prom_file
-        self.timeseries = TimeSeriesRing(interval=sample_interval) \
-            if self.telemetry.metrics.enabled else None
+        self.timeseries = TimeSeriesRing(interval=sample_interval)
         self._prom_write_failed = False
         #: slow-request capture: requests whose ``server.request`` span
         #: exceeds ``slow_ms`` dump their span tree as Chrome-trace
@@ -286,9 +283,8 @@ class CheckServer:
             directory = trace_dir or os.path.join(
                 os.path.dirname(self.socket_path) or ".", "traces")
             self._trace_ring = TraceRing(directory, keep=trace_keep)
-        if self.telemetry.metrics.enabled:
-            for name in SERVER_COUNTERS:
-                self.telemetry.metrics.counter(name)
+        for name in SERVER_COUNTERS:
+            self.telemetry.metrics.counter(name)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -484,7 +480,7 @@ class CheckServer:
                                             "retry or fall back"},
                         req.req_id)
             shed += 1
-        if shed and self.telemetry.metrics.enabled:
+        if shed:
             self.telemetry.metrics.counter("server.drained").inc(shed)
         self.telemetry.events.emit(
             "server_drain",
@@ -520,8 +516,7 @@ class CheckServer:
             stalled = now - conn.last_io
             if stalled <= self.io_timeout:
                 continue
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.conns_reaped").inc()
+            self.telemetry.metrics.counter("server.conns_reaped").inc()
             self.telemetry.events.emit(
                 "conn_reaped",
                 f"dropping stalled client after {stalled:.1f}s "
@@ -536,8 +531,6 @@ class CheckServer:
         """One selector-loop visit to the time-series aggregator: a
         cheap no-op until the sample interval elapses, then one sample
         plus (when configured) an atomic Prometheus textfile rewrite."""
-        if self.timeseries is None:
-            return
         sample = self.timeseries.maybe_sample(self.telemetry.metrics)
         if sample is None or not self.prom_file:
             return
@@ -595,8 +588,7 @@ class CheckServer:
             self._conns[sock.fileno()] = conn
             self._sel.register(sock, selectors.EVENT_READ, ("conn", conn))
             self._last_activity = time.monotonic()
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.connections").inc()
+            self.telemetry.metrics.counter("server.connections").inc()
 
     def _on_readable(self, conn: _Conn) -> None:
         if conn.closed:
@@ -635,9 +627,8 @@ class CheckServer:
         answer with a structured ``protocol_error`` so a conforming
         client can report *why*, then close cleanly — the reply is
         flushed first (``closing``), never a silent RST."""
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.client_errors").inc()
-            self.telemetry.metrics.counter("server.protocol_errors").inc()
+        self.telemetry.metrics.counter("server.client_errors").inc()
+        self.telemetry.metrics.counter("server.protocol_errors").inc()
         self.telemetry.events.emit(
             "client_error",
             f"dropping client after protocol error: {exc}",
@@ -666,8 +657,7 @@ class CheckServer:
 
     def _on_frame(self, conn: _Conn, frame: dict) -> None:
         self._last_activity = time.monotonic()
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.requests").inc()
+        self.telemetry.metrics.counter("server.requests").inc()
         op = frame.get("op")
         req_id = frame.get("id")
         if op == "check":
@@ -711,8 +701,7 @@ class CheckServer:
                 req_id=req_id, deadline=deadline))
             return
         if op == "ping":
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.pings").inc()
+            self.telemetry.metrics.counter("server.pings").inc()
             self._send(conn, {"ok": True, "pid": os.getpid(),
                               "version": PROTOCOL_VERSION,
                               "socket": self.socket_path,
@@ -722,9 +711,7 @@ class CheckServer:
         if op == "health":
             # Cheap liveness for external orchestration (supervisors,
             # load balancers): no session or store access, one frame.
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "server.health_requests").inc()
+            self.telemetry.metrics.counter("server.health_requests").inc()
             self._reply(conn, {"ok": True, "pid": os.getpid(),
                                "version": PROTOCOL_VERSION,
                                "queue_depth": len(self._queue),
@@ -739,9 +726,7 @@ class CheckServer:
             self._send(conn, {"ok": True, "stats": self._stats()})
             return
         if op == "telemetry":
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "server.telemetry_requests").inc()
+            self.telemetry.metrics.counter("server.telemetry_requests").inc()
             self._send(conn, {"ok": True, **self._telemetry_payload()})
             return
         if op == "shutdown":
@@ -761,8 +746,7 @@ class CheckServer:
 
     def _bad_request(self, conn: _Conn, message: str,
                      req_id: object = None) -> None:
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.bad_requests").inc()
+        self.telemetry.metrics.counter("server.bad_requests").inc()
         self._reply(conn, {"ok": False, "kind": "bad_request",
                            "error": message}, req_id)
 
@@ -775,10 +759,11 @@ class CheckServer:
 
     def _retry_after_ms(self) -> float:
         """Size the ``busy`` hint from observed behaviour: roughly how
-        long until the current queue drains, given the running average
-        check duration, clamped to a sane band."""
-        avg = (self._check_seconds_sum / self._check_count) \
-            if self._check_count else 0.05
+        long until the current queue drains, given the average duration
+        of the checks answered so far (the ``server.check_seconds``
+        histogram), clamped to a sane band."""
+        seconds = self.telemetry.metrics.histogram("server.check_seconds")
+        avg = seconds.sum / seconds.count if seconds.count else 0.05
         estimate = len(self._queue) * avg * 1000.0
         return max(_RETRY_AFTER_MIN_MS,
                    min(_RETRY_AFTER_MAX_MS, estimate))
@@ -787,8 +772,7 @@ class CheckServer:
         """Load-shed one check request: the queue is at ``max_queue``,
         so answer ``busy`` (with a data-driven ``retry_after_ms``)
         instead of buffering without bound."""
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.shed").inc()
+        self.telemetry.metrics.counter("server.shed").inc()
         if not self._shedding:
             # Edge-triggered: one event per episode of overload, not
             # one per shed request.
@@ -833,7 +817,7 @@ class CheckServer:
                     if blob is None:
                         blob = encode_frame(response)
                     self._send_bytes(req.conn, blob)
-            if len(live) > 1 and self.telemetry.metrics.enabled:
+            if len(live) > 1:
                 self.telemetry.metrics.counter(
                     "server.coalesced").inc(len(live) - 1)
             self._last_activity = time.monotonic()
@@ -844,9 +828,7 @@ class CheckServer:
         if req.deadline is None or time.monotonic() <= req.deadline:
             return False
         waited_ms = (time.monotonic() - req.enqueued) * 1000.0
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                "server.deadline_exceeded").inc()
+        self.telemetry.metrics.counter("server.deadline_exceeded").inc()
         self.telemetry.events.emit(
             "deadline_exceeded",
             f"request expired after {waited_ms:.1f} ms in queue",
@@ -938,13 +920,10 @@ class CheckServer:
             response = {"ok": False, "kind": "internal_error",
                         "error": f"{type(exc).__name__}: {exc}"}
         elapsed = time.perf_counter() - started
-        self._check_count += 1
-        self._check_seconds_sum += elapsed
         if response is None:
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.checks").inc()
-                self.telemetry.metrics.histogram(
-                    "server.check_seconds").observe(elapsed)
+            self.telemetry.metrics.counter("server.checks").inc()
+            self.telemetry.metrics.histogram(
+                "server.check_seconds").observe(elapsed)
             response = {"ok": True,
                         "check_ok": report.ok,
                         "render": report.render(),
@@ -974,8 +953,7 @@ class CheckServer:
                 filename=filename,
                 error=f"{type(exc).__name__}: {exc}")
             return
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.slow_requests").inc()
+        self.telemetry.metrics.counter("server.slow_requests").inc()
         self.telemetry.events.emit(
             "slow_request",
             f"check of {filename} took {elapsed * 1000:.1f} ms "
@@ -1089,8 +1067,7 @@ class CheckServer:
             "sessions": self._session_rows(),
             "session_limit": self.session_limit,
             "event_counts": self.telemetry.events.counts(),
-            "timeseries": self.timeseries.describe()
-            if self.timeseries is not None else None,
+            "timeseries": self.timeseries.describe(),
             # Per-tier shared-store rows.
             "shared_cache": {
                 spec or "<default>": store.stats_snapshot()

@@ -156,7 +156,7 @@ def _tokenize(source: str, filename: str, first_line: int = 1,
                     text = _unescape(text)
             elif group == _G_OPEN:
                 # Terminated comments were folded into the trivia.
-                at = Pos(line, start - line_start + 1, start)
+                at = Pos(line, start - line_start + 1)
                 raise LexError("unterminated block comment",
                                Span(at, at, filename))
             else:
@@ -173,7 +173,7 @@ def _tokenize(source: str, filename: str, first_line: int = 1,
                     matches = _MASTER.finditer(source, pos)
                     break
                 if ch == '"':
-                    at = Pos(line, start - line_start + 1, start)
+                    at = Pos(line, start - line_start + 1)
                     raise LexError("unterminated string literal",
                                    Span(at, at, filename))
                 raise LexError(f"unexpected character {ch!r}",

@@ -93,8 +93,7 @@ class Parser:
         line = last.line
         if line < s.line or (line == s.line and last.end_col < s.col):
             return start.merge(last.span)
-        return Span(s, Pos(line, last.end_col, last.end_offset),
-                    self.filename)
+        return Span(s, Pos(line, last.end_col), self.filename)
 
     # -- entry points ---------------------------------------------------------
 

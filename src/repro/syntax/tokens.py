@@ -178,9 +178,8 @@ class Token:
     def span(self) -> Span:
         span = self._span
         if span is None:
-            span = Span(Pos(self.line, self.col, self.offset),
-                        Pos(self.line, self.end_col, self.end_offset),
-                        self.filename)
+            span = Span(Pos(self.line, self.col),
+                        Pos(self.line, self.end_col), self.filename)
             self._span = span
         return span
 

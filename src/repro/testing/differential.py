@@ -24,7 +24,7 @@ from repro import check_source
 from repro.pipeline import CheckSession
 
 __all__ = ["ALL_PATHS", "DifferentialHarness", "DifferentialResult",
-           "canonical_stdout", "daemon_available"]
+           "InProcessDaemon", "canonical_stdout", "daemon_available"]
 
 #: every path the harness knows, in baseline-first order.
 ALL_PATHS = ("serial", "cached", "daemon")
@@ -40,6 +40,31 @@ def canonical_stdout(ok: bool, render: str, errors: int, rel: str) -> str:
 
 def daemon_available() -> bool:
     return hasattr(socket, "AF_UNIX")
+
+
+class InProcessDaemon:
+    """A :class:`repro.server.CheckServer` bound on ``socket_path`` and
+    served from a daemon thread of this process."""
+
+    def __init__(self, socket_path: str) -> None:
+        from repro.server import CheckServer
+        self.socket_path = socket_path
+        self.server = CheckServer(socket_path=socket_path)
+        self.server.bind()
+        self._thread = threading.Thread(target=self.server.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+
+    def check(self, source: str, filename: str) -> dict:
+        """The daemon's reply to one ``check`` request."""
+        from repro.server import DaemonClient
+        with DaemonClient(self.socket_path) as client:
+            return client.check(source, filename=filename)
+
+    def close(self) -> None:
+        self.server.request_stop()
+        self._thread.join(10)
+        self.server.close()
 
 
 @dataclass
@@ -78,9 +103,7 @@ class DifferentialHarness:
     def __init__(self, use_daemon: bool = True,
                  use_cache: bool = True) -> None:
         self._cached: Optional[CheckSession] = None
-        self._server = None
-        self._server_thread: Optional[threading.Thread] = None
-        self._socket: Optional[str] = None
+        self._daemon: Optional[InProcessDaemon] = None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self.skipped: List[str] = []
 
@@ -88,15 +111,9 @@ class DifferentialHarness:
             self._tmp = tempfile.TemporaryDirectory(prefix="vault-diff-")
             self._cached = CheckSession(cache_dir=self._tmp.name + "/cache")
         if use_daemon and daemon_available():
-            from repro.server import CheckServer
             if self._tmp is None:
                 self._tmp = tempfile.TemporaryDirectory(prefix="vault-diff-")
-            self._socket = self._tmp.name + "/check.sock"
-            self._server = CheckServer(socket_path=self._socket)
-            self._server.bind()
-            self._server_thread = threading.Thread(
-                target=self._server.serve_forever, daemon=True)
-            self._server_thread.start()
+            self._daemon = InProcessDaemon(self._tmp.name + "/check.sock")
         elif use_daemon:
             self.skipped.append("daemon")
 
@@ -109,12 +126,9 @@ class DifferentialHarness:
         self.close()
 
     def close(self) -> None:
-        if self._server is not None:
-            self._server.request_stop()
-            if self._server_thread is not None:
-                self._server_thread.join(10)
-            self._server.close()
-            self._server = None
+        if self._daemon is not None:
+            self._daemon.close()
+            self._daemon = None
         if self._cached is not None:
             self._cached.close()
             self._cached = None
@@ -127,7 +141,7 @@ class DifferentialHarness:
         """The paths this harness will actually run."""
         return [p for p in ALL_PATHS if p not in self.skipped
                 and not (p == "cached" and self._cached is None)
-                and not (p == "daemon" and self._server is None)]
+                and not (p == "daemon" and self._daemon is None)]
 
     # -- checking -----------------------------------------------------
 
@@ -144,10 +158,8 @@ class DifferentialHarness:
             outputs["cached"] = canonical_stdout(
                 rep.ok, rep.render(), len(rep.errors), rel)
 
-        if self._server is not None:
-            from repro.server import DaemonClient
-            with DaemonClient(self._socket) as client:
-                reply = client.check(source, filename=rel)
+        if self._daemon is not None:
+            reply = self._daemon.check(source, rel)
             if reply.get("ok"):
                 outputs["daemon"] = canonical_stdout(
                     reply["check_ok"], reply["render"],

@@ -9,24 +9,31 @@ to a from-scratch :func:`repro.check_source`, whatever the session saw
 before.  The invariant is the paper's modularity (§3): a function's
 verdict depends only on its own text and the declarations it sees.
 
-Each sequence is walked two ways:
+Each sequence is walked three ways:
 
 ``session``
     one :class:`~repro.pipeline.CheckSession` checks every revision
-    (what ``vaultc watch`` and the daemon do);
+    (what ``vaultc watch`` does);
 ``cache-dir``
     a fresh ``CheckSession(cache_dir=DIR)`` per revision over one
     shared ``DIR`` (what a CI rebuild running ``vaultc check --cache
     DIR`` does).  Once per sequence, at a seeded revision, one byte of
     the summary pack is flipped and the revision checked again: that
     session must quarantine the pack and still answer like
-    ``check_source``.
+    ``check_source``;
+``daemon``
+    every revision is sent to one in-process check daemon, which
+    lives for the whole :func:`run_edit_fuzz` call, so its warm
+    session and shared store carry state from sequence to sequence
+    (what ``vaultc check --daemon`` does).  Without ``AF_UNIX`` the
+    path is skipped and the report says so.
 
-and then both walks run again with the session's cache caps patched
+and then every walk runs again with the session's cache caps patched
 down to :data:`SMALL_CAP`, so that evictions interleave with edits.
 
 A syntax error is an outcome too: every path must raise the same
-error message that ``check_source`` raises.
+error message that ``check_source`` raises (the daemon answers it
+with a ``vault_error`` reply carrying that message).
 
 Everything is a pure function of the seed: ``edit_sequence(seed)``
 always yields the same revisions.
@@ -42,12 +49,14 @@ import shutil
 import tempfile
 from collections import Counter
 from contextlib import contextmanager, redirect_stderr
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import check_source
 from repro.diagnostics import VaultError
-from repro.testing.differential import canonical_stdout
+from repro.testing.differential import (InProcessDaemon, canonical_stdout,
+                                        daemon_available)
 
 __all__ = ["EDIT_KINDS", "SMALL_CAP", "Revision", "EditDivergence",
            "EditFuzzReport", "edit_sequence", "run_edit_fuzz"]
@@ -107,6 +116,8 @@ class EditFuzzReport:
     divergences: List[EditDivergence] = field(default_factory=list)
     #: corrupt summary packs the ``cache-dir`` walks quarantined
     pack_quarantines: int = 0
+    #: paths this platform cannot run (``daemon`` without ``AF_UNIX``)
+    skipped_paths: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -270,14 +281,26 @@ def edit_sequence(seed: int, length: int = 8) -> List[Revision]:
 # Walking a sequence
 # ---------------------------------------------------------------------------
 
-def _outcome(check: Callable[[], object], filename: str) -> str:
+def _outcome(check: Callable[[str, str], object], rev: Revision) -> str:
     """What ``vaultc check`` reports: stdout bytes, or the error."""
     try:
-        report = check()
+        report = check(rev.source, rev.filename)
     except VaultError as exc:
         return f"error: {exc}\n"
     return canonical_stdout(report.ok, report.render(), len(report.errors),
-                            filename)
+                            rev.filename)
+
+
+def _daemon_outcome(daemon: InProcessDaemon, rev: Revision) -> str:
+    """:func:`_outcome` for a daemon reply: a ``vault_error`` reply is
+    the ``VaultError`` the in-process check raises."""
+    reply = daemon.check(rev.source, rev.filename)
+    if reply.get("ok"):
+        return canonical_stdout(reply["check_ok"], reply["render"],
+                                reply["errors"], rev.filename)
+    if reply.get("kind") == "vault_error":
+        return f"error: {reply['error']}\n"
+    return f"<daemon error: {reply!r}>\n"
 
 
 @contextmanager
@@ -299,11 +322,13 @@ def _caps(value: Optional[int]) -> Iterator[str]:
 
 
 def walk(revisions: List[Revision], sequence_seed: int = 0,
-         caps: Optional[int] = None
+         caps: Optional[int] = None,
+         daemon: Optional[InProcessDaemon] = None
          ) -> Tuple[List[str], List[EditDivergence], int]:
-    """Check ``revisions`` through both session paths; returns the
-    path names, every divergence from ``check_source``, and how many
-    corrupt summary packs the ``cache-dir`` path quarantined.
+    """Check ``revisions`` through both session paths, and through
+    ``daemon`` when one is given; returns the path names, every
+    divergence from ``check_source``, and how many corrupt summary
+    packs the ``cache-dir`` path quarantined.
 
     At one seeded revision the ``cache-dir`` path flips a byte of the
     pack its check just wrote and checks the same revision again, as
@@ -311,39 +336,38 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
     answer like ``check_source``, and the walk goes on from the pack
     it rebuilt."""
     from repro.pipeline import CheckSession, FaultPlan
-    expected = [_outcome(lambda r=r: check_source(r.source, r.filename),
-                         r.filename) for r in revisions]
+    expected = [_outcome(check_source, r) for r in revisions]
     divergences: List[EditDivergence] = []
     flip_at = random.Random(sequence_seed).randrange(len(revisions))
     quarantines = 0
     cache_dir = tempfile.mkdtemp(prefix="vault-edits-")
 
-    def cache_dir_check(rev: Revision):
+    def cache_dir_check(source: str, filename: str):
         nonlocal quarantines
         # The quarantine notice on stderr is expected noise here.
         with redirect_stderr(io.StringIO()):
             fresh = CheckSession(cache_dir=cache_dir)
         quarantines += fresh.stats.cache_quarantines
-        return fresh.check(rev.source, rev.filename)
+        return fresh.check(source, filename)
 
     try:
         with _caps(caps) as suffix:
             session = CheckSession()
             pack_path = CheckSession(cache_dir=cache_dir).pack_path
-            walks = {
-                f"session{suffix}":
-                    lambda r: session.check(r.source, r.filename),
-                f"cache-dir{suffix}": cache_dir_check,
+            walks: Dict[str, Callable[[Revision], str]] = {
+                f"session{suffix}": partial(_outcome, session.check),
+                f"cache-dir{suffix}": partial(_outcome, cache_dir_check),
             }
-            for path, check in walks.items():
+            if daemon is not None:
+                walks[f"daemon{suffix}"] = partial(_daemon_outcome, daemon)
+            for path, outcome in walks.items():
                 for index, rev in enumerate(revisions):
-                    outcomes = [_outcome(lambda: check(rev), rev.filename)]
-                    if check is cache_dir_check and index == flip_at \
+                    outcomes = [outcome(rev)]
+                    if path.startswith("cache-dir") and index == flip_at \
                             and os.path.exists(pack_path):
                         FaultPlan(seed=sequence_seed).flip_file_byte(
                             pack_path)
-                        outcomes.append(_outcome(lambda: check(rev),
-                                                 rev.filename))
+                        outcomes.append(outcome(rev))
                     for actual in outcomes:
                         if actual != expected[index]:
                             divergences.append(EditDivergence(
@@ -355,23 +379,42 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
     return list(walks), divergences, quarantines
 
 
+@contextmanager
+def _daemon(report: EditFuzzReport) -> Iterator[Optional[InProcessDaemon]]:
+    """One in-process daemon for a whole fuzz run, or ``None`` (and a
+    skipped path on the report) without ``AF_UNIX``."""
+    if not daemon_available():
+        report.skipped_paths.append("daemon")
+        yield None
+        return
+    directory = tempfile.mkdtemp(prefix="vault-edits-daemon-")
+    daemon = InProcessDaemon(os.path.join(directory, "check.sock"))
+    try:
+        yield daemon
+    finally:
+        daemon.close()
+        shutil.rmtree(directory, ignore_errors=True)
+
+
 def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
     """Walk ``count`` seeded edit sequences, at the session's own cache
     caps and again at :data:`SMALL_CAP`."""
     from repro.testing.fuzz import derive_seed
     report = EditFuzzReport(seed=seed, count=count)
     kinds: Counter = Counter()
-    for index in range(count):
-        sequence_seed = derive_seed(seed, index)
-        revisions = edit_sequence(sequence_seed, length)
-        report.revisions += len(revisions)
-        kinds.update(rev.kind for rev in revisions)
-        for caps in (None, SMALL_CAP):
-            paths, found, quarantines = walk(revisions, sequence_seed, caps)
-            report.divergences.extend(found)
-            report.pack_quarantines += quarantines
-            for path in paths:
-                if path not in report.paths:
-                    report.paths.append(path)
+    with _daemon(report) as daemon:
+        for index in range(count):
+            sequence_seed = derive_seed(seed, index)
+            revisions = edit_sequence(sequence_seed, length)
+            report.revisions += len(revisions)
+            kinds.update(rev.kind for rev in revisions)
+            for caps in (None, SMALL_CAP):
+                paths, found, quarantines = walk(revisions, sequence_seed,
+                                                 caps, daemon)
+                report.divergences.extend(found)
+                report.pack_quarantines += quarantines
+                for path in paths:
+                    if path not in report.paths:
+                        report.paths.append(path)
     report.kinds = dict(sorted(kinds.items()))
     return report

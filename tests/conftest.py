@@ -97,11 +97,9 @@ def open_fds():
 def start_server(tmp_path, **kwargs) -> ServerHandle:
     """Bind a ``CheckServer`` on a socket under ``tmp_path`` and serve
     it from a daemon thread.  Callers own the ``.stop()``."""
-    from repro.obs import Telemetry
     from repro.server import CheckServer
 
     sock = str(Path(tmp_path) / "daemon.sock")
-    kwargs.setdefault("telemetry", Telemetry(metrics=True))
     server = CheckServer(socket_path=sock, **kwargs)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -285,16 +285,18 @@ class TestObservability:
         assert snap["diagnostics.V0302"]["value"] >= 1
         assert snap["check.function_seconds"]["type"] == "histogram"
 
-    def test_disabled_instrumentation_records_nothing(self, good_file):
+    def test_tracing_is_off_by_default(self, good_file):
+        # Metrics are always on (tests/test_pipeline.py checks them
+        # against SessionStats); spans cost memory per function, so a
+        # session records them only when asked.
+        from repro.obs import NULL_TRACER
         from repro.pipeline import CheckSession
         session = CheckSession()
         with open(good_file) as handle:
             report = session.check(handle.read())
         assert report.ok
-        assert session.telemetry.metrics.snapshot() == {}
+        assert session.telemetry.tracer is NULL_TRACER
         assert list(session.telemetry.tracer.events) == []
-        snap = session.telemetry.snapshot()
-        assert snap["metrics"] == {}
 
 
 # ---------------------------------------------------------------------------

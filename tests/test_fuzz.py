@@ -19,6 +19,7 @@ from repro import check_source
 from repro.testing import (DifferentialHarness, DifferentialResult,
                            GenConfig, canonical_stdout, derive_seed,
                            generate_program, run_fuzz, shrink)
+from repro.testing.differential import InProcessDaemon, daemon_available
 from repro.testing.edits import (EDIT_KINDS, SMALL_CAP, edit_sequence,
                                  run_edit_fuzz, walk)
 from repro.testing.generate import INTENTS, VIOLATION_INTENTS
@@ -267,8 +268,11 @@ class TestEditSequences:
         report = run_edit_fuzz(3, seed=11)
         assert report.ok, [(d.sequence_seed, d.revision, d.path)
                            for d in report.divergences]
-        assert report.paths == ["session", "cache-dir", "session/cap8",
-                                "cache-dir/cap8"]
+        walks = ["session", "cache-dir"] + (
+            ["daemon"] if daemon_available() else [])
+        assert report.paths == walks + [f"{w}/cap8" for w in walks]
+        assert report.skipped_paths == (
+            [] if daemon_available() else ["daemon"])
         assert report.revisions == 24
         # one flipped summary pack per sequence and walk, each caught
         assert report.pack_quarantines == 6
@@ -296,6 +300,36 @@ class TestEditSequences:
         first = divergences[0]
         assert first.kinds[-1] == "body_call"
         assert first.expected != first.actual
+
+    @needs_unix
+    def test_daemon_path_catches_a_stale_summary(self, monkeypatch,
+                                                 tmp_path):
+        from repro.pipeline import session as session_mod
+        revisions = edit_sequence(FORM_FEED_SEQUENCE)
+        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        daemon = InProcessDaemon(str(tmp_path / "check.sock"))
+        try:
+            paths, divergences, _quarantines = walk(
+                revisions, FORM_FEED_SEQUENCE, daemon=daemon)
+        finally:
+            daemon.close()
+        assert "daemon" in paths
+        assert "daemon" in {d.path for d in divergences}
+
+    @needs_unix
+    def test_daemon_syntax_error_matches_check_source(self, tmp_path):
+        # The daemon answers a syntax error with a vault_error reply;
+        # the walk maps it to the message check_source raises.
+        seed = next(s for s in range(100) if "syntax_error" in
+                    [rev.kind for rev in edit_sequence(s)])
+        revisions = edit_sequence(seed)
+        daemon = InProcessDaemon(str(tmp_path / "check.sock"))
+        try:
+            paths, divergences, _quarantines = walk(revisions, seed,
+                                                    daemon=daemon)
+        finally:
+            daemon.close()
+        assert "daemon" in paths and divergences == []
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,7 @@ def lex_error(source):
     with pytest.raises(LexError) as err:
         tokenize(source, "f.vlt")
     span = err.value.span
-    return (err.value.message, span.start.line, span.start.col,
-            span.start.offset)
+    return err.value.message, span.start.line, span.start.col
 
 
 class TestFoldedTrivia:
@@ -203,7 +202,7 @@ class TestFoldedTrivia:
 
     def test_comment_then_unterminated_string(self):
         assert lex_error('/* c */ "abc') == \
-            ("unterminated string literal", 1, 9, 8)
+            ("unterminated string literal", 1, 9)
 
     def test_trailing_comment_at_eof(self):
         assert shapes("a /* trailing */") == [
@@ -212,14 +211,14 @@ class TestFoldedTrivia:
 
     def test_unterminated_block_comment_after_whitespace(self):
         assert lex_error("x  /* open") == \
-            ("unterminated block comment", 1, 4, 3)
+            ("unterminated block comment", 1, 4)
         assert lex_error("  \n/* unterminated") == \
-            ("unterminated block comment", 2, 1, 3)
+            ("unterminated block comment", 2, 1)
 
     def test_comment_then_stray_character(self):
         # ``Span.point`` carries no offset.
         assert lex_error("/* c */#") == \
-            ("unexpected character '#'", 1, 8, 0)
+            ("unexpected character '#'", 1, 8)
 
 
 class TestNoTokenSpansALine:
@@ -228,11 +227,11 @@ class TestNoTokenSpansALine:
         # undefined ``y`` below was reported on line 3.
         source = 'void f() {\n  string s = "a\\\nb";\n  int x = y;\n}\n'
         assert lex_error(source) == \
-            ("unterminated string literal", 2, 14, 24)
+            ("unterminated string literal", 2, 14)
 
     def test_newline_char_literal_is_rejected(self):
         assert lex_error("x = '\n';\ny") == \
-            ("expected constructor name after '", 1, 6, 0)
+            ("expected constructor name after '", 1, 6)
 
     def test_escaped_quote_and_backslash_still_lex(self):
         assert texts('"a\\"b" "\\\\"') == ['a"b', "\\"]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import (EventLog, JsonlEventWriter, MetricsRegistry,
-                       NULL_METRICS, NULL_TRACER, Telemetry,
+                       NULL_TRACER, Telemetry,
                        TimeSeriesRing, TraceRing, Tracer, activate,
                        bucket_quantile, current_tracer, open_event_log,
                        render_exposition, validate_chrome_trace,
@@ -148,13 +148,13 @@ class TestMetrics:
         with pytest.raises(TypeError):
             reg.gauge("x")
 
-    def test_null_metrics_records_nothing(self):
-        assert not NULL_METRICS.enabled
-        NULL_METRICS.counter("c").inc()
-        NULL_METRICS.gauge("g").set(5)
-        NULL_METRICS.histogram("h").observe(1)
-        assert NULL_METRICS.snapshot() == {}
-        assert NULL_METRICS.render_rows() == []
+    def test_registry_is_empty_until_first_use(self):
+        reg = MetricsRegistry()
+        assert reg.snapshot() == {}
+        assert reg.render_rows() == []
+        assert reg.render() == "(no metrics recorded)"
+        reg.counter("c")
+        assert reg.snapshot() == {"c": {"type": "counter", "value": 0}}
 
     def test_render_mentions_every_metric(self):
         reg = MetricsRegistry()
@@ -187,16 +187,20 @@ class TestEventLog:
 
 
 class TestTelemetry:
-    def test_default_is_disabled(self):
-        tele = Telemetry()
-        assert not tele.enabled
-        assert tele.tracer is NULL_TRACER
-        assert tele.metrics is NULL_METRICS
-        assert tele.events.records == []
+    def test_default_records_metrics_not_spans(self):
+        # ``metrics=`` is accepted and ignored: every configuration
+        # has a live registry of its own and the null tracer.
+        for tele in (Telemetry(), Telemetry(metrics=True),
+                     Telemetry(metrics=False)):
+            assert tele.tracer is NULL_TRACER
+            assert isinstance(tele.metrics, MetricsRegistry)
+            tele.metrics.counter("c").inc()
+            assert tele.snapshot()["metrics"]["c"]["value"] == 1
+            assert tele.events.records == []
 
     def test_enabled_bundle_snapshot(self):
-        tele = Telemetry(trace=True, metrics=True)
-        assert tele.enabled
+        tele = Telemetry(trace=True)
+        assert tele.tracer.enabled
         with tele.tracer.span("s"):
             pass
         tele.metrics.counter("c").inc()

@@ -212,11 +212,18 @@ class TestSessionEquivalence:
                                                  (3, 0.5)])
     def test_serial_matches_check_source(self, seed, error_rate):
         source = synthesize_program(30, seed=seed, error_rate=error_rate)
-        expected = check_source(source, units=UNITS).render()
+        report = check_source(source, units=UNITS)
+        expected = report.render()
         session = fresh_session()
-        assert session.check(source).render() == expected
+        first = session.check(source)
+        assert first.render() == expected
+        # The same diagnostics by value, not only by rendering: a
+        # chunked parse must give every position the unit's numbering.
+        assert first.diagnostics == report.diagnostics
         # ... and again, fully from cache.
-        assert session.check(source).render() == expected
+        again = session.check(source)
+        assert again.render() == expected
+        assert again.diagnostics == report.diagnostics
 
     @pytest.mark.parametrize("seed,error_rate", [(4, 0.0), (5, 0.3)])
     def test_parallel_output_byte_identical(self, seed, error_rate):
@@ -395,6 +402,30 @@ class TestTelemetry:
         assert report.ok
         assert "aborted" not in session.last_profile
 
+    def test_metrics_agree_with_session_stats(self):
+        # A default session keeps two counting surfaces, the metrics
+        # registry and SessionStats; each registry counter must equal
+        # its SessionStats twin after a cold check, a body edit and a
+        # re-save of the edit.
+        source = synthesize_program(12, seed=3, error_rate=0.3)
+        session = fresh_session()
+        for text in (source, _body_edit(source), _body_edit(source)):
+            session.check(text, "unit.vlt")
+        snapshot = session.telemetry.metrics.snapshot()
+        stats = session.stats
+
+        def count(name):
+            return snapshot.get(name, {"value": 0})["value"]
+
+        assert stats.context_hits and stats.chunk_hits \
+            and stats.fingerprints_memoized
+        assert count("cache.context.hits") == stats.context_hits
+        assert count("cache.context.misses") == stats.context_misses
+        assert count("cache.chunk_ast.hits") == stats.chunk_hits
+        assert count("cache.chunk_ast.misses") == stats.chunk_parses
+        assert count("cache.fingerprint_memo.hits") == \
+            stats.fingerprints_memoized
+
 
 # ---------------------------------------------------------------------------
 # Session reuse: a CheckSession is a long-lived object (the daemon
@@ -544,10 +575,9 @@ class TestChunkAstCache:
             "a re-parsed chunk must render like a from-scratch check"
 
     def test_chunk_ast_eviction_is_traced(self, monkeypatch):
-        from repro.obs import Telemetry
         from repro.pipeline import session as session_mod
         monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 4)
-        session = fresh_session(telemetry=Telemetry(metrics=True))
+        session = fresh_session()
         session.check(synthesize_program(12, seed=3), "unit.vlt")
         snapshot = session.telemetry.metrics.snapshot()
         assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
@@ -561,7 +591,6 @@ class TestChunkAstCache:
         # other chunks were evicted in between.  Were it digested by
         # its content hash after an eviction, the env token would flip
         # and every fingerprint memo of the unit would miss.
-        from repro.obs import Telemetry
         from repro.pipeline import session as session_mod
         source = synthesize_program(40, seed=3)
         revisions = [source, _body_edit(source),
@@ -570,7 +599,7 @@ class TestChunkAstCache:
         # Body edits leave the interface, and so the token, unchanged.
         assert len(set(fresh)) == 1
         monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 8)
-        session = fresh_session(telemetry=Telemetry(metrics=True))
+        session = fresh_session()
         assert [_env_token(session, text) for text in revisions] == fresh
         snapshot = session.telemetry.metrics.snapshot()
         assert snapshot["cache.chunk_ast.evictions"]["value"] > 0

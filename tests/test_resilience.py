@@ -24,7 +24,6 @@ import pytest
 from repro import check_source
 from repro.analysis import synthesize_program
 from repro.cache import check_blob, encode_blob
-from repro.obs import Telemetry
 from repro.pipeline import CheckSession, FaultPlan, cache_checksum
 from repro.pipeline.faults import FaultError
 
@@ -121,8 +120,7 @@ class TestCacheResilience:
         with open(path, "wb") as handle:
             handle.write(bytes(corrupt))
 
-        with CheckSession(units=UNITS, cache_dir=str(tmp_path),
-                          telemetry=Telemetry(metrics=True)) as session:
+        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
             rendered = session.check(source).render()
         assert rendered == expected
         assert session.stats.cache_quarantines == 1

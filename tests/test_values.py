@@ -132,7 +132,7 @@ def test_fresh_state_vars_are_distinct():
 
 
 def test_diagnostic_round_trips_through_the_store():
-    span = Span(Pos(3, 5, 40), Pos(3, 9, 44), "leaky.vlt")
+    span = Span(Pos(3, 5), Pos(3, 9), "leaky.vlt")
     diags = (Diagnostic(Code.KEY_LEAKED, "key R leaked", span,
                         notes=["R was created here"]),
              Diagnostic(Code.JOIN_MISMATCH, "sets differ", Span.unknown(),
