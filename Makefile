@@ -74,7 +74,8 @@ daemon-chaos-smoke:
 # programs (random keyed state machines + violating clients) must
 # check byte-identically through serial, a warm cached session and a
 # live check daemon; then 40 seeded edit sequences, walked by one
-# session and by a fresh --cache DIR session per revision (at the
+# session, by a fresh --cache DIR session per revision, by a fresh
+# --shared-cache DIR session per revision and by one daemon (at the
 # session's cache caps and at caps of 8), must match check_source on
 # every revision — zero divergences; each --cache DIR walk corrupts its
 # summary pack once, and at least one quarantine must be exercised.

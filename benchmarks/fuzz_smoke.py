@@ -14,10 +14,13 @@ generator aims at (wrong state, leak, double consume) showed up.
 
 Then walks ``EDIT_SEQUENCES`` seeded edit sequences
 (``repro.testing.edits``): every revision, checked by one warm session,
-by a fresh ``--cache DIR`` session per revision and by one in-process
+by a fresh ``--cache DIR`` session per revision, by a fresh
+``--shared-cache DIR`` session per revision and by one in-process
 check daemon, at the session's own cache caps and at caps of 8, must
 render byte-identically to ``check_source`` — zero divergences, and
-every edit kind exercised.
+every edit kind exercised (``move_function`` among them, so summaries
+with diagnostics replay at new lines).  A divergent sequence is
+printed shrunk to the fewest revisions that still diverge.
 Each ``--cache DIR`` walk also corrupts its summary pack once; the
 gate reports how many corrupt packs were quarantined and fails if
 none was.
@@ -80,6 +83,8 @@ def test_fuzz_smoke(benchmark=None):
               f"{d.revision} ({' -> '.join(d.kinds)}), path {d.path}:")
         print(f"  check_source: {d.expected!r}")
         print(f"  {d.path}: {d.actual!r}")
+        print(f"  shrunk to {len(d.shrunk)} revision(s): "
+              f"{' -> '.join(d.shrunk)}")
         print(f"replay: repro.testing.edits.walk("
               f"edit_sequence({d.sequence_seed}, {EDIT_LENGTH}))")
     assert edits.ok, (

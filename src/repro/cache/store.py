@@ -21,7 +21,8 @@ Three object kinds share the store namespace, distinguished by a key
 suffix (the key body is always a 64-hex SHA-256, so the CAS shards
 stay uniform):
 
-* ``<digest>-s`` — one function's summary entries, keyed by
+* ``<digest>-s`` — one function's position-free diagnostics (lines
+  from the function's first line, no file name), keyed by
   :func:`summary_store_key` (the pipeline's function fingerprint
   salted with the diagnostic-relevant session options);
 * ``<digest>-u`` — one unit's complete diagnostic stream, keyed by
@@ -57,7 +58,7 @@ from ..pipeline.fingerprint import cache_checksum
 
 #: bump when the envelope or the pickled record shapes change
 #: incompatibly; old blobs then simply miss (their keys embed it too).
-STORE_SCHEMA = 2
+STORE_SCHEMA = 3
 
 _MAGIC = b"vaultc-blob1\n"
 _HEX_LEN = 64

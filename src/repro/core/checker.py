@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..diagnostics import Code, Reporter, Span
+from ..diagnostics import Code, Note, Reporter, Span
 from ..syntax import ast
 from .capability import CapabilityError, HeldKeys, KeyInfo
 from .effects import CoreEffect, CoreEffectItem, Signature, SigParam
@@ -554,7 +554,7 @@ class FnChecker:
             if want == "absent":
                 notes = []
                 if key.span is not None:
-                    notes.append(f"the resource was created at {key.span}")
+                    notes.append(Note("the resource was created at", key.span))
                 self.reporter.error(
                     Code.KEY_LEAKED,
                     f"key {key.display()} is still in the held-key set at "

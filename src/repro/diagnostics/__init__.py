@@ -5,6 +5,7 @@ from .errors import (
     Code,
     Diagnostic,
     LexError,
+    Note,
     ParseError,
     RuntimeProtocolError,
     Severity,
@@ -18,6 +19,7 @@ __all__ = [
     "Code",
     "Diagnostic",
     "LexError",
+    "Note",
     "ParseError",
     "Pos",
     "Reporter",

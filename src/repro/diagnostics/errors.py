@@ -12,7 +12,7 @@ error fired, not just that one fired.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .span import Span
 
@@ -80,17 +80,39 @@ class Severity(enum.Enum):
     NOTE = "note"
 
 
+class Note:
+    """A note that names a source position: ``text``, then ``span``,
+    kept as data until rendered so that the note moves with its
+    diagnostic.  Compares by value."""
+
+    __slots__ = ("text", "span")
+
+    def __init__(self, text: str, span: Span):
+        self.text = text
+        self.span = span
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text and self.span == other.span
+
+    __hash__ = None
+
+    def __str__(self) -> str:
+        return f"{self.text} {self.span}"
+
+
 class Diagnostic:
     """A single message produced by the front end or checker.
 
     Compares by value.  A ``--cache DIR`` summary pack pickles these,
     so the attribute set is part of its format (``cache.store``'s
-    ``STORE_SCHEMA``).
+    ``STORE_SCHEMA``).  A note is a plain string or a :class:`Note`.
     """
 
     def __init__(self, code: Code, message: str, span: Span,
                  severity: Severity = Severity.ERROR,
-                 notes: Optional[List[str]] = None):
+                 notes: Optional[List[Union[str, Note]]] = None):
         self.code = code
         self.message = message
         self.span = span

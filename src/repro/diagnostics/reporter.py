@@ -8,9 +8,9 @@ wants the *set* of violations a seeded bug produces).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Union
 
-from .errors import CheckError, Code, Diagnostic, Severity
+from .errors import CheckError, Code, Diagnostic, Note, Severity
 from .span import Span
 
 
@@ -41,7 +41,8 @@ class Reporter:
     # -- accumulation -----------------------------------------------------
 
     def error(self, code: Code, message: str, span: Span,
-              notes: Optional[Iterable[str]] = None) -> Diagnostic:
+              notes: Optional[Iterable[Union[str, Note]]] = None
+              ) -> Diagnostic:
         diag = Diagnostic(code, message, span, Severity.ERROR, list(notes or []))
         self.diagnostics.append(diag)
         return diag

@@ -20,7 +20,9 @@ invalidated:
   base context);
 * **summary cache** — per-function diagnostics are cached under a
   stable content fingerprint of the function and everything it
-  references (:mod:`repro.pipeline.fingerprint`); with ``cache_dir``
+  references (:mod:`repro.pipeline.fingerprint`), position-free: lines
+  count from the function's first line and no file name is kept, so
+  a summary replays wherever the function moves; with ``cache_dir``
   the whole map persists as one *summary pack* (see below);
 * **shared store** — with ``shared_store=`` (a
   :class:`repro.cache.SharedStore`), summary misses batch-fetch from
@@ -69,7 +71,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import build_context, check_function_diagnostics
 from ..core.checker import MAX_LOOP_ITERATIONS
-from ..diagnostics import Diagnostic, Pos, Reporter, Span, VaultError
+from ..diagnostics import (Diagnostic, Note, Pos, Reporter, Span,
+                           VaultError)
 from ..diagnostics.reporter import source_lines
 from ..obs import Telemetry
 from ..obs.trace import activate as activate_tracer
@@ -101,6 +104,40 @@ _ChunkKey = Tuple[str, str, int, int]
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _relocate(diags: Tuple[Diagnostic, ...], lines: int, filename: str
+              ) -> Tuple[Diagnostic, ...]:
+    """``diags`` moved ``lines`` lines down into ``filename``, notes
+    included: a summary stores its function's diagnostics moved by
+    minus the function's first line, and each replay moves them back
+    to where the function now is.  A clean ``()`` passes through."""
+    if not diags:
+        return diags
+
+    def move(span: Span) -> Span:
+        return Span(Pos(span.start.line + lines, span.start.col),
+                    Pos(span.end.line + lines, span.end.col), filename)
+    return tuple(
+        Diagnostic(d.code, d.message, move(d.span), d.severity,
+                   [Note(n.text, move(n.span)) if isinstance(n, Note)
+                    else n for n in d.notes])
+        for d in diags)
+
+
+def _inside(diags: Tuple[Diagnostic, ...], where: Span) -> bool:
+    """Whether every span ``diags`` report, notes included, lies in
+    the file and lines of ``where``.  Only such a result may become a
+    summary: a span elsewhere (say, on the line of a function-type
+    alias the body expands) would not move with the function."""
+    for diag in diags:
+        for span in [diag.span] + [n.span for n in diag.notes
+                                    if isinstance(n, Note)]:
+            if span.filename != where.filename \
+                    or span.start.line < where.start.line \
+                    or span.end.line > where.end.line:
+                return False
+    return True
 
 
 def _line_col(chunk: Chunk, offset: int) -> Tuple[int, int]:
@@ -152,38 +189,6 @@ class SessionStats:
                 f"chunks={self.chunk_hits}h/{self.chunk_parses}m, "
                 f"functions={self.functions_replayed} replayed/"
                 f"{self.functions_checked} checked)")
-
-
-class _Summary:
-    """Cached diagnostics for one function fingerprint.
-
-    A clean result (no diagnostics) replays at any position.  A dirty
-    result carries spans, so it replays only for a definition at the
-    same place in the same file; anywhere else the function is simply
-    re-checked (a cache miss, never a wrong answer).
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        # (filename, start_line) -> tuple of diagnostics; clean results
-        # are stored under the wildcard key None.
-        self.entries: Dict[Optional[Tuple[str, int]],
-                           Tuple[Diagnostic, ...]] = {}
-
-    def lookup(self, filename: str, line: int
-               ) -> Optional[Tuple[Diagnostic, ...]]:
-        if None in self.entries:
-            return self.entries[None]
-        return self.entries.get((filename, line))
-
-    def store(self, filename: str, line: int,
-              diags: Tuple[Diagnostic, ...]) -> None:
-        if not diags:
-            self.entries.clear()
-            self.entries[None] = ()
-        else:
-            self.entries[(filename, line)] = diags
 
 
 class _WholeUnit(Exception):
@@ -271,7 +276,8 @@ class CheckSession:
         #: another.
         self._ast_cache: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
         self._ctx_cache: Dict[tuple, _CtxEntry] = {}
-        self._summaries: Dict[str, _Summary] = {}
+        #: function-relative diagnostics by fingerprint (``_relocate``)
+        self._summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
         #: set when the in-memory summaries diverge from the summary
         #: pack; a check that replayed everything does not rewrite it.
@@ -310,12 +316,8 @@ class CheckSession:
         try:
             with activate_tracer(tracer), \
                     tracer.span("check_unit", filename=filename):
-                try:
-                    return self._check_inner(source, filename, profile,
-                                             started)
-                except _WholeUnit:
-                    return self._check_inner(source, filename, profile,
-                                             started, split=False)
+                return self._check_inner(source, filename, profile,
+                                         started)
         except BaseException as exc:
             # A crash mid-check must not masquerade as a clean (empty)
             # profile: mark it, so post-hoc consumers can tell a
@@ -330,8 +332,8 @@ class CheckSession:
             profile["total_seconds"] = time.perf_counter() - started
 
     def _check_inner(self, source: str, filename: str,
-                     profile: Dict[str, object], started: float,
-                     split: bool = True) -> Reporter:
+                     profile: Dict[str, object], started: float
+                     ) -> Reporter:
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         reporter = Reporter(source, filename)
@@ -368,6 +370,24 @@ class CheckSession:
             else:
                 metrics.counter("cache.stdlib_base.misses").inc()
             reporter.diagnostics.extend(base_diags)
+        prefix = len(reporter.diagnostics)
+        try:
+            return self._check_unit(source, filename, profile, started,
+                                    reporter, base, store_unit_key)
+        except _WholeUnit:
+            # Redo the unit only: the lookups above are done once.
+            del reporter.diagnostics[prefix:]
+            return self._check_unit(source, filename, profile, started,
+                                    reporter, base, store_unit_key,
+                                    split=False)
+
+    def _check_unit(self, source: str, filename: str,
+                    profile: Dict[str, object], started: float,
+                    reporter: Reporter, base, store_unit_key: Optional[str],
+                    split: bool = True) -> Reporter:
+        """The unit's context, then each function's diagnostics."""
+        tracer = self.telemetry.tracer
+        metrics = self.telemetry.metrics
         entry = self._context_for(source, filename, base, split)
         profile["context_seconds"] = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
@@ -407,11 +427,6 @@ class CheckSession:
         for diag in reporter.diagnostics:
             metrics.counter(f"diagnostics.{diag.code.value}").inc()
         return reporter
-
-    def render_check(self, source: str, filename: str = "<input>",
-                     jobs: Optional[Union[int, str]] = None) -> str:
-        """The rendered report for ``source`` (the CLI's output)."""
-        return self.check(source, filename, jobs=jobs).render()
 
     def close(self) -> None:
         """Nothing to release: a session holds only in-memory caches
@@ -668,12 +683,10 @@ class CheckSession:
                     if env_token:
                         object.__setattr__(fundef, "_pl_fp",
                                            (env_token, fp))
-                summary = self._summaries.get(fp)
-                cached = summary.lookup(fundef.span.filename,
-                                        fundef.span.start.line) \
-                    if summary is not None else None
+                cached = self._summaries.get(fp)
                 if cached is not None:
-                    results[qual] = cached
+                    results[qual] = _relocate(
+                        cached, fundef.span.start.line, fundef.span.filename)
                     self.stats.last_replayed.append(qual)
                     self.stats.functions_replayed += 1
                 else:
@@ -703,8 +716,9 @@ class CheckSession:
             checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
                 results[qual] = diags
-                self._summaries.setdefault(fp, _Summary()).store(
-                    fundef.span.filename, fundef.span.start.line, diags)
+                if _inside(diags, fundef.span):
+                    self._summaries[fp] = _relocate(
+                        diags, -fundef.span.start.line, "")
                 self.stats.last_checked.append(qual)
                 self.stats.functions_checked += 1
             self._cache_dirty = True
@@ -792,24 +806,13 @@ class CheckSession:
         still: List[Tuple[str, ast.FunDef, str]] = []
         hits = 0
         for qual, fundef, fp in to_check:
-            entries = fetched.get(key_of[fp])
-            diags = None
-            if isinstance(entries, dict):
-                # Union-merge: entries are keyed by (filename, line)
-                # position (or the clean wildcard None), and identical
-                # fingerprint + options imply identical diagnostics,
-                # so keeping whichever side already has a position is
-                # always sound.
-                summary = self._summaries.setdefault(fp, _Summary())
-                for pos, stored in entries.items():
-                    if isinstance(stored, tuple) and (
-                            pos is None or (isinstance(pos, tuple)
-                                            and len(pos) == 2)):
-                        summary.entries.setdefault(pos, stored)
-                diags = summary.lookup(fundef.span.filename,
-                                       fundef.span.start.line)
-            if diags is not None:
-                results[qual] = diags
+            diags = fetched.get(key_of[fp])
+            # Blobs come from outside the process: take only the shape
+            # a summary has.
+            if isinstance(diags, tuple):
+                self._summaries[fp] = diags
+                results[qual] = _relocate(
+                    diags, fundef.span.start.line, fundef.span.filename)
                 self.stats.last_replayed.append(qual)
                 self.stats.functions_replayed += 1
                 hits += 1
@@ -825,19 +828,16 @@ class CheckSession:
         return still
 
     def _shared_put_summaries(self, checked) -> None:
-        """Write freshly computed summaries back to the shared tiers
-        (merged with anything the fetch brought in)."""
+        """Write freshly computed summaries back to the shared tiers."""
         from ..cache.store import summary_store_key
-        payload: Dict[str, object] = {}
-        for _qual, _fundef, fp in checked:
-            summary = self._summaries.get(fp)
-            if summary is not None:
-                payload[summary_store_key(fp, self._options_salt)] = \
-                    dict(summary.entries)
-        if payload:
-            with self.telemetry.tracer.span("shared_put_summaries",
-                                            keys=len(payload)):
-                self.stats.shared_puts += self.shared_store.store(payload)
+        payload = {summary_store_key(fp, self._options_salt):
+                   self._summaries[fp] for _qual, _fundef, fp in checked
+                   if fp in self._summaries}
+        if not payload:
+            return
+        with self.telemetry.tracer.span("shared_put_summaries",
+                                        keys=len(payload)):
+            self.stats.shared_puts += self.shared_store.store(payload)
 
     # -- the summary pack ----------------------------------------------------
 
@@ -868,19 +868,14 @@ class CheckSession:
                   f"quarantined under {tier.root}/corrupt and rebuilding "
                   f"cold", file=sys.stderr)
             return
-        if not isinstance(pack, dict):
-            return
-        for fp, entries in pack.items():
-            summary = _Summary()
-            summary.entries = entries
-            self._summaries[fp] = summary
+        if isinstance(pack, dict):
+            self._summaries = pack
 
     def _save_pack(self) -> None:
         """Write the whole summary map as the pack.  A failed write
         is a ``shared_cache_error`` event (the store reports the first
         few per tier) and a cold next process, never a wrong answer."""
-        self._pack_store.store({self._pack_key: {
-            fp: s.entries for fp, s in self._summaries.items()}})
+        self._pack_store.store({self._pack_key: self._summaries})
         if self.fault_plan is not None and self.fault_plan.take_cache_flip():
             try:
                 offset = self.fault_plan.flip_file_byte(self.pack_path)

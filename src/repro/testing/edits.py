@@ -9,7 +9,7 @@ to a from-scratch :func:`repro.check_source`, whatever the session saw
 before.  The invariant is the paper's modularity (§3): a function's
 verdict depends only on its own text and the declarations it sees.
 
-Each sequence is walked three ways:
+Each sequence is walked four ways:
 
 ``session``
     one :class:`~repro.pipeline.CheckSession` checks every revision
@@ -21,6 +21,12 @@ Each sequence is walked three ways:
     the summary pack is flipped and the revision checked again: that
     session must quarantine the pack and still answer like
     ``check_source``;
+``shared-dir``
+    a fresh ``CheckSession(shared_store=open_store(DIR))`` per revision
+    over one shared ``DIR`` (what ``vaultc check --shared-cache DIR``
+    does): unit records replay an unchanged revision, and the
+    position-free ``-s`` summary blobs replay every function an edit
+    left alone, wherever it now sits;
 ``daemon``
     every revision is sent to one in-process check daemon, which
     lives for the whole :func:`run_edit_fuzz` call, so its warm
@@ -30,6 +36,10 @@ Each sequence is walked three ways:
 
 and then every walk runs again with the session's cache caps patched
 down to :data:`SMALL_CAP`, so that evictions interleave with edits.
+
+A divergent sequence is shrunk: revisions are dropped one at a time
+while the same path still diverges (:func:`shrink_sequence`), and the
+divergence reports the shortest sequence's edit kinds.
 
 A syntax error is an outcome too: every path must raise the same
 error message that ``check_source`` raises (the daemon answers it
@@ -59,12 +69,14 @@ from repro.testing.differential import (InProcessDaemon, canonical_stdout,
                                         daemon_available)
 
 __all__ = ["EDIT_KINDS", "SMALL_CAP", "Revision", "EditDivergence",
-           "EditFuzzReport", "edit_sequence", "run_edit_fuzz"]
+           "EditFuzzReport", "edit_sequence", "run_edit_fuzz",
+           "shrink_sequence"]
 
 #: every edit the generator applies (``start`` is the first revision).
 EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
               "blank_delete", "effect_clause", "signature", "struct_field",
-              "syntax_error", "form_feed", "revert", "rename_file")
+              "syntax_error", "form_feed", "revert", "rename_file",
+              "move_function")
 
 #: the cache cap the second walk patches onto the session module.
 SMALL_CAP = 8
@@ -102,6 +114,9 @@ class EditDivergence:
     path: str                     # e.g. ``session`` or ``cache-dir/cap8``
     expected: str
     actual: str
+    #: edit kinds of the shortest sub-sequence on which ``path`` still
+    #: diverges (filled in by :func:`run_edit_fuzz`)
+    shrunk: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -242,6 +257,16 @@ def _edit(rng: random.Random, kind: str, lines: List[str]) -> bool:
         lines[i] = lines[i].rstrip()[:-1] + " + ;"
     elif kind == "form_feed":
         lines.insert(head, "// \f\f\f")
+    elif kind == "move_function":
+        # Cut the whole function and paste it above another one, or at
+        # the top of the unit: its summary must replay at a new line.
+        block = lines[head:close + 1]
+        del lines[head:close + 1]
+        targets = sorted({0, *(h for h, _ in _functions(lines))} - {head})
+        if not targets:
+            return False
+        at = rng.choice(targets)
+        lines[at:at] = block
     else:
         raise ValueError(f"unknown edit kind {kind!r}")
     return True
@@ -323,10 +348,12 @@ def _caps(value: Optional[int]) -> Iterator[str]:
 
 def walk(revisions: List[Revision], sequence_seed: int = 0,
          caps: Optional[int] = None,
-         daemon: Optional[InProcessDaemon] = None
+         daemon: Optional[InProcessDaemon] = None,
+         only: Optional[str] = None
          ) -> Tuple[List[str], List[EditDivergence], int]:
-    """Check ``revisions`` through both session paths, and through
-    ``daemon`` when one is given; returns the path names, every
+    """Check ``revisions`` through the three session paths, and through
+    ``daemon`` when one is given (through the path named ``only``
+    alone, when that is given); returns the path names, every
     divergence from ``check_source``, and how many corrupt summary
     packs the ``cache-dir`` path quarantined.
 
@@ -335,12 +362,14 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
     a re-save would: that session must quarantine the pack and still
     answer like ``check_source``, and the walk goes on from the pack
     it rebuilt."""
+    from repro.cache import open_store
     from repro.pipeline import CheckSession, FaultPlan
     expected = [_outcome(check_source, r) for r in revisions]
     divergences: List[EditDivergence] = []
     flip_at = random.Random(sequence_seed).randrange(len(revisions))
     quarantines = 0
     cache_dir = tempfile.mkdtemp(prefix="vault-edits-")
+    shared_dir = tempfile.mkdtemp(prefix="vault-edits-shared-")
 
     def cache_dir_check(source: str, filename: str):
         nonlocal quarantines
@@ -350,6 +379,10 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
         quarantines += fresh.stats.cache_quarantines
         return fresh.check(source, filename)
 
+    def shared_dir_check(source: str, filename: str):
+        fresh = CheckSession(shared_store=open_store(shared_dir))
+        return fresh.check(source, filename)
+
     try:
         with _caps(caps) as suffix:
             session = CheckSession()
@@ -357,9 +390,12 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
             walks: Dict[str, Callable[[Revision], str]] = {
                 f"session{suffix}": partial(_outcome, session.check),
                 f"cache-dir{suffix}": partial(_outcome, cache_dir_check),
+                f"shared-dir{suffix}": partial(_outcome, shared_dir_check),
             }
             if daemon is not None:
                 walks[f"daemon{suffix}"] = partial(_daemon_outcome, daemon)
+            if only is not None:
+                walks = {only: walks[only]}
             for path, outcome in walks.items():
                 for index, rev in enumerate(revisions):
                     outcomes = [outcome(rev)]
@@ -376,7 +412,26 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
                                 path, expected[index], actual))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(shared_dir, ignore_errors=True)
     return list(walks), divergences, quarantines
+
+
+def shrink_sequence(revisions: List[Revision], path: str,
+                    sequence_seed: int = 0, caps: Optional[int] = None,
+                    daemon: Optional[InProcessDaemon] = None
+                    ) -> List[Revision]:
+    """The shortest sub-sequence of ``revisions`` found by dropping
+    one revision at a time while ``path`` still diverges on what is
+    left (each try walks that one path afresh)."""
+    current = list(revisions)
+    index = 0
+    while index < len(current) and len(current) > 1:
+        candidate = current[:index] + current[index + 1:]
+        if walk(candidate, sequence_seed, caps, daemon, path)[1]:
+            current = candidate
+        else:
+            index += 1
+    return current
 
 
 @contextmanager
@@ -411,6 +466,12 @@ def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
             for caps in (None, SMALL_CAP):
                 paths, found, quarantines = walk(revisions, sequence_seed,
                                                  caps, daemon)
+                shrunk: Dict[str, List[str]] = {}
+                for d in found:
+                    if d.path not in shrunk:
+                        shrunk[d.path] = [r.kind for r in shrink_sequence(
+                            revisions, d.path, sequence_seed, caps, daemon)]
+                    d.shrunk = shrunk[d.path]
                 report.divergences.extend(found)
                 report.pack_quarantines += quarantines
                 for path in paths:

@@ -10,6 +10,7 @@ and the ``vaultc fuzz`` CLI contract.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -20,8 +21,9 @@ from repro.testing import (DifferentialHarness, DifferentialResult,
                            GenConfig, canonical_stdout, derive_seed,
                            generate_program, run_fuzz, shrink)
 from repro.testing.differential import InProcessDaemon, daemon_available
+from repro.testing import edits as edits_mod
 from repro.testing.edits import (EDIT_KINDS, SMALL_CAP, edit_sequence,
-                                 run_edit_fuzz, walk)
+                                 run_edit_fuzz, shrink_sequence, walk)
 from repro.testing.generate import INTENTS, VIOLATION_INTENTS
 from repro.testing.shrink import split_decls
 
@@ -242,6 +244,26 @@ class TestFuzzLoop:
 #: verdict a later in-place edit flips (found on the code that numbered
 #: lines with ``str.splitlines``).
 FORM_FEED_SEQUENCE = 1508281213
+#: the edit kinds it was drawn from: a new kind re-draws every seeded
+#: sequence, so the revisions are pinned to these kinds and to a digest.
+FORM_FEED_KINDS = EDIT_KINDS[:12]
+FORM_FEED_DIGEST = \
+    "a0e20f8dad2447ceefd74a7fb5e118febe808816b1e393c678e91cec4a6fe923"
+
+
+def form_feed_revisions():
+    """The revisions of ``FORM_FEED_SEQUENCE`` the bug was found on."""
+    saved = edits_mod.EDIT_KINDS
+    edits_mod.EDIT_KINDS = FORM_FEED_KINDS
+    try:
+        revisions = edit_sequence(FORM_FEED_SEQUENCE)
+    finally:
+        edits_mod.EDIT_KINDS = saved
+    digest = hashlib.sha256("\x00".join(
+        f"{r.kind}\x00{r.filename}\x00{r.source}" for r in revisions)
+        .encode()).hexdigest()
+    assert digest == FORM_FEED_DIGEST
+    return revisions
 
 
 class TestEditSequences:
@@ -268,7 +290,7 @@ class TestEditSequences:
         report = run_edit_fuzz(3, seed=11)
         assert report.ok, [(d.sequence_seed, d.revision, d.path)
                            for d in report.divergences]
-        walks = ["session", "cache-dir"] + (
+        walks = ["session", "cache-dir", "shared-dir"] + (
             ["daemon"] if daemon_available() else [])
         assert report.paths == walks + [f"{w}/cap8" for w in walks]
         assert report.skipped_paths == (
@@ -290,7 +312,7 @@ class TestEditSequences:
         # feed then shifts every later function's own text, and an
         # in-place edit near a function's end replays a stale summary.
         from repro.pipeline import session as session_mod
-        revisions = edit_sequence(FORM_FEED_SEQUENCE)
+        revisions = form_feed_revisions()
         assert "form_feed" in [rev.kind for rev in revisions]
         assert walk(revisions)[1] == []
         monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
@@ -301,11 +323,52 @@ class TestEditSequences:
         assert first.kinds[-1] == "body_call"
         assert first.expected != first.actual
 
+    def test_a_divergent_sequence_shrinks(self, monkeypatch):
+        from repro.pipeline import session as session_mod
+        revisions = form_feed_revisions()
+        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        shrunk = shrink_sequence(revisions, "session", FORM_FEED_SEQUENCE)
+        assert len(shrunk) < len(revisions)
+        assert all(rev in revisions for rev in shrunk)
+        assert walk(shrunk, FORM_FEED_SEQUENCE, only="session")[1]
+
+    def test_divergences_report_the_shrunk_kinds(self, monkeypatch):
+        from repro.pipeline import session as session_mod
+        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        revisions = form_feed_revisions()
+        monkeypatch.setattr(edits_mod, "edit_sequence",
+                            lambda seed, length: revisions)
+        report = run_edit_fuzz(1, seed=0)
+        assert report.divergences
+        for d in report.divergences:
+            assert 0 < len(d.shrunk) < len(revisions)
+
+    def test_move_function_moves_one_whole_function(self):
+        import random
+
+        def blocks(lines):
+            return sorted("\n".join(lines[head:close + 1])
+                          for head, close in edits_mod._functions(lines))
+
+        moved = 0
+        for seed in range(20):
+            original = edit_sequence(seed, 1)[0].source.split("\n")
+            if len(edits_mod._functions(original)) < 2:
+                continue
+            lines = list(original)
+            assert edits_mod._edit(random.Random(seed), "move_function",
+                                   lines)
+            assert lines != original
+            assert sorted(lines) == sorted(original)
+            assert blocks(lines) == blocks(original)
+            moved += 1
+        assert moved
+
     @needs_unix
     def test_daemon_path_catches_a_stale_summary(self, monkeypatch,
                                                  tmp_path):
         from repro.pipeline import session as session_mod
-        revisions = edit_sequence(FORM_FEED_SEQUENCE)
+        revisions = form_feed_revisions()
         monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
         daemon = InProcessDaemon(str(tmp_path / "check.sock"))
         try:

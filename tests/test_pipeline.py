@@ -12,20 +12,21 @@ Covers the three layers of :mod:`repro.pipeline`:
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro import check_source
+from repro import check_source, load_context
 from repro.analysis import synthesize_program
-from repro.core import program_cfgs
-from repro.diagnostics import VaultError
+from repro.core import check_function_diagnostics, program_cfgs
+from repro.diagnostics import Note, VaultError
 from repro.pipeline import CheckSession, ChunkError, split_chunks
 from repro.stdlib import stdlib_context
 from repro.syntax import ast, parse_program
-from repro.testing import canonical_stdout
+from repro.testing import canonical_stdout, generate_program
 
 UNITS = ["region"]
 
@@ -521,6 +522,121 @@ class TestSessionReuse:
 
 
 # ---------------------------------------------------------------------------
+# Position-free summaries: a function's diagnostics are stored relative
+# to the function and replay wherever it moves
+# ---------------------------------------------------------------------------
+
+_POSITION = re.compile(r":\d+:\d+")
+
+
+def _invariant_corpus():
+    """(name, source) pairs: the examples, 200 generated programs and
+    synthesized units with errors."""
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    for path in sorted(examples.glob("*.vlt")):
+        yield path.name, path.read_text()
+    for seed in range(200):
+        yield f"gen{seed}.vlt", generate_program(seed).source
+    for n, seed in ((40, 1), (160, 3)):
+        yield f"syn{seed}.vlt", synthesize_program(n, seed=seed,
+                                                   error_rate=0.3)
+
+
+class TestPositionFreeSummaries:
+    def test_function_diagnostics_stay_inside_their_function(self):
+        # The invariant that lets a summary move with its function:
+        # every span and note span a function's check reports lies in
+        # that function's lines and file, and a note that names a
+        # position keeps it as a Note, not as text.
+        diagnostics = notes = 0
+        for name, source in _invariant_corpus():
+            ctx, reporter = load_context(source, name)
+            if not reporter.ok:
+                continue
+            for qual, fundef in ctx.defined_functions():
+                where = fundef.span
+                for diag in check_function_diagnostics(ctx, qual, fundef):
+                    diagnostics += 1
+                    spans = [diag.span]
+                    for note in diag.notes:
+                        if isinstance(note, Note):
+                            spans.append(note.span)
+                            notes += 1
+                        else:
+                            assert not _POSITION.search(note), (name, note)
+                    for span in spans:
+                        assert span.filename == where.filename, (name, qual)
+                        assert where.start.line <= span.start.line \
+                            <= span.end.line <= where.end.line, (name, qual)
+        assert diagnostics > 500 and notes > 100, (diagnostics, notes)
+
+    def test_moved_units_check_no_function(self):
+        # A second file name and a blank line above everything move
+        # every function; none is re-checked, and the replayed
+        # diagnostics equal check_source's by value.
+        source = synthesize_program(160, seed=3, error_rate=0.3)
+        session = CheckSession()
+        session.check(source, "a.vlt")
+        for text, filename in ((source, "b.vlt"), ("\n" + source, "a.vlt")):
+            report = session.check(text, filename)
+            assert session.stats.last_checked == []
+            expected = check_source(text, filename)
+            assert report.diagnostics == expected.diagnostics
+            assert report.render() == expected.render()
+
+    def test_a_moved_function_replays_its_leak_note(self):
+        leaky = ("void leak() {\n"
+                 "    tracked(R) region rgn = Region.create();\n"
+                 "}\n")
+        other = "int f(int x) {\n    return x;\n}\n"
+        session = fresh_session()
+        session.check(leaky + "\n" + other, "m.vlt")
+        moved = other + "\n\n" + leaky
+        report = session.check(moved, "m.vlt")
+        assert session.stats.last_checked == []
+        expected = check_source(moved, "m.vlt", units=UNITS)
+        assert report.diagnostics == expected.diagnostics
+        assert "created at m.vlt:7:29" in report.render()
+
+    def test_a_span_outside_the_function_is_not_summarised(self, tmp_path):
+        # A function-type alias is expanded only when a body uses it,
+        # so its unknown type is reported at the alias's line, outside
+        # the function.  Such a result cannot move with the function:
+        # it is re-checked wherever the function goes, never replayed
+        # shifted.
+        from repro.cache import open_store
+        alias = "type cb = void f(Bogus x);\n"
+        body = "void g() {\n    cb h;\n}\n"
+        session = fresh_session(shared_store=open_store(str(tmp_path)))
+        for text in (alias + body, alias + "\n" + body,
+                     alias + "\n\n" + body):
+            report = session.check(text, "alias.vlt")
+            expected = check_source(text, "alias.vlt", units=UNITS)
+            assert report.diagnostics == expected.diagnostics
+            assert [d.span.start.line for d in report.diagnostics] == [1]
+            assert session.stats.last_checked == ["g"]
+        assert session._summaries == {}
+
+    def test_summaries_are_position_free(self, tmp_path):
+        # In memory, in the summary pack and in -s blobs alike, a
+        # summary holds only diagnostics without a file name.
+        from repro.cache import decode_blob, open_store
+        source = synthesize_program(12, seed=3, error_rate=0.3)
+        session = fresh_session(cache_dir=str(tmp_path / "pack"),
+                                shared_store=open_store(str(tmp_path / "s")))
+        session.check(source, "unit.vlt")
+        pack = decode_blob(Path(session.pack_path).read_bytes())
+        blobs = [decode_blob(path.read_bytes())
+                 for path in (tmp_path / "s").glob("*/*-s")]
+        assert pack == session._summaries and blobs
+        for diags in list(pack.values()) + blobs:
+            assert isinstance(diags, tuple)
+            for diag in diags:
+                assert diag.span.filename == ""
+        assert any(diags for diags in blobs)
+
+
+# ---------------------------------------------------------------------------
 # Chunk-AST cache: one entry per declaration chunk, with its interface
 # digest; eviction tracing; an env token independent of cache history
 # ---------------------------------------------------------------------------
@@ -727,6 +843,26 @@ class TestHeaderOnlyChunks:
         session = fresh_session()
         for _ in range(2):
             assert _outcome(session.check, source, "tail.vlt") == expected
+
+    def test_whole_unit_fallback_looks_the_unit_up_once(self, tmp_path):
+        # A body that does not parse on its own sends the check back to
+        # one whole-unit parse; the shared-store unit lookup and the
+        # stdlib base before it must not run a second time.
+        from repro.cache import open_store
+        source = ("int first(int x) {\n    return x;\n}\n\n"
+                  "int second(int x) {\n    int y = ;\n    return x;\n}\n")
+        session = fresh_session(shared_store=open_store(str(tmp_path)))
+        with pytest.raises(VaultError):
+            session.check(source, "broken.vlt")
+        snapshot = session.telemetry.metrics.snapshot()
+
+        def count(name):
+            return snapshot.get(name, {"value": 0})["value"]
+
+        assert session.stats.shared_unit_misses == 1
+        assert count("cache.shared.unit.misses") == 1
+        assert count("cache.stdlib_base.hits") \
+            + count("cache.stdlib_base.misses") == 1
 
 
 class TestLineNumbering:

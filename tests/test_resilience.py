@@ -209,8 +209,7 @@ class TestCacheResilience:
         source, expected = _corpus(n=5, seed=11)
         with CheckSession(units=UNITS) as warm:
             warm.check(source)
-        body = pickle.dumps({"summaries": {
-            fp: s.entries for fp, s in warm._summaries.items()}})
+        body = pickle.dumps({"summaries": dict(warm._summaries)})
         legacy = tmp_path / "summaries.pkl"
         legacy.write_bytes(pickle.dumps({
             "version": 3, "sha256": cache_checksum(body), "data": body}))

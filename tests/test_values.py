@@ -21,7 +21,7 @@ from repro.core.types import (ANY_STATE, INT, VOID, AnyState, AtMostState,
                               CArg, CArray, CBase, CFun, CGuarded, CNamed,
                               CPacked, CTracked, CType, CTypeVar, ExactState,
                               KeyVarRef, StateVarRef, TypeVarRef)
-from repro.diagnostics import Code, Diagnostic, Severity, Span
+from repro.diagnostics import Code, Diagnostic, Note, Severity, Span
 from repro.diagnostics.span import Pos
 from repro.syntax import ast
 
@@ -132,13 +132,20 @@ def test_fresh_state_vars_are_distinct():
 
 
 def test_diagnostic_round_trips_through_the_store():
-    span = Span(Pos(3, 5), Pos(3, 9), "leaky.vlt")
+    # A ``-s`` blob: one function's diagnostics, position-free (lines
+    # from the function's first line, no file name), notes included.
+    span = Span(Pos(3, 5), Pos(3, 9), "")
+    note = Note("the resource was created at", Span(Pos(1, 9), Pos(1, 15), ""))
     diags = (Diagnostic(Code.KEY_LEAKED, "key R leaked", span,
-                        notes=["R was created here"]),
+                        notes=[note, "R was created here"]),
              Diagnostic(Code.JOIN_MISMATCH, "sets differ", Span.unknown(),
                         Severity.WARNING))
-    back = decode_blob(encode_blob({("leaky.vlt", 3): diags}))
-    assert back == {("leaky.vlt", 3): diags}
-    assert [d.render() for d in back[("leaky.vlt", 3)]] == \
-        [d.render() for d in diags]
-    assert back[("leaky.vlt", 3)][0].notes == ["R was created here"]
+    back = decode_blob(encode_blob(diags))
+    assert back == diags
+    assert [d.render() for d in back] == [d.render() for d in diags]
+    assert back[0].notes == [note, "R was created here"]
+    assert back[0].notes[0] != Note("the resource was created at",
+                                    Span(Pos(2, 9), Pos(2, 15), ""))
+    assert back[0].render().endswith(
+        "\n  note: the resource was created at :1:9"
+        "\n  note: R was created here")
