@@ -56,8 +56,9 @@ obs-smoke:
 	$(PYTHON) benchmarks/obs_smoke.py
 
 # Daemon smoke: a real `vaultc serve` under three concurrent clients
-# must answer byte-identically to the in-process checker, shut down
-# cleanly on SIGTERM, and fall back transparently once gone.
+# must answer byte-identically to the in-process checker, check every
+# request (server.checks == 3), shut down cleanly on SIGTERM, and fall
+# back transparently once gone.
 server-smoke:
 	$(PYTHON) benchmarks/server_smoke.py
 

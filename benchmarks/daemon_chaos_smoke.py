@@ -242,14 +242,14 @@ def _scenario_supervised(tmp: str, source: str, expected: str) -> dict:
 
 def _scenario_enospc(tmp: str) -> dict:
     """Injected ENOSPC in the CAS: degrade to a miss, then recover."""
-    store = SharedStore([CASTier(os.path.join(tmp, "cas"), fsync=False,
-                                 fault_plan=FaultPlan.parse("enospc@1"))])
+    store = SharedStore(CASTier(os.path.join(tmp, "cas"), fsync=False,
+                                fault_plan=FaultPlan.parse("enospc@1")))
     key = "c" * 64 + "-s"
     blob = encode_blob({"smoke": True})
     store.put_blobs({key: blob})
     assert store.get_blobs([key]) == {}, \
         "an ENOSPC'd write must degrade to a miss, not a wrong replay"
-    io_errors_after_fault = store.tiers[0].io_errors
+    io_errors_after_fault = store.tier.io_errors
     assert io_errors_after_fault == 1
     store.put_blobs({key: blob})              # the disk came back
     assert store.get_blobs([key]) == {key: blob}

@@ -4,7 +4,8 @@ Starts a real ``vaultc serve`` subprocess, fires **three concurrent**
 check requests at it from separate client threads, and asserts:
 
 * every reply is byte-identical to the in-process check of the same
-  source (the daemon's central promise);
+  source (the daemon's central promise), and every request is checked
+  (``server.checks``; a duplicate is a unit replay);
 * a SIGTERM then shuts the daemon down cleanly — exit code 0, socket
   file unlinked, no stray worker processes;
 * with the daemon *gone*, ``vaultc check --daemon`` on the same file
@@ -105,8 +106,9 @@ def test_server_smoke():
 
         with DaemonClient(sock) as client:
             stats = client.stats()["stats"]
-        coalesced = stats["metrics"].get(
-            "server.coalesced", {}).get("value", 0)
+        checks = stats["metrics"]["server.checks"]["value"]
+        assert checks == N_CLIENTS, \
+            f"{checks} checks for {N_CLIENTS} requests: each is checked"
 
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=30)
@@ -132,7 +134,7 @@ def test_server_smoke():
     print("| server smoke: daemon under concurrent clients")
     print("=" * 64)
     print(f"  {N_CLIENTS} concurrent clients answered in "
-          f"{elapsed * 1000:.0f} ms ({coalesced} coalesced)")
+          f"{elapsed * 1000:.0f} ms ({checks} checks)")
     print("  all replies byte-identical to in-process check   VERIFIED")
     print("  SIGTERM -> exit 0, socket unlinked               VERIFIED")
     print("  --daemon fallback stdout identical               VERIFIED")

@@ -1,4 +1,4 @@
-"""The on-disk content-addressed store tier (L3).
+"""The on-disk content-addressed store tier.
 
 Layout: ``<root>/<key[:2]>/<key>`` — one file per blob, sharded by the
 first two hex digits of the key so no directory grows past ~1/256 of
@@ -8,7 +8,8 @@ the store.  Every write goes to a unique temp file
 leave a torn object under a final name, and the envelope checksum
 (:func:`repro.cache.store.check_blob`) catches anything the filesystem
 does behind our back.  A failed object write is counted in
-``io_errors`` and returned to the orchestrator, which reports it.
+``io_errors`` and returned to the :class:`~repro.cache.SharedStore`,
+which reports it.
 
 Concurrency model: many processes share one store directory with no
 locks.  Puts are last-write-wins.  For content-addressed objects both

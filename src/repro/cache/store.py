@@ -1,21 +1,19 @@
-"""The tiered, content-addressed shared summary store.
+"""The content-addressed shared summary store.
 
 :class:`SharedStore` is the sccache/Bazel move for protocol checking:
 function summaries (and whole-unit replay records) are already keyed
 by stable content fingerprints, so nothing about them is private to
 the session that computed them.  This module shares them across
-sessions and processes through a stack of tiers::
+sessions and processes through one on-disk tier::
 
-    L1  CheckSession._summaries / fn_results   (in-process, private)
-    L2  MemoryTier    daemon-wide dict — every warm session in one
-                      ``vaultc serve`` process cross-warms the others
-    L3  CASTier       crash-safe on-disk object store, sharded by key
+    session  CheckSession._summaries / fn_results   (in-process, private)
+    store    CASTier  crash-safe on-disk object store, sharded by key
                       prefix (repro.cache.cas)
 
-Lookups fall through L2→L3 (L1 lives in the session) and **promote**
-hits back into every faster tier; writes go straight through every
-tier.  Both sides are *batched*: the session collects all its misses
-for one check and issues one ``fetch``.
+A session misses its own caches first and then asks the store; both
+sides are *batched*: the session collects all its misses for one check
+and issues one ``fetch``, and writes its new results with one
+``store``.
 
 Three object kinds share the store namespace, distinguished by a key
 suffix (the key body is always a 64-hex SHA-256, so the CAS shards
@@ -42,8 +40,8 @@ a magic line, the hex SHA-256 of the body, then the pickled body.
 corruption anywhere becomes a discard/quarantine, never a wrong
 replay.
 
-Trust model: the store carries pickles, so every tier is in your own
-trust domain — your own disk, your own per-user daemon.  Hostile
+Trust model: the store carries pickles, so its directory is in your
+own trust domain — your own disk, your own per-user daemon.  Hostile
 writers to a store directory are out of scope.
 """
 
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..obs import Telemetry
 from ..pipeline.fingerprint import cache_checksum
@@ -156,8 +154,9 @@ def options_salt(stdlib: bool, units: Optional[Sequence[str]],
 # -- tiers --------------------------------------------------------------------
 
 class Tier:
-    """One storage backend.  Tiers move opaque (already enveloped)
-    blobs; all decoding, verification and accounting happens in
+    """One storage backend: the :class:`~repro.cache.CASTier`, or a
+    test's fake.  Tiers move opaque (already enveloped) blobs; all
+    decoding, verification and accounting happens in
     :class:`SharedStore`."""
 
     #: short name used in metrics (``cache.shared.<name>.*``) and docs.
@@ -169,7 +168,7 @@ class Tier:
     def put_many(self, blobs: Dict[str, bytes]) -> Optional[Exception]:
         """Store every blob.  A tier that absorbs a per-object write
         failure (and goes on with the rest) returns the first one, so
-        the orchestrator can report it; ``None`` means all stored."""
+        the store can report it; ``None`` means all stored."""
         raise NotImplementedError
 
     def discard(self, key: str) -> None:
@@ -179,70 +178,9 @@ class Tier:
         return {}
 
 
-class MemoryTier(Tier):
-    """The daemon-wide shared tier (L2): a bounded LRU blob dict.
-
-    Every :class:`~repro.pipeline.CheckSession` the daemon hosts reads
-    and writes this one object, so a summary computed for one editor's
-    session replays for the CI session that asks next.  Bounded by
-    entry count and total bytes; least-recently-used blobs fall out
-    first."""
-
-    name = "memory"
-
-    def __init__(self, max_entries: int = 65536,
-                 max_bytes: int = 256 << 20):
-        import threading
-        from collections import OrderedDict
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.evictions = 0
-        self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._blobs)
-
-    def get_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
-        out: Dict[str, bytes] = {}
-        with self._lock:
-            for key in keys:
-                blob = self._blobs.get(key)
-                if blob is not None:
-                    self._blobs.move_to_end(key)
-                    out[key] = blob
-        return out
-
-    def put_many(self, blobs: Dict[str, bytes]) -> None:
-        with self._lock:
-            for key, blob in blobs.items():
-                old = self._blobs.pop(key, None)
-                if old is not None:
-                    self._bytes -= len(old)
-                self._blobs[key] = blob
-                self._bytes += len(blob)
-            while self._blobs and (len(self._blobs) > self.max_entries
-                                   or self._bytes > self.max_bytes):
-                _key, old = self._blobs.popitem(last=False)
-                self._bytes -= len(old)
-                self.evictions += 1
-
-    def discard(self, key: str) -> None:
-        with self._lock:
-            old = self._blobs.pop(key, None)
-            if old is not None:
-                self._bytes -= len(old)
-
-    def stats_snapshot(self) -> Dict[str, object]:
-        return {"entries": len(self._blobs), "bytes": self._bytes,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes, "evictions": self.evictions}
-
-
 class _TierCounts:
-    """Store-side traffic counters for one tier (always on — plain
-    ints; the telemetry registry mirrors them when enabled)."""
+    """Store-side traffic counters for the store's tier (plain ints,
+    mirrored by the ``cache.shared.<tier>.*`` metrics)."""
 
     __slots__ = ("hits", "misses", "puts", "errors", "corrupt")
 
@@ -261,75 +199,62 @@ class _TierCounts:
                 "hit_rate": (self.hits / total) if total else None}
 
 
-class SharedStore:
-    """The tier orchestrator: batched fall-through reads with
-    write-back promotion, write-through puts, and per-tier telemetry.
 
-    Construct with the tier stack fastest-first.  All failure modes
-    degrade to a cache miss: a tier that raises, or returns a write
-    error from ``put_many``, is counted
+
+class SharedStore:
+    """One tier behind the envelope checks and the accounting.
+
+    All failure modes degrade to a cache miss: a tier that raises, or
+    returns a write error from ``put_many``, is counted
     (``cache.shared.<tier>.errors``), reported on the event bus
-    (``shared_cache_error``, the first few per tier), and skipped; a
-    blob that fails its
-    checksum is discarded from the tier that served it
+    (``shared_cache_error``, the first few only), and skipped; a blob
+    that fails its checksum is discarded from the tier
     (``shared_cache_corrupt``) and treated as absent.
     """
 
-    def __init__(self, tiers: Sequence[Tier],
-                 telemetry: Optional[Telemetry] = None):
-        self.tiers: Tuple[Tier, ...] = tuple(tiers)
+    def __init__(self, tier: Tier, telemetry: Optional[Telemetry] = None):
+        self.tier = tier
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.counts: Dict[str, _TierCounts] = {
-            tier.name: _TierCounts() for tier in self.tiers}
-        self._reported_errors: Dict[str, int] = {}
-        for tier in self.tiers:
-            for leaf in ("hits", "misses", "puts", "evictions",
-                         "errors", "corrupt"):
-                self.telemetry.metrics.counter(
-                    f"cache.shared.{tier.name}.{leaf}")
+        self.counts = _TierCounts()
+        self._reported_errors = 0
+        for leaf in ("hits", "misses", "puts", "evictions",
+                     "errors", "corrupt"):
+            self.telemetry.metrics.counter(f"cache.shared.{tier.name}.{leaf}")
 
     # -- raw blob plane -------------------------------------------------------
 
     def get_blobs(self, keys: Iterable[str]) -> Dict[str, bytes]:
-        """Checked blobs for every key any tier holds; hits from slow
-        tiers are promoted into every faster tier."""
-        missing: List[str] = list(dict.fromkeys(keys))
+        """Checked blobs for every key the tier holds."""
+        wanted: List[str] = list(dict.fromkeys(keys))
+        if not wanted:
+            return {}
+        name = self.tier.name
+        started = time.perf_counter()
+        try:
+            got = self.tier.get_many(wanted)
+        except Exception as exc:                     # noqa: BLE001
+            self._tier_error("get", exc)
+            got = {}
+        self._observe_latency(time.perf_counter() - started)
         found: Dict[str, bytes] = {}
-        metrics = self.telemetry.metrics
-        for idx, tier in enumerate(self.tiers):
-            if not missing:
-                break
-            counts = self.counts[tier.name]
-            started = time.perf_counter()
+        for key, blob in got.items():
             try:
-                got = tier.get_many(missing)
-            except Exception as exc:                 # noqa: BLE001
-                self._tier_error(tier, "get", exc)
-                got = {}
-            self._observe_latency(tier, time.perf_counter() - started)
-            good: Dict[str, bytes] = {}
-            for key, blob in got.items():
-                try:
-                    check_blob(blob)
-                except StoreError as exc:
-                    self._corrupt(tier, key, exc)
-                    continue
-                good[key] = blob
-            counts.hits += len(good)
-            counts.misses += len(missing) - len(good)
-            metrics.counter(f"cache.shared.{tier.name}.hits").inc(len(good))
-            metrics.counter(f"cache.shared.{tier.name}.misses").inc(
-                len(missing) - len(good))
-            if good:
-                found.update(good)
-                missing = [k for k in missing if k not in good]
-                for upper in self.tiers[:idx]:
-                    self._put(upper, good, "promote")
+                check_blob(blob)
+            except StoreError as exc:
+                self._corrupt(key, exc)
+                continue
+            found[key] = blob
+        metrics = self.telemetry.metrics
+        self.counts.hits += len(found)
+        self.counts.misses += len(wanted) - len(found)
+        metrics.counter(f"cache.shared.{name}.hits").inc(len(found))
+        metrics.counter(f"cache.shared.{name}.misses").inc(
+            len(wanted) - len(found))
         return found
 
     def put_blobs(self, blobs: Dict[str, bytes]) -> int:
-        """Write pre-enveloped blobs through every tier; returns the
-        number accepted (invalid envelopes are rejected up front)."""
+        """Write pre-enveloped blobs to the tier; returns the number
+        accepted (invalid keys and envelopes are rejected up front)."""
         accepted: Dict[str, bytes] = {}
         for key, blob in blobs.items():
             if not valid_key(key):
@@ -341,15 +266,18 @@ class SharedStore:
             accepted[key] = blob
         if not accepted:
             return 0
-        metrics = self.telemetry.metrics
-        for tier in self.tiers:
-            started = time.perf_counter()
-            if not self._put(tier, accepted, "put"):
-                continue
-            self._observe_latency(tier, time.perf_counter() - started)
-            self.counts[tier.name].puts += len(accepted)
-            metrics.counter(f"cache.shared.{tier.name}.puts").inc(
-                len(accepted))
+        started = time.perf_counter()
+        try:
+            error = self.tier.put_many(accepted)
+        except Exception as exc:                     # noqa: BLE001
+            error = exc
+        if error is not None:
+            self._tier_error("put", error)
+        else:
+            self._observe_latency(time.perf_counter() - started)
+            self.counts.puts += len(accepted)
+            self.telemetry.metrics.counter(
+                f"cache.shared.{self.tier.name}.puts").inc(len(accepted))
         return len(accepted)
 
     # -- object plane (what sessions use) ------------------------------------
@@ -362,87 +290,51 @@ class SharedStore:
                 out[key] = decode_blob(blob)
             except StoreError as exc:
                 # Envelope verified but the body would not unpickle
-                # (schema skew): drop it everywhere it may live, with
-                # one event for the key.
-                for n, tier in enumerate(self.tiers):
-                    self._corrupt(tier, key, exc, quiet=n > 0)
+                # (schema skew): drop it like any corrupt blob.
+                self._corrupt(key, exc)
         return out
 
     def store(self, objects: Dict[str, object]) -> int:
         return self.put_blobs({key: encode_blob(obj)
                                for key, obj in objects.items()})
 
-    # -- maintenance ---------------------------------------------------------
-
-    def gc(self) -> Dict[str, object]:
-        """Run every tier's collector (currently only the CAS tier has
-        one); returns per-tier reports."""
-        out: Dict[str, object] = {}
-        for tier in self.tiers:
-            collect = getattr(tier, "gc", None)
-            if collect is not None:
-                out[tier.name] = collect(force=True)
-        return out
-
     def stats_snapshot(self) -> Dict[str, object]:
-        """Per-tier traffic and occupancy, fastest tier first (the
-        daemon ``stats`` op and ``vaultc cache stats`` surface)."""
-        tiers = []
-        for tier in self.tiers:
-            snap = self.counts[tier.name].snapshot()
-            snap["tier"] = tier.name
-            snap.update(tier.stats_snapshot())
-            tiers.append(snap)
-        return {"schema": STORE_SCHEMA, "tiers": tiers}
+        """The tier's traffic and occupancy (the daemon ``stats`` op
+        and ``vaultc cache stats`` surface)."""
+        snap: Dict[str, object] = dict(self.counts.snapshot())
+        snap["tier"] = self.tier.name
+        snap.update(self.tier.stats_snapshot())
+        return {"schema": STORE_SCHEMA, "tiers": [snap]}
 
     # -- internals -----------------------------------------------------------
 
-    def _observe_latency(self, tier: Tier, seconds: float) -> None:
+    def _observe_latency(self, seconds: float) -> None:
         self.telemetry.metrics.histogram(
-            f"cache.shared.{tier.name}.latency").observe(seconds)
+            f"cache.shared.{self.tier.name}.latency").observe(seconds)
 
-    def _put(self, tier: Tier, blobs: Dict[str, bytes], op: str) -> bool:
-        """``tier.put_many`` with failures contained; whether it
-        stored everything."""
-        try:
-            error = tier.put_many(blobs)
-        except Exception as exc:                     # noqa: BLE001
-            error = exc
-        if error is not None:
-            self._tier_error(tier, op, error)
-            return False
-        return True
-
-    def _tier_error(self, tier: Tier, op: str, exc: BaseException) -> None:
-        counts = self.counts[tier.name]
-        counts.errors += 1
-        self.telemetry.metrics.counter(
-            f"cache.shared.{tier.name}.errors").inc()
-        # Report the first few failures per tier, then go quiet — a
-        # full disk must not flood the event log per check.
-        reported = self._reported_errors.get(tier.name, 0)
-        if reported < 3:
-            self._reported_errors[tier.name] = reported + 1
+    def _tier_error(self, op: str, exc: BaseException) -> None:
+        name = self.tier.name
+        self.counts.errors += 1
+        self.telemetry.metrics.counter(f"cache.shared.{name}.errors").inc()
+        # Report the first few failures, then go quiet — a full disk
+        # must not flood the event log per check.
+        if self._reported_errors < 3:
+            self._reported_errors += 1
             self.telemetry.events.emit(
                 "shared_cache_error",
-                f"shared-cache tier '{tier.name}' failed during "
-                f"{op}: {exc}",
-                tier=tier.name, op=op,
-                error=f"{type(exc).__name__}: {exc}")
+                f"shared-cache tier '{name}' failed during {op}: {exc}",
+                tier=name, op=op, error=f"{type(exc).__name__}: {exc}")
 
-    def _corrupt(self, tier: Tier, key: str, exc: BaseException,
-                 quiet: bool = False) -> None:
-        self.counts[tier.name].corrupt += 1
-        self.telemetry.metrics.counter(
-            f"cache.shared.{tier.name}.corrupt").inc()
+    def _corrupt(self, key: str, exc: BaseException) -> None:
+        name = self.tier.name
+        self.counts.corrupt += 1
+        self.telemetry.metrics.counter(f"cache.shared.{name}.corrupt").inc()
         try:
-            tier.discard(key)
+            self.tier.discard(key)
         except Exception:                            # noqa: BLE001
             pass
-        if not quiet:
-            self.telemetry.events.emit(
-                "shared_cache_corrupt",
-                f"shared-cache tier '{tier.name}' served a corrupt "
-                f"blob for {key[:16]}…; discarded",
-                tier=tier.name, key=key,
-                error=f"{type(exc).__name__}: {exc}")
+        self.telemetry.events.emit(
+            "shared_cache_corrupt",
+            f"shared-cache tier '{name}' served a corrupt blob for "
+            f"{key[:16]}…; discarded",
+            tier=name, key=key, error=f"{type(exc).__name__}: {exc}")

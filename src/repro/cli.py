@@ -469,6 +469,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
             print("error: daemon predates the shared cache "
                   "(no shared_cache stats block)", file=sys.stderr)
             return 1
+        if not block:
+            print("error: the daemon has no shared store (start it "
+                  "with 'vaultc serve --shared-cache DIR')",
+                  file=sys.stderr)
+            return 1
         print(json.dumps(block, indent=2, sort_keys=True))
         return 0
     if args.cache_cmd == "gc":
@@ -615,10 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="exit after this long with no requests "
                         "(default: run until SIGTERM/Ctrl-C)")
-    p.add_argument("--shared-cache", default=None, metavar="DIR",
-                   help="back the daemon-wide shared cache with a "
-                        "persistent on-disk CAS under DIR (all warm "
-                        "sessions read and write it)")
+    p.add_argument("--shared-cache", default=None, type=_store_dir,
+                   metavar="DIR",
+                   help="share check results between the daemon's "
+                        "warm sessions through an on-disk store under "
+                        "DIR (without it, each session has only its "
+                        "own caches)")
     p.add_argument("--sample-interval", type=float, default=5.0,
                    metavar="SECONDS",
                    help="seconds between time-series samples of the "
@@ -676,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(see --shared-cache)")
     cache_sub = p.add_subparsers(dest="cache_cmd", required=True)
     pc = cache_sub.add_parser(
-        "stats", help="per-tier hit/miss/occupancy counters")
+        "stats", help="the shared store's hit/miss/occupancy counters")
     pc.add_argument("--dir", default=None, metavar="DIR",
                     help="inspect an on-disk CAS directory instead of "
                          "a live daemon")

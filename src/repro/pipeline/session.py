@@ -26,7 +26,7 @@ invalidated:
   the whole map persists as one *summary pack* (see below);
 * **shared store** — with ``shared_store=`` (a
   :class:`repro.cache.SharedStore`), summary misses batch-fetch from
-  the cross-session tiers before being checked, freshly checked
+  the cross-session store before being checked, freshly checked
   summaries are written back, and whole units replay from stored
   diagnostic streams — a *second cold session* on identical code runs
   at warm speed (see :mod:`repro.cache`).
@@ -93,7 +93,7 @@ _MAX_CHUNK_ASTS = 8192
 _MAX_SUMMARIES = 32768
 #: unit-record keys this session already stored to / replayed from the
 #: shared store — a warm re-check of the same source skips the shared
-#: fetch (L1 serves it) instead of paying a tier round trip per check.
+#: fetch (L1 serves it) instead of paying a store round trip per check.
 _MAX_SEEN_UNITS = 4096
 
 
@@ -173,8 +173,8 @@ class SessionStats:
         # mirrored by the ``resilience.cache_quarantines`` metric
         self.cache_quarantines = 0
         # shared-store counters (mirrored by the ``cache.shared.unit.*``
-        # / ``cache.shared.summary.*`` metrics; per-tier traffic lives
-        # on the store itself)
+        # / ``cache.shared.summary.*`` metrics; the tier's own traffic
+        # lives on the store)
         self.shared_unit_hits = 0
         self.shared_unit_misses = 0
         self.shared_summary_hits = 0
@@ -342,7 +342,7 @@ class CheckSession:
         # already merged in serial order), so a hit skips parsing and
         # elaboration entirely.  Keys this session has already stored
         # or replayed skip the fetch — the in-process caches serve
-        # them without a tier round trip.
+        # them without a store round trip.
         store_unit_key: Optional[str] = None
         if self.shared_store is not None:
             from ..cache.store import unit_store_key
@@ -704,7 +704,7 @@ class CheckSession:
             metrics.counter("cache.summary.misses").inc(len(to_check))
         if self.shared_store is not None and to_check:
             # L1 missed these: one batched fetch against the shared
-            # tiers before paying for any flow analysis.
+            # store before paying for any flow analysis.
             to_check = self._shared_fetch_summaries(to_check, results)
         self.last_profile["plan"] = \
             f"checked {len(to_check)} of {len(fn_items)} function(s)"
@@ -828,7 +828,7 @@ class CheckSession:
         return still
 
     def _shared_put_summaries(self, checked) -> None:
-        """Write freshly computed summaries back to the shared tiers."""
+        """Write freshly computed summaries back to the shared store."""
         from ..cache.store import summary_store_key
         payload = {summary_store_key(fp, self._options_salt):
                    self._summaries[fp] for _qual, _fundef, fp in checked
@@ -856,11 +856,11 @@ class CheckSession:
         # metrics (those describe ``shared_store``); its events go to
         # the session's bus.
         self._pack_store = SharedStore(
-            [tier], Telemetry(events=self.telemetry.events))
+            tier, Telemetry(events=self.telemetry.events))
         self._pack_key = pack_store_key(self._options_salt)
         self.pack_path = tier.path(self._pack_key)
         pack = self._pack_store.fetch([self._pack_key]).get(self._pack_key)
-        if self._pack_store.counts[tier.name].corrupt:
+        if self._pack_store.counts.corrupt:
             self.stats.cache_quarantines += 1
             self.telemetry.metrics.counter(
                 "resilience.cache_quarantines").inc()
@@ -874,7 +874,7 @@ class CheckSession:
     def _save_pack(self) -> None:
         """Write the whole summary map as the pack.  A failed write
         is a ``shared_cache_error`` event (the store reports the first
-        few per tier) and a cold next process, never a wrong answer."""
+        few) and a cold next process, never a wrong answer."""
         self._pack_store.store({self._pack_key: self._summaries})
         if self.fault_plan is not None and self.fault_plan.take_cache_flip():
             try:

@@ -7,7 +7,7 @@ stdlib base context, chunk/context/summary caches — alive in a daemon
 behind a Unix domain socket:
 
 * :class:`CheckServer` / :func:`serve` — the daemon (selector loop,
-  warm-session registry, request coalescing, idle timeout, graceful
+  warm-session registry, bounded request queue, idle timeout, graceful
   shutdown);
 * :class:`DaemonClient`, :func:`check_detailed` — the wire client and
   the daemon-first/in-process-fallback check used by
@@ -36,7 +36,7 @@ from .daemon import (CheckServer, default_socket_path, serve,
 from .supervise import Supervisor
 from .protocol import (MAX_FRAME, PROTOCOL_VERSION, ProtocolError,
                        encode_frame, normalize_options, recv_frame,
-                       request_key, send_frame, session_key, split_frames)
+                       send_frame, session_key, split_frames)
 from .top import render_top, run_top
 from .watch import Watcher, render_outcome, run_watch, scan_tree
 
@@ -59,7 +59,6 @@ __all__ = [
     "recv_frame",
     "render_outcome",
     "render_top",
-    "request_key",
     "resolve_socket",
     "run_top",
     "run_watch",

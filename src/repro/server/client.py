@@ -33,6 +33,7 @@ control):
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import time
@@ -203,6 +204,11 @@ def check_via_daemon(source: str, filename: str = "<input>",
     onto a daemon that asked us to go away."""
     rng = _rng if _rng is not None else random.random
     normalized = normalize_options(options)
+    # The daemon runs in its own working directory: send directories
+    # that name what they name here.
+    for key in ("cache_dir", "shared_cache"):
+        if isinstance(normalized[key], str) and normalized[key]:
+            normalized[key] = os.path.abspath(normalized[key])
     attempt = 0
     while True:
         try:

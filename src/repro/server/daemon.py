@@ -16,14 +16,11 @@ Design:
   (:func:`repro.server.protocol.session_key`); least-recently-used
   sessions are closed and dropped past ``session_limit``;
 * **concurrency** — the selector loop accepts any number of clients
-  and buffers their frames; checks run one at a time in the loop
-  (they are CPU-bound), so concurrent clients serialize without
-  interleaving diagnostics;
-* **coalescing** — duplicate in-flight ``check`` requests (same
-  source, filename and options) are grouped and answered by a single
-  run of the checker; just before executing, the loop drains every
-  readable socket once more so a burst of identical requests from
-  several editors collapses into one check;
+  and buffers their frames; queued checks run one per loop turn in
+  arrival order (they are CPU-bound), so concurrent clients serialize
+  without interleaving diagnostics, and control ops are answered
+  between checks.  A duplicate request is checked like any other:
+  its session answers it by unit replay;
 * **admission control** — the pending-request queue is bounded
   (``max_queue``): past the bound the daemon *sheds* instead of
   buffering, answering ``busy`` with a ``retry_after_ms`` hint sized
@@ -44,11 +41,13 @@ Design:
   SIGTERM *drains*: in-flight checks finish and are answered, queued
   requests are shed with ``draining`` replies, then the loop exits (a
   second signal stops immediately);
-* **shared store** — every warm session plugs into one daemon-wide
-  in-memory blob tier (:class:`repro.cache.MemoryTier`), so sessions
-  with different options cross-warm each other; ``vaultc serve
-  --shared-cache DIR`` adds a persistent CAS tier.  The store never
-  leaves the daemon: clients send sources, not blobs.
+* **shared store** — ``vaultc serve --shared-cache DIR`` (or a
+  request's ``shared_cache`` option) plugs the warm sessions into one
+  on-disk store per directory (:func:`repro.cache.open_store`), so a
+  session that was evicted, or a second session with the same
+  options, starts warm.  Without a directory, sessions have no shared
+  store.  The store never leaves the daemon: clients send sources,
+  not blobs.
 
 Everything observable is published on the server's telemetry:
 ``server.*`` metrics, ``server_start``/``server_stop``/
@@ -68,14 +67,13 @@ import time
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..cache import CASTier, MemoryTier, SharedStore
+from ..cache import SharedStore, open_store
 from ..diagnostics import VaultError
 from ..obs import (Telemetry, TimeSeriesRing, TraceRing, Tracer,
                    bucket_quantile, render_exposition, write_textfile)
 from ..pipeline import CheckSession
 from .protocol import (PROTOCOL_VERSION, ProtocolError, encode_frame,
-                       normalize_options, request_key, session_key,
-                       split_frames)
+                       normalize_options, session_key, split_frames)
 
 #: warm sessions kept before the least-recently-used one is closed.
 DEFAULT_SESSION_LIMIT = 8
@@ -103,8 +101,8 @@ _TICK_SECONDS = 0.5
 #: counters pre-registered at start-up so a quiet daemon reports
 #: explicit zeros.
 SERVER_COUNTERS = ("server.connections", "server.requests",
-                   "server.checks", "server.coalesced",
-                   "server.bad_requests", "server.client_errors",
+                   "server.checks", "server.bad_requests",
+                   "server.client_errors",
                    "server.pings", "server.telemetry_requests",
                    "server.slow_requests", "server.shed",
                    "server.deadline_exceeded", "server.drained",
@@ -164,32 +162,15 @@ class _Request:
     expired request is answered ``deadline_exceeded``, never checked.
     """
 
-    __slots__ = ("conn", "key", "payload", "req_id", "deadline",
-                 "enqueued")
+    __slots__ = ("conn", "payload", "req_id", "deadline", "enqueued")
 
-    def __init__(self, conn: _Conn, key: str, payload: dict,
-                 req_id: object = None,
+    def __init__(self, conn: _Conn, payload: dict, req_id: object = None,
                  deadline: Optional[float] = None):
         self.conn = conn
-        self.key = key
         self.payload = payload
         self.req_id = req_id
         self.deadline = deadline
         self.enqueued = time.monotonic()
-
-
-def coalesce_group(queue: Deque[_Request]) -> List[_Request]:
-    """Pop the head request plus every queued duplicate (same
-    coalescing key).  Pure queue surgery, unit-testable without a
-    socket in sight."""
-    head = queue.popleft()
-    group = [head]
-    rest = [req for req in queue if req.key != head.key]
-    if len(rest) != len(queue):
-        group.extend(req for req in queue if req.key == head.key)
-        queue.clear()
-        queue.extend(rest)
-    return group
 
 
 class _SessionEntry:
@@ -233,17 +214,14 @@ class CheckServer:
         #: default; ``vaultc serve`` gates it behind
         #: ``$VAULTC_SERVER_TEST_OPS``).
         self.enable_test_ops = enable_test_ops
-        #: the daemon-wide shared-cache tiers: every warm session reads
-        #: and writes one process-wide memory tier, plus one CAS tier
-        #: per distinct directory (``--shared-cache`` and per-request
-        #: options).
+        #: the shared stores, one per directory (``--shared-cache``
+        #: and per-request options); none without a directory.
         self.shared_cache_dir = shared_cache_dir
-        self.shared_memory = MemoryTier()
-        self._cas_tiers: Dict[str, CASTier] = {}
         self._stores: Dict[str, SharedStore] = {}
-        # The default store exists from the start, so ``stats`` and
-        # ``telemetry`` list it before the first check.
-        self._store_for(None)
+        if shared_cache_dir:
+            # Listed by ``stats`` and ``telemetry`` before the first
+            # check.
+            self._store_for(shared_cache_dir)
         self._sessions: "OrderedDict[str, _SessionEntry]" = OrderedDict()
         self._queue: Deque[_Request] = deque()
         self._conns: Dict[int, _Conn] = {}
@@ -424,7 +402,9 @@ class CheckServer:
         assert self._bound, "bind() before serve_forever()"
         try:
             while not self._stop:
-                timeout = _TICK_SECONDS
+                # Pending checks only poll the sockets, so control ops
+                # and new arrivals are served between two checks.
+                timeout = 0 if self._queue else _TICK_SECONDS
                 if self.idle_timeout is not None and not self._queue:
                     remaining = self.idle_timeout - \
                         (time.monotonic() - self._last_activity)
@@ -438,8 +418,8 @@ class CheckServer:
                     timeout = min(timeout, remaining)
                 for key, mask in self._sel.select(timeout):
                     self._handle_event(key, mask)
-                if self._queue:
-                    self._process_queue()
+                if self._queue and not self._stop and not self._draining:
+                    self._run_next()
                 if self._draining:
                     self._finish_drain()
                     break
@@ -696,9 +676,8 @@ class CheckServer:
             self._shedding = False
             options = normalize_options(options)
             frame["options"] = options
-            self._queue.append(_Request(
-                conn, request_key(source, filename, options), frame,
-                req_id=req_id, deadline=deadline))
+            self._queue.append(_Request(conn, frame, req_id=req_id,
+                                        deadline=deadline))
             return
         if op == "ping":
             self.telemetry.metrics.counter("server.pings").inc()
@@ -788,39 +767,16 @@ class CheckServer:
                            "retry_after_ms": self._retry_after_ms()},
                     req_id)
 
-    def _process_queue(self) -> None:
-        while self._queue and not self._stop and not self._draining:
-            # Coalescing window: ingest whatever already arrived so a
-            # burst of identical requests is grouped before we commit
-            # to a check.  Bounded rounds — a firehose client must not
-            # starve the queue.
-            for _ in range(8):
-                if not self._drain_ready_once():
-                    break
-            if not self._queue:
-                break
-            group = coalesce_group(self._queue)
-            live = [req for req in group if not self._expire(req)]
-            if not live:
-                continue          # whole group expired: skip the check
-            response = self._execute_check(live[0].payload)
-            # A deadline that expires *mid-check* still gets the
-            # result: the work is done, and a late result beats a
-            # wasted check plus a retry of the same bytes.
-            blob: Optional[bytes] = None
-            for req in live:
-                if req.req_id is not None:
-                    self._reply(req.conn, response, req.req_id)
-                else:
-                    # id-less members of a coalesced group share one
-                    # encoded blob — the byte-identity fast path.
-                    if blob is None:
-                        blob = encode_frame(response)
-                    self._send_bytes(req.conn, blob)
-            if len(live) > 1:
-                self.telemetry.metrics.counter(
-                    "server.coalesced").inc(len(live) - 1)
-            self._last_activity = time.monotonic()
+    def _run_next(self) -> None:
+        """Check (or expire) the oldest queued request and reply.  A
+        deadline that expires *mid-check* still gets the result: the
+        work is done, and a late result beats a wasted check plus a
+        retry of the same bytes."""
+        req = self._queue.popleft()
+        if not self._expire(req):
+            self._reply(req.conn, self._execute_check(req.payload),
+                        req.req_id)
+        self._last_activity = time.monotonic()
 
     def _expire(self, req: _Request) -> bool:
         """Answer ``deadline_exceeded`` (and return True) if the
@@ -840,26 +796,21 @@ class CheckServer:
                      "waited_ms": waited_ms}, req.req_id)
         return True
 
-    def _drain_ready_once(self) -> bool:
-        """One zero-timeout selector pass; True if anything was ready."""
-        events = self._sel.select(0)
-        for key, mask in events:
+    def _drain_ready_once(self) -> None:
+        """One zero-timeout selector pass."""
+        for key, mask in self._sel.select(0):
             self._handle_event(key, mask)
-        return bool(events)
 
     # -- replies -------------------------------------------------------------
 
     def _send(self, conn: _Conn, obj: dict) -> None:
-        self._send_bytes(conn, encode_frame(obj))
-
-    def _send_bytes(self, conn: _Conn, blob: bytes) -> None:
         """Queue a reply and push as much as the socket takes now; the
         rest drains via EVENT_WRITE.  Sending to a client that already
         hung up is a tolerated no-op — a disconnect mid-request must
         not disturb the run that was checking on its behalf."""
         if conn.closed:
             return
-        conn.outbuf += blob
+        conn.outbuf += encode_frame(obj)
         self._flush(conn)
 
     def _flush(self, conn: _Conn) -> None:
@@ -963,27 +914,16 @@ class CheckServer:
 
     # -- warm sessions -------------------------------------------------------
 
-    def _store_for(self, spec: Optional[str]) -> SharedStore:
-        """The shared store serving one normalized ``shared_cache``
-        option value.
-
-        Every store stacks on the daemon-wide memory tier; a directory
-        spec (from ``--shared-cache`` or the request options) adds a
-        CAS tier, deduplicated per path.
-        """
-        key = spec or ""
-        store = self._stores.get(key)
+    def _store_for(self, directory: Optional[str]
+                   ) -> Optional[SharedStore]:
+        """The shared store over ``directory``, one per directory;
+        ``None`` without one."""
+        if not directory:
+            return None
+        store = self._stores.get(directory)
         if store is None:
-            tiers: List[object] = [self.shared_memory]
-            directory = spec or self.shared_cache_dir
-            if directory:
-                tier = self._cas_tiers.get(directory)
-                if tier is None:
-                    tier = CASTier(directory)
-                    self._cas_tiers[directory] = tier
-                tiers.append(tier)
-            store = SharedStore(tiers, telemetry=self.telemetry)
-            self._stores[key] = store
+            store = open_store(directory, self.telemetry)
+            self._stores[directory] = store
         return store
 
     def _session_for(self, options: Dict[str, object]) -> CheckSession:
@@ -1004,7 +944,8 @@ class CheckServer:
             telemetry=Telemetry(tracer=self.telemetry.tracer,
                                 registry=self.telemetry.metrics,
                                 events=self.telemetry.events),
-            shared_store=self._store_for(options.get("shared_cache")))
+            shared_store=self._store_for(options.get("shared_cache")
+                                         or self.shared_cache_dir))
         while len(self._sessions) >= self.session_limit:
             _evicted_key, evicted = self._sessions.popitem(last=False)
             evicted.session.close()
@@ -1068,10 +1009,7 @@ class CheckServer:
             "session_limit": self.session_limit,
             "event_counts": self.telemetry.events.counts(),
             "timeseries": self.timeseries.describe(),
-            # Per-tier shared-store rows.
-            "shared_cache": {
-                spec or "<default>": store.stats_snapshot()
-                for spec, store in self._stores.items()},
+            "shared_cache": self._shared_cache_stats(),
         }
         if self._trace_ring is not None:
             out["slow_traces"] = {
@@ -1087,12 +1025,15 @@ class CheckServer:
         out["sessions"] = self._session_rows()
         out["pid"] = os.getpid()
         out["socket"] = self.socket_path
-        # Per-tier shared-store traffic, one block per distinct store
-        # (the default store first) — what `vaultc cache stats` reads.
-        out["shared_cache"] = {
-            spec or "<default>": store.stats_snapshot()
-            for spec, store in self._stores.items()}
+        out["shared_cache"] = self._shared_cache_stats()
         return out
+
+    def _shared_cache_stats(self) -> Dict[str, dict]:
+        """Store traffic, one block per directory (``--shared-cache``'s
+        first); empty without a store.  What `vaultc cache stats`
+        reads."""
+        return {directory: store.stats_snapshot()
+                for directory, store in self._stores.items()}
 
 
 def serve(socket_path: Optional[str] = None,

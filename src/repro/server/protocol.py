@@ -68,7 +68,6 @@ See ``docs/SERVER.md`` for the full schema.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import struct
@@ -185,7 +184,7 @@ def normalize_options(options: Optional[Dict[str, object]]
                       ) -> Dict[str, object]:
     """The session-selecting view of a request's ``options``: known
     keys only, defaults filled in, so equivalent requests normalize to
-    the same dict (and therefore the same session and request keys)."""
+    the same dict (and therefore the same session key)."""
     options = options or {}
     units = options.get("units")
     shared = options.get("shared_cache")
@@ -211,16 +210,3 @@ def session_key(options: Dict[str, object]) -> str:
     return cache_checksum(_canonical(
         {key: options.get(key) for key in SESSION_OPTION_KEYS}))
 
-
-def request_key(source: str, filename: str,
-                options: Dict[str, object]) -> str:
-    """Coalescing key: two in-flight ``check`` requests with the same
-    key are answered by one run of the checker."""
-    h = hashlib.sha256()
-    h.update(_canonical({key: options.get(key)
-                         for key in SESSION_OPTION_KEYS}))
-    h.update(b"\x00")
-    h.update(filename.encode("utf-8", "surrogateescape"))
-    h.update(b"\x00")
-    h.update(source.encode("utf-8", "surrogateescape"))
-    return h.hexdigest()

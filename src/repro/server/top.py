@@ -2,9 +2,8 @@
 
 Polls the ``telemetry`` wire op and renders the daemon's SLO surface
 in place: request/check throughput (off the newest time-series
-sample), check-latency quantiles, cache-tier hit rates, the session-LRU
-state, and slow-request capture activity.  Two
-modes:
+sample), check-latency quantiles, the shared-cache hit rate, the
+session-LRU state, and slow-request capture activity.  Two modes:
 
 * **live** (default) — redraw every ``--interval`` seconds until
   Ctrl-C, using the ANSI clear/home sequence (no curses dependency);
@@ -102,15 +101,11 @@ def render_top(reply: dict) -> str:
         lines.append(f"  {name:<32} {counters[name]:>12g}")
     lines.append("")
 
-    cache_rows = []
-    for label in ("memory", "cas"):
-        rate = _hit_rate(counters, f"cache.shared.{label}.hits",
-                         f"cache.shared.{label}.misses")
-        if rate is not None:
-            cache_rows.append(f"  {label:<8} hit rate {rate * 100:6.1f}%")
-    if cache_rows:
+    rate = _hit_rate(counters, "cache.shared.cas.hits",
+                     "cache.shared.cas.misses")
+    if rate is not None:
         lines.append("shared cache")
-        lines.extend(cache_rows)
+        lines.append(f"  cas      hit rate {rate * 100:6.1f}%")
         lines.append("")
 
     sessions = reply.get("sessions") or []

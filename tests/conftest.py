@@ -117,9 +117,10 @@ def daemon_socket(tmp_path_factory):
         handle.stop()
 
 
-def spawn_daemon(sock: str, *extra: str,
-                 test_ops: bool = False) -> subprocess.Popen:
-    """A real ``vaultc serve`` subprocess, pinged until ready."""
+def spawn_daemon(sock: str, *extra: str, test_ops: bool = False,
+                 cwd=REPO) -> subprocess.Popen:
+    """A real ``vaultc serve`` subprocess started in ``cwd``, pinged
+    until ready."""
     from repro.server import DaemonClient, DaemonUnavailable
 
     env = dict(os.environ)
@@ -130,7 +131,7 @@ def spawn_daemon(sock: str, *extra: str,
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--socket", sock,
          *extra],
-        cwd=str(REPO), env=env,
+        cwd=str(cwd), env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 20
     while time.monotonic() < deadline:

@@ -1,10 +1,10 @@
-"""The tiered shared store: envelopes, tiers, orchestration.
+"""The shared store: envelopes, the CAS tier, the store's accounting.
 
 Covers the ``repro.cache`` package bottom-up — blob envelope and key
-discipline, each tier's contract (memory LRU bounds, CAS crash safety
-and GC), the :class:`SharedStore` fall-through/promotion/containment
-logic — and the integration edges: the daemon no longer serving cache
-blobs, and the session's chaos gating.
+discipline, the CAS tier's contract (crash safety and GC), the
+:class:`SharedStore` checks and containment around its one tier — and
+the integration edges: the daemon no longer serving cache blobs, and
+the session's chaos gating.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import pytest
 
 from repro import check_source
 from repro.analysis import synthesize_program
-from repro.cache import (CASTier, MemoryTier, SharedStore, StoreError,
-                         Tier, check_blob, decode_blob, encode_blob,
-                         open_store, options_salt, pack_store_key,
-                         summary_store_key, unit_store_key, valid_key)
+from repro.cache import (CASTier, SharedStore, StoreError, Tier, check_blob,
+                         decode_blob, encode_blob, open_store, options_salt,
+                         pack_store_key, summary_store_key, unit_store_key,
+                         valid_key)
 from repro.cache.cas import CORRUPT_KEEP
 from repro.pipeline import CheckSession, FaultPlan
 
@@ -116,49 +116,6 @@ class TestKeys:
         assert key == pack_store_key(salt)
         assert key != pack_store_key(options_salt(True, None, True, 3))
         assert key != summary_store_key("", salt)
-
-
-# ---------------------------------------------------------------------------
-# MemoryTier
-# ---------------------------------------------------------------------------
-
-class TestMemoryTier:
-    def test_round_trip_and_miss(self):
-        tier = MemoryTier()
-        tier.put_many({key_of(1): b"one", key_of(2): b"two"})
-        got = tier.get_many([key_of(1), key_of(2), key_of(3)])
-        assert got == {key_of(1): b"one", key_of(2): b"two"}
-
-    def test_entry_bound_evicts_lru(self):
-        tier = MemoryTier(max_entries=3)
-        for n in range(3):
-            tier.put_many({key_of(n): b"x"})
-        tier.get_many([key_of(0)])            # freshen 0
-        tier.put_many({key_of(9): b"x"})      # evicts 1, the LRU
-        assert tier.get_many([key_of(1)]) == {}
-        assert key_of(0) in tier.get_many([key_of(0)])
-        assert tier.evictions == 1
-
-    def test_byte_bound_evicts(self):
-        tier = MemoryTier(max_bytes=100)
-        tier.put_many({key_of(n): b"y" * 40 for n in range(4)})
-        assert len(tier) < 4
-        assert tier.evictions >= 2
-        snap = tier.stats_snapshot()
-        assert snap["bytes"] <= 100
-
-    def test_overwrite_does_not_leak_bytes(self):
-        tier = MemoryTier()
-        tier.put_many({key_of(1): b"a" * 50})
-        tier.put_many({key_of(1): b"b" * 10})
-        assert tier.stats_snapshot()["bytes"] == 10
-
-    def test_discard(self):
-        tier = MemoryTier()
-        tier.put_many({key_of(1): b"one"})
-        tier.discard(key_of(1))
-        assert tier.get_many([key_of(1)]) == {}
-        assert tier.stats_snapshot()["bytes"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,84 +260,67 @@ class _ExplodingTier(Tier):
 
 
 class TestSharedStore:
-    def test_fall_through_and_promotion(self, tmp_path):
-        fast = MemoryTier()
-        slow = CASTier(str(tmp_path / "cas"), fsync=False)
-        slow.put_many({key_of(1): blob_of("deep")})
-        store = SharedStore([fast, slow])
-        assert store.fetch([key_of(1)]) == {key_of(1): "deep"}
-        assert fast.get_many([key_of(1)]), \
-            "a slow-tier hit must be promoted into the fast tier"
-        assert store.counts["memory"].misses == 1
-        assert store.counts["cas"].hits == 1
-
-    def test_write_through_all_tiers(self, tmp_path):
-        fast = MemoryTier()
-        slow = CASTier(str(tmp_path / "cas"), fsync=False)
-        store = SharedStore([fast, slow])
-        assert store.store({key_of(2): "obj"}) == 1
-        assert fast.get_many([key_of(2)])
-        assert slow.get_many([key_of(2)])
-
     def test_corrupt_blob_is_discarded_not_served(self, tmp_path):
         slow = CASTier(str(tmp_path / "cas"), fsync=False)
         slow.put_many({key_of(3): b"garbage, not an envelope"})
-        store = SharedStore([slow])
+        store = SharedStore(slow)
         assert store.fetch([key_of(3)]) == {}
-        assert store.counts["cas"].corrupt == 1
+        assert store.counts.corrupt == 1
         assert slow.get_many([key_of(3)]) == {}, "corrupt blob must go"
         qdir = os.path.join(str(tmp_path / "cas"), "corrupt")
         assert os.listdir(qdir), "…into quarantine"
 
     def test_exploding_tier_is_contained(self):
-        backing = MemoryTier()
-        backing.put_many({key_of(4): blob_of("ok")})
-        store = SharedStore([_ExplodingTier(), backing])
-        assert store.fetch([key_of(4)]) == {key_of(4): "ok"}
+        store = SharedStore(_ExplodingTier())
+        assert store.fetch([key_of(4)]) == {}, "a failed get is a miss"
         assert store.store({key_of(5): "new"}) == 1
-        assert store.counts["exploding"].errors >= 2
-        assert backing.get_many([key_of(5)])
+        assert store.counts.errors == 2
+        assert store.counts.misses == 1 and store.counts.puts == 0
+        ops = [e.fields["op"] for e in
+               store.telemetry.events.by_kind("shared_cache_error")]
+        assert ops == ["get", "put"]
 
-    def test_put_blobs_rejects_bad_keys_and_envelopes(self):
-        tier = MemoryTier()
-        store = SharedStore([tier])
+    def test_put_blobs_rejects_bad_keys_and_envelopes(self, tmp_path):
+        tier = CASTier(str(tmp_path / "cas"), fsync=False)
+        store = SharedStore(tier)
         stored = store.put_blobs({
             "not-a-key": blob_of("x"),
             key_of(6): b"not an envelope",
             key_of(7): blob_of("good"),
         })
         assert stored == 1
-        assert list(tier.get_many([key_of(7)])) == [key_of(7)]
-        assert len(tier) == 1
+        assert list(tier.get_many([key_of(6), key_of(7)])) == [key_of(7)]
+        assert tier.stats_snapshot()["bytes"] == len(blob_of("good"))
 
     def test_stats_snapshot_shape(self, tmp_path):
-        store = SharedStore([MemoryTier(),
-                             CASTier(str(tmp_path / "cas"))])
+        store = SharedStore(CASTier(str(tmp_path / "cas")))
+        store.fetch([key_of(8)])
         snap = store.stats_snapshot()
-        assert [t["tier"] for t in snap["tiers"]] == ["memory", "cas"]
-        for t in snap["tiers"]:
-            assert {"hits", "misses", "puts", "errors",
-                    "corrupt"} <= set(t)
+        assert [t["tier"] for t in snap["tiers"]] == ["cas"]
+        row = snap["tiers"][0]
+        assert {"hits", "misses", "puts", "errors", "corrupt",
+                "root", "bytes"} <= set(row)
+        assert row["misses"] == 1 and row["hit_rate"] == 0.0
 
     def test_open_store_specs(self, tmp_path):
-        cas = open_store(str(tmp_path / "d"))
-        assert [t.name for t in cas.tiers] == ["cas"]
-        layered = open_store(str(tmp_path / "d"), memory_tier=MemoryTier())
-        assert [t.name for t in layered.tiers] == ["memory", "cas"]
-        empty = open_store(None)
-        assert empty.tiers == ()
+        store = open_store(str(tmp_path / "d"))
+        assert isinstance(store.tier, CASTier)
+        assert store.tier.root == str(tmp_path / "d")
+        assert store.store({key_of(9): "v"}) == 1
+        assert open_store(str(tmp_path / "d")).fetch([key_of(9)]) == \
+            {key_of(9): "v"}
 
     def test_cas_write_failure_is_reported_once(self, tmp_path):
         # A failed CAS write is absorbed by the tier (the other blobs
         # still land) and surfaced to the orchestrator, which counts
         # every failure but reports only the first few per tier.
         plan = FaultPlan.parse("enospc@5")
-        store = SharedStore([CASTier(str(tmp_path / "cas"), fsync=False,
-                                     fault_plan=plan)])
+        store = SharedStore(CASTier(str(tmp_path / "cas"), fsync=False,
+                                    fault_plan=plan))
         for n in range(5):
             assert store.store({key_of(n): "x"}) == 1
-        assert store.counts["cas"].errors == 5
-        assert store.counts["cas"].puts == 0
+        assert store.counts.errors == 5
+        assert store.counts.puts == 0
         events = store.telemetry.events.by_kind("shared_cache_error")
         assert len(events) == 3
         assert events[0].fields["op"] == "put"
@@ -442,47 +382,56 @@ class TestDaemonOps:
 # ---------------------------------------------------------------------------
 
 class TestSessionIntegration:
-    def test_fault_plan_disables_shared_store(self):
-        store = SharedStore([MemoryTier()])
+    """Sessions share results through a CAS directory; each session
+    opens its own store over it, as separate processes would."""
+
+    @staticmethod
+    def _store(tmp_path) -> SharedStore:
+        return SharedStore(CASTier(str(tmp_path / "cas"), fsync=False))
+
+    def test_fault_plan_disables_shared_store(self, tmp_path):
         with CheckSession(fault_plan=FaultPlan.parse("flip-cache"),
-                          shared_store=store) as session:
+                          shared_store=self._store(tmp_path)) as session:
             assert session.shared_store is None, \
                 "chaos sessions must not publish results"
 
-    def test_unit_replay_across_sessions(self):
+    def test_unit_replay_across_sessions(self, tmp_path):
         source = synthesize_program(8, seed=3, error_rate=0.3)
-        store = SharedStore([MemoryTier()])
-        with CheckSession(units=["region"], shared_store=store) as a:
+        with CheckSession(units=["region"],
+                          shared_store=self._store(tmp_path)) as a:
             expected = a.check(source).render()
         assert a.stats.shared_puts > 0
-        with CheckSession(units=["region"], shared_store=store) as b:
+        with CheckSession(units=["region"],
+                          shared_store=self._store(tmp_path)) as b:
             rendered = b.check(source).render()
         assert rendered == expected
         assert b.stats.shared_unit_hits == 1
         assert b.stats.functions_checked == 0
 
-    def test_summary_reuse_after_edit(self):
+    def test_summary_reuse_after_edit(self, tmp_path):
         source = synthesize_program(8, seed=3)
-        store = SharedStore([MemoryTier()])
-        with CheckSession(units=["region"], shared_store=store) as a:
+        with CheckSession(units=["region"],
+                          shared_store=self._store(tmp_path)) as a:
             a.check(source)
         edited = source.replace(
             "int worker_3(int input) {\n    tracked",
             "int worker_3(int input) {\n    // edited\n    tracked", 1)
         assert edited != source
-        with CheckSession(units=["region"], shared_store=store) as b:
+        with CheckSession(units=["region"],
+                          shared_store=self._store(tmp_path)) as b:
             b.check(edited)
         assert b.stats.shared_unit_hits == 0, "edited unit can't replay"
         assert b.stats.shared_summary_hits >= 7, \
             "unedited functions must come from the shared store"
         assert b.stats.functions_checked <= 1
 
-    def test_different_options_do_not_cross_contaminate(self):
+    def test_different_options_do_not_cross_contaminate(self, tmp_path):
         source = synthesize_program(6, seed=4, error_rate=0.3)
-        store = SharedStore([MemoryTier()])
-        with CheckSession(units=["region"], shared_store=store) as a:
+        with CheckSession(units=["region"],
+                          shared_store=self._store(tmp_path)) as a:
             a.check(source)
-        with CheckSession(units=["region"], shared_store=store,
+        with CheckSession(units=["region"],
+                          shared_store=self._store(tmp_path),
                           max_loop_iterations=5) as b:
             b.check(source)
         assert b.stats.shared_unit_hits == 0, \

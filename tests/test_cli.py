@@ -195,6 +195,18 @@ class TestCacheDir:
         assert "--daemon" in err and "not a cache directory" in err
         assert not (tmp_path / "daemon").exists()
 
+    @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
+    def test_serve_shared_cache_daemon_spec_is_refused(self, spec, tmp_path,
+                                                       capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--socket", str(tmp_path / "s.sock"),
+                  "--idle-timeout", "0.1", "--shared-cache", spec])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--daemon" in err and "not a cache directory" in err
+        assert not (tmp_path / "daemon").exists()
+
 
 class TestObservability:
     def test_profile_output_shape(self, good_file, capsys):

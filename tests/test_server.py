@@ -3,9 +3,9 @@
 Covers the acceptance promises of the serving layer:
 
 * the wire protocol (framing, limits, malformed input);
-* request coalescing (pure queue surgery, no sockets involved);
 * warm-session reuse and the session registry (LRU, per-option keys);
-* concurrent clients receiving byte-identical answers;
+* concurrent clients receiving byte-identical answers, each request
+  checked on its own (a duplicate is a unit replay);
 * client disconnect mid-request leaving the daemon healthy and
   leak-free (FD accounting via the helpers in test_resilience);
 * SIGTERM / ``shutdown`` op / idle timeout all reaching the same
@@ -26,7 +26,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -37,9 +36,8 @@ from repro.obs import Telemetry
 from repro.server import (CheckServer, DaemonClient, DaemonUnavailable,
                           ProtocolError, check_detailed, check_via_daemon,
                           encode_frame, normalize_options, recv_frame,
-                          render_outcome, request_key, send_frame,
-                          session_key, split_frames)
-from repro.server.daemon import _Request, coalesce_group
+                          render_outcome, send_frame, session_key,
+                          split_frames)
 from repro.server.watch import Watcher
 
 from conftest import (REPO, ScriptedDaemon as _ScriptedDaemon,
@@ -106,20 +104,6 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             split_frames(struct.pack("!I", len(payload)) + payload)
 
-    def test_request_key_separates_source_filename_options(self):
-        opts = normalize_options({})
-        base = request_key("src", "f.vlt", opts)
-        assert request_key("src", "f.vlt", opts) == base
-        assert request_key("src2", "f.vlt", opts) != base
-        assert request_key("src", "g.vlt", opts) != base
-        assert request_key("src", "f.vlt",
-                           normalize_options({"units": ["region"]})) != base
-        # Keys that once sized the worker pool are ignored like any
-        # unknown key, so old clients share the same coalescing group.
-        assert request_key("src", "f.vlt",
-                           normalize_options({"jobs": 4,
-                                              "break_even": 0.0})) == base
-
     def test_session_key_ignores_non_session_options(self):
         assert session_key(normalize_options({})) == \
             session_key(normalize_options({"frobnicate": True}))
@@ -127,28 +111,6 @@ class TestProtocol:
             session_key(normalize_options({}))
         assert session_key(normalize_options({"cache_dir": "c"})) != \
             session_key(normalize_options({}))
-
-
-# ---------------------------------------------------------------------------
-# Coalescing (pure)
-# ---------------------------------------------------------------------------
-
-class TestCoalescing:
-    @staticmethod
-    def _req(key):
-        return _Request(conn=None, key=key, payload={"key": key})
-
-    def test_duplicates_grouped_order_preserved(self):
-        queue = deque(self._req(k) for k in ["a", "b", "a", "c", "a"])
-        group = coalesce_group(queue)
-        assert [r.key for r in group] == ["a", "a", "a"]
-        assert [r.key for r in queue] == ["b", "c"]
-
-    def test_singleton_passes_through(self):
-        queue = deque(self._req(k) for k in ["a", "b"])
-        group = coalesce_group(queue)
-        assert [r.key for r in group] == ["a"]
-        assert [r.key for r in queue] == ["b"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +248,48 @@ class TestDaemon:
         finally:
             handle.stop()
 
+    def test_identical_concurrent_requests_each_checked(self, tmp_path):
+        # A sleeper holds the loop while three clients send the same
+        # request, so all three wait in the queue together.  Each one
+        # is checked (the duplicates by unit replay) and gets the same
+        # answer.
+        handle = _start_server(tmp_path, enable_test_ops=True)
+        expected = check_source(OK_SOURCE, "dup.vlt").render()
+        socks = []
+        try:
+            hold = socket_mod.socket(socket_mod.AF_UNIX,
+                                     socket_mod.SOCK_STREAM)
+            socks.append(hold)
+            hold.connect(handle.socket_path)
+            hold.settimeout(30)
+            send_frame(hold, {"op": "check", "source": OK_SOURCE,
+                              "filename": "hold.vlt", "test_sleep": 0.4})
+            time.sleep(0.15)
+            clients = []
+            for _ in range(3):
+                sock = socket_mod.socket(socket_mod.AF_UNIX,
+                                         socket_mod.SOCK_STREAM)
+                socks.append(sock)
+                clients.append(sock)
+                sock.connect(handle.socket_path)
+                sock.settimeout(30)
+                send_frame(sock, {"op": "check", "source": OK_SOURCE,
+                                  "filename": "dup.vlt"})
+            assert recv_frame(hold)["ok"] is True
+            replies = [recv_frame(sock) for sock in clients]
+            for reply in replies:
+                assert reply["ok"] is True and reply["render"] == expected
+            # Byte-identical apart from each check's own timing.
+            bodies = {encode_frame(dict(reply, seconds=0))
+                      for reply in replies}
+            assert len(bodies) == 1
+            snapshot = handle.server.telemetry.metrics.snapshot()
+            assert snapshot["server.checks"]["value"] == 4
+        finally:
+            for sock in socks:
+                sock.close()
+            handle.stop()
+
     def test_client_disconnect_mid_request_leaves_daemon_healthy(
             self, tmp_path):
         if _open_fds() is None:
@@ -342,7 +346,7 @@ class TestDaemon:
         assert len(events.by_kind("server_stop")) == 1
         snapshot = handle.server.telemetry.metrics.snapshot()
         # Pre-registered: explicit zeros even for untouched counters.
-        assert snapshot["server.coalesced"]["value"] == 0
+        assert snapshot["server.deadline_exceeded"]["value"] == 0
         assert snapshot["server.connections"]["value"] >= 1
 
     def test_stale_socket_is_replaced_live_socket_refused(self, tmp_path):
@@ -424,6 +428,29 @@ class TestDaemonProcess:
         finally:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=20)
+
+    def test_cli_daemon_relative_cache_dir_is_the_clients(self, tmp_path):
+        # The daemon runs in a/, the client in b/: a relative --cache
+        # names b/.vcache, as it does without a daemon.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        unit = tmp_path / "b" / "unit.vlt"
+        unit.write_text(BAD_SOURCE)
+        sock = str(tmp_path / "rel.sock")
+        proc = _spawn_daemon(sock, cwd=tmp_path / "a")
+        try:
+            result = _vaultc(["check", "--daemon", sock, "--cache",
+                              ".vcache", "unit.vlt"], cwd=tmp_path / "b")
+            with DaemonClient(sock) as client:
+                checks = client.stats()["stats"]["metrics"][
+                    "server.checks"]["value"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=20)
+        assert result.returncode == 1, result.stderr
+        assert checks == 1, "the check must go through the daemon"
+        assert (tmp_path / "b" / ".vcache").is_dir()
+        assert not (tmp_path / "a" / ".vcache").exists()
 
     def test_cli_daemon_flag_falls_back_without_daemon(self, tmp_path):
         sock = str(tmp_path / "absent.sock")
@@ -664,8 +691,8 @@ class TestTopRenderer:
             "uptime_seconds": 3723.0, "queue_depth": 1, "connections": 2,
             "session_limit": 8,
             "counters": {"server.checks": 10, "server.requests": 12,
-                         "cache.shared.memory.hits": 3,
-                         "cache.shared.memory.misses": 1,
+                         "cache.shared.cas.hits": 3,
+                         "cache.shared.cas.misses": 1,
                          "server.slow_requests": 1},
             "quantiles": {"server.check_seconds":
                           {"count": 10, "sum": 1.0, "p50": 0.01,
@@ -691,7 +718,7 @@ class TestTopRenderer:
         assert "requests/s     2.40" in screen
         assert "p50     10.0ms" in screen
         assert "server.checks" in screen
-        assert "memory   hit rate   75.0%" in screen
+        assert "cas      hit rate   75.0%" in screen
         assert "abc123" in screen
         assert "slow traces  threshold 500ms" in screen
 
@@ -1298,6 +1325,76 @@ class TestRetryNeverDuplicates:
 
 
 # ---------------------------------------------------------------------------
+# The daemon's shared store: one per directory, none without one
+# ---------------------------------------------------------------------------
+
+@needs_unix
+class TestDaemonSharedStore:
+    def test_no_shared_cache_means_no_store(self, tmp_path, capsys):
+        from repro.cli import main
+        handle = _start_server(tmp_path)
+        try:
+            with DaemonClient(handle.socket_path) as client:
+                for _ in range(2):
+                    client.check(OK_SOURCE, "n.vlt")
+                stats = client.stats()["stats"]
+                telemetry = client.telemetry()
+            assert stats["shared_cache"] == {}
+            assert telemetry["shared_cache"] == {}
+            assert not [name for name in stats["metrics"]
+                        if name.startswith("cache.shared.")]
+            assert main(["cache", "stats", "--daemon",
+                         handle.socket_path]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "no shared store" in err and "--shared-cache" in err
+        finally:
+            handle.stop()
+
+    def test_one_store_per_directory(self, tmp_path, capsys):
+        import json
+        from repro.cli import main
+        default = str(tmp_path / "cas")
+        other = str(tmp_path / "other")
+        handle = _start_server(tmp_path, shared_cache_dir=default)
+        try:
+            with DaemonClient(handle.socket_path) as client:
+                client.check(OK_SOURCE, "s.vlt")
+                client.check(OK_SOURCE, "s.vlt", {"shared_cache": default})
+                client.check(OK_SOURCE, "o.vlt", {"shared_cache": other})
+                assert len(client.stats()["stats"]["sessions"]) == 3
+            assert main(["cache", "stats", "--daemon",
+                         handle.socket_path]) == 0
+            block = json.loads(capsys.readouterr().out)
+        finally:
+            handle.stop()
+        assert list(block) == [default, other]
+        row, = block[default]["tiers"]
+        assert row["tier"] == "cas" and row["puts"] > 0
+        # The second session on the default directory replayed the
+        # unit the first one stored.
+        assert row["hits"] >= 1
+        assert block[other]["tiers"][0]["puts"] > 0
+
+    def test_client_sends_absolute_directories(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sock = str(tmp_path / "scripted.sock")
+        reply = {"ok": True, "check_ok": True, "render": "", "errors": 0}
+        daemon = _ScriptedDaemon(sock, [reply])
+        try:
+            outcome = check_via_daemon(
+                OK_SOURCE, "f.vlt",
+                {"cache_dir": ".vcache", "shared_cache": "shared"},
+                socket_path=sock)
+        finally:
+            daemon.close()
+        assert outcome is not None and outcome.via_daemon
+        options = daemon.requests[0]["options"]
+        assert options["cache_dir"] == str(tmp_path / ".vcache")
+        assert options["shared_cache"] == str(tmp_path / "shared")
+
+
+# ---------------------------------------------------------------------------
 # Injected ENOSPC in the shared CAS
 # ---------------------------------------------------------------------------
 
@@ -1322,8 +1419,8 @@ class TestEnospcInjection:
         from repro.cache import CASTier, SharedStore, encode_blob
         from repro.pipeline.faults import FaultPlan
         plan = FaultPlan.parse("enospc@1")
-        store = SharedStore([CASTier(str(tmp_path / "cas"), fsync=False,
-                                     fault_plan=plan)])
+        store = SharedStore(CASTier(str(tmp_path / "cas"), fsync=False,
+                                    fault_plan=plan))
         key = "a" * 64 + "-s"
         blob = encode_blob({"v": 1})
         store.put_blobs({key: blob})
