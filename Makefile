@@ -33,16 +33,16 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_checker_scaling.py \
 	    benchmarks/bench_incremental.py -q --benchmark-disable
 
-# Resilience smoke: a corrupted summary pack (--cache DIR) must be
+# Resilience smoke: a corrupted file record (--cache DIR) must be
 # quarantined under DIR/corrupt/ and rebuilt, with byte-identical
 # diagnostics.
 chaos-smoke:
 	$(PYTHON) benchmarks/chaos_smoke.py
 
-# Shared-store smoke: a second cold session over a warm shared store
-# must replay >=3x faster with byte-identical diagnostics; after one
-# edit the shared summary hit rate must stay >=0.9.  Writes the
-# "shared_cache" block of BENCH_checker.json.
+# On-disk cache smoke: a second cold session over a warm --cache DIR
+# must replay the file's record >=3x faster with byte-identical
+# diagnostics; after one edit the summary hit rate must stay >=0.9.
+# Writes the "shared_cache" block of BENCH_checker.json.
 cache-smoke:
 	$(PYTHON) benchmarks/bench_cache.py
 
@@ -75,11 +75,11 @@ daemon-chaos-smoke:
 # programs (random keyed state machines + violating clients) must
 # check byte-identically through serial, a warm cached session and a
 # live check daemon; then 40 seeded edit sequences, walked by one
-# session, by a fresh --cache DIR session per revision, by a fresh
-# --shared-cache DIR session per revision and by one daemon (at the
-# session's cache caps and at caps of 8), must match check_source on
-# every revision — zero divergences; each --cache DIR walk corrupts its
-# summary pack once, and at least one quarantine must be exercised.
+# session, by a fresh --cache DIR session per revision and by one
+# daemon (at the session's cache caps and at caps of 8), must match
+# check_source on every revision — zero divergences; each --cache DIR
+# walk corrupts the file's record once, and at least one quarantine
+# must be exercised.
 # Writes the "fuzz" block of BENCH_checker.json.
 fuzz-smoke:
 	$(PYTHON) benchmarks/fuzz_smoke.py

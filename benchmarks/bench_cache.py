@@ -1,17 +1,18 @@
-"""Shared-store smoke benchmark (the ``make cache-smoke`` gate).
+"""On-disk cache smoke benchmark (the ``make cache-smoke`` gate).
 
-The scenario the tiered store exists for: developer A checks a 640
+The scenario ``--cache DIR`` exists for: developer A checks a 640
 function corpus cold; developer B (a different process, an empty L1,
-a brand-new store handle) checks the identical corpus against the same
-content-addressed store directory and must run at warm speed.  A third
-session edits one function and must rebuild *only* that function from
-the shared summaries.
+a brand-new session) checks the identical corpus against the same
+cache directory and must run at warm speed, replaying the file's
+record.  A third session edits one function and must rebuild *only*
+that function from the summaries in the record.
 
 Ratchets (enforced, then recorded under the ``"shared_cache"`` key of
 ``BENCH_checker.json``):
 
 * second cold check >= **3x** faster than the first (unit replay);
-* post-edit summary hit rate >= **0.9** (one function of 640 edited);
+* post-edit summary hit rate >= **0.9** (one function of 640 edited;
+  functions replayed over functions looked up);
 * diagnostics byte-identical across every path.
 
 Usable both as a script (``python benchmarks/bench_cache.py``) and as
@@ -28,7 +29,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.analysis import synthesize_program          # noqa: E402
-from repro.cache import open_store                     # noqa: E402
 from repro.pipeline import CheckSession                # noqa: E402
 
 N_FUNCTIONS = 640
@@ -43,15 +43,15 @@ _REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 _BENCH_JSON = os.path.join(_REPO, "BENCH_checker.json")
 
 
-def _timed_check(source, store, **session_kw):
-    """One fresh session + one check against ``store``; returns
-    ``(seconds, rendered, stats)``."""
-    with CheckSession(units=UNITS, shared_store=store,
+def _timed_check(source, cache_dir, **session_kw):
+    """One fresh session + one check against ``cache_dir``; returns
+    ``(seconds, rendered, session)``."""
+    with CheckSession(units=UNITS, cache_dir=cache_dir,
                       **session_kw) as session:
         started = time.perf_counter()
         report = session.check(source, "corpus.vlt")
         elapsed = time.perf_counter() - started
-    return elapsed, report.render(), session.stats
+    return elapsed, report.render(), session
 
 
 def _measure():
@@ -68,25 +68,25 @@ def _measure():
     try:
         cas_dir = os.path.join(tmp, "cas")
 
-        # -- session A: cold, populating the store --------------------
-        store_a = open_store(cas_dir)
-        cold, expected, stats_a = _timed_check(source, store_a)
-        assert stats_a.shared_puts > 0, "the cold session must publish"
+        # -- session A: cold, writing the file's record ---------------
+        cold, expected, session_a = _timed_check(source, cas_dir)
+        assert session_a.store.counts.puts == 1, \
+            "the cold session must write the record"
 
-        # -- session B: cold process, warm store ----------------------
-        store_b = open_store(cas_dir)
-        replay, rendered, stats_b = _timed_check(source, store_b)
+        # -- session B: cold process, warm directory ------------------
+        replay, rendered, session_b = _timed_check(source, cas_dir)
         assert rendered == expected, \
-            "shared-store replay must be byte-identical"
+            "file-record replay must be byte-identical"
+        stats_b = session_b.stats
         assert stats_b.shared_unit_hits == 1
         assert stats_b.functions_checked == 0, \
             "a whole-unit replay re-checks nothing"
 
         # -- session C: one function edited ---------------------------
-        store_c = open_store(cas_dir)
-        edit_s, _rendered_c, stats_c = _timed_check(edited, store_c)
-        lookups = stats_c.shared_summary_hits + stats_c.shared_summary_misses
-        hit_rate = stats_c.shared_summary_hits / lookups if lookups else 0.0
+        edit_s, _rendered_c, session_c = _timed_check(edited, cas_dir)
+        stats_c = session_c.stats
+        lookups = stats_c.functions_replayed + stats_c.functions_checked
+        hit_rate = stats_c.functions_replayed / lookups if lookups else 0.0
         assert stats_c.shared_unit_hits == 0
         assert stats_c.functions_checked <= max(
             1, int(N_FUNCTIONS * (1 - MIN_SUMMARY_HIT_RATE)))
@@ -128,7 +128,7 @@ def test_shared_cache_smoke(benchmark=None):
     speed = result["speedup"]
     print(f"cache-smoke: cold populate          "
           f"{sec['cold_populate'] * 1000:8.1f} ms")
-    print(f"cache-smoke: cold replay (CAS)      "
+    print(f"cache-smoke: cold replay (record)   "
           f"{sec['cold_replay'] * 1000:8.1f} ms  "
           f"({speed['replay_vs_cold']:.1f}x)")
     print(f"cache-smoke: edit one of {N_FUNCTIONS}      "
@@ -138,7 +138,7 @@ def test_shared_cache_smoke(benchmark=None):
     print("cache-smoke: byte-identity across all paths   OK")
 
     assert speed["replay_vs_cold"] >= MIN_REPLAY_SPEEDUP, \
-        f"a second cold check over a warm store must be >= " \
+        f"a second cold check over a warm cache must be >= " \
         f"{MIN_REPLAY_SPEEDUP}x faster (got " \
         f"{speed['replay_vs_cold']:.2f}x)"
     assert result["summary_hit_rate_after_edit"] >= \

@@ -1,9 +1,9 @@
 """A fast resilience smoke check (the ``make chaos-smoke`` gate).
 
-Corrupts the summary pack (the one store object ``--cache DIR`` keeps)
+Corrupts a file record (the one object per file ``--cache DIR`` keeps)
 and asserts quarantine-and-rebuild: the damaged object is moved under
 ``DIR/corrupt/`` for post-mortems, the check still prints the serial
-answer, and the rebuilt pack replays on the next run.
+answer, and the rebuilt record replays on the next run.
 
 Usable both as a script (``python benchmarks/chaos_smoke.py``) and as
 a pytest module.
@@ -28,7 +28,7 @@ def test_corrupt_cache_is_quarantined():
     with tempfile.TemporaryDirectory() as cache_dir:
         with CheckSession(units=UNITS, cache_dir=cache_dir) as writer:
             writer.check(source)
-        path = writer.pack_path
+        path = writer.record_path()
         with open(path, "r+b") as handle:
             data = handle.read()
             handle.seek(len(data) // 2)
@@ -41,14 +41,14 @@ def test_corrupt_cache_is_quarantined():
         quarantined = os.listdir(os.path.join(cache_dir, "corrupt"))
         assert [name.startswith(os.path.basename(path) + ".corrupt.")
                 for name in quarantined] == [True], \
-            "the corrupt pack must be preserved for post-mortems"
+            "the corrupt record must be preserved for post-mortems"
 
         with CheckSession(units=UNITS, cache_dir=cache_dir) as reader:
             reader.check(source)
         assert reader.stats.cache_quarantines == 0
         assert reader.stats.functions_checked == 0, \
-            "the rebuilt pack must replay on the next run"
-    print("chaos-smoke: summary pack quarantine + rebuild   OK")
+            "the rebuilt record must replay on the next run"
+    print("chaos-smoke: file record quarantine + rebuild    OK")
 
 
 if __name__ == "__main__":

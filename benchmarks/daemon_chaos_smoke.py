@@ -244,7 +244,7 @@ def _scenario_enospc(tmp: str) -> dict:
     """Injected ENOSPC in the CAS: degrade to a miss, then recover."""
     store = SharedStore(CASTier(os.path.join(tmp, "cas"), fsync=False,
                                 fault_plan=FaultPlan.parse("enospc@1")))
-    key = "c" * 64 + "-s"
+    key = "c" * 64 + "-f"
     blob = encode_blob({"smoke": True})
     store.put_blobs({key: blob})
     assert store.get_blobs([key]) == {}, \

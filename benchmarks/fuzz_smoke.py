@@ -14,15 +14,14 @@ generator aims at (wrong state, leak, double consume) showed up.
 
 Then walks ``EDIT_SEQUENCES`` seeded edit sequences
 (``repro.testing.edits``): every revision, checked by one warm session,
-by a fresh ``--cache DIR`` session per revision, by a fresh
-``--shared-cache DIR`` session per revision and by one in-process
+by a fresh ``--cache DIR`` session per revision and by one in-process
 check daemon, at the session's own cache caps and at caps of 8, must
 render byte-identically to ``check_source`` — zero divergences, and
 every edit kind exercised (``move_function`` among them, so summaries
 with diagnostics replay at new lines).  A divergent sequence is
 printed shrunk to the fewest revisions that still diverge.
-Each ``--cache DIR`` walk also corrupts its summary pack once; the
-gate reports how many corrupt packs were quarantined and fails if
+Each ``--cache DIR`` walk also corrupts the file's record once; the
+gate reports how many corrupt records were quarantined and fails if
 none was.
 
 Merges a ``fuzz`` block into ``BENCH_checker.json``.  Usable both as a
@@ -92,8 +91,8 @@ def test_fuzz_smoke(benchmark=None):
         f"incremental state changed an answer")
     missing = set(EDIT_KINDS) - set(edits.kinds)
     assert not missing, f"edit kinds never exercised: {sorted(missing)}"
-    assert edits.pack_quarantines > 0, \
-        "no corrupt summary pack was quarantined: the flip never landed"
+    assert edits.record_quarantines > 0, \
+        "no corrupt file record was quarantined: the flip never landed"
 
     result = {
         "seed": SEED,
@@ -111,7 +110,7 @@ def test_fuzz_smoke(benchmark=None):
             "paths": edits.paths,
             "skipped_paths": edits.skipped_paths,
             "kinds": edits.kinds,
-            "pack_quarantines": edits.pack_quarantines,
+            "record_quarantines": edits.record_quarantines,
             "divergences": 0,
             "seconds": round(edit_elapsed, 3),
         },
@@ -146,7 +145,7 @@ def test_fuzz_smoke(benchmark=None):
     if edits.skipped_paths:
         print(f"  edit paths unavailable here: "
               f"{'/'.join(edits.skipped_paths)}")
-    print(f"  {edits.pack_quarantines} corrupt summary packs quarantined "
+    print(f"  {edits.record_quarantines} corrupt file records quarantined "
           f"and rebuilt")
     print("  divergences: 0 — every revision matches check_source  VERIFIED")
     print("=" * 64)

@@ -12,11 +12,16 @@ does behind our back.  A failed object write is counted in
 which reports it.
 
 Concurrency model: many processes share one store directory with no
-locks.  Puts are last-write-wins.  For content-addressed objects both
-writers hold byte-identical content, so the race is harmless; for the
-summary pack (``-p``, one slot per options salt) the loser's summaries
-are a later miss.  GC may delete an object another process is about to
+locks.  Puts are last-write-wins.  A file record (``-f``) is one slot
+per file name and options salt: two processes checking different files
+write different objects, and the loser of a race on one file costs a
+later miss.  GC may delete an object another process is about to
 read, which that process observes as an ordinary miss.
+
+Objects of the kinds earlier schemas wrote
+(:data:`~repro.cache.store.RETIRED_KINDS`) are never read or written,
+but the GC and :meth:`CASTier.stats_snapshot` count them, so a
+directory an older vaultc filled is still collected.
 
 Eviction: the tier tracks an approximate byte total (one full scan at
 first use, then incremental accounting of its own writes).  When the
@@ -36,7 +41,7 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .store import Tier, valid_key
+from .store import KEY_KINDS, RETIRED_KINDS, Tier, valid_key
 
 #: default size budget for one store directory.
 DEFAULT_MAX_BYTES = 512 << 20
@@ -190,7 +195,7 @@ class CASTier(Tier):
             except OSError:
                 continue
             for name in names:
-                if not valid_key(name):
+                if not valid_key(name, KEY_KINDS + RETIRED_KINDS):
                     continue              # temp files, junk
                 path = os.path.join(shard_path, name)
                 try:

@@ -1,38 +1,43 @@
-"""The content-addressed shared summary store.
+"""The on-disk result store behind ``--cache DIR``.
 
-:class:`SharedStore` is the sccache/Bazel move for protocol checking:
-function summaries (and whole-unit replay records) are already keyed
-by stable content fingerprints, so nothing about them is private to
-the session that computed them.  This module shares them across
-sessions and processes through one on-disk tier::
+A session with ``cache_dir`` keeps one *file record* per compiled file
+in a content-addressed directory, so a later process starts from what
+an earlier one learned::
 
     session  CheckSession._summaries / fn_results   (in-process, private)
     store    CASTier  crash-safe on-disk object store, sharded by key
                       prefix (repro.cache.cas)
 
-A session misses its own caches first and then asks the store; both
-sides are *batched*: the session collects all its misses for one check
-and issues one ``fetch``, and writes its new results with one
-``store``.
+A record is one object, ``<digest>-f``, keyed by :func:`record_key`
+over the diagnostic-relevant session options and the file name.  It
+holds:
 
-Three object kinds share the store namespace, distinguished by a key
-suffix (the key body is always a 64-hex SHA-256, so the CAS shards
-stay uniform):
+* ``sha`` — the SHA-256 of the source it was written for;
+* ``diags`` — that unit's complete diagnostic stream (stdlib, context
+  and per-function, already merged in serial order);
+* ``functions`` — the unit's function count;
+* ``summaries`` — the position-free summaries of the unit's functions
+  (lines from each function's first line, no file name), by function
+  fingerprint.
 
-* ``<digest>-s`` — one function's position-free diagnostics (lines
-  from the function's first line, no file name), keyed by
-  :func:`summary_store_key` (the pipeline's function fingerprint
-  salted with the diagnostic-relevant session options);
-* ``<digest>-u`` — one unit's complete diagnostic stream, keyed by
-  :func:`unit_store_key` over the source bytes, filename and options.
-  This is what lets a *second cold session on identical code* run at
-  warm speed: it replays the pinned byte stream without parsing;
-* ``<digest>-p`` — one session's whole summary map (the *summary
-  pack* behind ``vaultc check --cache DIR``), keyed by
-  :func:`pack_store_key` over the options alone.  Unlike the other
-  two kinds it is not content-addressed: the key is a last-write-wins
-  slot, and a writer that loses a race costs a later miss, never a
-  wrong answer (fingerprints inside the pack still pin each entry).
+A session fetches a file's record once, on its first check of that
+file name.  When ``sha`` matches the source, the stream replays
+without parsing: a *second cold process* on unchanged code runs at
+warm speed.  Otherwise the summaries seed the session's summary cache,
+so only the functions an edit touched are re-checked.  After a check
+of a source other than the one it last loaded or wrote, the session
+writes the file's record; its size is that of one file.  The key is
+one last-write-wins slot per file: processes that check different
+files never overwrite each other, and a writer that loses a race on
+one file costs a later miss, never a wrong answer (the sha and the
+fingerprints inside pin every entry).
+
+Earlier store schemas wrote three other kinds: ``-s`` (one function's
+summary), ``-u`` (one unit's stream) and ``-p`` (a session's whole
+summary map).  They are never read or written again, but they stay
+well-formed object names (:data:`RETIRED_KINDS`), so the GC and
+``vaultc cache stats`` still count them and a directory an older
+vaultc filled can be collected.
 
 Every blob travels in a checksummed envelope (:func:`encode_blob`):
 a magic line, the hex SHA-256 of the body, then the pickled body.
@@ -56,27 +61,30 @@ from ..pipeline.fingerprint import cache_checksum
 
 #: bump when the envelope or the pickled record shapes change
 #: incompatibly; old blobs then simply miss (their keys embed it too).
-STORE_SCHEMA = 3
+STORE_SCHEMA = 4
 
 _MAGIC = b"vaultc-blob1\n"
 _HEX_LEN = 64
 
 #: keys are "<64 hex>-<kind>"; anything else is rejected before it can
-#: reach a file path.
-KEY_KINDS = ("s", "u", "p")
+#: reach a file path.  ``f`` (a file record) is the one kind written.
+KEY_KINDS = ("f",)
+
+#: kinds earlier schemas wrote; objects to the GC, never read.
+RETIRED_KINDS = ("s", "u", "p")
 
 
 class StoreError(Exception):
     """A blob failed to decode or a tier failed structurally."""
 
 
-def valid_key(key: object) -> bool:
-    """Whether ``key`` is a well-formed store key (and therefore safe
-    to use as a CAS file name)."""
+def valid_key(key: object, kinds: Sequence[str] = KEY_KINDS) -> bool:
+    """Whether ``key`` is a well-formed store key of one of ``kinds``
+    (and therefore safe to use as a CAS file name)."""
     if not isinstance(key, str) or len(key) != _HEX_LEN + 2:
         return False
     body, sep, kind = key[:_HEX_LEN], key[_HEX_LEN], key[_HEX_LEN + 1:]
-    if sep != "-" or kind not in KEY_KINDS:
+    if sep != "-" or kind not in kinds:
         return False
     return all(c in "0123456789abcdef" for c in body)
 
@@ -115,32 +123,14 @@ def decode_blob(blob: bytes) -> object:
 
 # -- keys ---------------------------------------------------------------------
 
-def summary_store_key(fingerprint: str, options_salt: str) -> str:
-    """Store key for one function summary.  The pipeline fingerprint
-    is content-addressed over the function and its visible
-    declarations; the salt adds the session options that change
-    diagnostics without changing content (``join_abstraction``,
-    ``max_loop_iterations``) plus the schema version."""
+def record_key(options_salt: str, filename: str) -> str:
+    """Store key for one file's record: a slot per file name, salted
+    with the session options that change diagnostics without changing
+    content (``stdlib``, ``units``, ``join_abstraction``,
+    ``max_loop_iterations``) and the schema version."""
     return cache_checksum(
-        f"summary\x00{STORE_SCHEMA}\x00{fingerprint}\x00{options_salt}"
-        .encode()) + "-s"
-
-
-def unit_store_key(source: str, filename: str, options_salt: str) -> str:
-    """Store key for one unit's complete diagnostic stream."""
-    import hashlib
-    h = hashlib.sha256()
-    h.update(f"unit\x00{STORE_SCHEMA}\x00{filename}\x00{options_salt}\x00"
-             .encode("utf-8", "surrogateescape"))
-    h.update(source.encode("utf-8", "surrogateescape"))
-    return h.hexdigest() + "-u"
-
-
-def pack_store_key(options_salt: str) -> str:
-    """Store key for the summary pack of sessions with these options
-    (one last-write-wins slot per options salt and schema)."""
-    return cache_checksum(
-        f"pack\x00{STORE_SCHEMA}\x00{options_salt}".encode()) + "-p"
+        f"file\x00{STORE_SCHEMA}\x00{options_salt}\x00{filename}"
+        .encode("utf-8", "surrogateescape")) + "-f"
 
 
 def options_salt(stdlib: bool, units: Optional[Sequence[str]],
@@ -161,6 +151,8 @@ class Tier:
 
     #: short name used in metrics (``cache.shared.<name>.*``) and docs.
     name = "tier"
+    #: objects the tier's own collection deleted so far.
+    evictions = 0
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
         raise NotImplementedError
@@ -267,10 +259,15 @@ class SharedStore:
         if not accepted:
             return 0
         started = time.perf_counter()
+        evictions = self.tier.evictions
         try:
             error = self.tier.put_many(accepted)
         except Exception as exc:                     # noqa: BLE001
             error = exc
+        # A put past the byte budget runs the tier's GC.
+        self.telemetry.metrics.counter(
+            f"cache.shared.{self.tier.name}.evictions").inc(
+                self.tier.evictions - evictions)
         if error is not None:
             self._tier_error("put", error)
         else:
@@ -322,7 +319,7 @@ class SharedStore:
             self._reported_errors += 1
             self.telemetry.events.emit(
                 "shared_cache_error",
-                f"shared-cache tier '{name}' failed during {op}: {exc}",
+                f"cache tier '{name}' failed during {op}: {exc}",
                 tier=name, op=op, error=f"{type(exc).__name__}: {exc}")
 
     def _corrupt(self, key: str, exc: BaseException) -> None:
@@ -335,6 +332,6 @@ class SharedStore:
             pass
         self.telemetry.events.emit(
             "shared_cache_corrupt",
-            f"shared-cache tier '{name}' served a corrupt blob for "
+            f"cache tier '{name}' served a corrupt blob for "
             f"{key[:16]}…; discarded",
             tier=name, key=key, error=f"{type(exc).__name__}: {exc}")

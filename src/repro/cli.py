@@ -12,7 +12,7 @@ Subcommands::
     vaultc serve   [--socket PATH]           # persistent check daemon
     vaultc top     [SOCKET] [--once --json]  # live daemon dashboard
     vaultc watch   DIR                       # re-check changed .vlt files
-    vaultc cache   stats|gc                  # shared result store ops
+    vaultc cache   stats|gc                  # on-disk result store ops
 """
 
 from __future__ import annotations
@@ -52,17 +52,6 @@ def _parse_jobs(value: str) -> "int | str":
             f"invalid --jobs value {value!r} (expected a count or 'auto')")
 
 
-def _store_dir(value: str) -> str:
-    """``--shared-cache`` takes a directory.  Refuse ``daemon`` and
-    ``daemon:SOCKET`` rather than create a directory of that name: a
-    daemon serves whole checks (``--daemon``), not cache blobs."""
-    if value == "daemon" or value.startswith("daemon:"):
-        raise argparse.ArgumentTypeError(
-            f"{value!r} is not a cache directory; use --daemon "
-            f"[SOCKET] to check through a running 'vaultc serve'")
-    return value
-
-
 def _fault_plan(spec: "str | None"):
     """Parse ``--inject-faults`` / ``VAULTC_FAULTS`` (test use only)."""
     if not spec:
@@ -78,17 +67,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     source = _read(args.file)
     instrumented = args.trace or args.metrics
     faults = args.inject_faults or os.environ.get("VAULTC_FAULTS")
-    shared = args.shared_cache
     # The daemon path only carries what the wire protocol can express;
     # introspection flags (--trace/--metrics/--profile) and the chaos
     # harness are inherently local, so they check in-process as before.
     if args.daemon is not None and not args.profile and not instrumented \
             and not faults:
         from .server.client import check_via_daemon
-        outcome = check_via_daemon(
-            source, args.file,
-            {"cache_dir": args.cache, "shared_cache": shared},
-            args.daemon)
+        outcome = check_via_daemon(source, args.file,
+                                   {"cache_dir": args.cache}, args.daemon)
         if outcome is not None:
             if outcome.ok:
                 print(f"{args.file}: OK (protocols verified)")
@@ -98,17 +84,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         # No reachable daemon: transparent fallback to the identical
         # in-process pipeline below.
-    if args.cache or args.profile or instrumented or faults or shared:
+    if args.cache or args.profile or instrumented or faults:
         from .obs import Telemetry
         from .pipeline import CheckSession
         telemetry = Telemetry(trace=bool(args.trace))
-        store = None
-        if shared:
-            from .cache import open_store
-            store = open_store(shared, telemetry)
         with CheckSession(cache_dir=args.cache, telemetry=telemetry,
-                          fault_plan=_fault_plan(faults),
-                          shared_store=store) as session:
+                          fault_plan=_fault_plan(faults)) as session:
             try:
                 report = session.check(source, filename=args.file)
             finally:
@@ -178,14 +159,9 @@ def _print_profile(session, file) -> int:
     if stats.fingerprints_memoized:
         print(f"  {'fingerprints memoized':<22} "
               f"{stats.fingerprints_memoized:8d}", file=file)
-    if stats.shared_unit_hits or stats.shared_summary_hits \
-            or stats.shared_puts:
-        print(f"  {'shared unit replays':<22} "
+    if stats.shared_unit_hits:
+        print(f"  {'file record replays':<22} "
               f"{stats.shared_unit_hits:8d}", file=file)
-        print(f"  {'shared summary hits':<22} "
-              f"{stats.shared_summary_hits:8d} hits / "
-              f"{stats.shared_summary_misses} misses", file=file)
-        print(f"  {'shared puts':<22} {stats.shared_puts:8d}", file=file)
     if stats.cache_quarantines:
         print(f"  {'cache quarantines':<22} {stats.cache_quarantines:8d}",
               file=file)
@@ -386,8 +362,6 @@ def _serve_child_args(args: argparse.Namespace) -> list:
         argv += ["--socket", args.socket]
     if args.idle_timeout is not None:
         argv += ["--idle-timeout", str(args.idle_timeout)]
-    if args.shared_cache:
-        argv += ["--shared-cache", args.shared_cache]
     argv += ["--sample-interval", str(args.sample_interval)]
     if args.prom_file:
         argv += ["--prom-file", args.prom_file]
@@ -425,7 +399,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                      idle_timeout=args.idle_timeout,
                      telemetry=telemetry,
                      ready_out=sys.stderr,
-                     shared_cache_dir=args.shared_cache,
                      sample_interval=args.sample_interval,
                      prom_file=args.prom_file,
                      slow_ms=args.slow_ms,
@@ -470,8 +443,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
                   "(no shared_cache stats block)", file=sys.stderr)
             return 1
         if not block:
-            print("error: the daemon has no shared store (start it "
-                  "with 'vaultc serve --shared-cache DIR')",
+            print("error: no daemon session has a cache directory "
+                  "(check through it with --cache DIR)",
                   file=sys.stderr)
             return 1
         print(json.dumps(block, indent=2, sort_keys=True))
@@ -512,16 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "when functions could be checked by a worker "
                         "pool (every check is serial)")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="persist function summaries as one checksummed "
-                        "object in the on-disk store DIR so unchanged "
-                        "functions are not re-checked")
-    p.add_argument("--shared-cache", default=None, type=_store_dir,
-                   metavar="DIR",
-                   help="share summaries and unit results across "
-                        "sessions through a crash-safe on-disk "
-                        "content-addressed store in DIR (it may be "
-                        "the --cache DIR); a second cold check of "
-                        "identical code replays at warm speed")
+                   help="keep one checksummed record per file in the "
+                        "crash-safe on-disk store DIR: an unchanged "
+                        "file replays its diagnostics without parsing, "
+                        "and an edited one re-checks only the "
+                        "functions the edit touched")
     p.add_argument("--profile", action="store_true",
                    help="print phase timings and cache counters to "
                         "stderr")
@@ -536,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "receives JSON")
     p.add_argument("--inject-faults", default=None, metavar="SPEC",
                    help="deterministic chaos harness (TEST USE ONLY): "
-                        "flip a byte of the summary pack after writing "
+                        "flip a byte of the file record after writing "
                         "it, e.g. 'flip-cache,seed=7' (with --cache); "
                         "also read from $VAULTC_FAULTS")
     p.add_argument("--daemon", nargs="?", const="auto", default=None,
@@ -620,12 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="exit after this long with no requests "
                         "(default: run until SIGTERM/Ctrl-C)")
-    p.add_argument("--shared-cache", default=None, type=_store_dir,
-                   metavar="DIR",
-                   help="share check results between the daemon's "
-                        "warm sessions through an on-disk store under "
-                        "DIR (without it, each session has only its "
-                        "own caches)")
     p.add_argument("--sample-interval", type=float, default=5.0,
                    metavar="SECONDS",
                    help="seconds between time-series samples of the "
@@ -679,11 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect or collect a shared result store "
-             "(see --shared-cache)")
+        help="inspect or collect an on-disk result store "
+             "(see check --cache)")
     cache_sub = p.add_subparsers(dest="cache_cmd", required=True)
     pc = cache_sub.add_parser(
-        "stats", help="the shared store's hit/miss/occupancy counters")
+        "stats", help="a result store's hit/miss/occupancy counters")
     pc.add_argument("--dir", default=None, metavar="DIR",
                     help="inspect an on-disk CAS directory instead of "
                          "a live daemon")
@@ -714,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "'auto'; checks fall back in-process when no "
                         "daemon is reachable)")
     p.add_argument("--cache", default=None, metavar="DIR",
-                   help="summary-cache directory for in-process "
-                        "fallback checks")
+                   help="file-record store directory for the checks "
+                        "(see check --cache)")
     p.set_defaults(fn=cmd_watch)
 
     return parser

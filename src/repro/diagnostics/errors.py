@@ -105,7 +105,7 @@ class Note:
 class Diagnostic:
     """A single message produced by the front end or checker.
 
-    Compares by value.  A ``--cache DIR`` summary pack pickles these,
+    Compares by value.  A ``--cache DIR`` file record pickles these,
     so the attribute set is part of its format (``cache.store``'s
     ``STORE_SCHEMA``).  A note is a plain string or a :class:`Note`.
     """

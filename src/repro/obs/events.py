@@ -17,8 +17,8 @@ The checking pipeline publishes its recovery paths here:
 
 * ``shared_cache_corrupt`` / ``shared_cache_error`` — a store object
   failed its checksum and was quarantined, or a store read or write
-  failed (fields: tier, key or op, error).  The summary pack behind
-  ``--cache DIR`` reports through these too;
+  failed (fields: tier, key or op, error).  The file records behind
+  ``--cache DIR`` report through these;
 * ``fault_injected`` — the deterministic chaos harness
   (:mod:`repro.pipeline.faults`) acted out an injected fault.
 

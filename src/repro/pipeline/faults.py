@@ -1,7 +1,7 @@
 """Deterministic fault injection for the checker and the daemon.
 
 The resilience layer (cache quarantine, admission control, client
-retry, supervision, shared-store degradation) only earns its keep if
+retry, supervision, on-disk cache degradation) only earns its keep if
 every recovery path is *testable on demand*.  This module is the chaos
 harness that makes it so: a :class:`FaultPlan` is a seeded, fully
 explicit schedule of failures to inject at well-defined points.  It is
@@ -36,11 +36,11 @@ sets the seed:
 
 ===================  ======================================================
 ``flip-cache``       the session flips one byte (seeded offset) of the
-                     summary pack object immediately after writing it,
-                     so the *next* load sees on-disk corruption
+                     file record immediately after writing it, so the
+                     *next* load sees on-disk corruption
                      (``flip-cache@N`` arms N flips)
-``enospc``           the next CAS object write (the summary pack's, or
-                     a shared store's) fails with ``ENOSPC``
+``enospc``           the next CAS object write (a file record's) fails
+                     with ``ENOSPC``
                      (``enospc@N`` arms N writes); the store must
                      degrade to a miss, never a wrong replay
 ``seed=N``           seeds the offset RNG (default 0)

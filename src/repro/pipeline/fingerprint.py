@@ -214,12 +214,12 @@ def dependency_renderings(ctx: ProgramContext, names: Iterable[str],
 def cache_checksum(blob: bytes) -> str:
     """Content checksum (hex SHA-256) for on-disk cache payloads.
 
-    The summary-cache file embeds this over its pickled body so a
-    torn write or bit rot is *detected* at load time — corruption
-    becomes a quarantine-and-rebuild, never a silently wrong replay.
-    The shared store (``repro.cache``) reuses it for both its blob
-    envelopes and its store keys, so every byte the checker persists
-    or ships over the wire carries the same checksum discipline.
+    The on-disk store (``repro.cache``) embeds this over every blob's
+    pickled body, so a torn write or bit rot is *detected* at load
+    time — corruption becomes a quarantine-and-rebuild, never a
+    silently wrong replay — and derives its store keys from it, so
+    every byte the checker persists or ships over the wire carries
+    the same checksum discipline.
     Lives here with the other content-hashing so every stable hash
     the pipeline persists is derived in one module.
     """

@@ -22,14 +22,11 @@ invalidated:
   stable content fingerprint of the function and everything it
   references (:mod:`repro.pipeline.fingerprint`), position-free: lines
   count from the function's first line and no file name is kept, so
-  a summary replays wherever the function moves; with ``cache_dir``
-  the whole map persists as one *summary pack* (see below);
-* **shared store** — with ``shared_store=`` (a
-  :class:`repro.cache.SharedStore`), summary misses batch-fetch from
-  the cross-session store before being checked, freshly checked
-  summaries are written back, and whole units replay from stored
-  diagnostic streams — a *second cold session* on identical code runs
-  at warm speed (see :mod:`repro.cache`).
+  a summary replays wherever the function moves;
+* **file records** — with ``cache_dir``, each file's diagnostic stream
+  and its functions' summaries persist as one record on disk (see
+  below), so a later process replays an unchanged file without
+  parsing it and re-checks only what an edit touched.
 
 Functions that miss every cache are flow-checked one after another in
 sorted qualified-name order.  Vault checks each function on its own
@@ -47,19 +44,24 @@ live; the ``context``, ``chunk_ast`` and ``fingerprint_memo`` counters
 equal their :class:`SessionStats` twins.  Spans are recorded only
 with ``Telemetry(trace=True)``.
 
-The summary pack: ``cache_dir`` is a content-addressed store directory
-(:class:`repro.cache.CASTier`, the same one ``--shared-cache DIR``
-uses) and the session's summary map lives in it as one checksummed
-blob, keyed by :func:`repro.cache.pack_store_key` over the session's
-options.  The pack is read once when the session opens and written
-once per check that changed the map, through the CAS tier's unique
-temp file, ``fsync`` and atomic rename.  The key is a last-write-wins
-slot: two processes racing on one directory each write a whole pack,
-and the loser's summaries are a later miss, never a wrong answer.  A
-corrupt pack fails the store's checksum and is quarantined under
-``corrupt/`` (bounded retention) with a ``shared_cache_corrupt`` event;
-the session counts it and continues cold.  See docs/CHECKER.md
-("Failure modes and recovery").
+File records: ``cache_dir`` is a content-addressed store directory
+(:class:`repro.cache.CASTier`) holding one record per file name and
+session options (:func:`repro.cache.record_key`): the source's sha256,
+the unit's diagnostic stream, its function count and its functions'
+summaries.  On its first check of a file name the session fetches that
+file's record once.  When the sha matches the source it replays the
+stream without parsing; otherwise the record's summaries join the
+summary cache and the check runs as usual.  After a check of a source
+other than the one whose record it last loaded or wrote, the session
+writes the file's record, through the CAS tier's unique temp file,
+``fsync`` and atomic rename.  A unit whose declarations do not
+elaborate checks no function, so its record keeps the summaries of the
+file's record before it.  A session without ``cache_dir`` hashes no
+source and touches no store.  A corrupt record fails the store's
+checksum and is quarantined under ``corrupt/`` (bounded retention)
+with a ``shared_cache_corrupt`` event; the session counts it, says so
+on stderr and checks that file cold.  See docs/CHECKER.md ("Failure
+modes and recovery").
 """
 
 from __future__ import annotations
@@ -91,10 +93,9 @@ _MAX_CHUNK_ASTS = 8192
 #: the summary cache is bounded too — a session embedded in a
 #: long-running daemon sees an unbounded stream of distinct sources.
 _MAX_SUMMARIES = 32768
-#: unit-record keys this session already stored to / replayed from the
-#: shared store — a warm re-check of the same source skips the shared
-#: fetch (L1 serves it) instead of paying a store round trip per check.
-_MAX_SEEN_UNITS = 4096
+#: file names whose record this session has loaded; past the cap the
+#: set is cleared, and a file's next check fetches its record again.
+_MAX_RECORDS = 4096
 
 
 #: one declaration chunk's cache key: (file name, content hash, start
@@ -172,14 +173,12 @@ class SessionStats:
         self.fingerprints_memoized = 0
         # mirrored by the ``resilience.cache_quarantines`` metric
         self.cache_quarantines = 0
-        # shared-store counters (mirrored by the ``cache.shared.unit.*``
-        # / ``cache.shared.summary.*`` metrics; the tier's own traffic
-        # lives on the store)
+        # file-record replays, and first checks of a file that its
+        # record could not replay (mirrored by the
+        # ``cache.shared.unit.*`` metrics; the store's own traffic
+        # is counted by the store)
         self.shared_unit_hits = 0
         self.shared_unit_misses = 0
-        self.shared_summary_hits = 0
-        self.shared_summary_misses = 0
-        self.shared_puts = 0
         self.last_checked: List[str] = []
         self.last_replayed: List[str] = []
 
@@ -198,7 +197,8 @@ class _WholeUnit(Exception):
 
 
 class _CtxEntry:
-    __slots__ = ("ctx", "diags", "fn_results", "env_token", "headers")
+    __slots__ = ("ctx", "diags", "fn_results", "summaries", "env_token",
+                 "headers")
 
     def __init__(self, ctx, diags: Tuple[Diagnostic, ...],
                  env_token: str = "", headers: Sequence = ()):
@@ -214,6 +214,9 @@ class _CtxEntry:
         #: byte-identical source replays without touching fingerprints.
         self.fn_results: Optional[List[Tuple[str, Tuple[Diagnostic, ...]]]] \
             = None
+        #: with ``cache_dir``, the position-free summaries of those
+        #: functions by fingerprint: what the unit's file record keeps.
+        self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         #: digest of every chunk's *interface* (signatures and
         #: declarations, not function bodies) plus the session's
         #: stdlib/units configuration.  A function fingerprint computed
@@ -230,10 +233,10 @@ class CheckSession:
 
     Equivalent to calling :func:`repro.check_source` for every
     ``check``, but incremental across calls.  ``cache_dir`` persists
-    function summaries across processes as one summary pack in a CAS
-    directory (see the module docstring).  ``jobs`` is accepted and
-    ignored: it once sized a worker pool, and callers that still pass
-    it get the same serial check.
+    one record per file across processes in a CAS directory (see the
+    module docstring).  ``jobs`` is accepted and ignored: it once
+    sized a worker pool, and callers that still pass it get the same
+    serial check.
     """
 
     def __init__(self, stdlib: bool = True,
@@ -243,8 +246,7 @@ class CheckSession:
                  join_abstraction: bool = True,
                  max_loop_iterations: int = MAX_LOOP_ITERATIONS,
                  telemetry: Optional[Telemetry] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 shared_store=None):
+                 fault_plan: Optional[FaultPlan] = None):
         self.stdlib = stdlib
         self.units = tuple(units) if units is not None else None
         self.cache_dir = cache_dir
@@ -253,18 +255,6 @@ class CheckSession:
         #: deterministic chaos schedule (tests/CI only; ``None`` in
         #: normal operation).
         self.fault_plan = fault_plan
-        #: cross-session result store (:class:`repro.cache.SharedStore`)
-        #: or ``None``, shared with whoever passed it in.  Chaos
-        #: sessions must not publish results from a deliberately
-        #: damaged cache, so a fault plan disables the store.
-        self.shared_store = shared_store if fault_plan is None else None
-        self._options_salt = ""
-        self._seen_units: Dict[str, bool] = {}
-        if self.shared_store is not None or cache_dir:
-            from ..cache.store import options_salt
-            self._options_salt = options_salt(
-                self.stdlib, self.units, join_abstraction,
-                max_loop_iterations)
         self.stats = SessionStats()
         #: the session's observability bundle.  Metrics are always
         #: recorded; pass ``Telemetry(trace=True)`` to record spans too.
@@ -279,19 +269,25 @@ class CheckSession:
         #: function-relative diagnostics by fingerprint (``_relocate``)
         self._summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
-        #: set when the in-memory summaries diverge from the summary
-        #: pack; a check that replayed everything does not rewrite it.
-        self._cache_dirty = False
-        #: the summary pack's store (one CAS tier over ``cache_dir``),
-        #: its key, and the file that holds it; ``None`` without
-        #: ``cache_dir``.
-        self._pack_store = None
-        self._pack_key = ""
-        self.pack_path: Optional[str] = None
+        #: the file-record store over ``cache_dir`` (one CAS tier whose
+        #: traffic feeds this session's ``cache.shared.cas.*``
+        #: metrics), or ``None`` without ``cache_dir``.
+        self.store = None
+        #: per file name loaded, the sha256 of the source whose record
+        #: this session last loaded or wrote ("" for none) and that
+        #: record's summaries.
+        self._records: Dict[str, Tuple[str, Dict[str, Tuple[
+            Diagnostic, ...]]]] = {}
+        self._options_salt = ""
         if cache_dir:
+            from ..cache import CASTier, SharedStore, options_salt
+            self._options_salt = options_salt(
+                self.stdlib, self.units, join_abstraction,
+                max_loop_iterations)
+            self.store = SharedStore(
+                CASTier(cache_dir, fault_plan=fault_plan), self.telemetry)
             # Pre-register so a healthy run reports an explicit zero.
             self.telemetry.metrics.counter("resilience.cache_quarantines")
-            self._load_pack()
 
     @property
     def last_profile(self) -> Dict[str, object]:
@@ -337,29 +333,13 @@ class CheckSession:
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         reporter = Reporter(source, filename)
-        # Shared-store unit replay: a stored record carries the unit's
-        # complete diagnostic stream (stdlib + context + per-function,
-        # already merged in serial order), so a hit skips parsing and
-        # elaboration entirely.  Keys this session has already stored
-        # or replayed skip the fetch — the in-process caches serve
-        # them without a store round trip.
-        store_unit_key: Optional[str] = None
-        if self.shared_store is not None:
-            from ..cache.store import unit_store_key
-            ukey = unit_store_key(source, filename, self._options_salt)
-            if ukey not in self._seen_units:
-                store_unit_key = ukey
-                record = self._shared_fetch_unit(ukey)
-                if record is not None:
-                    reporter.diagnostics.extend(record["diags"])
-                    self._mark_unit_seen(ukey)
-                    self.stats.shared_unit_hits += 1
-                    self.stats.functions_replayed += record["functions"]
-                    metrics.counter("cache.shared.unit.hits").inc()
-                    profile["plan"] = "replayed whole unit (shared store)"
-                    return self._finish(reporter)
-                self.stats.shared_unit_misses += 1
-                metrics.counter("cache.shared.unit.misses").inc()
+        sha = None
+        if self.store is not None:
+            sha = _sha(source)
+            if filename not in self._records \
+                    and self._replay_record(filename, sha, reporter):
+                profile["plan"] = "replayed whole unit (file record)"
+                return self._finish(reporter)
         base = None
         if self.stdlib:
             with tracer.span("stdlib_base"):
@@ -372,20 +352,24 @@ class CheckSession:
             reporter.diagnostics.extend(base_diags)
         prefix = len(reporter.diagnostics)
         try:
-            return self._check_unit(source, filename, profile, started,
-                                    reporter, base, store_unit_key)
+            entry = self._check_unit(source, filename, profile, started,
+                                     reporter, base)
         except _WholeUnit:
             # Redo the unit only: the lookups above are done once.
             del reporter.diagnostics[prefix:]
-            return self._check_unit(source, filename, profile, started,
-                                    reporter, base, store_unit_key,
-                                    split=False)
+            entry = self._check_unit(source, filename, profile, started,
+                                     reporter, base, split=False)
+        if sha is not None and self._records[filename][0] != sha:
+            self._save_record(filename, sha, reporter, entry)
+        return self._finish(reporter)
 
     def _check_unit(self, source: str, filename: str,
                     profile: Dict[str, object], started: float,
-                    reporter: Reporter, base, store_unit_key: Optional[str],
-                    split: bool = True) -> Reporter:
-        """The unit's context, then each function's diagnostics."""
+                    reporter: Reporter, base, split: bool = True
+                    ) -> _CtxEntry:
+        """The unit's context, then each function's diagnostics; the
+        context entry, whose ``fn_results`` stay ``None`` when the
+        context's own diagnostics stop the check."""
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         entry = self._context_for(source, filename, base, split)
@@ -395,8 +379,7 @@ class CheckSession:
             # check_source parses every body before it elaborates, so
             # a syntax error outranks these diagnostics.
             self._parse_bodies(entry.headers, filename)
-            self._shared_store_unit(store_unit_key, reporter, 0)
-            return self._finish(reporter)
+            return entry
         if entry.fn_results is not None:
             for qual, diags in entry.fn_results:
                 reporter.diagnostics.extend(diags)
@@ -405,22 +388,17 @@ class CheckSession:
             metrics.counter("cache.unit_replay.hits").inc(
                 len(entry.fn_results))
             profile["plan"] = "replayed whole unit"
-            self._shared_store_unit(store_unit_key, reporter,
-                                    len(entry.fn_results))
-            return self._finish(reporter)
+            return entry
         check_started = time.perf_counter()
         with tracer.span("check_functions"):
             results = self._check_functions(
-                entry.ctx, source, filename, entry.env_token)
+                entry.ctx, source, filename, entry.env_token,
+                entry.summaries if self.store is not None else None)
         profile["check_seconds"] = time.perf_counter() - check_started
         entry.fn_results = results
         for qual, diags in results:
             reporter.diagnostics.extend(diags)
-        if self._pack_store is not None and self._cache_dirty:
-            self._save_pack()
-            self._cache_dirty = False
-        self._shared_store_unit(store_unit_key, reporter, len(results))
-        return self._finish(reporter)
+        return entry
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
@@ -430,7 +408,7 @@ class CheckSession:
 
     def close(self) -> None:
         """Nothing to release: a session holds only in-memory caches
-        (and the summary pack it writes at the end of each check).
+        (and the file records it writes at the end of a check).
         Kept so sessions work as context managers, and stay usable
         after ``close``."""
 
@@ -655,9 +633,13 @@ class CheckSession:
     # -- function checking -------------------------------------------------
 
     def _check_functions(self, ctx, source: str, filename: str,
-                         env_token: str = ""
+                         env_token: str = "",
+                         unit_summaries: Optional[Dict[str, Tuple[
+                             Diagnostic, ...]]] = None
                          ) -> List[Tuple[str, Tuple[Diagnostic, ...]]]:
-        """Diagnostics per function, in serial (sorted-qual) order."""
+        """Diagnostics per function, in serial (sorted-qual) order.
+        ``unit_summaries``, when given, receives the summary of every
+        function that has one, by fingerprint."""
         metrics = self.telemetry.metrics
         fn_items = ctx.defined_functions()
         results: Dict[str, Tuple[Diagnostic, ...]] = {}
@@ -689,6 +671,8 @@ class CheckSession:
                         cached, fundef.span.start.line, fundef.span.filename)
                     self.stats.last_replayed.append(qual)
                     self.stats.functions_replayed += 1
+                    if unit_summaries is not None:
+                        unit_summaries[fp] = cached
                 else:
                     to_check.append((qual, fundef, fp))
         self.stats.fingerprints_memoized += memoized
@@ -702,10 +686,6 @@ class CheckSession:
             metrics.counter("cache.summary.hits").inc(replayed)
         if to_check:
             metrics.counter("cache.summary.misses").inc(len(to_check))
-        if self.shared_store is not None and to_check:
-            # L1 missed these: one batched fetch against the shared
-            # store before paying for any flow analysis.
-            to_check = self._shared_fetch_summaries(to_check, results)
         self.last_profile["plan"] = \
             f"checked {len(to_check)} of {len(fn_items)} function(s)"
         parsed = self.stats.body_parses
@@ -717,13 +697,12 @@ class CheckSession:
             for (qual, fundef, fp), diags in zip(to_check, checked):
                 results[qual] = diags
                 if _inside(diags, fundef.span):
-                    self._summaries[fp] = _relocate(
-                        diags, -fundef.span.start.line, "")
+                    summary = _relocate(diags, -fundef.span.start.line, "")
+                    self._summaries[fp] = summary
+                    if unit_summaries is not None:
+                        unit_summaries[fp] = summary
                 self.stats.last_checked.append(qual)
                 self.stats.functions_checked += 1
-            self._cache_dirty = True
-            if self.shared_store is not None:
-                self._shared_put_summaries(to_check)
             if len(self._summaries) > _MAX_SUMMARIES:
                 self._evict_traced(self._summaries, "summary")
         return [(qual, results[qual]) for qual, _ in fn_items]
@@ -762,127 +741,101 @@ class CheckSession:
             return ""
         return "\n".join(lines[span.start.line - 1:span.end.line])
 
-    # -- shared store ------------------------------------------------------
+    # -- file records -------------------------------------------------------
 
-    def _mark_unit_seen(self, ukey: str) -> None:
-        if len(self._seen_units) >= _MAX_SEEN_UNITS:
-            self._seen_units.clear()
-        self._seen_units[ukey] = True
-
-    def _shared_fetch_unit(self, ukey: str) -> Optional[Dict[str, object]]:
-        """One stored unit record, shape-validated, or ``None``."""
-        with self.telemetry.tracer.span("shared_fetch_unit"):
-            record = self.shared_store.fetch([ukey]).get(ukey)
-        if not isinstance(record, dict):
+    def record_path(self, filename: str = "<input>") -> Optional[str]:
+        """The file in ``cache_dir`` that holds (or would hold)
+        ``filename``'s record; ``None`` without ``cache_dir``."""
+        if self.store is None:
             return None
-        if not isinstance(record.get("diags"), tuple) \
-                or not isinstance(record.get("functions"), int):
-            return None
-        return record
+        return self.store.tier.path(self._record_key(filename))
 
-    def _shared_store_unit(self, ukey: Optional[str], reporter: Reporter,
-                           functions: int) -> None:
-        """Publish one finished unit's diagnostic stream."""
-        if ukey is None or self.shared_store is None:
-            return
-        record = {"diags": tuple(reporter.diagnostics),
-                  "functions": functions}
-        with self.telemetry.tracer.span("shared_put_unit"):
-            self.stats.shared_puts += self.shared_store.store({ukey: record})
-        self._mark_unit_seen(ukey)
+    def _record_key(self, filename: str) -> str:
+        from ..cache import record_key
+        return record_key(self._options_salt, filename)
 
-    def _shared_fetch_summaries(self, to_check, results
-                                ) -> List[Tuple[str, ast.FunDef, str]]:
-        """Batch-fetch L1 summary misses from the shared store; merge
-        hits into the in-process summary map and return the functions
-        the store could not serve either."""
-        from ..cache.store import summary_store_key
-        metrics = self.telemetry.metrics
-        key_of = {fp: summary_store_key(fp, self._options_salt)
-                  for _qual, _fundef, fp in to_check}
-        with self.telemetry.tracer.span("shared_fetch_summaries",
-                                        keys=len(key_of)):
-            fetched = self.shared_store.fetch(list(key_of.values()))
-        still: List[Tuple[str, ast.FunDef, str]] = []
-        hits = 0
-        for qual, fundef, fp in to_check:
-            diags = fetched.get(key_of[fp])
-            # Blobs come from outside the process: take only the shape
-            # a summary has.
-            if isinstance(diags, tuple):
-                self._summaries[fp] = diags
-                results[qual] = _relocate(
-                    diags, fundef.span.start.line, fundef.span.filename)
-                self.stats.last_replayed.append(qual)
-                self.stats.functions_replayed += 1
-                hits += 1
-                self._cache_dirty = True
-            else:
-                still.append((qual, fundef, fp))
-        self.stats.shared_summary_hits += hits
-        self.stats.shared_summary_misses += len(still)
-        if hits:
-            metrics.counter("cache.shared.summary.hits").inc(hits)
-        if still:
-            metrics.counter("cache.shared.summary.misses").inc(len(still))
-        return still
+    def _remember(self, filename: str, sha: str, summaries: Dict[
+            str, Tuple[Diagnostic, ...]]) -> None:
+        if filename not in self._records \
+                and len(self._records) >= _MAX_RECORDS:
+            self._records.clear()
+        self._records[filename] = (sha, summaries)
 
-    def _shared_put_summaries(self, checked) -> None:
-        """Write freshly computed summaries back to the shared store."""
-        from ..cache.store import summary_store_key
-        payload = {summary_store_key(fp, self._options_salt):
-                   self._summaries[fp] for _qual, _fundef, fp in checked
-                   if fp in self._summaries}
-        if not payload:
-            return
-        with self.telemetry.tracer.span("shared_put_summaries",
-                                        keys=len(payload)):
-            self.stats.shared_puts += self.shared_store.store(payload)
+    def _replay_record(self, filename: str, sha: str,
+                       reporter: Reporter) -> bool:
+        """Load ``filename``'s record, the session's first check of
+        that file.  Its summaries join the summary cache; when it was
+        written for this very source (``sha``), its diagnostic stream
+        fills ``reporter`` and the result is ``True``.
 
-    # -- the summary pack ----------------------------------------------------
-
-    def _load_pack(self) -> None:
-        """Open ``cache_dir``'s store and read the summary pack.
-
-        A missing pack is a cold cache.  A corrupt one fails the
+        A missing record is a cold file.  A corrupt one fails the
         store's checksum or will not unpickle: the store quarantines
         it under ``corrupt/`` and emits ``shared_cache_corrupt``; the
-        session counts the quarantine, says so on stderr and continues
-        cold.
+        session counts the quarantine, says so on stderr and checks
+        the file cold.
         """
-        from ..cache import CASTier, SharedStore, pack_store_key
-        tier = CASTier(self.cache_dir, fault_plan=self.fault_plan)
-        # The pack's traffic stays out of the ``cache.shared.*``
-        # metrics (those describe ``shared_store``); its events go to
-        # the session's bus.
-        self._pack_store = SharedStore(
-            tier, Telemetry(events=self.telemetry.events))
-        self._pack_key = pack_store_key(self._options_salt)
-        self.pack_path = tier.path(self._pack_key)
-        pack = self._pack_store.fetch([self._pack_key]).get(self._pack_key)
-        if self._pack_store.counts.corrupt:
+        metrics = self.telemetry.metrics
+        key = self._record_key(filename)
+        corrupt = self.store.counts.corrupt
+        with self.telemetry.tracer.span("load_record", filename=filename):
+            record = self.store.fetch([key]).get(key)
+        if self.store.counts.corrupt != corrupt:
             self.stats.cache_quarantines += 1
-            self.telemetry.metrics.counter(
-                "resilience.cache_quarantines").inc()
-            print(f"repro: summary cache {self.pack_path} is corrupt; "
-                  f"quarantined under {tier.root}/corrupt and rebuilding "
-                  f"cold", file=sys.stderr)
-            return
-        if isinstance(pack, dict):
-            self._summaries = pack
+            metrics.counter("resilience.cache_quarantines").inc()
+            print(f"repro: cache record {self.store.tier.path(key)} is "
+                  f"corrupt; quarantined under {self.store.tier.root}"
+                  f"/corrupt and rebuilding cold", file=sys.stderr)
+            record = None
+        # Records come from outside the process: take only the shape
+        # a record has.
+        if not (isinstance(record, dict)
+                and isinstance(record.get("sha"), str)
+                and isinstance(record.get("diags"), tuple)
+                and isinstance(record.get("functions"), int)
+                and isinstance(record.get("summaries"), dict)):
+            record = None
+        if record is None:
+            self._remember(filename, "", {})
+        else:
+            self._remember(filename, record["sha"], record["summaries"])
+            self._summaries.update(record["summaries"])
+            if len(self._summaries) > _MAX_SUMMARIES:
+                self._evict_traced(self._summaries, "summary")
+        if record is None or record["sha"] != sha:
+            self.stats.shared_unit_misses += 1
+            metrics.counter("cache.shared.unit.misses").inc()
+            return False
+        reporter.diagnostics.extend(record["diags"])
+        self.stats.shared_unit_hits += 1
+        self.stats.functions_replayed += record["functions"]
+        metrics.counter("cache.shared.unit.hits").inc()
+        return True
 
-    def _save_pack(self) -> None:
-        """Write the whole summary map as the pack.  A failed write
-        is a ``shared_cache_error`` event (the store reports the first
-        few) and a cold next process, never a wrong answer."""
-        self._pack_store.store({self._pack_key: self._summaries})
+    def _save_record(self, filename: str, sha: str, reporter: Reporter,
+                     entry: _CtxEntry) -> None:
+        """Write ``filename``'s record for the source ``sha`` just
+        checked.  A failed write is a ``shared_cache_error`` event (the
+        store reports the first few) and a cold next process, never a
+        wrong answer."""
+        if entry.fn_results is None:
+            # The context's diagnostics stopped the check: no function
+            # ran, and the file's summaries carry over.
+            functions, summaries = 0, self._records[filename][1]
+        else:
+            functions, summaries = len(entry.fn_results), entry.summaries
+        self._remember(filename, sha, summaries)
+        key = self._record_key(filename)
+        record = {"sha": sha, "diags": tuple(reporter.diagnostics),
+                  "functions": functions, "summaries": summaries}
+        with self.telemetry.tracer.span("save_record", filename=filename):
+            self.store.store({key: record})
         if self.fault_plan is not None and self.fault_plan.take_cache_flip():
+            path = self.store.tier.path(key)
             try:
-                offset = self.fault_plan.flip_file_byte(self.pack_path)
+                offset = self.fault_plan.flip_file_byte(path)
             except OSError:
                 return                        # the write itself failed
             self.telemetry.events.emit(
                 "fault_injected",
-                f"flipped byte {offset} of {self.pack_path} "
-                f"(injected fault)",
-                fault="flip-cache", path=self.pack_path, offset=offset)
+                f"flipped byte {offset} of {path} (injected fault)",
+                fault="flip-cache", path=path, offset=offset)

@@ -204,11 +204,10 @@ def check_via_daemon(source: str, filename: str = "<input>",
     onto a daemon that asked us to go away."""
     rng = _rng if _rng is not None else random.random
     normalized = normalize_options(options)
-    # The daemon runs in its own working directory: send directories
-    # that name what they name here.
-    for key in ("cache_dir", "shared_cache"):
-        if isinstance(normalized[key], str) and normalized[key]:
-            normalized[key] = os.path.abspath(normalized[key])
+    # The daemon runs in its own working directory: send a directory
+    # that names what it names here.
+    if isinstance(normalized["cache_dir"], str) and normalized["cache_dir"]:
+        normalized["cache_dir"] = os.path.abspath(normalized["cache_dir"])
     attempt = 0
     while True:
         try:
@@ -262,15 +261,10 @@ def check_detailed(source: str, filename: str = "<input>",
             return outcome
     from ..api import check_source
     options = normalize_options(options)
-    if options["cache_dir"] or options["shared_cache"]:
+    if options["cache_dir"]:
         from ..pipeline import CheckSession
-        store = None
-        if options["shared_cache"]:
-            from ..cache import open_store
-            store = open_store(options["shared_cache"])
         with CheckSession(stdlib=options["stdlib"], units=options["units"],
-                          cache_dir=options["cache_dir"],
-                          shared_store=store) as session:
+                          cache_dir=options["cache_dir"]) as session:
             report = session.check(source, filename)
     else:
         report = check_source(source, filename,

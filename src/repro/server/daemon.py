@@ -41,13 +41,12 @@ Design:
   SIGTERM *drains*: in-flight checks finish and are answered, queued
   requests are shed with ``draining`` replies, then the loop exits (a
   second signal stops immediately);
-* **shared store** — ``vaultc serve --shared-cache DIR`` (or a
-  request's ``shared_cache`` option) plugs the warm sessions into one
-  on-disk store per directory (:func:`repro.cache.open_store`), so a
-  session that was evicted, or a second session with the same
-  options, starts warm.  Without a directory, sessions have no shared
-  store.  The store never leaves the daemon: clients send sources,
-  not blobs.
+* **file records** — a request's ``cache_dir`` option selects a
+  session that keeps one record per file in that directory (see
+  :mod:`repro.cache`), so a session that was evicted, or a later
+  process, starts warm.  The daemon opens no store of its own, and
+  the store never leaves the daemon: clients send sources, not
+  blobs.
 
 Everything observable is published on the server's telemetry:
 ``server.*`` metrics, ``server_start``/``server_stop``/
@@ -67,13 +66,13 @@ import time
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..cache import SharedStore, open_store
 from ..diagnostics import VaultError
 from ..obs import (Telemetry, TimeSeriesRing, TraceRing, Tracer,
                    bucket_quantile, render_exposition, write_textfile)
 from ..pipeline import CheckSession
 from .protocol import (PROTOCOL_VERSION, ProtocolError, encode_frame,
-                       normalize_options, session_key, split_frames)
+                       normalize_options, option_error, session_key,
+                       split_frames)
 
 #: warm sessions kept before the least-recently-used one is closed.
 DEFAULT_SESSION_LIMIT = 8
@@ -194,7 +193,6 @@ class CheckServer:
                  telemetry: Optional[Telemetry] = None,
                  session_limit: int = DEFAULT_SESSION_LIMIT,
                  enable_test_ops: bool = False,
-                 shared_cache_dir: Optional[str] = None,
                  sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
                  prom_file: Optional[str] = None,
                  slow_ms: Optional[float] = None,
@@ -214,14 +212,6 @@ class CheckServer:
         #: default; ``vaultc serve`` gates it behind
         #: ``$VAULTC_SERVER_TEST_OPS``).
         self.enable_test_ops = enable_test_ops
-        #: the shared stores, one per directory (``--shared-cache``
-        #: and per-request options); none without a directory.
-        self.shared_cache_dir = shared_cache_dir
-        self._stores: Dict[str, SharedStore] = {}
-        if shared_cache_dir:
-            # Listed by ``stats`` and ``telemetry`` before the first
-            # check.
-            self._store_for(shared_cache_dir)
         self._sessions: "OrderedDict[str, _SessionEntry]" = OrderedDict()
         self._queue: Deque[_Request] = deque()
         self._conns: Dict[int, _Conn] = {}
@@ -653,6 +643,10 @@ class CheckServer:
                 self._bad_request(conn, "'options' must be an object",
                                   req_id)
                 return
+            error = option_error(options or {})
+            if error is not None:
+                self._bad_request(conn, error, req_id)
+                return
             deadline_ms = frame.get("deadline_ms")
             deadline: Optional[float] = None
             if deadline_ms is not None:
@@ -914,18 +908,6 @@ class CheckServer:
 
     # -- warm sessions -------------------------------------------------------
 
-    def _store_for(self, directory: Optional[str]
-                   ) -> Optional[SharedStore]:
-        """The shared store over ``directory``, one per directory;
-        ``None`` without one."""
-        if not directory:
-            return None
-        store = self._stores.get(directory)
-        if store is None:
-            store = open_store(directory, self.telemetry)
-            self._stores[directory] = store
-        return store
-
     def _session_for(self, options: Dict[str, object]) -> CheckSession:
         key = session_key(options)
         entry = self._sessions.get(key)
@@ -943,9 +925,7 @@ class CheckServer:
             # session's last_profile and SessionStats.
             telemetry=Telemetry(tracer=self.telemetry.tracer,
                                 registry=self.telemetry.metrics,
-                                events=self.telemetry.events),
-            shared_store=self._store_for(options.get("shared_cache")
-                                         or self.shared_cache_dir))
+                                events=self.telemetry.events))
         while len(self._sessions) >= self.session_limit:
             _evicted_key, evicted = self._sessions.popitem(last=False)
             evicted.session.close()
@@ -963,8 +943,6 @@ class CheckServer:
                 "functions_checked": stats.functions_checked,
                 "functions_replayed": stats.functions_replayed,
                 "shared_unit_hits": stats.shared_unit_hits,
-                "shared_summary_hits": stats.shared_summary_hits,
-                "shared_puts": stats.shared_puts,
                 "idle_seconds": time.monotonic() - entry.last_used,
             })
         return sessions
@@ -1029,18 +1007,19 @@ class CheckServer:
         return out
 
     def _shared_cache_stats(self) -> Dict[str, dict]:
-        """Store traffic, one block per directory (``--shared-cache``'s
-        first); empty without a store.  What `vaultc cache stats`
-        reads."""
-        return {directory: store.stats_snapshot()
-                for directory, store in self._stores.items()}
+        """Store traffic, one block per cache directory of the warm
+        sessions (the most recently used session's store, when several
+        share one); empty when no session has one.  What `vaultc cache
+        stats` reads."""
+        sessions = [entry.session for entry in self._sessions.values()]
+        return {session.cache_dir: session.store.stats_snapshot()
+                for session in sessions if session.store is not None}
 
 
 def serve(socket_path: Optional[str] = None,
           idle_timeout: Optional[float] = None,
           telemetry: Optional[Telemetry] = None,
           ready_out=None,
-          shared_cache_dir: Optional[str] = None,
           sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
           prom_file: Optional[str] = None,
           slow_ms: Optional[float] = None,
@@ -1063,7 +1042,6 @@ def serve(socket_path: Optional[str] = None,
         socket_path=socket_path, idle_timeout=idle_timeout,
         telemetry=telemetry,
         enable_test_ops=bool(os.environ.get("VAULTC_SERVER_TEST_OPS")),
-        shared_cache_dir=shared_cache_dir,
         sample_interval=sample_interval, prom_file=prom_file,
         slow_ms=slow_ms, trace_dir=trace_dir, trace_keep=trace_keep,
         max_queue=max_queue, io_timeout=io_timeout)

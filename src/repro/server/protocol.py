@@ -9,11 +9,12 @@ Requests are objects with an ``op`` field:
 
 ``{"op": "check", "source": ..., "filename": ..., "options": {...}}``
     Protocol-check one compilation unit.  ``options`` may carry
-    ``stdlib``, ``units``, ``cache_dir`` and ``shared_cache`` (a
-    shared-store directory; ``daemon`` or ``daemon:SOCKET`` there
-    selects no shared store); unknown keys are ignored so older clients
-    keep working (that includes the keys that once sized and tuned
-    a worker pool, such as ``jobs``).  Two optional
+    ``stdlib`` (a boolean), ``units`` (a list of strings) and
+    ``cache_dir`` (the directory the session keeps its file records
+    in); a value of another type is a ``bad_request``.  Unknown keys
+    are ignored so older clients keep working (that includes
+    ``shared_cache``, which once named a second store, and the keys
+    that once sized and tuned a worker pool, such as ``jobs``).  Two optional
     top-level fields: ``deadline_ms`` (a non-negative number — a
     request still queued when it expires is answered
     ``deadline_exceeded`` instead of checked) and ``id`` (any JSON
@@ -177,7 +178,23 @@ def _canonical(obj: object) -> bytes:
 
 #: option keys that select a :class:`~repro.pipeline.CheckSession`; two
 #: requests differing only in other keys share one warm session.
-SESSION_OPTION_KEYS = ("stdlib", "units", "cache_dir", "shared_cache")
+SESSION_OPTION_KEYS = ("stdlib", "units", "cache_dir")
+
+
+def option_error(options: Dict[str, object]) -> Optional[str]:
+    """Why a request's ``options`` cannot select a session, or
+    ``None``: each session-selecting key present must have its type."""
+    if not isinstance(options.get("stdlib", True), bool):
+        return "'options.stdlib' must be a boolean"
+    units = options.get("units")
+    if units is not None and not (
+            isinstance(units, list)
+            and all(isinstance(unit, str) for unit in units)):
+        return "'options.units' must be a list of strings"
+    cache_dir = options.get("cache_dir")
+    if cache_dir is not None and not isinstance(cache_dir, str):
+        return "'options.cache_dir' must be a string"
+    return None
 
 
 def normalize_options(options: Optional[Dict[str, object]]
@@ -187,18 +204,10 @@ def normalize_options(options: Optional[Dict[str, object]]
     the same dict (and therefore the same session key)."""
     options = options or {}
     units = options.get("units")
-    shared = options.get("shared_cache")
-    if not isinstance(shared, str) or shared == "daemon" \
-            or shared.startswith("daemon:"):
-        # ``daemon[:SOCKET]`` once named a remote cache tier; it is
-        # not a directory, so it selects no shared store rather than
-        # creating a directory called ``daemon``.
-        shared = None
     return {
         "stdlib": bool(options.get("stdlib", True)),
         "units": list(units) if units is not None else None,
         "cache_dir": options.get("cache_dir"),
-        "shared_cache": shared or None,
     }
 
 

@@ -2,8 +2,9 @@
 
 Polls the ``telemetry`` wire op and renders the daemon's SLO surface
 in place: request/check throughput (off the newest time-series
-sample), check-latency quantiles, the shared-cache hit rate, the
-session-LRU state, and slow-request capture activity.  Two modes:
+sample), check-latency quantiles, the hit rate of the sessions' file
+records (``--cache DIR``), the session-LRU state, and slow-request
+capture activity.  Two modes:
 
 * **live** (default) — redraw every ``--interval`` seconds until
   Ctrl-C, using the ANSI clear/home sequence (no curses dependency);

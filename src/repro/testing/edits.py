@@ -9,7 +9,7 @@ to a from-scratch :func:`repro.check_source`, whatever the session saw
 before.  The invariant is the paper's modularity (§3): a function's
 verdict depends only on its own text and the declarations it sees.
 
-Each sequence is walked four ways:
+Each sequence is walked three ways:
 
 ``session``
     one :class:`~repro.pipeline.CheckSession` checks every revision
@@ -17,20 +17,16 @@ Each sequence is walked four ways:
 ``cache-dir``
     a fresh ``CheckSession(cache_dir=DIR)`` per revision over one
     shared ``DIR`` (what a CI rebuild running ``vaultc check --cache
-    DIR`` does).  Once per sequence, at a seeded revision, one byte of
-    the summary pack is flipped and the revision checked again: that
-    session must quarantine the pack and still answer like
-    ``check_source``;
-``shared-dir``
-    a fresh ``CheckSession(shared_store=open_store(DIR))`` per revision
-    over one shared ``DIR`` (what ``vaultc check --shared-cache DIR``
-    does): unit records replay an unchanged revision, and the
-    position-free ``-s`` summary blobs replay every function an edit
-    left alone, wherever it now sits;
+    DIR`` does): the file's record replays an unchanged revision, and
+    its position-free summaries replay every function an edit left
+    alone, wherever it now sits.  Once per sequence, at a seeded
+    revision, one byte of the file's record is flipped and the
+    revision checked again: that session must quarantine the record
+    and still answer like ``check_source``;
 ``daemon``
     every revision is sent to one in-process check daemon, which
     lives for the whole :func:`run_edit_fuzz` call, so its warm
-    session and shared store carry state from sequence to sequence
+    session carries state from sequence to sequence
     (what ``vaultc check --daemon`` does).  Without ``AF_UNIX`` the
     path is skipped and the report says so.
 
@@ -129,8 +125,8 @@ class EditFuzzReport:
     paths: List[str] = field(default_factory=list)
     kinds: Dict[str, int] = field(default_factory=dict)
     divergences: List[EditDivergence] = field(default_factory=list)
-    #: corrupt summary packs the ``cache-dir`` walks quarantined
-    pack_quarantines: int = 0
+    #: corrupt file records the ``cache-dir`` walks quarantined
+    record_quarantines: int = 0
     #: paths this platform cannot run (``daemon`` without ``AF_UNIX``)
     skipped_paths: List[str] = field(default_factory=list)
 
@@ -351,46 +347,41 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
          daemon: Optional[InProcessDaemon] = None,
          only: Optional[str] = None
          ) -> Tuple[List[str], List[EditDivergence], int]:
-    """Check ``revisions`` through the three session paths, and through
+    """Check ``revisions`` through the two session paths, and through
     ``daemon`` when one is given (through the path named ``only``
     alone, when that is given); returns the path names, every
-    divergence from ``check_source``, and how many corrupt summary
-    packs the ``cache-dir`` path quarantined.
+    divergence from ``check_source``, and how many corrupt file
+    records the ``cache-dir`` path quarantined.
 
     At one seeded revision the ``cache-dir`` path flips a byte of the
-    pack its check just wrote and checks the same revision again, as
-    a re-save would: that session must quarantine the pack and still
-    answer like ``check_source``, and the walk goes on from the pack
-    it rebuilt."""
-    from repro.cache import open_store
+    file's record and checks the same revision again, as a re-save
+    would: that session must quarantine the record and still answer
+    like ``check_source``, and the walk goes on from the record it
+    rebuilt."""
     from repro.pipeline import CheckSession, FaultPlan
     expected = [_outcome(check_source, r) for r in revisions]
     divergences: List[EditDivergence] = []
     flip_at = random.Random(sequence_seed).randrange(len(revisions))
     quarantines = 0
     cache_dir = tempfile.mkdtemp(prefix="vault-edits-")
-    shared_dir = tempfile.mkdtemp(prefix="vault-edits-shared-")
 
     def cache_dir_check(source: str, filename: str):
         nonlocal quarantines
-        # The quarantine notice on stderr is expected noise here.
-        with redirect_stderr(io.StringIO()):
-            fresh = CheckSession(cache_dir=cache_dir)
-        quarantines += fresh.stats.cache_quarantines
-        return fresh.check(source, filename)
-
-    def shared_dir_check(source: str, filename: str):
-        fresh = CheckSession(shared_store=open_store(shared_dir))
-        return fresh.check(source, filename)
+        fresh = CheckSession(cache_dir=cache_dir)
+        try:
+            # The quarantine notice on stderr is expected noise here.
+            with redirect_stderr(io.StringIO()):
+                return fresh.check(source, filename)
+        finally:
+            quarantines += fresh.stats.cache_quarantines
 
     try:
         with _caps(caps) as suffix:
             session = CheckSession()
-            pack_path = CheckSession(cache_dir=cache_dir).pack_path
+            record_path = CheckSession(cache_dir=cache_dir).record_path
             walks: Dict[str, Callable[[Revision], str]] = {
                 f"session{suffix}": partial(_outcome, session.check),
                 f"cache-dir{suffix}": partial(_outcome, cache_dir_check),
-                f"shared-dir{suffix}": partial(_outcome, shared_dir_check),
             }
             if daemon is not None:
                 walks[f"daemon{suffix}"] = partial(_daemon_outcome, daemon)
@@ -399,10 +390,10 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
             for path, outcome in walks.items():
                 for index, rev in enumerate(revisions):
                     outcomes = [outcome(rev)]
+                    record = record_path(rev.filename)
                     if path.startswith("cache-dir") and index == flip_at \
-                            and os.path.exists(pack_path):
-                        FaultPlan(seed=sequence_seed).flip_file_byte(
-                            pack_path)
+                            and os.path.exists(record):
+                        FaultPlan(seed=sequence_seed).flip_file_byte(record)
                         outcomes.append(outcome(rev))
                     for actual in outcomes:
                         if actual != expected[index]:
@@ -412,7 +403,6 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
                                 path, expected[index], actual))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-        shutil.rmtree(shared_dir, ignore_errors=True)
     return list(walks), divergences, quarantines
 
 
@@ -473,7 +463,7 @@ def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
                             revisions, d.path, sequence_seed, caps, daemon)]
                     d.shrunk = shrunk[d.path]
                 report.divergences.extend(found)
-                report.pack_quarantines += quarantines
+                report.record_quarantines += quarantines
                 for path in paths:
                     if path not in report.paths:
                         report.paths.append(path)

@@ -1,10 +1,10 @@
-"""The shared store: envelopes, the CAS tier, the store's accounting.
+"""The on-disk store: envelopes, the CAS tier, the store's accounting.
 
 Covers the ``repro.cache`` package bottom-up — blob envelope and key
 discipline, the CAS tier's contract (crash safety and GC), the
 :class:`SharedStore` checks and containment around its one tier — and
 the integration edges: the daemon no longer serving cache blobs, and
-the session's chaos gating.
+sessions sharing one directory of file records.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ import pytest
 
 from repro import check_source
 from repro.analysis import synthesize_program
-from repro.cache import (CASTier, SharedStore, StoreError, Tier, check_blob,
-                         decode_blob, encode_blob, open_store, options_salt,
-                         pack_store_key, summary_store_key, unit_store_key,
-                         valid_key)
+from repro.cache import (KEY_KINDS, RETIRED_KINDS, CASTier, SharedStore,
+                         StoreError, Tier, check_blob, decode_blob,
+                         encode_blob, options_salt, record_key, valid_key)
 from repro.cache.cas import CORRUPT_KEEP
 from repro.pipeline import CheckSession, FaultPlan
 
 
-def key_of(n: int, kind: str = "s") -> str:
+def key_of(n: int, kind: str = "f") -> str:
     """A syntactically valid store key derived from ``n``."""
     return f"{n:064x}"[-64:] + "-" + kind
 
@@ -74,8 +73,12 @@ class TestEnvelope:
 
 class TestKeys:
     def test_valid_keys(self):
-        assert valid_key("0" * 64 + "-s")
-        assert valid_key("a1b2" * 16 + "-u")
+        assert valid_key("0" * 64 + "-f")
+        assert valid_key("a1b2" * 16 + "-f")
+        # Retired kinds are object names to the GC, never keys to read.
+        for kind in RETIRED_KINDS:
+            assert not valid_key("0" * 64 + "-" + kind)
+            assert valid_key("0" * 64 + "-" + kind, KEY_KINDS + RETIRED_KINDS)
 
     @pytest.mark.parametrize("bad", [
         None, 42, b"0" * 64 + b"-s",
@@ -90,32 +93,16 @@ class TestKeys:
     def test_invalid_keys(self, bad):
         assert not valid_key(bad)
 
-    def test_summary_key_depends_on_fingerprint_and_salt(self):
-        salt = options_salt(True, None, True, 2)
-        k1 = summary_store_key("fp1", salt)
-        assert valid_key(k1) and k1.endswith("-s")
-        assert k1 == summary_store_key("fp1", salt)
-        assert k1 != summary_store_key("fp2", salt)
-        assert k1 != summary_store_key("fp1",
-                                       options_salt(True, None, True, 3))
-
-    def test_unit_key_depends_on_source_filename_and_salt(self):
+    def test_record_key_depends_on_filename_and_salt(self):
         salt = options_salt(True, ["region"], True, 2)
-        k1 = unit_store_key("src", "f.vlt", salt)
-        assert valid_key(k1) and k1.endswith("-u")
-        assert k1 == unit_store_key("src", "f.vlt", salt)
-        assert k1 != unit_store_key("src2", "f.vlt", salt)
-        assert k1 != unit_store_key("src", "g.vlt", salt)
-        assert k1 != unit_store_key("src", "f.vlt",
-                                    options_salt(False, ["region"], True, 2))
-
-    def test_pack_key_depends_on_salt_only(self):
-        salt = options_salt(True, None, True, 2)
-        key = pack_store_key(salt)
-        assert valid_key(key) and key.endswith("-p")
-        assert key == pack_store_key(salt)
-        assert key != pack_store_key(options_salt(True, None, True, 3))
-        assert key != summary_store_key("", salt)
+        k1 = record_key(salt, "f.vlt")
+        assert valid_key(k1) and k1.endswith("-f")
+        assert k1 == record_key(salt, "f.vlt")
+        assert k1 != record_key(salt, "g.vlt")
+        assert k1 != record_key(options_salt(False, ["region"], True, 2),
+                                "f.vlt")
+        assert k1 != record_key(options_salt(True, ["region"], True, 3),
+                                "f.vlt")
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +289,14 @@ class TestSharedStore:
                 "root", "bytes"} <= set(row)
         assert row["misses"] == 1 and row["hit_rate"] == 0.0
 
-    def test_open_store_specs(self, tmp_path):
-        store = open_store(str(tmp_path / "d"))
-        assert isinstance(store.tier, CASTier)
-        assert store.tier.root == str(tmp_path / "d")
-        assert store.store({key_of(9): "v"}) == 1
-        assert open_store(str(tmp_path / "d")).fetch([key_of(9)]) == \
-            {key_of(9): "v"}
+    def test_evictions_metric_counts_the_tier_gc(self, tmp_path):
+        tier = CASTier(str(tmp_path / "cas"), max_bytes=2000, fsync=False)
+        store = SharedStore(tier)
+        for n in range(40):
+            store.store({key_of(n): "z" * 100})
+        metric = store.telemetry.metrics.snapshot()[
+            "cache.shared.cas.evictions"]["value"]
+        assert metric == tier.evictions > 0
 
     def test_cas_write_failure_is_reported_once(self, tmp_path):
         # A failed CAS write is absorbed by the tier (the other blobs
@@ -336,8 +324,7 @@ class TestSharedStore:
 def live_daemon(tmp_path):
     from repro.server import CheckServer
     sock = str(tmp_path / "d.sock")
-    server = CheckServer(socket_path=sock,
-                         shared_cache_dir=str(tmp_path / "cas"))
+    server = CheckServer(socket_path=sock)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -382,57 +369,106 @@ class TestDaemonOps:
 # ---------------------------------------------------------------------------
 
 class TestSessionIntegration:
-    """Sessions share results through a CAS directory; each session
-    opens its own store over it, as separate processes would."""
+    """Sessions share results through one directory of file records;
+    each fresh session stands for a separate process."""
 
     @staticmethod
-    def _store(tmp_path) -> SharedStore:
-        return SharedStore(CASTier(str(tmp_path / "cas"), fsync=False))
-
-    def test_fault_plan_disables_shared_store(self, tmp_path):
-        with CheckSession(fault_plan=FaultPlan.parse("flip-cache"),
-                          shared_store=self._store(tmp_path)) as session:
-            assert session.shared_store is None, \
-                "chaos sessions must not publish results"
+    def _dir(tmp_path) -> str:
+        return str(tmp_path / "cas")
 
     def test_unit_replay_across_sessions(self, tmp_path):
         source = synthesize_program(8, seed=3, error_rate=0.3)
         with CheckSession(units=["region"],
-                          shared_store=self._store(tmp_path)) as a:
+                          cache_dir=self._dir(tmp_path)) as a:
             expected = a.check(source).render()
-        assert a.stats.shared_puts > 0
+        assert a.store.counts.puts == 1
         with CheckSession(units=["region"],
-                          shared_store=self._store(tmp_path)) as b:
+                          cache_dir=self._dir(tmp_path)) as b:
             rendered = b.check(source).render()
         assert rendered == expected
         assert b.stats.shared_unit_hits == 1
         assert b.stats.functions_checked == 0
+        assert b.stats.chunk_parses == b.stats.whole_parses == 0
+        assert b.store.counts.puts == 0, "a replay writes nothing"
 
     def test_summary_reuse_after_edit(self, tmp_path):
         source = synthesize_program(8, seed=3)
         with CheckSession(units=["region"],
-                          shared_store=self._store(tmp_path)) as a:
+                          cache_dir=self._dir(tmp_path)) as a:
             a.check(source)
         edited = source.replace(
             "int worker_3(int input) {\n    tracked",
             "int worker_3(int input) {\n    // edited\n    tracked", 1)
         assert edited != source
         with CheckSession(units=["region"],
-                          shared_store=self._store(tmp_path)) as b:
+                          cache_dir=self._dir(tmp_path)) as b:
             b.check(edited)
         assert b.stats.shared_unit_hits == 0, "edited unit can't replay"
-        assert b.stats.shared_summary_hits >= 7, \
-            "unedited functions must come from the shared store"
+        assert b.stats.functions_replayed >= 7, \
+            "unedited functions must come from the file's record"
         assert b.stats.functions_checked <= 1
 
     def test_different_options_do_not_cross_contaminate(self, tmp_path):
         source = synthesize_program(6, seed=4, error_rate=0.3)
         with CheckSession(units=["region"],
-                          shared_store=self._store(tmp_path)) as a:
+                          cache_dir=self._dir(tmp_path)) as a:
             a.check(source)
         with CheckSession(units=["region"],
-                          shared_store=self._store(tmp_path),
+                          cache_dir=self._dir(tmp_path),
                           max_loop_iterations=5) as b:
             b.check(source)
         assert b.stats.shared_unit_hits == 0, \
             "different loop bound → different diagnostics → other key"
+        assert b.stats.functions_replayed == 0
+
+    def test_sessions_on_different_files_keep_both_records(self, tmp_path):
+        # Two processes started together, each checking its own file.
+        # A summary pack was one slot per directory, so the last
+        # writer's map replaced the other's; records are per file.
+        sources = {name: synthesize_program(6, seed=seed, error_rate=0.3)
+                   for name, seed in (("a.vlt", 5), ("b.vlt", 6))}
+        writers = [CheckSession(units=["region"],
+                                cache_dir=self._dir(tmp_path))
+                   for _ in sources]
+        for writer, (name, source) in zip(writers, sources.items()):
+            writer.check(source, name)
+        for name, source in sources.items():
+            with CheckSession(units=["region"],
+                              cache_dir=self._dir(tmp_path)) as reader:
+                assert reader.check(source, name).render() == \
+                    check_source(source, name, units=["region"]).render()
+            assert reader.stats.functions_checked == 0, name
+            assert reader.stats.shared_unit_hits == 1, name
+
+    def test_one_record_per_file_across_revisions(self, tmp_path):
+        source = synthesize_program(8, seed=7, error_rate=0.2)
+        for n in range(5):
+            revision = source.replace(
+                "int worker_2(int input) {\n",
+                "int worker_2(int input) {\n" + "    // r\n" * n, 1)
+            with CheckSession(units=["region"],
+                              cache_dir=self._dir(tmp_path)) as session:
+                session.check(revision, "unit.vlt")
+            assert session.stats.functions_checked == (8 if n == 0 else 1)
+        objects = CASTier(self._dir(tmp_path))._objects()
+        assert [os.path.basename(path) for path, _m, _s in objects] == \
+            [os.path.basename(session.record_path("unit.vlt"))]
+
+    def test_a_warm_session_loads_each_record_once(self, tmp_path):
+        source = synthesize_program(4, seed=8)
+        with CheckSession(units=["region"],
+                          cache_dir=self._dir(tmp_path)) as a:
+            a.check(source, "w.vlt")
+        with CheckSession(units=["region"],
+                          cache_dir=self._dir(tmp_path)) as b:
+            for _ in range(3):
+                b.check(source, "w.vlt")
+            assert b.store.counts.hits + b.store.counts.misses == 1
+            assert b.store.counts.puts == 0
+
+    def test_no_cache_dir_means_no_store(self):
+        with CheckSession(units=["region"]) as session:
+            session.check(synthesize_program(3, seed=9), "n.vlt")
+        assert session.store is None and session.record_path() is None
+        assert not [name for name in session.telemetry.metrics.snapshot()
+                    if name.startswith("cache.shared.")]

@@ -138,9 +138,8 @@ class TestCompileEraseStats:
 
 
 class TestCacheDir:
-    """``--cache DIR`` keeps one summary pack in the same kind of
-    store ``--shared-cache DIR`` fills, so one directory serves both
-    flags and ``vaultc cache`` inspects and collects it."""
+    """``--cache DIR`` keeps one record per file in a CAS directory,
+    which ``vaultc cache`` inspects and collects."""
 
     @pytest.fixture
     def unit(self, tmp_path):
@@ -153,23 +152,46 @@ class TestCacheDir:
         code = main(["check", *argv])
         return code, capsys.readouterr().out
 
-    def test_cache_and_shared_cache_in_one_dir(self, unit, tmp_path,
-                                               capsys):
+    def _profiled(self, capsys, *argv):
+        code = main(["check", *argv, "--profile"])
+        out, err = capsys.readouterr()
+        return (code, out), err
+
+    def test_two_files_share_one_cache_dir(self, unit, tmp_path, capsys):
+        from repro.analysis import synthesize_program
+        other = tmp_path / "other.vlt"
+        other.write_text(synthesize_program(9, seed=6, error_rate=0.3))
         store = str(tmp_path / "store")
-        expected = self._check(capsys, unit)
-        for flags in (["--cache", store], ["--shared-cache", store],
-                      ["--cache", store, "--shared-cache", store],
-                      ["--cache", store]):
-            assert self._check(capsys, unit, *flags) == expected, flags
+        expected = {path: self._check(capsys, path)
+                    for path in (unit, str(other))}
+        for path in expected:
+            assert self._check(capsys, path, "--cache", store) == \
+                expected[path]
+        for path in expected:
+            result, err = self._profiled(capsys, path, "--cache", store)
+            assert result == expected[path]
+            assert "  functions checked             0\n" in err
+            assert "replayed whole unit (file record)" in err
+
+    def test_a_second_cold_check_parses_nothing(self, unit, tmp_path,
+                                                 capsys):
+        store = str(tmp_path / "store")
+        first, err = self._profiled(capsys, unit, "--cache", store)
+        assert "  chunks " in err
+        second, err = self._profiled(capsys, unit, "--cache", store)
+        assert second == first
+        assert "  functions checked             0\n" in err
+        assert "  file record replays           1\n" in err
+        assert "  chunks " not in err and "  bodies " not in err
 
     def test_cache_stats_counts_the_pack(self, unit, tmp_path, capsys):
         from repro.pipeline import CheckSession
         store = str(tmp_path / "store")
         self._check(capsys, unit, "--cache", store)
-        pack = CheckSession(cache_dir=store).pack_path
+        record = CheckSession(cache_dir=store).record_path(unit)
         assert main(["cache", "stats", "--dir", store]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["bytes"] == os.path.getsize(pack) > 0
+        assert stats["bytes"] == os.path.getsize(record) > 0
 
     def test_cache_gc_only_makes_the_next_check_cold(self, unit, tmp_path,
                                                      capsys):
@@ -183,16 +205,38 @@ class TestCacheDir:
         assert (code, out) == expected
         assert "  functions replayed            0\n" in err
 
+    def test_cache_gc_collects_older_store_objects(self, tmp_path, capsys):
+        # An older vaultc wrote -s, -u and -p objects.  They are never
+        # read again, but stats count them and gc can empty the store.
+        from repro.cache import RETIRED_KINDS, encode_blob
+        store = tmp_path / "store"
+        size = 0
+        for n in range(30):
+            kind = RETIRED_KINDS[n % len(RETIRED_KINDS)]
+            key = f"{n * 7919:064x}-{kind}"
+            (store / key[:2]).mkdir(exist_ok=True, parents=True)
+            blob = encode_blob(("old", n))
+            (store / key[:2] / key).write_bytes(blob)
+            size += len(blob)
+        assert main(["cache", "stats", "--dir", str(store)]) == 0
+        assert json.loads(capsys.readouterr().out)["bytes"] == size
+        assert main(["cache", "gc", str(store), "--max-bytes", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["deleted"] == 30 and report["bytes_remaining"] == 0
+        assert not [name for _root, _dirs, names in os.walk(str(store))
+                    for name in names]
+
     @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
     def test_shared_cache_daemon_spec_is_refused(self, spec, unit,
                                                  tmp_path, capsys,
                                                  monkeypatch):
+        # --shared-cache is gone: --cache DIR is the one on-disk cache.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             main(["check", unit, "--shared-cache", spec])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "--daemon" in err and "not a cache directory" in err
+        assert "unrecognized arguments: --shared-cache" in err
         assert not (tmp_path / "daemon").exists()
 
     @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
@@ -204,7 +248,7 @@ class TestCacheDir:
                   "--idle-timeout", "0.1", "--shared-cache", spec])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "--daemon" in err and "not a cache directory" in err
+        assert "unrecognized arguments: --shared-cache" in err
         assert not (tmp_path / "daemon").exists()
 
 

@@ -290,14 +290,14 @@ class TestEditSequences:
         report = run_edit_fuzz(3, seed=11)
         assert report.ok, [(d.sequence_seed, d.revision, d.path)
                            for d in report.divergences]
-        walks = ["session", "cache-dir", "shared-dir"] + (
+        walks = ["session", "cache-dir"] + (
             ["daemon"] if daemon_available() else [])
         assert report.paths == walks + [f"{w}/cap8" for w in walks]
         assert report.skipped_paths == (
             [] if daemon_available() else ["daemon"])
         assert report.revisions == 24
-        # one flipped summary pack per sequence and walk, each caught
-        assert report.pack_quarantines == 6
+        # one flipped file record per sequence and walk, each caught
+        assert report.record_quarantines == 6
 
     def test_caps_are_restored_after_the_small_cap_walk(self):
         from repro.pipeline import session as session_mod

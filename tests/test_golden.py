@@ -157,47 +157,47 @@ def test_daemon_output_matches_golden(rel, daemon_socket, update_golden):
 
 
 # ---------------------------------------------------------------------------
-# Shared store: a cold session replaying another session's results
+# File records: a cold session replaying another session's results
 # ---------------------------------------------------------------------------
 
 def test_shared_cas_output_matches_golden(tmp_path, update_golden):
-    from repro.cache import open_store
-
     root = str(tmp_path / "cas")
-    with CheckSession(shared_store=open_store(root)) as writer:
+    with CheckSession(cache_dir=root) as writer:
         for rel in CORPUS:
             writer.check(read_source(rel), filename=rel)
-    assert writer.stats.shared_puts > 0
+    assert writer.store.counts.puts == len(CORPUS)
 
-    # A brand-new session over a brand-new store handle: everything it
-    # knows comes off the CAS directory the writer populated.
-    with CheckSession(shared_store=open_store(root)) as reader:
+    # A brand-new session over the same directory: everything it knows
+    # comes off the records the writer left, one per file.
+    with CheckSession(cache_dir=root) as reader:
         for rel in CORPUS:
             report = reader.check(read_source(rel), filename=rel)
             assert_matches_golden(report_stdout(report, rel), rel,
-                                  update_golden, "shared store (CAS)")
+                                  update_golden, "file record (CAS)")
     assert reader.stats.functions_checked == 0, \
-        "a shared-store replay should not re-check anything"
+        "a file-record replay should not re-check anything"
     assert reader.stats.shared_unit_hits == len(CORPUS)
+    assert reader.stats.chunk_parses == reader.stats.whole_parses == 0
 
 
-def test_cache_and_shared_cache_share_one_dir(tmp_path, update_golden):
-    # --cache DIR keeps its summary pack in the same CAS a
-    # --shared-cache DIR fills: one directory serves both, alone or
-    # together, and every combination renders the golden bytes.
-    from repro.cache import open_store
+def test_older_store_objects_are_never_read(tmp_path, update_golden):
+    # A directory an older vaultc filled holds -s/-u/-p objects.  They
+    # are never read: every file checks cold once, then replays its
+    # record, and both render the golden bytes.
+    from repro.cache import RETIRED_KINDS, encode_blob
 
-    root = str(tmp_path / "store")
-    for label, cache_dir, shared in (("--cache", root, False),
-                                     ("--shared-cache", None, True),
-                                     ("both", root, True)):
-        for run in ("cold", "warm"):
-            store = open_store(root) if shared else None
-            with CheckSession(cache_dir=cache_dir,
-                              shared_store=store) as session:
-                for rel in CORPUS:
-                    report = session.check(read_source(rel), filename=rel)
-                    assert_matches_golden(
-                        report_stdout(report, rel), rel, update_golden,
-                        f"{label} {run}, one directory")
+    root = tmp_path / "store"
+    for n, kind in enumerate(RETIRED_KINDS):
+        key = f"{n:064x}-{kind}"
+        (root / key[:2]).mkdir(parents=True, exist_ok=True)
+        (root / key[:2] / key).write_bytes(encode_blob({"stale": kind}))
+    for run in ("cold", "warm"):
+        with CheckSession(cache_dir=str(root)) as session:
+            for rel in CORPUS:
+                report = session.check(read_source(rel), filename=rel)
+                assert_matches_golden(
+                    report_stdout(report, rel), rel, update_golden,
+                    f"--cache {run}, beside older objects")
+        assert session.store.counts.hits == \
+            (0 if run == "cold" else len(CORPUS))
     assert session.stats.functions_checked == 0

@@ -305,10 +305,10 @@ class TestPersistence:
 
     def test_corrupt_cache_is_ignored(self, tmp_path, capfd):
         cache = str(tmp_path / "cache")
-        pack = fresh_session(cache_dir=cache).pack_path
-        os.makedirs(os.path.dirname(pack))
-        with open(pack, "wb") as handle:
-            handle.write(b"not a pack")
+        record = fresh_session(cache_dir=cache).record_path()
+        os.makedirs(os.path.dirname(record))
+        with open(record, "wb") as handle:
+            handle.write(b"not a record")
         source = synthesize_program(4, seed=10)
         session = fresh_session(cache_dir=cache)
         assert session.check(source).render() == \
@@ -505,7 +505,7 @@ class TestSessionReuse:
         cache_dir = tmp_path / "cache"
         with fresh_session(cache_dir=str(cache_dir)) as session:
             session.check(source, "unit.vlt")
-        cache_file = Path(session.pack_path)
+        cache_file = Path(session.record_path("unit.vlt"))
         assert cache_file.exists()
         stamp = os.stat(cache_file)
         blob = cache_file.read_bytes()
@@ -514,7 +514,7 @@ class TestSessionReuse:
             assert session.stats.functions_checked == 0
         after = os.stat(cache_file)
         assert cache_file.read_bytes() == blob
-        # A read freshens the pack's mtime (the store's GC is LRU), so
+        # A read freshens the record's mtime (the store's GC is LRU), so
         # the inode is the witness: every write lands by os.replace
         # from a fresh temp file.
         assert after.st_ino == stamp.st_ino, \
@@ -604,10 +604,9 @@ class TestPositionFreeSummaries:
         # the function.  Such a result cannot move with the function:
         # it is re-checked wherever the function goes, never replayed
         # shifted.
-        from repro.cache import open_store
         alias = "type cb = void f(Bogus x);\n"
         body = "void g() {\n    cb h;\n}\n"
-        session = fresh_session(shared_store=open_store(str(tmp_path)))
+        session = fresh_session(cache_dir=str(tmp_path))
         for text in (alias + body, alias + "\n" + body,
                      alias + "\n\n" + body):
             report = session.check(text, "alias.vlt")
@@ -618,22 +617,21 @@ class TestPositionFreeSummaries:
         assert session._summaries == {}
 
     def test_summaries_are_position_free(self, tmp_path):
-        # In memory, in the summary pack and in -s blobs alike, a
-        # summary holds only diagnostics without a file name.
-        from repro.cache import decode_blob, open_store
+        # In memory and in the file's record alike, a summary holds
+        # only diagnostics without a file name.
+        from repro.cache import decode_blob
         source = synthesize_program(12, seed=3, error_rate=0.3)
-        session = fresh_session(cache_dir=str(tmp_path / "pack"),
-                                shared_store=open_store(str(tmp_path / "s")))
+        session = fresh_session(cache_dir=str(tmp_path))
         session.check(source, "unit.vlt")
-        pack = decode_blob(Path(session.pack_path).read_bytes())
-        blobs = [decode_blob(path.read_bytes())
-                 for path in (tmp_path / "s").glob("*/*-s")]
-        assert pack == session._summaries and blobs
-        for diags in list(pack.values()) + blobs:
+        record = decode_blob(
+            Path(session.record_path("unit.vlt")).read_bytes())
+        summaries = record["summaries"]
+        assert summaries == session._summaries and len(summaries) == 12
+        for diags in summaries.values():
             assert isinstance(diags, tuple)
             for diag in diags:
                 assert diag.span.filename == ""
-        assert any(diags for diags in blobs)
+        assert any(diags for diags in summaries.values())
 
 
 # ---------------------------------------------------------------------------
@@ -846,12 +844,11 @@ class TestHeaderOnlyChunks:
 
     def test_whole_unit_fallback_looks_the_unit_up_once(self, tmp_path):
         # A body that does not parse on its own sends the check back to
-        # one whole-unit parse; the shared-store unit lookup and the
-        # stdlib base before it must not run a second time.
-        from repro.cache import open_store
+        # one whole-unit parse; the file-record lookup and the stdlib
+        # base before it must not run a second time.
         source = ("int first(int x) {\n    return x;\n}\n\n"
                   "int second(int x) {\n    int y = ;\n    return x;\n}\n")
-        session = fresh_session(shared_store=open_store(str(tmp_path)))
+        session = fresh_session(cache_dir=str(tmp_path))
         with pytest.raises(VaultError):
             session.check(source, "broken.vlt")
         snapshot = session.telemetry.metrics.snapshot()

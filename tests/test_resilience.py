@@ -3,7 +3,7 @@
 Every recovery path the checker promises is driven here through the
 deterministic fault harness (:mod:`repro.pipeline.faults`):
 
-* a corrupt summary pack is quarantined (original preserved under
+* a corrupt file record is quarantined (original preserved under
   ``corrupt/`` with a unique ``*.corrupt.<pid>.<seq>`` name, bounded
   retention) and transparently rebuilt;
 * a ``summaries.pkl`` left by an older ``vaultc`` is neither read nor
@@ -107,7 +107,7 @@ class TestCacheResilience:
     def _seed_cache(self, tmp_path, source):
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
             session.check(source)
-        path = session.pack_path
+        path = session.record_path()
         assert os.path.exists(path)
         return path
 
@@ -126,11 +126,10 @@ class TestCacheResilience:
         assert session.stats.cache_quarantines == 1
         metrics = session.telemetry.metrics.snapshot()
         assert metrics["resilience.cache_quarantines"]["value"] == 1
-        assert not any(name.startswith("cache.shared.")
-                       for name in metrics), \
-            "pack traffic stays out of the shared-store metrics"
+        assert metrics["cache.shared.cas.corrupt"]["value"] == 1, \
+            "record traffic is the store's cache.shared.cas.* metrics"
         (event,) = session.telemetry.events.by_kind("shared_cache_corrupt")
-        assert session.pack_path.endswith(event.fields["key"])
+        assert session.record_path().endswith(event.fields["key"])
         assert event.fields["error"]
         # quarantine names are unique (``.corrupt.<pid>.<seq>``) so a
         # later corruption cannot clobber this post-mortem
@@ -195,7 +194,7 @@ class TestCacheResilience:
             writer.check(source)
         (event,) = writer.telemetry.events.by_kind("fault_injected")
         assert event.fields["fault"] == "flip-cache"
-        assert event.fields["path"] == writer.pack_path
+        assert event.fields["path"] == writer.record_path()
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             assert reader.check(source).render() == expected
         assert reader.stats.cache_quarantines == 1
@@ -203,7 +202,7 @@ class TestCacheResilience:
 
     def test_legacy_summaries_pickle_is_ignored(self, tmp_path):
         # An older vaultc kept its summaries in DIR/summaries.pkl (a
-        # checksummed "version 3" pickle).  The pack replaces it: the
+        # checksummed "version 3" pickle).  File records replace it: the
         # file is neither read nor deleted, and the first check is
         # cold and correct.
         source, expected = _corpus(n=5, seed=11)
@@ -229,7 +228,7 @@ class TestCacheResilience:
             assert writer.check(source).render() == expected
         (event,) = writer.telemetry.events.by_kind("shared_cache_error")
         assert event.fields["op"] == "put"
-        assert not os.path.exists(writer.pack_path)
+        assert not os.path.exists(writer.record_path())
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             assert reader.check(source).render() == expected
         assert reader.stats.functions_replayed == 0, "the next run is cold"

@@ -832,6 +832,29 @@ class TestAdmissionControl:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize("options", [
+        {"cache_dir": 5}, {"cache_dir": ["d"]}, {"units": 5},
+        {"units": "region"}, {"units": [1]}, {"stdlib": "yes"},
+        {"stdlib": None},
+    ])
+    def test_bad_option_type_is_bad_request(self, tmp_path, options):
+        # Such options once raised outside the check's error handling
+        # and ended the daemon's serving loop.
+        handle = _start_server(tmp_path)
+        try:
+            with DaemonClient(handle.socket_path) as client:
+                reply = client.request(
+                    {"op": "check", "source": OK_SOURCE,
+                     "filename": "a.vlt", "options": options, "id": 7})
+                assert reply == {"ok": False, "kind": "bad_request",
+                                 "error": reply["error"], "id": 7}
+                assert "'options." in reply["error"]
+                assert client.ping()["ok"] is True
+                assert client.check(OK_SOURCE, "a.vlt")["check_ok"]
+            assert handle.thread.is_alive()
+        finally:
+            handle.stop()
+
     def test_bad_deadline_type_is_bad_request(self, tmp_path):
         handle = _start_server(tmp_path)
         try:
@@ -1070,13 +1093,26 @@ class TestClientResilience:
 
 
     def test_check_detailed_in_process_with_shared_cache(self, tmp_path):
+        # An older client's shared_cache option is ignored: --cache
+        # DIR is the one on-disk cache.
         options = {"shared_cache": str(tmp_path / "cas")}
+        for _ in range(2):
+            outcome = check_detailed(OK_SOURCE, "f.vlt", options,
+                                     socket_path=None)
+            assert outcome.via_daemon is False
+            assert outcome.render == \
+                check_source(OK_SOURCE, "f.vlt").render()
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_check_detailed_in_process_with_cache_dir(self, tmp_path):
+        options = {"cache_dir": str(tmp_path / "cas")}
         for _ in range(2):                        # cold, then replayed
             outcome = check_detailed(OK_SOURCE, "f.vlt", options,
                                      socket_path=None)
             assert outcome.via_daemon is False
             assert outcome.render == \
                 check_source(OK_SOURCE, "f.vlt").render()
+        assert os.listdir(str(tmp_path / "cas"))
 
     @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
     def test_daemon_spec_selects_no_shared_store(self, spec, tmp_path,
@@ -1325,7 +1361,7 @@ class TestRetryNeverDuplicates:
 
 
 # ---------------------------------------------------------------------------
-# The daemon's shared store: one per directory, none without one
+# The daemon's file records: each session's cache_dir, none without one
 # ---------------------------------------------------------------------------
 
 @needs_unix
@@ -1337,44 +1373,55 @@ class TestDaemonSharedStore:
             with DaemonClient(handle.socket_path) as client:
                 for _ in range(2):
                     client.check(OK_SOURCE, "n.vlt")
+                client.check(OK_SOURCE, "n.vlt",
+                             {"shared_cache": str(tmp_path / "old")})
                 stats = client.stats()["stats"]
                 telemetry = client.telemetry()
             assert stats["shared_cache"] == {}
             assert telemetry["shared_cache"] == {}
             assert not [name for name in stats["metrics"]
                         if name.startswith("cache.shared.")]
+            assert not (tmp_path / "old").exists()
             assert main(["cache", "stats", "--daemon",
                          handle.socket_path]) == 1
             out, err = capsys.readouterr()
             assert out == ""
-            assert "no shared store" in err and "--shared-cache" in err
+            assert "no daemon session has a cache directory" in err
+            assert "--cache DIR" in err
         finally:
             handle.stop()
 
     def test_one_store_per_directory(self, tmp_path, capsys):
         import json
         from repro.cli import main
+        from repro.pipeline import CheckSession
         default = str(tmp_path / "cas")
         other = str(tmp_path / "other")
-        handle = _start_server(tmp_path, shared_cache_dir=default)
+        with CheckSession(cache_dir=default) as earlier:  # another process
+            earlier.check(OK_SOURCE, "s.vlt")
+        handle = _start_server(tmp_path)
         try:
             with DaemonClient(handle.socket_path) as client:
                 client.check(OK_SOURCE, "s.vlt")
-                client.check(OK_SOURCE, "s.vlt", {"shared_cache": default})
-                client.check(OK_SOURCE, "o.vlt", {"shared_cache": other})
+                client.check(OK_SOURCE, "s.vlt", {"cache_dir": default})
+                client.check(OK_SOURCE, "o.vlt", {"cache_dir": other})
                 assert len(client.stats()["stats"]["sessions"]) == 3
+                counters = client.telemetry()["counters"]
             assert main(["cache", "stats", "--daemon",
                          handle.socket_path]) == 0
             block = json.loads(capsys.readouterr().out)
         finally:
             handle.stop()
-        assert list(block) == [default, other]
+        assert sorted(block) == [default, other]
         row, = block[default]["tiers"]
-        assert row["tier"] == "cas" and row["puts"] > 0
-        # The second session on the default directory replayed the
-        # unit the first one stored.
-        assert row["hits"] >= 1
-        assert block[other]["tiers"][0]["puts"] > 0
+        assert row["tier"] == "cas" and row["root"] == default
+        # The session on the default directory replayed the record the
+        # earlier process wrote, and wrote nothing.
+        assert row["hits"] == 1 and row["puts"] == 0
+        assert block[other]["tiers"][0]["puts"] == 1
+        # The sessions' store traffic is the daemon's cas counters.
+        assert counters["cache.shared.cas.hits"] == 1
+        assert counters["cache.shared.cas.puts"] == 1
 
     def test_client_sends_absolute_directories(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1391,7 +1438,7 @@ class TestDaemonSharedStore:
         assert outcome is not None and outcome.via_daemon
         options = daemon.requests[0]["options"]
         assert options["cache_dir"] == str(tmp_path / ".vcache")
-        assert options["shared_cache"] == str(tmp_path / "shared")
+        assert "shared_cache" not in options
 
 
 # ---------------------------------------------------------------------------
@@ -1405,8 +1452,8 @@ class TestEnospcInjection:
         plan = FaultPlan.parse("enospc@1")
         tier = CASTier(str(tmp_path / "cas"), fsync=False,
                        fault_plan=plan)
-        key1 = "1" * 64 + "-s"
-        key2 = "2" * 64 + "-s"
+        key1 = "1" * 64 + "-f"
+        key2 = "2" * 64 + "-f"
         tier.put_many({key1: encode_blob("one")})
         assert tier.get_many([key1]) == {}   # the write failed as ENOSPC
         assert tier.io_errors == 1
@@ -1421,7 +1468,7 @@ class TestEnospcInjection:
         plan = FaultPlan.parse("enospc@1")
         store = SharedStore(CASTier(str(tmp_path / "cas"), fsync=False,
                                     fault_plan=plan))
-        key = "a" * 64 + "-s"
+        key = "a" * 64 + "-f"
         blob = encode_blob({"v": 1})
         store.put_blobs({key: blob})
         assert store.get_blobs([key]) == {}  # degraded to a miss
