@@ -26,7 +26,9 @@ cli-smoke:
 
 # Fast CI smoke: asserts the front-end ratchet (lex+parse share of a
 # cold check; a one-chunk edit re-parses one chunk and reuses >=90% of
-# chunk ASTs), then runs the benchmark bodies once (no timing rounds),
+# chunk ASTs) and the retention ratchet (after 10 line inserts a session
+# holds only the last revision's chunks and one context), then runs the
+# benchmark bodies once (no timing rounds),
 # refreshing BENCH_checker.json with cold/warm/edit timings.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
@@ -76,10 +78,10 @@ daemon-chaos-smoke:
 # check byte-identically through serial, a warm cached session and a
 # live check daemon; then 40 seeded edit sequences, walked by one
 # session, by a fresh --cache DIR session per revision and by one
-# daemon (at the session's cache caps and at caps of 8), must match
-# check_source on every revision — zero divergences; each --cache DIR
-# walk corrupts the file's record once, and at least one quarantine
-# must be exercised.
+# daemon (at the session's cache caps, and at a summary cap of 8 with a
+# file cap of 1), must match check_source on every revision — zero
+# divergences; each --cache DIR walk corrupts the file's record once,
+# and at least one quarantine must be exercised.
 # Writes the "fuzz" block of BENCH_checker.json.
 fuzz-smoke:
 	$(PYTHON) benchmarks/fuzz_smoke.py

@@ -9,10 +9,16 @@ hardware.  A fresh ``--cache DIR`` session given the same edit must
 parse exactly one function body and check exactly one function: the
 other 159 replay their summaries from headers alone.
 
+The retention ratchet replays line-insert revisions of the same unit in
+one session: afterwards the session must hold exactly the last
+revision's chunks and one context, whatever the host's speed.  It is
+recorded in ``BENCH_checker.json`` as ``frontend.retained_chunks``.
+
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -22,7 +28,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.analysis import synthesize_program           # noqa: E402
 from repro.obs import Telemetry                          # noqa: E402
-from repro.pipeline import CheckSession                  # noqa: E402
+from repro.pipeline import CheckSession, split_chunks    # noqa: E402
 
 N_FUNCTIONS_FRONTEND = 160
 UNITS = ["region"]
@@ -37,6 +43,12 @@ FRONTEND_FRACTION_CEILING = 0.66
 
 #: Floor on the chunk-AST hit rate across a one-chunk-edit re-check.
 CHUNK_AST_HIT_FLOOR = 0.90
+
+#: Line-insert revisions the retention ratchet checks in one session.
+RETENTION_REVISIONS = 10
+
+_BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "BENCH_checker.json")
 
 
 def _chunk_ast_counts(session):
@@ -110,6 +122,47 @@ def test_frontend_ratchet():
     print("bench-smoke: front-end ratchet   OK")
 
 
+def test_retention_ratchet():
+    # Each revision inserts a blank line further down, so it re-parses
+    # every chunk below the insert; none of the parses it replaces may
+    # stay held.
+    source = synthesize_program(N_FUNCTIONS_FRONTEND, seed=42)
+    session = CheckSession(units=UNITS)
+    for i in range(RETENTION_REVISIONS):
+        lines = source.split("\n")
+        at = i * len(lines) // RETENTION_REVISIONS
+        source = "\n".join(lines[:at] + [""] + lines[at:])
+        session.check(source)
+    snapshot = session.telemetry.metrics.snapshot()
+    retained = {
+        "revisions": RETENTION_REVISIONS,
+        "chunks_held": snapshot["session.chunks_held"]["value"],
+        "last_revision_chunks": len(split_chunks(source)),
+        "contexts_held": sum(state.ctx is not None
+                             for state in session._files.values()),
+    }
+    print(f"bench-smoke: {retained['chunks_held']} chunks and "
+          f"{retained['contexts_held']} context(s) held after "
+          f"{RETENTION_REVISIONS} line inserts (last revision has "
+          f"{retained['last_revision_chunks']} chunks)")
+    assert retained["chunks_held"] == retained["last_revision_chunks"], \
+        "the session holds chunks of revisions before the last"
+    assert retained["contexts_held"] == 1, \
+        "the session holds contexts of revisions before the last"
+
+    try:
+        with open(_BENCH_JSON, "r", encoding="utf-8") as handle:
+            bench = json.load(handle)
+    except (OSError, ValueError):
+        bench = {}
+    bench.setdefault("frontend", {})["retained_chunks"] = retained
+    with open(_BENCH_JSON, "w", encoding="utf-8") as handle:
+        json.dump(bench, handle, indent=2)
+        handle.write("\n")
+    print("bench-smoke: retention ratchet   OK")
+
+
 if __name__ == "__main__":
     test_frontend_ratchet()
+    test_retention_ratchet()
     print("bench-smoke: PASS")

@@ -4,10 +4,16 @@ A :class:`CheckSession` answers repeated ``check(source)`` calls the
 way ``repro.check_source`` does, but re-does only the work an edit
 invalidated:
 
+* **per-file retention** — the session keeps each file's *latest*
+  revision only (its chunk ASTs, context and record state), for at
+  most ``_MAX_FILES`` files, least recently checked first.  Vault
+  checks each function against the current program's signatures
+  (paper §3), so older revisions are not worth holding: an undo
+  re-parses what it changed;
 * **chunked parsing** — the unit is split into top-level declaration
-  chunks (:mod:`repro.pipeline.chunks`); each chunk's AST is cached by
-  file name, content hash and position, so editing one function
-  re-parses one declaration, not the file;
+  chunks (:mod:`repro.pipeline.chunks`); a chunk the held revision
+  has too, same content hash and position, keeps its AST, so editing
+  one function re-parses one declaration, not the file;
 * **header-only functions** — a function-definition chunk is parsed
   only up to its body: elaboration needs signatures alone, and a
   summary fingerprint reads the function's text, not its AST.  A body
@@ -15,9 +21,8 @@ invalidated:
   stays on the cached node.  A body that does not parse on its own
   sends the check back to one whole-unit parse, so syntax errors are
   reported exactly as ``check_source`` reports them;
-* **context cache** — the elaborated :class:`ProgramContext` is cached
-  by the tuple of chunk hashes (layered on the process-wide stdlib
-  base context);
+* **context** — a re-save of the held revision reuses its elaborated
+  :class:`ProgramContext` (layered on the process-wide stdlib base);
 * **summary cache** — per-function diagnostics are cached under a
   stable content fingerprint of the function and everything it
   references (:mod:`repro.pipeline.fingerprint`), position-free: lines
@@ -41,27 +46,29 @@ compare equal by value, positions included, not only when rendered.
 Accounting: every cache layer counts its hits and misses in the
 session's metrics registry (``telemetry.metrics``), which is always
 live; the ``context``, ``chunk_ast`` and ``fingerprint_memo`` counters
-equal their :class:`SessionStats` twins.  Spans are recorded only
-with ``Telemetry(trace=True)``.
+equal their :class:`SessionStats` twins.  After every check the
+``session.files`` and ``session.chunks_held`` gauges give the files
+and chunk ASTs the session holds.  Spans are recorded only with
+``Telemetry(trace=True)``.
 
 File records: ``cache_dir`` is a content-addressed store directory
 (:class:`repro.cache.CASTier`) holding one record per file name and
 session options (:func:`repro.cache.record_key`): the source's sha256,
 the unit's diagnostic stream, its function count and its functions'
-summaries.  On its first check of a file name the session fetches that
-file's record once.  When the sha matches the source it replays the
-stream without parsing; otherwise the record's summaries join the
-summary cache and the check runs as usual.  After a check of a source
-other than the one whose record it last loaded or wrote, the session
-writes the file's record, through the CAS tier's unique temp file,
-``fsync`` and atomic rename.  A unit whose declarations do not
-elaborate checks no function, so its record keeps the summaries of the
-file's record before it.  A session without ``cache_dir`` hashes no
-source and touches no store.  A corrupt record fails the store's
-checksum and is quarantined under ``corrupt/`` (bounded retention)
-with a ``shared_cache_corrupt`` event; the session counts it, says so
-on stderr and checks that file cold.  See docs/CHECKER.md ("Failure
-modes and recovery").
+summaries.  On its first check of a file name (or the first since the
+file was evicted) the session fetches that file's record.  When the
+sha matches the source it replays the stream without parsing;
+otherwise the record's summaries join the summary cache and the check
+runs as usual.  After a check of a source other than the one whose
+record it last loaded or wrote, the session writes the file's record,
+through the CAS tier's unique temp file, ``fsync`` and atomic rename.
+A unit whose declarations do not elaborate checks no function, so its
+record keeps the summaries of the file's record before it.  A session
+without ``cache_dir`` hashes no source and touches no store.  A corrupt
+record fails the store's checksum and is quarantined under
+``corrupt/`` (bounded retention) with a ``shared_cache_corrupt``
+event; the session counts it, says so on stderr and checks that file
+cold.  See docs/CHECKER.md ("Failure modes and recovery").
 """
 
 from __future__ import annotations
@@ -87,20 +94,17 @@ from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultPlan
 from .fingerprint import function_fingerprint
 
-#: caps on the in-memory caches; on overflow the oldest half is evicted.
-_MAX_CONTEXTS = 64
-_MAX_CHUNK_ASTS = 8192
+#: the files a session holds; past the cap the least recently checked
+#: one is evicted, and its next check starts from the summary cache.
+_MAX_FILES = 64
 #: the summary cache is bounded too — a session embedded in a
 #: long-running daemon sees an unbounded stream of distinct sources.
 _MAX_SUMMARIES = 32768
-#: file names whose record this session has loaded; past the cap the
-#: set is cleared, and a file's next check fetches its record again.
-_MAX_RECORDS = 4096
 
 
-#: one declaration chunk's cache key: (file name, content hash, start
+#: one declaration chunk's key within its file: (content hash, start
 #: line, start column).
-_ChunkKey = Tuple[str, str, int, int]
+_ChunkKey = Tuple[str, int, int]
 
 
 def _sha(text: str) -> str:
@@ -197,11 +201,13 @@ class _WholeUnit(Exception):
 
 
 class _CtxEntry:
-    __slots__ = ("ctx", "diags", "fn_results", "summaries", "env_token",
-                 "headers")
+    __slots__ = ("key", "ctx", "diags", "fn_results", "summaries",
+                 "env_token", "headers")
 
-    def __init__(self, ctx, diags: Tuple[Diagnostic, ...],
+    def __init__(self, key: object, ctx, diags: Tuple[Diagnostic, ...],
                  env_token: str = "", headers: Sequence = ()):
+        #: the revision's chunk keys (unsplit: its sha256)
+        self.key = key
         self.ctx = ctx
         self.diags = diags
         #: every header-only definition of the unit, including any a
@@ -219,13 +225,27 @@ class _CtxEntry:
         self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         #: digest of every chunk's *interface* (signatures and
         #: declarations, not function bodies) plus the session's
-        #: stdlib/units configuration.  A function fingerprint computed
-        #: under one env token is valid under any context with the same
-        #: token, so fingerprints are memoized on the (cached) FunDef
-        #: nodes keyed by it — a body edit in one chunk leaves the
-        #: token unchanged and skips re-fingerprinting every other
-        #: function in the unit.
+        #: stdlib/units configuration.  Fingerprints are memoized on
+        #: the held FunDef nodes under it, so a body edit, which leaves
+        #: it unchanged, re-fingerprints one function.
         self.env_token = env_token
+
+
+class _FileState:
+    """What a session keeps of one file: its latest revision only."""
+
+    __slots__ = ("chunks", "ctx", "sha", "summaries")
+
+    def __init__(self) -> None:
+        #: the chunks of the revision last split and parsed, each with
+        #: its interface digest (see ``_interface_part``).
+        self.chunks: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
+        self.ctx: Optional[_CtxEntry] = None
+        #: with ``cache_dir``, the sha256 of the source whose record
+        #: this session last loaded or wrote ("" for none, ``None``
+        #: before the record is fetched) and that record's summaries.
+        self.sha: Optional[str] = None
+        self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
 
 
 class CheckSession:
@@ -260,12 +280,8 @@ class CheckSession:
         #: recorded; pass ``Telemetry(trace=True)`` to record spans too.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.stats = self.stats
-        #: parsed chunks by ``_ChunkKey``, each with its interface
-        #: digest (see ``_interface_part``).  Spans carry the file
-        #: name, so a chunk parsed for one file is never reused for
-        #: another.
-        self._ast_cache: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
-        self._ctx_cache: Dict[tuple, _CtxEntry] = {}
+        #: each file's latest revision, least recently checked first
+        self._files: Dict[str, _FileState] = {}
         #: function-relative diagnostics by fingerprint (``_relocate``)
         self._summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
@@ -273,11 +289,6 @@ class CheckSession:
         #: traffic feeds this session's ``cache.shared.cas.*``
         #: metrics), or ``None`` without ``cache_dir``.
         self.store = None
-        #: per file name loaded, the sha256 of the source whose record
-        #: this session last loaded or wrote ("" for none) and that
-        #: record's summaries.
-        self._records: Dict[str, Tuple[str, Dict[str, Tuple[
-            Diagnostic, ...]]]] = {}
         self._options_salt = ""
         if cache_dir:
             from ..cache import CASTier, SharedStore, options_salt
@@ -326,6 +337,10 @@ class CheckSession:
             raise
         finally:
             profile["total_seconds"] = time.perf_counter() - started
+            metrics = self.telemetry.metrics
+            metrics.gauge("session.files").set(len(self._files))
+            metrics.gauge("session.chunks_held").set(
+                sum(len(state.chunks) for state in self._files.values()))
 
     def _check_inner(self, source: str, filename: str,
                      profile: Dict[str, object], started: float
@@ -333,11 +348,12 @@ class CheckSession:
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         reporter = Reporter(source, filename)
+        state = self._file(filename)
         sha = None
         if self.store is not None:
             sha = _sha(source)
-            if filename not in self._records \
-                    and self._replay_record(filename, sha, reporter):
+            if state.sha is None \
+                    and self._replay_record(state, filename, sha, reporter):
                 profile["plan"] = "replayed whole unit (file record)"
                 return self._finish(reporter)
         base = None
@@ -352,18 +368,29 @@ class CheckSession:
             reporter.diagnostics.extend(base_diags)
         prefix = len(reporter.diagnostics)
         try:
-            entry = self._check_unit(source, filename, profile, started,
-                                     reporter, base)
+            entry = self._check_unit(source, filename, state, profile,
+                                     started, reporter, base)
         except _WholeUnit:
             # Redo the unit only: the lookups above are done once.
             del reporter.diagnostics[prefix:]
-            entry = self._check_unit(source, filename, profile, started,
-                                     reporter, base, split=False)
-        if sha is not None and self._records[filename][0] != sha:
-            self._save_record(filename, sha, reporter, entry)
+            entry = self._check_unit(source, filename, state, profile,
+                                     started, reporter, base, split=False)
+        if sha is not None and state.sha != sha:
+            self._save_record(filename, state, sha, reporter, entry)
         return self._finish(reporter)
 
-    def _check_unit(self, source: str, filename: str,
+    def _file(self, filename: str) -> _FileState:
+        """``filename``'s state, moved to most recently checked."""
+        state = self._files.pop(filename, None)
+        if state is None:
+            if len(self._files) >= _MAX_FILES:
+                self._evict_traced(self._files, "file",
+                                   len(self._files) - _MAX_FILES + 1)
+            state = _FileState()
+        self._files[filename] = state
+        return state
+
+    def _check_unit(self, source: str, filename: str, state: _FileState,
                     profile: Dict[str, object], started: float,
                     reporter: Reporter, base, split: bool = True
                     ) -> _CtxEntry:
@@ -372,7 +399,7 @@ class CheckSession:
         context's own diagnostics stop the check."""
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
-        entry = self._context_for(source, filename, base, split)
+        entry = self._context_for(source, filename, state, base, split)
         profile["context_seconds"] = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
         if not reporter.ok:
@@ -420,8 +447,8 @@ class CheckSession:
 
     # -- context construction ----------------------------------------------
 
-    def _context_for(self, source: str, filename: str, base,
-                     split: bool = True) -> _CtxEntry:
+    def _context_for(self, source: str, filename: str, state: _FileState,
+                     base, split: bool = True) -> _CtxEntry:
         metrics = self.telemetry.metrics
         chunks = None
         if split:
@@ -431,21 +458,19 @@ class CheckSession:
                 except ChunkError:
                     pass
         if chunks:
-            chunk_keys = [(filename, _sha(c.text), c.start_line,
-                           c.start_col) for c in chunks]
-            key: tuple = (filename, self.units, self.stdlib,
-                          tuple(chunk_keys))
+            chunk_keys = [(_sha(c.text), c.start_line, c.start_col)
+                          for c in chunks]
+            key: object = tuple(chunk_keys)
         else:
             chunk_keys = []
-            key = (filename, self.units, self.stdlib, _sha(source))
-        entry = self._ctx_cache.get(key)
-        if entry is not None:
+            key = _sha(source)
+        if state.ctx is not None and state.ctx.key == key:
             self.stats.context_hits += 1
             metrics.counter("cache.context.hits").inc()
-            return entry
+            return state.ctx
         self.stats.context_misses += 1
         metrics.counter("cache.context.misses").inc()
-        programs, env_token = self._parse(source, filename, chunks,
+        programs, env_token = self._parse(source, filename, state, chunks,
                                           chunk_keys)
         sub = Reporter()
         with self.telemetry.tracer.span("elaborate"):
@@ -454,51 +479,44 @@ class CheckSession:
                    if len(prog.decls) == 1
                    and isinstance(prog.decls[0], ast.FunDef)
                    and prog.decls[0].body is None]
-        entry = _CtxEntry(ctx, tuple(sub.diagnostics), env_token, headers)
-        if len(self._ctx_cache) >= _MAX_CONTEXTS:
-            self._evict_traced(self._ctx_cache, "context")
-        self._ctx_cache[key] = entry
-        return entry
+        state.ctx = _CtxEntry(key, ctx, tuple(sub.diagnostics), env_token,
+                              headers)
+        return state.ctx
 
-    def _parse(self, source: str, filename: str,
+    def _parse(self, source: str, filename: str, state: _FileState,
                chunks: Optional[List[Chunk]],
                chunk_keys: List[_ChunkKey]
                ) -> Tuple[List[ast.Program], str]:
+        """The revision's programs and env token.  Each chunk comes from
+        the file's held map or a fresh parse, and the new map replaces
+        the held one."""
         metrics = self.telemetry.metrics
         if not chunks:
-            self.stats.whole_parses += 1
-            return [parse_program(source, filename)], \
-                self._unit_env_token(source, filename)
-        programs: List[ast.Program] = []
-        iface_parts: List[str] = []
+            return self._parse_whole(source, filename)
+        held = state.chunks
+        parsed: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
         try:
             for chunk, ckey in zip(chunks, chunk_keys):
-                cached = self._ast_cache.get(ckey)
-                if cached is None:
-                    cached = self._parse_chunk(chunk, ckey, filename)
-                    self.stats.chunk_parses += 1
-                    metrics.counter("cache.chunk_ast.misses").inc()
-                    if len(self._ast_cache) >= _MAX_CHUNK_ASTS:
-                        self._evict_traced(self._ast_cache, "chunk_ast")
-                    self._ast_cache[ckey] = cached
-                else:
-                    self.stats.chunk_hits += 1
-                    metrics.counter("cache.chunk_ast.hits").inc()
-                programs.append(cached[0])
-                iface_parts.append(cached[1])
+                parsed[ckey] = held.get(ckey) \
+                    or self._parse_chunk(chunk, ckey[0], filename)
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
             # exactly as the non-incremental path reports them.
-            self.stats.whole_parses += 1
-            return [parse_program(source, filename)], \
-                self._unit_env_token(source, filename)
-        env_token = _sha("\x00".join(iface_parts)
+            return self._parse_whole(source, filename)
+        finally:
+            hits = len(parsed.keys() & held.keys())
+            self.stats.chunk_hits += hits
+            self.stats.chunk_parses += len(parsed) - hits
+            metrics.counter("cache.chunk_ast.hits").inc(hits)
+            metrics.counter("cache.chunk_ast.misses").inc(len(parsed) - hits)
+        state.chunks = parsed
+        env_token = _sha("\x00".join(part for _, part in parsed.values())
                          + f"\x00{filename}\x00{self.units!r}"
                            f"\x00{self.stdlib!r}")
-        return programs, env_token
+        return [program for program, _ in parsed.values()], env_token
 
-    def _parse_chunk(self, chunk: Chunk, ckey: _ChunkKey, filename: str
+    def _parse_chunk(self, chunk: Chunk, sha: str, filename: str
                      ) -> Tuple[ast.Program, str]:
         """One chunk-AST entry: the chunk's program and its interface
         digest.  A function definition is parsed only up to its body
@@ -512,11 +530,11 @@ class CheckSession:
             fundef = self._header_only(chunk, tokens, filename)
             if fundef is not None:
                 return (ast.Program(fundef.span, [fundef], filename),
-                        self._interface_part(ckey, tokens))
+                        self._interface_part(sha, tokens))
         with tracer.span("lex", filename=filename):
             tokens = tokenize(chunk.text, filename, chunk.start_line,
                               chunk.start_col)
-        part = self._interface_part(ckey, tokens)
+        part = self._interface_part(sha, tokens)
         return parse_program(chunk.text, filename,
                              first_line=chunk.start_line,
                              first_col=chunk.start_col,
@@ -580,7 +598,7 @@ class CheckSession:
         T.KW_STRUCT, T.KW_STATESET, T.KW_KEY,
     })
 
-    def _interface_part(self, ckey: _ChunkKey, tokens: List[Token]) -> str:
+    def _interface_part(self, sha: str, tokens: List[Token]) -> str:
         """One chunk's contribution to the context-wide env token,
         from the chunk's own tokens.
 
@@ -592,11 +610,11 @@ class CheckSession:
         keyword digests its full text (its content
         hash) — conservative, but those chunks can define types, keys
         or whole modules whose every detail other fingerprints may see.
-        The digest is cached with the chunk's AST, so it never depends
-        on what the session evicted in between.
+        The digest is held with the chunk's AST, so it never depends
+        on which revision parsed the chunk.
         """
         if tokens[0].kind in self._DECL_CHUNK_KINDS:
-            return ckey[1]
+            return sha
         header: List[str] = []
         for tok in tokens:
             if tok.kind is T.LBRACE:
@@ -604,25 +622,22 @@ class CheckSession:
             header.append(tok.text)
         return "\x1f".join(header)
 
-    def _unit_env_token(self, source: str, filename: str) -> str:
-        """Env token for the whole-unit (non-chunked) parse path."""
-        return _sha(f"unit\x00{_sha(source)}\x00{filename}"
-                    f"\x00{self.units!r}\x00{self.stdlib!r}")
+    def _parse_whole(self, source: str, filename: str
+                     ) -> Tuple[List[ast.Program], str]:
+        """The unit parsed whole, and its env token."""
+        self.stats.whole_parses += 1
+        return [parse_program(source, filename)], _sha(
+            f"unit\x00{_sha(source)}\x00{filename}"
+            f"\x00{self.units!r}\x00{self.stdlib!r}")
 
-    @staticmethod
-    def _evict(cache: dict) -> None:
-        for key in list(cache)[:len(cache) // 2 + 1]:
-            del cache[key]
-
-    def _evict_traced(self, cache: dict, layer: str) -> None:
-        """Evict the oldest half of ``cache``, leaving a trace: a
-        ``cache.<layer>.evictions`` counter and a ``cache_evict``
-        event.  Before this, the summary/cost caps silently threw away
-        warm state — a daemon serving an eviction-heavy workload
-        looked identical to one with a healthy cache."""
+    def _evict_traced(self, cache: dict, layer: str, evicted: int) -> None:
+        """Evict the ``evicted`` oldest entries of ``cache``, leaving a
+        trace: a ``cache.<layer>.evictions`` counter and a
+        ``cache_evict`` event, so a session thrashing a too-small cap
+        is told apart from one with a healthy cache."""
         before = len(cache)
-        self._evict(cache)
-        evicted = before - len(cache)
+        for key in list(cache)[:evicted]:
+            del cache[key]
         self.telemetry.metrics.counter(f"cache.{layer}.evictions").inc(evicted)
         self.telemetry.events.emit(
             "cache_evict",
@@ -704,7 +719,8 @@ class CheckSession:
                 self.stats.last_checked.append(qual)
                 self.stats.functions_checked += 1
             if len(self._summaries) > _MAX_SUMMARIES:
-                self._evict_traced(self._summaries, "summary")
+                self._evict_traced(self._summaries, "summary",
+                                   len(self._summaries) // 2 + 1)
         return [(qual, results[qual]) for qual, _ in fn_items]
 
     def _run_checks(self, ctx, to_check) -> List[Tuple[Diagnostic, ...]]:
@@ -754,19 +770,13 @@ class CheckSession:
         from ..cache import record_key
         return record_key(self._options_salt, filename)
 
-    def _remember(self, filename: str, sha: str, summaries: Dict[
-            str, Tuple[Diagnostic, ...]]) -> None:
-        if filename not in self._records \
-                and len(self._records) >= _MAX_RECORDS:
-            self._records.clear()
-        self._records[filename] = (sha, summaries)
-
-    def _replay_record(self, filename: str, sha: str,
+    def _replay_record(self, state: _FileState, filename: str, sha: str,
                        reporter: Reporter) -> bool:
-        """Load ``filename``'s record, the session's first check of
-        that file.  Its summaries join the summary cache; when it was
-        written for this very source (``sha``), its diagnostic stream
-        fills ``reporter`` and the result is ``True``.
+        """Load ``filename``'s record into ``state``, on the session's
+        first check of that file (or the first since it was evicted).
+        Its summaries join the summary cache; when it was written for
+        this very source (``sha``), its diagnostic stream fills
+        ``reporter`` and the result is ``True``.
 
         A missing record is a cold file.  A corrupt one fails the
         store's checksum or will not unpickle: the store quarantines
@@ -795,12 +805,13 @@ class CheckSession:
                 and isinstance(record.get("summaries"), dict)):
             record = None
         if record is None:
-            self._remember(filename, "", {})
+            state.sha = ""
         else:
-            self._remember(filename, record["sha"], record["summaries"])
+            state.sha, state.summaries = record["sha"], record["summaries"]
             self._summaries.update(record["summaries"])
             if len(self._summaries) > _MAX_SUMMARIES:
-                self._evict_traced(self._summaries, "summary")
+                self._evict_traced(self._summaries, "summary",
+                                   len(self._summaries) // 2 + 1)
         if record is None or record["sha"] != sha:
             self.stats.shared_unit_misses += 1
             metrics.counter("cache.shared.unit.misses").inc()
@@ -811,8 +822,8 @@ class CheckSession:
         metrics.counter("cache.shared.unit.hits").inc()
         return True
 
-    def _save_record(self, filename: str, sha: str, reporter: Reporter,
-                     entry: _CtxEntry) -> None:
+    def _save_record(self, filename: str, state: _FileState, sha: str,
+                     reporter: Reporter, entry: _CtxEntry) -> None:
         """Write ``filename``'s record for the source ``sha`` just
         checked.  A failed write is a ``shared_cache_error`` event (the
         store reports the first few) and a cold next process, never a
@@ -820,10 +831,10 @@ class CheckSession:
         if entry.fn_results is None:
             # The context's diagnostics stopped the check: no function
             # ran, and the file's summaries carry over.
-            functions, summaries = 0, self._records[filename][1]
+            functions, summaries = 0, state.summaries
         else:
             functions, summaries = len(entry.fn_results), entry.summaries
-        self._remember(filename, sha, summaries)
+        state.sha, state.summaries = sha, summaries
         key = self._record_key(filename)
         record = {"sha": sha, "diags": tuple(reporter.diagnostics),
                   "functions": functions, "summaries": summaries}

@@ -30,8 +30,9 @@ Each sequence is walked three ways:
     (what ``vaultc check --daemon`` does).  Without ``AF_UNIX`` the
     path is skipped and the report says so.
 
-and then every walk runs again with the session's cache caps patched
-down to :data:`SMALL_CAP`, so that evictions interleave with edits.
+and then every walk runs again with the session's summary cap patched
+down to :data:`SMALL_CAP` and its file cap to one, so that evictions
+interleave with edits.
 
 A divergent sequence is shrunk: revisions are dropped one at a time
 while the same path still diverges (:func:`shrink_sequence`), and the
@@ -74,10 +75,13 @@ EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
               "syntax_error", "form_feed", "revert", "rename_file",
               "move_function")
 
-#: the cache cap the second walk patches onto the session module.
+#: the summary cap the second walk patches onto the session module.
 SMALL_CAP = 8
 
-_CAPS = ("_MAX_CHUNK_ASTS", "_MAX_CONTEXTS", "_MAX_SUMMARIES")
+#: the session caps the second walk patches: one file, so that a
+#: ``rename_file`` evicts the other name's state mid-sequence, and the
+#: summary cap it is given.
+_CAPS = ("_MAX_FILES", "_MAX_SUMMARIES")
 
 #: a top-level function definition's first line (column 0, ends in
 #: ``{``), and the line that closes it.
@@ -326,16 +330,16 @@ def _daemon_outcome(daemon: InProcessDaemon, rev: Revision) -> str:
 
 @contextmanager
 def _caps(value: Optional[int]) -> Iterator[str]:
-    """Patch the session's cache caps to ``value`` (``None``: leave
-    them); yields the path-name suffix."""
+    """Patch the session's summary cap to ``value`` and its file cap to
+    1 (``None``: leave both); yields the path-name suffix."""
     if value is None:
         yield ""
         return
     from repro.pipeline import session as session_mod
     saved = {name: getattr(session_mod, name) for name in _CAPS}
     try:
-        for name in _CAPS:
-            setattr(session_mod, name, value)
+        session_mod._MAX_FILES = 1
+        session_mod._MAX_SUMMARIES = value
         yield f"/cap{value}"
     finally:
         for name, old in saved.items():

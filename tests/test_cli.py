@@ -341,6 +341,19 @@ class TestObservability:
         assert snap["diagnostics.V0302"]["value"] >= 1
         assert snap["check.function_seconds"]["type"] == "histogram"
 
+    def test_metrics_carry_the_session_gauges(self, good_file, tmp_path,
+                                              capsys):
+        from repro.pipeline import split_chunks
+        metrics_path = str(tmp_path / "metrics.json")
+        assert main(["check", good_file, "--metrics", metrics_path]) == 0
+        with open(metrics_path) as handle:
+            snap = json.load(handle)
+        with open(good_file) as handle:
+            chunks = len(split_chunks(handle.read()))
+        assert snap["session.files"] == {"type": "gauge", "value": 1}
+        assert snap["session.chunks_held"] == {"type": "gauge",
+                                               "value": chunks}
+
     def test_tracing_is_off_by_default(self, good_file):
         # Metrics are always on (tests/test_pipeline.py checks them
         # against SessionStats); spans cost memory per function, so a

@@ -302,10 +302,25 @@ class TestEditSequences:
     def test_caps_are_restored_after_the_small_cap_walk(self):
         from repro.pipeline import session as session_mod
         before = {name: getattr(session_mod, name) for name in
-                  ("_MAX_CHUNK_ASTS", "_MAX_CONTEXTS", "_MAX_SUMMARIES")}
+                  ("_MAX_FILES", "_MAX_SUMMARIES")}
         walk(edit_sequence(2, 3), caps=SMALL_CAP)
         assert before == {name: getattr(session_mod, name)
                           for name in before}
+
+    def test_the_small_cap_walk_evicts_on_a_rename(self):
+        # At a file cap of one, the renamed file's first check evicts
+        # the old name's state mid-sequence.
+        from repro.pipeline import CheckSession
+        revisions = edit_sequence(5, 8)
+        assert revisions[1].kind == "rename_file"
+        with edits_mod._caps(SMALL_CAP):
+            session = CheckSession()
+            for rev in revisions:
+                assert session.check(rev.source, rev.filename).render() \
+                    == check_source(rev.source, rev.filename).render()
+        snapshot = session.telemetry.metrics.snapshot()
+        assert snapshot["cache.file.evictions"]["value"] >= 1
+        assert walk(revisions, 5, SMALL_CAP)[1] == []
 
     def test_walk_catches_a_stale_summary(self, monkeypatch):
         # Number the session's lines as str.splitlines does: a form

@@ -24,8 +24,9 @@ from repro.analysis import synthesize_program
 from repro.core import check_function_diagnostics, program_cfgs
 from repro.diagnostics import Note, VaultError
 from repro.pipeline import CheckSession, ChunkError, split_chunks
-from repro.stdlib import stdlib_context
-from repro.syntax import ast, parse_program
+from repro.stdlib import STDLIB_UNITS, stdlib_context, stdlib_source
+from repro.syntax import ast, parse_program, tokenize
+from repro.syntax.tokens import T
 from repro.testing import canonical_stdout, generate_program
 
 UNITS = ["region"]
@@ -136,6 +137,56 @@ class TestSplitChunks:
                 session.check(source, f"gen-{seed}.vlt")
         assert session.stats.whole_parses == 0
 
+    # The other ChunkError cases have their own tests above.
+    @pytest.mark.parametrize("source, message", [
+        ("void f() { } }", "unbalanced braces"),
+        ('void f() { string s = "a\nb"; }', "newline in string literal"),
+        ('void f() { string s = "open', "unterminated string literal"),
+        ("void f() { int x = ' ; }", "stray tick"),
+    ])
+    def test_literal_and_closing_brace_errors_raise(self, source, message):
+        with pytest.raises(ChunkError, match=message):
+            split_chunks(source)
+
+    def test_split_matches_the_lexer_on_the_corpus(self):
+        # Concatenated, the chunks are the source; each starts at the
+        # line and column of its offset (only ``\n`` ends a line); and
+        # each chunk's terminator and first body brace are the tokens
+        # the lexer finds at depth zero.
+        corpus = _split_corpus()
+        for name, source in corpus:
+            chunks = split_chunks(source)
+            assert "".join(c.text for c in chunks) == source, name
+            _assert_chunks_match(source, chunks, name)
+        assert len(corpus) > 200
+
+    @pytest.mark.parametrize("source, texts", [
+        # char literals holding braces, inside a body
+        ("void f() {\n  char a = '{';\n  char b = '}';\n}\nvoid g() { }\n",
+         ["void f() {\n  char a = '{';\n  char b = '}';\n}",
+          "\nvoid g() { }\n"]),
+        # a brace in a line comment and a multi-line block comment,
+        # inside a body and between chunks
+        ("void f() {\n  // }\n  /* }\n } */\n}\n// }\n/* {\n*/void g() { }",
+         ["void f() {\n  // }\n  /* }\n } */\n}",
+          "\n// }\n/* {\n*/void g() { }"]),
+        # brackets and semicolons inside a body
+        ("void f() { int[2] a; a[0] = 1; }\nint x;\n",
+         ["void f() { int[2] a; a[0] = 1; }", "\nint x;\n"]),
+        # a keyed variant's key lists at depth zero
+        ("variant v<key K> [\n  'A {K@q0} |\n  'B {K@q1} ];\nvoid f() { }",
+         ["variant v<key K> [\n  'A {K@q0} |\n  'B {K@q1} ];",
+          "\nvoid f() { }"]),
+        # CRLF and form-feed lines: only \n ends a line
+        ("int x;\r\n// \f page\nvoid f() {\r\n}\r\n/*\f*/int y;",
+         ["int x;", "\r\n// \f page\nvoid f() {\r\n}",
+          "\r\n/*\f*/int y;"]),
+    ])
+    def test_hand_written_boundaries(self, source, texts):
+        chunks = split_chunks(source)
+        assert [c.text for c in chunks] == texts
+        _assert_chunks_match(source, chunks, source)
+
     def test_fallback_matches_plain_check(self):
         # A splitter-hostile unit must behave identically (the session
         # falls back to whole-unit parsing, which raises the same
@@ -147,6 +198,54 @@ class TestSplitChunks:
         with pytest.raises(Exception) as plain_err:
             check_source(source, units=UNITS)
         assert str(session_err.value) == str(plain_err.value)
+
+
+def _split_corpus():
+    """(name, source) pairs the splitter must agree with the lexer on:
+    the examples, every stdlib unit, 200 generated programs and
+    synthesized units."""
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    corpus = [(path.name, path.read_text())
+              for path in sorted(examples.glob("*.vlt"))]
+    corpus += [(f"<stdlib:{unit}>", stdlib_source(unit))
+               for unit in STDLIB_UNITS]
+    corpus += [(f"gen{seed}", generate_program(seed).source)
+               for seed in range(200)]
+    corpus += [(f"syn{n}", synthesize_program(n, seed=n, error_rate=0.3))
+               for n in (1, 20, 160)]
+    return corpus
+
+
+def _assert_chunks_match(source, chunks, name):
+    """Each chunk's position is its offset's line and column, and its
+    ``brace`` and ``end`` are the offsets of the first depth-zero
+    ``{`` outside brackets and just past the terminating ``;``/``}``,
+    as read off the lexer's tokens of the whole unit."""
+    expected = []
+    start, brace, depth, brackets = 0, -1, 0, 0
+    for tok in tokenize(source):
+        if tok.kind is T.LBRACE:
+            if depth == brackets == 0 and brace < 0:
+                brace = tok.offset - start
+            depth += 1
+        elif tok.kind is T.RBRACE:
+            depth -= 1
+        elif tok.kind is T.LBRACKET and depth == 0:
+            brackets += 1
+        elif tok.kind is T.RBRACKET and depth == 0:
+            brackets -= 1
+        if depth == brackets == 0 and tok.kind in (T.SEMI, T.RBRACE):
+            expected.append((start, brace, tok.end_offset - start))
+            start, brace = tok.end_offset, -1
+    offset = 0
+    got = []
+    for chunk in chunks:
+        line = source.count("\n", 0, offset) + 1
+        col = offset - source.rfind("\n", 0, offset)
+        assert (chunk.start_line, chunk.start_col) == (line, col), name
+        got.append((offset, chunk.brace, chunk.end))
+        offset += len(chunk.text)
+    assert got == expected, name
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +735,7 @@ class TestPositionFreeSummaries:
 
 # ---------------------------------------------------------------------------
 # Chunk-AST cache: one entry per declaration chunk, with its interface
-# digest; eviction tracing; an env token independent of cache history
+# digest; an env token independent of cache history
 # ---------------------------------------------------------------------------
 
 
@@ -650,11 +749,11 @@ def _body_edit(source, start=None):
 
 def _env_token(session, source):
     """The env token ``session`` computes for ``source`` (a context
-    miss, so the entry is the newest in the context cache)."""
+    miss, so the file's held context is the one just built)."""
     misses = session.stats.context_misses
     session.check(source, "unit.vlt")
     assert session.stats.context_misses == misses + 1
-    return list(session._ctx_cache.values())[-1].env_token
+    return session._files["unit.vlt"].ctx.env_token
 
 
 class TestChunkAstCache:
@@ -688,23 +787,12 @@ class TestChunkAstCache:
             check_source(edited, "unit.vlt", units=UNITS).render(), \
             "a re-parsed chunk must render like a from-scratch check"
 
-    def test_chunk_ast_eviction_is_traced(self, monkeypatch):
-        from repro.pipeline import session as session_mod
-        monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 4)
-        session = fresh_session()
-        session.check(synthesize_program(12, seed=3), "unit.vlt")
-        snapshot = session.telemetry.metrics.snapshot()
-        assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
-        events = session.telemetry.events.by_kind("cache_evict")
-        evicted = sum(e.fields["evicted"] for e in events
-                      if e.fields["layer"] == "chunk_ast")
-        assert evicted == snapshot["cache.chunk_ast.evictions"]["value"]
-
     def test_env_token_does_not_depend_on_evictions(self, monkeypatch):
-        # A function chunk is digested from its header whether or not
-        # other chunks were evicted in between.  Were it digested by
-        # its content hash after an eviction, the env token would flip
-        # and every fingerprint memo of the unit would miss.
+        # A function chunk is digested from its header whether it was
+        # held from the file's previous revision or parsed afresh after
+        # the file was evicted.  Were it digested differently on one
+        # path, the env token would flip and every fingerprint memo of
+        # the unit would miss.
         from repro.pipeline import session as session_mod
         source = synthesize_program(40, seed=3)
         revisions = [source, _body_edit(source),
@@ -712,11 +800,106 @@ class TestChunkAstCache:
         fresh = [_env_token(fresh_session(), text) for text in revisions]
         # Body edits leave the interface, and so the token, unchanged.
         assert len(set(fresh)) == 1
-        monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 8)
         session = fresh_session()
         assert [_env_token(session, text) for text in revisions] == fresh
+        monkeypatch.setattr(session_mod, "_MAX_FILES", 1)
+        tokens = []
+        for text in revisions:
+            session.check(PROTO, "other.vlt")     # evicts unit.vlt
+            tokens.append(_env_token(session, text))
+        assert tokens == fresh
         snapshot = session.telemetry.metrics.snapshot()
-        assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
+        assert snapshot["cache.file.evictions"]["value"] == 6
+
+
+# ---------------------------------------------------------------------------
+# Per-file retention: a session keeps each file's latest revision only
+# ---------------------------------------------------------------------------
+
+def _insert_blank_lines(source, count):
+    """``count`` revisions, each inserting one blank line into the
+    previous one at a line that moves through the unit."""
+    revisions = []
+    for i in range(count):
+        lines = source.split("\n")
+        at = (i * 37) % len(lines)
+        source = "\n".join(lines[:at] + [""] + lines[at:])
+        revisions.append(source)
+    return revisions
+
+
+def _gauges(session):
+    snapshot = session.telemetry.metrics.snapshot()
+    return (snapshot["session.files"]["value"],
+            snapshot["session.chunks_held"]["value"])
+
+
+class TestFileRetention:
+    def test_file_eviction_is_traced(self, monkeypatch):
+        from repro.pipeline import session as session_mod
+        monkeypatch.setattr(session_mod, "_MAX_FILES", 2)
+        session = fresh_session()
+        for seed in range(5):
+            session.check(synthesize_program(3, seed=seed), f"f{seed}.vlt")
+        assert list(session._files) == ["f3.vlt", "f4.vlt"]
+        snapshot = session.telemetry.metrics.snapshot()
+        assert snapshot["cache.file.evictions"]["value"] == 3
+        events = session.telemetry.events.by_kind("cache_evict")
+        evicted = sum(e.fields["evicted"] for e in events
+                      if e.fields["layer"] == "file")
+        assert evicted == snapshot["cache.file.evictions"]["value"]
+
+    def test_a_check_refreshes_its_files_place(self, monkeypatch):
+        from repro.pipeline import session as session_mod
+        monkeypatch.setattr(session_mod, "_MAX_FILES", 2)
+        a, b, c = (synthesize_program(2, seed=seed) for seed in range(3))
+        session = fresh_session()
+        for text, filename in ((a, "a.vlt"), (b, "b.vlt"), (a, "a.vlt"),
+                               (c, "c.vlt")):
+            session.check(text, filename)
+        assert list(session._files) == ["a.vlt", "c.vlt"]
+
+    def test_line_inserts_hold_only_the_last_revision(self):
+        session = fresh_session()
+        for text in _insert_blank_lines(synthesize_program(160, seed=3), 20):
+            report = session.check(text, "unit.vlt")
+        chunks = len(split_chunks(text))
+        assert list(session._files) == ["unit.vlt"]
+        assert len(session._files["unit.vlt"].chunks) == chunks
+        assert _gauges(session) == (1, chunks)
+        assert report.render() == \
+            check_source(text, "unit.vlt", units=UNITS).render()
+
+    @pytest.mark.parametrize("edit", [_body_edit, lambda text: "\n" + text])
+    def test_a_revert_renders_like_check_source(self, edit):
+        # Undo is no unit replay any more: the chunks the edit changed
+        # are parsed again, and every summary replays.
+        source = synthesize_program(12, seed=3, error_rate=0.3)
+        session = fresh_session()
+        for text in (source, edit(source)):
+            session.check(text, "unit.vlt")
+        parses = session.stats.chunk_parses
+        report = session.check(source, "unit.vlt")
+        expected = check_source(source, "unit.vlt", units=UNITS)
+        assert report.render() == expected.render()
+        assert report.diagnostics == expected.diagnostics
+        assert session.stats.chunk_parses > parses
+        assert session.stats.last_checked == []
+
+    def test_two_files_each_hit_their_own_context(self):
+        a = synthesize_program(4, seed=3)
+        b = synthesize_program(5, seed=4)
+        session = fresh_session()
+        session.check(a, "a.vlt")
+        session.check(b, "b.vlt")
+        for text, filename in ((a, "a.vlt"), (b, "b.vlt")) * 2:
+            hits = session.stats.context_hits
+            session.check(text, filename)
+            assert session.stats.context_hits == hits + 1
+            assert session.stats.last_checked == []
+        assert session._files["a.vlt"].ctx is not session._files["b.vlt"].ctx
+        assert _gauges(session) == \
+            (2, len(split_chunks(a)) + len(split_chunks(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +945,7 @@ class TestHeaderOnlyChunks:
         source = synthesize_program(6, seed=3, error_rate=0.5) + PROTO
         session = fresh_session()
         session.check(source, "unit.vlt")
-        ctx = list(session._ctx_cache.values())[-1].ctx
+        ctx = session._files["unit.vlt"].ctx.ctx
         whole = {d.decl.name: d for d in
                  parse_program(source, "unit.vlt").decls
                  if isinstance(d, ast.FunDef)}

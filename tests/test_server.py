@@ -594,6 +594,23 @@ class TestTelemetryOp:
         finally:
             handle.stop()
 
+    def test_telemetry_carries_the_session_gauges(self, tmp_path):
+        # Two files in the daemon's one session: each keeps its latest
+        # revision's chunks.
+        from repro.pipeline import split_chunks
+        other = OK_SOURCE + "\nint g(int x) {\n    return x;\n}\n"
+        handle = _start_server(tmp_path)
+        try:
+            with DaemonClient(handle.socket_path) as client:
+                client.check(OK_SOURCE, "a.vlt")
+                client.check(other, "b.vlt")
+                tel = client.telemetry()
+            assert tel["gauges"]["session.files"] == 2
+            assert tel["gauges"]["session.chunks_held"] == \
+                len(split_chunks(OK_SOURCE)) + len(split_chunks(other))
+        finally:
+            handle.stop()
+
     def test_server_start_event_payload(self, tmp_path):
         from repro.server.protocol import PROTOCOL_VERSION
         handle = _start_server(tmp_path)
