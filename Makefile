@@ -26,9 +26,11 @@ cli-smoke:
 
 # Fast CI smoke: asserts the front-end ratchet (lex+parse share of a
 # cold check; a one-chunk edit re-parses one chunk and reuses >=90% of
-# chunk ASTs) and the retention ratchet (after 10 line inserts a session
-# holds only the last revision's chunks and one context), then runs the
-# benchmark bodies once (no timing rounds),
+# chunk ASTs), the retention ratchet (after 10 line inserts a session
+# holds only the last revision's chunks and one context) and the
+# elaboration ratchet (10 body edits and 10 in-body blank lines run
+# build_context 0 times), then runs the benchmark bodies once (no
+# timing rounds),
 # refreshing BENCH_checker.json with cold/warm/edit timings.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py

@@ -14,6 +14,12 @@ one session: afterwards the session must hold exactly the last
 revision's chunks and one context, whatever the host's speed.  It is
 recorded in ``BENCH_checker.json`` as ``frontend.retained_chunks``.
 
+The elaboration ratchet makes body edits and inserts blank lines inside
+bodies of the same unit in one session: neither changes a signature or
+a declaration, so none of those checks may run ``build_context`` (the
+``cache.context.misses`` counter).  The count is recorded as
+``frontend.elaborations`` and must be 0.
+
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
 """
@@ -46,6 +52,10 @@ CHUNK_AST_HIT_FLOOR = 0.90
 
 #: Line-insert revisions the retention ratchet checks in one session.
 RETENTION_REVISIONS = 10
+
+#: Body edits (each followed by a blank line inside the same body) the
+#: elaboration ratchet checks in one session.
+ELABORATION_EDITS = 10
 
 _BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_checker.json")
@@ -150,19 +160,57 @@ def test_retention_ratchet():
     assert retained["contexts_held"] == 1, \
         "the session holds contexts of revisions before the last"
 
+    _record("retained_chunks", retained)
+    print("bench-smoke: retention ratchet   OK")
+
+
+def test_elaboration_ratchet():
+    # A body edit and a blank line inside a body leave every signature
+    # and declaration as it was: the held context serves both.
+    source = synthesize_program(N_FUNCTIONS_FRONTEND, seed=42)
+    session = CheckSession(units=UNITS)
+    session.check(source)
+    before = _context_misses(session)
+    for i in range(ELABORATION_EDITS):
+        at = source.index("c.value += ", i * len(source) // ELABORATION_EDITS)
+        end = source.index(";", at)
+        source = source[:at] + f"c.value += {4200 + i}" + source[end:]
+        session.check(source)
+        at = source.index("\n", at) + 1          # still in the same body
+        source = source[:at] + "\n" + source[at:]
+        session.check(source)
+    elaborations = _context_misses(session) - before
+    print(f"bench-smoke: {elaborations} elaboration(s) over "
+          f"{ELABORATION_EDITS} body edits and {ELABORATION_EDITS} "
+          f"in-body blank lines")
+    assert elaborations == 0, \
+        f"edits that keep the interface ran build_context {elaborations} " \
+        f"time(s)"
+    _record("elaborations", elaborations)
+    print("bench-smoke: elaboration ratchet OK")
+
+
+def _context_misses(session):
+    snapshot = session.telemetry.metrics.snapshot()
+    return snapshot.get("cache.context.misses", {}).get("value", 0)
+
+
+def _record(row, value):
+    """Write ``value`` as row ``row`` of ``BENCH_checker.json``'s
+    ``frontend`` block, keeping everything else in the file."""
     try:
         with open(_BENCH_JSON, "r", encoding="utf-8") as handle:
             bench = json.load(handle)
     except (OSError, ValueError):
         bench = {}
-    bench.setdefault("frontend", {})["retained_chunks"] = retained
+    bench.setdefault("frontend", {})[row] = value
     with open(_BENCH_JSON, "w", encoding="utf-8") as handle:
         json.dump(bench, handle, indent=2)
         handle.write("\n")
-    print("bench-smoke: retention ratchet   OK")
 
 
 if __name__ == "__main__":
     test_frontend_ratchet()
     test_retention_ratchet()
+    test_elaboration_ratchet()
     print("bench-smoke: PASS")

@@ -132,8 +132,11 @@ def _print_profile(session, file) -> int:
         if key in profile:
             label = key.replace("_seconds", "")
             print(f"  {label:<22} {profile[key] * 1000:8.1f} ms", file=file)
-    if "plan" in profile:
-        print(f"  {'plan':<22} {profile['plan']}", file=file)
+    plan = [profile["plan"]] if "plan" in profile else []
+    if "context" in profile:
+        plan.append(f"context {profile['context']}")
+    if plan:
+        print(f"  {'plan':<22} {'; '.join(plan)}", file=file)
     print(f"  {'functions checked':<22} {stats.functions_checked:8d}",
           file=file)
     print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",

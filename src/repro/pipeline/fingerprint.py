@@ -143,9 +143,10 @@ def dependency_renderings(ctx: ProgramContext, names: Iterable[str],
     resolve to no declaration at all (locals, field names, state
     literals of undeclared sets) cannot contribute renderings, so two
     functions whose name sets differ only in such noise share one
-    fixpoint run.  Contexts are immutable once built (the session's
-    context cache hands out finished elaborations), which is what
-    makes caching on the instance sound.
+    fixpoint run.  A context's declaration tables are immutable once
+    built (a session that reuses a context for a revision with the
+    same interface re-points only its ``fun_defs``, which no rendering
+    reads), which is what makes caching on the instance sound.
     """
     relevant = frozenset(names) & _declared_names(ctx)
     memo: Dict[Tuple[str, frozenset], List[str]] = \

@@ -21,8 +21,14 @@ invalidated:
   stays on the cached node.  A body that does not parse on its own
   sends the check back to one whole-unit parse, so syntax errors are
   reported exactly as ``check_source`` reports them;
-* **context** — a re-save of the held revision reuses its elaborated
-  :class:`ProgramContext` (layered on the process-wide stdlib base);
+* **context** — the elaborated :class:`ProgramContext` (layered on
+  the process-wide stdlib base) is held per file and reused by any
+  revision with the same interface: same signatures and every
+  declaration chunk unchanged in place.  A body edit, a blank line in
+  a body or a reflowed header only re-points the context's function
+  definitions at the fresh chunks; ``build_context`` runs only when
+  the interface changes, a declaration moves or the held context has
+  diagnostics;
 * **summary cache** — per-function diagnostics are cached under a
   stable content fingerprint of the function and everything it
   references (:mod:`repro.pipeline.fingerprint`), position-free: lines
@@ -449,7 +455,9 @@ class CheckSession:
 
     def _context_for(self, source: str, filename: str, state: _FileState,
                      base, split: bool = True) -> _CtxEntry:
-        metrics = self.telemetry.metrics
+        """The revision's context entry: the held one on a re-save, the
+        held context under the new chunks when the interface is
+        unchanged (``_kept_functions``), or a new elaboration."""
         chunks = None
         if split:
             with self.telemetry.tracer.span("split_chunks"):
@@ -464,24 +472,69 @@ class CheckSession:
         else:
             chunk_keys = []
             key = _sha(source)
-        if state.ctx is not None and state.ctx.key == key:
-            self.stats.context_hits += 1
-            metrics.counter("cache.context.hits").inc()
-            return state.ctx
-        self.stats.context_misses += 1
-        metrics.counter("cache.context.misses").inc()
+        held = state.ctx
+        if held is not None and held.key == key:
+            self._count_context("held")
+            return held
+        held_chunks = state.chunks
         programs, env_token = self._parse(source, filename, state, chunks,
                                           chunk_keys)
-        sub = Reporter()
-        with self.telemetry.tracer.span("elaborate"):
-            ctx = build_context(programs, sub, base=base)
         headers = [prog.decls[0] for prog in programs
                    if len(prog.decls) == 1
                    and isinstance(prog.decls[0], ast.FunDef)
                    and prog.decls[0].body is None]
-        state.ctx = _CtxEntry(key, ctx, tuple(sub.diagnostics), env_token,
-                              headers)
+        # Functions are checked against declared signatures only (paper
+        # §3), so a revision with the held interface elaborates to the
+        # held context.  Reuse it when it came from chunks (those
+        # ``_kept_functions`` compares with), has no diagnostics of its
+        # own (they may point into function bodies, which move) and
+        # has this revision's env token.
+        kept = None
+        if held is not None and isinstance(held.key, tuple) \
+                and not held.diags and held.env_token == env_token:
+            kept = self._kept_functions(held_chunks, state.chunks)
+        if kept is not None:
+            self._count_context("reused")
+            ctx, diags = held.ctx, held.diags
+            for fundef in kept:
+                ctx.fun_defs[fundef.decl.name] = fundef
+        else:
+            self._count_context("elaborated")
+            sub = Reporter()
+            with self.telemetry.tracer.span("elaborate"):
+                ctx = build_context(programs, sub, base=base)
+            diags = tuple(sub.diagnostics)
+        state.ctx = _CtxEntry(key, ctx, diags, env_token, headers)
         return state.ctx
+
+    def _count_context(self, how: str) -> None:
+        """Record what the context step did: ``held`` and ``reused``
+        skip ``build_context`` (context hits), ``elaborated`` runs it."""
+        self.telemetry.profile["context"] = how
+        if how == "elaborated":
+            self.stats.context_misses += 1
+            self.telemetry.metrics.counter("cache.context.misses").inc()
+        else:
+            self.stats.context_hits += 1
+            self.telemetry.metrics.counter("cache.context.hits").inc()
+
+    @staticmethod
+    def _kept_functions(held: Dict[_ChunkKey, Tuple[ast.Program, str]],
+                        chunks: Dict[_ChunkKey, Tuple[ast.Program, str]]
+                        ) -> Optional[List[ast.FunDef]]:
+        """The function definitions of ``chunks`` in unit order, when
+        every other chunk is one of ``held`` at the same place; else
+        ``None``.  Declaration chunks hold the context's positioned
+        tables (type spans, interfaces, modules), so they must not
+        move; a function chunk adds only its position-free signature."""
+        fundefs = []
+        for ckey, (program, _) in chunks.items():
+            decls = program.decls
+            if len(decls) == 1 and isinstance(decls[0], ast.FunDef):
+                fundefs.append(decls[0])
+            elif ckey not in held:
+                return None
+        return fundefs
 
     def _parse(self, source: str, filename: str, state: _FileState,
                chunks: Optional[List[Chunk]],

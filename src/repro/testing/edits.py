@@ -73,7 +73,7 @@ __all__ = ["EDIT_KINDS", "SMALL_CAP", "Revision", "EditDivergence",
 EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
               "blank_delete", "effect_clause", "signature", "struct_field",
               "syntax_error", "form_feed", "revert", "rename_file",
-              "move_function")
+              "move_function", "header_reflow")
 
 #: the summary cap the second walk patches onto the session module.
 SMALL_CAP = 8
@@ -267,6 +267,12 @@ def _edit(rng: random.Random, kind: str, lines: List[str]) -> bool:
             return False
         at = rng.choice(targets)
         lines[at:at] = block
+    elif kind == "header_reflow":
+        # Break the header after its ``(``: the same tokens, so the same
+        # interface, but its parameters and every later function move
+        # down a line.
+        at = lines[head].index("(") + 1
+        lines[head:head + 1] = [lines[head][:at], "    " + lines[head][at:]]
     else:
         raise ValueError(f"unknown edit kind {kind!r}")
     return True

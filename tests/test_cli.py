@@ -302,6 +302,34 @@ class TestObservability:
         # Session counters are cumulative: 13 cold parses, then one.
         assert rows == ["  chunks                 parsed 14 / reused 12"]
 
+    def test_profile_plan_row_names_the_context_step(self, good_file,
+                                                     capsys):
+        # A cold check elaborates; in one session, a body edit reuses
+        # the held context and a re-save holds it.
+        import io
+        from repro.analysis import synthesize_program
+        from repro.pipeline import CheckSession
+        assert main(["check", good_file, "--profile"]) == 0
+        assert "; context elaborated\n" in capsys.readouterr().err
+        source = synthesize_program(12, seed=3)
+        at = source.index("c.value += ", len(source) // 2)
+        edited = source[:at] + "c.value += 4242" + \
+            source[source.index(";", at):]
+        session = CheckSession(units=["region"])
+        rows = []
+        for text in (source, edited, edited):
+            session.check(text)
+            out = io.StringIO()
+            cli._print_profile(session, out)
+            rows += [row for row in out.getvalue().splitlines()
+                     if row.strip().startswith("plan")]
+        assert rows == [
+            "  plan                   checked 12 of 12 function(s); "
+            "context elaborated",
+            "  plan                   checked 1 of 12 function(s); "
+            "context reused",
+            "  plan                   replayed whole unit; context held"]
+
     def test_trace_emits_valid_chrome_json(self, good_file, tmp_path,
                                            capsys):
         from repro.obs import validate_chrome_trace

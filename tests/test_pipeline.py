@@ -11,6 +11,7 @@ Covers the three layers of :mod:`repro.pipeline`:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -747,13 +748,19 @@ def _body_edit(source, start=None):
     return source[:at] + "c.value += 4242" + source[end:]
 
 
+def _chunk_keys(source):
+    """The context-entry key of a revision that splits into chunks."""
+    return tuple((hashlib.sha256(c.text.encode()).hexdigest(),
+                  c.start_line, c.start_col) for c in split_chunks(source))
+
+
 def _env_token(session, source):
-    """The env token ``session`` computes for ``source`` (a context
-    miss, so the file's held context is the one just built)."""
-    misses = session.stats.context_misses
+    """The env token ``session`` computes for ``source`` (the file's
+    held context entry is this revision's)."""
     session.check(source, "unit.vlt")
-    assert session.stats.context_misses == misses + 1
-    return session._files["unit.vlt"].ctx.env_token
+    entry = session._files["unit.vlt"].ctx
+    assert entry.key == _chunk_keys(source)
+    return entry.env_token
 
 
 class TestChunkAstCache:
@@ -900,6 +907,182 @@ class TestFileRetention:
         assert session._files["a.vlt"].ctx is not session._files["b.vlt"].ctx
         assert _gauges(session) == \
             (2, len(split_chunks(a)) + len(split_chunks(b)))
+
+
+# ---------------------------------------------------------------------------
+# Interface reuse: an edit that keeps every signature and declaration
+# keeps the held context
+# ---------------------------------------------------------------------------
+
+#: a 12-function unit with a struct at its top and some errors.
+_REUSE_UNIT = synthesize_program(12, seed=3, error_rate=0.3)
+
+
+def _elaborations(session):
+    snapshot = session.telemetry.metrics.snapshot()
+    return snapshot.get("cache.context.misses", {"value": 0})["value"]
+
+
+def _check_like_check_source(session, text, filename="unit.vlt"):
+    """Check ``text``, assert its diagnostics equal ``check_source``'s
+    by value, and return whether the check ran ``build_context``."""
+    before = _elaborations(session)
+    report = session.check(text, filename)
+    expected = check_source(text, filename, units=UNITS)
+    assert report.diagnostics == expected.diagnostics
+    assert report.render() == expected.render()
+    ran = _elaborations(session) - before
+    assert session.last_profile["context"] == \
+        ("elaborated" if ran else "reused")
+    return bool(ran)
+
+
+def _blank_in_body(source, function):
+    """A blank line below ``function``'s header, inside its body."""
+    at = source.index("\n", source.index(f"int {function}(")) + 1
+    return source[:at] + "\n" + source[at:]
+
+
+class TestInterfaceReuse:
+    @pytest.mark.parametrize("edit", [
+        _body_edit,
+        # moves every later function down one line
+        lambda text: _blank_in_body(text, "worker_1"),
+        lambda text: text.replace("int worker_4(int input)",
+                                  "int worker_4(\n    int input)"),
+    ], ids=["body_edit", "blank_in_body", "header_line_break"])
+    def test_an_unchanged_interface_reuses_the_context(self, edit):
+        session = fresh_session()
+        assert _check_like_check_source(session, _REUSE_UNIT)
+        held = session._files["unit.vlt"].ctx.ctx
+        edited = edit(_REUSE_UNIT)
+        assert edited != _REUSE_UNIT
+        assert not _check_like_check_source(session, edited)
+        assert session._files["unit.vlt"].ctx.ctx is held
+        # and back again
+        assert not _check_like_check_source(session, _REUSE_UNIT)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("{ int value; int extra; }",
+                                  "{ int extra; int value; }", 1),
+        lambda text: text.replace("int worker_4(int input)",
+                                  "int worker_4(int input, int spare)"),
+        lambda text: "\n" + text,
+    ], ids=["struct_field", "signature", "blank_above_struct"])
+    def test_a_changed_interface_elaborates(self, edit):
+        session = fresh_session()
+        _check_like_check_source(session, _REUSE_UNIT)
+        edited = edit(_REUSE_UNIT)
+        assert edited != _REUSE_UNIT
+        assert _check_like_check_source(session, edited)
+        assert _check_like_check_source(session, _REUSE_UNIT)
+
+    def test_a_moved_declaration_elaborates(self):
+        # A blank line in a body above a declaration moves it with its
+        # text unchanged, so the env token stays; but the context holds
+        # the declaration's spans, so it must be elaborated again.
+        struct, rest = _REUSE_UNIT.split("\n", 1)
+        end = rest.index("\n}\n") + 3
+        unit = rest[:end] + "\n" + struct + "\n" + rest[end:]
+        session = fresh_session()
+        _check_like_check_source(session, unit)
+        moved = _blank_in_body(unit, "worker_0")
+        assert _check_like_check_source(session, moved)
+        # below the declaration, a blank line moves functions only
+        assert not _check_like_check_source(
+            session, _blank_in_body(moved, "worker_1"))
+
+    def test_a_whole_unit_context_is_not_reused(self, monkeypatch):
+        # A unit the splitter refuses is parsed whole and its context
+        # held under the source's hash; the next revision splits again,
+        # and its body edit must elaborate, not reuse that context.
+        from repro.pipeline import session as session_mod
+
+        def refuse(source):
+            raise ChunkError("refused")
+
+        session = fresh_session()
+        _check_like_check_source(session, _REUSE_UNIT)
+        monkeypatch.setattr(session_mod, "split_chunks", refuse)
+        assert _check_like_check_source(session, _REUSE_UNIT)
+        assert isinstance(session._files["unit.vlt"].ctx.key, str)
+        monkeypatch.undo()
+        assert _check_like_check_source(session, _body_edit(_REUSE_UNIT))
+
+    def test_a_syntax_error_then_its_fix(self):
+        # The broken body raises before any whole-unit context is held;
+        # the held one is the broken revision's, built from its chunks,
+        # and the fix (a body edit of it) reuses that context.
+        broken = _REUSE_UNIT.replace("c.value += 5;", "c.value += ;", 1)
+        assert broken != _REUSE_UNIT
+        session = fresh_session()
+        _check_like_check_source(session, _REUSE_UNIT)
+        with pytest.raises(VaultError) as raised:
+            session.check(broken, "unit.vlt")
+        with pytest.raises(VaultError) as expected:
+            check_source(broken, "unit.vlt", units=UNITS)
+        assert str(raised.value) == str(expected.value)
+        assert isinstance(session._files["unit.vlt"].ctx.key, tuple)
+        for text in (_REUSE_UNIT, _body_edit(_REUSE_UNIT)):
+            assert not _check_like_check_source(session, text)
+
+    def test_held_diagnostics_turn_reuse_off(self):
+        # A duplicate function's diagnostic spans the second copy, body
+        # included; a line inserted into the first copy's body moves it.
+        copy = "int f(int x) {\n    return x;\n}\n"
+        session = fresh_session()
+        first = session.check(copy + "\n" + copy, "dup.vlt")
+        grown = copy.replace("{\n", "{\n    int y = 1;\n", 1) + "\n" + copy
+        assert _check_like_check_source(session, grown, "dup.vlt")
+        moved = session.check(grown, "dup.vlt")
+        assert [d.code.name for d in moved.diagnostics] == ["DUPLICATE_NAME"]
+        assert moved.diagnostics[0].span.start.line == \
+            first.diagnostics[0].span.start.line + 1
+
+    def test_a_function_type_alias_under_a_body_edit(self):
+        # The alias's unknown type is reported at the alias's line when
+        # a body expands it; the body edit reuses the context, and the
+        # diagnostic stays on line 1.
+        alias = "type cb = void f(Bogus x);\n"
+        body = "void g() {\n    cb h;\n}\n"
+        session = fresh_session()
+        _check_like_check_source(session, alias + body, "alias.vlt")
+        for text in (alias + body.replace("cb h;", "cb k;"),
+                     alias + body.replace("{\n", "{\n\n")):
+            assert not _check_like_check_source(session, text, "alias.vlt")
+            assert session.stats.last_checked == ["g"]
+            report = check_source(text, "alias.vlt", units=UNITS)
+            assert [d.span.start.line for d in report.diagnostics] == [1]
+        # A blank line in a body above the alias moves the alias, and
+        # with it the diagnostic: the context is elaborated again.
+        above = "int h(int x) {\n    return x;\n}\n"
+        _check_like_check_source(session, above + alias + body, "alias.vlt")
+        moved = above.replace("{\n", "{\n\n") + alias + body
+        assert _check_like_check_source(session, moved, "alias.vlt")
+        report = check_source(moved, "alias.vlt", units=UNITS)
+        assert [d.span.start.line for d in report.diagnostics] == [5]
+
+    def test_no_function_node_outlives_its_chunk(self):
+        # After body edits and line inserts, every function the held
+        # context names is a node of the file's held chunks: nothing of
+        # an older revision stays reachable, and no check reads a
+        # stale definition.
+        session = fresh_session()
+        text = synthesize_program(40, seed=3, error_rate=0.3)
+        revisions = []
+        for i, shifted in enumerate(_insert_blank_lines(text, 8)):
+            revisions += [shifted, _body_edit(shifted, len(shifted) * i // 9)]
+        reused = 0
+        for text in revisions:
+            reused += not _check_like_check_source(session, text)
+            state = session._files["unit.vlt"]
+            nodes = {id(decl) for program, _ in state.chunks.values()
+                     for decl in program.decls}
+            mine = [fundef for fundef in state.ctx.ctx.fun_defs.values()
+                    if fundef.span.filename == "unit.vlt"]
+            assert len(mine) == 40
+            assert all(id(fundef) in nodes for fundef in mine)
+        assert 0 < reused < len(revisions)
 
 
 # ---------------------------------------------------------------------------
