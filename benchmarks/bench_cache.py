@@ -70,7 +70,7 @@ def _measure():
 
         # -- session A: cold, writing the file's record ---------------
         cold, expected, session_a = _timed_check(source, cas_dir)
-        assert session_a.store.counts.puts == 1, \
+        assert session_a.store.puts == 1, \
             "the cold session must write the record"
 
         # -- session B: cold process, warm directory ------------------

@@ -15,8 +15,9 @@ gate asserts the *user-visible* contract each time:
   (shed, never dropped);
 * **supervision** — a ``--supervise`` daemon survives three SIGKILLs
   of its child, keeps answering checks, and exits 0 on SIGTERM;
-* **storage faults** — an injected ENOSPC in the shared CAS degrades
-  to a cache miss (never a wrong replay) and the tier keeps working
+* **storage faults** — an injected ENOSPC in the record store
+  degrades to a cache miss (never a wrong replay), is counted once in
+  ``errors`` with one ``op="put"`` event, and the store keeps working
   once space returns;
 * **control** — with no faults planned, the proxy relays transparently
   and acts out nothing.
@@ -40,7 +41,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro import check_source                            # noqa: E402
-from repro.cache import CASTier, SharedStore, encode_blob  # noqa: E402
+from repro.cache import RecordStore                        # noqa: E402
 from repro.pipeline.faults import FaultPlan               # noqa: E402
 from repro.server import (ChaosProxy, DaemonClient,       # noqa: E402
                           DaemonUnavailable, check_via_daemon,
@@ -241,19 +242,23 @@ def _scenario_supervised(tmp: str, source: str, expected: str) -> dict:
 
 
 def _scenario_enospc(tmp: str) -> dict:
-    """Injected ENOSPC in the CAS: degrade to a miss, then recover."""
-    store = SharedStore(CASTier(os.path.join(tmp, "cas"), fsync=False,
-                                fault_plan=FaultPlan.parse("enospc@1")))
+    """Injected ENOSPC in the record store: degrade to a miss, then
+    recover."""
+    store = RecordStore(os.path.join(tmp, "cas"),
+                        fault_plan=FaultPlan.parse("enospc@1"))
     key = "c" * 64 + "-f"
-    blob = encode_blob({"smoke": True})
-    store.put_blobs({key: blob})
-    assert store.get_blobs([key]) == {}, \
+    record = {"smoke": True}
+    assert not store.save(key, record)
+    assert store.load(key) is None, \
         "an ENOSPC'd write must degrade to a miss, not a wrong replay"
-    io_errors_after_fault = store.tier.io_errors
-    assert io_errors_after_fault == 1
-    store.put_blobs({key: blob})              # the disk came back
-    assert store.get_blobs([key]) == {key: blob}
-    return {"io_errors": io_errors_after_fault, "recovered": True}
+    errors_after_fault = store.errors
+    assert errors_after_fault == 1
+    ops = [event.fields["op"] for event in
+           store.telemetry.events.by_kind("shared_cache_error")]
+    assert ops == ["put"], ops
+    assert store.save(key, record)            # the disk came back
+    assert store.load(key) == record
+    return {"errors": errors_after_fault, "recovered": True}
 
 
 def test_daemon_chaos_smoke():
@@ -300,7 +305,7 @@ def test_daemon_chaos_smoke():
     print(f"  supervise: survived {supervised['sigkills']} SIGKILLs "
           f"({supervised['respawns']} respawns), SIGTERM -> rc 0")
     print(f"  ENOSPC in CAS: degraded to miss, recovered "
-          f"(io_errors={enospc['io_errors']})")
+          f"(errors={enospc['errors']})")
     print("=" * 64)
 
 

@@ -421,10 +421,14 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     import json
+    if args.dir is not None and not os.path.isdir(args.dir):
+        # A mistyped DIR must not read as an empty store.
+        print(f"error: {args.dir} is not a directory", file=sys.stderr)
+        return 1
     if args.cache_cmd == "stats":
         if args.dir:
-            from .cache import CASTier
-            print(json.dumps(CASTier(args.dir).stats_snapshot(),
+            from .cache import RecordStore
+            print(json.dumps(RecordStore(args.dir).stats_snapshot(),
                              indent=2, sort_keys=True))
             return 0
         from .server.client import DaemonClient, DaemonUnavailable
@@ -453,10 +457,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(json.dumps(block, indent=2, sort_keys=True))
         return 0
     if args.cache_cmd == "gc":
-        from .cache import CASTier, DEFAULT_MAX_BYTES
+        from .cache import DEFAULT_MAX_BYTES, RecordStore
         max_bytes = DEFAULT_MAX_BYTES if args.max_bytes is None \
             else args.max_bytes
-        report = CASTier(args.dir, max_bytes=max_bytes).gc(force=True)
+        report = RecordStore(args.dir, max_bytes=max_bytes).gc(force=True)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     raise VaultError(f"unknown cache subcommand {args.cache_cmd!r}")

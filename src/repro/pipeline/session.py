@@ -58,16 +58,16 @@ and chunk ASTs the session holds.  Spans are recorded only with
 ``Telemetry(trace=True)``.
 
 File records: ``cache_dir`` is a content-addressed store directory
-(:class:`repro.cache.CASTier`) holding one record per file name and
+(:class:`repro.cache.RecordStore`) holding one record per file name and
 session options (:func:`repro.cache.record_key`): the source's sha256,
 the unit's diagnostic stream, its function count and its functions'
 summaries.  On its first check of a file name (or the first since the
-file was evicted) the session fetches that file's record.  When the
+file was evicted) the session loads that file's record.  When the
 sha matches the source it replays the stream without parsing;
 otherwise the record's summaries join the summary cache and the check
 runs as usual.  After a check of a source other than the one whose
-record it last loaded or wrote, the session writes the file's record,
-through the CAS tier's unique temp file, ``fsync`` and atomic rename.
+record it last loaded or wrote, the session saves the file's record,
+through the store's unique temp file, ``fsync`` and atomic rename.
 A unit whose declarations do not elaborate checks no function, so its
 record keeps the summaries of the file's record before it.  A session
 without ``cache_dir`` hashes no source and touches no store.  A corrupt
@@ -278,9 +278,6 @@ class CheckSession:
         self.cache_dir = cache_dir
         self.join_abstraction = join_abstraction
         self.max_loop_iterations = max_loop_iterations
-        #: deterministic chaos schedule (tests/CI only; ``None`` in
-        #: normal operation).
-        self.fault_plan = fault_plan
         self.stats = SessionStats()
         #: the session's observability bundle.  Metrics are always
         #: recorded; pass ``Telemetry(trace=True)`` to record spans too.
@@ -291,18 +288,20 @@ class CheckSession:
         #: function-relative diagnostics by fingerprint (``_relocate``)
         self._summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         self._stdlib_lines: Dict[str, List[str]] = {}
-        #: the file-record store over ``cache_dir`` (one CAS tier whose
-        #: traffic feeds this session's ``cache.shared.cas.*``
-        #: metrics), or ``None`` without ``cache_dir``.
+        #: the file-record store over ``cache_dir`` (its traffic feeds
+        #: this session's ``cache.shared.cas.*`` metrics), or ``None``
+        #: without ``cache_dir``.
         self.store = None
         self._options_salt = ""
         if cache_dir:
-            from ..cache import CASTier, SharedStore, options_salt
+            from ..cache import RecordStore, options_salt
             self._options_salt = options_salt(
                 self.stdlib, self.units, join_abstraction,
                 max_loop_iterations)
-            self.store = SharedStore(
-                CASTier(cache_dir, fault_plan=fault_plan), self.telemetry)
+            # ``fault_plan`` is a deterministic chaos schedule (tests
+            # and CI only): the store's saves consume its budgets.
+            self.store = RecordStore(cache_dir, self.telemetry,
+                                     fault_plan=fault_plan)
             # Pre-register so a healthy run reports an explicit zero.
             self.telemetry.metrics.counter("resilience.cache_quarantines")
 
@@ -817,7 +816,7 @@ class CheckSession:
         ``filename``'s record; ``None`` without ``cache_dir``."""
         if self.store is None:
             return None
-        return self.store.tier.path(self._record_key(filename))
+        return self.store.path(self._record_key(filename))
 
     def _record_key(self, filename: str) -> str:
         from ..cache import record_key
@@ -839,16 +838,15 @@ class CheckSession:
         """
         metrics = self.telemetry.metrics
         key = self._record_key(filename)
-        corrupt = self.store.counts.corrupt
+        corrupt = self.store.corrupt
         with self.telemetry.tracer.span("load_record", filename=filename):
-            record = self.store.fetch([key]).get(key)
-        if self.store.counts.corrupt != corrupt:
+            record = self.store.load(key)
+        if self.store.corrupt != corrupt:
             self.stats.cache_quarantines += 1
             metrics.counter("resilience.cache_quarantines").inc()
-            print(f"repro: cache record {self.store.tier.path(key)} is "
-                  f"corrupt; quarantined under {self.store.tier.root}"
+            print(f"repro: cache record {self.store.path(key)} is "
+                  f"corrupt; quarantined under {self.store.root}"
                   f"/corrupt and rebuilding cold", file=sys.stderr)
-            record = None
         # Records come from outside the process: take only the shape
         # a record has.
         if not (isinstance(record, dict)
@@ -892,14 +890,4 @@ class CheckSession:
         record = {"sha": sha, "diags": tuple(reporter.diagnostics),
                   "functions": functions, "summaries": summaries}
         with self.telemetry.tracer.span("save_record", filename=filename):
-            self.store.store({key: record})
-        if self.fault_plan is not None and self.fault_plan.take_cache_flip():
-            path = self.store.tier.path(key)
-            try:
-                offset = self.fault_plan.flip_file_byte(path)
-            except OSError:
-                return                        # the write itself failed
-            self.telemetry.events.emit(
-                "fault_injected",
-                f"flipped byte {offset} of {path} (injected fault)",
-                fault="flip-cache", path=path, offset=offset)
+            self.store.save(key, record)

@@ -1,8 +1,8 @@
-"""The on-disk store: envelopes, the CAS tier, the store's accounting.
+"""The on-disk store: envelopes, keys, the record store's contract.
 
 Covers the ``repro.cache`` package bottom-up — blob envelope and key
-discipline, the CAS tier's contract (crash safety and GC), the
-:class:`SharedStore` checks and containment around its one tier — and
+discipline, the :class:`RecordStore` contract (crash safety, GC,
+quarantine, failure containment and accounting) — and
 the integration edges: the daemon no longer serving cache blobs, and
 sessions sharing one directory of file records.
 """
@@ -17,20 +17,16 @@ import pytest
 
 from repro import check_source
 from repro.analysis import synthesize_program
-from repro.cache import (KEY_KINDS, RETIRED_KINDS, CASTier, SharedStore,
-                         StoreError, Tier, check_blob, decode_blob,
-                         encode_blob, options_salt, record_key, valid_key)
-from repro.cache.cas import CORRUPT_KEEP
+from repro.cache import (KEY_KINDS, RETIRED_KINDS, STORE_SCHEMA, RecordStore,
+                         StoreError, check_blob, decode_blob, encode_blob,
+                         options_salt, record_key, valid_key)
+from repro.cache.store import CORRUPT_KEEP
 from repro.pipeline import CheckSession, FaultPlan
 
 
 def key_of(n: int, kind: str = "f") -> str:
     """A syntactically valid store key derived from ``n``."""
     return f"{n:064x}"[-64:] + "-" + kind
-
-
-def blob_of(obj: object) -> bytes:
-    return encode_blob(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -106,115 +102,127 @@ class TestKeys:
 
 
 # ---------------------------------------------------------------------------
-# CASTier
+# RecordStore: the on-disk contract
 # ---------------------------------------------------------------------------
 
 class TestCASTier:
+    """:class:`RecordStore`'s on-disk contract: layout, key discipline,
+    quarantine, GC and crash safety.  (The class keeps the name of the
+    tier it once tested, so its tests keep their IDs.)"""
+
     def test_round_trip_survives_reopen(self, tmp_path):
         root = str(tmp_path / "cas")
-        writer = CASTier(root)
-        writer.put_many({key_of(7): blob_of("seven")})
-        reader = CASTier(root)                # fresh instance, same dir
-        got = reader.get_many([key_of(7)])
-        assert decode_blob(got[key_of(7)]) == "seven"
+        assert RecordStore(root).save(key_of(7), "seven")
+        reader = RecordStore(root)            # fresh instance, same dir
+        assert reader.load(key_of(7)) == "seven"
+        assert (reader.hits, reader.misses) == (1, 0)
 
     def test_sharded_layout_and_no_stray_tmp(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root)
+        store = RecordStore(root)
         key = key_of(0xabc)
-        tier.put_many({key: blob_of(1)})
-        assert os.path.exists(os.path.join(root, key[:2], key))
+        store.save(key, 1)
+        assert store.path(key) == os.path.join(root, key[:2], key)
+        assert os.path.exists(store.path(key))
         shard = os.listdir(os.path.join(root, key[:2]))
-        assert shard == [key], "no temp files may survive a clean put"
+        assert shard == [key], "no temp files may survive a clean save"
 
     def test_invalid_keys_never_touch_disk(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root)
-        tier.put_many({"../../etc/passwd-s": b"evil", "zz": b"junk"})
-        assert tier.get_many(["../../etc/passwd-s", "zz"]) == {}
+        store = RecordStore(root)
+        for bad in ("../../etc/passwd-s", "zz", "not-a-key"):
+            assert store.save(bad, "evil") is False
+            assert store.load(bad) is None
+        assert store.puts == 0 and store.misses == 3
+        assert not os.path.exists(root)
         assert not os.path.exists(os.path.join(str(tmp_path), "etc"))
 
     def test_discard_quarantines_with_unique_names(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root)
+        store = RecordStore(root)
         key = key_of(5)
         for _ in range(3):
-            tier.put_many({key: blob_of("x")})
-            tier.discard(key)
-        qdir = os.path.join(root, "corrupt")
-        names = os.listdir(qdir)
+            store.save(key, "x")
+            with open(store.path(key), "ab") as handle:
+                handle.write(b"!")            # the checksum now fails
+            assert store.load(key) is None
+        names = os.listdir(os.path.join(root, "corrupt"))
         assert len(names) == 3, "each quarantine must keep its own copy"
         assert all(name.startswith(key + ".corrupt.") for name in names)
-        assert tier.quarantines == 3
-        assert tier.get_many([key]) == {}
+        assert store.corrupt == 3 and store.hits == 0
+        assert store.load(key) is None
 
     def test_quarantine_retention_is_bounded(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root)
+        store = RecordStore(root)
         key = key_of(6)
         for _ in range(CORRUPT_KEEP + 5):
-            tier.put_many({key: blob_of("x")})
-            tier.discard(key)
+            store.save(key, "x")
+            with open(store.path(key), "ab") as handle:
+                handle.write(b"!")
+            assert store.load(key) is None
         names = os.listdir(os.path.join(root, "corrupt"))
         assert len(names) == CORRUPT_KEEP
 
     def test_gc_bounds_the_store(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root, max_bytes=10_000_000, fsync=False)
-        blob = blob_of("z" * 1000)
+        store = RecordStore(root)
+        record = "z" * 1000
         for n in range(40):
-            tier.put_many({key_of(n): blob})
-        report = tier.gc(force=True, max_bytes=len(blob) * 10)
+            store.save(key_of(n), record)
+        size = len(encode_blob(record))
+        report = RecordStore(root, max_bytes=size * 10).gc(force=True)
         assert report["scanned"] == 40
         assert report["deleted"] > 0
-        assert report["bytes_remaining"] <= len(blob) * 10
-        remaining = CASTier(root)._objects()
+        assert report["bytes_remaining"] <= size * 10
+        remaining = RecordStore(root)._objects()
         assert len(remaining) == 40 - report["deleted"]
 
     def test_gc_deletes_oldest_first(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root, fsync=False)
-        blob = blob_of("z" * 100)
-        tier.put_many({key_of(1): blob})
-        old = os.path.join(root, key_of(1)[:2], key_of(1))
+        record = "z" * 100
+        store = RecordStore(
+            root, max_bytes=int(len(encode_blob(record)) / 0.7))
+        store.save(key_of(1), record)
+        old = store.path(key_of(1))
         os.utime(old, (time.time() - 9999, time.time() - 9999))
-        tier.put_many({key_of(2): blob})
-        tier.gc(force=True, max_bytes=int(len(blob) / 0.7))
+        store.save(key_of(2), record)
+        store.gc(force=True)
         assert not os.path.exists(old)
-        assert tier.get_many([key_of(2)])
+        assert store.load(key_of(2)) == record
 
     def test_auto_gc_on_budget_overflow(self, tmp_path):
         root = str(tmp_path / "cas")
-        blob = blob_of("z" * 1000)
-        tier = CASTier(root, max_bytes=len(blob) * 5, fsync=False)
+        record = "z" * 1000
+        store = RecordStore(root, max_bytes=len(encode_blob(record)) * 5)
         for n in range(20):
-            tier.put_many({key_of(n): blob})
-        assert tier.evictions > 0
-        assert len(tier._objects()) < 20
+            store.save(key_of(n), record)
+        assert store.evictions > 0
+        assert len(store._objects()) < 20
 
     def test_gc_force_sweeps_stale_tmp_files(self, tmp_path):
         root = str(tmp_path / "cas")
-        tier = CASTier(root, fsync=False)
-        tier.put_many({key_of(1): blob_of("x")})
-        shard = os.path.join(root, key_of(1)[:2])
-        stale = os.path.join(shard, key_of(1) + ".tmp.999.1")
+        store = RecordStore(root)
+        store.save(key_of(1), "x")
+        stale = store.path(key_of(1)) + ".tmp.999.1"
         with open(stale, "wb") as handle:
             handle.write(b"torn write")
         os.utime(stale, (time.time() - 7200, time.time() - 7200))
-        tier.gc(force=True)
+        store.gc(force=True)
         assert not os.path.exists(stale)
-        assert tier.get_many([key_of(1)]), "real objects must survive"
+        assert store.load(key_of(1)) == "x", "real records must survive"
 
     def test_concurrent_writers_same_keys(self, tmp_path):
         root = str(tmp_path / "cas")
-        blobs = {key_of(n): blob_of(f"value-{n}") for n in range(30)}
+        records = {key_of(n): f"value-{n}" for n in range(30)}
         errors = []
 
         def hammer():
-            tier = CASTier(root, fsync=False)
+            store = RecordStore(root)
             try:
                 for _ in range(5):
-                    tier.put_many(blobs)
+                    for key, record in records.items():
+                        assert store.save(key, record)
             except Exception as exc:             # noqa: BLE001
                 errors.append(exc)
 
@@ -224,96 +232,111 @@ class TestCASTier:
         for t in threads:
             t.join()
         assert not errors
-        reader = CASTier(root)
-        got = reader.get_many(list(blobs))
-        assert len(got) == 30
-        for key, blob in got.items():
-            assert check_blob(blob), "no torn objects under final names"
-            assert got[key] == blobs[key]
+        reader = RecordStore(root)
+        for key, record in records.items():
+            with open(reader.path(key), "rb") as handle:
+                assert check_blob(handle.read()), \
+                    "no torn records under final names"
+            assert reader.load(key) == record
+        assert reader.corrupt == 0
 
 
 # ---------------------------------------------------------------------------
-# SharedStore orchestration
+# RecordStore: containment and accounting
 # ---------------------------------------------------------------------------
-
-class _ExplodingTier(Tier):
-    name = "exploding"
-
-    def get_many(self, keys):
-        raise OSError("tier on fire")
-
-    def put_many(self, blobs):
-        raise OSError("tier on fire")
-
 
 class TestSharedStore:
-    def test_corrupt_blob_is_discarded_not_served(self, tmp_path):
-        slow = CASTier(str(tmp_path / "cas"), fsync=False)
-        slow.put_many({key_of(3): b"garbage, not an envelope"})
-        store = SharedStore(slow)
-        assert store.fetch([key_of(3)]) == {}
-        assert store.counts.corrupt == 1
-        assert slow.get_many([key_of(3)]) == {}, "corrupt blob must go"
-        qdir = os.path.join(str(tmp_path / "cas"), "corrupt")
-        assert os.listdir(qdir), "…into quarantine"
+    """:class:`RecordStore`'s containment and accounting: corrupt
+    records, failed reads and writes, counters, metrics and the stats
+    row.  (The class keeps the name of the wrapper it once tested, so
+    its tests keep their IDs.)"""
 
-    def test_exploding_tier_is_contained(self):
-        store = SharedStore(_ExplodingTier())
-        assert store.fetch([key_of(4)]) == {}, "a failed get is a miss"
-        assert store.store({key_of(5): "new"}) == 1
-        assert store.counts.errors == 2
-        assert store.counts.misses == 1 and store.counts.puts == 0
+    def test_corrupt_blob_is_discarded_not_served(self, tmp_path):
+        root = str(tmp_path / "cas")
+        store = RecordStore(root)
+        key = key_of(3)
+        store.save(key, "x")
+        with open(store.path(key), "wb") as handle:
+            handle.write(b"garbage, not an envelope")
+        assert store.load(key) is None
+        assert (store.corrupt, store.hits, store.misses) == (1, 0, 1)
+        assert not os.path.exists(store.path(key)), "corrupt record must go"
+        (event,) = store.telemetry.events.by_kind("shared_cache_corrupt")
+        assert event.fields["tier"] == "cas" and event.fields["key"] == key
+        assert "magic" in event.fields["error"]
+        (name,) = os.listdir(os.path.join(root, "corrupt"))
+        assert name.startswith(key + ".corrupt."), "…into quarantine"
+
+    def test_exploding_tier_is_contained(self, tmp_path):
+        # A directory where the record should be: the read fails (not
+        # as a missing file) and so does the rename over it.
+        store = RecordStore(str(tmp_path / "cas"))
+        key = key_of(4)
+        os.makedirs(store.path(key))
+        assert store.load(key) is None, "a failed read is a miss"
+        assert store.save(key, "new") is False
+        assert (store.errors, store.misses, store.puts) == (2, 1, 0)
         ops = [e.fields["op"] for e in
                store.telemetry.events.by_kind("shared_cache_error")]
         assert ops == ["get", "put"]
-
-    def test_put_blobs_rejects_bad_keys_and_envelopes(self, tmp_path):
-        tier = CASTier(str(tmp_path / "cas"), fsync=False)
-        store = SharedStore(tier)
-        stored = store.put_blobs({
-            "not-a-key": blob_of("x"),
-            key_of(6): b"not an envelope",
-            key_of(7): blob_of("good"),
-        })
-        assert stored == 1
-        assert list(tier.get_many([key_of(6), key_of(7)])) == [key_of(7)]
-        assert tier.stats_snapshot()["bytes"] == len(blob_of("good"))
+        assert store.telemetry.metrics.snapshot()[
+            "cache.shared.cas.errors"]["value"] == 2
+        assert not [name for name in os.listdir(os.path.dirname(
+            store.path(key))) if ".tmp." in name]
 
     def test_stats_snapshot_shape(self, tmp_path):
-        store = SharedStore(CASTier(str(tmp_path / "cas")))
-        store.fetch([key_of(8)])
+        store = RecordStore(str(tmp_path / "cas"))
+        store.load(key_of(8))
+        store.save(key_of(9), "nine")
         snap = store.stats_snapshot()
-        assert [t["tier"] for t in snap["tiers"]] == ["cas"]
-        row = snap["tiers"][0]
-        assert {"hits", "misses", "puts", "errors", "corrupt",
-                "root", "bytes"} <= set(row)
-        assert row["misses"] == 1 and row["hit_rate"] == 0.0
+        assert set(snap) == {"schema", "root", "bytes", "max_bytes",
+                             "hits", "misses", "puts", "errors", "corrupt",
+                             "evictions", "hit_rate"}
+        assert snap["schema"] == STORE_SCHEMA
+        assert snap["root"] == str(tmp_path / "cas")
+        assert snap["misses"] == 1 and snap["hit_rate"] == 0.0
+        assert snap["puts"] == 1
+        assert snap["bytes"] == len(encode_blob("nine"))
 
     def test_evictions_metric_counts_the_tier_gc(self, tmp_path):
-        tier = CASTier(str(tmp_path / "cas"), max_bytes=2000, fsync=False)
-        store = SharedStore(tier)
+        store = RecordStore(str(tmp_path / "cas"), max_bytes=2000)
         for n in range(40):
-            store.store({key_of(n): "z" * 100})
-        metric = store.telemetry.metrics.snapshot()[
-            "cache.shared.cas.evictions"]["value"]
-        assert metric == tier.evictions > 0
+            store.save(key_of(n), "z" * 100)
+            store.load(key_of(n))
+        store.load(key_of(99))
+        metrics = store.telemetry.metrics.snapshot()
+        for name in ("hits", "misses", "puts", "errors", "corrupt",
+                     "evictions"):
+            assert metrics[f"cache.shared.cas.{name}"]["value"] == \
+                getattr(store, name), name
+        assert store.evictions > 0 and store.hits == 40
+        assert metrics["cache.shared.cas.latency"]["count"] == 81
 
     def test_cas_write_failure_is_reported_once(self, tmp_path):
-        # A failed CAS write is absorbed by the tier (the other blobs
-        # still land) and surfaced to the orchestrator, which counts
-        # every failure but reports only the first few per tier.
+        # Every failed save is counted, but only the first few per
+        # store are reported.
         plan = FaultPlan.parse("enospc@5")
-        store = SharedStore(CASTier(str(tmp_path / "cas"), fsync=False,
-                                    fault_plan=plan))
+        store = RecordStore(str(tmp_path / "cas"), fault_plan=plan)
         for n in range(5):
-            assert store.store({key_of(n): "x"}) == 1
-        assert store.counts.errors == 5
-        assert store.counts.puts == 0
+            assert store.save(key_of(n), "x") is False
+        assert store.errors == 5
+        assert store.puts == 0
         events = store.telemetry.events.by_kind("shared_cache_error")
         assert len(events) == 3
         assert events[0].fields["op"] == "put"
         assert "ENOSPC" in events[0].fields["error"]
-        assert store.fetch([key_of(0)]) == {}, "a failed write is a miss"
+        assert store.load(key_of(0)) is None, "a failed write is a miss"
+
+    def test_flip_cache_corrupts_the_record_just_saved(self, tmp_path):
+        plan = FaultPlan.parse("flip-cache,seed=3")
+        store = RecordStore(str(tmp_path / "cas"), fault_plan=plan)
+        assert store.save(key_of(1), "flipped")
+        (event,) = store.telemetry.events.by_kind("fault_injected")
+        assert event.fields["fault"] == "flip-cache"
+        assert event.fields["path"] == store.path(key_of(1))
+        assert store.load(key_of(1)) is None and store.corrupt == 1
+        assert store.save(key_of(1), "kept") and \
+            store.load(key_of(1)) == "kept", "one flip per budget unit"
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +404,7 @@ class TestSessionIntegration:
         with CheckSession(units=["region"],
                           cache_dir=self._dir(tmp_path)) as a:
             expected = a.check(source).render()
-        assert a.store.counts.puts == 1
+        assert a.store.puts == 1
         with CheckSession(units=["region"],
                           cache_dir=self._dir(tmp_path)) as b:
             rendered = b.check(source).render()
@@ -389,7 +412,7 @@ class TestSessionIntegration:
         assert b.stats.shared_unit_hits == 1
         assert b.stats.functions_checked == 0
         assert b.stats.chunk_parses == b.stats.whole_parses == 0
-        assert b.store.counts.puts == 0, "a replay writes nothing"
+        assert b.store.puts == 0, "a replay writes nothing"
 
     def test_summary_reuse_after_edit(self, tmp_path):
         source = synthesize_program(8, seed=3)
@@ -450,7 +473,7 @@ class TestSessionIntegration:
                               cache_dir=self._dir(tmp_path)) as session:
                 session.check(revision, "unit.vlt")
             assert session.stats.functions_checked == (8 if n == 0 else 1)
-        objects = CASTier(self._dir(tmp_path))._objects()
+        objects = RecordStore(self._dir(tmp_path))._objects()
         assert [os.path.basename(path) for path, _m, _s in objects] == \
             [os.path.basename(session.record_path("unit.vlt"))]
 
@@ -463,8 +486,26 @@ class TestSessionIntegration:
                           cache_dir=self._dir(tmp_path)) as b:
             for _ in range(3):
                 b.check(source, "w.vlt")
-            assert b.store.counts.hits + b.store.counts.misses == 1
-            assert b.store.counts.puts == 0
+            assert b.store.hits + b.store.misses == 1
+            assert b.store.puts == 0
+
+    def test_unreadable_record_is_a_counted_miss(self, tmp_path):
+        # A directory at the record's path: the load fails (counted and
+        # reported as a get), the save over it fails too, and the
+        # check is cold and correct.
+        source = synthesize_program(5, seed=10, error_rate=0.3)
+        with CheckSession(units=["region"],
+                          cache_dir=self._dir(tmp_path)) as session:
+            os.makedirs(session.record_path("d.vlt"))
+            got = session.check(source, "d.vlt")
+        assert got.diagnostics == check_source(
+            source, "d.vlt", units=["region"]).diagnostics
+        assert session.stats.functions_checked == 5
+        assert session.store.errors == 2
+        assert session.telemetry.metrics.snapshot()[
+            "cache.shared.cas.errors"]["value"] == 2
+        assert [e.fields["op"] for e in session.telemetry.events.by_kind(
+            "shared_cache_error")] == ["get", "put"]
 
     def test_no_cache_dir_means_no_store(self):
         with CheckSession(units=["region"]) as session:

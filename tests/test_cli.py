@@ -226,6 +226,27 @@ class TestCacheDir:
         assert not [name for _root, _dirs, names in os.walk(str(store))
                     for name in names]
 
+    def test_cache_stats_refuses_a_missing_directory(self, tmp_path,
+                                                    capsys):
+        typo = str(tmp_path / "typo")
+        assert main(["cache", "stats", "--dir", typo]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {typo} is not a directory" in err
+        assert not os.path.exists(typo)
+        # An existing empty directory is an empty store.
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["bytes"] == 0 and snap["root"] == str(tmp_path)
+
+    def test_cache_gc_refuses_a_missing_directory(self, tmp_path, capsys):
+        typo = str(tmp_path / "typo")
+        assert main(["cache", "gc", typo]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {typo} is not a directory" in err
+        assert not os.path.exists(typo)
+        assert main(["cache", "gc", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["scanned"] == 0
+
     @pytest.mark.parametrize("spec", ["daemon", "daemon:/tmp/d.sock"])
     def test_shared_cache_daemon_spec_is_refused(self, spec, unit,
                                                  tmp_path, capsys,

@@ -9,9 +9,8 @@ path must reproduce those bytes exactly:
 * **cached** — a warm session replay, plus a cold cross-process replay
   from an on-disk summary cache;
 * **daemon** — a live ``CheckServer`` answering over its socket;
-* **shared store** — a cold session replaying another session's
-  results out of a content-addressed store (both the on-disk CAS tier
-  and the remote tier served by a live daemon).
+* **shared store** — a cold session replaying another session's file
+  records out of the on-disk record store (``--cache DIR``).
 
 Regenerate after an intentional diagnostics change with::
 
@@ -165,7 +164,7 @@ def test_shared_cas_output_matches_golden(tmp_path, update_golden):
     with CheckSession(cache_dir=root) as writer:
         for rel in CORPUS:
             writer.check(read_source(rel), filename=rel)
-    assert writer.store.counts.puts == len(CORPUS)
+    assert writer.store.puts == len(CORPUS)
 
     # A brand-new session over the same directory: everything it knows
     # comes off the records the writer left, one per file.
@@ -198,6 +197,6 @@ def test_older_store_objects_are_never_read(tmp_path, update_golden):
                 assert_matches_golden(
                     report_stdout(report, rel), rel, update_golden,
                     f"--cache {run}, beside older objects")
-        assert session.store.counts.hits == \
+        assert session.store.hits == \
             (0 if run == "cold" else len(CORPUS))
     assert session.stats.functions_checked == 0

@@ -1410,6 +1410,7 @@ class TestDaemonSharedStore:
 
     def test_one_store_per_directory(self, tmp_path, capsys):
         import json
+        from repro.cache import STORE_SCHEMA
         from repro.cli import main
         from repro.pipeline import CheckSession
         default = str(tmp_path / "cas")
@@ -1430,12 +1431,12 @@ class TestDaemonSharedStore:
         finally:
             handle.stop()
         assert sorted(block) == [default, other]
-        row, = block[default]["tiers"]
-        assert row["tier"] == "cas" and row["root"] == default
+        row = block[default]
+        assert row["root"] == default and row["schema"] == STORE_SCHEMA
         # The session on the default directory replayed the record the
         # earlier process wrote, and wrote nothing.
         assert row["hits"] == 1 and row["puts"] == 0
-        assert block[other]["tiers"][0]["puts"] == 1
+        assert block[other]["puts"] == 1
         # The sessions' store traffic is the daemon's cas counters.
         assert counters["cache.shared.cas.hits"] == 1
         assert counters["cache.shared.cas.puts"] == 1
@@ -1464,32 +1465,32 @@ class TestDaemonSharedStore:
 
 class TestEnospcInjection:
     def test_cas_degrades_to_miss_under_enospc(self, tmp_path):
-        from repro.cache import CASTier, encode_blob
+        from repro.cache import RecordStore
         from repro.pipeline.faults import FaultPlan
         plan = FaultPlan.parse("enospc@1")
-        tier = CASTier(str(tmp_path / "cas"), fsync=False,
-                       fault_plan=plan)
+        store = RecordStore(str(tmp_path / "cas"), fault_plan=plan)
         key1 = "1" * 64 + "-f"
         key2 = "2" * 64 + "-f"
-        tier.put_many({key1: encode_blob("one")})
-        assert tier.get_many([key1]) == {}   # the write failed as ENOSPC
-        assert tier.io_errors == 1
-        tier.put_many({key2: encode_blob("two")})   # budget consumed
-        assert key2 in tier.get_many([key2])
-        assert tier.io_errors == 1
+        assert store.save(key1, "one") is False
+        assert store.load(key1) is None     # the write failed as ENOSPC
+        assert not os.path.exists(store.path(key1))
+        assert store.errors == 1
+        assert store.save(key2, "two")      # budget consumed
+        assert store.load(key2) == "two"
+        assert store.errors == 1
 
     def test_store_counts_enospc_as_tier_error_not_corruption(
             self, tmp_path):
-        from repro.cache import CASTier, SharedStore, encode_blob
+        from repro.cache import RecordStore
         from repro.pipeline.faults import FaultPlan
         plan = FaultPlan.parse("enospc@1")
-        store = SharedStore(CASTier(str(tmp_path / "cas"), fsync=False,
-                                    fault_plan=plan))
+        store = RecordStore(str(tmp_path / "cas"), fault_plan=plan)
         key = "a" * 64 + "-f"
-        blob = encode_blob({"v": 1})
-        store.put_blobs({key: blob})
-        assert store.get_blobs([key]) == {}  # degraded to a miss
-        store.put_blobs({key: blob})
-        assert store.get_blobs([key]) == {key: blob}
-        rows = store.stats_snapshot()["tiers"]
-        assert rows[0]["io_errors"] == 1
+        store.save(key, {"v": 1})
+        assert store.load(key) is None      # degraded to a miss
+        store.save(key, {"v": 1})
+        assert store.load(key) == {"v": 1}
+        snap = store.stats_snapshot()
+        assert (snap["errors"], snap["corrupt"], snap["puts"]) == (1, 0, 1)
+        (event,) = store.telemetry.events.by_kind("shared_cache_error")
+        assert event.fields["op"] == "put"
