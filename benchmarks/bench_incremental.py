@@ -91,8 +91,8 @@ def _cache_hit_rates(metrics) -> dict:
     """Per-cache-layer hit rates from a session's metrics registry."""
     snapshot = metrics.snapshot()
     rates = {}
-    for layer in ("chunk_ast", "context", "summary", "stdlib_base",
-                  "unit_replay", "fingerprint_memo"):
+    for layer in ("chunk_splice", "chunk_ast", "context", "held_result",
+                  "summary", "stdlib_base", "unit_replay", "fingerprint_memo"):
         hits = snapshot.get(f"cache.{layer}.hits", {}).get("value", 0)
         misses = snapshot.get(f"cache.{layer}.misses", {}).get("value", 0)
         if hits + misses:
@@ -238,8 +238,8 @@ def test_incremental_pipeline(benchmark):
         previous = {}
     for key, value in previous.items():
         result.setdefault(key, value)
-    # bench_smoke.py owns two rows of the "frontend" block.
-    for row in ("retained_chunks", "elaborations"):
+    # bench_smoke.py owns three rows of the "frontend" block.
+    for row in ("retained_chunks", "elaborations", "rescanned_chunks"):
         if row in previous.get("frontend", {}):
             result["frontend"][row] = previous["frontend"][row]
 

@@ -20,6 +20,13 @@ a declaration, so none of those checks may run ``build_context`` (the
 ``cache.context.misses`` counter).  The count is recorded as
 ``frontend.elaborations`` and must be 0.
 
+The splice ratchet makes a one-constant body edit of a 640-function
+unit in a warm session: the splitter may re-scan at most 2 chunks (the
+``cache.chunk_splice.misses`` counter), and the session may fingerprint
+(``cache.fingerprint_memo.misses``) and flow-check one function; every
+other function is served from its held result.  It is recorded as
+``frontend.rescanned_chunks``.
+
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
 """
@@ -56,6 +63,11 @@ RETENTION_REVISIONS = 10
 #: Body edits (each followed by a blank line inside the same body) the
 #: elaboration ratchet checks in one session.
 ELABORATION_EDITS = 10
+
+#: The unit the splice ratchet edits, and its ceiling on the chunks a
+#: one-constant body edit re-scans.
+N_FUNCTIONS_SPLICE = 640
+RESCANNED_CHUNKS_CEILING = 2
 
 _BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_checker.json")
@@ -190,6 +202,50 @@ def test_elaboration_ratchet():
     print("bench-smoke: elaboration ratchet OK")
 
 
+def test_splice_ratchet():
+    # A body edit re-scans the edited chunk, fingerprints and checks
+    # the edited function, and nothing else.
+    source = synthesize_program(N_FUNCTIONS_SPLICE, seed=42)
+    session = CheckSession(units=UNITS)
+    session.check(source)
+    at = source.index("c.value += ", len(source) // 2)
+    end = source.index(";", at)
+    edited = source[:at] + "c.value += 4242" + source[end:]
+    before = _counters(session)
+    checked = session.stats.functions_checked
+    session.check(edited)
+    after = _counters(session)
+    rescanned = {
+        "functions": N_FUNCTIONS_SPLICE,
+        "rescanned": after["cache.chunk_splice.misses"]
+        - before["cache.chunk_splice.misses"],
+        "fingerprinted": after["cache.fingerprint_memo.misses"]
+        - before["cache.fingerprint_memo.misses"],
+        "checked": session.stats.functions_checked - checked,
+    }
+    print(f"bench-smoke: a body edit of {N_FUNCTIONS_SPLICE} functions "
+          f"re-scanned {rescanned['rescanned']} chunk(s), fingerprinted "
+          f"{rescanned['fingerprinted']} and checked "
+          f"{rescanned['checked']} function(s)")
+    assert rescanned["rescanned"] <= RESCANNED_CHUNKS_CEILING, \
+        f"a body edit re-scanned {rescanned['rescanned']} chunks " \
+        f"(ceiling {RESCANNED_CHUNKS_CEILING})"
+    assert rescanned["fingerprinted"] == 1, \
+        f"a body edit fingerprinted {rescanned['fingerprinted']} functions"
+    assert rescanned["checked"] == 1, \
+        f"a body edit checked {rescanned['checked']} functions"
+    _record("rescanned_chunks", rescanned)
+    print("bench-smoke: splice ratchet      OK")
+
+
+def _counters(session):
+    """The session's registry counters by name (0 when absent)."""
+    snapshot = session.telemetry.metrics.snapshot()
+    return {name: snapshot.get(name, {}).get("value", 0)
+            for name in ("cache.chunk_splice.misses",
+                         "cache.fingerprint_memo.misses")}
+
+
 def _context_misses(session):
     snapshot = session.telemetry.metrics.snapshot()
     return snapshot.get("cache.context.misses", {}).get("value", 0)
@@ -213,4 +269,5 @@ if __name__ == "__main__":
     test_frontend_ratchet()
     test_retention_ratchet()
     test_elaboration_ratchet()
+    test_splice_ratchet()
     print("bench-smoke: PASS")

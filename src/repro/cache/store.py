@@ -4,7 +4,9 @@ A session with ``cache_dir`` keeps one *file record* per compiled file
 in a :class:`RecordStore`, a content-addressed directory, so a later
 process starts from what an earlier one learned::
 
-    session  CheckSession._summaries / fn_results   (in-process, private)
+    session  CheckSession._summaries, and each file's held
+             function results beside its chunk ASTs (in-process,
+             private)
     store    RecordStore  crash-safe on-disk record store, sharded by
                           key prefix
 

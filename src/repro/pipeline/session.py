@@ -5,15 +5,20 @@ way ``repro.check_source`` does, but re-does only the work an edit
 invalidated:
 
 * **per-file retention** — the session keeps each file's *latest*
-  revision only (its chunk ASTs, context and record state), for at
-  most ``_MAX_FILES`` files, least recently checked first.  Vault
-  checks each function against the current program's signatures
-  (paper §3), so older revisions are not worth holding: an undo
-  re-parses what it changed;
-* **chunked parsing** — the unit is split into top-level declaration
-  chunks (:mod:`repro.pipeline.chunks`); a chunk the held revision
-  has too, same content hash and position, keeps its AST, so editing
-  one function re-parses one declaration, not the file;
+  revision only (its split, chunk ASTs, function results, context and
+  record state), for at most ``_MAX_FILES`` files, least recently
+  checked first.  Vault checks each function against the current
+  program's signatures (paper §3), so older revisions are not worth
+  holding: an undo re-parses what it changed;
+* **chunk splice** — the unit is split into top-level declaration
+  chunks (:mod:`repro.pipeline.chunks`) by splicing the held split:
+  only the text from the first chunk an edit touches to the first
+  held chunk boundary past it is scanned, and the other chunks are
+  carried over with their content hashes, so a save does not re-scan
+  or re-hash the file;
+* **chunked parsing** — a chunk the held revision has too, same
+  content hash and position, keeps its AST, so editing one function
+  re-parses one declaration, not the file;
 * **header-only functions** — a function-definition chunk is parsed
   only up to its body: elaboration needs signatures alone, and a
   summary fingerprint reads the function's text, not its AST.  A body
@@ -29,6 +34,13 @@ invalidated:
   definitions at the fresh chunks; ``build_context`` runs only when
   the interface changes, a declaration moves or the held context has
   diagnostics;
+* **held function results** — each function's last result is held
+  beside its chunk's AST.  While the chunk is a hit, the context was
+  held or reused and the env token is the same, the function's text,
+  place and visible signatures are what they were, so the result is
+  served as is: no fingerprint, summary lookup or relocation.  A body
+  edit of a 640-function unit fingerprints and checks one function; a
+  re-save serves every function ("replayed whole unit");
 * **summary cache** — per-function diagnostics are cached under a
   stable content fingerprint of the function and everything it
   references (:mod:`repro.pipeline.fingerprint`), position-free: lines
@@ -51,8 +63,12 @@ compare equal by value, positions included, not only when rendered.
 
 Accounting: every cache layer counts its hits and misses in the
 session's metrics registry (``telemetry.metrics``), which is always
-live; the ``context``, ``chunk_ast`` and ``fingerprint_memo`` counters
-equal their :class:`SessionStats` twins.  After every check the
+live: ``cache.chunk_splice.*`` counts the chunks a split carried over
+(hits) or scanned (misses), ``cache.held_result.*`` the functions
+served from their held result or not, and ``cache.unit_replay.hits``
+the functions of checks that served every function so.  The
+``context``, ``chunk_ast`` and ``fingerprint_memo`` counters equal
+their :class:`SessionStats` twins.  After every check the
 ``session.files`` and ``session.chunks_held`` gauges give the files
 and chunk ASTs the session holds.  Spans are recorded only with
 ``Telemetry(trace=True)``.
@@ -154,10 +170,11 @@ def _inside(diags: Tuple[Diagnostic, ...], where: Span) -> bool:
 def _line_col(chunk: Chunk, offset: int) -> Tuple[int, int]:
     """Line and column of ``chunk.text[offset]`` in the unit, as the
     lexer numbers them (only ``\n`` ends a line)."""
-    nl = chunk.text.rfind("\n", 0, offset)
+    source, at = chunk.source, chunk.start + offset
+    nl = source.rfind("\n", chunk.start, at)
     if nl < 0:
         return chunk.start_line, offset + chunk.start_col
-    return chunk.start_line + chunk.text.count("\n", 0, offset), offset - nl
+    return chunk.start_line + source.count("\n", chunk.start, at), at - nl
 
 
 class SessionStats:
@@ -207,25 +224,23 @@ class _WholeUnit(Exception):
 
 
 class _CtxEntry:
-    __slots__ = ("key", "ctx", "diags", "fn_results", "summaries",
-                 "env_token", "headers")
+    __slots__ = ("key", "ctx", "diags", "functions", "summaries",
+                 "env_token", "programs")
 
     def __init__(self, key: object, ctx, diags: Tuple[Diagnostic, ...],
-                 env_token: str = "", headers: Sequence = ()):
+                 env_token: str = "", programs: Sequence = ()):
         #: the revision's chunk keys (unsplit: its sha256)
         self.key = key
         self.ctx = ctx
         self.diags = diags
-        #: every header-only definition of the unit, including any a
-        #: duplicate name hides from ``ctx.fun_defs``: a check that
-        #: stops at the context's diagnostics still parses their
+        #: the revision's programs, whose header-only definitions include
+        #: any a duplicate name hides from ``ctx.fun_defs``: a check
+        #: that stops at the context's diagnostics still parses their
         #: bodies, since ``check_source`` raises a syntax error first.
-        self.headers = headers
-        #: per-function diagnostics in merge order, filled in by the
-        #: first check against this context — a later check of the
-        #: byte-identical source replays without touching fingerprints.
-        self.fn_results: Optional[List[Tuple[str, Tuple[Diagnostic, ...]]]] \
-            = None
+        self.programs = programs
+        #: the functions the last check against this context answered;
+        #: ``None`` when the context's own diagnostics stopped it.
+        self.functions: Optional[int] = None
         #: with ``cache_dir``, the position-free summaries of those
         #: functions by fingerprint: what the unit's file record keeps.
         self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
@@ -237,15 +252,43 @@ class _CtxEntry:
         self.env_token = env_token
 
 
+class _ChunkEntry:
+    """One parsed chunk of a file's latest revision: its program, its
+    interface digest (see ``_interface_part``) and, for a function
+    definition, the function's last result.
+
+    ``result`` is ``(env token, fingerprint, diagnostics, summary)``;
+    the summary is ``None`` for diagnostics with a span outside the
+    function's own lines.  It is served again only while the chunk is
+    a hit (same text and place), the context is held or reused and the
+    env token is the same: the function's text, position and every
+    declaration it sees are then what they were (see
+    ``CheckSession._check_functions``).  It lives here, not on the
+    ``FunDef``: stdlib nodes are shared by every session."""
+
+    __slots__ = ("program", "part", "fundef", "result")
+
+    def __init__(self, program: ast.Program, part: str):
+        self.program = program
+        self.part = part
+        decls = program.decls
+        self.fundef: Optional[ast.FunDef] = decls[0] \
+            if len(decls) == 1 and isinstance(decls[0], ast.FunDef) else None
+        self.result: Optional[Tuple[str, str, Tuple[Diagnostic, ...],
+                                    Tuple[Diagnostic, ...]]] = None
+
+
 class _FileState:
     """What a session keeps of one file: its latest revision only."""
 
-    __slots__ = ("chunks", "ctx", "sha", "summaries")
+    __slots__ = ("split", "chunks", "ctx", "sha", "summaries")
 
     def __init__(self) -> None:
-        #: the chunks of the revision last split and parsed, each with
-        #: its interface digest (see ``_interface_part``).
-        self.chunks: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
+        #: the last successful split (its chunks point into the one
+        #: source they were split from); the next revision splices it.
+        self.split: List[Chunk] = []
+        #: the chunks of the revision last split and parsed.
+        self.chunks: Dict[_ChunkKey, _ChunkEntry] = {}
         self.ctx: Optional[_CtxEntry] = None
         #: with ``cache_dir``, the sha256 of the source whose record
         #: this session last loaded or wrote ("" for none, ``None``
@@ -400,35 +443,26 @@ class CheckSession:
                     reporter: Reporter, base, split: bool = True
                     ) -> _CtxEntry:
         """The unit's context, then each function's diagnostics; the
-        context entry, whose ``fn_results`` stay ``None`` when the
+        context entry, whose ``functions`` stay ``None`` when the
         context's own diagnostics stop the check."""
-        tracer = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-        entry = self._context_for(source, filename, state, base, split)
+        entry, how = self._context_for(source, filename, state, base, split)
         profile["context_seconds"] = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
         if not reporter.ok:
             # check_source parses every body before it elaborates, so
             # a syntax error outranks these diagnostics.
-            self._parse_bodies(entry.headers, filename)
-            return entry
-        if entry.fn_results is not None:
-            for qual, diags in entry.fn_results:
-                reporter.diagnostics.extend(diags)
-            self.stats.last_replayed = [q for q, _ in entry.fn_results]
-            self.stats.functions_replayed += len(entry.fn_results)
-            metrics.counter("cache.unit_replay.hits").inc(
-                len(entry.fn_results))
-            profile["plan"] = "replayed whole unit"
+            self._parse_bodies([decl for program in entry.programs
+                                for decl in program.decls
+                                if isinstance(decl, ast.FunDef)], filename)
             return entry
         check_started = time.perf_counter()
-        with tracer.span("check_functions"):
-            results = self._check_functions(
-                entry.ctx, source, filename, entry.env_token,
-                entry.summaries if self.store is not None else None)
-        profile["check_seconds"] = time.perf_counter() - check_started
-        entry.fn_results = results
-        for qual, diags in results:
+        with self.telemetry.tracer.span("check_functions"):
+            results, whole = self._check_functions(
+                entry, source, filename, state.chunks, how)
+        if not whole:
+            profile["check_seconds"] = time.perf_counter() - check_started
+        entry.functions = len(results)
+        for diags in results:
             reporter.diagnostics.extend(diags)
         return entry
 
@@ -453,19 +487,27 @@ class CheckSession:
     # -- context construction ----------------------------------------------
 
     def _context_for(self, source: str, filename: str, state: _FileState,
-                     base, split: bool = True) -> _CtxEntry:
-        """The revision's context entry: the held one on a re-save, the
-        held context under the new chunks when the interface is
-        unchanged (``_kept_functions``), or a new elaboration."""
+                     base, split: bool = True) -> Tuple[_CtxEntry, str]:
+        """The revision's context entry and how it was had: ``held``,
+        the held entry on a re-save; ``reused``, the held context under
+        the new chunks when the interface is unchanged
+        (``_kept_functions``); or ``elaborated``, a new one."""
         chunks = None
         if split:
             with self.telemetry.tracer.span("split_chunks"):
                 try:
-                    chunks = split_chunks(source)
+                    chunks = split_chunks(source, state.split)
                 except ChunkError:
                     pass
         if chunks:
-            chunk_keys = [(_sha(c.text), c.start_line, c.start_col)
+            state.split = chunks
+            # a chunk the splice carried over kept its hash
+            scanned = sum(chunk.sha is None for chunk in chunks)
+            metrics = self.telemetry.metrics
+            metrics.counter("cache.chunk_splice.hits").inc(
+                len(chunks) - scanned)
+            metrics.counter("cache.chunk_splice.misses").inc(scanned)
+            chunk_keys = [(c.digest(), c.start_line, c.start_col)
                           for c in chunks]
             key: object = tuple(chunk_keys)
         else:
@@ -473,15 +515,10 @@ class CheckSession:
             key = _sha(source)
         held = state.ctx
         if held is not None and held.key == key:
-            self._count_context("held")
-            return held
+            return held, self._count_context("held")
         held_chunks = state.chunks
         programs, env_token = self._parse(source, filename, state, chunks,
                                           chunk_keys)
-        headers = [prog.decls[0] for prog in programs
-                   if len(prog.decls) == 1
-                   and isinstance(prog.decls[0], ast.FunDef)
-                   and prog.decls[0].body is None]
         # Functions are checked against declared signatures only (paper
         # §3), so a revision with the held interface elaborates to the
         # held context.  Reuse it when it came from chunks (those
@@ -493,22 +530,23 @@ class CheckSession:
                 and not held.diags and held.env_token == env_token:
             kept = self._kept_functions(held_chunks, state.chunks)
         if kept is not None:
-            self._count_context("reused")
+            how = self._count_context("reused")
             ctx, diags = held.ctx, held.diags
             for fundef in kept:
                 ctx.fun_defs[fundef.decl.name] = fundef
         else:
-            self._count_context("elaborated")
+            how = self._count_context("elaborated")
             sub = Reporter()
             with self.telemetry.tracer.span("elaborate"):
                 ctx = build_context(programs, sub, base=base)
             diags = tuple(sub.diagnostics)
-        state.ctx = _CtxEntry(key, ctx, diags, env_token, headers)
-        return state.ctx
+        state.ctx = _CtxEntry(key, ctx, diags, env_token, programs)
+        return state.ctx, how
 
-    def _count_context(self, how: str) -> None:
-        """Record what the context step did: ``held`` and ``reused``
-        skip ``build_context`` (context hits), ``elaborated`` runs it."""
+    def _count_context(self, how: str) -> str:
+        """Record what the context step did, and return it: ``held`` and
+        ``reused`` skip ``build_context`` (context hits), ``elaborated``
+        runs it."""
         self.telemetry.profile["context"] = how
         if how == "elaborated":
             self.stats.context_misses += 1
@@ -516,10 +554,11 @@ class CheckSession:
         else:
             self.stats.context_hits += 1
             self.telemetry.metrics.counter("cache.context.hits").inc()
+        return how
 
     @staticmethod
-    def _kept_functions(held: Dict[_ChunkKey, Tuple[ast.Program, str]],
-                        chunks: Dict[_ChunkKey, Tuple[ast.Program, str]]
+    def _kept_functions(held: Dict[_ChunkKey, _ChunkEntry],
+                        chunks: Dict[_ChunkKey, _ChunkEntry]
                         ) -> Optional[List[ast.FunDef]]:
         """The function definitions of ``chunks`` in unit order, when
         every other chunk is one of ``held`` at the same place; else
@@ -527,10 +566,9 @@ class CheckSession:
         tables (type spans, interfaces, modules), so they must not
         move; a function chunk adds only its position-free signature."""
         fundefs = []
-        for ckey, (program, _) in chunks.items():
-            decls = program.decls
-            if len(decls) == 1 and isinstance(decls[0], ast.FunDef):
-                fundefs.append(decls[0])
+        for ckey, chunk in chunks.items():
+            if chunk.fundef is not None:
+                fundefs.append(chunk.fundef)
             elif ckey not in held:
                 return None
         return fundefs
@@ -546,7 +584,7 @@ class CheckSession:
         if not chunks:
             return self._parse_whole(source, filename)
         held = state.chunks
-        parsed: Dict[_ChunkKey, Tuple[ast.Program, str]] = {}
+        parsed: Dict[_ChunkKey, _ChunkEntry] = {}
         try:
             for chunk, ckey in zip(chunks, chunk_keys):
                 parsed[ckey] = held.get(ckey) \
@@ -563,41 +601,44 @@ class CheckSession:
             metrics.counter("cache.chunk_ast.hits").inc(hits)
             metrics.counter("cache.chunk_ast.misses").inc(len(parsed) - hits)
         state.chunks = parsed
-        env_token = _sha("\x00".join(part for _, part in parsed.values())
+        env_token = _sha("\x00".join(chunk.part for chunk in parsed.values())
                          + f"\x00{filename}\x00{self.units!r}"
                            f"\x00{self.stdlib!r}")
-        return [program for program, _ in parsed.values()], env_token
+        return [chunk.program for chunk in parsed.values()], env_token
 
     def _parse_chunk(self, chunk: Chunk, sha: str, filename: str
-                     ) -> Tuple[ast.Program, str]:
+                     ) -> _ChunkEntry:
         """One chunk-AST entry: the chunk's program and its interface
         digest.  A function definition is parsed only up to its body
         (see ``_header_only``); any other chunk is lexed once and
         parsed whole."""
         tracer = self.telemetry.tracer
+        text = chunk.text
         if chunk.brace >= 0:
             with tracer.span("lex", filename=filename):
-                tokens = tokenize(chunk.text[:chunk.brace], filename,
+                tokens = tokenize(text[:chunk.brace], filename,
                                   chunk.start_line, chunk.start_col)
-            fundef = self._header_only(chunk, tokens, filename)
+            fundef = self._header_only(chunk, text, tokens, filename)
             if fundef is not None:
-                return (ast.Program(fundef.span, [fundef], filename),
-                        self._interface_part(sha, tokens))
+                return _ChunkEntry(ast.Program(fundef.span, [fundef],
+                                               filename),
+                                   self._interface_part(sha, tokens))
         with tracer.span("lex", filename=filename):
-            tokens = tokenize(chunk.text, filename, chunk.start_line,
+            tokens = tokenize(text, filename, chunk.start_line,
                               chunk.start_col)
         part = self._interface_part(sha, tokens)
-        return parse_program(chunk.text, filename,
-                             first_line=chunk.start_line,
-                             first_col=chunk.start_col,
-                             tokens=tokens), part
+        return _ChunkEntry(parse_program(text, filename,
+                                         first_line=chunk.start_line,
+                                         first_col=chunk.start_col,
+                                         tokens=tokens), part)
 
-    def _header_only(self, chunk: Chunk, tokens: List[Token],
+    def _header_only(self, chunk: Chunk, text: str, tokens: List[Token],
                      filename: str) -> Optional[ast.FunDef]:
         """A body-less ``FunDef`` from the header tokens (the text
-        before ``chunk.brace``), or ``None`` when the chunk needs a
-        full parse: it is led by a declaration keyword, its header is
-        not exactly one function header, or tokens follow its body.
+        before ``chunk.brace``; ``text`` is the chunk's), or ``None``
+        when the chunk needs a full parse: it is led by a declaration
+        keyword, its header is not exactly one function header, or
+        tokens follow its body.
 
         The definition's span is the one a full parse gives it, ending
         at the body's closing brace, so its own text (and fingerprint)
@@ -606,7 +647,7 @@ class CheckSession:
         them.
         """
         if tokens[0].kind in self._DECL_CHUNK_KINDS \
-                or chunk.text[chunk.end:].strip(" \t\r\n"):
+                or text[chunk.end:].strip(" \t\r\n"):
             return None
         try:
             decl = parse_fun_header(tokens, filename)
@@ -615,16 +656,16 @@ class CheckSession:
         line, col = _line_col(chunk, chunk.end - 1)
         span = Span(decl.span.start, Pos(line, col + 1), filename)
         fundef = ast.FunDef(span, decl, None)
-        fundef._pl_body = (chunk.text[chunk.brace:chunk.end],
+        fundef._pl_body = (text[chunk.brace:chunk.end],
                            *_line_col(chunk, chunk.brace))
         return fundef
 
     def _parse_bodies(self, fundefs: Sequence[ast.FunDef],
                       filename: str) -> None:
         """Parse the body of every header-only definition in
-        ``fundefs`` that has none yet.  Each body is lexed once, in
-        place, and stays on its (cached) node.  A body that does not
-        parse on its own raises ``_WholeUnit``."""
+        ``fundefs`` that has none yet (any other is skipped).  Each
+        body is lexed once, in place, and stays on its (cached) node.
+        A body that does not parse on its own raises ``_WholeUnit``."""
         tracer = self.telemetry.tracer
         for fundef in fundefs:
             pending = fundef.__dict__.pop("_pl_body", None)
@@ -699,23 +740,51 @@ class CheckSession:
 
     # -- function checking -------------------------------------------------
 
-    def _check_functions(self, ctx, source: str, filename: str,
-                         env_token: str = "",
-                         unit_summaries: Optional[Dict[str, Tuple[
-                             Diagnostic, ...]]] = None
-                         ) -> List[Tuple[str, Tuple[Diagnostic, ...]]]:
-        """Diagnostics per function, in serial (sorted-qual) order.
-        ``unit_summaries``, when given, receives the summary of every
-        function that has one, by fingerprint."""
+    def _check_functions(self, entry: _CtxEntry, source: str, filename: str,
+                         chunks: Dict[_ChunkKey, _ChunkEntry], how: str
+                         ) -> Tuple[List[Tuple[Diagnostic, ...]], bool]:
+        """Diagnostics per function, in serial (sorted-qual) order, and
+        whether every one was served from its held result.
+
+        When the context was held or reused (``how``), a function whose
+        chunk in ``chunks`` holds a result under this env token is
+        answered from it: no fingerprint, summary lookup or relocation.
+        Its text and place are the chunk's, and every signature it sees
+        is the env token's; a span outside its lines can only be in a
+        declaration chunk, which a held or reused context has in
+        place.  Every other function is answered by its summary or a
+        flow check, and the result is then held on its chunk.  With
+        ``cache_dir``, ``entry.summaries`` receives the summary of
+        every function that has one, by fingerprint."""
         metrics = self.telemetry.metrics
+        profile = self.telemetry.profile
+        stats = self.stats
+        ctx, env_token = entry.ctx, entry.env_token
+        unit_summaries = entry.summaries if self.store is not None else None
         fn_items = ctx.defined_functions()
+        nodes = {id(chunk.fundef): chunk for chunk in chunks.values()
+                 if chunk.fundef is not None}
         results: Dict[str, Tuple[Diagnostic, ...]] = {}
-        to_check: List[Tuple[str, ast.FunDef, str]] = []  # qual, def, fp
-        lines = source_lines(source)
-        memoized = 0
+        # qual, def, fingerprint, the def's chunk entry (or None)
+        to_check: List[Tuple[str, ast.FunDef, str,
+                             Optional[_ChunkEntry]]] = []
+        lines: Optional[List[str]] = None
+        servable = how != "elaborated"
+        served = memoized = 0
         with self.telemetry.tracer.span("fingerprint",
                                         functions=len(fn_items)):
             for qual, fundef in fn_items:
+                held = nodes.get(id(fundef))
+                result = held.result if held is not None else None
+                if servable and result is not None \
+                        and result[0] == env_token:
+                    results[qual] = result[2]
+                    if unit_summaries is not None \
+                            and result[3] is not None:
+                        unit_summaries[result[1]] = result[3]
+                    stats.last_replayed.append(qual)
+                    served += 1
+                    continue
                 # A fingerprint covers the function's own text plus the
                 # rendered signatures it can see; both are pinned by
                 # (this FunDef object, the context's env token), so a
@@ -723,64 +792,75 @@ class CheckSession:
                 # memo rides on the cached FunDef node: an edited chunk
                 # parses to a fresh node and misses naturally.
                 memo = fundef.__dict__.get("_pl_fp")
-                if memo is not None and env_token and memo[0] == env_token:
+                if memo is not None and memo[0] == env_token:
                     fp = memo[1]
                     memoized += 1
                 else:
+                    if lines is None:
+                        lines = source_lines(source)
                     fp = function_fingerprint(
                         ctx, qual, self._own_text(fundef, lines, filename))
-                    if env_token:
-                        object.__setattr__(fundef, "_pl_fp",
-                                           (env_token, fp))
+                    object.__setattr__(fundef, "_pl_fp", (env_token, fp))
                 cached = self._summaries.get(fp)
                 if cached is not None:
-                    results[qual] = _relocate(
+                    results[qual] = diags = _relocate(
                         cached, fundef.span.start.line, fundef.span.filename)
-                    self.stats.last_replayed.append(qual)
-                    self.stats.functions_replayed += 1
+                    if held is not None:
+                        held.result = (env_token, fp, diags, cached)
+                    stats.last_replayed.append(qual)
                     if unit_summaries is not None:
                         unit_summaries[fp] = cached
                 else:
-                    to_check.append((qual, fundef, fp))
-        self.stats.fingerprints_memoized += memoized
+                    to_check.append((qual, fundef, fp, held))
+        stats.functions_replayed += len(fn_items) - len(to_check)
+        metrics.counter("cache.held_result.hits").inc(served)
+        metrics.counter("cache.held_result.misses").inc(len(fn_items) - served)
+        if servable and served == len(fn_items):
+            metrics.counter("cache.unit_replay.hits").inc(served)
+            profile["plan"] = "replayed whole unit"
+            return [results[qual] for qual, _ in fn_items], True
+        stats.fingerprints_memoized += memoized
         if memoized:
             metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
-        misses = len(fn_items) - memoized
+        misses = len(fn_items) - served - memoized
         if misses:
             metrics.counter("cache.fingerprint_memo.misses").inc(misses)
-        replayed = len(fn_items) - len(to_check)
+        replayed = len(fn_items) - served - len(to_check)
         if replayed:
             metrics.counter("cache.summary.hits").inc(replayed)
         if to_check:
             metrics.counter("cache.summary.misses").inc(len(to_check))
-        self.last_profile["plan"] = \
+        profile["plan"] = \
             f"checked {len(to_check)} of {len(fn_items)} function(s)"
-        parsed = self.stats.body_parses
-        self._parse_bodies([fundef for _, fundef, _ in to_check], filename)
-        self.last_profile["bodies"] = (self.stats.body_parses - parsed,
-                                       len(fn_items))
+        parsed = stats.body_parses
+        self._parse_bodies([fundef for _, fundef, _, _ in to_check],
+                           filename)
+        profile["bodies"] = (stats.body_parses - parsed, len(fn_items))
         if to_check:
             checked = self._run_checks(ctx, to_check)
-            for (qual, fundef, fp), diags in zip(to_check, checked):
+            for (qual, fundef, fp, held), diags in zip(to_check, checked):
                 results[qual] = diags
+                summary = None
                 if _inside(diags, fundef.span):
                     summary = _relocate(diags, -fundef.span.start.line, "")
                     self._summaries[fp] = summary
                     if unit_summaries is not None:
                         unit_summaries[fp] = summary
-                self.stats.last_checked.append(qual)
-                self.stats.functions_checked += 1
+                if held is not None:
+                    held.result = (env_token, fp, diags, summary)
+                stats.last_checked.append(qual)
+                stats.functions_checked += 1
             if len(self._summaries) > _MAX_SUMMARIES:
                 self._evict_traced(self._summaries, "summary",
                                    len(self._summaries) // 2 + 1)
-        return [(qual, results[qual]) for qual, _ in fn_items]
+        return [results[qual] for qual, _ in fn_items], False
 
     def _run_checks(self, ctx, to_check) -> List[Tuple[Diagnostic, ...]]:
         """Flow-check each cache miss, in the order given."""
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         out: List[Tuple[Diagnostic, ...]] = []
-        for qual, fundef, _fp in to_check:
+        for qual, fundef, _fp, _held in to_check:
             started = time.perf_counter()
             with tracer.span("check_function", function=qual):
                 diags = tuple(check_function_diagnostics(
@@ -879,12 +959,12 @@ class CheckSession:
         checked.  A failed write is a ``shared_cache_error`` event (the
         store reports the first few) and a cold next process, never a
         wrong answer."""
-        if entry.fn_results is None:
+        if entry.functions is None:
             # The context's diagnostics stopped the check: no function
             # ran, and the file's summaries carry over.
             functions, summaries = 0, state.summaries
         else:
-            functions, summaries = len(entry.fn_results), entry.summaries
+            functions, summaries = entry.functions, entry.summaries
         state.sha, state.summaries = sha, summaries
         key = self._record_key(filename)
         record = {"sha": sha, "diags": tuple(reporter.diagnostics),

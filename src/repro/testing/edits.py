@@ -73,7 +73,7 @@ __all__ = ["EDIT_KINDS", "SMALL_CAP", "Revision", "EditDivergence",
 EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
               "blank_delete", "effect_clause", "signature", "struct_field",
               "syntax_error", "form_feed", "revert", "rename_file",
-              "move_function", "header_reflow")
+              "move_function", "header_reflow", "resave", "declare_between")
 
 #: the summary cap the second walk patches onto the session module.
 SMALL_CAP = 8
@@ -267,6 +267,24 @@ def _edit(rng: random.Random, kind: str, lines: List[str]) -> bool:
             return False
         at = rng.choice(targets)
         lines[at:at] = block
+    elif kind == "declare_between":
+        # A struct or a function-type alias between two functions.  A
+        # function above uses the alias, whose unknown parameter type
+        # is then reported at the alias's line.  A line inserted
+        # between the two later moves the declaration with its text
+        # unchanged and leaves the user in place: the context must be
+        # elaborated again, and the user's held result not served.
+        if len(funs) < 2:
+            return False
+        at = rng.randrange(1, len(funs))
+        user = rng.choice(funs[:at])[0]
+        name = "spare%d" % sum(line.startswith(("struct spare", "type spare"))
+                               for line in lines)
+        if rng.random() < 0.5:
+            lines.insert(funs[at][0], f"struct {name} {{ int a; }}")
+        else:
+            lines.insert(funs[at][0], f"type {name} = void f(Bogus x);")
+            lines.insert(user + 1, f"    {name} {name}_h;")
     elif kind == "header_reflow":
         # Break the header after its ``(``: the same tokens, so the same
         # interface, but its parameters and every later function move
@@ -301,6 +319,9 @@ def edit_sequence(seed: int, length: int = 8) -> List[Revision]:
             continue
         if kind == "rename_file":
             revisions.append(Revision(kind, last.source, "other.vlt"))
+            continue
+        if kind == "resave":
+            revisions.append(Revision(kind, last.source, last.filename))
             continue
         lines = last.source.split("\n")
         if _edit(rng, kind, lines):

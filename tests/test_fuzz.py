@@ -311,10 +311,13 @@ class TestEditSequences:
         # At a file cap of one, the renamed file's first check evicts
         # the old name's state mid-sequence.
         from repro.pipeline import CheckSession
-        # The first seed whose second revision is a rename (a new edit
-        # kind re-draws every seeded sequence).
+        # The first seed whose second revision is a rename and whose
+        # revisions all parse (a new edit kind re-draws every seeded
+        # sequence).
         seed = next(seed for seed in range(100)
-                    if edit_sequence(seed, 2)[1].kind == "rename_file")
+                    if edit_sequence(seed, 2)[1].kind == "rename_file"
+                    and "syntax_error" not in
+                    [rev.kind for rev in edit_sequence(seed, 8)])
         revisions = edit_sequence(seed, 8)
         assert revisions[1].kind == "rename_file"
         with edits_mod._caps(SMALL_CAP):

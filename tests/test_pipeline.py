@@ -11,8 +11,10 @@ Covers the three layers of :mod:`repro.pipeline`:
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,6 +31,7 @@ from repro.stdlib import STDLIB_UNITS, stdlib_context, stdlib_source
 from repro.syntax import ast, parse_program, tokenize
 from repro.syntax.tokens import T
 from repro.testing import canonical_stdout, generate_program
+from repro.testing.edits import edit_sequence
 
 UNITS = ["region"]
 
@@ -199,6 +202,109 @@ class TestSplitChunks:
         with pytest.raises(Exception) as plain_err:
             check_source(source, units=UNITS)
         assert str(session_err.value) == str(plain_err.value)
+
+
+def _split_view(source, held=()):
+    """What a split of ``source`` gives: each chunk's text, position,
+    body brace and end, or ``"ChunkError"``."""
+    try:
+        chunks = split_chunks(source, held)
+    except ChunkError:
+        return "ChunkError"
+    return [(c.text, c.start_line, c.start_col, c.brace, c.end)
+            for c in chunks]
+
+
+def _assert_splice_is_cold(old, new):
+    """Splicing ``old``'s split into ``new`` equals ``new``'s cold
+    split; returns the spliced chunks (``None`` on a ChunkError)."""
+    held = split_chunks(old)
+    for chunk in held:
+        chunk.digest()
+    assert _split_view(new, held) == _split_view(new), (old, new)
+    try:
+        return split_chunks(new, held)
+    except ChunkError:
+        return None
+
+
+#: what the random edits insert: every token that changes the scanner's
+#: state, plus newlines.
+_SPLICE_TOKENS = ("/*", "*/", "//", '"', "'a'", "'{'", "'Ab", "{", "}",
+                  "[", "]", ";", "\n")
+
+
+class TestSpliceChunks:
+    """A split spliced from the held revision's split equals a cold
+    split of the new source, chunk for chunk, ChunkError included."""
+
+    def test_every_edit_sequence_pair(self):
+        pairs = 0
+        for seed in range(40):
+            revisions = edit_sequence(seed, 12)
+            for old, new in zip(revisions, revisions[1:]):
+                if _split_view(old.source) == "ChunkError":
+                    continue
+                _assert_splice_is_cold(old.source, new.source)
+                pairs += 1
+        assert pairs > 300
+
+    def test_random_small_edits(self):
+        rng = random.Random(2026)
+        for seed in range(60):
+            source = generate_program(seed).source
+            held = split_chunks(source)
+            for _ in range(12):
+                at = rng.randrange(len(source) + 1)
+                if rng.random() < 0.6:
+                    new = source[:at] + rng.choice(_SPLICE_TOKENS) \
+                        + source[at:]
+                else:
+                    new = source[:at] + source[at + rng.randint(1, 3):]
+                assert _split_view(new, held) == _split_view(new), new
+                if _split_view(new) != "ChunkError":
+                    # splice the next edit from this one's splice
+                    source, held = new, split_chunks(new, held)
+
+    def test_a_block_comment_swallows_later_chunks(self):
+        at = PROTO.index("void caller")
+        opened = PROTO[:at] + "/*" + PROTO[at:]
+        assert _split_view(opened) == "ChunkError"
+        _assert_splice_is_cold(PROTO, opened)
+        end = PROTO.index("int bystander")
+        closed = opened[:end + 2] + "*/" + opened[end + 2:]
+        chunks = _assert_splice_is_cold(PROTO, closed)
+        assert len(chunks) == len(split_chunks(PROTO)) - 1
+        # and the comment closed again
+        _assert_splice_is_cold(closed, PROTO)
+
+    def test_an_edit_in_the_trailing_trivia(self):
+        old = PROTO + "// trailing\n\n"
+        for new in (PROTO + "// trailing, edited\n\n", PROTO,
+                    PROTO + "// trailing\nint late;\n"):
+            _assert_splice_is_cold(old, new)
+            _assert_splice_is_cold(new, old)
+
+    def test_a_resync_on_the_same_line_shifts_columns(self):
+        old = "int a; int b; int c;\nvoid f() {\n}\nint d;\n"
+        new = "int aaa; int b; int c;\nvoid f() {\n}\nint d;\n"
+        chunks = _assert_splice_is_cold(old, new)
+        # the chunks on the edited line move right; ``int d;`` does not
+        assert [(c.start_line, c.start_col) for c in chunks] == \
+            [(1, 1), (1, 9), (1, 16), (1, 23), (3, 2)]
+        assert [c.sha is None for c in chunks] == \
+            [True, False, False, False, False], \
+            "only the edited chunk is scanned"
+
+    def test_an_empty_edit_scans_nothing(self):
+        source = synthesize_program(20, seed=7)
+        chunks = _assert_splice_is_cold(source, source)
+        assert all(c.sha is not None for c in chunks)
+
+    def test_a_body_edit_scans_one_chunk(self):
+        source = synthesize_program(40, seed=7)
+        chunks = _assert_splice_is_cold(source, _body_edit(source))
+        assert sum(c.sha is None for c in chunks) == 1
 
 
 def _split_corpus():
@@ -506,11 +612,15 @@ class TestTelemetry:
     def test_metrics_agree_with_session_stats(self):
         # A default session keeps two counting surfaces, the metrics
         # registry and SessionStats; each registry counter must equal
-        # its SessionStats twin after a cold check, a body edit and a
-        # re-save of the edit.
-        source = synthesize_program(12, seed=3, error_rate=0.3)
+        # its SessionStats twin after a cold check, a body edit, a
+        # re-save of the edit and a blank line that moves the trailing
+        # declaration (an elaboration whose unmoved functions replay
+        # their memoized fingerprints).
+        source = synthesize_program(12, seed=3, error_rate=0.3) \
+            + "struct spare { int a; }\n"
         session = fresh_session()
-        for text in (source, _body_edit(source), _body_edit(source)):
+        for text in (source, _body_edit(source), _body_edit(source),
+                     _blank_in_body(_body_edit(source), "worker_9")):
             session.check(text, "unit.vlt")
         snapshot = session.telemetry.metrics.snapshot()
         stats = session.stats
@@ -748,6 +858,14 @@ def _body_edit(source, start=None):
     return source[:at] + "c.value += 4242" + source[end:]
 
 
+def _counters(session):
+    """The session's registry counters by name."""
+    return collections.defaultdict(int, {
+        name: metric["value"]
+        for name, metric in session.telemetry.metrics.snapshot().items()
+        if "value" in metric})
+
+
 def _chunk_keys(source):
     """The context-entry key of a revision that splits into chunks."""
     return tuple((hashlib.sha256(c.text.encode()).hexdigest(),
@@ -775,15 +893,40 @@ class TestChunkAstCache:
         assert session.stats.chunk_parses == chunks + 1
         assert session.stats.chunk_hits - hits0 == chunks - 1
 
-    def test_one_chunk_edit_memoises_other_fingerprints(self):
+    def test_one_chunk_edit_fingerprints_one_function(self):
+        # Every other function is served from its held result: its
+        # fingerprint is neither computed nor looked up.
         source = synthesize_program(12, seed=3)
         session = fresh_session()
         session.check(source, "unit.vlt")
         functions = session.stats.functions_checked
-        assert session.stats.fingerprints_memoized == 0
+        before = _counters(session)
         session.check(_body_edit(source), "unit.vlt")
-        assert session.stats.fingerprints_memoized == functions - 1
+        after = _counters(session)
+        assert after["cache.fingerprint_memo.misses"] \
+            - before["cache.fingerprint_memo.misses"] == 1
+        assert session.stats.fingerprints_memoized == 0
+        assert after["cache.held_result.hits"] \
+            - before["cache.held_result.hits"] == functions - 1
         assert len(session.stats.last_checked) == 1
+
+    def test_a_moved_declaration_memoises_unmoved_fingerprints(self):
+        # A declaration that moves elaborates the context, so no held
+        # result is served; the functions that did not move keep their
+        # nodes and the env token, so their fingerprints are memoized.
+        source = synthesize_program(12, seed=3) + "struct spare { int a; }\n"
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        moved = _blank_in_body(source, "worker_9")
+        before = _counters(session)
+        assert _check_like_check_source(session, moved)
+        after = _counters(session)
+        assert after["cache.held_result.hits"] \
+            == before["cache.held_result.hits"]
+        # worker_9, worker_10 and worker_11 moved and are re-parsed;
+        # the blank line is in worker_9's own text
+        assert session.stats.fingerprints_memoized == 12 - 3
+        assert session.stats.last_checked == ["worker_9"]
 
     def test_one_chunk_edit_renders_like_check_source(self):
         source = synthesize_program(12, seed=3)
@@ -998,7 +1141,7 @@ class TestInterfaceReuse:
         # and its body edit must elaborate, not reuse that context.
         from repro.pipeline import session as session_mod
 
-        def refuse(source):
+        def refuse(source, held=()):
             raise ChunkError("refused")
 
         session = fresh_session()
@@ -1076,8 +1219,8 @@ class TestInterfaceReuse:
         for text in revisions:
             reused += not _check_like_check_source(session, text)
             state = session._files["unit.vlt"]
-            nodes = {id(decl) for program, _ in state.chunks.values()
-                     for decl in program.decls}
+            nodes = {id(decl) for chunk in state.chunks.values()
+                     for decl in chunk.program.decls}
             mine = [fundef for fundef in state.ctx.ctx.fun_defs.values()
                     if fundef.span.filename == "unit.vlt"]
             assert len(mine) == 40
