@@ -29,7 +29,9 @@ cli-smoke:
 # chunk ASTs), the retention ratchet (after 10 line inserts a session
 # holds only the last revision's chunks and one context) and the
 # elaboration ratchet (10 body edits and 10 in-body blank lines run
-# build_context 0 times), then runs the benchmark bodies once (no
+# build_context 0 times), the splice ratchet and the unit-replay
+# ratchet (a re-save of 160 functions plus one module member serves
+# every function), then runs the benchmark bodies once (no
 # timing rounds),
 # refreshing BENCH_checker.json with cold/warm/edit timings.
 bench-smoke:

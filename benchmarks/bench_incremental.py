@@ -118,6 +118,12 @@ def _calibrate() -> dict:
 _RESILIENCE_COUNTERS = ("cache_quarantines",)
 
 
+def _counter(session, name):
+    """One registry counter of ``session`` (0 when never recorded)."""
+    snapshot = session.telemetry.metrics.snapshot()
+    return snapshot.get(name, {}).get("value", 0)
+
+
 def _measure():
     source = synthesize_program(N_FUNCTIONS, seed=42)
     # Recovery activity summed over every session this run creates —
@@ -127,7 +133,7 @@ def _measure():
 
     def _tally(sess):
         for name in _RESILIENCE_COUNTERS:
-            resilience[name] += getattr(sess.stats, name, 0)
+            resilience[name] += _counter(sess, f"resilience.{name}")
 
     start = time.perf_counter()
     baseline_report = check_source(source, units=UNITS)
@@ -176,14 +182,16 @@ def _measure():
     large_session.check(large_source)
     warm_large = time.perf_counter() - start
     lstats = large_session.stats
-    parses0, chunk_hits0 = lstats.chunk_parses, lstats.chunk_hits
+    parses0 = lstats.chunk_parses
+    chunk_hits0 = _counter(large_session, "cache.chunk_ast.hits")
     gc.collect()
     start = time.perf_counter()
     large_session.check(edited_large)
     edit_large = time.perf_counter() - start
     _tally(large_session)
     edit_parsed = lstats.chunk_parses - parses0
-    edit_reused = lstats.chunk_hits - chunk_hits0
+    edit_reused = _counter(large_session, "cache.chunk_ast.hits") \
+        - chunk_hits0
     edit_chunks = edit_parsed + edit_reused
     frontend = {
         "edit_chunk_ast": {
@@ -191,7 +199,8 @@ def _measure():
             "reused": edit_reused,
             "rate": edit_reused / edit_chunks if edit_chunks else 0.0,
         },
-        "fingerprints_memoized": lstats.fingerprints_memoized,
+        "fingerprints_memoized":
+            _counter(large_session, "cache.fingerprint_memo.hits"),
         "calibration": _calibrate(),
     }
 
@@ -238,8 +247,9 @@ def test_incremental_pipeline(benchmark):
         previous = {}
     for key, value in previous.items():
         result.setdefault(key, value)
-    # bench_smoke.py owns three rows of the "frontend" block.
-    for row in ("retained_chunks", "elaborations", "rescanned_chunks"):
+    # bench_smoke.py owns four rows of the "frontend" block.
+    for row in ("retained_chunks", "elaborations", "rescanned_chunks",
+                "unit_replay"):
         if row in previous.get("frontend", {}):
             result["frontend"][row] = previous["frontend"][row]
 

@@ -27,6 +27,12 @@ unit in a warm session: the splitter may re-scan at most 2 chunks (the
 other function is served from its held result.  It is recorded as
 ``frontend.rescanned_chunks``.
 
+The unit-replay ratchet re-saves the 160-function unit with one module
+appended in a warm session: every function, the module's member
+included, must be served from its held result (``cache.unit_replay.hits``
+equals the function count) and no fingerprint computed.  It is
+recorded as ``frontend.unit_replay``.
+
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
 """
@@ -68,6 +74,18 @@ ELABORATION_EDITS = 10
 #: one-constant body edit re-scans.
 N_FUNCTIONS_SPLICE = 640
 RESCANNED_CHUNKS_CEILING = 2
+
+#: The module the unit-replay ratchet appends: one member function.
+MODULE = """
+interface COUNTER {
+    int bump(int x);
+}
+module Counter : COUNTER {
+    int bump(int x) {
+        return x + 1;
+    }
+}
+"""
 
 _BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_checker.json")
@@ -238,12 +256,43 @@ def test_splice_ratchet():
     print("bench-smoke: splice ratchet      OK")
 
 
+def test_unit_replay_ratchet():
+    # A re-save changes nothing: every function, module members too,
+    # is served from its held result.
+    source = synthesize_program(N_FUNCTIONS_FRONTEND, seed=42) + MODULE
+    session = CheckSession(units=UNITS)
+    session.check(source)
+    functions = session.stats.functions_checked
+    before = _counters(session)
+    session.check(source)
+    after = _counters(session)
+    replay = {
+        "functions": functions,
+        "served": after["cache.unit_replay.hits"]
+        - before["cache.unit_replay.hits"],
+        "fingerprinted": after["cache.fingerprint_memo.misses"]
+        - before["cache.fingerprint_memo.misses"],
+    }
+    print(f"bench-smoke: a re-save of {functions} functions (one module "
+          f"member) served {replay['served']}, fingerprinted "
+          f"{replay['fingerprinted']}")
+    assert functions == N_FUNCTIONS_FRONTEND + 1, \
+        f"the unit has {functions} functions, not {N_FUNCTIONS_FRONTEND + 1}"
+    assert replay["served"] == functions, \
+        f"a re-save served {replay['served']} of {functions} functions"
+    assert replay["fingerprinted"] == 0, \
+        f"a re-save fingerprinted {replay['fingerprinted']} functions"
+    _record("unit_replay", replay)
+    print("bench-smoke: unit-replay ratchet OK")
+
+
 def _counters(session):
     """The session's registry counters by name (0 when absent)."""
     snapshot = session.telemetry.metrics.snapshot()
     return {name: snapshot.get(name, {}).get("value", 0)
             for name in ("cache.chunk_splice.misses",
-                         "cache.fingerprint_memo.misses")}
+                         "cache.fingerprint_memo.misses",
+                         "cache.unit_replay.hits")}
 
 
 def _context_misses(session):
@@ -270,4 +319,5 @@ if __name__ == "__main__":
     test_retention_ratchet()
     test_elaboration_ratchet()
     test_splice_ratchet()
+    test_unit_replay_ratchet()
     print("bench-smoke: PASS")

@@ -22,6 +22,11 @@ from repro.pipeline import CheckSession                  # noqa: E402
 UNITS = ["region"]
 
 
+def _quarantines(session):
+    return session.telemetry.metrics.counter(
+        "resilience.cache_quarantines").value
+
+
 def test_corrupt_cache_is_quarantined():
     source = synthesize_program(20, seed=17)
     expected = check_source(source, units=UNITS).render()
@@ -37,7 +42,7 @@ def test_corrupt_cache_is_quarantined():
         with CheckSession(units=UNITS, cache_dir=cache_dir) as victim:
             rendered = victim.check(source).render()
         assert rendered == expected
-        assert victim.stats.cache_quarantines == 1
+        assert _quarantines(victim) == 1
         quarantined = os.listdir(os.path.join(cache_dir, "corrupt"))
         assert [name.startswith(os.path.basename(path) + ".corrupt.")
                 for name in quarantined] == [True], \
@@ -45,7 +50,7 @@ def test_corrupt_cache_is_quarantined():
 
         with CheckSession(units=UNITS, cache_dir=cache_dir) as reader:
             reader.check(source)
-        assert reader.stats.cache_quarantines == 0
+        assert _quarantines(reader) == 0
         assert reader.stats.functions_checked == 0, \
             "the rebuilt record must replay on the next run"
     print("chaos-smoke: file record quarantine + rebuild    OK")

@@ -4,9 +4,8 @@ A session with ``cache_dir`` keeps one *file record* per compiled file
 in a :class:`RecordStore`, a content-addressed directory, so a later
 process starts from what an earlier one learned::
 
-    session  CheckSession._summaries, and each file's held
-             function results beside its chunk ASTs (in-process,
-             private)
+    session  CheckSession._summaries, and each function's held
+             result on its FunDef node (in-process, private)
     store    RecordStore  crash-safe on-disk record store, sharded by
                           key prefix
 
@@ -86,6 +85,7 @@ import pickle
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.checker import MAX_LOOP_ITERATIONS
 from ..obs import Telemetry
 from ..pipeline.fingerprint import cache_checksum
 
@@ -173,19 +173,21 @@ def decode_blob(blob: bytes) -> object:
 def record_key(options_salt: str, filename: str) -> str:
     """Store key for one file's record: a slot per file name, salted
     with the session options that change diagnostics without changing
-    content (``stdlib``, ``units``, ``join_abstraction``,
-    ``max_loop_iterations``) and the schema version."""
+    content (``stdlib``, ``units``, and the checker's join and loop
+    settings) and the schema version."""
     return cache_checksum(
         f"file\x00{STORE_SCHEMA}\x00{options_salt}\x00{filename}"
         .encode("utf-8", "surrogateescape")) + "-f"
 
 
-def options_salt(stdlib: bool, units: Optional[Sequence[str]],
-                 join_abstraction: bool, max_loop_iterations: int) -> str:
-    """The diagnostic-relevant session options, rendered stably."""
+def options_salt(stdlib: bool, units: Optional[Sequence[str]]) -> str:
+    """The diagnostic-relevant session options, rendered stably.  A
+    session always checks with the join abstraction and
+    :data:`~repro.core.checker.MAX_LOOP_ITERATIONS`; the salt names
+    both, so a change of the bound re-keys every record."""
     units_part = ",".join(units) if units is not None else "<all>"
     return (f"stdlib={stdlib!r};units={units_part};"
-            f"join={join_abstraction!r};loops={max_loop_iterations}")
+            f"join=True;loops={MAX_LOOP_ITERATIONS}")
 
 
 # -- the store ----------------------------------------------------------------

@@ -141,8 +141,11 @@ def _print_profile(session, file) -> int:
           file=file)
     print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",
           file=file)
-    snapshot = session.telemetry.metrics.snapshot().get(
-        "check.function_seconds")
+    metrics = session.telemetry.metrics.snapshot()
+
+    def count(name: str) -> int:
+        return metrics.get(name, {}).get("value", 0)
+    snapshot = metrics.get("check.function_seconds")
     if snapshot and snapshot.get("count"):
         from .obs import bucket_quantile
         bounds = snapshot["bounds"]
@@ -152,22 +155,23 @@ def _print_profile(session, file) -> int:
             f"{bucket_quantile(bounds, counts, q) * 1000:.1f} ms"
             for q in (0.5, 0.95, 0.99))
         print(f"  {'function latency':<22} {quants}", file=file)
-    if stats.chunk_parses or stats.chunk_hits:
+    chunk_hits = count("cache.chunk_ast.hits")
+    if stats.chunk_parses or chunk_hits:
         print(f"  {'chunks':<22} parsed {stats.chunk_parses} / "
-              f"reused {stats.chunk_hits}", file=file)
+              f"reused {chunk_hits}", file=file)
     if "bodies" in profile:
         parsed, functions = profile["bodies"]
         print(f"  {'bodies':<22} parsed {parsed} of {functions} functions",
               file=file)
-    if stats.fingerprints_memoized:
+    if count("cache.fingerprint_memo.hits"):
         print(f"  {'fingerprints memoized':<22} "
-              f"{stats.fingerprints_memoized:8d}", file=file)
+              f"{count('cache.fingerprint_memo.hits'):8d}", file=file)
     if stats.shared_unit_hits:
         print(f"  {'file record replays':<22} "
               f"{stats.shared_unit_hits:8d}", file=file)
-    if stats.cache_quarantines:
-        print(f"  {'cache quarantines':<22} {stats.cache_quarantines:8d}",
-              file=file)
+    if count("resilience.cache_quarantines"):
+        print(f"  {'cache quarantines':<22} "
+              f"{count('resilience.cache_quarantines'):8d}", file=file)
     return 0
 
 

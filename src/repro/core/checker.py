@@ -230,10 +230,7 @@ def check_program(ctx: ProgramContext, reporter: Reporter,
 
 
 def check_function_diagnostics(ctx: ProgramContext, qual: str,
-                               fundef: ast.FunDef,
-                               join_abstraction: bool = True,
-                               max_loop_iterations: int = MAX_LOOP_ITERATIONS
-                               ) -> list:
+                               fundef: ast.FunDef) -> list:
     """Diagnostics from flow-checking one function, in emission order.
 
     The unit of work of the incremental pipeline
@@ -242,9 +239,7 @@ def check_function_diagnostics(ctx: ProgramContext, qual: str,
     reporter so results can be cached and merged deterministically.
     """
     reporter = Reporter()
-    checker = Checker(ctx, reporter, join_abstraction=join_abstraction,
-                      max_loop_iterations=max_loop_iterations)
-    checker.check_function(qual, fundef)
+    Checker(ctx, reporter).check_function(qual, fundef)
     return reporter.diagnostics
 
 

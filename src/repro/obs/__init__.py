@@ -52,10 +52,8 @@ class Telemetry:
     and into a fresh :class:`MetricsRegistry` otherwise.  ``metrics``
     is accepted and ignored.  ``trace=True`` records spans; tracing
     defaults off (the null tracer).  The session also parks its
-    compatibility surfaces here: ``profile`` is the dict behind
-    ``CheckSession.last_profile`` and ``stats`` the
-    :class:`~repro.pipeline.session.SessionStats` behind
-    ``CheckSession.stats``.
+    compatibility surface here: ``profile`` is the dict behind
+    ``CheckSession.last_profile``.
     """
 
     def __init__(self, trace: bool = False, metrics: bool = False,
@@ -69,23 +67,16 @@ class Telemetry:
         self.events = events if events is not None else EventLog()
         #: phase timings / check plan of the most recent check.
         self.profile: Dict[str, object] = {}
-        #: the owning session's SessionStats (set by CheckSession).
-        self.stats = None
 
     def snapshot(self) -> Dict[str, object]:
         """Everything queryable about the session, as plain data."""
-        out: Dict[str, object] = {
+        return {
             "profile": dict(self.profile),
             "metrics": self.metrics.snapshot(),
             "events": [{"kind": e.kind, "message": e.message,
                         "fields": dict(e.fields), "ts": e.ts, "pid": e.pid}
                        for e in self.events.records],
         }
-        if self.stats is not None:
-            out["stats"] = {
-                name: value for name, value in vars(self.stats).items()
-                if isinstance(value, (int, float))}
-        return out
 
 
 __all__ = [

@@ -35,12 +35,15 @@ invalidated:
   the interface changes, a declaration moves or the held context has
   diagnostics;
 * **held function results** — each function's last result is held
-  beside its chunk's AST.  While the chunk is a hit, the context was
-  held or reused and the env token is the same, the function's text,
-  place and visible signatures are what they were, so the result is
-  served as is: no fingerprint, summary lookup or relocation.  A body
-  edit of a 640-function unit fingerprints and checks one function; a
-  re-save serves every function ("replayed whole unit");
+  on its ``FunDef`` node, under the env token.  A node outlives a
+  check only inside a chunk that was a hit (or a context that was
+  held), so while the context was held or reused and the env token is
+  the same, the function's text, place and visible signatures are
+  what they were, and the result is served as is: no fingerprint,
+  summary lookup or relocation.  Under an elaborated context only its
+  fingerprint is reused.  A body edit of a 640-function unit
+  fingerprints and checks one function; a re-save serves every
+  function ("replayed whole unit");
 * **summary cache** — per-function diagnostics are cached under a
   stable content fingerprint of the function and everything it
   references (:mod:`repro.pipeline.fingerprint`), position-free: lines
@@ -63,12 +66,15 @@ compare equal by value, positions included, not only when rendered.
 
 Accounting: every cache layer counts its hits and misses in the
 session's metrics registry (``telemetry.metrics``), which is always
-live: ``cache.chunk_splice.*`` counts the chunks a split carried over
-(hits) or scanned (misses), ``cache.held_result.*`` the functions
-served from their held result or not, and ``cache.unit_replay.hits``
-the functions of checks that served every function so.  The
-``context``, ``chunk_ast`` and ``fingerprint_memo`` counters equal
-their :class:`SessionStats` twins.  After every check the
+live and the only place a layer is counted: ``cache.chunk_splice.*``
+counts the chunks a split carried over (hits) or scanned (misses),
+``cache.held_result.*`` the functions served from their held result
+or not, ``cache.fingerprint_memo.*`` the fingerprints reused from a
+held result under an elaborated context or computed, and
+``cache.unit_replay.hits`` the functions of checks that served every
+function so.  :class:`SessionStats` keeps what the registry cannot
+say per session (a daemon's sessions share one registry) and the
+parse counts that have no registry twin.  After every check the
 ``session.files`` and ``session.chunks_held`` gauges give the files
 and chunk ASTs the session holds.  Spans are recorded only with
 ``Telemetry(trace=True)``.
@@ -101,13 +107,12 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import build_context, check_function_diagnostics
-from ..core.checker import MAX_LOOP_ITERATIONS
 from ..diagnostics import (Diagnostic, Note, Pos, Reporter, Span,
                            VaultError)
 from ..diagnostics.reporter import source_lines
 from ..obs import Telemetry
 from ..obs.trace import activate as activate_tracer
-from ..stdlib import stdlib_context, stdlib_source
+from ..stdlib import stdlib_context
 from ..stdlib.loader import base_context_cache_info
 from ..syntax import ast, parse_program, tokenize
 from ..syntax.parser import parse_fun_body, parse_fun_header
@@ -178,7 +183,10 @@ def _line_col(chunk: Chunk, offset: int) -> Tuple[int, int]:
 
 
 class SessionStats:
-    """Counters exposed for tests and benchmarks.
+    """One session's own counters, for tests, benchmarks and the
+    daemon's per-session rows.  Cache layers are counted in the
+    metrics registry only (see the module docstring); a daemon's
+    sessions share that registry, so the per-session counts live here.
 
     ``last_checked``/``last_replayed`` list the qualified names that
     were flow-analysed vs. served from the summary cache by the most
@@ -187,32 +195,23 @@ class SessionStats:
 
     def __init__(self) -> None:
         self.checks = 0
-        self.context_hits = 0
-        self.context_misses = 0
+        #: chunks parsed (equals ``cache.chunk_ast.misses``)
         self.chunk_parses = 0
-        self.chunk_hits = 0
         #: function bodies parsed on their own, when a header-only
         #: chunk's function had to be checked
         self.body_parses = 0
         self.whole_parses = 0
         self.functions_checked = 0
         self.functions_replayed = 0
-        self.fingerprints_memoized = 0
-        # mirrored by the ``resilience.cache_quarantines`` metric
-        self.cache_quarantines = 0
-        # file-record replays, and first checks of a file that its
-        # record could not replay (mirrored by the
-        # ``cache.shared.unit.*`` metrics; the store's own traffic
-        # is counted by the store)
+        #: file-record replays (the registry's ``cache.shared.unit.hits``
+        #: is shared by a daemon's sessions)
         self.shared_unit_hits = 0
-        self.shared_unit_misses = 0
         self.last_checked: List[str] = []
         self.last_replayed: List[str] = []
 
     def __repr__(self) -> str:
         return (f"SessionStats(checks={self.checks}, "
-                f"ctx={self.context_hits}h/{self.context_misses}m, "
-                f"chunks={self.chunk_hits}h/{self.chunk_parses}m, "
+                f"chunks={self.chunk_parses} parsed, "
                 f"functions={self.functions_replayed} replayed/"
                 f"{self.functions_checked} checked)")
 
@@ -246,27 +245,24 @@ class _CtxEntry:
         self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         #: digest of every chunk's *interface* (signatures and
         #: declarations, not function bodies) plus the session's
-        #: stdlib/units configuration.  Fingerprints are memoized on
-        #: the held FunDef nodes under it, so a body edit, which leaves
-        #: it unchanged, re-fingerprints one function.
+        #: stdlib/units configuration.  Function results are held on
+        #: the FunDef nodes under it, so a body edit, which leaves it
+        #: unchanged, re-fingerprints one function.
         self.env_token = env_token
 
 
 class _ChunkEntry:
     """One parsed chunk of a file's latest revision: its program, its
     interface digest (see ``_interface_part``) and, for a function
-    definition, the function's last result.
+    definition chunk, the function.
 
-    ``result`` is ``(env token, fingerprint, diagnostics, summary)``;
-    the summary is ``None`` for diagnostics with a span outside the
-    function's own lines.  It is served again only while the chunk is
-    a hit (same text and place), the context is held or reused and the
-    env token is the same: the function's text, position and every
-    declaration it sees are then what they were (see
-    ``CheckSession._check_functions``).  It lives here, not on the
-    ``FunDef``: stdlib nodes are shared by every session."""
+    The chunk's ``FunDef`` nodes carry their function's last result
+    (``_pl_result``, see ``CheckSession._check_functions``).  Every
+    node a session checks comes from the checked file and lives in
+    that file's chunks or context only: the stdlib base context
+    defines no function, so no node is shared between sessions."""
 
-    __slots__ = ("program", "part", "fundef", "result")
+    __slots__ = ("program", "part", "fundef")
 
     def __init__(self, program: ast.Program, part: str):
         self.program = program
@@ -274,8 +270,6 @@ class _ChunkEntry:
         decls = program.decls
         self.fundef: Optional[ast.FunDef] = decls[0] \
             if len(decls) == 1 and isinstance(decls[0], ast.FunDef) else None
-        self.result: Optional[Tuple[str, str, Tuple[Diagnostic, ...],
-                                    Tuple[Diagnostic, ...]]] = None
 
 
 class _FileState:
@@ -312,25 +306,19 @@ class CheckSession:
                  units: Optional[Sequence[str]] = None,
                  jobs: Union[int, str] = 1,
                  cache_dir: Optional[str] = None,
-                 join_abstraction: bool = True,
-                 max_loop_iterations: int = MAX_LOOP_ITERATIONS,
                  telemetry: Optional[Telemetry] = None,
                  fault_plan: Optional[FaultPlan] = None):
         self.stdlib = stdlib
         self.units = tuple(units) if units is not None else None
         self.cache_dir = cache_dir
-        self.join_abstraction = join_abstraction
-        self.max_loop_iterations = max_loop_iterations
         self.stats = SessionStats()
         #: the session's observability bundle.  Metrics are always
         #: recorded; pass ``Telemetry(trace=True)`` to record spans too.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.telemetry.stats = self.stats
         #: each file's latest revision, least recently checked first
         self._files: Dict[str, _FileState] = {}
         #: function-relative diagnostics by fingerprint (``_relocate``)
         self._summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
-        self._stdlib_lines: Dict[str, List[str]] = {}
         #: the file-record store over ``cache_dir`` (its traffic feeds
         #: this session's ``cache.shared.cas.*`` metrics), or ``None``
         #: without ``cache_dir``.
@@ -338,9 +326,7 @@ class CheckSession:
         self._options_salt = ""
         if cache_dir:
             from ..cache import RecordStore, options_salt
-            self._options_salt = options_salt(
-                self.stdlib, self.units, join_abstraction,
-                max_loop_iterations)
+            self._options_salt = options_salt(self.stdlib, self.units)
             # ``fault_plan`` is a deterministic chaos schedule (tests
             # and CI only): the store's saves consume its budgets.
             self.store = RecordStore(cache_dir, self.telemetry,
@@ -458,7 +444,7 @@ class CheckSession:
         check_started = time.perf_counter()
         with self.telemetry.tracer.span("check_functions"):
             results, whole = self._check_functions(
-                entry, source, filename, state.chunks, how)
+                entry, source, filename, how)
         if not whole:
             profile["check_seconds"] = time.perf_counter() - check_started
         entry.functions = len(results)
@@ -548,12 +534,9 @@ class CheckSession:
         ``reused`` skip ``build_context`` (context hits), ``elaborated``
         runs it."""
         self.telemetry.profile["context"] = how
-        if how == "elaborated":
-            self.stats.context_misses += 1
-            self.telemetry.metrics.counter("cache.context.misses").inc()
-        else:
-            self.stats.context_hits += 1
-            self.telemetry.metrics.counter("cache.context.hits").inc()
+        self.telemetry.metrics.counter(
+            "cache.context.misses" if how == "elaborated"
+            else "cache.context.hits").inc()
         return how
 
     @staticmethod
@@ -596,7 +579,6 @@ class CheckSession:
             return self._parse_whole(source, filename)
         finally:
             hits = len(parsed.keys() & held.keys())
-            self.stats.chunk_hits += hits
             self.stats.chunk_parses += len(parsed) - hits
             metrics.counter("cache.chunk_ast.hits").inc(hits)
             metrics.counter("cache.chunk_ast.misses").inc(len(parsed) - hits)
@@ -741,19 +723,25 @@ class CheckSession:
     # -- function checking -------------------------------------------------
 
     def _check_functions(self, entry: _CtxEntry, source: str, filename: str,
-                         chunks: Dict[_ChunkKey, _ChunkEntry], how: str
+                         how: str
                          ) -> Tuple[List[Tuple[Diagnostic, ...]], bool]:
         """Diagnostics per function, in serial (sorted-qual) order, and
         whether every one was served from its held result.
 
-        When the context was held or reused (``how``), a function whose
-        chunk in ``chunks`` holds a result under this env token is
-        answered from it: no fingerprint, summary lookup or relocation.
-        Its text and place are the chunk's, and every signature it sees
-        is the env token's; a span outside its lines can only be in a
-        declaration chunk, which a held or reused context has in
-        place.  Every other function is answered by its summary or a
-        flow check, and the result is then held on its chunk.  With
+        Each function's result is held on its ``FunDef`` node as
+        ``_pl_result``, ``(env token, fingerprint, diagnostics,
+        summary)``; the summary is ``None`` for diagnostics with a span
+        outside the function's own lines.  A node is carried into a
+        check only by a chunk that is a hit (same text and place) or a
+        held context, so when the context was held or reused (``how``)
+        a node whose result has this env token is answered from it: no
+        fingerprint, summary lookup or relocation.  Its text and place
+        are what they were, and every signature it sees is the env
+        token's; a span outside its lines can only be in a declaration
+        chunk, which a held or reused context has in place.  Under an
+        elaborated context such a node reuses only its fingerprint.
+        Every other function is answered by its summary or a flow
+        check, and the result is then held on its node.  With
         ``cache_dir``, ``entry.summaries`` receives the summary of
         every function that has one, by fingerprint."""
         metrics = self.telemetry.metrics
@@ -762,56 +750,47 @@ class CheckSession:
         ctx, env_token = entry.ctx, entry.env_token
         unit_summaries = entry.summaries if self.store is not None else None
         fn_items = ctx.defined_functions()
-        nodes = {id(chunk.fundef): chunk for chunk in chunks.values()
-                 if chunk.fundef is not None}
         results: Dict[str, Tuple[Diagnostic, ...]] = {}
-        # qual, def, fingerprint, the def's chunk entry (or None)
-        to_check: List[Tuple[str, ast.FunDef, str,
-                             Optional[_ChunkEntry]]] = []
+        # qual, def, fingerprint
+        to_check: List[Tuple[str, ast.FunDef, str]] = []
         lines: Optional[List[str]] = None
         servable = how != "elaborated"
         served = memoized = 0
         with self.telemetry.tracer.span("fingerprint",
                                         functions=len(fn_items)):
             for qual, fundef in fn_items:
-                held = nodes.get(id(fundef))
-                result = held.result if held is not None else None
-                if servable and result is not None \
-                        and result[0] == env_token:
-                    results[qual] = result[2]
-                    if unit_summaries is not None \
-                            and result[3] is not None:
-                        unit_summaries[result[1]] = result[3]
-                    stats.last_replayed.append(qual)
-                    served += 1
-                    continue
-                # A fingerprint covers the function's own text plus the
-                # rendered signatures it can see; both are pinned by
-                # (this FunDef object, the context's env token), so a
-                # recomputation under the same pair is pure waste.  The
-                # memo rides on the cached FunDef node: an edited chunk
-                # parses to a fresh node and misses naturally.
-                memo = fundef.__dict__.get("_pl_fp")
-                if memo is not None and memo[0] == env_token:
-                    fp = memo[1]
+                result = fundef.__dict__.get("_pl_result")
+                if result is not None and result[0] == env_token:
+                    if servable:
+                        results[qual] = result[2]
+                        if unit_summaries is not None \
+                                and result[3] is not None:
+                            unit_summaries[result[1]] = result[3]
+                        stats.last_replayed.append(qual)
+                        served += 1
+                        continue
+                    # A fingerprint covers the function's own text plus
+                    # the rendered signatures it can see; both are
+                    # pinned by (this node, the env token).
+                    fp = result[1]
                     memoized += 1
                 else:
+                    # the function's own lines, position-free
                     if lines is None:
                         lines = source_lines(source)
-                    fp = function_fingerprint(
-                        ctx, qual, self._own_text(fundef, lines, filename))
-                    object.__setattr__(fundef, "_pl_fp", (env_token, fp))
+                    span = fundef.span
+                    fp = function_fingerprint(ctx, qual, "\n".join(
+                        lines[span.start.line - 1:span.end.line]))
                 cached = self._summaries.get(fp)
                 if cached is not None:
                     results[qual] = diags = _relocate(
                         cached, fundef.span.start.line, fundef.span.filename)
-                    if held is not None:
-                        held.result = (env_token, fp, diags, cached)
+                    fundef._pl_result = (env_token, fp, diags, cached)
                     stats.last_replayed.append(qual)
                     if unit_summaries is not None:
                         unit_summaries[fp] = cached
                 else:
-                    to_check.append((qual, fundef, fp, held))
+                    to_check.append((qual, fundef, fp))
         stats.functions_replayed += len(fn_items) - len(to_check)
         metrics.counter("cache.held_result.hits").inc(served)
         metrics.counter("cache.held_result.misses").inc(len(fn_items) - served)
@@ -819,7 +798,6 @@ class CheckSession:
             metrics.counter("cache.unit_replay.hits").inc(served)
             profile["plan"] = "replayed whole unit"
             return [results[qual] for qual, _ in fn_items], True
-        stats.fingerprints_memoized += memoized
         if memoized:
             metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
         misses = len(fn_items) - served - memoized
@@ -833,12 +811,11 @@ class CheckSession:
         profile["plan"] = \
             f"checked {len(to_check)} of {len(fn_items)} function(s)"
         parsed = stats.body_parses
-        self._parse_bodies([fundef for _, fundef, _, _ in to_check],
-                           filename)
+        self._parse_bodies([fundef for _, fundef, _ in to_check], filename)
         profile["bodies"] = (stats.body_parses - parsed, len(fn_items))
         if to_check:
             checked = self._run_checks(ctx, to_check)
-            for (qual, fundef, fp, held), diags in zip(to_check, checked):
+            for (qual, fundef, fp), diags in zip(to_check, checked):
                 results[qual] = diags
                 summary = None
                 if _inside(diags, fundef.span):
@@ -846,8 +823,7 @@ class CheckSession:
                     self._summaries[fp] = summary
                     if unit_summaries is not None:
                         unit_summaries[fp] = summary
-                if held is not None:
-                    held.result = (env_token, fp, diags, summary)
+                fundef._pl_result = (env_token, fp, diags, summary)
                 stats.last_checked.append(qual)
                 stats.functions_checked += 1
             if len(self._summaries) > _MAX_SUMMARIES:
@@ -860,34 +836,14 @@ class CheckSession:
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         out: List[Tuple[Diagnostic, ...]] = []
-        for qual, fundef, _fp, _held in to_check:
+        for qual, fundef, _fp in to_check:
             started = time.perf_counter()
             with tracer.span("check_function", function=qual):
-                diags = tuple(check_function_diagnostics(
-                    ctx, qual, fundef,
-                    join_abstraction=self.join_abstraction,
-                    max_loop_iterations=self.max_loop_iterations))
+                diags = tuple(check_function_diagnostics(ctx, qual, fundef))
             metrics.histogram("check.function_seconds").observe(
                 time.perf_counter() - started)
             out.append(diags)
         return out
-
-    def _own_text(self, fundef: ast.FunDef, unit_lines: List[str],
-                  filename: str) -> str:
-        """The exact source text of one definition's lines
-        (position-free), split the way the lexer numbers lines."""
-        span = fundef.span
-        if span.filename == filename:
-            lines = unit_lines
-        elif span.filename.startswith("<stdlib:"):
-            unit = span.filename[len("<stdlib:"):-1]
-            lines = self._stdlib_lines.get(unit)
-            if lines is None:
-                lines = source_lines(stdlib_source(unit))
-                self._stdlib_lines[unit] = lines
-        else:
-            return ""
-        return "\n".join(lines[span.start.line - 1:span.end.line])
 
     # -- file records -------------------------------------------------------
 
@@ -922,7 +878,6 @@ class CheckSession:
         with self.telemetry.tracer.span("load_record", filename=filename):
             record = self.store.load(key)
         if self.store.corrupt != corrupt:
-            self.stats.cache_quarantines += 1
             metrics.counter("resilience.cache_quarantines").inc()
             print(f"repro: cache record {self.store.path(key)} is "
                   f"corrupt; quarantined under {self.store.root}"
@@ -944,7 +899,6 @@ class CheckSession:
                 self._evict_traced(self._summaries, "summary",
                                    len(self._summaries) // 2 + 1)
         if record is None or record["sha"] != sha:
-            self.stats.shared_unit_misses += 1
             metrics.counter("cache.shared.unit.misses").inc()
             return False
         reporter.diagnostics.extend(record["diags"])

@@ -920,9 +920,9 @@ class CheckServer:
             units=options.get("units"),
             cache_dir=options.get("cache_dir"),
             # Sessions share the daemon's metrics/events/tracer but
-            # keep their own profile and stats surfaces: sharing one
-            # Telemetry object across sessions would cross-wire each
-            # session's last_profile and SessionStats.
+            # keep their own profile: sharing one Telemetry object
+            # across sessions would cross-wire each session's
+            # last_profile.  Per-session counts live on SessionStats.
             telemetry=Telemetry(tracer=self.telemetry.tracer,
                                 registry=self.telemetry.metrics,
                                 events=self.telemetry.events))

@@ -404,7 +404,8 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
             with redirect_stderr(io.StringIO()):
                 return fresh.check(source, filename)
         finally:
-            quarantines += fresh.stats.cache_quarantines
+            quarantines += fresh.telemetry.metrics.counter(
+                "resilience.cache_quarantines").value
 
     try:
         with _caps(caps) as suffix:

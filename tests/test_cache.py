@@ -21,6 +21,7 @@ from repro.cache import (KEY_KINDS, RETIRED_KINDS, STORE_SCHEMA, RecordStore,
                          StoreError, check_blob, decode_blob, encode_blob,
                          options_salt, record_key, valid_key)
 from repro.cache.store import CORRUPT_KEEP
+from repro.core.checker import MAX_LOOP_ITERATIONS
 from repro.pipeline import CheckSession, FaultPlan
 
 
@@ -90,15 +91,18 @@ class TestKeys:
         assert not valid_key(bad)
 
     def test_record_key_depends_on_filename_and_salt(self):
-        salt = options_salt(True, ["region"], True, 2)
+        salt = options_salt(True, ["region"])
         k1 = record_key(salt, "f.vlt")
         assert valid_key(k1) and k1.endswith("-f")
         assert k1 == record_key(salt, "f.vlt")
         assert k1 != record_key(salt, "g.vlt")
-        assert k1 != record_key(options_salt(False, ["region"], True, 2),
+        assert k1 != record_key(options_salt(False, ["region"]), "f.vlt")
+        assert k1 != record_key(options_salt(True, ["region", "file"]),
                                 "f.vlt")
-        assert k1 != record_key(options_salt(True, ["region"], True, 3),
-                                "f.vlt")
+        assert k1 != record_key(options_salt(True, None), "f.vlt")
+        # the checker's settings are part of the salt, so a change of
+        # the loop bound re-keys every record
+        assert salt.endswith(f";join=True;loops={MAX_LOOP_ITERATIONS}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +440,17 @@ class TestSessionIntegration:
         with CheckSession(units=["region"],
                           cache_dir=self._dir(tmp_path)) as a:
             a.check(source)
-        with CheckSession(units=["region"],
-                          cache_dir=self._dir(tmp_path),
-                          max_loop_iterations=5) as b:
+        with CheckSession(units=["region", "file"],
+                          cache_dir=self._dir(tmp_path)) as b:
             b.check(source)
         assert b.stats.shared_unit_hits == 0, \
-            "different loop bound → different diagnostics → other key"
+            "different units → different diagnostics → other key"
         assert b.stats.functions_replayed == 0
+        with CheckSession(stdlib=False,
+                          cache_dir=self._dir(tmp_path)) as c:
+            c.check(source)
+        assert c.stats.shared_unit_hits == 0, "no stdlib → other key"
+        assert c.stats.functions_replayed == 0
 
     def test_sessions_on_different_files_keep_both_records(self, tmp_path):
         # Two processes started together, each checking its own file.

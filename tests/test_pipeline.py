@@ -519,7 +519,7 @@ class TestPersistence:
         session = fresh_session(cache_dir=cache)
         assert session.check(source).render() == \
             check_source(source, units=UNITS).render()
-        assert session.stats.cache_quarantines == 1
+        assert _counters(session)["resilience.cache_quarantines"] == 1
         capfd.readouterr()
 
 
@@ -528,6 +528,12 @@ class TestPersistence:
 # ---------------------------------------------------------------------------
 
 class TestSharedState:
+    def test_the_stdlib_defines_no_function(self):
+        # A session holds each function's result on its FunDef node;
+        # that is private to the session only while every checked node
+        # comes from the checked file, never from the shared base.
+        assert not stdlib_context(tuple(STDLIB_UNITS))[0].fun_defs
+
     def test_stdlib_context_is_cached_and_unharmed(self):
         base1, diags1 = stdlib_context(tuple(UNITS))
         source = synthesize_program(6, seed=11)
@@ -583,7 +589,6 @@ class TestTelemetry:
         session = fresh_session()
         session.check(PROTO)
         assert session.last_profile is session.telemetry.profile
-        assert session.telemetry.stats is session.stats
         assert "total_seconds" in session.last_profile
         assert "aborted" not in session.last_profile
 
@@ -610,32 +615,21 @@ class TestTelemetry:
         assert "aborted" not in session.last_profile
 
     def test_metrics_agree_with_session_stats(self):
-        # A default session keeps two counting surfaces, the metrics
-        # registry and SessionStats; each registry counter must equal
-        # its SessionStats twin after a cold check, a body edit, a
-        # re-save of the edit and a blank line that moves the trailing
-        # declaration (an elaboration whose unmoved functions replay
-        # their memoized fingerprints).
+        # SessionStats keeps one twin of a registry counter, the chunks
+        # parsed (the frozen end-to-end workload reads it): it must
+        # equal ``cache.chunk_ast.misses`` after a cold check, a body
+        # edit, a re-save of the edit and a blank line that moves the
+        # trailing declaration.
         source = synthesize_program(12, seed=3, error_rate=0.3) \
             + "struct spare { int a; }\n"
         session = fresh_session()
         for text in (source, _body_edit(source), _body_edit(source),
                      _blank_in_body(_body_edit(source), "worker_9")):
             session.check(text, "unit.vlt")
-        snapshot = session.telemetry.metrics.snapshot()
-        stats = session.stats
-
-        def count(name):
-            return snapshot.get(name, {"value": 0})["value"]
-
-        assert stats.context_hits and stats.chunk_hits \
-            and stats.fingerprints_memoized
-        assert count("cache.context.hits") == stats.context_hits
-        assert count("cache.context.misses") == stats.context_misses
-        assert count("cache.chunk_ast.hits") == stats.chunk_hits
-        assert count("cache.chunk_ast.misses") == stats.chunk_parses
-        assert count("cache.fingerprint_memo.hits") == \
-            stats.fingerprints_memoized
+        counters = _counters(session)
+        assert counters["cache.chunk_ast.hits"]
+        assert counters["cache.chunk_ast.misses"] == \
+            session.stats.chunk_parses
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +852,25 @@ def _body_edit(source, start=None):
     return source[:at] + "c.value += 4242" + source[end:]
 
 
+#: a unit with a module member (``Counter.bump``) and two functions
+_MODULE_UNIT = """\
+interface COUNTER {
+    int bump(int x);
+}
+module Counter : COUNTER {
+    int bump(int x) {
+        return x + 1;
+    }
+}
+int g() {
+    return Counter.bump(3);
+}
+int h() {
+    return 41;
+}
+"""
+
+
 def _counters(session):
     """The session's registry counters by name."""
     return collections.defaultdict(int, {
@@ -888,10 +901,11 @@ class TestChunkAstCache:
         session = fresh_session()
         session.check(source, "unit.vlt")
         assert session.stats.chunk_parses == chunks
-        hits0 = session.stats.chunk_hits
+        hits0 = _counters(session)["cache.chunk_ast.hits"]
         session.check(_body_edit(source), "unit.vlt")
         assert session.stats.chunk_parses == chunks + 1
-        assert session.stats.chunk_hits - hits0 == chunks - 1
+        assert _counters(session)["cache.chunk_ast.hits"] - hits0 \
+            == chunks - 1
 
     def test_one_chunk_edit_fingerprints_one_function(self):
         # Every other function is served from its held result: its
@@ -905,7 +919,7 @@ class TestChunkAstCache:
         after = _counters(session)
         assert after["cache.fingerprint_memo.misses"] \
             - before["cache.fingerprint_memo.misses"] == 1
-        assert session.stats.fingerprints_memoized == 0
+        assert after["cache.fingerprint_memo.hits"] == 0
         assert after["cache.held_result.hits"] \
             - before["cache.held_result.hits"] == functions - 1
         assert len(session.stats.last_checked) == 1
@@ -925,8 +939,36 @@ class TestChunkAstCache:
             == before["cache.held_result.hits"]
         # worker_9, worker_10 and worker_11 moved and are re-parsed;
         # the blank line is in worker_9's own text
-        assert session.stats.fingerprints_memoized == 12 - 3
+        assert after["cache.fingerprint_memo.hits"] == 12 - 3
         assert session.stats.last_checked == ["worker_9"]
+
+    def test_a_body_edit_serves_module_members_held_results(self):
+        # A module member's node lives in its module chunk, which a
+        # reused context has in place: its held result is served.
+        session = fresh_session()
+        session.check(_MODULE_UNIT, "unit.vlt")
+        before = _counters(session)
+        edited = _MODULE_UNIT.replace("return 41;", "return 42;")
+        assert not _check_like_check_source(session, edited)
+        after = _counters(session)
+        assert after["cache.held_result.hits"] \
+            - before["cache.held_result.hits"] == 2
+        assert "Counter.bump" in session.stats.last_replayed
+        assert session.stats.last_checked == ["h"]
+
+    def test_a_resave_with_a_module_replays_the_whole_unit(self):
+        session = fresh_session()
+        session.check(_MODULE_UNIT, "unit.vlt")
+        before = _counters(session)
+        report = session.check(_MODULE_UNIT, "unit.vlt")
+        after = _counters(session)
+        assert report.diagnostics == check_source(
+            _MODULE_UNIT, "unit.vlt", units=UNITS).diagnostics
+        assert session.last_profile["context"] == "held"
+        assert session.last_profile["plan"] == "replayed whole unit"
+        assert after["cache.unit_replay.hits"] \
+            - before["cache.unit_replay.hits"] == 3
+        assert session.stats.last_checked == []
 
     def test_one_chunk_edit_renders_like_check_source(self):
         source = synthesize_program(12, seed=3)
@@ -1043,9 +1085,9 @@ class TestFileRetention:
         session.check(a, "a.vlt")
         session.check(b, "b.vlt")
         for text, filename in ((a, "a.vlt"), (b, "b.vlt")) * 2:
-            hits = session.stats.context_hits
+            hits = _counters(session)["cache.context.hits"]
             session.check(text, filename)
-            assert session.stats.context_hits == hits + 1
+            assert _counters(session)["cache.context.hits"] == hits + 1
             assert session.stats.last_checked == []
         assert session._files["a.vlt"].ctx is not session._files["b.vlt"].ctx
         assert _gauges(session) == \
@@ -1365,7 +1407,6 @@ class TestHeaderOnlyChunks:
         def count(name):
             return snapshot.get(name, {"value": 0})["value"]
 
-        assert session.stats.shared_unit_misses == 1
         assert count("cache.shared.unit.misses") == 1
         assert count("cache.stdlib_base.hits") \
             + count("cache.stdlib_base.misses") == 1
