@@ -29,10 +29,11 @@ cli-smoke:
 # chunk ASTs), the retention ratchet (after 10 line inserts a session
 # holds only the last revision's chunks and one context) and the
 # elaboration ratchet (10 body edits and 10 in-body blank lines run
-# build_context 0 times), the splice ratchet and the unit-replay
+# build_context 0 times), the splice ratchet, the unit-replay
 # ratchet (a re-save of 160 functions plus one module member serves
-# every function), then runs the benchmark bodies once (no
-# timing rounds),
+# every function) and the summary ratchet (after 10 body edits a
+# session holds only the last revision's summaries), then runs the
+# benchmark bodies once (no timing rounds),
 # refreshing BENCH_checker.json with cold/warm/edit timings.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
@@ -82,8 +83,8 @@ daemon-chaos-smoke:
 # check byte-identically through serial, a warm cached session and a
 # live check daemon; then 40 seeded edit sequences, walked by one
 # session, by a fresh --cache DIR session per revision and by one
-# daemon (at the session's cache caps, and at a summary cap of 8 with a
-# file cap of 1), must match check_source on every revision — zero
+# daemon (at the session's file cap, and again at a file cap of 1),
+# must match check_source on every revision — zero
 # divergences; each --cache DIR walk corrupts the file's record once,
 # and at least one quarantine must be exercised.
 # Writes the "fuzz" block of BENCH_checker.json.

@@ -188,11 +188,21 @@ def _measure():
     start = time.perf_counter()
     large_session.check(edited_large)
     edit_large = time.perf_counter() - start
-    _tally(large_session)
     edit_parsed = lstats.chunk_parses - parses0
     edit_reused = _counter(large_session, "cache.chunk_ast.hits") \
         - chunk_hits0
     edit_chunks = edit_parsed + edit_reused
+    # Fingerprints are memoized only when a declaration moves, which
+    # elaborates the context while the functions above it keep their
+    # nodes: append a declaration, then add a blank line inside the
+    # last function's body, which moves that declaration down.
+    with_decl = edited_large + "struct spare { int a; }\n"
+    large_session.check(with_decl)
+    last_body = with_decl.rindex("c.value += ")
+    moved = with_decl[:last_body] + "\n" + with_decl[last_body:]
+    memo0 = _counter(large_session, "cache.fingerprint_memo.hits")
+    large_session.check(moved)
+    _tally(large_session)
     frontend = {
         "edit_chunk_ast": {
             "parsed": edit_parsed,
@@ -200,7 +210,7 @@ def _measure():
             "rate": edit_reused / edit_chunks if edit_chunks else 0.0,
         },
         "fingerprints_memoized":
-            _counter(large_session, "cache.fingerprint_memo.hits"),
+            _counter(large_session, "cache.fingerprint_memo.hits") - memo0,
         "calibration": _calibrate(),
     }
 
@@ -247,9 +257,9 @@ def test_incremental_pipeline(benchmark):
         previous = {}
     for key, value in previous.items():
         result.setdefault(key, value)
-    # bench_smoke.py owns four rows of the "frontend" block.
+    # bench_smoke.py owns five rows of the "frontend" block.
     for row in ("retained_chunks", "elaborations", "rescanned_chunks",
-                "unit_replay"):
+                "unit_replay", "summaries_held"):
         if row in previous.get("frontend", {}):
             result["frontend"][row] = previous["frontend"][row]
 
@@ -296,6 +306,9 @@ def test_incremental_pipeline(benchmark):
     assert frontend["edit_chunk_ast"]["rate"] >= 0.9, \
         "a one-chunk edit must serve >=90% of chunks from the chunk-AST " \
         "cache"
+    assert frontend["fingerprints_memoized"] == N_FUNCTIONS_LARGE - 1, \
+        "a moved declaration must reuse the fingerprint of every function " \
+        "that did not move"
     assert speed["edit_large_vs_cold_large"] >= 10.0, \
         "a one-function edit on the 640-fn corpus should be >=10x " \
         "faster than cold"

@@ -33,6 +33,10 @@ included, must be served from its held result (``cache.unit_replay.hits``
 equals the function count) and no fingerprint computed.  It is
 recorded as ``frontend.unit_replay``.
 
+The summary ratchet makes body edits of the 160-function unit in one
+session: afterwards the session must hold exactly the last revision's
+summaries, one per function, not one more for each edit.  It is recorded as ``frontend.summaries_held``.
+
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
 """
@@ -69,6 +73,9 @@ RETENTION_REVISIONS = 10
 #: Body edits (each followed by a blank line inside the same body) the
 #: elaboration ratchet checks in one session.
 ELABORATION_EDITS = 10
+
+#: Body edits the summary ratchet checks in one session.
+SUMMARY_EDITS = 10
 
 #: The unit the splice ratchet edits, and its ceiling on the chunks a
 #: one-constant body edit re-scans.
@@ -286,6 +293,41 @@ def test_unit_replay_ratchet():
     print("bench-smoke: unit-replay ratchet OK")
 
 
+def test_summary_ratchet():
+    # Each body edit supersedes one function's summary; the session
+    # keeps only the summaries of the revision it checked last.
+    source = synthesize_program(N_FUNCTIONS_FRONTEND, seed=42)
+    session = CheckSession(units=UNITS)
+    session.check(source)
+    for i in range(SUMMARY_EDITS):
+        at = source.index("c.value += ", i * len(source) // SUMMARY_EDITS)
+        end = source.index(";", at)
+        source = source[:at] + f"c.value += {4200 + i}" + source[end:]
+        session.check(source)
+    last = CheckSession(units=UNITS)
+    last.check(source)
+    held = {
+        "edits": SUMMARY_EDITS,
+        "summaries_held": _summaries_held(session),
+        "last_revision_summaries": _summaries_held(last),
+    }
+    print(f"bench-smoke: {held['summaries_held']} summaries held after "
+          f"{SUMMARY_EDITS} body edits (last revision has "
+          f"{held['last_revision_summaries']})")
+    assert held["last_revision_summaries"] == N_FUNCTIONS_FRONTEND, \
+        f"the last revision has {held['last_revision_summaries']} " \
+        f"summaries, not {N_FUNCTIONS_FRONTEND}"
+    assert held["summaries_held"] == held["last_revision_summaries"], \
+        "the session holds summaries of revisions before the last"
+    _record("summaries_held", held)
+    print("bench-smoke: summary ratchet     OK")
+
+
+def _summaries_held(session):
+    """The function summaries ``session`` holds over all its files."""
+    return sum(len(state.summaries) for state in session._files.values())
+
+
 def _counters(session):
     """The session's registry counters by name (0 when absent)."""
     snapshot = session.telemetry.metrics.snapshot()
@@ -320,4 +362,5 @@ if __name__ == "__main__":
     test_elaboration_ratchet()
     test_splice_ratchet()
     test_unit_replay_ratchet()
+    test_summary_ratchet()
     print("bench-smoke: PASS")

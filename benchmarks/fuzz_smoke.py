@@ -15,8 +15,8 @@ generator aims at (wrong state, leak, double consume) showed up.
 Then walks ``EDIT_SEQUENCES`` seeded edit sequences
 (``repro.testing.edits``): every revision, checked by one warm session,
 by a fresh ``--cache DIR`` session per revision and by one in-process
-check daemon, at the session's own cache caps and again at a summary
-cap of 8 and a file cap of 1 (``cap8``), must render byte-identically
+check daemon, at the session's own file cap and again at a file cap
+of 1 (``cap1``), must render byte-identically
 to ``check_source`` — zero divergences, and every edit kind exercised
 (``move_function`` among them, so summaries with diagnostics replay at
 new lines).  A divergent sequence is

@@ -4,7 +4,7 @@ A session with ``cache_dir`` keeps one *file record* per compiled file
 in a :class:`RecordStore`, a content-addressed directory, so a later
 process starts from what an earlier one learned::
 
-    session  CheckSession._summaries, and each function's held
+    session  each file's summary map, and each function's held
              result on its FunDef node (in-process, private)
     store    RecordStore  crash-safe on-disk record store, sharded by
                           key prefix
@@ -24,7 +24,7 @@ holds:
 A session loads a file's record once, on its first check of that
 file name.  When ``sha`` matches the source, the stream replays
 without parsing: a *second cold process* on unchanged code runs at
-warm speed.  Otherwise the summaries seed the session's summary cache,
+warm speed.  Otherwise the summaries become the file's summary map,
 so only the functions an edit touched are re-checked.  After a check
 of a source other than the one it last loaded or wrote, the session
 saves the file's record; its size is that of one file.  The key is

@@ -34,8 +34,10 @@ class Reporter:
 
     def __init__(self, source: Optional[str] = None, filename: str = "<input>"):
         self.diagnostics: List[Diagnostic] = []
-        self._source_lines = source_lines(source) \
-            if source is not None else None
+        #: the source text, split into lines on the first ``render``
+        #: that quotes one: most checks render nothing.
+        self._source = source
+        self._source_lines: Optional[List[str]] = None
         self.filename = filename
 
     # -- accumulation -----------------------------------------------------
@@ -80,12 +82,15 @@ class Reporter:
     def render(self, with_source: bool = True) -> str:
         """Human-readable report, optionally quoting the offending line."""
         out = []
+        lines = self._source_lines
         for diag in self.diagnostics:
             out.append(diag.render())
-            if with_source and self._source_lines is not None:
+            if with_source and self._source is not None:
+                if lines is None:
+                    lines = self._source_lines = source_lines(self._source)
                 line_no = diag.span.start.line
-                if 1 <= line_no <= len(self._source_lines):
-                    text = self._source_lines[line_no - 1]
+                if 1 <= line_no <= len(lines):
+                    text = lines[line_no - 1]
                     if text.endswith("\r"):
                         text = text[:-1]
                     out.append(f"    {line_no:4} | {text}")

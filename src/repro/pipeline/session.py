@@ -5,9 +5,9 @@ way ``repro.check_source`` does, but re-does only the work an edit
 invalidated:
 
 * **per-file retention** — the session keeps each file's *latest*
-  revision only (its split, chunk ASTs, function results, context and
-  record state), for at most ``_MAX_FILES`` files, least recently
-  checked first.  Vault checks each function against the current
+  revision only (its split, chunk ASTs, function results, summaries,
+  context and record state), for at most ``_MAX_FILES`` files, least
+  recently checked first.  Vault checks each function against the current
   program's signatures (paper §3), so older revisions are not worth
   holding: an undo re-parses what it changed;
 * **chunk splice** — the unit is split into top-level declaration
@@ -44,15 +44,19 @@ invalidated:
   fingerprint is reused.  A body edit of a 640-function unit
   fingerprints and checks one function; a re-save serves every
   function ("replayed whole unit");
-* **summary cache** — per-function diagnostics are cached under a
-  stable content fingerprint of the function and everything it
-  references (:mod:`repro.pipeline.fingerprint`), position-free: lines
-  count from the function's first line and no file name is kept, so
-  a summary replays wherever the function moves;
+* **summaries** — each file keeps one map from a stable content
+  fingerprint of a function and everything it references
+  (:mod:`repro.pipeline.fingerprint`) to the function's diagnostics,
+  position-free: lines count from the function's first line and no
+  file name is kept, so a summary replays wherever the function moves
+  within the file.  The map holds the functions of the file's latest
+  checked revision (or of its loaded record) and nothing else: a
+  function whose text differs from that revision's, an undo or a copy
+  under another file name among them, is checked again;
 * **file records** — with ``cache_dir``, each file's diagnostic stream
-  and its functions' summaries persist as one record on disk (see
-  below), so a later process replays an unchanged file without
-  parsing it and re-checks only what an edit touched.
+  and its summary map persist as one record on disk (see below), so a
+  later process replays an unchanged file without parsing it and
+  re-checks only what an edit touched.
 
 Functions that miss every cache are flow-checked one after another in
 sorted qualified-name order.  Vault checks each function on its own
@@ -86,12 +90,13 @@ the unit's diagnostic stream, its function count and its functions'
 summaries.  On its first check of a file name (or the first since the
 file was evicted) the session loads that file's record.  When the
 sha matches the source it replays the stream without parsing;
-otherwise the record's summaries join the summary cache and the check
-runs as usual.  After a check of a source other than the one whose
-record it last loaded or wrote, the session saves the file's record,
-through the store's unique temp file, ``fsync`` and atomic rename.
-A unit whose declarations do not elaborate checks no function, so its
-record keeps the summaries of the file's record before it.  A session
+otherwise the record's summaries become the file's summary map and
+the check runs as usual.  After a check of a source other than the
+one whose record it last loaded or wrote, the session saves the
+file's record, through the store's unique temp file, ``fsync`` and
+atomic rename.  A unit whose declarations do not elaborate checks no
+function, so the file keeps the summary map it had and its record
+saves that map again.  A session
 without ``cache_dir`` hashes no source and touches no store.  A corrupt
 record fails the store's checksum and is quarantined under
 ``corrupt/`` (bounded retention) with a ``shared_cache_corrupt``
@@ -122,11 +127,8 @@ from .faults import FaultPlan
 from .fingerprint import function_fingerprint
 
 #: the files a session holds; past the cap the least recently checked
-#: one is evicted, and its next check starts from the summary cache.
+#: one is evicted, and its next check starts cold, or from its record.
 _MAX_FILES = 64
-#: the summary cache is bounded too — a session embedded in a
-#: long-running daemon sees an unbounded stream of distinct sources.
-_MAX_SUMMARIES = 32768
 
 
 #: one declaration chunk's key within its file: (content hash, start
@@ -189,8 +191,8 @@ class SessionStats:
     sessions share that registry, so the per-session counts live here.
 
     ``last_checked``/``last_replayed`` list the qualified names that
-    were flow-analysed vs. served from the summary cache by the most
-    recent ``check`` call.
+    were flow-analysed vs. served from a held result or summary by the
+    most recent ``check`` call.
     """
 
     def __init__(self) -> None:
@@ -223,8 +225,7 @@ class _WholeUnit(Exception):
 
 
 class _CtxEntry:
-    __slots__ = ("key", "ctx", "diags", "functions", "summaries",
-                 "env_token", "programs")
+    __slots__ = ("key", "ctx", "diags", "env_token", "programs")
 
     def __init__(self, key: object, ctx, diags: Tuple[Diagnostic, ...],
                  env_token: str = "", programs: Sequence = ()):
@@ -237,12 +238,6 @@ class _CtxEntry:
         #: that stops at the context's diagnostics still parses their
         #: bodies, since ``check_source`` raises a syntax error first.
         self.programs = programs
-        #: the functions the last check against this context answered;
-        #: ``None`` when the context's own diagnostics stopped it.
-        self.functions: Optional[int] = None
-        #: with ``cache_dir``, the position-free summaries of those
-        #: functions by fingerprint: what the unit's file record keeps.
-        self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         #: digest of every chunk's *interface* (signatures and
         #: declarations, not function bodies) plus the session's
         #: stdlib/units configuration.  Function results are held on
@@ -286,13 +281,16 @@ class _FileState:
         self.ctx: Optional[_CtxEntry] = None
         #: with ``cache_dir``, the sha256 of the source whose record
         #: this session last loaded or wrote ("" for none, ``None``
-        #: before the record is fetched) and that record's summaries.
+        #: before the record is fetched).
         self.sha: Optional[str] = None
+        #: function-relative diagnostics (``_relocate``) by fingerprint:
+        #: the functions of the latest checked revision, or of the
+        #: loaded record.  The file record saves this map.
         self.summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
 
 
 class CheckSession:
-    """A long-lived checking pipeline with summary caching.
+    """A long-lived checking pipeline that re-checks what an edit changed.
 
     Equivalent to calling :func:`repro.check_source` for every
     ``check``, but incremental across calls.  ``cache_dir`` persists
@@ -317,8 +315,6 @@ class CheckSession:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: each file's latest revision, least recently checked first
         self._files: Dict[str, _FileState] = {}
-        #: function-relative diagnostics by fingerprint (``_relocate``)
-        self._summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         #: the file-record store over ``cache_dir`` (its traffic feeds
         #: this session's ``cache.shared.cas.*`` metrics), or ``None``
         #: without ``cache_dir``.
@@ -402,24 +398,35 @@ class CheckSession:
             reporter.diagnostics.extend(base_diags)
         prefix = len(reporter.diagnostics)
         try:
-            entry = self._check_unit(source, filename, state, profile,
-                                     started, reporter, base)
+            functions = self._check_unit(source, filename, state, profile,
+                                         started, reporter, base)
         except _WholeUnit:
             # Redo the unit only: the lookups above are done once.
             del reporter.diagnostics[prefix:]
-            entry = self._check_unit(source, filename, state, profile,
-                                     started, reporter, base, split=False)
+            functions = self._check_unit(source, filename, state, profile,
+                                         started, reporter, base,
+                                         split=False)
         if sha is not None and state.sha != sha:
-            self._save_record(filename, state, sha, reporter, entry)
+            self._save_record(filename, state, sha, reporter, functions)
         return self._finish(reporter)
 
     def _file(self, filename: str) -> _FileState:
         """``filename``'s state, moved to most recently checked."""
         state = self._files.pop(filename, None)
         if state is None:
-            if len(self._files) >= _MAX_FILES:
-                self._evict_traced(self._files, "file",
-                                   len(self._files) - _MAX_FILES + 1)
+            evicted = len(self._files) - _MAX_FILES + 1
+            if evicted > 0:
+                # A trace, so a session thrashing a too-small cap is
+                # told apart from one with a healthy cache.
+                for name in list(self._files)[:evicted]:
+                    del self._files[name]
+                self.telemetry.metrics.counter(
+                    "cache.file.evictions").inc(evicted)
+                self.telemetry.events.emit(
+                    "cache_evict", f"evicted {evicted} of "
+                    f"{len(self._files) + evicted} files (cap reached)",
+                    layer="file", evicted=evicted,
+                    remaining=len(self._files))
             state = _FileState()
         self._files[filename] = state
         return state
@@ -427,10 +434,10 @@ class CheckSession:
     def _check_unit(self, source: str, filename: str, state: _FileState,
                     profile: Dict[str, object], started: float,
                     reporter: Reporter, base, split: bool = True
-                    ) -> _CtxEntry:
+                    ) -> Optional[int]:
         """The unit's context, then each function's diagnostics; the
-        context entry, whose ``functions`` stay ``None`` when the
-        context's own diagnostics stop the check."""
+        number of functions answered, or ``None`` when the context's
+        own diagnostics stop the check."""
         entry, how = self._context_for(source, filename, state, base, split)
         profile["context_seconds"] = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
@@ -440,17 +447,16 @@ class CheckSession:
             self._parse_bodies([decl for program in entry.programs
                                 for decl in program.decls
                                 if isinstance(decl, ast.FunDef)], filename)
-            return entry
+            return None
         check_started = time.perf_counter()
         with self.telemetry.tracer.span("check_functions"):
             results, whole = self._check_functions(
-                entry, source, filename, how)
+                entry, state, source, filename, how)
         if not whole:
             profile["check_seconds"] = time.perf_counter() - check_started
-        entry.functions = len(results)
         for diags in results:
             reporter.diagnostics.extend(diags)
-        return entry
+        return len(results)
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
@@ -705,50 +711,39 @@ class CheckSession:
             f"unit\x00{_sha(source)}\x00{filename}"
             f"\x00{self.units!r}\x00{self.stdlib!r}")
 
-    def _evict_traced(self, cache: dict, layer: str, evicted: int) -> None:
-        """Evict the ``evicted`` oldest entries of ``cache``, leaving a
-        trace: a ``cache.<layer>.evictions`` counter and a
-        ``cache_evict`` event, so a session thrashing a too-small cap
-        is told apart from one with a healthy cache."""
-        before = len(cache)
-        for key in list(cache)[:evicted]:
-            del cache[key]
-        self.telemetry.metrics.counter(f"cache.{layer}.evictions").inc(evicted)
-        self.telemetry.events.emit(
-            "cache_evict",
-            f"evicted {evicted} of {before} entries from the "
-            f"{layer} cache (cap reached)",
-            layer=layer, evicted=evicted, remaining=len(cache))
-
     # -- function checking -------------------------------------------------
 
-    def _check_functions(self, entry: _CtxEntry, source: str, filename: str,
-                         how: str
+    def _check_functions(self, entry: _CtxEntry, state: _FileState,
+                         source: str, filename: str, how: str
                          ) -> Tuple[List[Tuple[Diagnostic, ...]], bool]:
         """Diagnostics per function, in serial (sorted-qual) order, and
         whether every one was served from its held result.
 
         Each function's result is held on its ``FunDef`` node as
-        ``_pl_result``, ``(env token, fingerprint, diagnostics,
-        summary)``; the summary is ``None`` for diagnostics with a span
-        outside the function's own lines.  A node is carried into a
-        check only by a chunk that is a hit (same text and place) or a
-        held context, so when the context was held or reused (``how``)
-        a node whose result has this env token is answered from it: no
-        fingerprint, summary lookup or relocation.  Its text and place
-        are what they were, and every signature it sees is the env
-        token's; a span outside its lines can only be in a declaration
-        chunk, which a held or reused context has in place.  Under an
-        elaborated context such a node reuses only its fingerprint.
-        Every other function is answered by its summary or a flow
-        check, and the result is then held on its node.  With
-        ``cache_dir``, ``entry.summaries`` receives the summary of
-        every function that has one, by fingerprint."""
+        ``_pl_result``, ``(env token, fingerprint, diagnostics)``.  A
+        node is carried into a check only by a chunk that is a hit
+        (same text and place) or a held context, so when the context
+        was held or reused (``how``) a node whose result has this env
+        token is answered from it: no fingerprint, summary lookup or
+        relocation.  Its text and place are what they were, and every
+        signature it sees is the env token's; a span outside its lines
+        can only be in a declaration chunk, which a held or reused
+        context has in place.  Under an elaborated context such a node
+        reuses only its fingerprint.  Every other function is answered
+        by the file's summary map or a flow check, and the result is
+        then held on its node.
+
+        The file's new summary map has every answered function's
+        summary: a served function's is the held map's, since the
+        held or reused context is the one the check that wrote that
+        map ran against.  A diagnostic with a span outside its
+        function's lines makes no summary."""
         metrics = self.telemetry.metrics
         profile = self.telemetry.profile
         stats = self.stats
         ctx, env_token = entry.ctx, entry.env_token
-        unit_summaries = entry.summaries if self.store is not None else None
+        held = state.summaries
+        summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
         fn_items = ctx.defined_functions()
         results: Dict[str, Tuple[Diagnostic, ...]] = {}
         # qual, def, fingerprint
@@ -761,18 +756,18 @@ class CheckSession:
             for qual, fundef in fn_items:
                 result = fundef.__dict__.get("_pl_result")
                 if result is not None and result[0] == env_token:
+                    fp = result[1]
                     if servable:
                         results[qual] = result[2]
-                        if unit_summaries is not None \
-                                and result[3] is not None:
-                            unit_summaries[result[1]] = result[3]
+                        summary = held.get(fp)
+                        if summary is not None:
+                            summaries[fp] = summary
                         stats.last_replayed.append(qual)
                         served += 1
                         continue
                     # A fingerprint covers the function's own text plus
                     # the rendered signatures it can see; both are
                     # pinned by (this node, the env token).
-                    fp = result[1]
                     memoized += 1
                 else:
                     # the function's own lines, position-free
@@ -781,20 +776,20 @@ class CheckSession:
                     span = fundef.span
                     fp = function_fingerprint(ctx, qual, "\n".join(
                         lines[span.start.line - 1:span.end.line]))
-                cached = self._summaries.get(fp)
-                if cached is not None:
+                summary = held.get(fp)
+                if summary is not None:
                     results[qual] = diags = _relocate(
-                        cached, fundef.span.start.line, fundef.span.filename)
-                    fundef._pl_result = (env_token, fp, diags, cached)
+                        summary, fundef.span.start.line, fundef.span.filename)
+                    fundef._pl_result = (env_token, fp, diags)
+                    summaries[fp] = summary
                     stats.last_replayed.append(qual)
-                    if unit_summaries is not None:
-                        unit_summaries[fp] = cached
                 else:
                     to_check.append((qual, fundef, fp))
         stats.functions_replayed += len(fn_items) - len(to_check)
         metrics.counter("cache.held_result.hits").inc(served)
         metrics.counter("cache.held_result.misses").inc(len(fn_items) - served)
         if servable and served == len(fn_items):
+            state.summaries = summaries
             metrics.counter("cache.unit_replay.hits").inc(served)
             profile["plan"] = "replayed whole unit"
             return [results[qual] for qual, _ in fn_items], True
@@ -817,18 +812,13 @@ class CheckSession:
             checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
                 results[qual] = diags
-                summary = None
                 if _inside(diags, fundef.span):
-                    summary = _relocate(diags, -fundef.span.start.line, "")
-                    self._summaries[fp] = summary
-                    if unit_summaries is not None:
-                        unit_summaries[fp] = summary
-                fundef._pl_result = (env_token, fp, diags, summary)
+                    summaries[fp] = _relocate(
+                        diags, -fundef.span.start.line, "")
+                fundef._pl_result = (env_token, fp, diags)
                 stats.last_checked.append(qual)
                 stats.functions_checked += 1
-            if len(self._summaries) > _MAX_SUMMARIES:
-                self._evict_traced(self._summaries, "summary",
-                                   len(self._summaries) // 2 + 1)
+        state.summaries = summaries
         return [results[qual] for qual, _ in fn_items], False
 
     def _run_checks(self, ctx, to_check) -> List[Tuple[Diagnostic, ...]]:
@@ -862,8 +852,8 @@ class CheckSession:
                        reporter: Reporter) -> bool:
         """Load ``filename``'s record into ``state``, on the session's
         first check of that file (or the first since it was evicted).
-        Its summaries join the summary cache; when it was written for
-        this very source (``sha``), its diagnostic stream fills
+        Its summaries become the file's summary map; when it was written
+        for this very source (``sha``), its diagnostic stream fills
         ``reporter`` and the result is ``True``.
 
         A missing record is a cold file.  A corrupt one fails the
@@ -894,10 +884,6 @@ class CheckSession:
             state.sha = ""
         else:
             state.sha, state.summaries = record["sha"], record["summaries"]
-            self._summaries.update(record["summaries"])
-            if len(self._summaries) > _MAX_SUMMARIES:
-                self._evict_traced(self._summaries, "summary",
-                                   len(self._summaries) // 2 + 1)
         if record is None or record["sha"] != sha:
             metrics.counter("cache.shared.unit.misses").inc()
             return False
@@ -908,20 +894,15 @@ class CheckSession:
         return True
 
     def _save_record(self, filename: str, state: _FileState, sha: str,
-                     reporter: Reporter, entry: _CtxEntry) -> None:
+                     reporter: Reporter, functions: Optional[int]) -> None:
         """Write ``filename``'s record for the source ``sha`` just
-        checked.  A failed write is a ``shared_cache_error`` event (the
-        store reports the first few) and a cold next process, never a
-        wrong answer."""
-        if entry.functions is None:
-            # The context's diagnostics stopped the check: no function
-            # ran, and the file's summaries carry over.
-            functions, summaries = 0, state.summaries
-        else:
-            functions, summaries = entry.functions, entry.summaries
-        state.sha, state.summaries = sha, summaries
+        checked: ``functions`` is how many functions it answered
+        (``None``: the context's diagnostics stopped it).  A failed
+        write is a ``shared_cache_error`` event (the store reports the
+        first few) and a cold next process, never a wrong answer."""
+        state.sha = sha
         key = self._record_key(filename)
         record = {"sha": sha, "diags": tuple(reporter.diagnostics),
-                  "functions": functions, "summaries": summaries}
+                  "functions": functions or 0, "summaries": state.summaries}
         with self.telemetry.tracer.span("save_record", filename=filename):
             self.store.save(key, record)

@@ -30,9 +30,9 @@ Each sequence is walked three ways:
     (what ``vaultc check --daemon`` does).  Without ``AF_UNIX`` the
     path is skipped and the report says so.
 
-and then every walk runs again with the session's summary cap patched
-down to :data:`SMALL_CAP` and its file cap to one, so that evictions
-interleave with edits.
+and then every walk runs again with the session's file cap patched
+down to :data:`SMALL_CAP` (one file), so that evictions interleave
+with edits.
 
 A divergent sequence is shrunk: revisions are dropped one at a time
 while the same path still diverges (:func:`shrink_sequence`), and the
@@ -75,13 +75,10 @@ EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
               "syntax_error", "form_feed", "revert", "rename_file",
               "move_function", "header_reflow", "resave", "declare_between")
 
-#: the summary cap the second walk patches onto the session module.
-SMALL_CAP = 8
-
-#: the session caps the second walk patches: one file, so that a
-#: ``rename_file`` evicts the other name's state mid-sequence, and the
-#: summary cap it is given.
-_CAPS = ("_MAX_FILES", "_MAX_SUMMARIES")
+#: the file cap the second walk patches onto the session module: one
+#: file, so that a ``rename_file`` evicts the other name's state
+#: mid-sequence.
+SMALL_CAP = 1
 
 #: a top-level function definition's first line (column 0, ends in
 #: ``{``), and the line that closes it.
@@ -111,7 +108,7 @@ class EditDivergence:
     sequence_seed: int
     revision: int                 # index into the sequence
     kinds: List[str]              # edit kinds up to and including it
-    path: str                     # e.g. ``session`` or ``cache-dir/cap8``
+    path: str                     # e.g. ``session`` or ``cache-dir/cap1``
     expected: str
     actual: str
     #: edit kinds of the shortest sub-sequence on which ``path`` still
@@ -357,20 +354,18 @@ def _daemon_outcome(daemon: InProcessDaemon, rev: Revision) -> str:
 
 @contextmanager
 def _caps(value: Optional[int]) -> Iterator[str]:
-    """Patch the session's summary cap to ``value`` and its file cap to
-    1 (``None``: leave both); yields the path-name suffix."""
+    """Patch the session's file cap to ``value`` (``None``: leave it);
+    yields the path-name suffix."""
     if value is None:
         yield ""
         return
     from repro.pipeline import session as session_mod
-    saved = {name: getattr(session_mod, name) for name in _CAPS}
+    saved = session_mod._MAX_FILES
     try:
-        session_mod._MAX_FILES = 1
-        session_mod._MAX_SUMMARIES = value
+        session_mod._MAX_FILES = value
         yield f"/cap{value}"
     finally:
-        for name, old in saved.items():
-            setattr(session_mod, name, old)
+        session_mod._MAX_FILES = saved
 
 
 def walk(revisions: List[Revision], sequence_seed: int = 0,
@@ -474,8 +469,8 @@ def _daemon(report: EditFuzzReport) -> Iterator[Optional[InProcessDaemon]]:
 
 
 def run_edit_fuzz(count: int, seed: int, length: int = 8) -> EditFuzzReport:
-    """Walk ``count`` seeded edit sequences, at the session's own cache
-    caps and again at :data:`SMALL_CAP`."""
+    """Walk ``count`` seeded edit sequences, at the session's own file
+    cap and again at :data:`SMALL_CAP`."""
     from repro.testing.fuzz import derive_seed
     report = EditFuzzReport(seed=seed, count=count)
     kinds: Counter = Counter()

@@ -689,20 +689,6 @@ class TestSessionReuse:
             assert session.stats.functions_checked == 8  # 2 * 4 workers
             assert session.stats.last_checked == []
 
-    def test_summary_cache_is_bounded(self, monkeypatch):
-        import repro.pipeline.session as session_mod
-        monkeypatch.setattr(session_mod, "_MAX_SUMMARIES", 6)
-        with fresh_session() as session:
-            for seed in range(4):
-                session.check(synthesize_program(4, seed=seed),
-                              f"s{seed}.vlt")
-            assert len(session._summaries) <= 6
-            # Eviction must not corrupt checking: a fresh source still
-            # produces the independent result.
-            probe = synthesize_program(2, seed=99, error_rate=1.0)
-            assert session.check(probe, "probe.vlt").render() == \
-                check_source(probe, "probe.vlt", units=UNITS).render()
-
     def test_replay_does_not_rewrite_the_disk_cache(self, tmp_path):
         import os
         source = synthesize_program(5, seed=8)
@@ -775,15 +761,19 @@ class TestPositionFreeSummaries:
         assert diagnostics > 500 and notes > 100, (diagnostics, notes)
 
     def test_moved_units_check_no_function(self):
-        # A second file name and a blank line above everything move
-        # every function; none is re-checked, and the replayed
-        # diagnostics equal check_source's by value.
+        # A blank line above everything moves every function; none is
+        # re-checked, and the replayed diagnostics equal check_source's
+        # by value.  A copy under a second file name starts from that
+        # file's own (empty) summaries, so it checks every function.
         source = synthesize_program(160, seed=3, error_rate=0.3)
         session = CheckSession()
         session.check(source, "a.vlt")
-        for text, filename in ((source, "b.vlt"), ("\n" + source, "a.vlt")):
+        functions = session.stats.last_checked
+        assert len(functions) == 160
+        for text, filename, checked in ((source, "b.vlt", functions),
+                                        ("\n" + source, "a.vlt", [])):
             report = session.check(text, filename)
-            assert session.stats.last_checked == []
+            assert session.stats.last_checked == checked
             expected = check_source(text, filename)
             assert report.diagnostics == expected.diagnostics
             assert report.render() == expected.render()
@@ -818,7 +808,7 @@ class TestPositionFreeSummaries:
             assert report.diagnostics == expected.diagnostics
             assert [d.span.start.line for d in report.diagnostics] == [1]
             assert session.stats.last_checked == ["g"]
-        assert session._summaries == {}
+        assert session._files["alias.vlt"].summaries == {}
 
     def test_summaries_are_position_free(self, tmp_path):
         # In memory and in the file's record alike, a summary holds
@@ -830,12 +820,38 @@ class TestPositionFreeSummaries:
         record = decode_blob(
             Path(session.record_path("unit.vlt")).read_bytes())
         summaries = record["summaries"]
-        assert summaries == session._summaries and len(summaries) == 12
+        assert summaries == session._files["unit.vlt"].summaries \
+            and len(summaries) == 12
         for diags in summaries.values():
             assert isinstance(diags, tuple)
             for diag in diags:
                 assert diag.span.filename == ""
         assert any(diags for diags in summaries.values())
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_the_file_map_holds_only_the_last_revision(self, cached,
+                                                       tmp_path):
+        # Ten body edits each supersede one function's summary: the
+        # file's map keeps the last revision's, and with cache_dir it
+        # is what the file's record saves.
+        from repro.cache import decode_blob
+        source = synthesize_program(160, seed=3, error_rate=0.3)
+        kwargs = {"cache_dir": str(tmp_path)} if cached else {}
+        session = fresh_session(**kwargs)
+        session.check(source, "unit.vlt")
+        for i in range(10):
+            source = _body_edit(source, i * len(source) // 10)
+            session.check(source, "unit.vlt")
+            assert len(session.stats.last_checked) == 1
+        held = session._files["unit.vlt"].summaries
+        fresh = fresh_session()
+        fresh.check(source, "unit.vlt")
+        assert held == fresh._files["unit.vlt"].summaries
+        assert len(held) == 160
+        if cached:
+            record = decode_blob(
+                Path(session.record_path("unit.vlt")).read_bytes())
+            assert record["summaries"] == held
 
 
 # ---------------------------------------------------------------------------
@@ -1065,18 +1081,23 @@ class TestFileRetention:
     @pytest.mark.parametrize("edit", [_body_edit, lambda text: "\n" + text])
     def test_a_revert_renders_like_check_source(self, edit):
         # Undo is no unit replay any more: the chunks the edit changed
-        # are parsed again, and every summary replays.
+        # are parsed again.  The file keeps the edited revision's
+        # summaries only, so the function a body edit changed is
+        # checked again; a blank line changes no function's text, and
+        # every summary replays.
         source = synthesize_program(12, seed=3, error_rate=0.3)
         session = fresh_session()
         for text in (source, edit(source)):
             session.check(text, "unit.vlt")
+        changed = session.stats.last_checked
+        assert len(changed) == (1 if edit is _body_edit else 0)
         parses = session.stats.chunk_parses
         report = session.check(source, "unit.vlt")
         expected = check_source(source, "unit.vlt", units=UNITS)
         assert report.render() == expected.render()
         assert report.diagnostics == expected.diagnostics
         assert session.stats.chunk_parses > parses
-        assert session.stats.last_checked == []
+        assert session.stats.last_checked == changed
 
     def test_two_files_each_hit_their_own_context(self):
         a = synthesize_program(4, seed=3)

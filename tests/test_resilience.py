@@ -213,7 +213,7 @@ class TestCacheResilience:
         source, expected = _corpus(n=5, seed=11)
         with CheckSession(units=UNITS) as warm:
             warm.check(source)
-        body = pickle.dumps({"summaries": dict(warm._summaries)})
+        body = pickle.dumps({"summaries": dict(warm._files["<input>"].summaries)})
         legacy = tmp_path / "summaries.pkl"
         legacy.write_bytes(pickle.dumps({
             "version": 3, "sha256": cache_checksum(body), "data": body}))
