@@ -77,18 +77,18 @@ def _measure():
         replay, rendered, session_b = _timed_check(source, cas_dir)
         assert rendered == expected, \
             "file-record replay must be byte-identical"
-        stats_b = session_b.stats
-        assert stats_b.shared_unit_hits == 1
-        assert stats_b.functions_checked == 0, \
+        record_b = session_b.last
+        assert record_b.record_replayed is not None
+        assert record_b.functions_checked == 0, \
             "a whole-unit replay re-checks nothing"
 
         # -- session C: one function edited ---------------------------
         edit_s, _rendered_c, session_c = _timed_check(edited, cas_dir)
-        stats_c = session_c.stats
-        lookups = stats_c.functions_replayed + stats_c.functions_checked
-        hit_rate = stats_c.functions_replayed / lookups if lookups else 0.0
-        assert stats_c.shared_unit_hits == 0
-        assert stats_c.functions_checked <= max(
+        record_c = session_c.last
+        lookups = record_c.functions_replayed + record_c.functions_checked
+        hit_rate = record_c.functions_replayed / lookups if lookups else 0.0
+        assert record_c.record_replayed is None
+        assert record_c.functions_checked <= max(
             1, int(N_FUNCTIONS * (1 - MIN_SUMMARY_HIT_RATE)))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

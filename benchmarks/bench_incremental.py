@@ -154,7 +154,7 @@ def _measure():
     start = time.perf_counter()
     session.check(_edit(source))
     edit = time.perf_counter() - start
-    edited_functions = list(session.stats.last_checked)
+    edited_functions = session.last.quals("checked")
     cache_hit_rates = _cache_hit_rates(session.telemetry.metrics)
 
     rendered = baseline_report.render()
@@ -162,9 +162,8 @@ def _measure():
     assert warm_report.render() == rendered, "warm replay must be identical"
 
     # Large corpus: the front-end ratchet workload.  The chunk-AST
-    # counters are deltas across the edit re-check only — session
-    # stats are cumulative, and a cold check is all misses by
-    # definition.
+    # counts are the edit re-check's only — the registry is
+    # cumulative, and a cold check is all misses by definition.
     large_source = synthesize_program(N_FUNCTIONS_LARGE, seed=42)
     large_session = CheckSession(units=UNITS)
     edited_large = _edit(large_source)
@@ -181,14 +180,12 @@ def _measure():
     start = time.perf_counter()
     large_session.check(large_source)
     warm_large = time.perf_counter() - start
-    lstats = large_session.stats
-    parses0 = lstats.chunk_parses
     chunk_hits0 = _counter(large_session, "cache.chunk_ast.hits")
     gc.collect()
     start = time.perf_counter()
     large_session.check(edited_large)
     edit_large = time.perf_counter() - start
-    edit_parsed = lstats.chunk_parses - parses0
+    edit_parsed = large_session.last.chunks_parsed
     edit_reused = _counter(large_session, "cache.chunk_ast.hits") \
         - chunk_hits0
     edit_chunks = edit_parsed + edit_reused

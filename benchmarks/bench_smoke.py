@@ -157,14 +157,16 @@ def test_frontend_ratchet():
         CheckSession(units=UNITS, cache_dir=cache_dir).check(source)
         fresh = CheckSession(units=UNITS, cache_dir=cache_dir)
         fresh.check(edited)
-    stats = fresh.stats
-    print(f"bench-smoke: fresh --cache session parsed {stats.body_parses} "
-          f"of {N_FUNCTIONS_FRONTEND} bodies, checked "
-          f"{stats.functions_checked} function(s) on one-chunk edit")
-    assert stats.body_parses == 1, \
-        f"a fresh cached session parsed {stats.body_parses} bodies, not 1"
-    assert stats.functions_checked == 1, \
-        f"a fresh cached session checked {stats.functions_checked} " \
+    record = fresh.last
+    print(f"bench-smoke: fresh --cache session parsed "
+          f"{record.bodies_parsed} of {N_FUNCTIONS_FRONTEND} bodies, "
+          f"checked {record.functions_checked} function(s) on one-chunk "
+          f"edit")
+    assert record.bodies_parsed == 1, \
+        f"a fresh cached session parsed {record.bodies_parsed} bodies, " \
+        f"not 1"
+    assert record.functions_checked == 1, \
+        f"a fresh cached session checked {record.functions_checked} " \
         f"functions, not 1"
     print("bench-smoke: front-end ratchet   OK")
 
@@ -237,7 +239,6 @@ def test_splice_ratchet():
     end = source.index(";", at)
     edited = source[:at] + "c.value += 4242" + source[end:]
     before = _counters(session)
-    checked = session.stats.functions_checked
     session.check(edited)
     after = _counters(session)
     rescanned = {
@@ -246,7 +247,7 @@ def test_splice_ratchet():
         - before["cache.chunk_splice.misses"],
         "fingerprinted": after["cache.fingerprint_memo.misses"]
         - before["cache.fingerprint_memo.misses"],
-        "checked": session.stats.functions_checked - checked,
+        "checked": session.last.functions_checked,
     }
     print(f"bench-smoke: a body edit of {N_FUNCTIONS_SPLICE} functions "
           f"re-scanned {rescanned['rescanned']} chunk(s), fingerprinted "
@@ -269,7 +270,7 @@ def test_unit_replay_ratchet():
     source = synthesize_program(N_FUNCTIONS_FRONTEND, seed=42) + MODULE
     session = CheckSession(units=UNITS)
     session.check(source)
-    functions = session.stats.functions_checked
+    functions = session.last.functions_checked
     before = _counters(session)
     session.check(source)
     after = _counters(session)

@@ -51,7 +51,7 @@ def test_corrupt_cache_is_quarantined():
         with CheckSession(units=UNITS, cache_dir=cache_dir) as reader:
             reader.check(source)
         assert _quarantines(reader) == 0
-        assert reader.stats.functions_checked == 0, \
+        assert reader.last.functions_checked == 0, \
             "the rebuilt record must replay on the next run"
     print("chaos-smoke: file record quarantine + rebuild    OK")
 

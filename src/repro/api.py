@@ -22,7 +22,7 @@ the Windows 2000 kernel interface of §4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from .core import ProgramContext, build_context, check_program
 from .diagnostics import CheckError, Code, Reporter
@@ -61,13 +61,8 @@ def load_context(source: str, filename: str = "<input>",
 def check_source(source: str, filename: str = "<input>",
                  stdlib: bool = True,
                  units: Optional[Sequence[str]] = None,
-                 extra: Sequence[ast.Program] = (),
-                 jobs: Union[int, str] = 1) -> Reporter:
-    """Parse and protocol-check a compilation unit; returns the report.
-
-    ``jobs`` is accepted and ignored: it once selected a worker pool,
-    and every check is now serial.
-    """
+                 extra: Sequence[ast.Program] = ()) -> Reporter:
+    """Parse and protocol-check a compilation unit; returns the report."""
     ctx, reporter = load_context(source, filename, stdlib, units, extra)
     if reporter.ok:
         check_program(ctx, reporter)
@@ -77,7 +72,6 @@ def check_source(source: str, filename: str = "<input>",
 def check_source_detailed(source: str, filename: str = "<input>",
                           stdlib: bool = True,
                           units: Optional[Sequence[str]] = None,
-                          jobs: Union[int, str] = 1,
                           cache_dir: Optional[str] = None,
                           daemon: Optional[str] = "auto"):
     """Daemon-first checking for library users.
@@ -88,8 +82,7 @@ def check_source_detailed(source: str, filename: str = "<input>",
     in-process pipeline when none is reachable.  Returns a
     :class:`repro.server.CheckOutcome` — ``ok``, the rendered
     diagnostics (byte-identical in both paths), the error count, and
-    ``via_daemon`` telling you which path answered.  ``jobs`` is
-    accepted and ignored, as in :func:`check_source`.
+    ``via_daemon`` telling you which path answered.
     """
     from .server.client import check_detailed
     return check_detailed(

@@ -65,13 +65,12 @@ def _fault_plan(spec: "str | None"):
 
 def cmd_check(args: argparse.Namespace) -> int:
     source = _read(args.file)
-    instrumented = args.trace or args.metrics
+    instrumented = args.trace or args.metrics or args.print_profile
     faults = args.inject_faults or os.environ.get("VAULTC_FAULTS")
     # The daemon path only carries what the wire protocol can express;
     # introspection flags (--trace/--metrics/--profile) and the chaos
     # harness are inherently local, so they check in-process as before.
-    if args.daemon is not None and not args.profile and not instrumented \
-            and not faults:
+    if args.daemon is not None and not instrumented and not faults:
         from .server.client import check_via_daemon
         outcome = check_via_daemon(source, args.file,
                                    {"cache_dir": args.cache}, args.daemon)
@@ -84,7 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         # No reachable daemon: transparent fallback to the identical
         # in-process pipeline below.
-    if args.cache or args.profile or instrumented or faults:
+    if args.cache or instrumented or faults:
         from .obs import Telemetry
         from .pipeline import CheckSession
         telemetry = Telemetry(trace=bool(args.trace))
@@ -97,7 +96,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 # write whatever was recorded even on a crash.
                 if args.trace:
                     telemetry.tracer.export(args.trace)
-            if args.profile:
+            if args.print_profile:
                 _print_profile(session, file=sys.stderr)
             if args.metrics:
                 _write_metrics(telemetry, args.metrics)
@@ -125,21 +124,22 @@ def _write_metrics(telemetry, destination: str) -> None:
 
 
 def _print_profile(session, file) -> int:
-    profile = session.last_profile
-    stats = session.stats
+    """The session's last check record, with the registry's layer
+    counts, as ``--profile`` rows."""
+    record = session.last
     print("profile:", file=file)
-    for key in ("context_seconds", "check_seconds"):
-        if key in profile:
-            label = key.replace("_seconds", "")
-            print(f"  {label:<22} {profile[key] * 1000:8.1f} ms", file=file)
-    plan = [profile["plan"]] if "plan" in profile else []
-    if "context" in profile:
-        plan.append(f"context {profile['context']}")
+    for label, seconds in (("context", record.context_seconds),
+                           ("check", record.check_seconds)):
+        if seconds is not None:
+            print(f"  {label:<22} {seconds * 1000:8.1f} ms", file=file)
+    plan = [record.plan] if record.plan else []
+    if record.context:
+        plan.append(f"context {record.context}")
     if plan:
         print(f"  {'plan':<22} {'; '.join(plan)}", file=file)
-    print(f"  {'functions checked':<22} {stats.functions_checked:8d}",
+    print(f"  {'functions checked':<22} {record.functions_checked:8d}",
           file=file)
-    print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",
+    print(f"  {'functions replayed':<22} {record.functions_replayed:8d}",
           file=file)
     metrics = session.telemetry.metrics.snapshot()
 
@@ -156,19 +156,15 @@ def _print_profile(session, file) -> int:
             for q in (0.5, 0.95, 0.99))
         print(f"  {'function latency':<22} {quants}", file=file)
     chunk_hits = count("cache.chunk_ast.hits")
-    if stats.chunk_parses or chunk_hits:
-        print(f"  {'chunks':<22} parsed {stats.chunk_parses} / "
+    if record.chunks_parsed or chunk_hits:
+        print(f"  {'chunks':<22} parsed {record.chunks_parsed} / "
               f"reused {chunk_hits}", file=file)
-    if "bodies" in profile:
-        parsed, functions = profile["bodies"]
-        print(f"  {'bodies':<22} parsed {parsed} of {functions} functions",
-              file=file)
-    if count("cache.fingerprint_memo.hits"):
-        print(f"  {'fingerprints memoized':<22} "
-              f"{count('cache.fingerprint_memo.hits'):8d}", file=file)
-    if stats.shared_unit_hits:
+    if record.functions:
+        print(f"  {'bodies':<22} parsed {record.bodies_parsed} of "
+              f"{len(record.functions)} functions", file=file)
+    if count("cache.shared.unit.hits"):
         print(f"  {'file record replays':<22} "
-              f"{stats.shared_unit_hits:8d}", file=file)
+              f"{count('cache.shared.unit.hits'):8d}", file=file)
     if count("resilience.cache_quarantines"):
         print(f"  {'cache quarantines':<22} "
               f"{count('resilience.cache_quarantines'):8d}", file=file)
@@ -501,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "file replays its diagnostics without parsing, "
                         "and an edited one re-checks only the "
                         "functions the edit touched")
-    p.add_argument("--profile", action="store_true",
+    p.add_argument("--profile", action="store_true", dest="print_profile",
                    help="print phase timings and cache counters to "
                         "stderr")
     p.add_argument("--trace", default=None, metavar="FILE",

@@ -33,7 +33,7 @@ See ``docs/OBSERVABILITY.md`` for the end-to-end workflow.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from .events import Event, EventLog, JsonlEventWriter, open_event_log
 from .expo import render_exposition, validate_exposition, write_textfile
@@ -47,31 +47,20 @@ from .trace import (NULL_TRACER, NullTracer, TraceRing, Tracer, activate,
 class Telemetry:
     """One session's observability bundle.
 
-    Counters and histograms are always recorded, into ``registry``
-    when given (the daemon shares one registry across its sessions)
-    and into a fresh :class:`MetricsRegistry` otherwise.  ``metrics``
-    is accepted and ignored.  ``trace=True`` records spans; tracing
-    defaults off (the null tracer).  The session also parks its
-    compatibility surface here: ``profile`` is the dict behind
-    ``CheckSession.last_profile``.
+    Counters and histograms are always recorded, into the bundle's
+    own :class:`MetricsRegistry`.  ``metrics`` is accepted and
+    ignored.  ``trace=True`` records spans; tracing defaults off (the
+    null tracer).  A daemon's sessions share the daemon's bundle.
     """
 
-    def __init__(self, trace: bool = False, metrics: bool = False,
-                 tracer: Optional[Tracer] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 events: Optional[EventLog] = None):
-        self.tracer = tracer if tracer is not None else (
-            Tracer() if trace else NULL_TRACER)
-        self.metrics = registry if registry is not None \
-            else MetricsRegistry()
-        self.events = events if events is not None else EventLog()
-        #: phase timings / check plan of the most recent check.
-        self.profile: Dict[str, object] = {}
+    def __init__(self, trace: bool = False, metrics: bool = False):
+        self.tracer = Tracer() if trace else NULL_TRACER
+        self.metrics = MetricsRegistry()
+        self.events = EventLog()
 
     def snapshot(self) -> Dict[str, object]:
         """Everything queryable about the session, as plain data."""
         return {
-            "profile": dict(self.profile),
             "metrics": self.metrics.snapshot(),
             "events": [{"kind": e.kind, "message": e.message,
                         "fields": dict(e.fields), "ts": e.ts, "pid": e.pid}

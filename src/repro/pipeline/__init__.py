@@ -14,9 +14,10 @@ from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultError, FaultPlan
 from .fingerprint import (cache_checksum, dependency_renderings,
                           function_fingerprint, scan_names)
-from .session import CheckSession, SessionStats
+from .session import CheckRecord, CheckSession, SessionStats
 
 __all__ = [
+    "CheckRecord",
     "CheckSession",
     "Chunk",
     "ChunkError",

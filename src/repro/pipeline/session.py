@@ -76,9 +76,12 @@ counts the chunks a split carried over (hits) or scanned (misses),
 or not, ``cache.fingerprint_memo.*`` the fingerprints reused from a
 held result under an elaborated context or computed, and
 ``cache.unit_replay.hits`` the functions of checks that served every
-function so.  :class:`SessionStats` keeps what the registry cannot
-say per session (a daemon's sessions share one registry) and the
-parse counts that have no registry twin.  After every check the
+function so.  Each check's own account is one :class:`CheckRecord`,
+``CheckSession.last``: its plan and context step, how each function
+was answered, what it parsed and where its time went.  A check that
+returns adds its record to :class:`SessionStats`, the session's
+totals, which the registry cannot give per session (a daemon's
+sessions share one registry).  After every check the
 ``session.files`` and ``session.chunks_held`` gauges give the files
 and chunk ASTs the session holds.  Spans are recorded only with
 ``Telemetry(trace=True)``.
@@ -109,6 +112,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from operator import countOf
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import build_context, check_function_diagnostics
@@ -184,38 +188,68 @@ def _line_col(chunk: Chunk, offset: int) -> Tuple[int, int]:
     return chunk.start_line + source.count("\n", chunk.start, at), at - nl
 
 
-class SessionStats:
-    """One session's own counters, for tests, benchmarks and the
-    daemon's per-session rows.  Cache layers are counted in the
-    metrics registry only (see the module docstring); a daemon's
-    sessions share that registry, so the per-session counts live here.
+class CheckRecord:
+    """One ``check`` call's account: ``CheckSession.last`` holds the
+    latest, and ``vaultc check --profile`` prints it.  ``functions``
+    maps each answered function's qualified name, in sorted order, to
+    ``"held"`` (its held result), ``"summary"`` (the file's summary
+    map) or ``"checked"`` (a flow check); a file-record replay answers
+    ``record_replayed`` functions instead."""
 
-    ``last_checked``/``last_replayed`` list the qualified names that
-    were flow-analysed vs. served from a held result or summary by the
-    most recent ``check`` call.
-    """
+    def __init__(self) -> None:
+        self.plan: Optional[str] = None
+        #: ``held``, ``reused`` or ``elaborated``
+        self.context: Optional[str] = None
+        self.functions: Dict[str, str] = {}
+        self.chunks_parsed = 0
+        #: bodies parsed on their own (see ``_parse_bodies``)
+        self.bodies_parsed = 0
+        self.whole_parse = False
+        #: the file record's function count; ``None`` without a replay
+        self.record_replayed: Optional[int] = None
+        self.context_seconds: Optional[float] = None
+        self.check_seconds: Optional[float] = None
+        self.total_seconds = 0.0
+        #: ``"Type: message"`` of the exception the check raised
+        self.error: Optional[str] = None
+
+    def quals(self, *how: str) -> List[str]:
+        """The functions answered by one of ``how``, in sorted order."""
+        return [qual for qual, by in self.functions.items() if by in how]
+
+    @property
+    def functions_checked(self) -> int:
+        return countOf(self.functions.values(), "checked")
+
+    @property
+    def functions_replayed(self) -> int:
+        """Functions answered without a flow check."""
+        return len(self.functions) - self.functions_checked \
+            + (self.record_replayed or 0)
+
+
+class SessionStats:
+    """A session's totals over the checks that returned (``add``), for
+    the daemon's per-session rows, tests and benchmarks (the end-to-end
+    benchmark's edit loop reads ``chunk_parses`` and
+    ``functions_checked``)."""
 
     def __init__(self) -> None:
         self.checks = 0
-        #: chunks parsed (equals ``cache.chunk_ast.misses``)
         self.chunk_parses = 0
-        #: function bodies parsed on their own, when a header-only
-        #: chunk's function had to be checked
-        self.body_parses = 0
-        self.whole_parses = 0
         self.functions_checked = 0
         self.functions_replayed = 0
         #: file-record replays (the registry's ``cache.shared.unit.hits``
         #: is shared by a daemon's sessions)
         self.shared_unit_hits = 0
-        self.last_checked: List[str] = []
-        self.last_replayed: List[str] = []
 
-    def __repr__(self) -> str:
-        return (f"SessionStats(checks={self.checks}, "
-                f"chunks={self.chunk_parses} parsed, "
-                f"functions={self.functions_replayed} replayed/"
-                f"{self.functions_checked} checked)")
+    def add(self, record: CheckRecord) -> None:
+        """Count one check that returned."""
+        self.checks += 1
+        self.chunk_parses += record.chunks_parsed
+        self.functions_checked += record.functions_checked
+        self.functions_replayed += record.functions_replayed
+        self.shared_unit_hits += record.record_replayed is not None
 
 
 class _WholeUnit(Exception):
@@ -298,6 +332,9 @@ class CheckSession:
     module docstring).  ``jobs`` is accepted and ignored: it once
     sized a worker pool, and callers that still pass it get the same
     serial check.
+
+    ``last`` is the latest check's :class:`CheckRecord`, replaced by
+    each check; ``stats`` sums the records of the checks that returned.
     """
 
     def __init__(self, stdlib: bool = True,
@@ -310,6 +347,7 @@ class CheckSession:
         self.units = tuple(units) if units is not None else None
         self.cache_dir = cache_dir
         self.stats = SessionStats()
+        self.last = CheckRecord()
         #: the session's observability bundle.  Metrics are always
         #: recorded; pass ``Telemetry(trace=True)`` to record spans too.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -330,50 +368,35 @@ class CheckSession:
             # Pre-register so a healthy run reports an explicit zero.
             self.telemetry.metrics.counter("resilience.cache_quarantines")
 
-    @property
-    def last_profile(self) -> Dict[str, object]:
-        """Phase timings and the check plan of the most recent
-        ``check`` call (compatibility shim; the data lives on
-        :attr:`telemetry`)."""
-        return self.telemetry.profile
-
     # -- public API --------------------------------------------------------
 
-    def check(self, source: str, filename: str = "<input>",
-              jobs: Optional[Union[int, str]] = None) -> Reporter:
-        """Parse, elaborate and protocol-check one compilation unit.
-        ``jobs`` is accepted and ignored, as in the constructor."""
-        self.stats.last_checked = []
-        self.stats.last_replayed = []
-        self.stats.checks += 1
-        self.telemetry.profile = {}
-        profile = self.telemetry.profile
+    def check(self, source: str, filename: str = "<input>") -> Reporter:
+        """Parse, elaborate and protocol-check one compilation unit."""
+        self.last = record = CheckRecord()
         started = time.perf_counter()
         tracer = self.telemetry.tracer
         try:
             with activate_tracer(tracer), \
                     tracer.span("check_unit", filename=filename):
-                return self._check_inner(source, filename, profile,
-                                         started)
+                reporter = self._check_inner(source, filename, started)
         except BaseException as exc:
-            # A crash mid-check must not masquerade as a clean (empty)
-            # profile: mark it, so post-hoc consumers can tell a
-            # partial record from a fast one.
-            profile["aborted"] = True
-            profile["error"] = f"{type(exc).__name__}: {exc}"
+            # A crash mid-check must not masquerade as a clean record,
+            # nor count in the session's totals.
+            record.error = f"{type(exc).__name__}: {exc}"
             self.telemetry.events.emit(
                 "check_aborted", f"check of {filename} raised: {exc}",
-                filename=filename, error=profile["error"])
+                filename=filename, error=record.error)
             raise
         finally:
-            profile["total_seconds"] = time.perf_counter() - started
+            record.total_seconds = time.perf_counter() - started
             metrics = self.telemetry.metrics
             metrics.gauge("session.files").set(len(self._files))
             metrics.gauge("session.chunks_held").set(
                 sum(len(state.chunks) for state in self._files.values()))
+        self.stats.add(record)
+        return reporter
 
-    def _check_inner(self, source: str, filename: str,
-                     profile: Dict[str, object], started: float
+    def _check_inner(self, source: str, filename: str, started: float
                      ) -> Reporter:
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
@@ -384,7 +407,7 @@ class CheckSession:
             sha = _sha(source)
             if state.sha is None \
                     and self._replay_record(state, filename, sha, reporter):
-                profile["plan"] = "replayed whole unit (file record)"
+                self.last.plan = "replayed whole unit (file record)"
                 return self._finish(reporter)
         base = None
         if self.stdlib:
@@ -398,16 +421,17 @@ class CheckSession:
             reporter.diagnostics.extend(base_diags)
         prefix = len(reporter.diagnostics)
         try:
-            functions = self._check_unit(source, filename, state, profile,
-                                         started, reporter, base)
+            self._check_unit(source, filename, state, started, reporter,
+                             base)
         except _WholeUnit:
-            # Redo the unit only: the lookups above are done once.
+            # Redo the unit only: the lookups above are done once, and
+            # the functions are answered afresh.
             del reporter.diagnostics[prefix:]
-            functions = self._check_unit(source, filename, state, profile,
-                                         started, reporter, base,
-                                         split=False)
+            self.last.functions = {}
+            self._check_unit(source, filename, state, started, reporter,
+                             base, split=False)
         if sha is not None and state.sha != sha:
-            self._save_record(filename, state, sha, reporter, functions)
+            self._save_record(filename, state, sha, reporter)
         return self._finish(reporter)
 
     def _file(self, filename: str) -> _FileState:
@@ -432,14 +456,12 @@ class CheckSession:
         return state
 
     def _check_unit(self, source: str, filename: str, state: _FileState,
-                    profile: Dict[str, object], started: float,
-                    reporter: Reporter, base, split: bool = True
-                    ) -> Optional[int]:
-        """The unit's context, then each function's diagnostics; the
-        number of functions answered, or ``None`` when the context's
-        own diagnostics stop the check."""
+                    started: float, reporter: Reporter, base,
+                    split: bool = True) -> None:
+        """The unit's context, then each function's diagnostics (none
+        when the context's own diagnostics stop the check)."""
         entry, how = self._context_for(source, filename, state, base, split)
-        profile["context_seconds"] = time.perf_counter() - started
+        self.last.context_seconds = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
         if not reporter.ok:
             # check_source parses every body before it elaborates, so
@@ -447,16 +469,15 @@ class CheckSession:
             self._parse_bodies([decl for program in entry.programs
                                 for decl in program.decls
                                 if isinstance(decl, ast.FunDef)], filename)
-            return None
+            return
         check_started = time.perf_counter()
         with self.telemetry.tracer.span("check_functions"):
             results, whole = self._check_functions(
                 entry, state, source, filename, how)
         if not whole:
-            profile["check_seconds"] = time.perf_counter() - check_started
+            self.last.check_seconds = time.perf_counter() - check_started
         for diags in results:
             reporter.diagnostics.extend(diags)
-        return len(results)
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
@@ -539,7 +560,7 @@ class CheckSession:
         """Record what the context step did, and return it: ``held`` and
         ``reused`` skip ``build_context`` (context hits), ``elaborated``
         runs it."""
-        self.telemetry.profile["context"] = how
+        self.last.context = how
         self.telemetry.metrics.counter(
             "cache.context.misses" if how == "elaborated"
             else "cache.context.hits").inc()
@@ -585,7 +606,7 @@ class CheckSession:
             return self._parse_whole(source, filename)
         finally:
             hits = len(parsed.keys() & held.keys())
-            self.stats.chunk_parses += len(parsed) - hits
+            self.last.chunks_parsed += len(parsed) - hits
             metrics.counter("cache.chunk_ast.hits").inc(hits)
             metrics.counter("cache.chunk_ast.misses").inc(len(parsed) - hits)
         state.chunks = parsed
@@ -668,7 +689,7 @@ class CheckSession:
             except VaultError:
                 fundef._pl_body = pending
                 raise _WholeUnit() from None
-            self.stats.body_parses += 1
+            self.last.bodies_parsed += 1
 
     #: first-token kinds of chunks whose whole text is their interface
     #: (type/variant/struct/stateset/key declarations, interfaces and
@@ -706,7 +727,7 @@ class CheckSession:
     def _parse_whole(self, source: str, filename: str
                      ) -> Tuple[List[ast.Program], str]:
         """The unit parsed whole, and its env token."""
-        self.stats.whole_parses += 1
+        self.last.whole_parse = True
         return [parse_program(source, filename)], _sha(
             f"unit\x00{_sha(source)}\x00{filename}"
             f"\x00{self.units!r}\x00{self.stdlib!r}")
@@ -739,8 +760,8 @@ class CheckSession:
         map ran against.  A diagnostic with a span outside its
         function's lines makes no summary."""
         metrics = self.telemetry.metrics
-        profile = self.telemetry.profile
-        stats = self.stats
+        record = self.last
+        functions = record.functions
         ctx, env_token = entry.ctx, entry.env_token
         held = state.summaries
         summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
@@ -762,7 +783,7 @@ class CheckSession:
                         summary = held.get(fp)
                         if summary is not None:
                             summaries[fp] = summary
-                        stats.last_replayed.append(qual)
+                        functions[qual] = "held"
                         served += 1
                         continue
                     # A fingerprint covers the function's own text plus
@@ -782,16 +803,16 @@ class CheckSession:
                         summary, fundef.span.start.line, fundef.span.filename)
                     fundef._pl_result = (env_token, fp, diags)
                     summaries[fp] = summary
-                    stats.last_replayed.append(qual)
+                    functions[qual] = "summary"
                 else:
                     to_check.append((qual, fundef, fp))
-        stats.functions_replayed += len(fn_items) - len(to_check)
+                    functions[qual] = "checked"
         metrics.counter("cache.held_result.hits").inc(served)
         metrics.counter("cache.held_result.misses").inc(len(fn_items) - served)
         if servable and served == len(fn_items):
             state.summaries = summaries
             metrics.counter("cache.unit_replay.hits").inc(served)
-            profile["plan"] = "replayed whole unit"
+            record.plan = "replayed whole unit"
             return [results[qual] for qual, _ in fn_items], True
         if memoized:
             metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
@@ -803,11 +824,9 @@ class CheckSession:
             metrics.counter("cache.summary.hits").inc(replayed)
         if to_check:
             metrics.counter("cache.summary.misses").inc(len(to_check))
-        profile["plan"] = \
+        record.plan = \
             f"checked {len(to_check)} of {len(fn_items)} function(s)"
-        parsed = stats.body_parses
         self._parse_bodies([fundef for _, fundef, _ in to_check], filename)
-        profile["bodies"] = (stats.body_parses - parsed, len(fn_items))
         if to_check:
             checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
@@ -816,8 +835,6 @@ class CheckSession:
                     summaries[fp] = _relocate(
                         diags, -fundef.span.start.line, "")
                 fundef._pl_result = (env_token, fp, diags)
-                stats.last_checked.append(qual)
-                stats.functions_checked += 1
         state.summaries = summaries
         return [results[qual] for qual, _ in fn_items], False
 
@@ -888,21 +905,21 @@ class CheckSession:
             metrics.counter("cache.shared.unit.misses").inc()
             return False
         reporter.diagnostics.extend(record["diags"])
-        self.stats.shared_unit_hits += 1
-        self.stats.functions_replayed += record["functions"]
+        self.last.record_replayed = record["functions"]
         metrics.counter("cache.shared.unit.hits").inc()
         return True
 
     def _save_record(self, filename: str, state: _FileState, sha: str,
-                     reporter: Reporter, functions: Optional[int]) -> None:
+                     reporter: Reporter) -> None:
         """Write ``filename``'s record for the source ``sha`` just
-        checked: ``functions`` is how many functions it answered
-        (``None``: the context's diagnostics stopped it).  A failed
-        write is a ``shared_cache_error`` event (the store reports the
-        first few) and a cold next process, never a wrong answer."""
+        checked, with the number of functions the check answered.  A
+        failed write is a ``shared_cache_error`` event (the store
+        reports the first few) and a cold next process, never a wrong
+        answer."""
         state.sha = sha
         key = self._record_key(filename)
         record = {"sha": sha, "diags": tuple(reporter.diagnostics),
-                  "functions": functions or 0, "summaries": state.summaries}
+                  "functions": len(self.last.functions),
+                  "summaries": state.summaries}
         with self.telemetry.tracer.span("save_record", filename=filename):
             self.store.save(key, record)

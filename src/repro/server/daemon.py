@@ -919,13 +919,7 @@ class CheckServer:
             stdlib=bool(options.get("stdlib", True)),
             units=options.get("units"),
             cache_dir=options.get("cache_dir"),
-            # Sessions share the daemon's metrics/events/tracer but
-            # keep their own profile: sharing one Telemetry object
-            # across sessions would cross-wire each session's
-            # last_profile.  Per-session counts live on SessionStats.
-            telemetry=Telemetry(tracer=self.telemetry.tracer,
-                                registry=self.telemetry.metrics,
-                                events=self.telemetry.events))
+            telemetry=self.telemetry)
         while len(self._sessions) >= self.session_limit:
             _evicted_key, evicted = self._sessions.popitem(last=False)
             evicted.session.close()

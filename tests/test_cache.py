@@ -414,8 +414,8 @@ class TestSessionIntegration:
             rendered = b.check(source).render()
         assert rendered == expected
         assert b.stats.shared_unit_hits == 1
-        assert b.stats.functions_checked == 0
-        assert b.stats.chunk_parses == b.stats.whole_parses == 0
+        assert b.last.functions_checked == 0
+        assert (b.last.chunks_parsed, b.last.whole_parse) == (0, False)
         assert b.store.puts == 0, "a replay writes nothing"
 
     def test_summary_reuse_after_edit(self, tmp_path):
@@ -431,9 +431,9 @@ class TestSessionIntegration:
                           cache_dir=self._dir(tmp_path)) as b:
             b.check(edited)
         assert b.stats.shared_unit_hits == 0, "edited unit can't replay"
-        assert b.stats.functions_replayed >= 7, \
+        assert b.last.functions_replayed >= 7, \
             "unedited functions must come from the file's record"
-        assert b.stats.functions_checked <= 1
+        assert b.last.functions_checked <= 1
 
     def test_different_options_do_not_cross_contaminate(self, tmp_path):
         source = synthesize_program(6, seed=4, error_rate=0.3)
@@ -445,12 +445,12 @@ class TestSessionIntegration:
             b.check(source)
         assert b.stats.shared_unit_hits == 0, \
             "different units → different diagnostics → other key"
-        assert b.stats.functions_replayed == 0
+        assert b.last.functions_replayed == 0
         with CheckSession(stdlib=False,
                           cache_dir=self._dir(tmp_path)) as c:
             c.check(source)
         assert c.stats.shared_unit_hits == 0, "no stdlib → other key"
-        assert c.stats.functions_replayed == 0
+        assert c.last.functions_replayed == 0
 
     def test_sessions_on_different_files_keep_both_records(self, tmp_path):
         # Two processes started together, each checking its own file.
@@ -468,7 +468,7 @@ class TestSessionIntegration:
                               cache_dir=self._dir(tmp_path)) as reader:
                 assert reader.check(source, name).render() == \
                     check_source(source, name, units=["region"]).render()
-            assert reader.stats.functions_checked == 0, name
+            assert reader.last.functions_checked == 0, name
             assert reader.stats.shared_unit_hits == 1, name
 
     def test_one_record_per_file_across_revisions(self, tmp_path):
@@ -480,7 +480,8 @@ class TestSessionIntegration:
             with CheckSession(units=["region"],
                               cache_dir=self._dir(tmp_path)) as session:
                 session.check(revision, "unit.vlt")
-            assert session.stats.functions_checked == (8 if n == 0 else 1)
+            assert session.last.functions_checked == \
+                (8 if n == 0 else 1)
         objects = RecordStore(self._dir(tmp_path))._objects()
         assert [os.path.basename(path) for path, _m, _s in objects] == \
             [os.path.basename(session.record_path("unit.vlt"))]
@@ -508,7 +509,7 @@ class TestSessionIntegration:
             got = session.check(source, "d.vlt")
         assert got.diagnostics == check_source(
             source, "d.vlt", units=["region"]).diagnostics
-        assert session.stats.functions_checked == 5
+        assert session.last.functions_checked == 5
         assert session.store.errors == 2
         assert session.telemetry.metrics.snapshot()[
             "cache.shared.cas.errors"]["value"] == 2

@@ -320,8 +320,45 @@ class TestObservability:
         assert cli._print_profile(session, out) == 0
         rows = [row for row in out.getvalue().splitlines()
                 if row.strip().startswith("chunks")]
-        # Session counters are cumulative: 13 cold parses, then one.
-        assert rows == ["  chunks                 parsed 14 / reused 12"]
+        # The last check parsed one chunk; the registry's hits are the
+        # session's (none on the cold check, then 12).
+        assert rows == ["  chunks                 parsed 1 / reused 12"]
+
+    def test_profile_rows_of_cold_replayed_and_quarantined_checks(
+            self, tmp_path, capsys):
+        # Every row but the timings, as labels and values: a cold
+        # check, a replay of its file record, and a cold check after
+        # the record was corrupted and quarantined.
+        from repro.analysis import synthesize_program
+        unit = tmp_path / "unit.vlt"
+        unit.write_text(synthesize_program(12, seed=5, error_rate=0.3))
+
+        def rows(*flags):
+            assert main(["check", str(unit), *flags]) == 1
+            err = capsys.readouterr().err
+            listed = err[err.index("profile:\n"):].splitlines()[1:]
+            return [(row[2:24].rstrip(), row[25:]) for row in listed
+                    if not row.endswith(" ms")]
+
+        cold = [
+            ("plan", "checked 12 of 12 function(s); context elaborated"),
+            ("functions checked", "      12"),
+            ("functions replayed", "       0"),
+            ("chunks", "parsed 13 / reused 0"),
+            ("bodies", "parsed 12 of 12 functions")]
+        store = str(tmp_path / "store")
+        assert rows("--cache", store, "--profile") == cold
+        assert rows("--cache", store, "--profile") == [
+            ("plan", "replayed whole unit (file record)"),
+            ("functions checked", "       0"),
+            ("functions replayed", "      12"),
+            ("file record replays", "       1")]
+        flipped = str(tmp_path / "flipped")
+        assert main(["check", str(unit), "--cache", flipped,
+                     "--inject-faults", "flip-cache"]) == 1
+        capsys.readouterr()
+        assert rows("--cache", flipped, "--profile") == \
+            cold + [("cache quarantines", "       1")]
 
     def test_profile_plan_row_names_the_context_step(self, good_file,
                                                      capsys):
@@ -405,8 +442,8 @@ class TestObservability:
 
     def test_tracing_is_off_by_default(self, good_file):
         # Metrics are always on (tests/test_pipeline.py checks them
-        # against SessionStats); spans cost memory per function, so a
-        # session records them only when asked.
+        # against the session's totals); spans cost memory per
+        # function, so a session records them only when asked.
         from repro.obs import NULL_TRACER
         from repro.pipeline import CheckSession
         session = CheckSession()

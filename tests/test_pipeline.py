@@ -139,7 +139,7 @@ class TestSplitChunks:
         for _ in range(2):
             for seed, source in enumerate(sources):
                 session.check(source, f"gen-{seed}.vlt")
-        assert session.stats.whole_parses == 0
+                assert not session.last.whole_parse, seed
 
     # The other ChunkError cases have their own tests above.
     @pytest.mark.parametrize("source, message", [
@@ -365,8 +365,8 @@ class TestInvalidation:
         session.check(PROTO)
         edited = PROTO.replace("int y = x + 1;", "int y = x + 2;")
         session.check(edited)
-        assert session.stats.last_checked == ["bystander"]
-        assert "caller" in session.stats.last_replayed
+        assert session.last.quals("checked") == ["bystander"]
+        assert "caller" in session.last.quals("held", "summary")
 
     def test_callee_effect_edit_invalidates_caller(self):
         session = fresh_session()
@@ -374,9 +374,9 @@ class TestInvalidation:
         edited = PROTO.replace("void advance() [GK @ lo -> hi];",
                                "void advance() [GK @ lo];")
         session.check(edited)
-        assert "caller" in session.stats.last_checked
-        assert "bystander" not in session.stats.last_checked
-        assert "bystander" in session.stats.last_replayed
+        assert "caller" in session.last.quals("checked")
+        assert "bystander" not in session.last.quals("checked")
+        assert "bystander" in session.last.quals("held", "summary")
 
     def test_stateset_edit_invalidates_dependents(self):
         session = fresh_session()
@@ -384,8 +384,8 @@ class TestInvalidation:
         edited = PROTO.replace("stateset L = [ lo < hi ];",
                                "stateset L = [ lo < mid < hi ];")
         session.check(edited)
-        assert "caller" in session.stats.last_checked
-        assert "bystander" not in session.stats.last_checked
+        assert "caller" in session.last.quals("checked")
+        assert "bystander" not in session.last.quals("checked")
 
     def test_unrelated_edit_replays_everything(self):
         session = fresh_session()
@@ -393,7 +393,7 @@ class TestInvalidation:
         # Pure trivia above the unit shifts every span but changes no
         # fingerprint: every summary must replay.
         session.check("// a comment\n" + PROTO)
-        assert session.stats.last_checked == []
+        assert session.last.quals("checked") == []
 
     def test_diagnostics_replay_with_spans(self):
         leaky = """\
@@ -403,9 +403,9 @@ void leak() {
 """
         session = fresh_session()
         first = session.check(leaky).render()
-        assert session.stats.last_checked == ["leak"]
+        assert session.last.quals("checked") == ["leak"]
         second = session.check(leaky).render()
-        assert session.stats.last_checked == []
+        assert session.last.quals("checked") == []
         assert first == second
         assert first == check_source(leaky, units=UNITS).render()
 
@@ -449,9 +449,11 @@ class TestSessionEquivalence:
 
     def test_jobs_is_accepted_and_ignored_without_forking(
             self, tmp_path, monkeypatch, capsys):
-        # ``vaultc check --jobs auto --cache DIR``, ``CheckSession(jobs=)``
-        # and ``check_source(jobs=)`` stay accepted for old callers; each
-        # must print exactly what a plain check prints and never fork.
+        # ``vaultc check --jobs auto --cache DIR`` and
+        # ``CheckSession(jobs=)`` stay accepted for old callers (the
+        # end-to-end benchmark passes both); each must print exactly
+        # what a plain check prints and never fork.  ``check_source``
+        # no longer takes ``jobs``.
         from repro.cli import main
         source = synthesize_program(160, seed=21, error_rate=0.2)
         target = tmp_path / "unit.vlt"
@@ -470,8 +472,10 @@ class TestSessionEquivalence:
             report = session.check(source, str(target))
         assert canonical_stdout(report.ok, report.render(),
                                 len(report.errors), str(target)) == plain
-        assert check_source(source, str(target), jobs="auto").render() \
+        assert check_source(source, str(target)).render() \
             == report.render()
+        with pytest.raises(TypeError):
+            check_source(source, str(target), jobs="auto")
         with pytest.raises(SystemExit):
             main(["check", str(target), "--jobs", "garbage"])
         assert "invalid --jobs value 'garbage'" in capsys.readouterr().err
@@ -486,10 +490,13 @@ class TestSessionEquivalence:
         assert str(session_err.value) == str(plain_err.value)
 
     def test_jobs_argument_overrides_default(self):
+        # Only the constructor still takes ``jobs``; ``check`` does not.
         source = synthesize_program(8, seed=6)
         expected = check_source(source, units=UNITS).render()
         session = fresh_session(jobs=4)
-        assert session.check(source, jobs=1).render() == expected
+        with pytest.raises(TypeError):
+            session.check(source, jobs=1)
+        assert session.check(source).render() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +509,12 @@ class TestPersistence:
         cache = str(tmp_path / "cache")
         first = fresh_session(cache_dir=cache)
         expected = first.check(source).render()
-        assert first.stats.functions_checked > 0
+        assert first.last.functions_checked > 0
 
         second = fresh_session(cache_dir=cache)
         assert second.check(source).render() == expected
-        assert second.stats.last_checked == []
-        assert second.stats.functions_replayed > 0
+        assert second.last.quals("checked") == []
+        assert second.last.functions_replayed > 0
 
     def test_corrupt_cache_is_ignored(self, tmp_path, capfd):
         cache = str(tmp_path / "cache")
@@ -585,12 +592,17 @@ int f(int n) {
 # ---------------------------------------------------------------------------
 
 class TestTelemetry:
-    def test_last_profile_is_a_view_of_telemetry(self):
+    def test_last_is_the_latest_checks_record(self):
+        # One record per check, on the session only: the telemetry
+        # bundle keeps no per-check state.
         session = fresh_session()
         session.check(PROTO)
-        assert session.last_profile is session.telemetry.profile
-        assert "total_seconds" in session.last_profile
-        assert "aborted" not in session.last_profile
+        first = session.last
+        assert not hasattr(session.telemetry, "profile")
+        assert first.total_seconds > 0
+        assert first.error is None
+        session.check(PROTO)
+        assert session.last is not first
 
     def test_aborted_check_marks_profile(self, monkeypatch):
         session = fresh_session()
@@ -601,18 +613,18 @@ class TestTelemetry:
         monkeypatch.setattr(session, "_context_for", boom)
         with pytest.raises(RuntimeError, match="injected abort"):
             session.check(PROTO)
-        profile = session.last_profile
-        assert profile["aborted"] is True
-        assert profile["error"] == "RuntimeError: injected abort"
-        assert profile["total_seconds"] >= 0.0
+        record = session.last
+        assert record.error is not None
+        assert record.error == "RuntimeError: injected abort"
+        assert record.total_seconds >= 0.0
         aborts = session.telemetry.events.by_kind("check_aborted")
         assert len(aborts) == 1
         assert "injected abort" in aborts[0].fields["error"]
-        # The session recovers: the next check starts a fresh profile.
+        # The session recovers: the next check starts a fresh record.
         monkeypatch.undo()
         report = session.check(PROTO)
         assert report.ok
-        assert "aborted" not in session.last_profile
+        assert session.last.error is None
 
     def test_metrics_agree_with_session_stats(self):
         # SessionStats keeps one twin of a registry counter, the chunks
@@ -630,6 +642,71 @@ class TestTelemetry:
         assert counters["cache.chunk_ast.hits"]
         assert counters["cache.chunk_ast.misses"] == \
             session.stats.chunk_parses
+
+    def test_a_check_that_raises_counts_nothing(self):
+        # A body edit that breaks the syntax raises from the whole-unit
+        # parse after a first pass that served the other 11 functions:
+        # the session's totals (the daemon's session rows) must not
+        # count them, and the record answers no function.
+        source = synthesize_program(12, seed=3)
+        at = source.index("c.value += ", len(source) // 2)
+        broken = source[:at] + "c.value += ;" \
+            + source[source.index(";", at) + 1:]
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        totals = dict(vars(session.stats))
+        with pytest.raises(VaultError):
+            session.check(broken, "unit.vlt")
+        assert vars(session.stats) == totals
+        assert session.stats.functions_replayed == 0
+        assert session.last.functions == {}
+        assert session.last.error.startswith("ParseError: ")
+
+    def test_a_whole_unit_retry_answers_each_function_once(
+            self, monkeypatch):
+        # A body that does not parse on its own sends the check back to
+        # one whole-unit parse; the retry's functions replace the first
+        # pass's, which had served 11 from their held results.
+        from repro.pipeline.session import _WholeUnit
+        source = synthesize_program(12, seed=3, error_rate=0.3)
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        parse_bodies = session._parse_bodies
+        raised = []
+
+        def once(fundefs, filename):
+            if fundefs and not raised:
+                raised.append(filename)
+                raise _WholeUnit()
+            return parse_bodies(fundefs, filename)
+
+        monkeypatch.setattr(session, "_parse_bodies", once)
+        edited = _body_edit(source)
+        report = session.check(edited, "unit.vlt")
+        assert raised
+        assert report.diagnostics == \
+            check_source(edited, "unit.vlt", units=UNITS).diagnostics
+        assert session.stats.functions_replayed == 11
+        assert session.stats.functions_checked == 12 + 1
+        assert session.last.whole_parse
+        assert len(session.last.functions) == 12
+        assert session.last.quals("summary") \
+            == session.last.quals("held", "summary")
+
+    def test_one_body_edit_moves_the_e2e_session_counters_by_one(self):
+        # benchmarks/e2e/workload.py ``session_counters`` reads
+        # ``session.stats.chunk_parses`` and ``.functions_checked``
+        # around each save, with a ``None`` default: a missing or
+        # mis-counted field would silently empty the edit loop's
+        # ``pipeline.reparse_precision``.
+        source = synthesize_program(40, seed=3, error_rate=0.3)
+        session = fresh_session()
+        session.check(source, "unit.vlt")
+        stats = session.stats
+        before = (stats.chunk_parses, stats.functions_checked)
+        session.check(_body_edit(source), "unit.vlt")
+        assert (stats.chunk_parses, stats.functions_checked) == \
+            (before[0] + 1, before[1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +746,12 @@ class TestSessionReuse:
     def test_replay_profile_has_no_stale_check_seconds(self):
         with fresh_session() as session:
             session.check(PROTO, "p.vlt")
-            assert "check_seconds" in session.last_profile
+            assert session.last.check_seconds is not None
             session.check(PROTO, "p.vlt")         # whole-unit replay
-            profile = session.last_profile
-        assert profile["plan"] == "replayed whole unit"
-        assert "check_seconds" not in profile, \
-            "replay left the previous run's timing in the profile"
+            record = session.last
+        assert record.plan == "replayed whole unit"
+        assert record.check_seconds is None, \
+            "replay left the previous run's timing in the record"
 
     def test_interleaved_sources_replay_from_their_own_caches(self):
         a = synthesize_program(4, seed=3)
@@ -687,7 +764,7 @@ class TestSessionReuse:
             assert session.stats.checks == 4
             # Rounds three and four re-check nothing.
             assert session.stats.functions_checked == 8  # 2 * 4 workers
-            assert session.stats.last_checked == []
+            assert session.last.quals("checked") == []
 
     def test_replay_does_not_rewrite_the_disk_cache(self, tmp_path):
         import os
@@ -701,7 +778,7 @@ class TestSessionReuse:
         blob = cache_file.read_bytes()
         with fresh_session(cache_dir=str(cache_dir)) as session:
             session.check(source, "unit.vlt")     # pure replay
-            assert session.stats.functions_checked == 0
+            assert session.last.functions_checked == 0
         after = os.stat(cache_file)
         assert cache_file.read_bytes() == blob
         # A read freshens the record's mtime (the store's GC is LRU), so
@@ -768,12 +845,12 @@ class TestPositionFreeSummaries:
         source = synthesize_program(160, seed=3, error_rate=0.3)
         session = CheckSession()
         session.check(source, "a.vlt")
-        functions = session.stats.last_checked
+        functions = session.last.quals("checked")
         assert len(functions) == 160
         for text, filename, checked in ((source, "b.vlt", functions),
                                         ("\n" + source, "a.vlt", [])):
             report = session.check(text, filename)
-            assert session.stats.last_checked == checked
+            assert session.last.quals("checked") == checked
             expected = check_source(text, filename)
             assert report.diagnostics == expected.diagnostics
             assert report.render() == expected.render()
@@ -787,7 +864,7 @@ class TestPositionFreeSummaries:
         session.check(leaky + "\n" + other, "m.vlt")
         moved = other + "\n\n" + leaky
         report = session.check(moved, "m.vlt")
-        assert session.stats.last_checked == []
+        assert session.last.quals("checked") == []
         expected = check_source(moved, "m.vlt", units=UNITS)
         assert report.diagnostics == expected.diagnostics
         assert "created at m.vlt:7:29" in report.render()
@@ -807,7 +884,7 @@ class TestPositionFreeSummaries:
             expected = check_source(text, "alias.vlt", units=UNITS)
             assert report.diagnostics == expected.diagnostics
             assert [d.span.start.line for d in report.diagnostics] == [1]
-            assert session.stats.last_checked == ["g"]
+            assert session.last.quals("checked") == ["g"]
         assert session._files["alias.vlt"].summaries == {}
 
     def test_summaries_are_position_free(self, tmp_path):
@@ -842,7 +919,7 @@ class TestPositionFreeSummaries:
         for i in range(10):
             source = _body_edit(source, i * len(source) // 10)
             session.check(source, "unit.vlt")
-            assert len(session.stats.last_checked) == 1
+            assert len(session.last.quals("checked")) == 1
         held = session._files["unit.vlt"].summaries
         fresh = fresh_session()
         fresh.check(source, "unit.vlt")
@@ -916,10 +993,10 @@ class TestChunkAstCache:
         chunks = len(split_chunks(source))
         session = fresh_session()
         session.check(source, "unit.vlt")
-        assert session.stats.chunk_parses == chunks
+        assert session.last.chunks_parsed == chunks
         hits0 = _counters(session)["cache.chunk_ast.hits"]
         session.check(_body_edit(source), "unit.vlt")
-        assert session.stats.chunk_parses == chunks + 1
+        assert session.last.chunks_parsed == 1
         assert _counters(session)["cache.chunk_ast.hits"] - hits0 \
             == chunks - 1
 
@@ -929,7 +1006,7 @@ class TestChunkAstCache:
         source = synthesize_program(12, seed=3)
         session = fresh_session()
         session.check(source, "unit.vlt")
-        functions = session.stats.functions_checked
+        functions = session.last.functions_checked
         before = _counters(session)
         session.check(_body_edit(source), "unit.vlt")
         after = _counters(session)
@@ -938,7 +1015,7 @@ class TestChunkAstCache:
         assert after["cache.fingerprint_memo.hits"] == 0
         assert after["cache.held_result.hits"] \
             - before["cache.held_result.hits"] == functions - 1
-        assert len(session.stats.last_checked) == 1
+        assert len(session.last.quals("checked")) == 1
 
     def test_a_moved_declaration_memoises_unmoved_fingerprints(self):
         # A declaration that moves elaborates the context, so no held
@@ -956,7 +1033,7 @@ class TestChunkAstCache:
         # worker_9, worker_10 and worker_11 moved and are re-parsed;
         # the blank line is in worker_9's own text
         assert after["cache.fingerprint_memo.hits"] == 12 - 3
-        assert session.stats.last_checked == ["worker_9"]
+        assert session.last.quals("checked") == ["worker_9"]
 
     def test_a_body_edit_serves_module_members_held_results(self):
         # A module member's node lives in its module chunk, which a
@@ -969,8 +1046,8 @@ class TestChunkAstCache:
         after = _counters(session)
         assert after["cache.held_result.hits"] \
             - before["cache.held_result.hits"] == 2
-        assert "Counter.bump" in session.stats.last_replayed
-        assert session.stats.last_checked == ["h"]
+        assert "Counter.bump" in session.last.quals("held", "summary")
+        assert session.last.quals("checked") == ["h"]
 
     def test_a_resave_with_a_module_replays_the_whole_unit(self):
         session = fresh_session()
@@ -980,11 +1057,11 @@ class TestChunkAstCache:
         after = _counters(session)
         assert report.diagnostics == check_source(
             _MODULE_UNIT, "unit.vlt", units=UNITS).diagnostics
-        assert session.last_profile["context"] == "held"
-        assert session.last_profile["plan"] == "replayed whole unit"
+        assert session.last.context == "held"
+        assert session.last.plan == "replayed whole unit"
         assert after["cache.unit_replay.hits"] \
             - before["cache.unit_replay.hits"] == 3
-        assert session.stats.last_checked == []
+        assert session.last.quals("checked") == []
 
     def test_one_chunk_edit_renders_like_check_source(self):
         source = synthesize_program(12, seed=3)
@@ -1089,15 +1166,14 @@ class TestFileRetention:
         session = fresh_session()
         for text in (source, edit(source)):
             session.check(text, "unit.vlt")
-        changed = session.stats.last_checked
+        changed = session.last.quals("checked")
         assert len(changed) == (1 if edit is _body_edit else 0)
-        parses = session.stats.chunk_parses
         report = session.check(source, "unit.vlt")
         expected = check_source(source, "unit.vlt", units=UNITS)
         assert report.render() == expected.render()
         assert report.diagnostics == expected.diagnostics
-        assert session.stats.chunk_parses > parses
-        assert session.stats.last_checked == changed
+        assert session.last.chunks_parsed > 0
+        assert session.last.quals("checked") == changed
 
     def test_two_files_each_hit_their_own_context(self):
         a = synthesize_program(4, seed=3)
@@ -1109,7 +1185,7 @@ class TestFileRetention:
             hits = _counters(session)["cache.context.hits"]
             session.check(text, filename)
             assert _counters(session)["cache.context.hits"] == hits + 1
-            assert session.stats.last_checked == []
+            assert session.last.quals("checked") == []
         assert session._files["a.vlt"].ctx is not session._files["b.vlt"].ctx
         assert _gauges(session) == \
             (2, len(split_chunks(a)) + len(split_chunks(b)))
@@ -1138,7 +1214,7 @@ def _check_like_check_source(session, text, filename="unit.vlt"):
     assert report.diagnostics == expected.diagnostics
     assert report.render() == expected.render()
     ran = _elaborations(session) - before
-    assert session.last_profile["context"] == \
+    assert session.last.context == \
         ("elaborated" if ran else "reused")
     return bool(ran)
 
@@ -1256,7 +1332,7 @@ class TestInterfaceReuse:
         for text in (alias + body.replace("cb h;", "cb k;"),
                      alias + body.replace("{\n", "{\n\n")):
             assert not _check_like_check_source(session, text, "alias.vlt")
-            assert session.stats.last_checked == ["g"]
+            assert session.last.quals("checked") == ["g"]
             report = check_source(text, "alias.vlt", units=UNITS)
             assert [d.span.start.line for d in report.diagnostics] == [1]
         # A blank line in a body above the alias moves the alias, and
@@ -1327,8 +1403,9 @@ class TestHeaderOnlyChunks:
         session = fresh_session()
         assert session.check(source, "unit.vlt").render() == \
             _plain(source, "unit.vlt").render()
-        assert session.stats.body_parses == 12
-        assert session.last_profile["bodies"] == (12, 12)
+        assert session.last.bodies_parsed == 12
+        assert (session.last.bodies_parsed,
+                len(session.last.functions)) == (12, 12)
 
     def test_header_spans_match_a_full_parse(self):
         source = synthesize_program(6, seed=3, error_rate=0.5) + PROTO
@@ -1339,7 +1416,7 @@ class TestHeaderOnlyChunks:
                  parse_program(source, "unit.vlt").decls
                  if isinstance(d, ast.FunDef)}
         assert set(ctx.fun_defs) == set(whole)
-        assert session.stats.body_parses == len(whole)
+        assert session.last.bodies_parsed == len(whole)
         for name, fundef in ctx.fun_defs.items():
             a, b = fundef.span, whole[name].span
             assert (a.start.line, a.start.col, a.end.line, a.end.col) == \
@@ -1353,9 +1430,10 @@ class TestHeaderOnlyChunks:
         edited = _body_edit(source)
         session = fresh_session(cache_dir=cache_dir)
         report = session.check(edited, "unit.vlt")
-        assert session.stats.body_parses == 1
-        assert session.stats.functions_checked == 1
-        assert session.last_profile["bodies"] == (1, 12)
+        assert session.last.bodies_parsed == 1
+        assert session.last.functions_checked == 1
+        assert (session.last.bodies_parsed,
+                len(session.last.functions)) == (1, 12)
         assert report.render() == _plain(edited, "unit.vlt").render()
 
     def test_interface_edit_reparses_no_held_body(self):
@@ -1366,13 +1444,13 @@ class TestHeaderOnlyChunks:
         source = synthesize_program(8, seed=4)
         session = fresh_session()
         session.check(source, "unit.vlt")
-        assert session.stats.body_parses == 8
+        assert session.last.bodies_parsed == 8
         edited = source.replace("{ int value; int extra; }",
                                 "{ int extra; int value; }", 1)
         assert edited != source
         report = session.check(edited, "unit.vlt")
-        assert len(session.stats.last_checked) == 8
-        assert session.stats.body_parses == 8
+        assert len(session.last.quals("checked")) == 8
+        assert session.last.bodies_parsed == 0
         assert report.render() == _plain(edited, "unit.vlt").render()
 
     def test_body_syntax_errors_report_the_first_in_source_order(
@@ -1481,8 +1559,8 @@ from repro.analysis import synthesize_program
 source = synthesize_program(20, seed=9, error_rate=0.2)
 session = CheckSession(units=["region"], cache_dir=sys.argv[1])
 session.check(source)
-assert session.stats.functions_checked > 0
-print(session.stats.functions_checked)
+assert session.last.functions_checked > 0
+print(session.last.functions_checked)
 """
 
 
@@ -1504,7 +1582,7 @@ class TestCrossProcessPersistence:
         report = session.check(source)
         # Zero functions re-checked: every summary replayed from the
         # cache the other interpreter wrote.
-        assert session.stats.functions_checked == 0
-        assert session.stats.last_checked == []
-        assert session.stats.functions_replayed == checked_in_child
+        assert session.last.functions_checked == 0
+        assert session.last.quals("checked") == []
+        assert session.last.functions_replayed == checked_in_child
         assert report.render() == check_source(source, units=UNITS).render()

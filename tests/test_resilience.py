@@ -148,7 +148,7 @@ class TestCacheResilience:
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             reader.check(source)
         assert _quarantines(reader) == 0
-        assert reader.stats.functions_checked == 0
+        assert reader.last.functions_checked == 0
         err = capfd.readouterr().err
         assert err.count("rebuilding cold") == 1
 
@@ -220,7 +220,7 @@ class TestCacheResilience:
         before = legacy.read_bytes()
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as session:
             assert session.check(source).render() == expected
-        assert session.stats.functions_replayed == 0
+        assert session.last.functions_replayed == 0
         assert _quarantines(session) == 0
         assert legacy.read_bytes() == before
         assert not (tmp_path / "corrupt").exists()
@@ -236,7 +236,7 @@ class TestCacheResilience:
         assert not os.path.exists(writer.record_path())
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             assert reader.check(source).render() == expected
-        assert reader.stats.functions_replayed == 0, "the next run is cold"
+        assert reader.last.functions_replayed == 0, "the next run is cold"
 
     def test_save_leaves_no_temp_files(self, tmp_path):
         source, _ = _corpus(n=4, seed=12)
