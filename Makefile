@@ -31,8 +31,10 @@ cli-smoke:
 # elaboration ratchet (10 body edits and 10 in-body blank lines run
 # build_context 0 times), the splice ratchet, the unit-replay
 # ratchet (a re-save of 160 functions plus one module member serves
-# every function) and the summary ratchet (after 10 body edits a
-# session holds only the last revision's summaries), then runs the
+# every function), the summary ratchet (after 10 body edits a
+# session holds only the last revision's summaries) and the body-edit
+# scaling ratchet (a body edit of 640 functions makes at most 1.2x the
+# calls of one of 160), then runs the
 # benchmark bodies once (no timing rounds),
 # refreshing BENCH_checker.json with cold/warm/edit timings.
 bench-smoke:

@@ -35,7 +35,16 @@ recorded as ``frontend.unit_replay``.
 
 The summary ratchet makes body edits of the 160-function unit in one
 session: afterwards the session must hold exactly the last revision's
-summaries, one per function, not one more for each edit.  It is recorded as ``frontend.summaries_held``.
+summaries, one per function, not one more for each edit.  It is
+recorded as ``frontend.summaries_held``.
+
+The body-edit scaling ratchet counts the Python and C calls
+(``sys.setprofile`` ``call`` and ``c_call`` events) of one warm
+one-constant body edit of the 160-function unit and of the
+640-function unit.  The counts are deterministic, and a body edit
+should cost what it changed, not what the unit holds: the 640-function
+count may be at most 1.2 times the 160-function one.  Both are
+recorded as ``frontend.body_edit_events``.
 
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
@@ -81,6 +90,11 @@ SUMMARY_EDITS = 10
 #: one-constant body edit re-scans.
 N_FUNCTIONS_SPLICE = 640
 RESCANNED_CHUNKS_CEILING = 2
+
+#: Ceiling on the body-edit scaling ratchet's ratio of profiler events
+#: (640 functions over 160).  Work that grows with the unit (a walk
+#: over every chunk or function per save) read 2.17.
+BODY_EDIT_EVENTS_RATIO_CEILING = 1.2
 
 #: The module the unit-replay ratchet appends: one member function.
 MODULE = """
@@ -324,6 +338,45 @@ def test_summary_ratchet():
     print("bench-smoke: summary ratchet     OK")
 
 
+def test_body_edit_scaling_ratchet():
+    # The same edit as the splice ratchet's, at two unit sizes.
+    events = {str(n): _body_edit_events(n)
+              for n in (N_FUNCTIONS_FRONTEND, N_FUNCTIONS_SPLICE)}
+    ratio = events[str(N_FUNCTIONS_SPLICE)] / events[str(N_FUNCTIONS_FRONTEND)]
+    print(f"bench-smoke: a body edit makes {events[str(N_FUNCTIONS_FRONTEND)]}"
+          f" calls at {N_FUNCTIONS_FRONTEND} functions and "
+          f"{events[str(N_FUNCTIONS_SPLICE)]} at {N_FUNCTIONS_SPLICE} "
+          f"({ratio:.2f}x)")
+    assert ratio <= BODY_EDIT_EVENTS_RATIO_CEILING, \
+        f"a body edit of {N_FUNCTIONS_SPLICE} functions makes {ratio:.2f}x " \
+        f"the calls of {N_FUNCTIONS_FRONTEND} (ceiling " \
+        f"{BODY_EDIT_EVENTS_RATIO_CEILING})"
+    _record("body_edit_events", events)
+    print("bench-smoke: body-edit ratchet   OK")
+
+
+def _body_edit_events(n):
+    """The ``call`` and ``c_call`` profiler events of one warm
+    one-constant body edit of an ``n``-function unit."""
+    source = synthesize_program(n, seed=42)
+    session = CheckSession(units=UNITS)
+    session.check(source)
+    at = source.index("c.value += ", len(source) // 2)
+    end = source.index(";", at)
+    edited = source[:at] + "c.value += 4242" + source[end:]
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            count[0] += 1
+    sys.setprofile(profile)
+    try:
+        session.check(edited)
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
 def _summaries_held(session):
     """The function summaries ``session`` holds over all its files."""
     return sum(len(state.summaries) for state in session._files.values())
@@ -364,4 +417,5 @@ if __name__ == "__main__":
     test_splice_ratchet()
     test_unit_replay_ratchet()
     test_summary_ratchet()
+    test_body_edit_scaling_ratchet()
     print("bench-smoke: PASS")

@@ -8,7 +8,7 @@ wants the *set* of violations a seeded bug produces).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from .errors import CheckError, Code, Diagnostic, Note, Severity
 from .span import Span
@@ -38,6 +38,11 @@ class Reporter:
         #: that quotes one: most checks render nothing.
         self._source = source
         self._source_lines: Optional[List[str]] = None
+        #: ``line_at(n)`` is line ``n`` of the source as ``source_lines``
+        #: numbers it, or ``None`` past the end; when set (a session sets
+        #: its split's ``line``), ``render`` quotes from it instead of
+        #: splitting the source.
+        self.line_at: Optional[Callable[[int], Optional[str]]] = None
         self.filename = filename
 
     # -- accumulation -----------------------------------------------------
@@ -82,21 +87,26 @@ class Reporter:
     def render(self, with_source: bool = True) -> str:
         """Human-readable report, optionally quoting the offending line."""
         out = []
-        lines = self._source_lines
         for diag in self.diagnostics:
             out.append(diag.render())
             if with_source and self._source is not None:
-                if lines is None:
-                    lines = self._source_lines = source_lines(self._source)
                 line_no = diag.span.start.line
-                if 1 <= line_no <= len(lines):
-                    text = lines[line_no - 1]
+                text = self._line(line_no) if line_no >= 1 else None
+                if text is not None:
                     if text.endswith("\r"):
                         text = text[:-1]
                     out.append(f"    {line_no:4} | {text}")
                     caret_col = max(diag.span.start.col, 1)
                     out.append("         | " + " " * (caret_col - 1) + "^")
         return "\n".join(out)
+
+    def _line(self, number: int) -> Optional[str]:
+        if self.line_at is not None:
+            return self.line_at(number)
+        if self._source_lines is None:
+            self._source_lines = source_lines(self._source)
+        lines = self._source_lines
+        return lines[number - 1] if number <= len(lines) else None
 
     def __str__(self) -> str:
         return self.render()

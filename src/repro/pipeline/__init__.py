@@ -10,7 +10,7 @@ the recovery paths.  :class:`FaultPlan` is the deterministic chaos
 harness that makes every recovery path testable.
 """
 
-from .chunks import Chunk, ChunkError, split_chunks
+from .chunks import Chunk, ChunkError, Split, split_chunks
 from .faults import FaultError, FaultPlan
 from .fingerprint import (cache_checksum, dependency_renderings,
                           function_fingerprint, scan_names)
@@ -24,6 +24,7 @@ __all__ = [
     "FaultError",
     "FaultPlan",
     "SessionStats",
+    "Split",
     "cache_checksum",
     "dependency_renderings",
     "function_fingerprint",

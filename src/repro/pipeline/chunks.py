@@ -20,13 +20,21 @@ when every newline and ``;`` was one.
 
 Given the split of the revision before (``held``), the scan splices
 instead: it re-scans only from the first chunk the edit touches to the
-first chunk boundary past the edit that is one of the held revision's,
-and carries every other held chunk over, moved to its new offset,
-line and column.  A chunk boundary is a clean scanner state (depth
-zero, no open bracket, the ``_TOP`` search), so the scan from there on
-is the same as a cold scan's; a cold split is the same loop entered at
-offset 0.  A one-constant body edit of a 640-function unit re-scans
-one chunk instead of all 200 KB.
+first chunk boundary past the edit that is one of the held revision's.
+A chunk boundary is a clean scanner state (depth zero, no open
+bracket, the ``_TOP`` search), so the scan from there on is the same
+as a cold scan's; a cold split is the same loop entered at offset 0.
+A one-constant body edit of a 640-function unit re-scans one chunk
+instead of all 200 KB.
+
+A :class:`Chunk` holds no offset, so a chunk the splice carries over is
+the held object itself: the new :class:`Split` is the held chunk list
+with one range replaced, and reports that range (``spliced``).  Only
+the offsets of the chunks past the edit move, in one list copy.  A
+chunk's line and column do not move unless the edit adds or removes a
+line before it (or changes the length of the line it starts on), so
+such an edit extends the range: to the end of the unit, or past the
+chunks on the edit's last line.
 
 The scanner is deliberately conservative: on anything it cannot
 classify (unterminated comment or string, stray characters, unbalanced
@@ -40,7 +48,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import List, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 
 class ChunkError(Exception):
@@ -48,54 +57,142 @@ class ChunkError(Exception):
 
 
 class Chunk:
-    """One top-level declaration's place in the unit.
+    """One top-level declaration of a split, without its offset (the
+    :class:`Split` holds that), so a splice carries it over as is.
 
-    The chunk is ``source[start:stop]`` (its ``text``): chunks point
-    into the one unit string rather than copying it.
-    ``start_line``/``start_col`` are 1-based.  Concatenating the
-    ``text`` of all chunks reproduces the source exactly; leading
-    trivia belongs to the following chunk, trailing trivia to the last.
+    ``start_line``/``start_col`` are 1-based.  The chunk's text runs
+    from its offset to the next chunk's; concatenating the texts of all
+    chunks reproduces the source exactly.  Leading trivia belongs to the
+    following chunk, trailing trivia to the last.
 
-    ``brace`` is the offset in ``text`` of the first ``{`` at brace
+    ``brace`` is the offset in the text of the first ``{`` at brace
     depth zero outside square brackets, or -1.  Its matching ``}`` is
     the declaration's terminator, so for a function definition
     ``text[:brace]`` is the header and ``text[brace:end]`` the body.
-    ``end`` is the offset just past the terminator: ``len(text)``
+    ``end`` is the offset just past the terminator: the text's length
     except for a last chunk that carries the unit's trailing trivia.
 
-    ``sha`` is the SHA-256 hex digest of ``text`` once :meth:`digest`
-    has computed it, else ``None``.  A chunk a splice carries over
-    keeps it, so only the chunks a split actually scanned hash afresh.
+    ``sha`` is the SHA-256 hex digest of the text once
+    :meth:`Split.digest` has computed it, else ``None``.  A chunk a
+    splice carries over keeps it, so only the chunks a split actually
+    scanned hash afresh.
     """
 
-    __slots__ = ("source", "start", "stop", "start_line", "start_col",
-                 "brace", "end", "sha")
+    __slots__ = ("start_line", "start_col", "brace", "end", "sha")
 
-    def __init__(self, source: str, start: int, stop: int, start_line: int,
-                 start_col: int, brace: int = -1, end: int = -1,
-                 sha: Optional[str] = None):
-        self.source = source
-        self.start = start
-        self.stop = stop
+    def __init__(self, start_line: int, start_col: int, brace: int,
+                 end: int, sha: Optional[str] = None):
         self.start_line = start_line
         self.start_col = start_col
         self.brace = brace
-        self.end = end if end >= 0 else stop - start
+        self.end = end
         self.sha = sha
 
-    @property
-    def text(self) -> str:
-        return self.source[self.start:self.stop]
-
-    def digest(self) -> str:
-        """``sha``, computed on first use."""
-        if self.sha is None:
-            self.sha = hashlib.sha256(self.text.encode()).hexdigest()
-        return self.sha
-
     def __repr__(self) -> str:
-        return (f"Chunk(line={self.start_line}, col={self.start_col}, "
-                f"{self.stop - self.start} chars)")
+        return f"Chunk(line={self.start_line}, col={self.start_col})"
+
+
+class PlacedChunk(NamedTuple):
+    """A chunk with its text, as indexing a :class:`Split` gives it."""
+    text: str
+    start_line: int
+    start_col: int
+    brace: int
+    end: int
+    sha: Optional[str]
+
+
+class Split:
+    """A unit's chunks in order (``chunks``) and each one's offset in
+    ``source`` (``starts``).
+
+    ``spliced`` is ``(k, j, m)``: this split is the held split it was
+    spliced from with chunks ``k:j`` replaced by its chunks ``k:k+m``,
+    and every other chunk the held one (a cold split replaced ``0:0``
+    of nothing).  A split's lists never change once made, so the held
+    split stays valid after a splice of it.
+    """
+
+    __slots__ = ("source", "chunks", "starts", "spliced")
+
+    def __init__(self, source: str, chunks: List[Chunk], starts: List[int],
+                 spliced: Tuple[int, int, int]):
+        self.source = source
+        self.chunks = chunks
+        self.starts = starts
+        self.spliced = spliced
+
+    def __len__(self) -> int:
+        return len(self.chunks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self.chunks))[index]]
+        i = range(len(self.chunks))[index]
+        chunk = self.chunks[i]
+        return PlacedChunk(self.text(i), chunk.start_line, chunk.start_col,
+                           chunk.brace, chunk.end, chunk.sha)
+
+    def __iter__(self) -> Iterator[PlacedChunk]:
+        return (self[i] for i in range(len(self.chunks)))
+
+    def stop(self, i: int) -> int:
+        """The offset just past chunk ``i``'s text."""
+        return self.starts[i + 1] if i + 1 < len(self.starts) \
+            else len(self.source)
+
+    def text(self, i: int) -> str:
+        return self.source[self.starts[i]:self.stop(i)]
+
+    def digest(self, i: int) -> str:
+        """Chunk ``i``'s ``sha``, computed on first use."""
+        chunk = self.chunks[i]
+        if chunk.sha is None:
+            chunk.sha = hashlib.sha256(self.text(i).encode()).hexdigest()
+        return chunk.sha
+
+    def line(self, number: int) -> Optional[str]:
+        """Line ``number`` of the source without its newline, or
+        ``None`` past the last line, numbered as
+        :func:`repro.diagnostics.reporter.source_lines` numbers lines.
+        Only the text of the chunk the line starts in is split."""
+        at = self._line_start(number)
+        if at is None or at >= len(self.source):
+            return None
+        end = self.source.find("\n", at)
+        return self.source[at:end] if end >= 0 else self.source[at:]
+
+    def lines(self, first: int, last: int) -> str:
+        """Lines ``first`` through ``last`` of the source, newlines
+        between them included; both lines must exist."""
+        end = self.source.find("\n", self._line_start(last))
+        start = self._line_start(first)
+        return self.source[start:end] if end >= 0 else self.source[start:]
+
+    def _line_start(self, number: int) -> Optional[int]:
+        """The offset line ``number`` starts at, found in the last chunk
+        that starts on or before it; ``None`` when there is no such
+        chunk or the line starts past the unit."""
+        chunks = self.chunks
+        lo, hi = 0, len(chunks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if chunks[mid].start_line <= number:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == 0:
+            return None
+        i = lo - 1
+        chunk, start = chunks[i], self.starts[i]
+        skip = number - chunk.start_line
+        if not skip:
+            return start - (chunk.start_col - 1)
+        stop = self.stop(i)
+        tail = self.source[start:stop].split("\n", skip)
+        if len(tail) <= skip:
+            return None
+        return stop - len(tail[-1])
 
 
 #: The characters the scanner stops on at depth zero: comment, string
@@ -120,22 +217,26 @@ _STRING_BODY = re.compile(r"(?:\\[\s\S]|[^\"\n\\])*")
 _WORD = re.compile(r"\w*")
 
 
-def split_chunks(source: str, held: Sequence[Chunk] = ()) -> List[Chunk]:
+def split_chunks(source: str, held: Optional[Split] = None) -> Split:
     """Split a compilation unit into one chunk per top-level declaration,
     each with the offset of its first depth-zero ``{`` outside brackets
     (where a function's body starts; see :class:`Chunk`).
 
-    ``held``, when given, is the whole split of an earlier revision,
-    as this function returned it.  The result is the same as without
-    it, but only the text from the first chunk the edit touches to the
-    first held chunk boundary past the edit is scanned: the chunks
-    before and after are ``held``'s, carried over with their ``sha``.
-    A chunk whose ``sha`` is ``None`` is one this call scanned."""
+    ``held``, when given, is the split of an earlier revision.  The
+    result is the same as without it, but only the text from the first
+    chunk the edit touches to the first held chunk boundary past the
+    edit is scanned: the chunks before and after are ``held``'s own
+    objects, with their ``sha``, and ``spliced`` says which range of
+    ``held`` the scanned chunks replace.  A chunk whose ``sha`` is
+    ``None`` is one this call scanned."""
     if not held:
-        return _scan(source, [], 0, 1, 1)
-    old = held[0].source
+        chunks, starts, _ = _scan(source, 0, 1, 1)
+        if not chunks and source:
+            chunks, starts = [Chunk(1, 1, -1, len(source))], [0]
+        return Split(source, chunks, starts, (0, 0, len(chunks)))
+    old = held.source
     if source == old:
-        return list(held)
+        return Split(source, held.chunks, held.starts, (0, 0, 0))
     n, m = len(source), len(old)
     # The common prefix and suffix, by binary search over slice
     # compares (C-speed memcmp); the suffix never overlaps the prefix.
@@ -156,27 +257,49 @@ def split_chunks(source: str, held: Sequence[Chunk] = ()) -> List[Chunk]:
             hi = mid
     # Keep every chunk that ends inside the prefix, except the last:
     # its trailing trivia may be what changed.
-    k, last = 0, len(held) - 1
-    while k < last and held[k].stop <= prefix:
-        k += 1
-    chunks = _moved(source, held[:k], 0, 0, 0)
-    first = held[k]
-    return _scan(source, chunks, first.start, first.start_line,
-                 first.start_col, held, k, n - lo, n - m)
+    last = len(held.chunks) - 1
+    k = min(bisect_right(held.starts, prefix, 1) - 1, last)
+    first = held.chunks[k]
+    start = held.starts[k]
+    chunks, starts, j = _scan(source, start, first.start_line,
+                              first.start_col, held, n - lo, n - m)
+    if not chunks and start < n:
+        # Only text without a terminator was left to scan: it joins
+        # the chunk before, whose text (and so ``sha``) changes, or is
+        # the unit's one chunk.
+        if k:
+            k -= 1
+            prev = held.chunks[k]
+            chunks, starts = [Chunk(prev.start_line, prev.start_col,
+                                    prev.brace, prev.end)], [held.starts[k]]
+        else:
+            chunks, starts = [Chunk(1, 1, -1, n)], [0]
+    delta = n - m
+    tail = held.starts[j:]
+    if delta:
+        tail = list(map(delta.__add__, tail))
+    return Split(source, held.chunks[:k] + chunks + held.chunks[j:],
+                 held.starts[:k] + starts + tail, (k, j, len(chunks)))
 
 
-def _scan(source: str, chunks: List[Chunk], i: int, chunk_line: int,
-          chunk_col: int, held: Sequence[Chunk] = (), k: int = 0,
-          sync: int = -1, delta: int = 0) -> List[Chunk]:
+def _scan(source: str, i: int, chunk_line: int, chunk_col: int,
+          held: Optional[Split] = None, sync: int = -1, delta: int = 0
+          ) -> Tuple[List[Chunk], List[int], int]:
     """Scan ``source`` from offset ``i``, a chunk boundary at line
-    ``chunk_line`` and column ``chunk_col``, appending to ``chunks``.
+    ``chunk_line`` and column ``chunk_col``: the chunks found, their
+    offsets, and the index of the first ``held`` chunk they do not
+    replace.
 
     With ``held``, the text from new offset ``sync`` on is the held
     source's from ``sync - delta`` on: the first boundary there that
-    is a held chunk's start (searched from ``held[k]``) ends the scan,
-    and the held chunks from there on are appended, moved."""
+    is a held chunk's start ends the scan.  When that chunk's line or
+    column differs from the boundary's, the held chunks that move are
+    copied at their new place (all of them for a line, those on the
+    boundary's line for a column) and count as replaced too."""
     n = len(source)
-    if sync < 0:
+    chunks: List[Chunk] = []
+    starts: List[int] = []
+    if held is None:
         sync = n + 1
     depth = 0
     # The current chunk's first offset and its first body brace.
@@ -250,8 +373,9 @@ def _scan(source: str, chunks: List[Chunk], i: int, chunk_line: int,
             continue
         # A top-level ``;`` or ``}`` ends the chunk just before ``i``;
         # the next chunk starts where its newlines leave off.
-        chunks.append(Chunk(source, chunk_start, i, chunk_line, chunk_col,
-                            chunk_brace))
+        chunks.append(Chunk(chunk_line, chunk_col, chunk_brace,
+                            i - chunk_start))
+        starts.append(chunk_start)
         nl = source.count("\n", chunk_start, i)
         if nl:
             chunk_line += nl
@@ -261,42 +385,37 @@ def _scan(source: str, chunks: List[Chunk], i: int, chunk_line: int,
         chunk_start, chunk_brace = i, -1
         if i >= sync:
             # In the unchanged suffix: resync on a held boundary.
-            target = i - delta
-            while k < len(held) and held[k].start < target:
-                k += 1
-            if k < len(held) and held[k].start == target:
-                first = held[k]
-                chunks.extend(_moved(source, held[k:], delta,
-                                     chunk_line - first.start_line,
-                                     chunk_col - first.start_col))
-                return chunks
+            k = bisect_left(held.starts, i - delta)
+            if k < len(held.chunks) and held.starts[k] == i - delta:
+                return chunks, starts, _resync(held, k, chunks, starts,
+                                               delta, chunk_line, chunk_col)
 
     if depth != 0:
         raise ChunkError("unbalanced braces")
     if brackets != 0:
         raise ChunkError("unbalanced brackets")
-    if chunk_start < n:
-        # Trailing text after the last terminator: usually pure trivia.
-        # Attach it to the previous chunk so the chunk list stays one
-        # entry per declaration.
-        if chunks:
-            last = chunks[-1]
-            chunks[-1] = Chunk(source, last.start, n, last.start_line,
-                               last.start_col, last.brace, last.end)
-        else:
-            chunks.append(Chunk(source, chunk_start, n, chunk_line,
-                                chunk_col))
-    return chunks
+    # Trailing text after the last terminator (usually pure trivia)
+    # belongs to the last chunk, whose text runs to the end.
+    return chunks, starts, len(held.chunks) if held is not None else 0
 
 
-def _moved(source: str, chunks: Sequence[Chunk], delta: int, lines: int,
-           cols: int) -> List[Chunk]:
-    """``chunks`` carried into ``source``: each moves ``delta``
-    characters and ``lines`` lines, and those on the first chunk's line
-    move ``cols`` columns too."""
-    line = chunks[0].start_line if chunks else 0
-    return [Chunk(source, c.start + delta, c.stop + delta,
-                  c.start_line + lines,
-                  c.start_col + cols if c.start_line == line
-                  else c.start_col, c.brace, c.end, c.sha)
-            for c in chunks]
+def _resync(held: Split, k: int, chunks: List[Chunk], starts: List[int],
+           delta: int, line: int, col: int) -> int:
+    """Resync on ``held`` chunk ``k``, now at line ``line`` and column
+    ``col``: append a copy of each held chunk from ``k`` on whose place
+    that moves, and return the index of the first one left as is."""
+    first = held.chunks[k]
+    lines, cols = line - first.start_line, col - first.start_col
+    if not (lines or cols):
+        return k
+    for chunk in held.chunks[k:]:
+        if not lines and chunk.start_line != first.start_line:
+            break
+        chunks.append(Chunk(chunk.start_line + lines,
+                            chunk.start_col + cols
+                            if chunk.start_line == first.start_line
+                            else chunk.start_col,
+                            chunk.brace, chunk.end, chunk.sha))
+        starts.append(held.starts[k] + delta)
+        k += 1
+    return k

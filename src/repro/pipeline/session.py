@@ -13,12 +13,21 @@ invalidated:
 * **chunk splice** — the unit is split into top-level declaration
   chunks (:mod:`repro.pipeline.chunks`) by splicing the held split:
   only the text from the first chunk an edit touches to the first
-  held chunk boundary past it is scanned, and the other chunks are
-  carried over with their content hashes, so a save does not re-scan
-  or re-hash the file;
-* **chunked parsing** — a chunk the held revision has too, same
-  content hash and position, keeps its AST, so editing one function
-  re-parses one declaration, not the file;
+  held chunk boundary past it is scanned, and the split reports which
+  range of held chunks the scanned ones replace.  Every other chunk is
+  the held object, with its content hash, so a save does not re-scan,
+  re-hash or copy the file's chunks;
+* **range update** — every per-file structure is updated by that
+  range only: the parsed chunks are a list parallel to the split,
+  spliced the same way, and the context and the function results are
+  touched only where the range's chunks are.  A re-save is the empty
+  range; an edit that adds or removes a line runs the range to the end
+  of the unit, since every chunk below it moves.  The reporter a check
+  returns quotes a reported line from the chunk it starts in, not from
+  the unit split into lines;
+* **chunked parsing** — a chunk in the range with the content hash
+  and position of a held chunk it replaces keeps its AST, so editing
+  one function re-parses one declaration, not the file;
 * **header-only functions** — a function-definition chunk is parsed
   only up to its body: elaboration needs signatures alone, and a
   summary fingerprint reads the function's text, not its AST.  A body
@@ -28,29 +37,37 @@ invalidated:
   reported exactly as ``check_source`` reports them;
 * **context** — the elaborated :class:`ProgramContext` (layered on
   the process-wide stdlib base) is held per file and reused by any
-  revision with the same interface: same signatures and every
-  declaration chunk unchanged in place.  A body edit, a blank line in
-  a body or a reflowed header only re-points the context's function
-  definitions at the fresh chunks; ``build_context`` runs only when
-  the interface changes, a declaration moves or the held context has
-  diagnostics;
+  revision with the same interface: the env token (the digest of the
+  chunks' interface parts, recomputed only when the range's parts
+  differ from the ones they replace) unchanged and no declaration
+  chunk parsed.  A body edit, a blank line in a body or a reflowed
+  header only re-points the context's definitions of the range's
+  functions at their fresh nodes; ``build_context`` runs only when the
+  interface changes, a declaration moves or the held context has
+  diagnostics.  The context entry holds the defined functions in
+  sorted order, sorted once when it is elaborated;
 * **held function results** — each function's last result is held
-  on its ``FunDef`` node, under the env token.  A node outlives a
-  check only inside a chunk that was a hit (or a context that was
-  held), so while the context was held or reused and the env token is
-  the same, the function's text, place and visible signatures are
-  what they were, and the result is served as is: no fingerprint,
-  summary lookup or relocation.  Under an elaborated context only its
-  fingerprint is reused.  A body edit of a 640-function unit
-  fingerprints and checks one function; a re-save serves every
-  function ("replayed whole unit");
+  on its ``FunDef`` node, under the env token, and its diagnostics
+  and fingerprint in the context entry's lists, by sorted place.  A
+  node outlives a check only inside a chunk that was carried or a hit
+  (or a context that was held), so while the context was held or
+  reused the functions to answer are the *pending* ones, whose node is
+  new: the range's.  Every other result is served as is: no
+  fingerprint, summary lookup or relocation, and the unit's
+  diagnostics are the held per-function tuples joined.  Under an
+  elaborated context every function is pending and only a node's
+  fingerprint is reused.  A body edit of a 640-function unit parses
+  one header and one body, fingerprints (from the function's own
+  chunk) and checks one function; a re-save serves every function
+  ("replayed whole unit");
 * **summaries** — each file keeps one map from a stable content
   fingerprint of a function and everything it references
   (:mod:`repro.pipeline.fingerprint`) to the function's diagnostics,
   position-free: lines count from the function's first line and no
   file name is kept, so a summary replays wherever the function moves
   within the file.  The map holds the functions of the file's latest
-  checked revision (or of its loaded record) and nothing else: a
+  checked revision (or of its loaded record) and nothing else: an
+  answered function's summary replaces the one it had before.  A
   function whose text differs from that revision's, an undo or a copy
   under another file name among them, is checked again;
 * **file records** — with ``cache_dir``, each file's diagnostic stream
@@ -112,8 +129,10 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
-from operator import countOf
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import Counter
+from itertools import chain
+from operator import attrgetter, countOf
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core import build_context, check_function_diagnostics
 from ..diagnostics import (Diagnostic, Note, Pos, Reporter, Span,
@@ -126,18 +145,13 @@ from ..stdlib.loader import base_context_cache_info
 from ..syntax import ast, parse_program, tokenize
 from ..syntax.parser import parse_fun_body, parse_fun_header
 from ..syntax.tokens import T, Token
-from .chunks import Chunk, ChunkError, split_chunks
+from .chunks import Chunk, ChunkError, Split, split_chunks
 from .faults import FaultPlan
 from .fingerprint import function_fingerprint
 
 #: the files a session holds; past the cap the least recently checked
 #: one is evicted, and its next check starts cold, or from its record.
 _MAX_FILES = 64
-
-
-#: one declaration chunk's key within its file: (content hash, start
-#: line, start column).
-_ChunkKey = Tuple[str, int, int]
 
 
 def _sha(text: str) -> str:
@@ -163,6 +177,13 @@ def _relocate(diags: Tuple[Diagnostic, ...], lines: int, filename: str
         for d in diags)
 
 
+def _unit_lines(source: str):
+    """``Split.lines`` for a unit that did not split (and so was parsed
+    whole)."""
+    lines = source_lines(source)
+    return lambda first, last: "\n".join(lines[first - 1:last])
+
+
 def _inside(diags: Tuple[Diagnostic, ...], where: Span) -> bool:
     """Whether every span ``diags`` report, notes included, lies in
     the file and lines of ``where``.  Only such a result may become a
@@ -178,14 +199,15 @@ def _inside(diags: Tuple[Diagnostic, ...], where: Span) -> bool:
     return True
 
 
-def _line_col(chunk: Chunk, offset: int) -> Tuple[int, int]:
-    """Line and column of ``chunk.text[offset]`` in the unit, as the
-    lexer numbers them (only ``\n`` ends a line)."""
-    source, at = chunk.source, chunk.start + offset
-    nl = source.rfind("\n", chunk.start, at)
+def _line_col(text: str, line: int, col: int, offset: int
+              ) -> Tuple[int, int]:
+    """Line and column of ``text[offset]`` in the unit, for a ``text``
+    that starts at ``line`` and ``col``, as the lexer numbers them (only
+    ``\n`` ends a line)."""
+    nl = text.rfind("\n", 0, offset)
     if nl < 0:
-        return chunk.start_line, offset + chunk.start_col
-    return chunk.start_line + source.count("\n", chunk.start, at), at - nl
+        return line, offset + col
+    return line + text.count("\n", 0, offset), offset - nl
 
 
 class CheckRecord:
@@ -259,18 +281,26 @@ class _WholeUnit(Exception):
 
 
 class _CtxEntry:
-    __slots__ = ("key", "ctx", "diags", "env_token", "programs")
+    """A file's elaborated context, and its functions' latest results
+    in sorted qualified-name order."""
 
-    def __init__(self, key: object, ctx, diags: Tuple[Diagnostic, ...],
-                 env_token: str = "", programs: Sequence = ()):
-        #: the revision's chunk keys (unsplit: its sha256)
-        self.key = key
+    __slots__ = ("revision", "ctx", "diags", "env_token", "programs",
+                 "quals", "index", "results", "fps", "pending")
+
+    def __init__(self, revision: Union[Split, str], ctx,
+                 diags: Tuple[Diagnostic, ...], env_token: str,
+                 programs: Optional[List[ast.Program]]):
+        #: the split the context was elaborated or reused under (the
+        #: file's held split), or the sha256 of a unit parsed whole
+        self.revision = revision
         self.ctx = ctx
         self.diags = diags
-        #: the revision's programs, whose header-only definitions include
-        #: any a duplicate name hides from ``ctx.fun_defs``: a check
-        #: that stops at the context's diagnostics still parses their
-        #: bodies, since ``check_source`` raises a syntax error first.
+        #: a unit parsed whole: its one program, whose header-only
+        #: definitions include any a duplicate name hides from
+        #: ``ctx.fun_defs`` (a check that stops at the context's
+        #: diagnostics still parses their bodies, since
+        #: ``check_source`` raises a syntax error first).  ``None``
+        #: under a split: the file's held chunks are the programs.
         self.programs = programs
         #: digest of every chunk's *interface* (signatures and
         #: declarations, not function bodies) plus the session's
@@ -278,6 +308,16 @@ class _CtxEntry:
         #: the FunDef nodes under it, so a body edit, which leaves it
         #: unchanged, re-fingerprints one function.
         self.env_token = env_token
+        #: the defined functions in sorted order and each one's place
+        self.quals = sorted(ctx.fun_defs)
+        self.index = {qual: i for i, qual in enumerate(self.quals)}
+        #: each function's diagnostics and fingerprint, by place
+        self.results: List[Tuple[Diagnostic, ...]] = [()] * len(self.quals)
+        self.fps: List[Optional[str]] = [None] * len(self.quals)
+        #: the functions whose node is new since they were last
+        #: answered: every one after elaboration, then the ones an
+        #: edit re-parses.  ``_check_functions`` answers these only.
+        self.pending: Set[str] = set(self.quals)
 
 
 class _ChunkEntry:
@@ -304,14 +344,15 @@ class _ChunkEntry:
 class _FileState:
     """What a session keeps of one file: its latest revision only."""
 
-    __slots__ = ("split", "chunks", "ctx", "sha", "summaries")
+    __slots__ = ("split", "chunks", "env_token", "ctx", "sha", "summaries")
 
     def __init__(self) -> None:
-        #: the last successful split (its chunks point into the one
-        #: source they were split from); the next revision splices it.
-        self.split: List[Chunk] = []
-        #: the chunks of the revision last split and parsed.
-        self.chunks: Dict[_ChunkKey, _ChunkEntry] = {}
+        #: the split last parsed into chunks; the next revision splices
+        #: it, and ``chunks[i]`` is its chunk ``i`` parsed.
+        self.split: Optional[Split] = None
+        self.chunks: List[_ChunkEntry] = []
+        #: the env token of ``split``'s revision (see ``_CtxEntry``)
+        self.env_token = ""
         self.ctx: Optional[_CtxEntry] = None
         #: with ``cache_dir``, the sha256 of the source whose record
         #: this session last loaded or wrote ("" for none, ``None``
@@ -419,17 +460,22 @@ class CheckSession:
             else:
                 metrics.counter("cache.stdlib_base.misses").inc()
             reporter.diagnostics.extend(base_diags)
+        split = self._split(source, state)
+        if split is not None:
+            # A quoted line is read from its chunk, not from the unit
+            # split into lines.
+            reporter.line_at = split.line
         prefix = len(reporter.diagnostics)
         try:
             self._check_unit(source, filename, state, started, reporter,
-                             base)
+                             base, split)
         except _WholeUnit:
             # Redo the unit only: the lookups above are done once, and
             # the functions are answered afresh.
             del reporter.diagnostics[prefix:]
             self.last.functions = {}
             self._check_unit(source, filename, state, started, reporter,
-                             base, split=False)
+                             base, split, chunked=False)
         if sha is not None and state.sha != sha:
             self._save_record(filename, state, sha, reporter)
         return self._finish(reporter)
@@ -457,32 +503,35 @@ class CheckSession:
 
     def _check_unit(self, source: str, filename: str, state: _FileState,
                     started: float, reporter: Reporter, base,
-                    split: bool = True) -> None:
+                    split: Optional[Split], chunked: bool = True) -> None:
         """The unit's context, then each function's diagnostics (none
         when the context's own diagnostics stop the check)."""
-        entry, how = self._context_for(source, filename, state, base, split)
+        entry, how = self._context_for(source, filename, state, base,
+                                       split if chunked else None)
         self.last.context_seconds = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
         if not reporter.ok:
             # check_source parses every body before it elaborates, so
             # a syntax error outranks these diagnostics.
-            self._parse_bodies([decl for program in entry.programs
+            programs = entry.programs if entry.programs is not None \
+                else [chunk.program for chunk in state.chunks]
+            self._parse_bodies([decl for program in programs
                                 for decl in program.decls
                                 if isinstance(decl, ast.FunDef)], filename)
             return
         check_started = time.perf_counter()
         with self.telemetry.tracer.span("check_functions"):
-            results, whole = self._check_functions(
-                entry, state, source, filename, how)
+            whole = self._check_functions(entry, state, source, filename,
+                                          how, split)
         if not whole:
             self.last.check_seconds = time.perf_counter() - check_started
-        for diags in results:
-            reporter.diagnostics.extend(diags)
+        reporter.diagnostics.extend(chain.from_iterable(entry.results))
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
-        for diag in reporter.diagnostics:
-            metrics.counter(f"diagnostics.{diag.code.value}").inc()
+        codes = Counter(map(attrgetter("code"), reporter.diagnostics))
+        for code, count in codes.items():
+            metrics.counter(f"diagnostics.{code.value}").inc(count)
         return reporter
 
     def close(self) -> None:
@@ -499,62 +548,103 @@ class CheckSession:
 
     # -- context construction ----------------------------------------------
 
+    def _split(self, source: str, state: _FileState) -> Optional[Split]:
+        """The revision's split, spliced from the file's held split, or
+        ``None`` when the unit cannot be split (or is empty)."""
+        with self.telemetry.tracer.span("split_chunks"):
+            try:
+                split = split_chunks(source, state.split)
+            except ChunkError:
+                return None
+        if not split:
+            return None
+        k, j, m = split.spliced
+        # a chunk the splice carried over kept its hash
+        scanned = sum(chunk.sha is None for chunk in split.chunks[k:k + m])
+        metrics = self.telemetry.metrics
+        metrics.counter("cache.chunk_splice.hits").inc(len(split) - scanned)
+        metrics.counter("cache.chunk_splice.misses").inc(scanned)
+        return split
+
     def _context_for(self, source: str, filename: str, state: _FileState,
-                     base, split: bool = True) -> Tuple[_CtxEntry, str]:
+                     base, split: Optional[Split]) -> Tuple[_CtxEntry, str]:
         """The revision's context entry and how it was had: ``held``,
         the held entry on a re-save; ``reused``, the held context under
-        the new chunks when the interface is unchanged
-        (``_kept_functions``); or ``elaborated``, a new one."""
-        chunks = None
-        if split:
-            with self.telemetry.tracer.span("split_chunks"):
-                try:
-                    chunks = split_chunks(source, state.split)
-                except ChunkError:
-                    pass
-        if chunks:
-            state.split = chunks
-            # a chunk the splice carried over kept its hash
-            scanned = sum(chunk.sha is None for chunk in chunks)
-            metrics = self.telemetry.metrics
-            metrics.counter("cache.chunk_splice.hits").inc(
-                len(chunks) - scanned)
-            metrics.counter("cache.chunk_splice.misses").inc(scanned)
-            chunk_keys = [(c.digest(), c.start_line, c.start_col)
-                          for c in chunks]
-            key: object = tuple(chunk_keys)
-        else:
-            chunk_keys = []
-            key = _sha(source)
+        the new chunks when the interface is unchanged; or
+        ``elaborated``, a new one.  ``split`` is the revision's split,
+        or ``None`` to parse the unit whole."""
         held = state.ctx
-        if held is not None and held.key == key:
+        if split is not None:
+            k, j, m = split.spliced
+            if held is not None and held.revision is state.split \
+                    and k == j and not m:
+                return held, self._count_context("held")
+            parsed = self._parse_chunks(split, state, filename)
+            if parsed is not None:
+                return self._chunk_context(split, filename, state, base,
+                                           *parsed)
+        revision = _sha(source)
+        if held is not None and held.revision == revision:
             return held, self._count_context("held")
-        held_chunks = state.chunks
-        programs, env_token = self._parse(source, filename, state, chunks,
-                                          chunk_keys)
-        # Functions are checked against declared signatures only (paper
-        # §3), so a revision with the held interface elaborates to the
-        # held context.  Reuse it when it came from chunks (those
-        # ``_kept_functions`` compares with), has no diagnostics of its
-        # own (they may point into function bodies, which move) and
-        # has this revision's env token.
-        kept = None
-        if held is not None and isinstance(held.key, tuple) \
-                and not held.diags and held.env_token == env_token:
-            kept = self._kept_functions(held_chunks, state.chunks)
-        if kept is not None:
-            how = self._count_context("reused")
-            ctx, diags = held.ctx, held.diags
-            for fundef in kept:
-                ctx.fun_defs[fundef.decl.name] = fundef
-        else:
-            how = self._count_context("elaborated")
-            sub = Reporter()
-            with self.telemetry.tracer.span("elaborate"):
-                ctx = build_context(programs, sub, base=base)
-            diags = tuple(sub.diagnostics)
-        state.ctx = _CtxEntry(key, ctx, diags, env_token, programs)
+        program, env_token = self._parse_whole(source, filename, revision)
+        how = self._count_context("elaborated")
+        ctx, diags = self._elaborate([program], base)
+        state.ctx = _CtxEntry(revision, ctx, diags, env_token, [program])
         return state.ctx, how
+
+    def _chunk_context(self, split: Split, filename: str, state: _FileState,
+                       base, fresh: List[_ChunkEntry],
+                       parsed: List[_ChunkEntry]) -> Tuple[_CtxEntry, str]:
+        """Put the revision's chunks in place of the held ones: chunks
+        ``k:k+m`` of ``split`` are ``fresh`` (of which ``parsed`` were
+        parsed, the rest held chunks with the same text and place), and
+        every other chunk is the held one.
+
+        Functions are checked against declared signatures only (paper
+        §3), so a revision with the held interface elaborates to the
+        held context.  It is reused when it came from the held split
+        and has no diagnostics of its own (they may point into function
+        bodies, which move), the env token is unchanged and no chunk
+        but a top-level function definition was parsed: declaration
+        chunks hold the context's positioned tables (type spans,
+        interfaces, modules), so they must not move, while a function
+        chunk adds only its position-free signature.  The context's
+        definitions of the parsed functions are then re-pointed at the
+        new nodes, and those functions become pending."""
+        k, j, m = split.spliced
+        held_chunks = state.chunks
+        chunks = held_chunks[:k] + fresh + held_chunks[j:]
+        if state.split is not None \
+                and [c.part for c in held_chunks[k:j]] == \
+                [c.part for c in fresh]:
+            env_token = state.env_token
+        else:
+            env_token = _sha("\x00".join([chunk.part for chunk in chunks])
+                             + f"\x00{filename}\x00{self.units!r}"
+                               f"\x00{self.stdlib!r}")
+        held = state.ctx
+        reuse = held is not None and held.revision is state.split \
+            and not held.diags and held.env_token == env_token \
+            and all(chunk.fundef is not None for chunk in parsed)
+        state.split, state.chunks, state.env_token = split, chunks, env_token
+        if reuse:
+            fun_defs = held.ctx.fun_defs
+            for chunk in parsed:
+                fun_defs[chunk.fundef.decl.name] = chunk.fundef
+                held.pending.add(chunk.fundef.decl.name)
+            held.revision = split
+            return held, self._count_context("reused")
+        how = self._count_context("elaborated")
+        ctx, diags = self._elaborate([chunk.program for chunk in chunks], base)
+        state.ctx = _CtxEntry(split, ctx, diags, env_token, None)
+        return state.ctx, how
+
+    def _elaborate(self, programs: List[ast.Program], base
+                   ) -> Tuple[object, Tuple[Diagnostic, ...]]:
+        sub = Reporter()
+        with self.telemetry.tracer.span("elaborate"):
+            ctx = build_context(programs, sub, base=base)
+        return ctx, tuple(sub.diagnostics)
 
     def _count_context(self, how: str) -> str:
         """Record what the context step did, and return it: ``held`` and
@@ -566,63 +656,56 @@ class CheckSession:
             else "cache.context.hits").inc()
         return how
 
-    @staticmethod
-    def _kept_functions(held: Dict[_ChunkKey, _ChunkEntry],
-                        chunks: Dict[_ChunkKey, _ChunkEntry]
-                        ) -> Optional[List[ast.FunDef]]:
-        """The function definitions of ``chunks`` in unit order, when
-        every other chunk is one of ``held`` at the same place; else
-        ``None``.  Declaration chunks hold the context's positioned
-        tables (type spans, interfaces, modules), so they must not
-        move; a function chunk adds only its position-free signature."""
-        fundefs = []
-        for ckey, chunk in chunks.items():
-            if chunk.fundef is not None:
-                fundefs.append(chunk.fundef)
-            elif ckey not in held:
-                return None
-        return fundefs
-
-    def _parse(self, source: str, filename: str, state: _FileState,
-               chunks: Optional[List[Chunk]],
-               chunk_keys: List[_ChunkKey]
-               ) -> Tuple[List[ast.Program], str]:
-        """The revision's programs and env token.  Each chunk comes from
-        the file's held map or a fresh parse, and the new map replaces
-        the held one."""
+    def _parse_chunks(self, split: Split, state: _FileState, filename: str
+                      ) -> Optional[Tuple[List[_ChunkEntry],
+                                          List[_ChunkEntry]]]:
+        """The entries of the chunks ``split`` scanned (``k:k+m`` of its
+        ``spliced``), and which of them were parsed; ``None`` when one
+        does not parse.  A chunk with the text and place of one of the
+        held chunks it replaces keeps that chunk's entry; every chunk
+        outside the range is a held chunk, kept by construction."""
         metrics = self.telemetry.metrics
-        if not chunks:
-            return self._parse_whole(source, filename)
-        held = state.chunks
-        parsed: Dict[_ChunkKey, _ChunkEntry] = {}
+        k, j, m = split.spliced
+        replaced: Dict[Tuple[str, int, int], _ChunkEntry] = {}
+        if state.split is not None:
+            old = state.split
+            for x in range(k, j):
+                chunk = old.chunks[x]
+                replaced[old.digest(x), chunk.start_line, chunk.start_col] = \
+                    state.chunks[x]
+        fresh: List[_ChunkEntry] = []
+        parsed: List[_ChunkEntry] = []
         try:
-            for chunk, ckey in zip(chunks, chunk_keys):
-                parsed[ckey] = held.get(ckey) \
-                    or self._parse_chunk(chunk, ckey[0], filename)
+            for i in range(k, k + m):
+                chunk = split.chunks[i]
+                sha = split.digest(i)
+                entry = replaced.get((sha, chunk.start_line, chunk.start_col))
+                if entry is None:
+                    entry = self._parse_chunk(split, i, sha, filename)
+                    parsed.append(entry)
+                fresh.append(entry)
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
             # exactly as the non-incremental path reports them.
-            return self._parse_whole(source, filename)
+            return None
         finally:
-            hits = len(parsed.keys() & held.keys())
-            self.last.chunks_parsed += len(parsed) - hits
-            metrics.counter("cache.chunk_ast.hits").inc(hits)
-            metrics.counter("cache.chunk_ast.misses").inc(len(parsed) - hits)
-        state.chunks = parsed
-        env_token = _sha("\x00".join(chunk.part for chunk in parsed.values())
-                         + f"\x00{filename}\x00{self.units!r}"
-                           f"\x00{self.stdlib!r}")
-        return [chunk.program for chunk in parsed.values()], env_token
+            # the chunks before the range, and any after it once the
+            # range parsed, are hits too
+            seen = len(split) if len(fresh) == m else k + len(fresh)
+            self.last.chunks_parsed += len(parsed)
+            metrics.counter("cache.chunk_ast.hits").inc(seen - len(parsed))
+            metrics.counter("cache.chunk_ast.misses").inc(len(parsed))
+        return fresh, parsed
 
-    def _parse_chunk(self, chunk: Chunk, sha: str, filename: str
+    def _parse_chunk(self, split: Split, i: int, sha: str, filename: str
                      ) -> _ChunkEntry:
-        """One chunk-AST entry: the chunk's program and its interface
-        digest.  A function definition is parsed only up to its body
-        (see ``_header_only``); any other chunk is lexed once and
-        parsed whole."""
+        """Chunk ``i``'s entry: its program and its interface digest.  A
+        function definition is parsed only up to its body (see
+        ``_header_only``); any other chunk is lexed once and parsed
+        whole."""
         tracer = self.telemetry.tracer
-        text = chunk.text
+        chunk, text = split.chunks[i], split.text(i)
         if chunk.brace >= 0:
             with tracer.span("lex", filename=filename):
                 tokens = tokenize(text[:chunk.brace], filename,
@@ -662,11 +745,12 @@ class CheckSession:
             decl = parse_fun_header(tokens, filename)
         except VaultError:
             return None
-        line, col = _line_col(chunk, chunk.end - 1)
+        at = chunk.start_line, chunk.start_col
+        line, col = _line_col(text, *at, chunk.end - 1)
         span = Span(decl.span.start, Pos(line, col + 1), filename)
         fundef = ast.FunDef(span, decl, None)
         fundef._pl_body = (text[chunk.brace:chunk.end],
-                           *_line_col(chunk, chunk.brace))
+                           *_line_col(text, *at, chunk.brace))
         return fundef
 
     def _parse_bodies(self, fundefs: Sequence[ast.FunDef],
@@ -724,82 +808,94 @@ class CheckSession:
             header.append(tok.text)
         return "\x1f".join(header)
 
-    def _parse_whole(self, source: str, filename: str
-                     ) -> Tuple[List[ast.Program], str]:
-        """The unit parsed whole, and its env token."""
+    def _parse_whole(self, source: str, filename: str, sha: str
+                     ) -> Tuple[ast.Program, str]:
+        """The unit (whose sha256 is ``sha``) parsed whole, and its env
+        token."""
         self.last.whole_parse = True
-        return [parse_program(source, filename)], _sha(
-            f"unit\x00{_sha(source)}\x00{filename}"
+        return parse_program(source, filename), _sha(
+            f"unit\x00{sha}\x00{filename}"
             f"\x00{self.units!r}\x00{self.stdlib!r}")
 
     # -- function checking -------------------------------------------------
 
     def _check_functions(self, entry: _CtxEntry, state: _FileState,
-                         source: str, filename: str, how: str
-                         ) -> Tuple[List[Tuple[Diagnostic, ...]], bool]:
-        """Diagnostics per function, in serial (sorted-qual) order, and
-        whether every one was served from its held result.
+                         source: str, filename: str, how: str,
+                         split: Optional[Split]) -> bool:
+        """Answer the entry's pending functions, in serial (sorted-qual)
+        order, into its ``results``; return whether every function was
+        served from its held result.
 
         Each function's result is held on its ``FunDef`` node as
         ``_pl_result``, ``(env token, fingerprint, diagnostics)``.  A
-        node is carried into a check only by a chunk that is a hit
-        (same text and place) or a held context, so when the context
+        node is carried into a check only by a chunk the splice carried
+        or that is a hit (same text and place), or by a held context,
+        so when the context
         was held or reused (``how``) a node whose result has this env
         token is answered from it: no fingerprint, summary lookup or
         relocation.  Its text and place are what they were, and every
         signature it sees is the env token's; a span outside its lines
         can only be in a declaration chunk, which a held or reused
-        context has in place.  Under an elaborated context such a node
-        reuses only its fingerprint.  Every other function is answered
-        by the file's summary map or a flow check, and the result is
-        then held on its node.
+        context has in place.  That holds for every function that is
+        not pending, so only the pending ones are looked at.  Under an
+        elaborated context every function is pending, and a node's
+        result gives only its fingerprint.  Every other function is
+        answered by the file's summary map or a flow check, and the
+        result is then held on its node.
 
-        The file's new summary map has every answered function's
-        summary: a served function's is the held map's, since the
-        held or reused context is the one the check that wrote that
-        map ran against.  A diagnostic with a span outside its
-        function's lines makes no summary."""
+        The file's summary map is updated in place by the functions
+        answered: a function's summary replaces the one of the
+        fingerprint it had before (fingerprints hash the qualified
+        name, so no two functions share one).  Under an elaborated
+        context the map starts empty and is looked up in the held one.
+        Either way it ends with the summary of every function that has
+        one: a diagnostic with a span outside its function's lines
+        makes none.  A function's lines come from its chunk (``split``,
+        this revision's) or, for a unit that did not split, from the
+        unit split into lines."""
         metrics = self.telemetry.metrics
         record = self.last
-        functions = record.functions
         ctx, env_token = entry.ctx, entry.env_token
+        quals, index, results, fps = \
+            entry.quals, entry.index, entry.results, entry.fps
+        functions = record.functions = dict.fromkeys(quals, "held")
+        servable = how != "elaborated"
         held = state.summaries
-        summaries: Dict[str, Tuple[Diagnostic, ...]] = {}
-        fn_items = ctx.defined_functions()
-        results: Dict[str, Tuple[Diagnostic, ...]] = {}
+        if not servable:
+            state.summaries = {}
+        summaries = state.summaries
+        lines = split.lines if split is not None else _unit_lines(source)
         # qual, def, fingerprint
         to_check: List[Tuple[str, ast.FunDef, str]] = []
-        lines: Optional[List[str]] = None
-        servable = how != "elaborated"
+        pending = sorted(entry.pending)
         served = memoized = 0
         with self.telemetry.tracer.span("fingerprint",
-                                        functions=len(fn_items)):
-            for qual, fundef in fn_items:
+                                        functions=len(quals)):
+            for qual in pending:
+                fundef = ctx.fun_defs[qual]
+                at = index[qual]
                 result = fundef.__dict__.get("_pl_result")
-                if result is not None and result[0] == env_token:
-                    fp = result[1]
-                    if servable:
-                        results[qual] = result[2]
-                        summary = held.get(fp)
-                        if summary is not None:
-                            summaries[fp] = summary
-                        functions[qual] = "held"
-                        served += 1
-                        continue
+                kept = result is not None and result[0] == env_token
+                if kept:
                     # A fingerprint covers the function's own text plus
                     # the rendered signatures it can see; both are
                     # pinned by (this node, the env token).
-                    memoized += 1
+                    fp = result[1]
                 else:
-                    # the function's own lines, position-free
-                    if lines is None:
-                        lines = source_lines(source)
                     span = fundef.span
-                    fp = function_fingerprint(ctx, qual, "\n".join(
-                        lines[span.start.line - 1:span.end.line]))
+                    fp = function_fingerprint(
+                        ctx, qual, lines(span.start.line, span.end.line))
+                if fps[at] != fp:
+                    summaries.pop(fps[at], None)
+                    fps[at] = fp
+                if kept and servable:
+                    results[at] = result[2]
+                    served += 1
+                    continue
+                memoized += kept
                 summary = held.get(fp)
                 if summary is not None:
-                    results[qual] = diags = _relocate(
+                    results[at] = diags = _relocate(
                         summary, fundef.span.start.line, fundef.span.filename)
                     fundef._pl_result = (env_token, fp, diags)
                     summaries[fp] = summary
@@ -807,36 +903,37 @@ class CheckSession:
                 else:
                     to_check.append((qual, fundef, fp))
                     functions[qual] = "checked"
+        served += len(quals) - len(pending)
         metrics.counter("cache.held_result.hits").inc(served)
-        metrics.counter("cache.held_result.misses").inc(len(fn_items) - served)
-        if servable and served == len(fn_items):
-            state.summaries = summaries
+        metrics.counter("cache.held_result.misses").inc(len(quals) - served)
+        if servable and served == len(quals):
+            entry.pending.clear()
             metrics.counter("cache.unit_replay.hits").inc(served)
             record.plan = "replayed whole unit"
-            return [results[qual] for qual, _ in fn_items], True
+            return True
         if memoized:
             metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
-        misses = len(fn_items) - served - memoized
+        misses = len(quals) - served - memoized
         if misses:
             metrics.counter("cache.fingerprint_memo.misses").inc(misses)
-        replayed = len(fn_items) - served - len(to_check)
+        replayed = len(quals) - served - len(to_check)
         if replayed:
             metrics.counter("cache.summary.hits").inc(replayed)
         if to_check:
             metrics.counter("cache.summary.misses").inc(len(to_check))
         record.plan = \
-            f"checked {len(to_check)} of {len(fn_items)} function(s)"
+            f"checked {len(to_check)} of {len(quals)} function(s)"
         self._parse_bodies([fundef for _, fundef, _ in to_check], filename)
         if to_check:
             checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
-                results[qual] = diags
+                results[index[qual]] = diags
                 if _inside(diags, fundef.span):
                     summaries[fp] = _relocate(
                         diags, -fundef.span.start.line, "")
                 fundef._pl_result = (env_token, fp, diags)
-        state.summaries = summaries
-        return [results[qual] for qual, _ in fn_items], False
+        entry.pending.clear()
+        return False
 
     def _run_checks(self, ctx, to_check) -> List[Tuple[Diagnostic, ...]]:
         """Flow-check each cache miss, in the order given."""

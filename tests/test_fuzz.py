@@ -266,6 +266,14 @@ def form_feed_revisions():
     return revisions
 
 
+def _number_lines_as_splitlines(monkeypatch):
+    """Make the session number a function's own lines as
+    ``str.splitlines`` does (the bug the form-feed sequence found)."""
+    from repro.pipeline import Split
+    monkeypatch.setattr(Split, "lines", lambda split, first, last: "\n".join(
+        split.source.splitlines()[first - 1:last]))
+
+
 class TestEditSequences:
     def test_same_seed_same_revisions(self):
         for seed in (0, 3, FORM_FEED_SEQUENCE):
@@ -331,11 +339,10 @@ class TestEditSequences:
         # Number the session's lines as str.splitlines does: a form
         # feed then shifts every later function's own text, and an
         # in-place edit near a function's end replays a stale summary.
-        from repro.pipeline import session as session_mod
         revisions = form_feed_revisions()
         assert "form_feed" in [rev.kind for rev in revisions]
         assert walk(revisions)[1] == []
-        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        _number_lines_as_splitlines(monkeypatch)
         paths, divergences, _quarantines = walk(revisions,
                                                 FORM_FEED_SEQUENCE)
         assert {d.path for d in divergences} == set(paths)
@@ -344,17 +351,15 @@ class TestEditSequences:
         assert first.expected != first.actual
 
     def test_a_divergent_sequence_shrinks(self, monkeypatch):
-        from repro.pipeline import session as session_mod
         revisions = form_feed_revisions()
-        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        _number_lines_as_splitlines(monkeypatch)
         shrunk = shrink_sequence(revisions, "session", FORM_FEED_SEQUENCE)
         assert len(shrunk) < len(revisions)
         assert all(rev in revisions for rev in shrunk)
         assert walk(shrunk, FORM_FEED_SEQUENCE, only="session")[1]
 
     def test_divergences_report_the_shrunk_kinds(self, monkeypatch):
-        from repro.pipeline import session as session_mod
-        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        _number_lines_as_splitlines(monkeypatch)
         revisions = form_feed_revisions()
         monkeypatch.setattr(edits_mod, "edit_sequence",
                             lambda seed, length: revisions)
@@ -387,9 +392,8 @@ class TestEditSequences:
     @needs_unix
     def test_daemon_path_catches_a_stale_summary(self, monkeypatch,
                                                  tmp_path):
-        from repro.pipeline import session as session_mod
         revisions = form_feed_revisions()
-        monkeypatch.setattr(session_mod, "source_lines", str.splitlines)
+        _number_lines_as_splitlines(monkeypatch)
         daemon = InProcessDaemon(str(tmp_path / "check.sock"))
         try:
             paths, divergences, _quarantines = walk(

@@ -12,7 +12,6 @@ Covers the three layers of :mod:`repro.pipeline`:
 from __future__ import annotations
 
 import collections
-import hashlib
 import os
 import random
 import re
@@ -26,7 +25,8 @@ from repro import check_source, load_context
 from repro.analysis import synthesize_program
 from repro.core import check_function_diagnostics, program_cfgs
 from repro.diagnostics import Note, VaultError
-from repro.pipeline import CheckSession, ChunkError, split_chunks
+from repro.diagnostics.reporter import source_lines
+from repro.pipeline import CheckSession, ChunkError, Split, split_chunks
 from repro.stdlib import STDLIB_UNITS, stdlib_context, stdlib_source
 from repro.syntax import ast, parse_program, tokenize
 from repro.syntax.tokens import T
@@ -191,6 +191,28 @@ class TestSplitChunks:
         assert [c.text for c in chunks] == texts
         _assert_chunks_match(source, chunks, source)
 
+    @pytest.mark.parametrize("source", [
+        PROTO, "int x;\r\nvoid f() {\r\n}\r\nint y; int z;\r\n",
+        "int a; int b;\n\n// trailing", "void f() {\n}\n\n\n", "// only"])
+    def test_lines_match_source_lines(self, source):
+        # A quoted line and a function's own lines, read from their
+        # chunk, are the unit's lines as source_lines numbers them.
+        split = split_chunks(source)
+        lines = source_lines(source)
+        for number in range(-1, len(lines) + 3):
+            assert split.line(number) == (
+                lines[number - 1] if 1 <= number <= len(lines) else None)
+            for last in range(max(number, 1), len(lines) + 1):
+                if number >= 1:
+                    assert split.lines(number, last) == \
+                        "\n".join(lines[number - 1:last])
+
+    def test_lines_match_source_lines_on_the_corpus(self):
+        for name, source in _split_corpus():
+            split, lines = split_chunks(source), source_lines(source)
+            assert [split.line(n) for n in range(1, len(lines) + 2)] == \
+                lines + [None], name
+
     def test_fallback_matches_plain_check(self):
         # A splitter-hostile unit must behave identically (the session
         # falls back to whole-unit parsing, which raises the same
@@ -219,13 +241,21 @@ def _assert_splice_is_cold(old, new):
     """Splicing ``old``'s split into ``new`` equals ``new``'s cold
     split; returns the spliced chunks (``None`` on a ChunkError)."""
     held = split_chunks(old)
-    for chunk in held:
-        chunk.digest()
+    for i in range(len(held)):
+        held.digest(i)
     assert _split_view(new, held) == _split_view(new), (old, new)
     try:
-        return split_chunks(new, held)
+        spliced = split_chunks(new, held)
     except ChunkError:
         return None
+    # Chunks k:j of the held split are replaced by k:k+m of the new
+    # one, and every other chunk is the held object itself.
+    k, j, m = spliced.spliced
+    assert len(spliced) == len(held) - (j - k) + m
+    assert all(a is b for a, b in zip(spliced.chunks[:k], held.chunks))
+    assert all(a is b for a, b in zip(spliced.chunks[k + m:],
+                                      held.chunks[j:]))
+    return spliced
 
 
 #: what the random edits insert: every token that changes the scanner's
@@ -295,6 +325,28 @@ class TestSpliceChunks:
         assert [c.sha is None for c in chunks] == \
             [True, False, False, False, False], \
             "only the edited chunk is scanned"
+
+    @pytest.mark.parametrize("old, new", [
+        ("int a;", "// x"), ("int a; int b;", "int a; // b"),
+        ("int a; int b;\n", "int a; int b"), ("int a;\n", ""),
+        ("", "int a;"), ("// x", "int a; // x"),
+    ])
+    def test_an_edit_that_leaves_no_terminator(self, old, new):
+        # Text past the last terminator joins the chunk before it, or
+        # is the unit's one chunk.
+        _assert_splice_is_cold(old, new)
+        _assert_splice_is_cold(new, old)
+
+    @pytest.mark.parametrize("inserted", ["\nint x;", " int x;"])
+    def test_a_declaration_inserted_between_two(self, inserted):
+        # The chunk after the new one starts where it ends, on another
+        # line or column than before, so the range replaces it too: a
+        # non-empty range never replaces no held chunk.
+        at = PROTO.index("\n\nvoid caller")
+        chunks = _assert_splice_is_cold(PROTO,
+                                        PROTO[:at] + inserted + PROTO[at:])
+        k, j, m = chunks.spliced
+        assert j > k and m == j - k + 1
 
     def test_an_empty_edit_scans_nothing(self):
         source = synthesize_program(20, seed=7)
@@ -972,18 +1024,13 @@ def _counters(session):
         if "value" in metric})
 
 
-def _chunk_keys(source):
-    """The context-entry key of a revision that splits into chunks."""
-    return tuple((hashlib.sha256(c.text.encode()).hexdigest(),
-                  c.start_line, c.start_col) for c in split_chunks(source))
-
-
 def _env_token(session, source):
     """The env token ``session`` computes for ``source`` (the file's
     held context entry is this revision's)."""
     session.check(source, "unit.vlt")
     entry = session._files["unit.vlt"].ctx
-    assert entry.key == _chunk_keys(source)
+    assert isinstance(entry.revision, Split)
+    assert entry.revision.source == source
     return entry.env_token
 
 
@@ -1287,7 +1334,7 @@ class TestInterfaceReuse:
         _check_like_check_source(session, _REUSE_UNIT)
         monkeypatch.setattr(session_mod, "split_chunks", refuse)
         assert _check_like_check_source(session, _REUSE_UNIT)
-        assert isinstance(session._files["unit.vlt"].ctx.key, str)
+        assert isinstance(session._files["unit.vlt"].ctx.revision, str)
         monkeypatch.undo()
         assert _check_like_check_source(session, _body_edit(_REUSE_UNIT))
 
@@ -1304,7 +1351,7 @@ class TestInterfaceReuse:
         with pytest.raises(VaultError) as expected:
             check_source(broken, "unit.vlt", units=UNITS)
         assert str(raised.value) == str(expected.value)
-        assert isinstance(session._files["unit.vlt"].ctx.key, tuple)
+        assert isinstance(session._files["unit.vlt"].ctx.revision, Split)
         for text in (_REUSE_UNIT, _body_edit(_REUSE_UNIT)):
             assert not _check_like_check_source(session, text)
 
@@ -1358,7 +1405,7 @@ class TestInterfaceReuse:
         for text in revisions:
             reused += not _check_like_check_source(session, text)
             state = session._files["unit.vlt"]
-            nodes = {id(decl) for chunk in state.chunks.values()
+            nodes = {id(decl) for chunk in state.chunks
                      for decl in chunk.program.decls}
             mine = [fundef for fundef in state.ctx.ctx.fun_defs.values()
                     if fundef.span.filename == "unit.vlt"]
@@ -1545,6 +1592,165 @@ class TestLineNumbering:
             _plain(source, "u.vlt").render()
         assert fresh_session().check(crlf, "u.vlt").render() == \
             _plain(source, "u.vlt").render()
+
+
+    #: leaks reported on the last line of their chunk, with a second
+    #: chunk starting on that line
+    LAST_LINE = ("void a() {\n"
+                 "    tracked(R) region rgn = Region.create();\n"
+                 "} int b() { return 1; }\n"
+                 "void c() { tracked(R) region r = Region.create(); }")
+
+    @pytest.mark.parametrize("source", [
+        LAST_LINE, LAST_LINE.replace("\n", "\r\n"),
+        LEAK.replace("    Region.delete(rgn);\n", "").replace("\n", "\r\n"),
+        synthesize_program(12, seed=6, error_rate=0.5).replace("\n",
+                                                               "\r\n"),
+    ])
+    def test_session_quotes_lines_from_its_chunks(self, source):
+        # A session quotes a reported line from the chunk it starts in;
+        # the excerpt is check_source's, cold and after an edit.
+        session = fresh_session()
+        for text in (source, source.replace("region", "region ", 1),
+                     "\n" + source):
+            expected = _plain(text, "q.vlt")
+            assert not expected.ok
+            assert session.check(text, "q.vlt").render() == \
+                expected.render()
+
+    def test_fingerprints_read_the_functions_whole_lines(self):
+        # A function's fingerprint is over its whole lines, first
+        # through last, as the unit split into lines gives them: a file
+        # record written before fingerprints were read from the
+        # function's chunk still replays.
+        from repro.pipeline import function_fingerprint
+        units = [synthesize_program(40, seed=1, error_rate=0.3),
+                 self.LAST_LINE, self.LAST_LINE.replace("\n", "\r\n"),
+                 PROTO + "int late(int x) { return x; } // trailing\n",
+                 _MODULE_UNIT]
+        checked = 0
+        for source in units:
+            session = fresh_session()
+            session.check(source, "fp.vlt")
+            entry = session._files["fp.vlt"].ctx
+            lines = source_lines(source)
+            for qual, fp in zip(entry.quals, entry.fps):
+                span = entry.ctx.fun_defs[qual].span
+                text = "\n".join(lines[span.start.line - 1:span.end.line])
+                assert fp == function_fingerprint(entry.ctx, qual, text)
+                checked += 1
+        assert checked > 45
+
+
+# ---------------------------------------------------------------------------
+# The range update: a check updates the file's state by the range the
+# splice replaced
+# ---------------------------------------------------------------------------
+
+
+def _after_range(session, text, filename="unit.vlt"):
+    """Check ``text``: its diagnostics must equal ``check_source``'s by
+    value, its record must list every function in sorted order and the
+    file's summary map must be a fresh session's.  Returns the
+    functions that were flow-checked."""
+    report = session.check(text, filename)
+    expected = check_source(text, filename, units=UNITS)
+    assert report.diagnostics == expected.diagnostics
+    assert report.render() == expected.render()
+    fresh = fresh_session()
+    fresh.check(text, filename)
+    assert list(session.last.functions) == list(fresh.last.functions)
+    assert list(session.last.functions) == \
+        sorted(session._files[filename].ctx.ctx.fun_defs)
+    assert session._files[filename].summaries == \
+        fresh._files[filename].summaries
+    return session.last.quals("checked")
+
+
+class TestRangeUpdate:
+    UNIT = synthesize_program(20, seed=5, error_rate=0.3)
+
+    def _warm(self, text=None):
+        session = fresh_session()
+        _after_range(session, text or self.UNIT)
+        return session
+
+    def test_a_length_change_that_keeps_the_lines(self):
+        # Every later chunk's offset moves; no key does.
+        session = self._warm()
+        at = self.UNIT.index("c.value += ", len(self.UNIT) // 2)
+        end = self.UNIT.index(";", at)
+        text = self.UNIT[:at] + "c.value += 1234567" + self.UNIT[end:]
+        split = split_chunks(text, session._files["unit.vlt"].split)
+        assert split.spliced[2] == 1
+        assert len(_after_range(session, text)) == 1
+        assert session.last.context == "reused"
+
+    def test_the_first_and_the_last_function(self):
+        text = self.UNIT + "// trailing trivia\n\n"
+        session = self._warm(text)
+        first = _body_edit(text, 0)
+        assert _after_range(session, first) == ["worker_0"]
+        last = _body_edit(first, first.rindex("int worker_"))
+        assert _after_range(session, last) == ["worker_19"]
+        # The trailing trivia alone re-parses the last chunk, but the
+        # function's own lines, and so its summary, are unchanged.
+        for text in (last + "// more\n", last):
+            assert _after_range(session, text) == []
+            assert session.last.quals("summary") == ["worker_19"]
+
+    def test_a_header_change_moves_the_env_token(self):
+        session = self._warm()
+        token = session._files["unit.vlt"].ctx.env_token
+        text = self.UNIT.replace("int worker_7(int input)",
+                                 "int worker_7(int input, int spare)")
+        _after_range(session, text)
+        assert session.last.context == "elaborated"
+        assert session._files["unit.vlt"].ctx.env_token != token
+
+    def test_adding_removing_and_renaming_a_function(self):
+        session = self._warm()
+        # between two functions: the range replaces no held chunk
+        at = self.UNIT.index("\nint worker_10(")
+        added = self.UNIT[:at] + "\nint aaa_first(int x) {\n" \
+            "    return x;\n}" + self.UNIT[at:]
+        assert _after_range(session, added) == ["aaa_first"]
+        assert list(session.last.functions)[0] == "aaa_first"
+        renamed = added.replace("int worker_3(", "int zzz_last(")
+        assert _after_range(session, renamed) == ["zzz_last"]
+        assert list(session.last.functions)[-1] == "zzz_last"
+        start = renamed.index("int worker_5(")
+        removed = renamed[:start] + renamed[renamed.index("\n}\n", start)
+                                            + 3:]
+        _after_range(session, removed)
+        assert "worker_5" not in session.last.functions
+
+    def test_a_module_members_body_edit(self):
+        session = self._warm(_MODULE_UNIT)
+        text = _MODULE_UNIT.replace("return x + 1;", "return x + 2;")
+        assert _after_range(session, text) == ["Counter.bump"]
+
+    def test_a_body_syntax_error_then_its_fix(self):
+        session = self._warm()
+        at = self.UNIT.index("c.value += ", len(self.UNIT) // 3)
+        broken = self.UNIT[:at] + "c.value += ;" + self.UNIT[at + 13:]
+        with pytest.raises(VaultError) as raised:
+            session.check(broken, "unit.vlt")
+        with pytest.raises(VaultError) as expected:
+            check_source(broken, "unit.vlt", units=UNITS)
+        assert str(raised.value) == str(expected.value)
+        fixed = self.UNIT[:at] + "c.value += 7;" + self.UNIT[at + 13:]
+        assert len(_after_range(session, fixed)) == 1
+        assert session.last.context == "reused"
+        assert len(_after_range(session, self.UNIT)) == 1
+
+    def test_a_splice_after_a_chunk_error(self):
+        session = self._warm()
+        opened = self.UNIT + "/* never closed"
+        with pytest.raises(VaultError):
+            session.check(opened, "unit.vlt")
+        assert len(_after_range(session, _body_edit(self.UNIT))) == 1
+        assert session.last.context == "reused"
 
 
 # ---------------------------------------------------------------------------
