@@ -254,9 +254,10 @@ def test_incremental_pipeline(benchmark):
         previous = {}
     for key, value in previous.items():
         result.setdefault(key, value)
-    # bench_smoke.py owns six rows of the "frontend" block.
+    # bench_smoke.py owns seven rows of the "frontend" block.
     for row in ("retained_chunks", "elaborations", "rescanned_chunks",
-                "unit_replay", "summaries_held", "body_edit_events"):
+                "unit_replay", "summaries_held", "body_edit_events",
+                "body_edit_render_events"):
         if row in previous.get("frontend", {}):
             result["frontend"][row] = previous["frontend"][row]
 

@@ -46,6 +46,13 @@ should cost what it changed, not what the unit holds: the 640-function
 count may be at most 1.2 times the 160-function one.  Both are
 recorded as ``frontend.body_edit_events``.
 
+The body-edit render ratchet counts the same events for the same edit
+of a unit with seeded bugs (``error_rate=0.1``), over ``check`` plus
+``render()`` of a session that rendered its warm check: a save renders
+the functions it answered, not every diagnostic of the unit, so the
+640-function count may be at most 1.2 times the 160-function one.
+Both are recorded as ``frontend.body_edit_render_events``.
+
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
 """
@@ -355,12 +362,34 @@ def test_body_edit_scaling_ratchet():
     print("bench-smoke: body-edit ratchet   OK")
 
 
-def _body_edit_events(n):
+def test_body_edit_render_ratchet():
+    # The scaling ratchet's edit on a unit with diagnostics, rendered.
+    events = {str(n): _body_edit_events(n, error_rate=0.1, render=True)
+              for n in (N_FUNCTIONS_FRONTEND, N_FUNCTIONS_SPLICE)}
+    ratio = events[str(N_FUNCTIONS_SPLICE)] / events[str(N_FUNCTIONS_FRONTEND)]
+    print(f"bench-smoke: a rendered body edit makes "
+          f"{events[str(N_FUNCTIONS_FRONTEND)]} calls at "
+          f"{N_FUNCTIONS_FRONTEND} functions and "
+          f"{events[str(N_FUNCTIONS_SPLICE)]} at {N_FUNCTIONS_SPLICE} "
+          f"({ratio:.2f}x)")
+    assert ratio <= BODY_EDIT_EVENTS_RATIO_CEILING, \
+        f"a rendered body edit of {N_FUNCTIONS_SPLICE} functions makes " \
+        f"{ratio:.2f}x the calls of {N_FUNCTIONS_FRONTEND} (ceiling " \
+        f"{BODY_EDIT_EVENTS_RATIO_CEILING})"
+    _record("body_edit_render_events", events)
+    print("bench-smoke: render ratchet      OK")
+
+
+def _body_edit_events(n, error_rate=0.0, render=False):
     """The ``call`` and ``c_call`` profiler events of one warm
-    one-constant body edit of an ``n``-function unit."""
-    source = synthesize_program(n, seed=42)
+    one-constant body edit of an ``n``-function unit: its ``check``,
+    and with ``render`` its ``render()`` too (the warm check's report
+    is rendered as well, as an editor's save is)."""
+    source = synthesize_program(n, seed=42, error_rate=error_rate)
     session = CheckSession(units=UNITS)
-    session.check(source)
+    report = session.check(source)
+    if render:
+        report.render()
     at = source.index("c.value += ", len(source) // 2)
     end = source.index(";", at)
     edited = source[:at] + "c.value += 4242" + source[end:]
@@ -371,7 +400,9 @@ def _body_edit_events(n):
             count[0] += 1
     sys.setprofile(profile)
     try:
-        session.check(edited)
+        report = session.check(edited)
+        if render:
+            report.render()
     finally:
         sys.setprofile(None)
     return count[0]
@@ -418,4 +449,5 @@ if __name__ == "__main__":
     test_unit_replay_ratchet()
     test_summary_ratchet()
     test_body_edit_scaling_ratchet()
+    test_body_edit_render_ratchet()
     print("bench-smoke: PASS")

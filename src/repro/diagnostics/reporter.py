@@ -9,6 +9,7 @@ wants the *set* of violations a seeded bug produces).
 from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Union
+from weakref import ref
 
 from .errors import CheckError, Code, Diagnostic, Note, Severity
 from .span import Span
@@ -44,6 +45,9 @@ class Reporter:
         #: splitting the source.
         self.line_at: Optional[Callable[[int], Optional[str]]] = None
         self.filename = filename
+        #: ``(slots, version, prefix, diagnostics, length)`` once
+        #: ``hold`` is called, ``slots`` by weak reference, else ``None``
+        self._held = None
 
     # -- accumulation -----------------------------------------------------
 
@@ -84,12 +88,53 @@ class Reporter:
 
     # -- rendering ---------------------------------------------------------
 
+    def hold(self, slots, prefix: int) -> None:
+        """Render through ``slots``, a session's per-function pieces:
+        the diagnostics are the first ``prefix`` ones followed by
+        ``slots.results`` (a list of tuples) joined.  ``slots.texts``
+        is each piece rendered, or ``None``; ``slots.unrendered`` the
+        places to render, the only ones ``render`` renders;
+        ``slots.volatile`` the places rendered again by every render;
+        ``slots.version`` changes whenever the pieces do.
+
+        ``slots`` is held by weak reference: a report kept past the
+        session's next check must not keep alive what the session let
+        go (a context and its functions' nodes)."""
+        self._held = (ref(slots), slots.version, prefix, self.diagnostics,
+                      len(self.diagnostics))
+
     def render(self, with_source: bool = True) -> str:
-        """Human-readable report, optionally quoting the offending line."""
+        """Human-readable report, optionally quoting the offending line.
+
+        A held reporter (``hold``) renders only the pieces without a
+        text and joins the texts.  Without quotes, or once its pieces
+        or its ``diagnostics`` list changed (a caller appended to it, or
+        the session checked again), it renders every diagnostic."""
+        held = self._held
+        if held is not None and with_source:
+            slots, version, prefix, diagnostics, length = held
+            slots = slots()
+            if slots is not None and slots.version == version \
+                    and self.diagnostics is diagnostics \
+                    and len(diagnostics) == length:
+                texts, results = slots.texts, slots.results
+                for at in slots.unrendered:
+                    texts[at] = "\n".join(self._excerpts(results[at]))
+                slots.unrendered = set(slots.volatile)
+                out = self._excerpts(diagnostics[:prefix])
+                out.extend(filter(None, texts))
+                return "\n".join(out)
+        return "\n".join(self._excerpts(self.diagnostics, with_source))
+
+    def _excerpts(self, diags: Iterable[Diagnostic],
+                  with_source: bool = True) -> List[str]:
+        """Each of ``diags`` rendered, with its quoted line and caret
+        when ``with_source``."""
         out = []
-        for diag in self.diagnostics:
+        quote = with_source and self._source is not None
+        for diag in diags:
             out.append(diag.render())
-            if with_source and self._source is not None:
+            if quote:
                 line_no = diag.span.start.line
                 text = self._line(line_no) if line_no >= 1 else None
                 if text is not None:
@@ -98,7 +143,7 @@ class Reporter:
                     out.append(f"    {line_no:4} | {text}")
                     caret_col = max(diag.span.start.col, 1)
                     out.append("         | " + " " * (caret_col - 1) + "^")
-        return "\n".join(out)
+        return out
 
     def _line(self, number: int) -> Optional[str]:
         if self.line_at is not None:

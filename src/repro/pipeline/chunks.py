@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 
@@ -90,6 +91,9 @@ class Chunk:
 
     def __repr__(self) -> str:
         return f"Chunk(line={self.start_line}, col={self.start_col})"
+
+
+_START_LINE = attrgetter("start_line")
 
 
 class PlacedChunk(NamedTuple):
@@ -173,18 +177,10 @@ class Split:
         """The offset line ``number`` starts at, found in the last chunk
         that starts on or before it; ``None`` when there is no such
         chunk or the line starts past the unit."""
-        chunks = self.chunks
-        lo, hi = 0, len(chunks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if chunks[mid].start_line <= number:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
+        i = bisect_right(self.chunks, number, key=_START_LINE) - 1
+        if i < 0:
             return None
-        i = lo - 1
-        chunk, start = chunks[i], self.starts[i]
+        chunk, start = self.chunks[i], self.starts[i]
         skip = number - chunk.start_line
         if not skip:
             return start - (chunk.start_col - 1)

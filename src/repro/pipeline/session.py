@@ -60,6 +60,17 @@ invalidated:
   one header and one body, fingerprints (from the function's own
   chunk) and checks one function; a re-save serves every function
   ("replayed whole unit");
+* **held render** — beside each function's diagnostics the context
+  entry holds their rendered text, filled lazily by the reporter's
+  ``render()`` (:meth:`Reporter.hold`): a save renders only the
+  functions it answered, and the unit's output is the held texts
+  joined.  A served function's text is dropped too when a line it
+  quotes reads differently: the line the splice's range starts or
+  ends on, which neighbouring chunks share.  A text is held only for
+  a result ``_inside`` accepts; one that quotes a line outside its
+  function is rendered again by every render.  An elaborated context
+  starts with no text rendered, so an interface edit renders every
+  diagnostic once, as ``check_source``'s reporter does;
 * **summaries** — each file keeps one map from a stable content
   fingerprint of a function and everything it references
   (:mod:`repro.pipeline.fingerprint`) to the function's diagnostics,
@@ -210,6 +221,65 @@ def _line_col(text: str, line: int, col: int, offset: int
     return line + text.count("\n", 0, offset), offset - nl
 
 
+def _line_around(source: str, offset: int) -> str:
+    """The line of ``source`` that holds ``offset``."""
+    end = source.find("\n", offset)
+    return source[source.rfind("\n", 0, offset) + 1:
+                  end if end >= 0 else len(source)]
+
+
+def _defined(decls: Sequence[ast.Decl], module: Optional[str] = None):
+    """The qualified names of the functions ``decls`` define, as
+    ``build_context`` names them."""
+    for decl in decls:
+        if isinstance(decl, ast.FunDef):
+            yield f"{module}.{decl.decl.name}" if module else decl.decl.name
+        elif isinstance(decl, ast.ModuleDecl):
+            yield from _defined(decl.decls, decl.name)
+
+
+def _forget_stale_texts(entry: "_CtxEntry", old: Split, new: Split,
+                        chunks: List["_ChunkEntry"],
+                        kept: List["_ChunkEntry"]) -> None:
+    """Drop the held texts that the splice of ``old`` into ``new``
+    (``chunks`` parsed) may have made stale, under a reused context.
+
+    A served function kept its chunk's text and place, but a line it
+    quotes need not lie in its chunk alone: its closing brace's line
+    runs on into the next chunk's leading trivia, and its first line
+    may start in the chunk before.  Outside the range only the line the
+    range starts on and the one it ends on hold both unchanged and
+    replaced text (every other line is the held one, at its place), so
+    where either reads differently, the texts of the chunks that share
+    it are dropped; so are those of the chunks the range kept.  A
+    body edit changes neither line, so it drops nothing here."""
+    def forget(chunk: "_ChunkEntry") -> None:
+        for qual in _defined(chunk.program.decls):
+            at = entry.index.get(qual)
+            if at is not None:
+                entry.forget(at)
+
+    for chunk in kept:
+        forget(chunk)
+    k, j, m = new.spliced
+    at = old.starts[k]
+    if k and _line_around(new.source, at) != _line_around(old.source, at):
+        # chunk k-1 ends on the line; before it, each that starts on it
+        line = old.chunks[k].start_line
+        y = k - 1
+        forget(chunks[y])
+        while y and new.chunks[y].start_line == line:
+            y -= 1
+            forget(chunks[y])
+    y = k + m
+    if y < len(new) and _line_around(new.source, new.starts[y]) != \
+            _line_around(old.source, old.starts[j]):
+        line = new.chunks[y].start_line
+        while y < len(new) and new.chunks[y].start_line == line:
+            forget(chunks[y])
+            y += 1
+
+
 class CheckRecord:
     """One ``check`` call's account: ``CheckSession.last`` holds the
     latest, and ``vaultc check --profile`` prints it.  ``functions``
@@ -282,10 +352,11 @@ class _WholeUnit(Exception):
 
 class _CtxEntry:
     """A file's elaborated context, and its functions' latest results
-    in sorted qualified-name order."""
+    and their rendered texts in sorted qualified-name order."""
 
     __slots__ = ("revision", "ctx", "diags", "env_token", "programs",
-                 "quals", "index", "results", "fps", "pending")
+                 "quals", "index", "results", "fps", "pending", "texts",
+                 "unrendered", "volatile", "version", "__weakref__")
 
     def __init__(self, revision: Union[Split, str], ctx,
                  diags: Tuple[Diagnostic, ...], env_token: str,
@@ -318,6 +389,42 @@ class _CtxEntry:
         #: answered: every one after elaboration, then the ones an
         #: edit re-parses.  ``_check_functions`` answers these only.
         self.pending: Set[str] = set(self.quals)
+        #: each function's diagnostics rendered (``Reporter.render``
+        #: fills them), by place: ``None`` until rendered, and ``""``
+        #: for no diagnostics, so a slot starts as empty as its result
+        self.texts: List[Optional[str]] = [""] * len(self.quals)
+        #: the places the next render fills: the ones answered or made
+        #: stale since the last render, plus every ``volatile`` one
+        self.unrendered: Set[int] = set()
+        #: the places whose result ``_inside`` rejects: a line they
+        #: quote may change while their function does not, so every
+        #: render renders them again
+        self.volatile: Set[int] = set()
+        #: bumped by every change to ``results`` or ``texts``; a
+        #: reporter renders through the slots only while it has the
+        #: version it was made with (see ``Reporter.hold``)
+        self.version = 0
+
+    def answer(self, at: int, diags: Tuple[Diagnostic, ...],
+               hold: bool) -> None:
+        """Place ``at``'s new result; its text is rendered afresh, and
+        held only with ``hold``."""
+        self.results[at] = diags
+        if hold:
+            self.volatile.discard(at)
+        else:
+            self.volatile.add(at)
+        if diags:
+            self.forget(at)
+        else:
+            self.texts[at] = ""
+            self.version += 1
+
+    def forget(self, at: int) -> None:
+        """Drop place ``at``'s text: the next render renders it."""
+        self.texts[at] = None
+        self.unrendered.add(at)
+        self.version += 1
 
 
 class _ChunkEntry:
@@ -525,7 +632,9 @@ class CheckSession:
                                           how, split)
         if not whole:
             self.last.check_seconds = time.perf_counter() - check_started
+        prefix = len(reporter.diagnostics)
         reporter.diagnostics.extend(chain.from_iterable(entry.results))
+        reporter.hold(entry, prefix)
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
@@ -594,11 +703,12 @@ class CheckSession:
 
     def _chunk_context(self, split: Split, filename: str, state: _FileState,
                        base, fresh: List[_ChunkEntry],
-                       parsed: List[_ChunkEntry]) -> Tuple[_CtxEntry, str]:
+                       parsed: List[_ChunkEntry], kept: List[_ChunkEntry]
+                       ) -> Tuple[_CtxEntry, str]:
         """Put the revision's chunks in place of the held ones: chunks
         ``k:k+m`` of ``split`` are ``fresh`` (of which ``parsed`` were
-        parsed, the rest held chunks with the same text and place), and
-        every other chunk is the held one.
+        parsed, and ``kept`` are held chunks with the same text and
+        place), and every other chunk is the held one.
 
         Functions are checked against declared signatures only (paper
         §3), so a revision with the held interface elaborates to the
@@ -610,7 +720,8 @@ class CheckSession:
         interfaces, modules), so they must not move, while a function
         chunk adds only its position-free signature.  The context's
         definitions of the parsed functions are then re-pointed at the
-        new nodes, and those functions become pending."""
+        new nodes, and those functions become pending, and the texts the
+        range may have made stale are dropped (``_forget_stale_texts``)."""
         k, j, m = split.spliced
         held_chunks = state.chunks
         chunks = held_chunks[:k] + fresh + held_chunks[j:]
@@ -626,6 +737,7 @@ class CheckSession:
         reuse = held is not None and held.revision is state.split \
             and not held.diags and held.env_token == env_token \
             and all(chunk.fundef is not None for chunk in parsed)
+        old = state.split
         state.split, state.chunks, state.env_token = split, chunks, env_token
         if reuse:
             fun_defs = held.ctx.fun_defs
@@ -633,6 +745,7 @@ class CheckSession:
                 fun_defs[chunk.fundef.decl.name] = chunk.fundef
                 held.pending.add(chunk.fundef.decl.name)
             held.revision = split
+            _forget_stale_texts(held, old, split, chunks, kept)
             return held, self._count_context("reused")
         how = self._count_context("elaborated")
         ctx, diags = self._elaborate([chunk.program for chunk in chunks], base)
@@ -658,12 +771,14 @@ class CheckSession:
 
     def _parse_chunks(self, split: Split, state: _FileState, filename: str
                       ) -> Optional[Tuple[List[_ChunkEntry],
+                                          List[_ChunkEntry],
                                           List[_ChunkEntry]]]:
         """The entries of the chunks ``split`` scanned (``k:k+m`` of its
-        ``spliced``), and which of them were parsed; ``None`` when one
-        does not parse.  A chunk with the text and place of one of the
-        held chunks it replaces keeps that chunk's entry; every chunk
-        outside the range is a held chunk, kept by construction."""
+        ``spliced``), which of them were parsed and which were kept;
+        ``None`` when one does not parse.  A chunk with the text and
+        place of one of the held chunks it replaces keeps that chunk's
+        entry; every chunk outside the range is a held chunk, kept by
+        construction."""
         metrics = self.telemetry.metrics
         k, j, m = split.spliced
         replaced: Dict[Tuple[str, int, int], _ChunkEntry] = {}
@@ -675,6 +790,7 @@ class CheckSession:
                     state.chunks[x]
         fresh: List[_ChunkEntry] = []
         parsed: List[_ChunkEntry] = []
+        kept: List[_ChunkEntry] = []
         try:
             for i in range(k, k + m):
                 chunk = split.chunks[i]
@@ -683,6 +799,8 @@ class CheckSession:
                 if entry is None:
                     entry = self._parse_chunk(split, i, sha, filename)
                     parsed.append(entry)
+                else:
+                    kept.append(entry)
                 fresh.append(entry)
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
@@ -696,7 +814,7 @@ class CheckSession:
             self.last.chunks_parsed += len(parsed)
             metrics.counter("cache.chunk_ast.hits").inc(seen - len(parsed))
             metrics.counter("cache.chunk_ast.misses").inc(len(parsed))
-        return fresh, parsed
+        return fresh, parsed, kept
 
     def _parse_chunk(self, split: Split, i: int, sha: str, filename: str
                      ) -> _ChunkEntry:
@@ -823,7 +941,8 @@ class CheckSession:
                          source: str, filename: str, how: str,
                          split: Optional[Split]) -> bool:
         """Answer the entry's pending functions, in serial (sorted-qual)
-        order, into its ``results``; return whether every function was
+        order, into its ``results`` (``_CtxEntry.answer``, which drops
+        the text of each new result); return whether every function was
         served from its held result.
 
         Each function's result is held on its ``FunDef`` node as
@@ -895,8 +1014,11 @@ class CheckSession:
                 memoized += kept
                 summary = held.get(fp)
                 if summary is not None:
-                    results[at] = diags = _relocate(
-                        summary, fundef.span.start.line, fundef.span.filename)
+                    # a summary is made only of a result ``_inside``
+                    # accepts, so its text is held
+                    diags = _relocate(summary, fundef.span.start.line,
+                                      fundef.span.filename)
+                    entry.answer(at, diags, True)
                     fundef._pl_result = (env_token, fp, diags)
                     summaries[fp] = summary
                     functions[qual] = "summary"
@@ -927,8 +1049,9 @@ class CheckSession:
         if to_check:
             checked = self._run_checks(ctx, to_check)
             for (qual, fundef, fp), diags in zip(to_check, checked):
-                results[index[qual]] = diags
-                if _inside(diags, fundef.span):
+                inside = _inside(diags, fundef.span)
+                entry.answer(index[qual], diags, inside)
+                if inside:
                     summaries[fp] = _relocate(
                         diags, -fundef.span.start.line, "")
                 fundef._pl_result = (env_token, fp, diags)

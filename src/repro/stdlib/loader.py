@@ -38,10 +38,16 @@ def _load_unit(unit: str) -> ast.Program:
         return parse_program(handle.read(), filename=f"<stdlib:{unit}>")
 
 
+@lru_cache(maxsize=None)
+def _default_units() -> Tuple[str, ...]:
+    """The ``STDLIB_UNITS`` whose file exists, resolved once per
+    process: every check without ``units`` asks for them."""
+    return tuple(u for u in STDLIB_UNITS if os.path.exists(stdlib_path(u)))
+
+
 def stdlib_programs(units: Optional[Sequence[str]] = None) -> List[ast.Program]:
     """Parsed stdlib compilation units (cached)."""
-    chosen: Iterable[str] = units if units is not None else [
-        u for u in STDLIB_UNITS if os.path.exists(stdlib_path(u))]
+    chosen: Iterable[str] = units if units is not None else _default_units()
     return [_load_unit(u) for u in chosen]
 
 
@@ -77,6 +83,6 @@ def stdlib_context(units: Optional[Sequence[str]] = None):
     result as immutable and layer their own program on top with
     ``build_context(..., base=ctx)``.
     """
-    chosen: Tuple[str, ...] = tuple(units) if units is not None else tuple(
-        u for u in STDLIB_UNITS if os.path.exists(stdlib_path(u)))
+    chosen: Tuple[str, ...] = tuple(units) if units is not None \
+        else _default_units()
     return _base_context(chosen)

@@ -1754,6 +1754,231 @@ class TestRangeUpdate:
 
 
 # ---------------------------------------------------------------------------
+# Held render: each function's rendered text is held with its result
+# ---------------------------------------------------------------------------
+
+
+def _renders_like_check_source(session, text, filename="unit.vlt"):
+    """Check and render ``text`` in ``session``: byte-identical to
+    ``check_source``'s render.  Returns the session's report."""
+    report = session.check(text, filename)
+    assert report.render() == _plain(text, filename).render()
+    return report
+
+
+def _rendered_pieces(monkeypatch):
+    """The diagnostic counts of every non-empty piece a session's
+    reporter renders from now on (the held texts it fills, or every
+    diagnostic on the fallback path)."""
+    from repro.diagnostics import Reporter
+    pieces = []
+    excerpts = Reporter._excerpts
+
+    def counted(self, diags, with_source=True):
+        diags = list(diags)
+        if diags and self._held is not None:
+            pieces.append(len(diags))
+        return excerpts(self, diags, with_source)
+    monkeypatch.setattr(Reporter, "_excerpts", counted)
+    return pieces
+
+
+class TestHeldRender:
+    UNIT = synthesize_program(40, seed=7, error_rate=0.3)
+
+    def _first_failing(self, session, filename="unit.vlt"):
+        """The first function, in sorted order, with diagnostics."""
+        entry = session._files[filename].ctx
+        return next(qual for qual, diags in zip(entry.quals, entry.results)
+                    if diags)
+
+    @pytest.mark.parametrize("edit", ["body", "resave", "insert", "struct"])
+    def test_every_edit_kind_renders_like_check_source(self, edit):
+        session = fresh_session()
+        _renders_like_check_source(session, self.UNIT)
+        failing = self._first_failing(session)
+        text = {
+            "body": _body_edit(self.UNIT, self.UNIT.index(f"int {failing}(")),
+            "resave": self.UNIT,
+            # a line above every function, most with diagnostics
+            "insert": self.UNIT.replace("\n", "\n\n", 1),
+            "struct": self.UNIT.replace("int extra;", "int extra; int more;"),
+        }[edit]
+        _renders_like_check_source(session, text)
+        assert session.last.context == {
+            "body": "reused", "resave": "held", "insert": "reused",
+            "struct": "elaborated"}[edit]
+        _renders_like_check_source(session, text)
+
+    def test_a_body_edit_renders_one_function(self, monkeypatch):
+        session = fresh_session()
+        session.check(self.UNIT, "unit.vlt").render()
+        failing = self._first_failing(session)
+        pieces = _rendered_pieces(monkeypatch)
+        edited = _body_edit(self.UNIT, self.UNIT.index(f"int {failing}("))
+        report = session.check(edited, "unit.vlt")
+        assert pieces == []          # rendered lazily, by render()
+        assert report.render() == _plain(edited, "unit.vlt").render()
+        assert session.last.quals("checked") == [failing]
+        entry = session._files["unit.vlt"].ctx
+        assert pieces == [len(entry.results[entry.index[failing]])]
+        del pieces[:]
+        session.check(edited, "unit.vlt").render()
+        assert pieces == []          # a re-save renders nothing
+
+    def test_an_interface_edit_renders_every_diagnostic_once(
+            self, monkeypatch):
+        session = fresh_session()
+        session.check(self.UNIT, "unit.vlt").render()
+        pieces = _rendered_pieces(monkeypatch)
+        text = self.UNIT.replace("int extra;", "int extra; int more;")
+        report = _renders_like_check_source(session, text)
+        assert sum(pieces) == len(report.diagnostics)
+
+    def test_a_summary_replay(self):
+        # A line inserted above every function moves them all: each
+        # replays its summary, and its text is rendered at its new
+        # place.
+        session = fresh_session()
+        _renders_like_check_source(session, self.UNIT)
+        failing = self._first_failing(session)
+        _renders_like_check_source(session,
+                                   self.UNIT.replace("\n", "\n\n", 1))
+        assert failing in session.last.quals("summary")
+
+    def test_a_whole_unit_retry(self, monkeypatch):
+        from repro.pipeline.session import _WholeUnit
+        session = fresh_session()
+        _renders_like_check_source(session, self.UNIT)
+        parse_bodies = session._parse_bodies
+        raised = []
+
+        def once(fundefs, filename):
+            if fundefs and not raised:
+                raised.append(filename)
+                raise _WholeUnit()
+            return parse_bodies(fundefs, filename)
+
+        monkeypatch.setattr(session, "_parse_bodies", once)
+        edited = _body_edit(self.UNIT)
+        _renders_like_check_source(session, edited)
+        assert raised and session.last.whole_parse
+        _renders_like_check_source(session, _body_edit(edited, 0))
+
+    def test_a_file_record_replay(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        _renders_like_check_source(fresh_session(cache_dir=cache), self.UNIT)
+        session = fresh_session(cache_dir=cache)
+        _renders_like_check_source(session, self.UNIT)
+        assert session.last.record_replayed
+        _renders_like_check_source(session, _body_edit(self.UNIT))
+        # a later process: the record's summaries answer an edit
+        later = fresh_session(cache_dir=cache)
+        _renders_like_check_source(later, _body_edit(self.UNIT, 0))
+        assert later.last.quals("summary")
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_line_numbering_cases(self, crlf):
+        # TestLineNumbering's units, CRLF or not, edited in place.
+        units = [TestLineNumbering.LAST_LINE, TestLineNumbering.LEAK,
+                 synthesize_program(12, seed=6, error_rate=0.5)]
+        for source in units:
+            if crlf:
+                source = source.replace("\n", "\r\n")
+            session = fresh_session()
+            for text in (source, source.replace("region", "region ", 1),
+                         "\n" + source, source):
+                _renders_like_check_source(session, text, "q.vlt")
+
+    #: each failing function shares a line with a neighbour
+    SHARED = ("int f() { return 1; } void g() { "
+              "tracked(R) region r = Region.create(); }\n"
+              "void h() { tracked(R) region r = Region.create(); } // tail\n"
+              "int i() { return 3; }\n")
+
+    @pytest.mark.parametrize("edit", [
+        # the chunk before g, on g's line, keeps its length
+        ("return 1;", "return 7;"),
+        # the chunk after h starts with h's line's comment
+        ("// tail", "// tbil"),
+        # both at once: g sits between them, a chunk the range kept
+        ("return 1; } void g() { tracked(R) region r = Region.create(); }\n"
+         "void h() { tracked(R) region r = Region.create(); } // tail",
+         "return 7; } void g() { tracked(R) region r = Region.create(); }\n"
+         "void h() { tracked(R) region r = Region.create(); } // tbil"),
+    ])
+    def test_a_served_function_whose_line_changed(self, edit):
+        # The edited chunk's neighbour is served from its held result,
+        # but the line it quotes is not the one it was rendered with.
+        session = fresh_session()
+        _renders_like_check_source(session, self.SHARED, "s.vlt")
+        text = self.SHARED.replace(*edit)
+        _renders_like_check_source(session, text, "s.vlt")
+        assert session.last.context == "reused"
+        assert session.last.quals("held")
+
+    def test_a_line_outside_the_function_renders_every_time(
+            self, monkeypatch):
+        # The alias's unknown type is reported on the alias's line,
+        # outside g: its text is never held.
+        alias = "type cb = void f(Bogus x);\n"
+        body = "void g() {\n    cb h;\n}\n"
+        session = fresh_session()
+        _renders_like_check_source(session, alias + body, "alias.vlt")
+        pieces = _rendered_pieces(monkeypatch)
+        _renders_like_check_source(session, alias + body, "alias.vlt")
+        assert session.last.context == "held"
+        assert pieces == [1]
+
+    def test_without_quotes_every_diagnostic_renders(self, monkeypatch):
+        session = fresh_session()
+        report = session.check(self.UNIT, "unit.vlt")
+        pieces = _rendered_pieces(monkeypatch)
+        assert report.render(with_source=False) == \
+            _plain(self.UNIT, "unit.vlt").render(with_source=False)
+        assert pieces == [len(report.diagnostics)]
+        assert report.render() == _plain(self.UNIT, "unit.vlt").render()
+
+    def test_a_diagnostic_appended_after_check(self):
+        session = fresh_session()
+        report = session.check(self.UNIT, "unit.vlt")
+        report.render()
+        expected = _plain(self.UNIT, "unit.vlt")
+        extra = expected.diagnostics[0]
+        report.diagnostics.append(extra)
+        expected.diagnostics.append(extra)
+        assert report.render() == expected.render()
+
+    def test_a_report_rendered_after_the_next_check(self):
+        # The next check changes the held pieces; the earlier report
+        # still renders its own diagnostics.
+        session = fresh_session()
+        report = session.check(self.UNIT, "unit.vlt")
+        failing = self._first_failing(session)
+        edited = self.UNIT.replace(f"int {failing}(int input) {{\n",
+                                   f"int {failing}(int input) {{\n"
+                                   "    Region.delete(rgn);\n", 1)
+        later = session.check(edited, "unit.vlt")
+        assert report.render() == _plain(self.UNIT, "unit.vlt").render()
+        assert later.render() == _plain(edited, "unit.vlt").render()
+
+    def test_a_kept_report_holds_no_context(self):
+        # An interface edit elaborates a new context: the report of the
+        # check before must not keep the old one (and its functions'
+        # nodes) alive.
+        import gc
+        import weakref
+        session = fresh_session()
+        report = session.check(self.UNIT, "unit.vlt")
+        entry = weakref.ref(session._files["unit.vlt"].ctx)
+        session.check(self.UNIT.replace("int extra;", "int extra; int more;"),
+                      "unit.vlt")
+        gc.collect()
+        assert entry() is None
+        assert report.render() == _plain(self.UNIT, "unit.vlt").render()
+
+
+# ---------------------------------------------------------------------------
 # Cross-process summary persistence
 # ---------------------------------------------------------------------------
 

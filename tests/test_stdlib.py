@@ -30,6 +30,19 @@ class TestUnits:
         ctx, reporter = load_context("void nothing() { }")
         assert reporter.ok, reporter.render()
 
+    def test_default_units_are_resolved_once(self, monkeypatch):
+        # Every check without ``units`` asks for the default units; a
+        # warm call looks at no file.
+        from repro.stdlib import loader, stdlib_context, stdlib_programs
+        base = stdlib_context()
+        programs = stdlib_programs()
+        looked = []
+        monkeypatch.setattr(loader.os.path, "exists",
+                            lambda path: looked.append(path) or True)
+        assert stdlib_context() is base
+        assert stdlib_programs() == programs
+        assert looked == []
+
 
 class TestHostCoverage:
     def test_every_stdlib_extern_has_a_host_implementation(self):
