@@ -92,7 +92,7 @@ def _cache_hit_rates(metrics) -> dict:
     snapshot = metrics.snapshot()
     rates = {}
     for layer in ("chunk_splice", "chunk_ast", "context", "held_result",
-                  "summary", "stdlib_base", "unit_replay", "fingerprint_memo"):
+                  "summary", "stdlib_base", "unit_replay"):
         hits = snapshot.get(f"cache.{layer}.hits", {}).get("value", 0)
         misses = snapshot.get(f"cache.{layer}.misses", {}).get("value", 0)
         if hits + misses:
@@ -189,16 +189,6 @@ def _measure():
     edit_reused = _counter(large_session, "cache.chunk_ast.hits") \
         - chunk_hits0
     edit_chunks = edit_parsed + edit_reused
-    # Fingerprints are memoized only when a declaration moves, which
-    # elaborates the context while the functions above it keep their
-    # nodes: append a declaration, then add a blank line inside the
-    # last function's body, which moves that declaration down.
-    with_decl = edited_large + "struct spare { int a; }\n"
-    large_session.check(with_decl)
-    last_body = with_decl.rindex("c.value += ")
-    moved = with_decl[:last_body] + "\n" + with_decl[last_body:]
-    memo0 = _counter(large_session, "cache.fingerprint_memo.hits")
-    large_session.check(moved)
     _tally(large_session)
     frontend = {
         "edit_chunk_ast": {
@@ -206,8 +196,6 @@ def _measure():
             "reused": edit_reused,
             "rate": edit_reused / edit_chunks if edit_chunks else 0.0,
         },
-        "fingerprints_memoized":
-            _counter(large_session, "cache.fingerprint_memo.hits") - memo0,
         "calibration": _calibrate(),
     }
 
@@ -304,9 +292,6 @@ def test_incremental_pipeline(benchmark):
     assert frontend["edit_chunk_ast"]["rate"] >= 0.9, \
         "a one-chunk edit must serve >=90% of chunks from the chunk-AST " \
         "cache"
-    assert frontend["fingerprints_memoized"] == N_FUNCTIONS_LARGE - 1, \
-        "a moved declaration must reuse the fingerprint of every function " \
-        "that did not move"
     assert speed["edit_large_vs_cold_large"] >= 10.0, \
         "a one-function edit on the 640-fn corpus should be >=10x " \
         "faster than cold"

@@ -23,8 +23,8 @@ a declaration, so none of those checks may run ``build_context`` (the
 The splice ratchet makes a one-constant body edit of a 640-function
 unit in a warm session: the splitter may re-scan at most 2 chunks (the
 ``cache.chunk_splice.misses`` counter), and the session may fingerprint
-(``cache.fingerprint_memo.misses``) and flow-check one function; every
-other function is served from its held result.  It is recorded as
+(the ``check.fingerprints`` counter) and flow-check one function;
+every other function is served from its held result.  It is recorded as
 ``frontend.rescanned_chunks``.
 
 The unit-replay ratchet re-saves the 160-function unit with one module
@@ -266,8 +266,8 @@ def test_splice_ratchet():
         "functions": N_FUNCTIONS_SPLICE,
         "rescanned": after["cache.chunk_splice.misses"]
         - before["cache.chunk_splice.misses"],
-        "fingerprinted": after["cache.fingerprint_memo.misses"]
-        - before["cache.fingerprint_memo.misses"],
+        "fingerprinted": after["check.fingerprints"]
+        - before["check.fingerprints"],
         "checked": session.last.functions_checked,
     }
     print(f"bench-smoke: a body edit of {N_FUNCTIONS_SPLICE} functions "
@@ -299,8 +299,8 @@ def test_unit_replay_ratchet():
         "functions": functions,
         "served": after["cache.unit_replay.hits"]
         - before["cache.unit_replay.hits"],
-        "fingerprinted": after["cache.fingerprint_memo.misses"]
-        - before["cache.fingerprint_memo.misses"],
+        "fingerprinted": after["check.fingerprints"]
+        - before["check.fingerprints"],
     }
     print(f"bench-smoke: a re-save of {functions} functions (one module "
           f"member) served {replay['served']}, fingerprinted "
@@ -418,7 +418,7 @@ def _counters(session):
     snapshot = session.telemetry.metrics.snapshot()
     return {name: snapshot.get(name, {}).get("value", 0)
             for name in ("cache.chunk_splice.misses",
-                         "cache.fingerprint_memo.misses",
+                         "check.fingerprints",
                          "cache.unit_replay.hits")}
 
 

@@ -90,8 +90,10 @@ from ..obs import Telemetry
 from ..pipeline.fingerprint import cache_checksum
 
 #: bump when the envelope or the pickled record shapes change
-#: incompatibly; old records then simply miss (their keys embed it too).
-STORE_SCHEMA = 4
+#: incompatibly, or when a record's diagnostics would read differently
+#: (5: key numbers restart per function check); old records then
+#: simply miss (their keys embed it too).
+STORE_SCHEMA = 5
 
 #: default size budget for one store directory.
 DEFAULT_MAX_BYTES = 512 << 20

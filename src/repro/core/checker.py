@@ -29,7 +29,7 @@ from .capability import CapabilityError, HeldKeys, KeyInfo
 from .effects import CoreEffect, CoreEffectItem, Signature, SigParam
 from .elaborate import Elaborator, Scope
 from .keys import (DEFAULT_STATE, Key, State, StateVar, fresh_key,
-                   state_display, states_equal)
+                   number_keys, state_display, states_equal)
 from .program import (CtorInfo, ProgramContext, StructInfo, VariantInfo,
                       signatures_alpha_equal)
 from .subst import Subst
@@ -257,6 +257,7 @@ class Checker:
         sig = self.ctx.functions.get(qual)
         if sig is None:
             return
+        number_keys()
         FnChecker(self, sig, fundef).run()
 
 
@@ -739,7 +740,8 @@ class FnChecker:
                      span: Span) -> None:
         """Structural matching for local declarations (keys/states bind)."""
         if declared is actual and not isinstance(declared, CTypeVar):
-            # Hash-consed types: one object <=> structurally equal,
+            # One shared object (a declared type passed through an
+            # empty substitution, say) is structurally equal to itself,
             # and with nothing to bind the match is trivially clean.
             return
         if isinstance(declared, CTypeVar):

@@ -25,7 +25,7 @@ from .keys import DEFAULT_STATE, Key, StateVar
 from .types import (ANY_STATE, AtMostState, CArg, CArray, CBase, CFun,
                     CGuarded, CNamed, CPacked, CTracked, CType, CTypeVar,
                     ExactState, KeyRef, KeyVarRef, StateArgValue, StateReq,
-                    StateVarRef, VOID, intern_type)
+                    StateVarRef, VOID)
 
 BASE_TYPES = {
     "void": CBase("void"), "int": CBase("int"), "bool": CBase("bool"),
@@ -106,13 +106,6 @@ class Elaborator:
     # -- types --------------------------------------------------------------
 
     def elab_type(self, ty: ast.Type, scope: Scope) -> CType:
-        # Declaration-ground results are hash-consed process-wide, so
-        # structurally equal elaborated types are one object and the
-        # checker's declared-vs-actual comparisons hit identity fast
-        # paths; flow-time types pass through intern_type unchanged.
-        return intern_type(self._elab_type(ty, scope))
-
-    def _elab_type(self, ty: ast.Type, scope: Scope) -> CType:
         if isinstance(ty, ast.BaseType):
             return BASE_TYPES[ty.name]
         if isinstance(ty, ast.ArrayType):

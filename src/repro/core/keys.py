@@ -26,7 +26,21 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
 #: (the paper's "fixed unique state", written ⊤ in Figure 6).
 DEFAULT_STATE = "$default"
 
-_counter = itertools.count(1)
+#: :class:`StateVar` uids, unique in the process: ``states_equal`` and
+#: substitutions tell symbolic states apart by them.
+_state_uids = itertools.count(1)
+#: :class:`Key` uids, which key names show (``R#3``) and messages
+#: quote.  Keys compare by identity, so the numbers only need to be
+#: distinct where they are read: ``number_keys`` restarts them for each
+#: ``build_context`` and each function check, and a message reads the
+#: same whatever the process checked before.
+_key_uids = itertools.count(1)
+
+
+def number_keys() -> None:
+    """Number the keys minted from now on from 1 again."""
+    global _key_uids
+    _key_uids = itertools.count(1)
 
 
 class Value:
@@ -71,7 +85,8 @@ class Key:
     """A compile-time token for one run-time resource.
 
     ``name`` is a display hint (the program's name for the key, e.g.
-    ``R`` or ``F``); uniqueness comes from object identity plus ``uid``.
+    ``R`` or ``F``); uniqueness comes from object identity, and ``uid``
+    tells keys of one name apart in messages.
     ``origin`` records how the key came to be, for diagnostics:
     ``"local"`` (new tracked allocation), ``"param"`` (skolem for a key
     variable of the enclosing function), ``"global"`` (a declared key
@@ -91,7 +106,7 @@ class Key:
         # *identity* stays the identity of the object — two keys with
         # the same name are still two distinct resources.
         self.name = sys.intern(name)
-        self.uid = next(_counter)
+        self.uid = next(_key_uids)
         self.origin = origin
         self.span = span
 
@@ -121,7 +136,8 @@ class StateVar(Value):
                  uid: Optional[int] = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "uid", next(_counter) if uid is None else uid)
+        object.__setattr__(self, "uid",
+                           next(_state_uids) if uid is None else uid)
 
     def __repr__(self) -> str:
         if self.bound:
@@ -239,8 +255,8 @@ class StateSpace:
 def states_equal(a: State, b: State) -> bool:
     """Exact equality of two states (symbolic vars by identity)."""
     if a is b:
-        # Interned state names and shared StateVar objects make this
-        # the common case on the join/exit fast paths.
+        # Interned state names (``sys.intern``) and shared StateVar
+        # objects make this the common case on the join/exit fast paths.
         return True
     if isinstance(a, StateVar) and isinstance(b, StateVar):
         return a.uid == b.uid

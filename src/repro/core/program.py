@@ -15,7 +15,7 @@ from ..diagnostics import Code, Reporter, Span
 from ..syntax import ast
 from .effects import Signature
 from .elaborate import Elaborator, Scope
-from .keys import DEFAULT_STATE, Key, StateSet, StateSpace
+from .keys import DEFAULT_STATE, Key, StateSet, StateSpace, number_keys
 from .types import (CType, CTypeVar, KeyVarRef, StateReq, StateVarRef)
 
 
@@ -195,6 +195,7 @@ def build_context(programs: List[ast.Program],
     layers the user program on a clone (see
     :func:`repro.stdlib.loader.stdlib_context`).
     """
+    number_keys()
     ctx = base.clone() if base is not None else ProgramContext()
     elab = Elaborator(ctx, reporter)
 

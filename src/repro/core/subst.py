@@ -83,7 +83,7 @@ class Subst:
         if type(self) is Subst and \
                 not (self.keys or self.states or self.types):
             # The empty substitution is the identity; skipping the
-            # rebuild keeps interned declaration types canonical, so
+            # rebuild saves a copy and hands back the same object, so
             # later comparisons hit the identity fast paths.  (Exact
             # type check: subclasses may substitute through other
             # channels, e.g. the checker's key renamer.)

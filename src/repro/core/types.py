@@ -290,142 +290,6 @@ class CFun(CType):
 
 
 # ---------------------------------------------------------------------------
-# Hash-consing
-# ---------------------------------------------------------------------------
-
-#: Process-wide intern table: structural description -> canonical CType.
-#: Interned types make structural equality collapse to an identity
-#: check on the checker's hot paths (declared-vs-actual matching,
-#: signature instantiation, join comparisons).  Only *declaration-
-#: ground* types are hash-consed — no concrete :class:`Key` objects,
-#: no symbolic :class:`StateVar` states — so the table is bounded by
-#: program text, not by per-check flow state; everything else passes
-#: through :func:`intern_type` untouched.  The table never evicts
-#: (eviction would invalidate the id-based child descriptions); the
-#: cap is a backstop that degrades interning to the identity function.
-_INTERN: Dict[object, CType] = {}
-#: ids of the canonical objects (all kept alive by ``_INTERN``), so
-#: re-interning an already-canonical type is O(1) instead of a walk.
-_CANON_IDS: set = set()
-_MAX_INTERN = 1 << 16
-
-
-def _req_desc(req: StateReq):
-    """Hashable description of a state requirement, or None if it
-    mentions a symbolic state (never interned)."""
-    if isinstance(req, AnyState):
-        return "*"
-    if isinstance(req, ExactState):
-        if isinstance(req.state, StateVar):
-            return None
-        return ("=", req.state)
-    return ("<=", req.var, req.bound)
-
-
-def _intern(t: CType) -> Optional[CType]:
-    """Canonical representative, or None when ``t`` is not internable.
-
-    Children are interned first, so a parent's description can key on
-    child *identity* — that is what makes repeated lookups O(shallow)
-    instead of O(structure).
-    """
-    if id(t) in _CANON_IDS:
-        return t
-    cls = t.__class__
-    if cls is CBase:
-        desc = ("b", t.name)
-    elif cls is CTypeVar:
-        desc = ("tv", t.name)
-    elif cls is CArray:
-        elem = _intern(t.elem)
-        if elem is None:
-            return None
-        t = CArray(elem)
-        desc = ("a", id(elem))
-    elif cls is CTracked:
-        if not isinstance(t.key, KeyVarRef):
-            return None
-        inner = _intern(t.inner)
-        if inner is None:
-            return None
-        t = CTracked(t.key, inner)
-        desc = ("tr", t.key.name, id(inner))
-    elif cls is CPacked:
-        req = _req_desc(t.state)
-        if req is None:
-            return None
-        inner = _intern(t.inner)
-        if inner is None:
-            return None
-        t = CPacked(inner, t.state)
-        desc = ("p", req, id(inner))
-    elif cls is CGuarded:
-        guards = []
-        for key, greq in t.guards:
-            if not isinstance(key, KeyVarRef):
-                return None
-            rdesc = _req_desc(greq)
-            if rdesc is None:
-                return None
-            guards.append((key.name, rdesc))
-        inner = _intern(t.inner)
-        if inner is None:
-            return None
-        t = CGuarded(t.guards, inner)
-        desc = ("g", tuple(guards), id(inner))
-    elif cls is CNamed:
-        args = []
-        new_args = []
-        for arg in t.args:
-            if arg.kind == "type":
-                at = _intern(arg.type)
-                if at is None:
-                    return None
-                new_args.append(CArg("type", type=at))
-                args.append(("t", id(at)))
-            elif arg.kind == "key":
-                if not isinstance(arg.key, KeyVarRef):
-                    return None
-                new_args.append(arg)
-                args.append(("k", arg.key.name))
-            else:
-                if isinstance(arg.state, StateVar):
-                    return None
-                new_args.append(arg)
-                args.append(("s", arg.state))
-        if t.args:
-            t = CNamed(t.name, tuple(new_args))
-        desc = ("n", t.name, tuple(args))
-    else:
-        # CFun and anything future: signatures are identity-unique.
-        return None
-    canon = _INTERN.get(desc)
-    if canon is not None:
-        return canon
-    if len(_INTERN) >= _MAX_INTERN:
-        return None
-    _INTERN[desc] = t
-    _CANON_IDS.add(id(t))
-    return t
-
-
-def intern_type(t: CType) -> CType:
-    """The canonical representative of a structurally-equal type.
-
-    Hash-consing makes ``interned(a) is interned(b)`` equivalent to
-    structural equality for declaration-ground types; flow-time types
-    (concrete keys, symbolic states) are returned unchanged.
-    """
-    canon = _intern(t)
-    return t if canon is None else canon
-
-
-def intern_table_size() -> int:
-    """How many canonical types the process-wide table holds."""
-    return len(_INTERN)
-
-
-# ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 

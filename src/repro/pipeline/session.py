@@ -32,9 +32,7 @@ invalidated:
   only up to its body: elaboration needs signatures alone, and a
   summary fingerprint reads the function's text, not its AST.  A body
   is lexed and parsed when its function is flow-checked, and then
-  stays on the cached node.  A body that does not parse on its own
-  sends the check back to one whole-unit parse, so syntax errors are
-  reported exactly as ``check_source`` reports them;
+  stays on the cached node;
 * **context** — the elaborated :class:`ProgramContext` (layered on
   the process-wide stdlib base) is held per file and reused by any
   revision with the same interface: the env token (the digest of the
@@ -46,20 +44,18 @@ invalidated:
   interface changes, a declaration moves or the held context has
   diagnostics.  The context entry holds the defined functions in
   sorted order, sorted once when it is elaborated;
-* **held function results** — each function's last result is held
-  on its ``FunDef`` node, under the env token, and its diagnostics
-  and fingerprint in the context entry's lists, by sorted place.  A
-  node outlives a check only inside a chunk that was carried or a hit
-  (or a context that was held), so while the context was held or
+* **held function results** — each function's last diagnostics and
+  fingerprint are held in the context entry's lists, by sorted place.
+  A node outlives a check only inside a chunk that was carried or a
+  hit (or a context that was held), so while the context was held or
   reused the functions to answer are the *pending* ones, whose node is
   new: the range's.  Every other result is served as is: no
   fingerprint, summary lookup or relocation, and the unit's
   diagnostics are the held per-function tuples joined.  Under an
-  elaborated context every function is pending and only a node's
-  fingerprint is reused.  A body edit of a 640-function unit parses
-  one header and one body, fingerprints (from the function's own
-  chunk) and checks one function; a re-save serves every function
-  ("replayed whole unit");
+  elaborated context every function is pending.  A body edit of a
+  640-function unit parses one header and one body, fingerprints
+  (from the function's own chunk) and checks one function; a re-save
+  serves every function ("replayed whole unit");
 * **held render** — beside each function's diagnostics the context
   entry holds their rendered text, filled lazily by the reporter's
   ``render()`` (:meth:`Reporter.hold`): a save renders only the
@@ -86,6 +82,13 @@ invalidated:
   later process replays an unchanged file without parsing it and
   re-checks only what an edit touched.
 
+A revision that does not split, or one of whose chunks or function
+bodies does not parse on its own, is answered the way
+``check_source`` answers it: the unit is parsed whole (so a syntax
+error raises exactly as there), elaborated, and every function is
+flow-checked.  Nothing of that answer is held: the file keeps the
+chunked state it had, and its next revision splices that as usual.
+
 Functions that miss every cache are flow-checked one after another in
 sorted qualified-name order.  Vault checks each function on its own
 against its callees' declared signatures, so the caches above carry
@@ -101,18 +104,17 @@ session's metrics registry (``telemetry.metrics``), which is always
 live and the only place a layer is counted: ``cache.chunk_splice.*``
 counts the chunks a split carried over (hits) or scanned (misses),
 ``cache.held_result.*`` the functions served from their held result
-or not, ``cache.fingerprint_memo.*`` the fingerprints reused from a
-held result under an elaborated context or computed, and
-``cache.unit_replay.hits`` the functions of checks that served every
-function so.  Each check's own account is one :class:`CheckRecord`,
-``CheckSession.last``: its plan and context step, how each function
-was answered, what it parsed and where its time went.  A check that
-returns adds its record to :class:`SessionStats`, the session's
-totals, which the registry cannot give per session (a daemon's
-sessions share one registry).  After every check the
-``session.files`` and ``session.chunks_held`` gauges give the files
-and chunk ASTs the session holds.  Spans are recorded only with
-``Telemetry(trace=True)``.
+or not, and ``cache.unit_replay.hits`` the functions of checks that
+served every function so; ``check.fingerprints`` counts the function
+fingerprints computed.  Each check's own account is one
+:class:`CheckRecord`, ``CheckSession.last``: its plan and context
+step, how each function was answered, what it parsed and where its
+time went.  A check that returns adds its record to
+:class:`SessionStats`, the session's totals, which the registry
+cannot give per session (a daemon's sessions share one registry).
+After every check the ``session.files`` and ``session.chunks_held``
+gauges give the files and chunk ASTs the session holds.  Spans are
+recorded only with ``Telemetry(trace=True)``.
 
 File records: ``cache_dir`` is a content-addressed store directory
 (:class:`repro.cache.RecordStore`) holding one record per file name and
@@ -148,7 +150,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..core import build_context, check_function_diagnostics
 from ..diagnostics import (Diagnostic, Note, Pos, Reporter, Span,
                            VaultError)
-from ..diagnostics.reporter import source_lines
 from ..obs import Telemetry
 from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context
@@ -186,13 +187,6 @@ def _relocate(diags: Tuple[Diagnostic, ...], lines: int, filename: str
                    [Note(n.text, move(n.span)) if isinstance(n, Note)
                     else n for n in d.notes])
         for d in diags)
-
-
-def _unit_lines(source: str):
-    """``Split.lines`` for a unit that did not split (and so was parsed
-    whole)."""
-    lines = source_lines(source)
-    return lambda first, last: "\n".join(lines[first - 1:last])
 
 
 def _inside(diags: Tuple[Diagnostic, ...], where: Span) -> bool:
@@ -345,39 +339,31 @@ class SessionStats:
 
 
 class _WholeUnit(Exception):
-    """A function body failed to parse on its own: redo the check from
-    one whole-unit parse, which reports the unit's first syntax error
-    in source order (or, after a mis-split, parses cleanly)."""
+    """A chunk or a function body failed to parse on its own: answer
+    the revision from one whole-unit parse, which reports the unit's
+    first syntax error in source order (or, after a mis-split, parses
+    cleanly)."""
 
 
 class _CtxEntry:
     """A file's elaborated context, and its functions' latest results
     and their rendered texts in sorted qualified-name order."""
 
-    __slots__ = ("revision", "ctx", "diags", "env_token", "programs",
-                 "quals", "index", "results", "fps", "pending", "texts",
+    __slots__ = ("revision", "ctx", "diags", "env_token", "quals",
+                 "index", "results", "fps", "pending", "texts",
                  "unrendered", "volatile", "version", "__weakref__")
 
-    def __init__(self, revision: Union[Split, str], ctx,
-                 diags: Tuple[Diagnostic, ...], env_token: str,
-                 programs: Optional[List[ast.Program]]):
+    def __init__(self, revision: Split, ctx, diags: Tuple[Diagnostic, ...],
+                 env_token: str):
         #: the split the context was elaborated or reused under (the
-        #: file's held split), or the sha256 of a unit parsed whole
+        #: file's held split, unless a check raised after the split)
         self.revision = revision
         self.ctx = ctx
         self.diags = diags
-        #: a unit parsed whole: its one program, whose header-only
-        #: definitions include any a duplicate name hides from
-        #: ``ctx.fun_defs`` (a check that stops at the context's
-        #: diagnostics still parses their bodies, since
-        #: ``check_source`` raises a syntax error first).  ``None``
-        #: under a split: the file's held chunks are the programs.
-        self.programs = programs
         #: digest of every chunk's *interface* (signatures and
         #: declarations, not function bodies) plus the session's
-        #: stdlib/units configuration.  Function results are held on
-        #: the FunDef nodes under it, so a body edit, which leaves it
-        #: unchanged, re-fingerprints one function.
+        #: stdlib/units configuration: a body edit leaves it unchanged,
+        #: so the context is reused and one function re-fingerprinted.
         self.env_token = env_token
         #: the defined functions in sorted order and each one's place
         self.quals = sorted(ctx.fun_defs)
@@ -432,10 +418,8 @@ class _ChunkEntry:
     interface digest (see ``_interface_part``) and, for a function
     definition chunk, the function.
 
-    The chunk's ``FunDef`` nodes carry their function's last result
-    (``_pl_result``, see ``CheckSession._check_functions``).  Every
-    node a session checks comes from the checked file and lives in
-    that file's chunks or context only: the stdlib base context
+    Every node a session checks comes from the checked file and lives
+    in that file's chunks or context only: the stdlib base context
     defines no function, so no node is shared between sessions."""
 
     __slots__ = ("program", "part", "fundef")
@@ -572,17 +556,16 @@ class CheckSession:
             # A quoted line is read from its chunk, not from the unit
             # split into lines.
             reporter.line_at = split.line
-        prefix = len(reporter.diagnostics)
-        try:
-            self._check_unit(source, filename, state, started, reporter,
-                             base, split)
-        except _WholeUnit:
-            # Redo the unit only: the lookups above are done once, and
-            # the functions are answered afresh.
-            del reporter.diagnostics[prefix:]
-            self.last.functions = {}
-            self._check_unit(source, filename, state, started, reporter,
-                             base, split, chunked=False)
+            prefix = len(reporter.diagnostics)
+            try:
+                self._check_unit(filename, state, started, reporter, base,
+                                 split)
+            except _WholeUnit:
+                # Redo the unit only: the lookups above are done once.
+                del reporter.diagnostics[prefix:]
+                split = None
+        if split is None:
+            self._check_whole(source, filename, started, reporter, base)
         if sha is not None and state.sha != sha:
             self._save_record(filename, state, sha, reporter)
         return self._finish(reporter)
@@ -608,33 +591,54 @@ class CheckSession:
         self._files[filename] = state
         return state
 
-    def _check_unit(self, source: str, filename: str, state: _FileState,
-                    started: float, reporter: Reporter, base,
-                    split: Optional[Split], chunked: bool = True) -> None:
+    def _check_unit(self, filename: str, state: _FileState, started: float,
+                    reporter: Reporter, base, split: Split) -> None:
         """The unit's context, then each function's diagnostics (none
-        when the context's own diagnostics stop the check)."""
-        entry, how = self._context_for(source, filename, state, base,
-                                       split if chunked else None)
+        when the context's own diagnostics stop the check), from the
+        revision's chunks; ``_WholeUnit`` when one does not parse."""
+        entry, how = self._context_for(filename, state, base, split)
         self.last.context_seconds = time.perf_counter() - started
         reporter.diagnostics.extend(entry.diags)
         if not reporter.ok:
             # check_source parses every body before it elaborates, so
             # a syntax error outranks these diagnostics.
-            programs = entry.programs if entry.programs is not None \
-                else [chunk.program for chunk in state.chunks]
-            self._parse_bodies([decl for program in programs
-                                for decl in program.decls
+            self._parse_bodies([decl for chunk in state.chunks
+                                for decl in chunk.program.decls
                                 if isinstance(decl, ast.FunDef)], filename)
             return
         check_started = time.perf_counter()
         with self.telemetry.tracer.span("check_functions"):
-            whole = self._check_functions(entry, state, source, filename,
-                                          how, split)
+            whole = self._check_functions(entry, state, filename, how, split)
         if not whole:
             self.last.check_seconds = time.perf_counter() - check_started
         prefix = len(reporter.diagnostics)
         reporter.diagnostics.extend(chain.from_iterable(entry.results))
         reporter.hold(entry, prefix)
+
+    def _check_whole(self, source: str, filename: str, started: float,
+                     reporter: Reporter, base) -> None:
+        """Answer the revision as ``check_source`` does: parse the unit
+        whole, elaborate it and flow-check every function.  Nothing is
+        held, so the file keeps the chunked state it had."""
+        record = self.last
+        record.whole_parse = True
+        record.functions = {}
+        program = parse_program(source, filename)
+        self._count_context("elaborated")
+        ctx, diags = self._elaborate([program], base)
+        record.context_seconds = time.perf_counter() - started
+        reporter.diagnostics.extend(diags)
+        if not reporter.ok:
+            return
+        check_started = time.perf_counter()
+        quals = sorted(ctx.fun_defs)
+        record.functions = dict.fromkeys(quals, "checked")
+        record.plan = f"checked {len(quals)} of {len(quals)} function(s)"
+        with self.telemetry.tracer.span("check_functions"):
+            for diags in self._run_checks(
+                    ctx, [(qual, ctx.fun_defs[qual]) for qual in quals]):
+                reporter.diagnostics.extend(diags)
+        record.check_seconds = time.perf_counter() - check_started
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
@@ -675,31 +679,19 @@ class CheckSession:
         metrics.counter("cache.chunk_splice.misses").inc(scanned)
         return split
 
-    def _context_for(self, source: str, filename: str, state: _FileState,
-                     base, split: Optional[Split]) -> Tuple[_CtxEntry, str]:
+    def _context_for(self, filename: str, state: _FileState, base,
+                     split: Split) -> Tuple[_CtxEntry, str]:
         """The revision's context entry and how it was had: ``held``,
         the held entry on a re-save; ``reused``, the held context under
         the new chunks when the interface is unchanged; or
-        ``elaborated``, a new one.  ``split`` is the revision's split,
-        or ``None`` to parse the unit whole."""
+        ``elaborated``, a new one."""
         held = state.ctx
-        if split is not None:
-            k, j, m = split.spliced
-            if held is not None and held.revision is state.split \
-                    and k == j and not m:
-                return held, self._count_context("held")
-            parsed = self._parse_chunks(split, state, filename)
-            if parsed is not None:
-                return self._chunk_context(split, filename, state, base,
-                                           *parsed)
-        revision = _sha(source)
-        if held is not None and held.revision == revision:
+        k, j, m = split.spliced
+        if held is not None and held.revision is state.split \
+                and k == j and not m:
             return held, self._count_context("held")
-        program, env_token = self._parse_whole(source, filename, revision)
-        how = self._count_context("elaborated")
-        ctx, diags = self._elaborate([program], base)
-        state.ctx = _CtxEntry(revision, ctx, diags, env_token, [program])
-        return state.ctx, how
+        return self._chunk_context(split, filename, state, base,
+                                   *self._parse_chunks(split, state, filename))
 
     def _chunk_context(self, split: Split, filename: str, state: _FileState,
                        base, fresh: List[_ChunkEntry],
@@ -749,7 +741,7 @@ class CheckSession:
             return held, self._count_context("reused")
         how = self._count_context("elaborated")
         ctx, diags = self._elaborate([chunk.program for chunk in chunks], base)
-        state.ctx = _CtxEntry(split, ctx, diags, env_token, None)
+        state.ctx = _CtxEntry(split, ctx, diags, env_token)
         return state.ctx, how
 
     def _elaborate(self, programs: List[ast.Program], base
@@ -770,12 +762,11 @@ class CheckSession:
         return how
 
     def _parse_chunks(self, split: Split, state: _FileState, filename: str
-                      ) -> Optional[Tuple[List[_ChunkEntry],
-                                          List[_ChunkEntry],
-                                          List[_ChunkEntry]]]:
+                      ) -> Tuple[List[_ChunkEntry], List[_ChunkEntry],
+                                 List[_ChunkEntry]]:
         """The entries of the chunks ``split`` scanned (``k:k+m`` of its
         ``spliced``), which of them were parsed and which were kept;
-        ``None`` when one does not parse.  A chunk with the text and
+        ``_WholeUnit`` when one does not parse.  A chunk with the text and
         place of one of the held chunks it replaces keeps that chunk's
         entry; every chunk outside the range is a held chunk, kept by
         construction."""
@@ -806,7 +797,7 @@ class CheckSession:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
             # exactly as the non-incremental path reports them.
-            return None
+            raise _WholeUnit() from None
         finally:
             # the chunks before the range, and any after it once the
             # range parsed, are hits too
@@ -909,8 +900,8 @@ class CheckSession:
         For a function-definition chunk only the header (tokens up to
         the body's opening brace — return type, name, parameters,
         effect clause; a header-only parse lexes nothing else) feeds
-        the digest: body edits must not disturb the env token, that is
-        the whole point of the memo.  Any chunk led by a declaration
+        the digest: body edits must not disturb the env token, so that
+        they reuse the context.  Any chunk led by a declaration
         keyword digests its full text (its content
         hash) — conservative, but those chunks can define types, keys
         or whole modules whose every detail other fingerprints may see.
@@ -926,41 +917,26 @@ class CheckSession:
             header.append(tok.text)
         return "\x1f".join(header)
 
-    def _parse_whole(self, source: str, filename: str, sha: str
-                     ) -> Tuple[ast.Program, str]:
-        """The unit (whose sha256 is ``sha``) parsed whole, and its env
-        token."""
-        self.last.whole_parse = True
-        return parse_program(source, filename), _sha(
-            f"unit\x00{sha}\x00{filename}"
-            f"\x00{self.units!r}\x00{self.stdlib!r}")
-
     # -- function checking -------------------------------------------------
 
     def _check_functions(self, entry: _CtxEntry, state: _FileState,
-                         source: str, filename: str, how: str,
-                         split: Optional[Split]) -> bool:
+                         filename: str, how: str, split: Split) -> bool:
         """Answer the entry's pending functions, in serial (sorted-qual)
         order, into its ``results`` (``_CtxEntry.answer``, which drops
-        the text of each new result); return whether every function was
-        served from its held result.
+        the text of each new result); return whether none was pending.
 
-        Each function's result is held on its ``FunDef`` node as
-        ``_pl_result``, ``(env token, fingerprint, diagnostics)``.  A
-        node is carried into a check only by a chunk the splice carried
-        or that is a hit (same text and place), or by a held context,
-        so when the context
-        was held or reused (``how``) a node whose result has this env
-        token is answered from it: no fingerprint, summary lookup or
-        relocation.  Its text and place are what they were, and every
-        signature it sees is the env token's; a span outside its lines
-        can only be in a declaration chunk, which a held or reused
-        context has in place.  That holds for every function that is
-        not pending, so only the pending ones are looked at.  Under an
-        elaborated context every function is pending, and a node's
-        result gives only its fingerprint.  Every other function is
-        answered by the file's summary map or a flow check, and the
-        result is then held on its node.
+        A node is carried into a check only by a chunk the splice
+        carried or that is a hit (same text and place), or by a held
+        context, so when the context was held or reused (``how``) the
+        held result of a function that is not pending is served as is:
+        no fingerprint, summary lookup or relocation.  Its text and
+        place are what they were, and every signature it sees is the
+        env token's; a span outside its lines can only be in a
+        declaration chunk, which a held or reused context has in place.
+        Under an elaborated context every function is pending.  A
+        pending function is fingerprinted, from its lines in its chunk
+        (``split``, this revision's), and answered by the file's
+        summary map or a flow check.
 
         The file's summary map is updated in place by the functions
         answered: a function's summary replaces the one of the
@@ -969,76 +945,51 @@ class CheckSession:
         context the map starts empty and is looked up in the held one.
         Either way it ends with the summary of every function that has
         one: a diagnostic with a span outside its function's lines
-        makes none.  A function's lines come from its chunk (``split``,
-        this revision's) or, for a unit that did not split, from the
-        unit split into lines."""
+        makes none."""
         metrics = self.telemetry.metrics
         record = self.last
-        ctx, env_token = entry.ctx, entry.env_token
-        quals, index, results, fps = \
-            entry.quals, entry.index, entry.results, entry.fps
+        ctx, quals, index, fps = entry.ctx, entry.quals, entry.index, entry.fps
         functions = record.functions = dict.fromkeys(quals, "held")
+        pending = sorted(entry.pending)
+        served = len(quals) - len(pending)
+        metrics.counter("cache.held_result.hits").inc(served)
+        metrics.counter("cache.held_result.misses").inc(len(pending))
         servable = how != "elaborated"
+        if servable and not pending:
+            metrics.counter("cache.unit_replay.hits").inc(served)
+            record.plan = "replayed whole unit"
+            return True
         held = state.summaries
         if not servable:
             state.summaries = {}
         summaries = state.summaries
-        lines = split.lines if split is not None else _unit_lines(source)
         # qual, def, fingerprint
         to_check: List[Tuple[str, ast.FunDef, str]] = []
-        pending = sorted(entry.pending)
-        served = memoized = 0
         with self.telemetry.tracer.span("fingerprint",
                                         functions=len(quals)):
             for qual in pending:
                 fundef = ctx.fun_defs[qual]
                 at = index[qual]
-                result = fundef.__dict__.get("_pl_result")
-                kept = result is not None and result[0] == env_token
-                if kept:
-                    # A fingerprint covers the function's own text plus
-                    # the rendered signatures it can see; both are
-                    # pinned by (this node, the env token).
-                    fp = result[1]
-                else:
-                    span = fundef.span
-                    fp = function_fingerprint(
-                        ctx, qual, lines(span.start.line, span.end.line))
+                span = fundef.span
+                fp = function_fingerprint(
+                    ctx, qual, split.lines(span.start.line, span.end.line))
                 if fps[at] != fp:
                     summaries.pop(fps[at], None)
                     fps[at] = fp
-                if kept and servable:
-                    results[at] = result[2]
-                    served += 1
-                    continue
-                memoized += kept
                 summary = held.get(fp)
                 if summary is not None:
                     # a summary is made only of a result ``_inside``
                     # accepts, so its text is held
-                    diags = _relocate(summary, fundef.span.start.line,
-                                      fundef.span.filename)
-                    entry.answer(at, diags, True)
-                    fundef._pl_result = (env_token, fp, diags)
+                    entry.answer(at, _relocate(summary, span.start.line,
+                                               span.filename), True)
                     summaries[fp] = summary
                     functions[qual] = "summary"
                 else:
                     to_check.append((qual, fundef, fp))
                     functions[qual] = "checked"
-        served += len(quals) - len(pending)
-        metrics.counter("cache.held_result.hits").inc(served)
-        metrics.counter("cache.held_result.misses").inc(len(quals) - served)
-        if servable and served == len(quals):
-            entry.pending.clear()
-            metrics.counter("cache.unit_replay.hits").inc(served)
-            record.plan = "replayed whole unit"
-            return True
-        if memoized:
-            metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
-        misses = len(quals) - served - memoized
-        if misses:
-            metrics.counter("cache.fingerprint_memo.misses").inc(misses)
-        replayed = len(quals) - served - len(to_check)
+        if pending:
+            metrics.counter("check.fingerprints").inc(len(pending))
+        replayed = len(pending) - len(to_check)
         if replayed:
             metrics.counter("cache.summary.hits").inc(replayed)
         if to_check:
@@ -1046,24 +997,22 @@ class CheckSession:
         record.plan = \
             f"checked {len(to_check)} of {len(quals)} function(s)"
         self._parse_bodies([fundef for _, fundef, _ in to_check], filename)
-        if to_check:
-            checked = self._run_checks(ctx, to_check)
-            for (qual, fundef, fp), diags in zip(to_check, checked):
-                inside = _inside(diags, fundef.span)
-                entry.answer(index[qual], diags, inside)
-                if inside:
-                    summaries[fp] = _relocate(
-                        diags, -fundef.span.start.line, "")
-                fundef._pl_result = (env_token, fp, diags)
+        checked = self._run_checks(ctx, to_check)
+        for (qual, fundef, fp), diags in zip(to_check, checked):
+            inside = _inside(diags, fundef.span)
+            entry.answer(index[qual], diags, inside)
+            if inside:
+                summaries[fp] = _relocate(diags, -fundef.span.start.line, "")
         entry.pending.clear()
         return False
 
     def _run_checks(self, ctx, to_check) -> List[Tuple[Diagnostic, ...]]:
-        """Flow-check each cache miss, in the order given."""
+        """Flow-check each function of ``to_check`` (tuples led by its
+        qualified name and definition), in the order given."""
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         out: List[Tuple[Diagnostic, ...]] = []
-        for qual, fundef, _fp in to_check:
+        for qual, fundef, *_ in to_check:
             started = time.perf_counter()
             with tracer.span("check_function", function=qual):
                 diags = tuple(check_function_diagnostics(ctx, qual, fundef))

@@ -3,7 +3,7 @@
 
 from repro.diagnostics import Code
 
-from conftest import POINT, assert_ok, assert_rejected, codes
+from conftest import POINT, assert_ok, assert_rejected, check, codes
 
 
 class TestJoins:
@@ -258,6 +258,29 @@ void f(int n) {
     Region.delete(rgn);
 }
 """, Code.JOIN_MISMATCH)
+
+    def test_continue_after_delete_has_no_invariant(self):
+        # The continue path reaches the back edge without the key: the
+        # loop has no invariant, reported at the ``while``.  A checker
+        # that drops the continue states from the back edge accepts
+        # this program, which then deletes the region twice.
+        report = check("""
+void f(int n) {
+    tracked(R) region rgn = Region.create();
+    int i = 0;
+    while (i < n) {
+        if (i == 2) {
+            Region.delete(rgn);
+            continue;
+        }
+        i++;
+    }
+    Region.delete(rgn);
+}
+""")
+        assert [(d.code, d.span.start.line) for d in report.diagnostics
+                if d.code is Code.LOOP_NO_INVARIANT] == \
+            [(Code.LOOP_NO_INVARIANT, 5)]
 
     def test_continue_keeps_invariant(self):
         assert_ok("""

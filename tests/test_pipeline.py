@@ -717,8 +717,9 @@ class TestTelemetry:
     def test_a_whole_unit_retry_answers_each_function_once(
             self, monkeypatch):
         # A body that does not parse on its own sends the check back to
-        # one whole-unit parse; the retry's functions replace the first
-        # pass's, which had served 11 from their held results.
+        # one whole-unit parse, which flow-checks every function; its
+        # functions replace the first pass's, which had served 11 from
+        # their held results.
         from repro.pipeline.session import _WholeUnit
         source = synthesize_program(12, seed=3, error_rate=0.3)
         session = fresh_session()
@@ -738,8 +739,8 @@ class TestTelemetry:
         assert raised
         assert report.diagnostics == \
             check_source(edited, "unit.vlt", units=UNITS).diagnostics
-        assert session.stats.functions_replayed == 11
-        assert session.stats.functions_checked == 12 + 1
+        assert session.stats.functions_replayed == 0
+        assert session.stats.functions_checked == 12 + 12
         assert session.last.whole_parse
         assert len(session.last.functions) == 12
         assert session.last.quals("summary") \
@@ -794,6 +795,27 @@ class TestSessionReuse:
             check_source(clean, "clean.vlt", units=UNITS).render()
         assert third.render() == first.render()
         assert len(third.diagnostics) == len(first.diagnostics)
+
+    def test_key_numbers_do_not_depend_on_what_ran_before(self):
+        # A key's number reaches messages (``tracked(R#1)``), so every
+        # check of a function must number its keys alike: check_source
+        # run twice, a warm session that checked another file first and
+        # that session's summary replay of the function all render the
+        # same text.
+        unit = ("void f() { tracked(R) region z = Region.create(); "
+                "tracked(R) region q = Region.ate(); }\n")
+        first = check_source(unit, "k.vlt", units=UNITS).render()
+        assert "tracked(R#" in first
+        assert check_source(unit, "k.vlt", units=UNITS).render() == first
+        session = fresh_session()
+        session.check(synthesize_program(12, seed=3, error_rate=0.3),
+                      "other.vlt")
+        assert session.check(unit, "k.vlt").render() == first
+        moved = "\n" + unit
+        report = session.check(moved, "k.vlt")
+        assert session.last.quals("summary") == ["f"]
+        assert report.render() == \
+            check_source(moved, "k.vlt", units=UNITS).render()
 
     def test_replay_profile_has_no_stale_check_seconds(self):
         with fresh_session() as session:
@@ -1057,17 +1079,16 @@ class TestChunkAstCache:
         before = _counters(session)
         session.check(_body_edit(source), "unit.vlt")
         after = _counters(session)
-        assert after["cache.fingerprint_memo.misses"] \
-            - before["cache.fingerprint_memo.misses"] == 1
-        assert after["cache.fingerprint_memo.hits"] == 0
+        assert after["check.fingerprints"] \
+            - before["check.fingerprints"] == 1
         assert after["cache.held_result.hits"] \
             - before["cache.held_result.hits"] == functions - 1
         assert len(session.last.quals("checked")) == 1
 
-    def test_a_moved_declaration_memoises_unmoved_fingerprints(self):
+    def test_a_moved_declaration_fingerprints_every_function(self):
         # A declaration that moves elaborates the context, so no held
-        # result is served; the functions that did not move keep their
-        # nodes and the env token, so their fingerprints are memoized.
+        # result is served: every function is fingerprinted again, and
+        # the ones whose text did not change replay their summaries.
         source = synthesize_program(12, seed=3) + "struct spare { int a; }\n"
         session = fresh_session()
         session.check(source, "unit.vlt")
@@ -1077,9 +1098,9 @@ class TestChunkAstCache:
         after = _counters(session)
         assert after["cache.held_result.hits"] \
             == before["cache.held_result.hits"]
-        # worker_9, worker_10 and worker_11 moved and are re-parsed;
+        assert after["check.fingerprints"] \
+            - before["check.fingerprints"] == 12
         # the blank line is in worker_9's own text
-        assert after["cache.fingerprint_memo.hits"] == 12 - 3
         assert session.last.quals("checked") == ["worker_9"]
 
     def test_a_body_edit_serves_module_members_held_results(self):
@@ -1321,10 +1342,11 @@ class TestInterfaceReuse:
         assert not _check_like_check_source(
             session, _blank_in_body(moved, "worker_1"))
 
-    def test_a_whole_unit_context_is_not_reused(self, monkeypatch):
-        # A unit the splitter refuses is parsed whole and its context
-        # held under the source's hash; the next revision splits again,
-        # and its body edit must elaborate, not reuse that context.
+    def test_a_refused_split_keeps_the_held_context(self, monkeypatch):
+        # A unit the splitter refuses is answered as check_source
+        # answers it, and nothing of that answer is held: the file
+        # keeps its chunked context, so the next revision's body edit
+        # reuses it, parses one chunk and checks one function.
         from repro.pipeline import session as session_mod
 
         def refuse(source, held=()):
@@ -1334,9 +1356,12 @@ class TestInterfaceReuse:
         _check_like_check_source(session, _REUSE_UNIT)
         monkeypatch.setattr(session_mod, "split_chunks", refuse)
         assert _check_like_check_source(session, _REUSE_UNIT)
-        assert isinstance(session._files["unit.vlt"].ctx.revision, str)
+        assert session.last.whole_parse
         monkeypatch.undo()
-        assert _check_like_check_source(session, _body_edit(_REUSE_UNIT))
+        assert not _check_like_check_source(session, _body_edit(_REUSE_UNIT))
+        assert session.last.context == "reused"
+        assert session.last.chunks_parsed == 1
+        assert session.last.functions_checked == 1
 
     def test_a_syntax_error_then_its_fix(self):
         # The broken body raises before any whole-unit context is held;
