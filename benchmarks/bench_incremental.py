@@ -91,7 +91,7 @@ def _cache_hit_rates(metrics) -> dict:
     """Per-cache-layer hit rates from a session's metrics registry."""
     snapshot = metrics.snapshot()
     rates = {}
-    for layer in ("chunk_splice", "chunk_ast", "context", "held_result",
+    for layer in ("chunk_ast", "context", "held_result",
                   "summary", "stdlib_base", "unit_replay"):
         hits = snapshot.get(f"cache.{layer}.hits", {}).get("value", 0)
         misses = snapshot.get(f"cache.{layer}.misses", {}).get("value", 0)
@@ -242,10 +242,10 @@ def test_incremental_pipeline(benchmark):
         previous = {}
     for key, value in previous.items():
         result.setdefault(key, value)
-    # bench_smoke.py owns seven rows of the "frontend" block.
+    # bench_smoke.py owns eight rows of the "frontend" block.
     for row in ("retained_chunks", "elaborations", "rescanned_chunks",
                 "unit_replay", "summaries_held", "body_edit_events",
-                "body_edit_render_events"):
+                "body_edit_render_events", "line_insert_events"):
         if row in previous.get("frontend", {}):
             result["frontend"][row] = previous["frontend"][row]
 

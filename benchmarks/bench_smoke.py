@@ -21,8 +21,9 @@ a declaration, so none of those checks may run ``build_context`` (the
 ``frontend.elaborations`` and must be 0.
 
 The splice ratchet makes a one-constant body edit of a 640-function
-unit in a warm session: the splitter may re-scan at most 2 chunks (the
-``cache.chunk_splice.misses`` counter), and the session may fingerprint
+unit in a warm session: the splitter may re-scan at most 2 chunks,
+each of which the session parses (the ``cache.chunk_ast.misses``
+counter), and the session may fingerprint
 (the ``check.fingerprints`` counter) and flow-check one function;
 every other function is served from its held result.  It is recorded as
 ``frontend.rescanned_chunks``.
@@ -52,6 +53,11 @@ of a unit with seeded bugs (``error_rate=0.1``), over ``check`` plus
 the functions it answered, not every diagnostic of the unit, so the
 640-function count may be at most 1.2 times the 160-function one.
 Both are recorded as ``frontend.body_edit_render_events``.
+
+The same events of a warm save that inserts a blank line at line 20
+of the seeded unit, rendered, are recorded without a gate as
+``frontend.line_insert_events``: every chunk below the line moves and
+is parsed again, so today the count grows with the unit.
 
 Usable both as a script (``python benchmarks/bench_smoke.py``) and as
 a pytest module.
@@ -256,16 +262,14 @@ def test_splice_ratchet():
     source = synthesize_program(N_FUNCTIONS_SPLICE, seed=42)
     session = CheckSession(units=UNITS)
     session.check(source)
-    at = source.index("c.value += ", len(source) // 2)
-    end = source.index(";", at)
-    edited = source[:at] + "c.value += 4242" + source[end:]
+    edited = _one_constant(source)
     before = _counters(session)
     session.check(edited)
     after = _counters(session)
     rescanned = {
         "functions": N_FUNCTIONS_SPLICE,
-        "rescanned": after["cache.chunk_splice.misses"]
-        - before["cache.chunk_splice.misses"],
+        "rescanned": after["cache.chunk_ast.misses"]
+        - before["cache.chunk_ast.misses"],
         "fingerprinted": after["check.fingerprints"]
         - before["check.fingerprints"],
         "checked": session.last.functions_checked,
@@ -380,19 +384,45 @@ def test_body_edit_render_ratchet():
     print("bench-smoke: render ratchet      OK")
 
 
-def _body_edit_events(n, error_rate=0.0, render=False):
-    """The ``call`` and ``c_call`` profiler events of one warm
-    one-constant body edit of an ``n``-function unit: its ``check``,
-    and with ``render`` its ``render()`` too (the warm check's report
-    is rendered as well, as an editor's save is)."""
+def test_line_insert_events():
+    # Recorded, not gated: the baseline a line-insert ratchet will bound.
+    events = {str(n): _body_edit_events(n, error_rate=0.1, render=True,
+                                        edit=_blank_line_20)
+              for n in (N_FUNCTIONS_FRONTEND, N_FUNCTIONS_SPLICE)}
+    ratio = events[str(N_FUNCTIONS_SPLICE)] / events[str(N_FUNCTIONS_FRONTEND)]
+    print(f"bench-smoke: a rendered blank line at line 20 makes "
+          f"{events[str(N_FUNCTIONS_FRONTEND)]} calls at "
+          f"{N_FUNCTIONS_FRONTEND} functions and "
+          f"{events[str(N_FUNCTIONS_SPLICE)]} at {N_FUNCTIONS_SPLICE} "
+          f"({ratio:.2f}x, not gated)")
+    _record("line_insert_events", events)
+
+
+def _one_constant(source):
+    """A one-constant body edit in the middle of ``source``."""
+    at = source.index("c.value += ", len(source) // 2)
+    end = source.index(";", at)
+    return source[:at] + "c.value += 4242" + source[end:]
+
+
+def _blank_line_20(source):
+    """``source`` with a blank line inserted as its line 20."""
+    lines = source.split("\n")
+    return "\n".join(lines[:19] + [""] + lines[19:])
+
+
+def _body_edit_events(n, error_rate=0.0, render=False, edit=_one_constant):
+    """The ``call`` and ``c_call`` profiler events of one warm save of
+    an ``n``-function unit, a one-constant body edit unless ``edit``
+    says otherwise: its ``check``, and with ``render`` its ``render()``
+    too (the warm check's report is rendered as well, as an editor's
+    save is)."""
     source = synthesize_program(n, seed=42, error_rate=error_rate)
     session = CheckSession(units=UNITS)
     report = session.check(source)
     if render:
         report.render()
-    at = source.index("c.value += ", len(source) // 2)
-    end = source.index(";", at)
-    edited = source[:at] + "c.value += 4242" + source[end:]
+    edited = edit(source)
     count = [0]
 
     def profile(frame, event, arg):
@@ -417,7 +447,7 @@ def _counters(session):
     """The session's registry counters by name (0 when absent)."""
     snapshot = session.telemetry.metrics.snapshot()
     return {name: snapshot.get(name, {}).get("value", 0)
-            for name in ("cache.chunk_splice.misses",
+            for name in ("cache.chunk_ast.misses",
                          "check.fingerprints",
                          "cache.unit_replay.hits")}
 
@@ -450,4 +480,5 @@ if __name__ == "__main__":
     test_summary_ratchet()
     test_body_edit_scaling_ratchet()
     test_body_edit_render_ratchet()
+    test_line_insert_events()
     print("bench-smoke: PASS")

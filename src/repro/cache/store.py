@@ -4,8 +4,8 @@ A session with ``cache_dir`` keeps one *file record* per compiled file
 in a :class:`RecordStore`, a content-addressed directory, so a later
 process starts from what an earlier one learned::
 
-    session  each file's summary map, and each function's held
-             result on its FunDef node (in-process, private)
+    session  each file's summary map, and its functions' held
+             results in the file's context entry (in-process, private)
     store    RecordStore  crash-safe on-disk record store, sharded by
                           key prefix
 

@@ -150,8 +150,8 @@ def match_signatures(want: Signature, have: Signature,
 
     def match_type(wt: CType, ht: CType) -> bool:
         if wt is ht:
-            # Interned declaration types collapse structural equality
-            # to identity when neither side binds variables.
+            # One object on both sides (a type the two share): it
+            # matches without a walk, and binds nothing.
             return True
         if isinstance(wt, CTypeVar):
             return subst.bind_type(wt.name, ht)

@@ -28,13 +28,14 @@ A one-constant body edit of a 640-function unit re-scans one chunk
 instead of all 200 KB.
 
 A :class:`Chunk` holds no offset, so a chunk the splice carries over is
-the held object itself: the new :class:`Split` is the held chunk list
-with one range replaced, and reports that range (``spliced``).  Only
-the offsets of the chunks past the edit move, in one list copy.  A
-chunk's line and column do not move unless the edit adds or removes a
-line before it (or changes the length of the line it starts on), so
-such an edit extends the range: to the end of the unit, or past the
-chunks on the edit's last line.
+the held object itself, with whatever its user attached (``parsed``):
+the new :class:`Split` is the held chunk list with one range replaced,
+and reports that range (``spliced``).  Every chunk in the range is new,
+so it has nothing attached.  Only the offsets of the chunks past the
+edit move, in one list copy.  A chunk's line and column do not move
+unless the edit adds or removes a line before it (or changes the
+length of the line it starts on), so such an edit extends the range:
+to the end of the unit, or past the chunks on the edit's last line.
 
 The scanner is deliberately conservative: on anything it cannot
 classify (unterminated comment or string, stray characters, unbalanced
@@ -46,7 +47,6 @@ A splice raises exactly when the cold scan of the same source does.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
@@ -73,21 +73,21 @@ class Chunk:
     ``end`` is the offset just past the terminator: the text's length
     except for a last chunk that carries the unit's trailing trivia.
 
-    ``sha`` is the SHA-256 hex digest of the text once
-    :meth:`Split.digest` has computed it, else ``None``.  A chunk a
-    splice carries over keeps it, so only the chunks a split actually
-    scanned hash afresh.
+    ``parsed`` is ``None`` until the chunk's user (the checking
+    session) attaches the chunk's parse.  A chunk a splice carries over
+    keeps it, and a chunk a split scanned, or moved, starts without
+    one.  The session drops it again from a chunk a splice replaced.
     """
 
-    __slots__ = ("start_line", "start_col", "brace", "end", "sha")
+    __slots__ = ("start_line", "start_col", "brace", "end", "parsed")
 
     def __init__(self, start_line: int, start_col: int, brace: int,
-                 end: int, sha: Optional[str] = None):
+                 end: int):
         self.start_line = start_line
         self.start_col = start_col
         self.brace = brace
         self.end = end
-        self.sha = sha
+        self.parsed = None
 
     def __repr__(self) -> str:
         return f"Chunk(line={self.start_line}, col={self.start_col})"
@@ -103,7 +103,6 @@ class PlacedChunk(NamedTuple):
     start_col: int
     brace: int
     end: int
-    sha: Optional[str]
 
 
 class Split:
@@ -135,7 +134,7 @@ class Split:
         i = range(len(self.chunks))[index]
         chunk = self.chunks[i]
         return PlacedChunk(self.text(i), chunk.start_line, chunk.start_col,
-                           chunk.brace, chunk.end, chunk.sha)
+                           chunk.brace, chunk.end)
 
     def __iter__(self) -> Iterator[PlacedChunk]:
         return (self[i] for i in range(len(self.chunks)))
@@ -147,13 +146,6 @@ class Split:
 
     def text(self, i: int) -> str:
         return self.source[self.starts[i]:self.stop(i)]
-
-    def digest(self, i: int) -> str:
-        """Chunk ``i``'s ``sha``, computed on first use."""
-        chunk = self.chunks[i]
-        if chunk.sha is None:
-            chunk.sha = hashlib.sha256(self.text(i).encode()).hexdigest()
-        return chunk.sha
 
     def line(self, number: int) -> Optional[str]:
         """Line ``number`` of the source without its newline, or
@@ -222,9 +214,9 @@ def split_chunks(source: str, held: Optional[Split] = None) -> Split:
     result is the same as without it, but only the text from the first
     chunk the edit touches to the first held chunk boundary past the
     edit is scanned: the chunks before and after are ``held``'s own
-    objects, with their ``sha``, and ``spliced`` says which range of
-    ``held`` the scanned chunks replace.  A chunk whose ``sha`` is
-    ``None`` is one this call scanned."""
+    objects, with their ``parsed``, and ``spliced`` says which range of
+    ``held`` the scanned chunks replace.  Every chunk in that range is
+    a new object, whose ``parsed`` is ``None``."""
     if not held:
         chunks, starts, _ = _scan(source, 0, 1, 1)
         if not chunks and source:
@@ -261,8 +253,8 @@ def split_chunks(source: str, held: Optional[Split] = None) -> Split:
                               first.start_col, held, n - lo, n - m)
     if not chunks and start < n:
         # Only text without a terminator was left to scan: it joins
-        # the chunk before, whose text (and so ``sha``) changes, or is
-        # the unit's one chunk.
+        # the chunk before, whose text changes, or is the unit's one
+        # chunk.
         if k:
             k -= 1
             prev = held.chunks[k]
@@ -411,7 +403,7 @@ def _resync(held: Split, k: int, chunks: List[Chunk], starts: List[int],
                             chunk.start_col + cols
                             if chunk.start_line == first.start_line
                             else chunk.start_col,
-                            chunk.brace, chunk.end, chunk.sha))
+                            chunk.brace, chunk.end))
         starts.append(held.starts[k] + delta)
         k += 1
     return k

@@ -5,8 +5,9 @@ way ``repro.check_source`` does, but re-does only the work an edit
 invalidated:
 
 * **per-file retention** — the session keeps each file's *latest*
-  revision only (its split, chunk ASTs, function results, summaries,
-  context and record state), for at most ``_MAX_FILES`` files, least
+  revision only (its split with each chunk's parse, function results,
+  summaries, context and record state), for at most ``_MAX_FILES``
+  files, least
   recently checked first.  Vault checks each function against the current
   program's signatures (paper §3), so older revisions are not worth
   holding: an undo re-parses what it changed;
@@ -15,41 +16,40 @@ invalidated:
   only the text from the first chunk an edit touches to the first
   held chunk boundary past it is scanned, and the split reports which
   range of held chunks the scanned ones replace.  Every other chunk is
-  the held object, with its content hash, so a save does not re-scan,
-  re-hash or copy the file's chunks;
+  the held object, so a save does not re-scan or copy the file's
+  chunks;
+* **chunked parsing** — each chunk's parse is held on the chunk
+  (``Chunk.parsed``), so a carried chunk keeps its AST and every chunk
+  in the range is parsed: editing one function re-parses one
+  declaration, not the file;
 * **range update** — every per-file structure is updated by that
-  range only: the parsed chunks are a list parallel to the split,
-  spliced the same way, and the context and the function results are
-  touched only where the range's chunks are.  A re-save is the empty
-  range; an edit that adds or removes a line runs the range to the end
-  of the unit, since every chunk below it moves.  The reporter a check
-  returns quotes a reported line from the chunk it starts in, not from
-  the unit split into lines;
-* **chunked parsing** — a chunk in the range with the content hash
-  and position of a held chunk it replaces keeps its AST, so editing
-  one function re-parses one declaration, not the file;
+  range only: the context and the function results are touched only
+  where the range's chunks are.  A re-save is the empty range; an edit
+  that adds or removes a line runs the range to the end of the unit,
+  since every chunk below it moves.  The reporter a check returns
+  quotes a reported line from the chunk it starts in, not from the
+  unit split into lines;
 * **header-only functions** — a function-definition chunk is parsed
   only up to its body: elaboration needs signatures alone, and a
   summary fingerprint reads the function's text, not its AST.  A body
   is lexed and parsed when its function is flow-checked, and then
   stays on the cached node;
 * **context** — the elaborated :class:`ProgramContext` (layered on
-  the process-wide stdlib base) is held per file and reused by any
-  revision with the same interface: the env token (the digest of the
-  chunks' interface parts, recomputed only when the range's parts
-  differ from the ones they replace) unchanged and no declaration
-  chunk parsed.  A body edit, a blank line in a body or a reflowed
-  header only re-points the context's definitions of the range's
-  functions at their fresh nodes; ``build_context`` runs only when the
-  interface changes, a declaration moves or the held context has
-  diagnostics.  The context entry holds the defined functions in
-  sorted order, sorted once when it is elaborated;
+  the process-wide stdlib base) is held per file, with the split it
+  was had under, and reused by a revision whose range holds function
+  definitions only, with the headers of the chunks they replace, one
+  for one.  A body edit, a blank line in a body or a reflowed header
+  only re-points the context's definitions of the range's functions
+  at their fresh nodes; ``build_context`` runs only when a header
+  changes, a declaration is in the range (it changed or moved) or the
+  held context has diagnostics.  The context entry holds the defined
+  functions in sorted order, sorted once when it is elaborated;
 * **held function results** — each function's last diagnostics and
   fingerprint are held in the context entry's lists, by sorted place.
-  A node outlives a check only inside a chunk that was carried or a
-  hit (or a context that was held), so while the context was held or
-  reused the functions to answer are the *pending* ones, whose node is
-  new: the range's.  Every other result is served as is: no
+  A node outlives a check only inside a chunk that was carried (or a
+  context that was held), so while the context was held or reused the
+  functions to answer are the *pending* ones, whose node is new: the
+  range's.  Every other result is served as is: no
   fingerprint, summary lookup or relocation, and the unit's
   diagnostics are the held per-function tuples joined.  Under an
   elaborated context every function is pending.  A body edit of a
@@ -71,7 +71,7 @@ invalidated:
   fingerprint of a function and everything it references
   (:mod:`repro.pipeline.fingerprint`) to the function's diagnostics,
   position-free: lines count from the function's first line and no
-  file name is kept, so a summary replays wherever the function moves
+  file name is held, so a summary replays wherever the function moves
   within the file.  The map holds the functions of the file's latest
   checked revision (or of its loaded record) and nothing else: an
   answered function's summary replaces the one it had before.  A
@@ -101,9 +101,11 @@ compare equal by value, positions included, not only when rendered.
 
 Accounting: every cache layer counts its hits and misses in the
 session's metrics registry (``telemetry.metrics``), which is always
-live and the only place a layer is counted: ``cache.chunk_splice.*``
-counts the chunks a split carried over (hits) or scanned (misses),
-``cache.held_result.*`` the functions served from their held result
+live and the only place a layer is counted: ``cache.chunk_ast.*``
+counts the chunks a split carried over with their parse (hits) or
+parsed (misses), ``cache.context.*`` the context steps that skipped
+``build_context`` or ran it, ``cache.held_result.*`` the functions
+served from their held result
 or not, and ``cache.unit_replay.hits`` the functions of checks that
 served every function so; ``check.fingerprints`` counts the function
 fingerprints computed.  Each check's own account is one
@@ -113,7 +115,7 @@ time went.  A check that returns adds its record to
 :class:`SessionStats`, the session's totals, which the registry
 cannot give per session (a daemon's sessions share one registry).
 After every check the ``session.files`` and ``session.chunks_held``
-gauges give the files and chunk ASTs the session holds.  Spans are
+gauges give the files and the chunks of their held splits.  Spans are
 recorded only with ``Telemetry(trace=True)``.
 
 File records: ``cache_dir`` is a content-addressed store directory
@@ -232,45 +234,42 @@ def _defined(decls: Sequence[ast.Decl], module: Optional[str] = None):
             yield from _defined(decl.decls, decl.name)
 
 
-def _forget_stale_texts(entry: "_CtxEntry", old: Split, new: Split,
-                        chunks: List["_ChunkEntry"],
-                        kept: List["_ChunkEntry"]) -> None:
-    """Drop the held texts that the splice of ``old`` into ``new``
-    (``chunks`` parsed) may have made stale, under a reused context.
+def _forget_stale_texts(entry: "_CtxEntry", old: Split, new: Split
+                        ) -> None:
+    """Drop the held texts that the splice of ``old`` into ``new`` may
+    have made stale, under a reused context.
 
-    A served function kept its chunk's text and place, but a line it
+    A served function has its chunk's text and place, but a line it
     quotes need not lie in its chunk alone: its closing brace's line
     runs on into the next chunk's leading trivia, and its first line
     may start in the chunk before.  Outside the range only the line the
     range starts on and the one it ends on hold both unchanged and
     replaced text (every other line is the held one, at its place), so
     where either reads differently, the texts of the chunks that share
-    it are dropped; so are those of the chunks the range kept.  A
-    body edit changes neither line, so it drops nothing here."""
-    def forget(chunk: "_ChunkEntry") -> None:
-        for qual in _defined(chunk.program.decls):
+    it are dropped.  A body edit changes neither line, so it drops
+    nothing here."""
+    def forget(chunk: Chunk) -> None:
+        for qual in _defined(chunk.parsed.program.decls):
             at = entry.index.get(qual)
             if at is not None:
                 entry.forget(at)
 
-    for chunk in kept:
-        forget(chunk)
     k, j, m = new.spliced
     at = old.starts[k]
     if k and _line_around(new.source, at) != _line_around(old.source, at):
         # chunk k-1 ends on the line; before it, each that starts on it
         line = old.chunks[k].start_line
         y = k - 1
-        forget(chunks[y])
+        forget(new.chunks[y])
         while y and new.chunks[y].start_line == line:
             y -= 1
-            forget(chunks[y])
+            forget(new.chunks[y])
     y = k + m
     if y < len(new) and _line_around(new.source, new.starts[y]) != \
             _line_around(old.source, old.starts[j]):
         line = new.chunks[y].start_line
         while y < len(new) and new.chunks[y].start_line == line:
-            forget(chunks[y])
+            forget(new.chunks[y])
             y += 1
 
 
@@ -347,24 +346,17 @@ class _WholeUnit(Exception):
 
 class _CtxEntry:
     """A file's elaborated context, and its functions' latest results
-    and their rendered texts in sorted qualified-name order."""
+    and their rendered texts in sorted qualified-name order.  It
+    belongs to the file's held split (``_FileState``): it was
+    elaborated or last reused under that split."""
 
-    __slots__ = ("revision", "ctx", "diags", "env_token", "quals",
-                 "index", "results", "fps", "pending", "texts",
-                 "unrendered", "volatile", "version", "__weakref__")
+    __slots__ = ("ctx", "diags", "quals", "index", "results", "fps",
+                 "pending", "texts", "unrendered", "volatile", "version",
+                 "__weakref__")
 
-    def __init__(self, revision: Split, ctx, diags: Tuple[Diagnostic, ...],
-                 env_token: str):
-        #: the split the context was elaborated or reused under (the
-        #: file's held split, unless a check raised after the split)
-        self.revision = revision
+    def __init__(self, ctx, diags: Tuple[Diagnostic, ...]):
         self.ctx = ctx
         self.diags = diags
-        #: digest of every chunk's *interface* (signatures and
-        #: declarations, not function bodies) plus the session's
-        #: stdlib/units configuration: a body edit leaves it unchanged,
-        #: so the context is reused and one function re-fingerprinted.
-        self.env_token = env_token
         #: the defined functions in sorted order and each one's place
         self.quals = sorted(ctx.fun_defs)
         self.index = {qual: i for i, qual in enumerate(self.quals)}
@@ -414,9 +406,9 @@ class _CtxEntry:
 
 
 class _ChunkEntry:
-    """One parsed chunk of a file's latest revision: its program, its
-    interface digest (see ``_interface_part``) and, for a function
-    definition chunk, the function.
+    """A chunk's parse, held on the chunk (``Chunk.parsed``): its
+    program, its interface part (see ``_interface_part``) and, for a
+    function definition chunk, the function.
 
     Every node a session checks comes from the checked file and lives
     in that file's chunks or context only: the stdlib base context
@@ -424,7 +416,7 @@ class _ChunkEntry:
 
     __slots__ = ("program", "part", "fundef")
 
-    def __init__(self, program: ast.Program, part: str):
+    def __init__(self, program: ast.Program, part: Optional[str]):
         self.program = program
         self.part = part
         decls = program.decls
@@ -435,15 +427,14 @@ class _ChunkEntry:
 class _FileState:
     """What a session keeps of one file: its latest revision only."""
 
-    __slots__ = ("split", "chunks", "env_token", "ctx", "sha", "summaries")
+    __slots__ = ("split", "ctx", "sha", "summaries")
 
     def __init__(self) -> None:
-        #: the split last parsed into chunks; the next revision splices
-        #: it, and ``chunks[i]`` is its chunk ``i`` parsed.
+        #: the split of the latest revision whose context step
+        #: succeeded, every chunk parsed, and that context: the two are
+        #: set together (dropping the parses of the chunks the split
+        #: replaced), and the next revision splices ``split``.
         self.split: Optional[Split] = None
-        self.chunks: List[_ChunkEntry] = []
-        #: the env token of ``split``'s revision (see ``_CtxEntry``)
-        self.env_token = ""
         self.ctx: Optional[_CtxEntry] = None
         #: with ``cache_dir``, the sha256 of the source whose record
         #: this session last loaded or wrote ("" for none, ``None``
@@ -524,7 +515,8 @@ class CheckSession:
             metrics = self.telemetry.metrics
             metrics.gauge("session.files").set(len(self._files))
             metrics.gauge("session.chunks_held").set(
-                sum(len(state.chunks) for state in self._files.values()))
+                sum(len(state.split) for state in self._files.values()
+                    if state.split is not None))
         self.stats.add(record)
         return reporter
 
@@ -602,8 +594,8 @@ class CheckSession:
         if not reporter.ok:
             # check_source parses every body before it elaborates, so
             # a syntax error outranks these diagnostics.
-            self._parse_bodies([decl for chunk in state.chunks
-                                for decl in chunk.program.decls
+            self._parse_bodies([decl for chunk in split.chunks
+                                for decl in chunk.parsed.program.decls
                                 if isinstance(decl, ast.FunDef)], filename)
             return
         check_started = time.perf_counter()
@@ -669,80 +661,58 @@ class CheckSession:
                 split = split_chunks(source, state.split)
             except ChunkError:
                 return None
-        if not split:
-            return None
-        k, j, m = split.spliced
-        # a chunk the splice carried over kept its hash
-        scanned = sum(chunk.sha is None for chunk in split.chunks[k:k + m])
-        metrics = self.telemetry.metrics
-        metrics.counter("cache.chunk_splice.hits").inc(len(split) - scanned)
-        metrics.counter("cache.chunk_splice.misses").inc(scanned)
-        return split
+        return split or None
 
     def _context_for(self, filename: str, state: _FileState, base,
                      split: Split) -> Tuple[_CtxEntry, str]:
         """The revision's context entry and how it was had: ``held``,
         the held entry on a re-save; ``reused``, the held context under
-        the new chunks when the interface is unchanged; or
-        ``elaborated``, a new one."""
-        held = state.ctx
-        k, j, m = split.spliced
-        if held is not None and held.revision is state.split \
-                and k == j and not m:
-            return held, self._count_context("held")
-        return self._chunk_context(split, filename, state, base,
-                                   *self._parse_chunks(split, state, filename))
-
-    def _chunk_context(self, split: Split, filename: str, state: _FileState,
-                       base, fresh: List[_ChunkEntry],
-                       parsed: List[_ChunkEntry], kept: List[_ChunkEntry]
-                       ) -> Tuple[_CtxEntry, str]:
-        """Put the revision's chunks in place of the held ones: chunks
-        ``k:k+m`` of ``split`` are ``fresh`` (of which ``parsed`` were
-        parsed, and ``kept`` are held chunks with the same text and
-        place), and every other chunk is the held one.
+        the new chunks (``k:k+m`` of ``split``; every other chunk is
+        the held one) when the interface is unchanged; or
+        ``elaborated``, a new one.  The file's split and context are
+        set together, once the step has succeeded.
 
         Functions are checked against declared signatures only (paper
         §3), so a revision with the held interface elaborates to the
-        held context.  It is reused when it came from the held split
-        and has no diagnostics of its own (they may point into function
-        bodies, which move), the env token is unchanged and no chunk
-        but a top-level function definition was parsed: declaration
-        chunks hold the context's positioned tables (type spans,
-        interfaces, modules), so they must not move, while a function
-        chunk adds only its position-free signature.  The context's
-        definitions of the parsed functions are then re-pointed at the
-        new nodes, and those functions become pending, and the texts the
-        range may have made stale are dropped (``_forget_stale_texts``)."""
+        held context.  It is reused when it has no diagnostics of its
+        own (they may point into function bodies, which move), and
+        every new chunk is a top-level function definition whose header
+        equals that of the held chunk it replaces, one for one.
+        Declaration chunks hold the context's positioned tables (type
+        spans, interfaces, modules), so none may be in the range, while
+        a function chunk adds only its position-free signature.  The
+        context's definitions of the new functions are then re-pointed
+        at their nodes, those functions become pending, and the texts
+        the range may have made stale are dropped
+        (``_forget_stale_texts``)."""
+        self._parse_chunks(split, filename)
+        old, held = state.split, state.ctx
         k, j, m = split.spliced
-        held_chunks = state.chunks
-        chunks = held_chunks[:k] + fresh + held_chunks[j:]
-        if state.split is not None \
-                and [c.part for c in held_chunks[k:j]] == \
-                [c.part for c in fresh]:
-            env_token = state.env_token
-        else:
-            env_token = _sha("\x00".join([chunk.part for chunk in chunks])
-                             + f"\x00{filename}\x00{self.units!r}"
-                               f"\x00{self.stdlib!r}")
-        held = state.ctx
-        reuse = held is not None and held.revision is state.split \
-            and not held.diags and held.env_token == env_token \
-            and all(chunk.fundef is not None for chunk in parsed)
-        old = state.split
-        state.split, state.chunks, state.env_token = split, chunks, env_token
-        if reuse:
+        if held is not None and k == j and not m:
+            return held, self._count_context("held")
+        fresh = [chunk.parsed for chunk in split.chunks[k:k + m]]
+        if held is not None and not held.diags \
+                and all(entry.fundef is not None for entry in fresh) \
+                and [chunk.parsed.part for chunk in old.chunks[k:j]] == \
+                [entry.part for entry in fresh]:
             fun_defs = held.ctx.fun_defs
-            for chunk in parsed:
-                fun_defs[chunk.fundef.decl.name] = chunk.fundef
-                held.pending.add(chunk.fundef.decl.name)
-            held.revision = split
-            _forget_stale_texts(held, old, split, chunks, kept)
-            return held, self._count_context("reused")
-        how = self._count_context("elaborated")
-        ctx, diags = self._elaborate([chunk.program for chunk in chunks], base)
-        state.ctx = _CtxEntry(split, ctx, diags, env_token)
-        return state.ctx, how
+            for entry in fresh:
+                fun_defs[entry.fundef.decl.name] = entry.fundef
+                held.pending.add(entry.fundef.decl.name)
+            _forget_stale_texts(held, old, split)
+            how = self._count_context("reused")
+        else:
+            how = self._count_context("elaborated")
+            ctx, diags = self._elaborate(
+                [chunk.parsed.program for chunk in split.chunks], base)
+            held = _CtxEntry(ctx, diags)
+        if old is not None:
+            # A report kept past this check quotes its lines from
+            # ``old``: it must not keep the replaced chunks' ASTs alive.
+            for chunk in old.chunks[k:j]:
+                chunk.parsed = None
+        state.split, state.ctx = split, held
+        return held, how
 
     def _elaborate(self, programs: List[ast.Program], base
                    ) -> Tuple[object, Tuple[Diagnostic, ...]]:
@@ -761,38 +731,18 @@ class CheckSession:
             else "cache.context.hits").inc()
         return how
 
-    def _parse_chunks(self, split: Split, state: _FileState, filename: str
-                      ) -> Tuple[List[_ChunkEntry], List[_ChunkEntry],
-                                 List[_ChunkEntry]]:
-        """The entries of the chunks ``split`` scanned (``k:k+m`` of its
-        ``spliced``), which of them were parsed and which were kept;
-        ``_WholeUnit`` when one does not parse.  A chunk with the text and
-        place of one of the held chunks it replaces keeps that chunk's
-        entry; every chunk outside the range is a held chunk, kept by
-        construction."""
+    def _parse_chunks(self, split: Split, filename: str) -> None:
+        """Parse the chunks ``split`` scanned (``k:k+m`` of its
+        ``spliced``) onto them (``Chunk.parsed``); ``_WholeUnit`` when
+        one does not parse.  Every other chunk is a held one, parsed
+        already: a hit of ``cache.chunk_ast``."""
         metrics = self.telemetry.metrics
         k, j, m = split.spliced
-        replaced: Dict[Tuple[str, int, int], _ChunkEntry] = {}
-        if state.split is not None:
-            old = state.split
-            for x in range(k, j):
-                chunk = old.chunks[x]
-                replaced[old.digest(x), chunk.start_line, chunk.start_col] = \
-                    state.chunks[x]
-        fresh: List[_ChunkEntry] = []
-        parsed: List[_ChunkEntry] = []
-        kept: List[_ChunkEntry] = []
+        parsed = 0
         try:
             for i in range(k, k + m):
-                chunk = split.chunks[i]
-                sha = split.digest(i)
-                entry = replaced.get((sha, chunk.start_line, chunk.start_col))
-                if entry is None:
-                    entry = self._parse_chunk(split, i, sha, filename)
-                    parsed.append(entry)
-                else:
-                    kept.append(entry)
-                fresh.append(entry)
+                split.chunks[i].parsed = self._parse_chunk(split, i, filename)
+                parsed += 1
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
@@ -800,16 +750,15 @@ class CheckSession:
             raise _WholeUnit() from None
         finally:
             # the chunks before the range, and any after it once the
-            # range parsed, are hits too
-            seen = len(split) if len(fresh) == m else k + len(fresh)
-            self.last.chunks_parsed += len(parsed)
-            metrics.counter("cache.chunk_ast.hits").inc(seen - len(parsed))
-            metrics.counter("cache.chunk_ast.misses").inc(len(parsed))
-        return fresh, parsed, kept
+            # range parsed, are hits
+            self.last.chunks_parsed += parsed
+            metrics.counter("cache.chunk_ast.hits").inc(
+                len(split.chunks) - m if parsed == m else k)
+            metrics.counter("cache.chunk_ast.misses").inc(parsed)
 
-    def _parse_chunk(self, split: Split, i: int, sha: str, filename: str
+    def _parse_chunk(self, split: Split, i: int, filename: str
                      ) -> _ChunkEntry:
-        """Chunk ``i``'s entry: its program and its interface digest.  A
+        """Chunk ``i``'s parse: its program and its interface part.  A
         function definition is parsed only up to its body (see
         ``_header_only``); any other chunk is lexed once and parsed
         whole."""
@@ -823,11 +772,11 @@ class CheckSession:
             if fundef is not None:
                 return _ChunkEntry(ast.Program(fundef.span, [fundef],
                                                filename),
-                                   self._interface_part(sha, tokens))
+                                   self._interface_part(tokens))
         with tracer.span("lex", filename=filename):
             tokens = tokenize(text, filename, chunk.start_line,
                               chunk.start_col)
-        part = self._interface_part(sha, tokens)
+        part = self._interface_part(tokens)
         return _ChunkEntry(parse_program(text, filename,
                                          first_line=chunk.start_line,
                                          first_col=chunk.start_col,
@@ -893,23 +842,20 @@ class CheckSession:
         T.KW_STRUCT, T.KW_STATESET, T.KW_KEY,
     })
 
-    def _interface_part(self, sha: str, tokens: List[Token]) -> str:
-        """One chunk's contribution to the context-wide env token,
-        from the chunk's own tokens.
+    def _interface_part(self, tokens: List[Token]) -> Optional[str]:
+        """What of one chunk, from its own tokens, a reused context
+        depends on (see ``_context_for``).
 
-        For a function-definition chunk only the header (tokens up to
-        the body's opening brace — return type, name, parameters,
-        effect clause; a header-only parse lexes nothing else) feeds
-        the digest: body edits must not disturb the env token, so that
-        they reuse the context.  Any chunk led by a declaration
-        keyword digests its full text (its content
-        hash) — conservative, but those chunks can define types, keys
-        or whole modules whose every detail other fingerprints may see.
-        The digest is held with the chunk's AST, so it never depends
-        on which revision parsed the chunk.
+        For a function-definition chunk that is its header's token
+        texts (up to the body's opening brace — return type, name,
+        parameters, effect clause; a header-only parse lexes nothing
+        else): a body edit leaves it as it was, so it reuses the
+        context.  A chunk led by a declaration keyword has ``None``: it
+        can define types, keys or whole modules, so once it is parsed
+        the context is elaborated anyway.
         """
         if tokens[0].kind in self._DECL_CHUNK_KINDS:
-            return sha
+            return None
         header: List[str] = []
         for tok in tokens:
             if tok.kind is T.LBRACE:
@@ -926,12 +872,12 @@ class CheckSession:
         the text of each new result); return whether none was pending.
 
         A node is carried into a check only by a chunk the splice
-        carried or that is a hit (same text and place), or by a held
-        context, so when the context was held or reused (``how``) the
-        held result of a function that is not pending is served as is:
-        no fingerprint, summary lookup or relocation.  Its text and
-        place are what they were, and every signature it sees is the
-        env token's; a span outside its lines can only be in a
+        carried, or by a held context, so when the context was held or
+        reused (``how``) the held result of a function that is not
+        pending is served as is: no fingerprint, summary lookup or
+        relocation.  Its text and place are what they were, and every
+        signature it sees is the one it was checked against (no
+        header in the range changed); a span outside its lines can only be in a
         declaration chunk, which a held or reused context has in place.
         Under an elaborated context every function is pending.  A
         pending function is fingerprinted, from its lines in its chunk

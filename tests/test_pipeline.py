@@ -26,7 +26,7 @@ from repro.analysis import synthesize_program
 from repro.core import check_function_diagnostics, program_cfgs
 from repro.diagnostics import Note, VaultError
 from repro.diagnostics.reporter import source_lines
-from repro.pipeline import CheckSession, ChunkError, Split, split_chunks
+from repro.pipeline import CheckSession, ChunkError, split_chunks
 from repro.stdlib import STDLIB_UNITS, stdlib_context, stdlib_source
 from repro.syntax import ast, parse_program, tokenize
 from repro.syntax.tokens import T
@@ -241,21 +241,28 @@ def _assert_splice_is_cold(old, new):
     """Splicing ``old``'s split into ``new`` equals ``new``'s cold
     split; returns the spliced chunks (``None`` on a ChunkError)."""
     held = split_chunks(old)
-    for i in range(len(held)):
-        held.digest(i)
     assert _split_view(new, held) == _split_view(new), (old, new)
     try:
         spliced = split_chunks(new, held)
     except ChunkError:
         return None
     # Chunks k:j of the held split are replaced by k:k+m of the new
-    # one, and every other chunk is the held object itself.
+    # one, which are new objects, and every other chunk is the held
+    # object itself.
     k, j, m = spliced.spliced
     assert len(spliced) == len(held) - (j - k) + m
+    assert not any(_carried(held, spliced)[k:k + m])
     assert all(a is b for a, b in zip(spliced.chunks[:k], held.chunks))
     assert all(a is b for a, b in zip(spliced.chunks[k + m:],
                                       held.chunks[j:]))
     return spliced
+
+
+def _carried(held, split):
+    """For each chunk of ``split``, whether it is one of ``held``'s
+    chunk objects (carried over, with what is attached to it)."""
+    ids = set(map(id, held.chunks))
+    return [id(chunk) in ids for chunk in split.chunks]
 
 
 #: what the random edits insert: every token that changes the scanner's
@@ -322,9 +329,10 @@ class TestSpliceChunks:
         # the chunks on the edited line move right; ``int d;`` does not
         assert [(c.start_line, c.start_col) for c in chunks] == \
             [(1, 1), (1, 9), (1, 16), (1, 23), (3, 2)]
-        assert [c.sha is None for c in chunks] == \
-            [True, False, False, False, False], \
-            "only the edited chunk is scanned"
+        held = split_chunks(old)
+        assert _carried(held, split_chunks(new, held)) == \
+            [False, False, False, False, True], \
+            "the edited chunk and the ones it moves are new"
 
     @pytest.mark.parametrize("old, new", [
         ("int a;", "// x"), ("int a; int b;", "int a; // b"),
@@ -350,13 +358,16 @@ class TestSpliceChunks:
 
     def test_an_empty_edit_scans_nothing(self):
         source = synthesize_program(20, seed=7)
-        chunks = _assert_splice_is_cold(source, source)
-        assert all(c.sha is not None for c in chunks)
+        assert _assert_splice_is_cold(source, source).spliced == (0, 0, 0)
+        held = split_chunks(source)
+        assert all(_carried(held, split_chunks(source, held)))
 
     def test_a_body_edit_scans_one_chunk(self):
         source = synthesize_program(40, seed=7)
-        chunks = _assert_splice_is_cold(source, _body_edit(source))
-        assert sum(c.sha is None for c in chunks) == 1
+        edited = _body_edit(source)
+        assert _assert_splice_is_cold(source, edited).spliced[2] == 1
+        held = split_chunks(source)
+        assert _carried(held, split_chunks(edited, held)).count(False) == 1
 
 
 def _split_corpus():
@@ -1006,8 +1017,8 @@ class TestPositionFreeSummaries:
 
 
 # ---------------------------------------------------------------------------
-# Chunk-AST cache: one entry per declaration chunk, with its interface
-# digest; an env token independent of cache history
+# Chunk-AST cache: each declaration chunk's parse, with its interface
+# part, held on the chunk; parts independent of cache history
 # ---------------------------------------------------------------------------
 
 
@@ -1046,14 +1057,15 @@ def _counters(session):
         if "value" in metric})
 
 
-def _env_token(session, source):
-    """The env token ``session`` computes for ``source`` (the file's
-    held context entry is this revision's)."""
+def _parts(session, source):
+    """The interface parts of ``source``'s chunks as ``session`` holds
+    them after checking it (the file's held split is this revision's),
+    and the check's context step."""
     session.check(source, "unit.vlt")
-    entry = session._files["unit.vlt"].ctx
-    assert isinstance(entry.revision, Split)
-    assert entry.revision.source == source
-    return entry.env_token
+    split = session._files["unit.vlt"].split
+    assert split.source == source
+    return [chunk.parsed.part for chunk in split.chunks], \
+        session.last.context
 
 
 class TestChunkAstCache:
@@ -1140,27 +1152,30 @@ class TestChunkAstCache:
             check_source(edited, "unit.vlt", units=UNITS).render(), \
             "a re-parsed chunk must render like a from-scratch check"
 
-    def test_env_token_does_not_depend_on_evictions(self, monkeypatch):
-        # A function chunk is digested from its header whether it was
+    def test_header_parts_do_not_depend_on_evictions(self, monkeypatch):
+        # A function chunk's part is its header whether the chunk was
         # held from the file's previous revision or parsed afresh after
-        # the file was evicted.  Were it digested differently on one
-        # path, the env token would flip and every fingerprint memo of
-        # the unit would miss.
+        # the file was evicted.  Were it taken differently on one path,
+        # a body edit would elaborate the context and every function of
+        # the unit would be fingerprinted again.
         from repro.pipeline import session as session_mod
         source = synthesize_program(40, seed=3)
         revisions = [source, _body_edit(source),
                      _body_edit(source, len(source) // 4)]
-        fresh = [_env_token(fresh_session(), text) for text in revisions]
-        # Body edits leave the interface, and so the token, unchanged.
-        assert len(set(fresh)) == 1
+        fresh = [_parts(fresh_session(), text) for text in revisions]
+        assert [step for _, step in fresh] == ["elaborated"] * 3
+        # Body edits leave the interface, and so every part, unchanged.
+        assert all(parts == fresh[0][0] for parts, _ in fresh)
         session = fresh_session()
-        assert [_env_token(session, text) for text in revisions] == fresh
+        assert [_parts(session, text) for text in revisions] == \
+            [(fresh[0][0], "elaborated"), (fresh[0][0], "reused"),
+             (fresh[0][0], "reused")]
         monkeypatch.setattr(session_mod, "_MAX_FILES", 1)
-        tokens = []
+        evicted = []
         for text in revisions:
             session.check(PROTO, "other.vlt")     # evicts unit.vlt
-            tokens.append(_env_token(session, text))
-        assert tokens == fresh
+            evicted.append(_parts(session, text))
+        assert evicted == fresh
         snapshot = session.telemetry.metrics.snapshot()
         assert snapshot["cache.file.evictions"]["value"] == 6
 
@@ -1218,7 +1233,9 @@ class TestFileRetention:
             report = session.check(text, "unit.vlt")
         chunks = len(split_chunks(text))
         assert list(session._files) == ["unit.vlt"]
-        assert len(session._files["unit.vlt"].chunks) == chunks
+        split = session._files["unit.vlt"].split
+        assert split.source == text and len(split) == chunks
+        assert all(chunk.parsed is not None for chunk in split.chunks)
         assert _gauges(session) == (1, chunks)
         assert report.render() == \
             check_source(text, "unit.vlt", units=UNITS).render()
@@ -1329,8 +1346,8 @@ class TestInterfaceReuse:
 
     def test_a_moved_declaration_elaborates(self):
         # A blank line in a body above a declaration moves it with its
-        # text unchanged, so the env token stays; but the context holds
-        # the declaration's spans, so it must be elaborated again.
+        # text unchanged; but the context holds the declaration's
+        # spans, so it must be elaborated again.
         struct, rest = _REUSE_UNIT.split("\n", 1)
         end = rest.index("\n}\n") + 3
         unit = rest[:end] + "\n" + struct + "\n" + rest[end:]
@@ -1363,6 +1380,37 @@ class TestInterfaceReuse:
         assert session.last.chunks_parsed == 1
         assert session.last.functions_checked == 1
 
+    def test_a_check_whose_elaboration_raises_leaves_the_file(
+            self, monkeypatch):
+        # A signature change whose elaboration raises keeps the file's
+        # split and context as they were.  A body edit of that revision
+        # is spliced from the last good one, so its range holds the
+        # changed header and the context is elaborated: the caller's
+        # diagnostic, which the new signature makes, is not served
+        # from before it.
+        from repro.pipeline import session as session_mod
+        unit = ("int callee(int x) {\n    return x;\n}\n"
+                "int caller() {\n    return callee(1);\n}\n")
+        changed = unit.replace("int callee(int x)",
+                               "int callee(int x, int z)")
+        edited = changed.replace("return x;", "return x + z;")
+        assert not _plain(unit, "unit.vlt").diagnostics
+        assert _plain(edited, "unit.vlt").diagnostics
+        session = fresh_session()
+        _renders_like_check_source(session, unit)
+        build_context = session_mod.build_context
+
+        def once(*args, **kwargs):
+            monkeypatch.setattr(session_mod, "build_context", build_context)
+            raise RuntimeError("elaboration failed")
+
+        monkeypatch.setattr(session_mod, "build_context", once)
+        with pytest.raises(RuntimeError):
+            session.check(changed, "unit.vlt")
+        assert session._files["unit.vlt"].split.source == unit
+        _renders_like_check_source(session, edited)
+        assert session.last.context == "elaborated"
+
     def test_a_syntax_error_then_its_fix(self):
         # The broken body raises before any whole-unit context is held;
         # the held one is the broken revision's, built from its chunks,
@@ -1376,7 +1424,9 @@ class TestInterfaceReuse:
         with pytest.raises(VaultError) as expected:
             check_source(broken, "unit.vlt", units=UNITS)
         assert str(raised.value) == str(expected.value)
-        assert isinstance(session._files["unit.vlt"].ctx.revision, Split)
+        held = session._files["unit.vlt"].split
+        assert held.source == broken
+        assert all(chunk.parsed is not None for chunk in held.chunks)
         for text in (_REUSE_UNIT, _body_edit(_REUSE_UNIT)):
             assert not _check_like_check_source(session, text)
 
@@ -1430,8 +1480,8 @@ class TestInterfaceReuse:
         for text in revisions:
             reused += not _check_like_check_source(session, text)
             state = session._files["unit.vlt"]
-            nodes = {id(decl) for chunk in state.chunks
-                     for decl in chunk.program.decls}
+            nodes = {id(decl) for chunk in state.split.chunks
+                     for decl in chunk.parsed.program.decls}
             mine = [fundef for fundef in state.ctx.ctx.fun_defs.values()
                     if fundef.span.filename == "unit.vlt"]
             assert len(mine) == 40
@@ -1724,14 +1774,14 @@ class TestRangeUpdate:
             assert _after_range(session, text) == []
             assert session.last.quals("summary") == ["worker_19"]
 
-    def test_a_header_change_moves_the_env_token(self):
+    def test_a_header_change_elaborates(self):
         session = self._warm()
-        token = session._files["unit.vlt"].ctx.env_token
+        held = session._files["unit.vlt"].ctx
         text = self.UNIT.replace("int worker_7(int input)",
                                  "int worker_7(int input, int spare)")
         _after_range(session, text)
         assert session.last.context == "elaborated"
-        assert session._files["unit.vlt"].ctx.env_token != token
+        assert session._files["unit.vlt"].ctx is not held
 
     def test_adding_removing_and_renaming_a_function(self):
         session = self._warm()
@@ -1926,7 +1976,7 @@ class TestHeldRender:
         ("return 1;", "return 7;"),
         # the chunk after h starts with h's line's comment
         ("// tail", "// tbil"),
-        # both at once: g sits between them, a chunk the range kept
+        # both at once: g sits between them, so the range parses it
         ("return 1; } void g() { tracked(R) region r = Region.create(); }\n"
          "void h() { tracked(R) region r = Region.create(); } // tail",
          "return 7; } void g() { tracked(R) region r = Region.create(); }\n"
@@ -1940,7 +1990,8 @@ class TestHeldRender:
         text = self.SHARED.replace(*edit)
         _renders_like_check_source(session, text, "s.vlt")
         assert session.last.context == "reused"
-        assert session.last.quals("held")
+        if "void g" not in edit[0]:
+            assert session.last.quals("held")
 
     def test_a_line_outside_the_function_renders_every_time(
             self, monkeypatch):
@@ -1990,16 +2041,27 @@ class TestHeldRender:
     def test_a_kept_report_holds_no_context(self):
         # An interface edit elaborates a new context: the report of the
         # check before must not keep the old one (and its functions'
-        # nodes) alive.
+        # nodes) alive, nor the parses of the chunks an edit replaced,
+        # although it quotes its lines from its own split.
         import gc
         import weakref
         session = fresh_session()
         report = session.check(self.UNIT, "unit.vlt")
-        entry = weakref.ref(session._files["unit.vlt"].ctx)
-        session.check(self.UNIT.replace("int extra;", "int extra; int more;"),
-                      "unit.vlt")
+        state = session._files["unit.vlt"]
+        entry = weakref.ref(state.ctx)
+        parses = [weakref.ref(chunk.parsed.program)
+                  for chunk in state.split.chunks]
+        edited = self.UNIT.replace("int extra;", "int extra; int more;")
+        session.check(edited, "unit.vlt")
         gc.collect()
         assert entry() is None
+        k, j, _ = state.split.spliced
+        assert [parse() is None for parse in parses] == \
+            [k <= i < j for i in range(len(parses))]
+        # a line above every chunk replaces them all
+        session.check("\n" + edited, "unit.vlt")
+        gc.collect()
+        assert all(parse() is None for parse in parses)
         assert report.render() == _plain(self.UNIT, "unit.vlt").render()
 
 
