@@ -2,8 +2,8 @@
 
 The acceptance gate for the daemon's production-hardening story.  A
 real ``vaultc serve`` subprocess sits behind a :class:`ChaosProxy`
-acting out every wire fault a :class:`FaultPlan` can describe, and the
-gate asserts the *user-visible* contract each time:
+acting out every wire fault it knows (``WIRE_FAULT_KINDS``), one at a
+time on a check's first attempt, and the gate asserts the *user-visible* contract each time:
 
 * **byte-identity under faults** — whatever goes wrong on the wire
   (torn reply, garbage frame, oversize header, disconnect, stall,
@@ -15,11 +15,11 @@ gate asserts the *user-visible* contract each time:
   (shed, never dropped);
 * **supervision** — a ``--supervise`` daemon survives three SIGKILLs
   of its child, keeps answering checks, and exits 0 on SIGTERM;
-* **storage faults** — an injected ENOSPC in the record store
-  degrades to a cache miss (never a wrong replay), is counted once in
+* **storage faults** — ENOSPC in the record store (an ``os.fsync``
+  patched to fail as a full disk would) degrades to a cache miss (never a wrong replay), is counted once in
   ``errors`` with one ``op="put"`` event, and the store keeps working
   once space returns;
-* **control** — with no faults planned, the proxy relays transparently
+* **control** — with no fault set, the proxy relays transparently
   and acts out nothing.
 
 Results land under the ``"daemon_resilience"`` key of
@@ -29,6 +29,7 @@ sockets are unavailable the gate reports itself skipped rather than
 passing vacuously.
 """
 
+import errno
 import json
 import os
 import signal
@@ -37,15 +38,16 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro import check_source                            # noqa: E402
 from repro.cache import RecordStore                        # noqa: E402
-from repro.pipeline.faults import FaultPlan               # noqa: E402
 from repro.server import (ChaosProxy, DaemonClient,       # noqa: E402
                           DaemonUnavailable, check_via_daemon,
                           encode_frame, recv_frame)
+from repro.server.chaos import WIRE_FAULT_KINDS           # noqa: E402
 
 _REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 _BENCH_JSON = os.path.join(_REPO, "BENCH_checker.json")
@@ -56,6 +58,7 @@ MAX_FAULTED_SECONDS = 15.0
 #: wire faults exercised against a live daemon (``kill`` runs last —
 #: it leaves the daemon dead and proves the fallback instead).
 LIVE_FAULTS = ("torn", "garbage-frame", "oversize", "disconnect", "stall")
+assert set(LIVE_FAULTS) | {"kill"} == set(WIRE_FAULT_KINDS)
 
 BURST_QUEUE = 2
 BURST_SIZE = 5
@@ -121,7 +124,7 @@ def _scenario_wire_faults(tmp: str, source: str, expected: str) -> dict:
     results = {}
     try:
         with ChaosProxy(listen, sock) as proxy:
-            # Control: nothing planned, nothing acted out.
+            # Control: no fault set, nothing acted out.
             control = _checked_outcome(source, listen, expected)
             assert control["via_daemon"], "control run missed the daemon"
             assert not proxy.faults_acted, \
@@ -129,21 +132,21 @@ def _scenario_wire_faults(tmp: str, source: str, expected: str) -> dict:
             results["control"] = control
 
             for kind in LIVE_FAULTS:
-                proxy.plan = FaultPlan.parse(f"{kind}@0")
+                proxy.fault = kind
                 proxy.reset()
                 stall = kind == "stall"
                 row = _checked_outcome(
                     source, listen, expected,
                     read_timeout=1.0 if stall else 5.0)
                 assert proxy.faults_acted.get(kind) == 1, \
-                    f"{kind}: the planned fault was never acted out"
+                    f"{kind}: the fault was never acted out"
                 assert row["via_daemon"], \
                     f"{kind}: the retry should have reached the daemon"
                 results[kind] = row
 
             # kill: the daemon dies mid-check; the client must fall
             # back in-process with identical bytes, never hang.
-            proxy.plan = FaultPlan.parse("kill@0")
+            proxy.fault = "kill"
             proxy.reset()
             row = _checked_outcome(source, listen, expected)
             assert proxy.faults_acted.get("kill") == 1
@@ -242,13 +245,13 @@ def _scenario_supervised(tmp: str, source: str, expected: str) -> dict:
 
 
 def _scenario_enospc(tmp: str) -> dict:
-    """Injected ENOSPC in the record store: degrade to a miss, then
-    recover."""
-    store = RecordStore(os.path.join(tmp, "cas"),
-                        fault_plan=FaultPlan.parse("enospc@1"))
+    """ENOSPC in the record store: degrade to a miss, then recover."""
+    store = RecordStore(os.path.join(tmp, "cas"))
     key = "c" * 64 + "-f"
     record = {"smoke": True}
-    assert not store.save(key, record)
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    with mock.patch("os.fsync", side_effect=full):
+        assert not store.save(key, record)
     assert store.load(key) is None, \
         "an ENOSPC'd write must degrade to a miss, not a wrong replay"
     errors_after_fault = store.errors

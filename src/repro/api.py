@@ -69,30 +69,6 @@ def check_source(source: str, filename: str = "<input>",
     return reporter
 
 
-def check_source_detailed(source: str, filename: str = "<input>",
-                          stdlib: bool = True,
-                          units: Optional[Sequence[str]] = None,
-                          cache_dir: Optional[str] = None,
-                          daemon: Optional[str] = "auto"):
-    """Daemon-first checking for library users.
-
-    Routes the check through a running ``vaultc serve`` daemon
-    (``daemon`` names its socket; ``"auto"`` is the default path,
-    ``None`` forces in-process) and transparently falls back to the
-    in-process pipeline when none is reachable.  Returns a
-    :class:`repro.server.CheckOutcome` — ``ok``, the rendered
-    diagnostics (byte-identical in both paths), the error count, and
-    ``via_daemon`` telling you which path answered.
-    """
-    from .server.client import check_detailed
-    return check_detailed(
-        source, filename,
-        {"stdlib": stdlib,
-         "units": list(units) if units is not None else None,
-         "cache_dir": cache_dir},
-        socket_path=daemon)
-
-
 def check_source_strict(source: str, filename: str = "<input>",
                         stdlib: bool = True,
                         units: Optional[Sequence[str]] = None) -> None:

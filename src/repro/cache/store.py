@@ -78,7 +78,6 @@ writers to a store directory are out of scope.
 
 from __future__ import annotations
 
-import errno
 import itertools
 import os
 import pickle
@@ -196,17 +195,13 @@ def options_salt(stdlib: bool, units: Optional[Sequence[str]]) -> str:
 
 class RecordStore:
     """A crash-safe, size-bounded directory of file records shared by
-    any number of processes.  ``fault_plan`` (tests and the chaos
-    harness only) is a :class:`~repro.pipeline.faults.FaultPlan` whose
-    ``enospc`` budget fails saves as a full disk would and whose
-    ``flip-cache`` budget corrupts a record right after it lands."""
+    any number of processes."""
 
     def __init__(self, root: str, telemetry: Optional[Telemetry] = None,
-                 max_bytes: int = DEFAULT_MAX_BYTES, fault_plan=None):
+                 max_bytes: int = DEFAULT_MAX_BYTES):
         self.root = root
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.max_bytes = max_bytes
-        self.fault_plan = fault_plan
         self.hits = self.misses = self.puts = 0
         self.errors = self.corrupt = self.evictions = 0
         self._reported_errors = 0
@@ -259,10 +254,7 @@ class RecordStore:
         self._ensure_scanned()
         path = self.path(key)
         tmp = f"{path}.tmp.{os.getpid()}.{next(_SEQ)}"
-        plan = self.fault_plan
         try:
-            if plan is not None and plan.take_enospc():
-                raise OSError(errno.ENOSPC, "injected ENOSPC (chaos harness)")
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(tmp, "wb") as handle:
                 handle.write(blob)
@@ -278,12 +270,6 @@ class RecordStore:
             return False
         self._observe_latency(time.perf_counter() - started)
         self._count("puts")
-        if plan is not None and plan.take_cache_flip():
-            offset = plan.flip_file_byte(path)
-            self.telemetry.events.emit(
-                "fault_injected",
-                f"flipped byte {offset} of {path} (injected fault)",
-                fault="flip-cache", path=path, offset=offset)
         self._bytes += len(blob)
         if self._bytes > self.max_bytes:
             self.gc()

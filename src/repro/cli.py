@@ -52,25 +52,13 @@ def _parse_jobs(value: str) -> "int | str":
             f"invalid --jobs value {value!r} (expected a count or 'auto')")
 
 
-def _fault_plan(spec: "str | None"):
-    """Parse ``--inject-faults`` / ``VAULTC_FAULTS`` (test use only)."""
-    if not spec:
-        return None
-    from .pipeline.faults import FaultError, FaultPlan
-    try:
-        return FaultPlan.parse(spec)
-    except FaultError as exc:
-        raise VaultError(f"bad fault spec: {exc}") from None
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     source = _read(args.file)
     instrumented = args.trace or args.metrics or args.print_profile
-    faults = args.inject_faults or os.environ.get("VAULTC_FAULTS")
     # The daemon path only carries what the wire protocol can express;
-    # introspection flags (--trace/--metrics/--profile) and the chaos
-    # harness are inherently local, so they check in-process as before.
-    if args.daemon is not None and not instrumented and not faults:
+    # introspection flags (--trace/--metrics/--profile) are inherently
+    # local, so they check in-process as before.
+    if args.daemon is not None and not instrumented:
         from .server.client import check_via_daemon
         outcome = check_via_daemon(source, args.file,
                                    {"cache_dir": args.cache}, args.daemon)
@@ -83,12 +71,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 1
         # No reachable daemon: transparent fallback to the identical
         # in-process pipeline below.
-    if args.cache or instrumented or faults:
+    if args.cache or instrumented:
         from .obs import Telemetry
         from .pipeline import CheckSession
         telemetry = Telemetry(trace=bool(args.trace))
-        with CheckSession(cache_dir=args.cache, telemetry=telemetry,
-                          fault_plan=_fault_plan(faults)) as session:
+        with CheckSession(cache_dir=args.cache,
+                          telemetry=telemetry) as session:
             try:
                 report = session.check(source, filename=args.file)
             finally:
@@ -509,11 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "diagnostic-code counts); '-' prints a table "
                         "to stderr, anything else is a path that "
                         "receives JSON")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                   help="deterministic chaos harness (TEST USE ONLY): "
-                        "flip a byte of the file record after writing "
-                        "it, e.g. 'flip-cache,seed=7' (with --cache); "
-                        "also read from $VAULTC_FAULTS")
     p.add_argument("--daemon", nargs="?", const="auto", default=None,
                    metavar="auto|SOCKET",
                    help="route the check through a running 'vaultc "

@@ -17,7 +17,7 @@ type (``KIRQL<level>``, §4.4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from typing import Union
 
@@ -75,9 +75,6 @@ class CoreEffect(Value):
                                         and item.key is key_name):
                 return item
         return None
-
-    def mentioned_keys(self) -> List[str]:
-        return [item.key for item in self.items]
 
     def show(self) -> str:
         return "[" + ", ".join(i.show() for i in self.items) + "]"

@@ -379,11 +379,6 @@ def build_context(programs: List[ast.Program],
     return ctx
 
 
-def _exact_default():
-    from .types import ExactState
-    return ExactState(DEFAULT_STATE)
-
-
 def _self_arg(param: ast.TypeParam) -> ast.TypeArg:
     """A type argument referring to the declaration's own parameter."""
     named = ast.NamedType(param.span, param.name, [])

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .keys import DEFAULT_STATE, Key, State, StateVar, Value, state_display
+from .keys import Key, State, StateVar, Value, state_display
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .effects import Signature
@@ -305,7 +305,3 @@ def strip_guards(ctype: CType) -> CType:
 
 def is_void(ctype: CType) -> bool:
     return isinstance(ctype, CBase) and ctype.name == "void"
-
-
-def default_state_req() -> StateReq:
-    return ExactState(DEFAULT_STATE)

@@ -6,12 +6,10 @@ caches per-function summaries, parsed declaration chunks, and
 elaborated contexts between calls, and quarantines corrupt on-disk
 caches.  See ``docs/CHECKER.md`` ("Performance" and "Failure modes and
 recovery") for the cache key derivation, the determinism guarantee and
-the recovery paths.  :class:`FaultPlan` is the deterministic chaos
-harness that makes every recovery path testable.
+the recovery paths.
 """
 
 from .chunks import Chunk, ChunkError, Split, split_chunks
-from .faults import FaultError, FaultPlan
 from .fingerprint import (cache_checksum, dependency_renderings,
                           function_fingerprint, scan_names)
 from .session import CheckRecord, CheckSession, SessionStats
@@ -21,8 +19,6 @@ __all__ = [
     "CheckSession",
     "Chunk",
     "ChunkError",
-    "FaultError",
-    "FaultPlan",
     "SessionStats",
     "Split",
     "cache_checksum",

@@ -160,7 +160,6 @@ from ..syntax import ast, parse_program, tokenize
 from ..syntax.parser import parse_fun_body, parse_fun_header
 from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, Split, split_chunks
-from .faults import FaultPlan
 from .fingerprint import function_fingerprint
 
 #: the files a session holds; past the cap the least recently checked
@@ -464,8 +463,7 @@ class CheckSession:
                  units: Optional[Sequence[str]] = None,
                  jobs: Union[int, str] = 1,
                  cache_dir: Optional[str] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 fault_plan: Optional[FaultPlan] = None):
+                 telemetry: Optional[Telemetry] = None):
         self.stdlib = stdlib
         self.units = tuple(units) if units is not None else None
         self.cache_dir = cache_dir
@@ -484,10 +482,7 @@ class CheckSession:
         if cache_dir:
             from ..cache import RecordStore, options_salt
             self._options_salt = options_salt(self.stdlib, self.units)
-            # ``fault_plan`` is a deterministic chaos schedule (tests
-            # and CI only): the store's saves consume its budgets.
-            self.store = RecordStore(cache_dir, self.telemetry,
-                                     fault_plan=fault_plan)
+            self.store = RecordStore(cache_dir, self.telemetry)
             # Pre-register so a healthy run reports an explicit zero.
             self.telemetry.metrics.counter("resilience.cache_quarantines")
 

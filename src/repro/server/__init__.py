@@ -14,8 +14,9 @@ behind a Unix domain socket:
   ``vaultc check --daemon`` (bounded timeouts, jittered retry);
 * :class:`Supervisor` — ``vaultc serve --supervise``, crash-loop
   respawn of the daemon with backoff and rate limiting;
-* :class:`ChaosProxy` — the test-only wire-fault injector behind
-  ``make daemon-chaos-smoke``;
+* :class:`ChaosProxy` — a test-only relay that acts out one wire
+  fault on the first request it relays (``tests/test_server.py`` and
+  ``make daemon-chaos-smoke``);
 * :class:`Watcher` / :func:`run_watch` — ``vaultc watch DIR``,
   mtime-polling re-check of changed ``.vlt`` files;
 * :func:`run_top` / :func:`render_top` — ``vaultc top``, a live

@@ -1,15 +1,12 @@
 """A wire-level chaos proxy for the check daemon.
 
 :class:`ChaosProxy` sits between a client and a real daemon on a
-second Unix socket and *acts out* the wire faults of a seeded
-:class:`~repro.pipeline.faults.FaultPlan` (``torn@R``, ``oversize@R``,
-``stall@R``, ...).  Every request relayed through the proxy gets a
-global **request index**, the plan's :meth:`~repro.pipeline.faults.
-FaultPlan.wire_fault` decides what (if anything) goes wrong for that
-index, and because a client retry travels under a fresh index, chaos
-runs are deterministic and convergent — fault the first attempt,
-watch the retry (or the in-process fallback) produce byte-identical
-diagnostics.
+second Unix socket and *acts out* one wire fault, its ``fault``, on
+the first request it relays after :meth:`~ChaosProxy.reset`.  Every
+later request is relayed untouched, so a client retry of the same
+check goes through: chaos runs are deterministic and convergent —
+fault the first attempt, watch the retry (or the in-process fallback)
+produce byte-identical diagnostics.
 
 The faults, as seen by the client:
 
@@ -37,12 +34,16 @@ import socket
 import struct
 import threading
 from collections import Counter
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from ..pipeline.faults import FaultPlan
 from .protocol import HEADER_SIZE, MAX_FRAME, encode_frame
 
-__all__ = ["ChaosProxy"]
+__all__ = ["ChaosProxy", "WIRE_FAULT_KINDS"]
+
+#: the fault kinds :class:`ChaosProxy` acts out (see the module
+#: docstring).
+WIRE_FAULT_KINDS: Tuple[str, ...] = ("torn", "garbage-frame", "oversize",
+                                     "disconnect", "stall", "kill")
 
 _HEADER = struct.Struct("!I")
 
@@ -78,7 +79,9 @@ def _read_raw_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 class ChaosProxy:
-    """Relay daemon traffic, injecting wire faults by request index.
+    """Relay daemon traffic, acting out ``fault`` (one of
+    :data:`WIRE_FAULT_KINDS`, or ``None`` for none) on the first
+    request after :meth:`reset`.
 
     Use as a context manager (or call :meth:`start`/:meth:`close`).
     Point clients at :attr:`listen_path`; the proxy dials
@@ -86,10 +89,10 @@ class ChaosProxy:
     """
 
     def __init__(self, listen_path: str, upstream_path: str,
-                 plan: Optional[FaultPlan] = None):
+                 fault: Optional[str] = None):
         self.listen_path = listen_path
         self.upstream_path = upstream_path
-        self.plan = plan if plan is not None else FaultPlan()
+        self.fault = fault
         self.requests_seen = 0
         #: fault kind -> number of times it was acted out.
         self.faults_acted: "Counter[str]" = Counter()
@@ -133,8 +136,8 @@ class ChaosProxy:
         self._threads = []
 
     def reset(self) -> None:
-        """Zero the request counter (fresh per-example determinism for
-        property tests that reuse one proxy)."""
+        """Zero the request counter, so the next request is faulted
+        again (property tests reuse one proxy)."""
         with self._lock:
             self.requests_seen = 0
 
@@ -171,8 +174,7 @@ class ChaosProxy:
                 raw = _read_raw_frame(client)
                 if raw is None:
                     return
-                index = self._next_index()
-                fault = self.plan.wire_fault(index)
+                fault = self.fault if self._next_index() == 0 else None
                 if fault == "disconnect":
                     self.faults_acted[fault] += 1
                     return                      # EOF before any reply

@@ -66,8 +66,8 @@ from repro.testing.differential import (InProcessDaemon, canonical_stdout,
                                         daemon_available)
 
 __all__ = ["EDIT_KINDS", "SMALL_CAP", "Revision", "EditDivergence",
-           "EditFuzzReport", "edit_sequence", "run_edit_fuzz",
-           "shrink_sequence"]
+           "EditFuzzReport", "edit_sequence", "flip_file_byte",
+           "run_edit_fuzz", "shrink_sequence"]
 
 #: every edit the generator applies (``start`` is the first revision).
 EDIT_KINDS = ("body_constant", "body_call", "blank_above", "blank_inside",
@@ -368,6 +368,19 @@ def _caps(value: Optional[int]) -> Iterator[str]:
         session_mod._MAX_FILES = saved
 
 
+def flip_file_byte(path: str, seed: int) -> int:
+    """Flip one bit of one seeded byte of ``path``, as a disk fault
+    would; returns the offset (``-1`` for an empty file)."""
+    with open(path, "r+b") as handle:
+        data = handle.read()
+        if not data:
+            return -1
+        offset = random.Random(seed).randrange(len(data))
+        handle.seek(offset)
+        handle.write(bytes([data[offset] ^ 0x40]))
+    return offset
+
+
 def walk(revisions: List[Revision], sequence_seed: int = 0,
          caps: Optional[int] = None,
          daemon: Optional[InProcessDaemon] = None,
@@ -384,7 +397,7 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
     would: that session must quarantine the record and still answer
     like ``check_source``, and the walk goes on from the record it
     rebuilt."""
-    from repro.pipeline import CheckSession, FaultPlan
+    from repro.pipeline import CheckSession
     expected = [_outcome(check_source, r) for r in revisions]
     divergences: List[EditDivergence] = []
     flip_at = random.Random(sequence_seed).randrange(len(revisions))
@@ -420,7 +433,7 @@ def walk(revisions: List[Revision], sequence_seed: int = 0,
                     record = record_path(rev.filename)
                     if path.startswith("cache-dir") and index == flip_at \
                             and os.path.exists(record):
-                        FaultPlan(seed=sequence_seed).flip_file_byte(record)
+                        flip_file_byte(record, sequence_seed)
                         outcomes.append(outcome(rev))
                     for actual in outcomes:
                         if actual != expected[index]:

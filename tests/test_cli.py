@@ -353,11 +353,11 @@ class TestObservability:
             ("functions checked", "       0"),
             ("functions replayed", "      12"),
             ("file record replays", "       1")]
-        flipped = str(tmp_path / "flipped")
-        assert main(["check", str(unit), "--cache", flipped,
-                     "--inject-faults", "flip-cache"]) == 1
-        capsys.readouterr()
-        assert rows("--cache", flipped, "--profile") == \
+        from repro.pipeline import CheckSession
+        from repro.testing.edits import flip_file_byte
+        flip_file_byte(CheckSession(cache_dir=store).record_path(str(unit)),
+                       seed=0)
+        assert rows("--cache", store, "--profile") == \
             cold + [("cache quarantines", "       1")]
 
     def test_profile_plan_row_names_the_context_step(self, good_file,

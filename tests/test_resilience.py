@@ -1,31 +1,34 @@
 """Chaos tests for the resilient checking pipeline.
 
-Every recovery path the checker promises is driven here through the
-deterministic fault harness (:mod:`repro.pipeline.faults`):
+Every recovery path the checker promises is driven here from outside
+the product: a record is corrupted by flipping a byte of the file on
+disk, and a full disk is an ``os.fsync`` patched to raise ``ENOSPC``.
 
 * a corrupt file record is quarantined (original preserved under
   ``corrupt/`` with a unique ``*.corrupt.<pid>.<seq>`` name, bounded
   retention) and transparently rebuilt;
+* a failed record write is reported, leaves no temp file, and the next
+  run checks cold;
 * a ``summaries.pkl`` left by an older ``vaultc`` is neither read nor
   deleted;
-* the fault-spec parser behind ``--inject-faults`` and
-  ``VAULTC_FAULTS`` is strict and deterministic.
+* no environment variable injects a fault into ``vaultc check``.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
+import re
 import subprocess
 import sys
-
-import pytest
+from unittest import mock
 
 from repro import check_source
 from repro.analysis import synthesize_program
 from repro.cache import check_blob, encode_blob
-from repro.pipeline import CheckSession, FaultPlan, cache_checksum
-from repro.pipeline.faults import FaultError
+from repro.pipeline import CheckSession, cache_checksum
+from repro.testing.edits import flip_file_byte
 
 UNITS = ["region"]
 
@@ -36,73 +39,37 @@ def _quarantines(session):
         "resilience.cache_quarantines").value
 
 
+def _temp_files(root):
+    """The store's temp files left anywhere under ``root``."""
+    return [name for _root, _dirs, names in os.walk(str(root))
+            for name in names if ".tmp" in name]
+
+
 def _corpus(n=24, seed=3, error_rate=0.3):
     source = synthesize_program(n, seed=seed, error_rate=error_rate)
     return source, check_source(source, units=UNITS).render()
 
 
 # ---------------------------------------------------------------------------
-# The fault plan itself (pure parsing/determinism; no fork needed)
+# The seeded byte flip the edit fuzzer corrupts records with
 # ---------------------------------------------------------------------------
 
-class TestFaultPlan:
-    def test_parse_kinds_and_ranges(self):
-        plan = FaultPlan.parse("torn@0,stall@2,kill@1,disconnect@3-5")
-        assert plan.torn == {0}
-        assert plan.stall == {2}
-        assert plan.kill == {1}
-        assert plan.disconnect == {3, 4, 5}
-
-    def test_bare_kind_means_request_zero(self):
-        assert FaultPlan.parse("torn").torn == {0}
-
-    def test_flip_cache_and_seed(self):
-        plan = FaultPlan.parse("flip-cache@2,seed=7")
-        assert plan.seed == 7
-        assert plan.take_cache_flip() and plan.take_cache_flip()
-        assert not plan.take_cache_flip()      # budget of 2 exhausted
-
-    def test_wire_fault_precedence_is_stable(self):
-        plan = FaultPlan.parse("torn@4,stall@4")
-        assert plan.wire_fault(4) == "torn"
-        assert plan.wire_fault(5) is None
-
-    def test_describe_parse_round_trip(self):
-        spec = "torn@1,stall@2,flip-cache,enospc@2,seed=9"
-        assert FaultPlan.parse(FaultPlan.parse(spec).describe()).describe() \
-            == FaultPlan.parse(spec).describe()
-
-    # crash/hang/poison were worker-pool faults; the pool is gone and
-    # a spec naming them is an error, not a silent no-op.
-    @pytest.mark.parametrize("bad", ["explode@1", "crash@x", "crash@3-1",
-                                     "poison:", "seed=maybe",
-                                     "flip-cache@many", "torn@x",
-                                     "torn@3-1", "crash@0", "hang"])
-    def test_bad_specs_raise_fault_error(self, bad):
-        with pytest.raises(FaultError):
-            FaultPlan.parse(bad)
-
-    def test_empty_plan_is_falsy(self):
-        assert not FaultPlan.parse("")
-        assert FaultPlan.parse("torn@0")
-        assert FaultPlan.parse("flip-cache")
-
-    def test_flip_file_byte_is_seeded_and_minimal(self, tmp_path):
-        path = str(tmp_path / "blob")
-        with open(path, "wb") as handle:
-            handle.write(bytes(range(256)) * 4)
-        pristine = bytes(range(256)) * 4
-        offset = FaultPlan(seed=11).flip_file_byte(path)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        # exactly one byte changed, at the seeded offset
-        diffs = [i for i in range(len(data)) if data[i] != pristine[i]]
-        assert diffs == [offset]
-        # a fresh plan with the same seed picks the same offset, so the
-        # second flip restores the file bit-for-bit
-        assert FaultPlan(seed=11).flip_file_byte(path) == offset
-        with open(path, "rb") as handle:
-            assert handle.read() == pristine
+def test_flip_file_byte_is_seeded_and_minimal(tmp_path):
+    path = str(tmp_path / "blob")
+    pristine = bytes(range(256)) * 4
+    with open(path, "wb") as handle:
+        handle.write(pristine)
+    offset = flip_file_byte(path, seed=11)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    # exactly one byte changed, at the seeded offset
+    diffs = [i for i in range(len(data)) if data[i] != pristine[i]]
+    assert diffs == [offset]
+    # the same seed picks the same offset, so the second flip restores
+    # the file bit-for-bit
+    assert flip_file_byte(path, seed=11) == offset
+    with open(path, "rb") as handle:
+        assert handle.read() == pristine
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +158,6 @@ class TestCacheResilience:
         assert os.listdir(os.path.join(str(tmp_path), "corrupt"))
         assert capfd.readouterr().err.count("rebuilding cold") == 1
 
-    def test_flip_cache_fault_round_trips(self, tmp_path, capfd):
-        source, expected = _corpus(n=8, seed=9)
-        plan = FaultPlan.parse("flip-cache,seed=1")
-        with CheckSession(units=UNITS, cache_dir=str(tmp_path),
-                          fault_plan=plan) as writer:
-            writer.check(source)
-        (event,) = writer.telemetry.events.by_kind("fault_injected")
-        assert event.fields["fault"] == "flip-cache"
-        assert event.fields["path"] == writer.record_path()
-        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
-            assert reader.check(source).render() == expected
-        assert _quarantines(reader) == 1
-        capfd.readouterr()
-
     def test_legacy_summaries_pickle_is_ignored(self, tmp_path):
         # An older vaultc kept its summaries in DIR/summaries.pkl (a
         # checksummed "version 3" pickle).  File records replace it: the
@@ -227,13 +180,15 @@ class TestCacheResilience:
 
     def test_failed_pack_write_is_an_event(self, tmp_path):
         source, expected = _corpus(n=4, seed=14)
-        plan = FaultPlan.parse("enospc")
-        with CheckSession(units=UNITS, cache_dir=str(tmp_path),
-                          fault_plan=plan) as writer:
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as writer, \
+                mock.patch("os.fsync", side_effect=full):
             assert writer.check(source).render() == expected
         (event,) = writer.telemetry.events.by_kind("shared_cache_error")
         assert event.fields["op"] == "put"
+        assert os.strerror(errno.ENOSPC) in event.fields["error"]
         assert not os.path.exists(writer.record_path())
+        assert _temp_files(tmp_path) == [], "the failed write cleaned up"
         with CheckSession(units=UNITS, cache_dir=str(tmp_path)) as reader:
             assert reader.check(source).render() == expected
         assert reader.last.functions_replayed == 0, "the next run is cold"
@@ -241,9 +196,7 @@ class TestCacheResilience:
     def test_save_leaves_no_temp_files(self, tmp_path):
         source, _ = _corpus(n=4, seed=12)
         self._seed_cache(tmp_path, source)
-        leftovers = [name for _root, _dirs, names in os.walk(str(tmp_path))
-                     for name in names if ".tmp" in name]
-        assert leftovers == []
+        assert _temp_files(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +220,74 @@ class TestSessionClose:
 
 
 # ---------------------------------------------------------------------------
-# The CLI surface (--inject-faults and the --profile rows)
+# The CLI surface: a corrupt record on disk, and a hostile environment
 # ---------------------------------------------------------------------------
+
+def _vaultc_check(target, cache, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", "check", str(target),
+         "--cache", cache, "--profile"],
+        capture_output=True, text=True,
+        env={**os.environ, **(env or {}),
+             "PYTHONPATH": os.path.join(os.path.dirname(__file__),
+                                        os.pardir, "src")})
+
 
 class TestCli:
     def test_check_with_injected_faults_exits_cleanly(self, tmp_path):
-        # The flipped cache is quarantined on the second run, which
-        # still prints the serial answer and says so in --profile.
+        # A record flipped between two runs is quarantined on the
+        # second, which still prints the serial answer and says so in
+        # --profile.
         source, _ = _corpus(n=20, seed=16, error_rate=0.0)
         target = tmp_path / "prog.vlt"
         target.write_text(source)
         cache = str(tmp_path / "cache")
-        env = {**os.environ,
-               "PYTHONPATH": os.path.join(os.path.dirname(__file__),
-                                          os.pardir, "src")}
-        runs = [subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", str(target),
-             "--cache", cache, "--profile", *extra],
-            capture_output=True, text=True, env=env)
-            for extra in (["--inject-faults", "flip-cache"], [])]
+        first = _vaultc_check(target, cache)
+        flip_file_byte(CheckSession(cache_dir=cache).record_path(str(target)),
+                       seed=0)
+        second = _vaultc_check(target, cache)
+        for proc in (first, second):
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"{target}: OK (protocols verified)\n"
+        assert "cache quarantines" in second.stderr
+
+    def test_stray_environment_changes_nothing(self, tmp_path):
+        # Stray VAULTC_* variables (among them the name of a removed
+        # fault hook, with a value that once flipped the record just
+        # written) change nothing: the second run replays the record.
+        source, _ = _corpus(n=20, seed=16, error_rate=0.0)
+        target = tmp_path / "prog.vlt"
+        target.write_text(source)
+        cache = str(tmp_path / "cache")
+        stray = {f"VAULTC_{name}": "flip-cache"
+                 for name in ("FAULTS", "INJECT", "CHAOS")}
+        runs = [_vaultc_check(target, cache, stray) for _ in range(2)]
         for proc in runs:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == f"{target}: OK (protocols verified)\n"
-        assert "cache quarantines" in runs[1].stderr
+        assert re.search(r"file record replays +1\n", runs[1].stderr)
+        assert "cache quarantines" not in runs[1].stderr
 
-    def test_bad_fault_spec_is_a_usage_error(self, tmp_path):
-        target = tmp_path / "prog.vlt"
-        target.write_text("int main() { return 0; }\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "check", str(target),
-             "--inject-faults", "explode@1"],
-            capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": os.path.join(os.path.dirname(__file__),
-                                            os.pardir, "src")})
-        assert proc.returncode != 0
-        assert "bad fault spec" in proc.stderr
+    def test_only_documented_environment_variables_are_read(self):
+        # Every os.environ / os.getenv read under src/repro names one
+        # of the variables docs/SERVER.md documents.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        src = os.path.join(root, "src", "repro")
+        read = re.compile(r"""os\.(?:environ\.get\(|environ\[|getenv\()"""
+                          r"""\s*["']([A-Za-z_][A-Za-z0-9_]*)["']""")
+        names, sites = set(), 0
+        for folder, _dirs, files in os.walk(src):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as handle:
+                        text = handle.read()
+                    sites += len(re.findall(r"os\.(?:environ|getenv)\b",
+                                            text))
+                    names.update(read.findall(text))
+        assert names == {"VAULTC_SOCKET", "XDG_RUNTIME_DIR",
+                         "VAULTC_SERVER_TEST_OPS"}
+        assert sites == 3, "every environment read names its variable"
+        with open(os.path.join(root, "docs", "SERVER.md")) as handle:
+            doc = handle.read()
+        for name in names:
+            assert f"`{name}`" in doc or f"`${name}" in doc, name

@@ -19,6 +19,7 @@ Covers the acceptance promises of the serving layer:
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import socket as socket_mod
@@ -27,6 +28,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -1281,10 +1283,9 @@ class TestChaosProxy:
     @pytest.fixture()
     def stack(self, tmp_path):
         from repro.server import ChaosProxy
-        from repro.pipeline.faults import FaultPlan
         handle = _start_server(tmp_path)
         proxy = ChaosProxy(str(tmp_path / "chaos.sock"),
-                           handle.socket_path, FaultPlan()).start()
+                           handle.socket_path).start()
         yield handle, proxy
         proxy.close()
         handle.stop()
@@ -1302,9 +1303,8 @@ class TestChaosProxy:
                                       "oversize", "disconnect"])
     def test_faulted_first_attempt_retries_byte_identical(
             self, stack, kind):
-        from repro.pipeline.faults import FaultPlan
         handle, proxy = stack
-        proxy.plan = FaultPlan.parse(f"{kind}@0")
+        proxy.fault = kind
         proxy.reset()
         expected = check_source(OK_SOURCE, "c.vlt").render()
         outcome = check_via_daemon(OK_SOURCE, "c.vlt",
@@ -1317,9 +1317,8 @@ class TestChaosProxy:
         assert proxy.requests_seen == 2      # the fault, then the retry
 
     def test_stall_times_out_then_retry_succeeds(self, stack):
-        from repro.pipeline.faults import FaultPlan
         handle, proxy = stack
-        proxy.plan = FaultPlan.parse("stall@0")
+        proxy.fault = "stall"
         proxy.reset()
         expected = check_source(OK_SOURCE, "c.vlt").render()
         outcome = check_via_daemon(OK_SOURCE, "c.vlt",
@@ -1342,11 +1341,10 @@ class TestRetryNeverDuplicates:
     @pytest.fixture(scope="class")
     def stack(self, tmp_path_factory):
         from repro.server import ChaosProxy
-        from repro.pipeline.faults import FaultPlan
         tmp_path = tmp_path_factory.mktemp("chaosprop")
         handle = _start_server(tmp_path)
         proxy = ChaosProxy(str(tmp_path / "chaos.sock"),
-                           handle.socket_path, FaultPlan()).start()
+                           handle.socket_path).start()
         expected = {i: check_source(src, f"prop{i}.vlt").render()
                     for i, src in enumerate(self.SOURCES)}
         yield proxy, expected
@@ -1356,7 +1354,6 @@ class TestRetryNeverDuplicates:
     def test_retries_never_duplicate_diagnostics(self, stack):
         from hypothesis import HealthCheck, given, settings
         from hypothesis import strategies as st
-        from repro.pipeline.faults import FaultPlan
         proxy, expected = stack
 
         @settings(max_examples=12, deadline=None,
@@ -1365,8 +1362,7 @@ class TestRetryNeverDuplicates:
                kind=st.sampled_from(["torn", "garbage-frame", "oversize",
                                      "disconnect", None]))
         def prop(source_idx, kind):
-            proxy.plan = FaultPlan.parse(f"{kind}@0") if kind \
-                else FaultPlan()
+            proxy.fault = kind
             proxy.reset()
             outcome = check_via_daemon(
                 self.SOURCES[source_idx], f"prop{source_idx}.vlt",
@@ -1460,33 +1456,39 @@ class TestDaemonSharedStore:
 
 
 # ---------------------------------------------------------------------------
-# Injected ENOSPC in the shared CAS
+# ENOSPC in the shared CAS (a patched os.fsync fails the write)
 # ---------------------------------------------------------------------------
+
+def _full_disk():
+    """Fail every ``os.fsync`` as a full disk would."""
+    return mock.patch("os.fsync", side_effect=OSError(
+        errno.ENOSPC, os.strerror(errno.ENOSPC)))
+
 
 class TestEnospcInjection:
     def test_cas_degrades_to_miss_under_enospc(self, tmp_path):
         from repro.cache import RecordStore
-        from repro.pipeline.faults import FaultPlan
-        plan = FaultPlan.parse("enospc@1")
-        store = RecordStore(str(tmp_path / "cas"), fault_plan=plan)
+        store = RecordStore(str(tmp_path / "cas"))
         key1 = "1" * 64 + "-f"
         key2 = "2" * 64 + "-f"
-        assert store.save(key1, "one") is False
+        with _full_disk():
+            assert store.save(key1, "one") is False
         assert store.load(key1) is None     # the write failed as ENOSPC
         assert not os.path.exists(store.path(key1))
+        assert os.listdir(os.path.dirname(store.path(key1))) == [], \
+            "the failed write removed its temp file"
         assert store.errors == 1
-        assert store.save(key2, "two")      # budget consumed
+        assert store.save(key2, "two")      # the disk has room again
         assert store.load(key2) == "two"
         assert store.errors == 1
 
     def test_store_counts_enospc_as_tier_error_not_corruption(
             self, tmp_path):
         from repro.cache import RecordStore
-        from repro.pipeline.faults import FaultPlan
-        plan = FaultPlan.parse("enospc@1")
-        store = RecordStore(str(tmp_path / "cas"), fault_plan=plan)
+        store = RecordStore(str(tmp_path / "cas"))
         key = "a" * 64 + "-f"
-        store.save(key, {"v": 1})
+        with _full_disk():
+            store.save(key, {"v": 1})
         assert store.load(key) is None      # degraded to a miss
         store.save(key, {"v": 1})
         assert store.load(key) == {"v": 1}
@@ -1494,3 +1496,4 @@ class TestEnospcInjection:
         assert (snap["errors"], snap["corrupt"], snap["puts"]) == (1, 0, 1)
         (event,) = store.telemetry.events.by_kind("shared_cache_error")
         assert event.fields["op"] == "put"
+        assert os.strerror(errno.ENOSPC) in event.fields["error"]
